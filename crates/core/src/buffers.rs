@@ -15,8 +15,9 @@
 //!   unbiased collapse; the fixed midpoint offset gives the
 //!   deterministic MRL98 collapse.
 //!
-//! plus the weighted rank/quantile queries over the union of all live
-//! buffers.
+//! plus the read side: a `RankIndex` over the union of all live
+//! buffers, which each summary keeps in a `CachedView` between
+//! mutations.
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 // ^ audited: indices and casts here are bounded by structural
@@ -118,88 +119,252 @@ pub fn weighted_collapse<T: Ord + Copy>(
     (out, total_w)
 }
 
-/// Estimated rank of `x` over weighted sample buffers: the summed
-/// weight of all sampled elements strictly smaller than `x`.
-pub fn weighted_rank<T: Ord + Copy>(bufs: &[(&[T], u64)], x: T) -> u64 {
-    bufs.iter()
-        .map(|(data, w)| data.partition_point(|&v| v < x) as u64 * w)
-        .sum()
+/// A read-side view cached inside a summary: built by the first query
+/// after a mutation and dropped by every mutator, like the `sorted`
+/// flag of `ReservoirQuantiles`. `clone` never copies it: clones are
+/// taken to publish a summary or to feed a merge, which drops it, so a
+/// clone costs the same whether or not its source was ever queried.
+#[derive(Debug)]
+pub(crate) struct CachedView<V>(Option<V>);
+
+impl<V> Default for CachedView<V> {
+    fn default() -> Self {
+        Self(None)
+    }
 }
 
-/// φ-quantile over weighted sample buffers: the sampled element whose
-/// estimated rank is closest to `φ · W` (§2.2), found by a sweep over
-/// the sorted union.
-pub fn weighted_quantile<T: Ord + Copy>(bufs: &[(&[T], u64)], phi: f64) -> Option<T> {
-    let total_w: u64 = bufs.iter().map(|(d, w)| d.len() as u64 * w).sum();
-    if total_w == 0 {
-        return None;
+impl<V> Clone for CachedView<V> {
+    fn clone(&self) -> Self {
+        Self(None)
     }
-    let mut items: Vec<(T, u64)> = Vec::with_capacity(bufs.iter().map(|(d, _)| d.len()).sum());
-    for (data, w) in bufs {
-        items.extend(data.iter().map(|&v| (v, *w)));
-    }
-    items.sort_unstable_by_key(|x| x.0);
+}
 
-    // §2.2: report the element whose estimated rank r̂(v) — the mass
-    // strictly before it — is closest to φ·W.
-    let target = phi * total_w as f64;
-    let mut cum = 0u64;
-    let mut best = items[0].0;
-    let mut best_dist = f64::INFINITY;
-    for (v, w) in items {
-        let rank = cum as f64;
-        let dist = (rank - target).abs();
-        if dist < best_dist {
-            best_dist = dist;
-            best = v;
-        } else if rank > target {
-            break; // ranks only move away from the target now
+impl<V> CachedView<V> {
+    /// The view, built with `build` if no query has needed it since
+    /// the last mutation.
+    pub(crate) fn get_or_build(&mut self, build: impl FnOnce() -> V) -> &V {
+        self.0.get_or_insert_with(build)
+    }
+
+    /// Drops the view; every mutator of the owning summary calls this.
+    #[inline]
+    pub(crate) fn invalidate(&mut self) {
+        self.0 = None;
+    }
+
+    /// The view if one is currently cached.
+    pub(crate) fn get(&self) -> Option<&V> {
+        self.0.as_ref()
+    }
+}
+
+impl<T: Ord + Copy> CachedView<RankIndex<T>> {
+    /// The `*.view_fresh` invariant of the buffer summaries: a cached
+    /// index equals a rebuild from the buffers as they are now.
+    pub(crate) fn ensure_fresh(
+        &self,
+        bufs: &[(&[T], u64)],
+        algorithm: &'static str,
+        invariant: &'static str,
+    ) -> Result<(), sqs_util::audit::InvariantViolation> {
+        sqs_util::audit::ensure(
+            self.0.as_ref().is_none_or(|v| *v == RankIndex::build(bufs)),
+            algorithm,
+            invariant,
+            || "cached rank index differs from a rebuild (a mutator kept it)".to_string(),
+        )
+    }
+}
+
+/// The read path of every buffer summary: the sorted weighted union of
+/// the live buffers with prefix ranks, so that §2.2's
+/// `r̂(v) = Σ_X w(X)·|{y ∈ X : y < v}|` and its inverse are binary
+/// searches instead of a flatten-and-sort per query.
+#[derive(Debug, PartialEq)]
+pub(crate) struct RankIndex<T> {
+    /// Every live sample, ascending.
+    values: Vec<T>,
+    /// `rank_before[i]`: the summed weight of the samples sorted before
+    /// position `i` — strictly increasing, since every weight is ≥ 1.
+    rank_before: Vec<u64>,
+    /// The represented mass `W = Σ weight·|buffer|`.
+    total: u64,
+}
+
+impl<T: Ord + Copy> RankIndex<T> {
+    /// Flattens `bufs` (slices of samples with a per-slice weight; the
+    /// slices need not be sorted) and sorts the union once.
+    pub(crate) fn build(bufs: &[(&[T], u64)]) -> Self {
+        let mut items: Vec<(T, u64)> = Vec::with_capacity(bufs.iter().map(|(d, _)| d.len()).sum());
+        for (data, w) in bufs {
+            items.extend(data.iter().map(|&v| (v, *w)));
         }
-        cum += w;
+        items.sort_unstable_by_key(|x| x.0);
+        let mut values = Vec::with_capacity(items.len());
+        let mut rank_before = Vec::with_capacity(items.len());
+        let mut total = 0u64;
+        for (v, w) in items {
+            values.push(v);
+            rank_before.push(total);
+            total += w;
+        }
+        Self {
+            values,
+            rank_before,
+            total,
+        }
     }
-    Some(best)
+
+    /// Estimated rank of `x`: the summed weight of all sampled
+    /// elements strictly smaller than `x`.
+    pub(crate) fn rank(&self, x: T) -> u64 {
+        let i = self.values.partition_point(|&v| v < x);
+        self.rank_before.get(i).copied().unwrap_or(self.total)
+    }
+
+    /// φ-quantile: the sampled element whose estimated rank — the mass
+    /// strictly before it — is closest to `φ·W` (§2.2), the earlier
+    /// one on a tie. `None` when the buffers hold nothing.
+    pub(crate) fn quantile(&self, phi: f64) -> Option<T> {
+        let target = phi * self.total as f64;
+        // Distances to the target shrink up to the last rank ≤ target
+        // and grow from the first rank beyond it: one of the two wins.
+        let above = self.rank_before.partition_point(|&r| r as f64 <= target);
+        let below = above.checked_sub(1)?;
+        let dist = |i: usize| (self.rank_before[i] as f64 - target).abs();
+        let pick = if above < self.values.len() && dist(above) < dist(below) {
+            above
+        } else {
+            below
+        };
+        Some(self.values[pick])
+    }
 }
 
-/// Answers an ascending φ-grid in a single pass over the sorted
-/// weighted union (the per-query [`weighted_quantile`] sorts the union
-/// each time; grids of `1/ε − 1` probes need this batched form).
-pub fn weighted_quantile_grid<T: Ord + Copy>(bufs: &[(&[T], u64)], phis: &[f64]) -> Vec<(f64, T)> {
-    let total_w: u64 = bufs.iter().map(|(d, w)| d.len() as u64 * w).sum();
-    if total_w == 0 || phis.is_empty() {
-        return Vec::new();
-    }
-    debug_assert!(
-        phis.windows(2).all(|w| w[0] <= w[1]),
-        "grid must be ascending"
-    );
-    let mut items: Vec<(T, u64)> = Vec::with_capacity(bufs.iter().map(|(d, _)| d.len()).sum());
-    for (data, w) in bufs {
-        items.extend(data.iter().map(|&v| (v, *w)));
-    }
-    items.sort_unstable_by_key(|x| x.0);
+/// The per-query flatten-sort-sweep queries the `RankIndex` replaced,
+/// kept as the reference the index is tested against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::QuantileSummary;
+    use sqs_util::audit::CheckInvariants;
+    use sqs_util::rng::Xoshiro256pp;
 
-    let mut out = Vec::with_capacity(phis.len());
-    let mut cum = 0u64;
-    let mut idx = 0usize;
-    for &phi in phis {
-        let target = phi * total_w as f64;
-        // Advance while the next item's rank is strictly closer to the
-        // target (ties keep the earlier item, matching the pointwise
-        // query's first-minimum rule).
-        while idx + 1 < items.len() {
-            let here = (cum as f64 - target).abs();
-            let next_rank = cum + items[idx].1;
-            let there = (next_rank as f64 - target).abs();
-            if there < here {
-                cum += items[idx].1;
-                idx += 1;
-            } else {
-                break;
+    /// The reference answers for a φ-vector and a rank vector, computed
+    /// from a summary's state without its cached view.
+    pub(crate) type Expect<S> = fn(&mut S, &[f64], &[u64]) -> (Vec<Option<u64>>, Vec<u64>);
+
+    /// A mutation only some summaries have (merge, codec round trip).
+    pub(crate) type Mutator<S> = fn(&mut S, &mut Xoshiro256pp);
+
+    /// The stale-view property: under a random interleaving of
+    /// `insert`, `insert_batch`, clones, `extra` mutators and queries,
+    /// every answer equals `expect`'s — φ unsorted and repeated — and
+    /// a view that is present passes the `*.view_fresh` audit.
+    pub(crate) fn check_view_never_stale<S>(
+        mut s: S,
+        universe: u64,
+        seed: u64,
+        expect: Expect<S>,
+        extra: &[Mutator<S>],
+    ) where
+        S: QuantileSummary<u64> + CheckInvariants + Clone,
+    {
+        let mut rng = Xoshiro256pp::new(seed);
+        let query = |s: &mut S, rng: &mut Xoshiro256pp| {
+            let mut phis: Vec<f64> = (0..1 + rng.next_below(12))
+                .map(|_| (1 + rng.next_below(999)) as f64 / 1000.0)
+                .collect();
+            phis.push(phis[0]);
+            let xs: Vec<u64> = (0..4).map(|_| rng.next_below(universe + 1)).collect();
+            let (want_q, want_r) = expect(s, &phis, &xs);
+            assert_eq!(s.quantiles(&phis), want_q, "phis {phis:?} at n = {}", s.n());
+            let got_r: Vec<u64> = xs.iter().map(|&x| s.rank_estimate(x)).collect();
+            assert_eq!(got_r, want_r, "ranks of {xs:?} at n = {}", s.n());
+            let grid = sqs_util::exact::probe_phis(0.05);
+            let want_grid: Vec<(f64, u64)> = grid
+                .iter()
+                .zip(expect(s, &grid, &[]).0)
+                .filter_map(|(&phi, q)| q.map(|q| (phi, q)))
+                .collect();
+            assert_eq!(s.quantile_grid(0.05), want_grid, "grid at n = {}", s.n());
+            s.assert_invariants();
+        };
+        for _ in 0..4000 {
+            match rng.next_below(6 + extra.len() as u64) {
+                0 => s.insert(rng.next_below(universe)),
+                1 => {
+                    for _ in 0..rng.next_below(40) {
+                        s.insert(rng.next_below(universe));
+                    }
+                }
+                2 => {
+                    let xs: Vec<u64> = (0..rng.next_below(300))
+                        .map(|_| rng.next_below(universe))
+                        .collect();
+                    s.insert_batch(&xs);
+                }
+                3 => {
+                    let mut copy = s.clone();
+                    query(&mut copy, &mut rng.clone());
+                    query(&mut s, &mut rng);
+                    s = copy;
+                }
+                4 | 5 => query(&mut s, &mut rng),
+                k => extra[k as usize - 6](&mut s, &mut rng),
             }
         }
-        out.push((phi, items[idx].0));
+        query(&mut s, &mut rng);
     }
-    out
+
+    /// [`Expect`] for a buffer summary, given its live buffers.
+    pub(crate) fn sweep(
+        bufs: &[(&[u64], u64)],
+        phis: &[f64],
+        xs: &[u64],
+    ) -> (Vec<Option<u64>>, Vec<u64>) {
+        (
+            phis.iter().map(|&p| weighted_quantile(bufs, p)).collect(),
+            xs.iter().map(|&x| weighted_rank(bufs, x)).collect(),
+        )
+    }
+
+    /// Summed weight of all sampled elements strictly smaller than `x`.
+    pub(crate) fn weighted_rank<T: Ord + Copy>(bufs: &[(&[T], u64)], x: T) -> u64 {
+        bufs.iter()
+            .map(|(data, w)| data.iter().filter(|&&v| v < x).count() as u64 * w)
+            .sum()
+    }
+
+    /// The sampled element whose estimated rank is closest to `φ · W`,
+    /// found by a sweep over the freshly sorted union.
+    pub(crate) fn weighted_quantile<T: Ord + Copy>(bufs: &[(&[T], u64)], phi: f64) -> Option<T> {
+        let total_w: u64 = bufs.iter().map(|(d, w)| d.len() as u64 * w).sum();
+        if total_w == 0 {
+            return None;
+        }
+        let mut items: Vec<(T, u64)> = Vec::with_capacity(bufs.iter().map(|(d, _)| d.len()).sum());
+        for (data, w) in bufs {
+            items.extend(data.iter().map(|&v| (v, *w)));
+        }
+        items.sort_unstable_by_key(|x| x.0);
+
+        let target = phi * total_w as f64;
+        let mut cum = 0u64;
+        let mut best = items[0].0;
+        let mut best_dist = f64::INFINITY;
+        for (v, w) in items {
+            let rank = cum as f64;
+            let dist = (rank - target).abs();
+            if dist < best_dist {
+                best_dist = dist;
+                best = v;
+            } else if rank > target {
+                break; // ranks only move away from the target now
+            }
+            cum += w;
+        }
+        Some(best)
+    }
 }
 
 #[cfg(test)]
@@ -270,42 +435,66 @@ mod tests {
     }
 
     #[test]
-    fn weighted_rank_counts_mass() {
+    fn index_rank_counts_mass() {
         let a = [1u64, 3, 5];
         let b = [2u64, 4];
-        let bufs: Vec<(&[u64], u64)> = vec![(&a, 2), (&b, 3)];
-        assert_eq!(weighted_rank(&bufs, 0), 0);
-        assert_eq!(weighted_rank(&bufs, 3), 2 + 3); // {1}·2 + {2}·3
-        assert_eq!(weighted_rank(&bufs, 100), 6 + 6);
+        let index = RankIndex::build(&[(&a[..], 2), (&b[..], 3)]);
+        assert_eq!(index.rank(0), 0);
+        assert_eq!(index.rank(3), 2 + 3); // {1}·2 + {2}·3
+        assert_eq!(index.rank(100), 6 + 6);
     }
 
     #[test]
-    fn weighted_quantile_median_of_uniform() {
+    fn index_quantile_median_of_uniform() {
         let a: Vec<u64> = (0..100).collect();
-        let bufs: Vec<(&[u64], u64)> = vec![(&a, 1)];
-        let med = weighted_quantile(&bufs, 0.5).unwrap();
+        let index = RankIndex::build(&[(&a[..], 1)]);
+        let med = index.quantile(0.5).unwrap();
         assert!((45..=55).contains(&med), "median = {med}");
         // Exact convention: rank ⌊0.01·100⌋ = 1 → value 1.
-        assert_eq!(weighted_quantile(&bufs, 0.01).unwrap(), 1);
-        assert_eq!(weighted_quantile(&bufs, 0.999).unwrap(), 99);
+        assert_eq!(index.quantile(0.01).unwrap(), 1);
+        assert_eq!(index.quantile(0.999).unwrap(), 99);
     }
 
     #[test]
-    fn grid_matches_pointwise_weighted_queries() {
-        let a: Vec<u64> = (0..500).map(|i| i * 3).collect();
-        let b: Vec<u64> = (0..200).map(|i| i * 7 + 1).collect();
-        let bufs: Vec<(&[u64], u64)> = vec![(&a, 2), (&b, 5)];
-        let phis: Vec<f64> = (1..100).map(|i| i as f64 / 100.0).collect();
-        let grid = weighted_quantile_grid(&bufs, &phis);
-        assert_eq!(grid.len(), phis.len());
-        for (phi, v) in grid {
-            assert_eq!(Some(v), weighted_quantile(&bufs, phi), "phi={phi}");
+    fn index_matches_the_sweep_on_ties_unsorted_input_and_any_phi_order() {
+        // Duplicates across buffers of different weight, one buffer
+        // unsorted (a partial fill buffer), φ descending and repeated.
+        let a: Vec<u64> = (0..500).map(|i| i / 3).collect();
+        let b: Vec<u64> = (0..200).map(|i| (i * 7 + 1) % 170).collect();
+        let c = [5u64, 5, 5, 160, 0];
+        let bufs: Vec<(&[u64], u64)> = vec![(&a, 2), (&b, 5), (&c, 1)];
+        let index = RankIndex::build(&bufs);
+        let mut phis: Vec<f64> = (1..400).rev().map(|i| f64::from(i) / 400.0).collect();
+        phis.extend([0.5, 0.5, 1e-9, 1.0 - 1e-9]);
+        for phi in phis {
+            assert_eq!(
+                index.quantile(phi),
+                oracle::weighted_quantile(&bufs, phi),
+                "phi={phi}"
+            );
+        }
+        for x in 0..172 {
+            assert_eq!(index.rank(x), oracle::weighted_rank(&bufs, x), "x={x}");
         }
     }
 
     #[test]
-    fn weighted_quantile_empty_is_none() {
-        let bufs: Vec<(&[u64], u64)> = vec![];
-        assert_eq!(weighted_quantile(&bufs, 0.5), None);
+    fn empty_index_answers_none_and_zero() {
+        let index = RankIndex::<u64>::build(&[]);
+        assert_eq!(index.quantile(0.5), None);
+        assert_eq!(index.rank(7), 0);
+    }
+
+    #[test]
+    fn cached_view_builds_once_and_is_never_cloned() {
+        let mut view = CachedView::default();
+        let mut builds = 0;
+        for _ in 0..3 {
+            view.get_or_build(|| builds += 1);
+        }
+        assert_eq!(builds, 1);
+        assert!(view.clone().get().is_none());
+        view.invalidate();
+        assert!(view.get().is_none());
     }
 }

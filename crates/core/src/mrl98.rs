@@ -34,7 +34,7 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use crate::buffers::{weighted_collapse, weighted_quantile, weighted_quantile_grid, weighted_rank};
+use crate::buffers::{weighted_collapse, CachedView, RankIndex};
 use crate::QuantileSummary;
 use sqs_util::space::{words, SpaceUsage};
 
@@ -55,6 +55,8 @@ pub struct Mrl98<T> {
     buffers: Vec<Buffer<T>>,
     fill: Option<usize>,
     n: u64,
+    /// The queries' sorted union of `buffers`; every mutator drops it.
+    view: CachedView<RankIndex<T>>,
 }
 
 /// Simulates the NEW/COLLAPSE level schedule for `fills` leaf-buffer
@@ -145,6 +147,7 @@ impl<T: Ord + Copy> Mrl98<T> {
                 .collect(),
             fill: None,
             n: 0,
+            view: CachedView::default(),
         }
     }
 
@@ -204,12 +207,25 @@ impl<T: Ord + Copy> Mrl98<T> {
         }
     }
 
-    fn live_buffers(&self) -> Vec<(&[T], u64)> {
-        self.buffers
+    fn live_buffers(buffers: &[Buffer<T>]) -> Vec<(&[T], u64)> {
+        buffers
             .iter()
             .filter(|b| !b.data.is_empty())
             .map(|b| (b.data.as_slice(), b.weight))
             .collect()
+    }
+
+    /// The rank index over the live buffers, sorted on the first query
+    /// after a mutation. The partial fill buffer participates with
+    /// weight 1 and is sorted in place first, as it would be on
+    /// filling up.
+    fn view(&mut self) -> &RankIndex<T> {
+        self.view.get_or_build(|| {
+            if let Some(idx) = self.fill {
+                self.buffers[idx].data.sort_unstable();
+            }
+            RankIndex::build(&Self::live_buffers(&self.buffers))
+        })
     }
 }
 
@@ -218,7 +234,8 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl98<T> {
     /// the `full ⇔ |data| = k` fill discipline, and — because NEW
     /// stores raw elements at weight 1 and the deterministic COLLAPSE
     /// of full buffers conserves `k·Σw` exactly — the represented mass
-    /// `Σ weight·|data|` equals the stream length `n` at all times.
+    /// `Σ weight·|data|` equals the stream length `n` at all times;
+    /// a cached rank index equals a rebuild from the buffers.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "MRL98";
@@ -293,12 +310,14 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl98<T> {
                 },
             )?;
         }
-        Ok(())
+        self.view
+            .ensure_fresh(&Self::live_buffers(&self.buffers), ALG, "mrl98.view_fresh")
     }
 }
 
 impl<T: Ord + Copy> QuantileSummary<T> for Mrl98<T> {
     fn insert(&mut self, x: T) {
+        self.view.invalidate();
         if self.fill.is_none() {
             let empties: Vec<usize> = self
                 .buffers
@@ -353,27 +372,12 @@ impl<T: Ord + Copy> QuantileSummary<T> for Mrl98<T> {
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
-        if let Some(idx) = self.fill {
-            self.buffers[idx].data.sort_unstable();
-        }
-        weighted_rank(&self.live_buffers(), x)
+        self.view().rank(x)
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
         crate::traits::check_phi(phi);
-        // The partial fill buffer participates with weight 1; it must
-        // be sorted for the weighted query.
-        if let Some(idx) = self.fill {
-            self.buffers[idx].data.sort_unstable();
-        }
-        weighted_quantile(&self.live_buffers(), phi)
-    }
-
-    fn quantile_grid(&mut self, eps: f64) -> Vec<(f64, T)> {
-        if let Some(idx) = self.fill {
-            self.buffers[idx].data.sort_unstable();
-        }
-        weighted_quantile_grid(&self.live_buffers(), &sqs_util::exact::probe_phis(eps))
+        self.view().quantile(phi)
     }
 
     fn name(&self) -> &'static str {
@@ -494,6 +498,23 @@ mod tests {
             s.insert(x);
         }
         assert_eq!(s.quantile(0.5), Some(5));
+    }
+
+    #[test]
+    fn view_is_never_stale_under_any_interleaving() {
+        use crate::buffers::oracle::{check_view_never_stale, sweep};
+        type S = Mrl98<u64>;
+        fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
+            // The per-call sweep sorted the partial fill buffer in
+            // place before flattening.
+            if let Some(idx) = s.fill {
+                s.buffers[idx].data.sort_unstable();
+            }
+            sweep(&S::live_buffers(&s.buffers), phis, xs)
+        }
+        for (universe, seed) in [(48, 1), (1 << 20, 2)] {
+            check_view_never_stale(S::new(0.2, 5_000), universe, seed, expect, &[]);
+        }
     }
 
     #[test]

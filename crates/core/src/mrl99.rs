@@ -30,7 +30,7 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use crate::buffers::{weighted_collapse, weighted_quantile, weighted_quantile_grid, weighted_rank};
+use crate::buffers::{weighted_collapse, CachedView, RankIndex};
 use crate::QuantileSummary;
 use sqs_util::rng::Xoshiro256pp;
 use sqs_util::space::{words, SpaceUsage};
@@ -57,6 +57,8 @@ pub struct Mrl99<T> {
     group_choice: Option<T>,
     n: u64,
     rng: Xoshiro256pp,
+    /// The queries' sorted union of `buffers`; every mutator drops it.
+    view: CachedView<RankIndex<T>>,
 }
 
 impl<T: Ord + Copy> Mrl99<T> {
@@ -87,6 +89,7 @@ impl<T: Ord + Copy> Mrl99<T> {
             group_choice: None,
             n: 0,
             rng: Xoshiro256pp::new(seed),
+            view: CachedView::default(),
         }
     }
 
@@ -186,12 +189,19 @@ impl<T: Ord + Copy> Mrl99<T> {
         }
     }
 
-    fn live_buffers(&self) -> Vec<(&[T], u64)> {
-        self.buffers
+    fn live_buffers(buffers: &[Buffer<T>]) -> Vec<(&[T], u64)> {
+        buffers
             .iter()
             .filter(|b| !b.data.is_empty())
             .map(|b| (b.data.as_slice(), b.weight))
             .collect()
+    }
+
+    /// The rank index over the live buffers, sorted on the first query
+    /// after a mutation.
+    fn view(&mut self) -> &RankIndex<T> {
+        self.view
+            .get_or_build(|| RankIndex::build(&Self::live_buffers(&self.buffers)))
     }
 }
 
@@ -200,9 +210,10 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl99<T> {
     /// buffers of capacity `k`, positive integer buffer weights
     /// (arbitrary, not powers of two — the COLLAPSE sums them), the
     /// `full ⇔ |data| = k` fill discipline with full buffers sorted,
-    /// represented mass `Σ weight·|data| ≤ n`, and the level sampler
+    /// represented mass `Σ weight·|data| ≤ n`, the level sampler
     /// targeting a uniform position inside the current weight-sized
-    /// group.
+    /// group, and a cached rank index equal to a rebuild from the
+    /// buffers.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "MRL99";
@@ -296,12 +307,14 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl99<T> {
                 },
             )?;
         }
-        Ok(())
+        self.view
+            .ensure_fresh(&Self::live_buffers(&self.buffers), ALG, "mrl99.view_fresh")
     }
 }
 
 impl<T: Ord + Copy> QuantileSummary<T> for Mrl99<T> {
     fn insert(&mut self, x: T) {
+        self.view.invalidate();
         if self.fill.is_none() {
             let idx = self
                 .buffers
@@ -351,16 +364,12 @@ impl<T: Ord + Copy> QuantileSummary<T> for Mrl99<T> {
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
-        weighted_rank(&self.live_buffers(), x)
+        self.view().rank(x)
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
         crate::traits::check_phi(phi);
-        weighted_quantile(&self.live_buffers(), phi)
-    }
-
-    fn quantile_grid(&mut self, eps: f64) -> Vec<(f64, T)> {
-        weighted_quantile_grid(&self.live_buffers(), &sqs_util::exact::probe_phis(eps))
+        self.view().quantile(phi)
     }
 
     fn name(&self) -> &'static str {
@@ -457,6 +466,18 @@ mod tests {
             b.insert(x);
         }
         assert_eq!(a.quantile(0.5), b.quantile(0.5));
+    }
+
+    #[test]
+    fn view_is_never_stale_under_any_interleaving() {
+        use crate::buffers::oracle::{check_view_never_stale, sweep};
+        type S = Mrl99<u64>;
+        fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
+            sweep(&S::live_buffers(&s.buffers), phis, xs)
+        }
+        for (universe, seed) in [(48, 1), (1 << 20, 2)] {
+            check_view_never_stale(S::new(0.1, seed), universe, seed, expect, &[]);
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 
+use crate::buffers::CachedView;
 use crate::QuantileSummary;
 use sqs_util::space::{words, SpaceUsage};
 
@@ -52,6 +53,18 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 const MAGIC: u32 = 0x5144_4731; // "QDG1"
+
+/// The read path: the stored nodes in the q-digest query order — by
+/// right endpoint, smaller intervals first on ties (post-order of the
+/// tree) — with inclusive prefix sums of their counts, so a quantile
+/// or a rank is one binary search.
+#[derive(Debug, PartialEq)]
+struct NodeIndex {
+    /// Right endpoint of each node, in query order.
+    his: Vec<u64>,
+    /// `cum[i]`: the summed count of nodes `0..=i`.
+    cum: Vec<u64>,
+}
 
 /// A streaming q-digest over the universe `[0, 2^log_u)`.
 ///
@@ -84,6 +97,9 @@ pub struct QDigest {
     counts: HashMap<u64, u64>,
     buffer: Vec<u64>,
     buffer_cap: usize,
+    /// The queries' sorted form of `counts`; dropped wherever `counts`
+    /// changes (`flush`, `merge_from`).
+    view: CachedView<NodeIndex>,
 }
 
 impl QDigest {
@@ -106,6 +122,7 @@ impl QDigest {
             counts: HashMap::new(),
             buffer: Vec::with_capacity(256),
             buffer_cap: 256,
+            view: CachedView::default(),
         }
     }
 
@@ -136,11 +153,12 @@ impl QDigest {
         63 - id.leading_zeros()
     }
 
-    /// Inclusive value range `[lo, hi]` covered by node `id`.
+    /// Inclusive value range `[lo, hi]` covered by node `id` of the
+    /// tree over `[0, 2^log_u)`.
     #[inline]
-    fn node_range(&self, id: u64) -> (u64, u64) {
-        let level = self.log_u - Self::depth(id);
-        let lo = (id << level) - self.universe();
+    fn node_range(log_u: u32, id: u64) -> (u64, u64) {
+        let level = log_u - Self::depth(id);
+        let lo = (id << level) - (1u64 << log_u);
         (lo, lo + (1u64 << level) - 1)
     }
 
@@ -149,6 +167,7 @@ impl QDigest {
         if self.buffer.is_empty() {
             return;
         }
+        self.view.invalidate();
         let u = self.universe();
         let buf = std::mem::take(&mut self.buffer);
         for x in buf {
@@ -212,6 +231,7 @@ impl QDigest {
             counts: HashMap::new(),
             buffer: Vec::with_capacity(other.buffer_cap),
             buffer_cap: other.buffer_cap,
+            view: CachedView::default(),
         };
         self.merge_from(std::mem::replace(other, empty));
     }
@@ -235,6 +255,7 @@ impl QDigest {
         if other.n == 0 {
             return; // merging nothing is the identity
         }
+        self.view.invalidate();
         for (&id, &c) in &other.counts {
             *self.counts.entry(id).or_insert(0) += c;
         }
@@ -328,23 +349,47 @@ impl QDigest {
             counts,
             buffer: Vec::with_capacity(256),
             buffer_cap: 256,
+            view: CachedView::default(),
         })
     }
 
     /// Nodes sorted in the q-digest query order: by right endpoint,
     /// smaller intervals first on ties (post-order of the tree).
-    fn ordered_nodes(&self) -> Vec<(u64, u64, u64)> {
+    fn ordered_nodes(counts: &HashMap<u64, u64>, log_u: u32) -> Vec<(u64, u64, u64)> {
         // (hi, lo, count)
-        let mut nodes: Vec<(u64, u64, u64)> = self
-            .counts
+        let mut nodes: Vec<(u64, u64, u64)> = counts
             .iter()
             .map(|(&id, &c)| {
-                let (lo, hi) = self.node_range(id);
+                let (lo, hi) = Self::node_range(log_u, id);
                 (hi, lo, c)
             })
             .collect();
         nodes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         nodes
+    }
+
+    /// Sorts the node map once into the form the queries search.
+    fn build_view(counts: &HashMap<u64, u64>, log_u: u32) -> NodeIndex {
+        let nodes = Self::ordered_nodes(counts, log_u);
+        let mut cum = 0u64;
+        NodeIndex {
+            his: nodes.iter().map(|n| n.0).collect(),
+            cum: nodes
+                .iter()
+                .map(|n| {
+                    cum += n.2;
+                    cum
+                })
+                .collect(),
+        }
+    }
+
+    /// Applies the buffered updates, then returns the node index —
+    /// sorted on the first query after the node map changed.
+    fn view(&mut self) -> &NodeIndex {
+        self.flush();
+        self.view
+            .get_or_build(|| Self::build_view(&self.counts, self.log_u))
     }
 }
 
@@ -386,8 +431,9 @@ impl sqs_util::audit::CheckInvariants for QDigest {
     /// every stored node id lies inside the dyadic tree over
     /// `[0, 2^log_u)` (so parent/child arithmetic `2id, 2id+1` stays
     /// closed), the node count respects the `3σ` capacity (plus the
-    /// buffered-"Fast" slack of one unflushed buffer), and the node
-    /// counts plus buffered updates conserve the stream mass `n`.
+    /// buffered-"Fast" slack of one unflushed buffer), the node counts
+    /// plus buffered updates conserve the stream mass `n`, and a cached
+    /// node index equals a rebuild from the node map.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "FastQDigest";
@@ -450,6 +496,14 @@ impl sqs_util::audit::CheckInvariants for QDigest {
                     self.buffer_cap
                 )
             },
+        )?;
+        ensure(
+            self.view
+                .get()
+                .is_none_or(|v| *v == Self::build_view(&self.counts, self.log_u)),
+            ALG,
+            "qdigest.view_fresh",
+            || "cached node index differs from a rebuild (a mutator kept it)".to_string(),
         )
     }
 }
@@ -507,60 +561,23 @@ impl QuantileSummary<u64> for QDigest {
     /// The standard q-digest lower-bound rank estimate: total count of
     /// nodes entirely below `x`.
     fn rank_estimate(&mut self, x: u64) -> u64 {
-        self.flush();
-        self.counts
-            .iter()
-            .map(|(&id, &c)| {
-                let (_, hi) = self.node_range(id);
-                if hi < x {
-                    c
-                } else {
-                    0
-                }
-            })
-            .sum()
+        let view = self.view();
+        let below = view.his.partition_point(|&hi| hi < x);
+        below.checked_sub(1).map_or(0, |last| view.cum[last])
     }
 
+    /// The right endpoint of the first node, in query order, at which
+    /// the cumulative count reaches `⌈φ·n⌉`.
     fn quantile(&mut self, phi: f64) -> Option<u64> {
         crate::traits::check_phi(phi);
-        self.flush();
         if self.n == 0 {
             return None;
         }
         let target = ((phi * self.n as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (hi, _lo, c) in self.ordered_nodes() {
-            cum += c;
-            if cum >= target {
-                return Some(hi);
-            }
-        }
-        Some(self.universe() - 1)
-    }
-
-    fn quantile_grid(&mut self, eps: f64) -> Vec<(f64, u64)> {
-        self.flush();
-        if self.n == 0 {
-            return Vec::new();
-        }
-        let nodes = self.ordered_nodes();
-        let mut out = Vec::new();
-        let mut cum = 0u64;
-        let mut idx = 0usize;
-        for phi in sqs_util::exact::probe_phis(eps) {
-            let target = ((phi * self.n as f64).ceil() as u64).max(1);
-            while idx < nodes.len() && cum + nodes[idx].2 < target {
-                cum += nodes[idx].2;
-                idx += 1;
-            }
-            let hi = if idx < nodes.len() {
-                nodes[idx].0
-            } else {
-                self.universe() - 1
-            };
-            out.push((phi, hi));
-        }
-        out
+        let top = self.universe() - 1;
+        let view = self.view();
+        let at = view.cum.partition_point(|&cum| cum < target);
+        Some(view.his.get(at).copied().unwrap_or(top))
     }
 
     fn name(&self) -> &'static str {
@@ -599,11 +616,12 @@ mod tests {
     #[test]
     fn node_range_geometry() {
         let s = QDigest::new(0.1, 3); // u = 8
-        assert_eq!(s.node_range(1), (0, 7)); // root
-        assert_eq!(s.node_range(2), (0, 3));
-        assert_eq!(s.node_range(3), (4, 7));
-        assert_eq!(s.node_range(8), (0, 0)); // first leaf
-        assert_eq!(s.node_range(15), (7, 7)); // last leaf
+        let range = |id| QDigest::node_range(s.log_u, id);
+        assert_eq!(range(1), (0, 7)); // root
+        assert_eq!(range(2), (0, 3));
+        assert_eq!(range(3), (4, 7));
+        assert_eq!(range(8), (0, 0)); // first leaf
+        assert_eq!(range(15), (7, 7)); // last leaf
     }
 
     #[test]
@@ -809,6 +827,57 @@ mod tests {
     }
 
     #[test]
+    fn view_is_never_stale_under_any_interleaving() {
+        use crate::buffers::oracle::check_view_never_stale;
+        use crate::codec::WireCodec;
+        // The per-call sweep: sort the node map, accumulate to ⌈φ·n⌉;
+        // ranks by a scan of every node.
+        fn expect(s: &mut QDigest, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
+            s.flush();
+            let nodes = QDigest::ordered_nodes(&s.counts, s.log_u);
+            let quantile = |phi: f64| {
+                let target = ((phi * s.n as f64).ceil() as u64).max(1);
+                let mut cum = 0u64;
+                for &(hi, _lo, c) in &nodes {
+                    cum += c;
+                    if cum >= target {
+                        return hi;
+                    }
+                }
+                s.universe() - 1
+            };
+            let rank = |x: u64| nodes.iter().filter(|n| n.0 < x).map(|n| n.2).sum();
+            (
+                phis.iter()
+                    .map(|&p| (s.n > 0).then(|| quantile(p)))
+                    .collect(),
+                xs.iter().map(|&x| rank(x)).collect(),
+            )
+        }
+        fn merge(s: &mut QDigest, rng: &mut Xoshiro256pp) {
+            let mut other = QDigest::new(0.1, s.log_u);
+            for _ in 0..rng.next_below(1500) {
+                other.insert(rng.next_below(48));
+            }
+            let _ = other.quantile(0.5); // the donor's own view must not leak in
+            s.merge_from(other);
+        }
+        fn roundtrip(s: &mut QDigest, _: &mut Xoshiro256pp) {
+            *s = <QDigest as WireCodec>::from_bytes(&WireCodec::to_bytes(s))
+                .expect("own frame decodes");
+        }
+        for (universe, seed) in [(48, 1), (1 << 12, 2)] {
+            check_view_never_stale(
+                QDigest::new(0.1, 12),
+                universe,
+                seed,
+                expect,
+                &[merge, roundtrip],
+            );
+        }
+    }
+
+    #[test]
     fn merge_tree_skips_redundant_compress() {
         // Folding many already-compact digests keeps the node budget
         // without compressing at every internal node: accuracy stays
@@ -867,6 +936,24 @@ mod corruption {
         let err = s.check_invariants().unwrap_err();
         assert_eq!(err.algorithm, "FastQDigest");
         assert_eq!(err.invariant, "qdigest.node_in_tree");
+    }
+
+    #[test]
+    fn auditor_catches_a_view_kept_across_a_mutation() {
+        let mut s = filled();
+        let _ = s.quantile(0.5);
+        s.check_invariants().expect("a fresh view passes");
+        // A mutator that forgot to drop the view: move one node's
+        // count to another, mass conserved.
+        let moved = {
+            let c = s.counts.values_mut().next().expect("nonempty");
+            std::mem::replace(c, 0)
+        };
+        *s.counts.values_mut().last().expect("nonempty") += moved;
+        assert_eq!(
+            s.check_invariants().unwrap_err().invariant,
+            "qdigest.view_fresh"
+        );
     }
 
     #[test]

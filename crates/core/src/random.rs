@@ -16,9 +16,7 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use crate::buffers::{
-    merge_equal_level, weighted_collapse, weighted_quantile, weighted_quantile_grid, weighted_rank,
-};
+use crate::buffers::{merge_equal_level, weighted_collapse, CachedView, RankIndex};
 use crate::QuantileSummary;
 use sqs_util::rng::Xoshiro256pp;
 use sqs_util::space::{words, SpaceUsage};
@@ -66,6 +64,8 @@ pub struct RandomSketch<T> {
     group_choice: Option<T>,
     n: u64,
     rng: Xoshiro256pp,
+    /// The queries' sorted union of `buffers`; every mutator drops it.
+    view: CachedView<RankIndex<T>>,
 }
 
 impl<T: Ord + Copy> RandomSketch<T> {
@@ -97,6 +97,7 @@ impl<T: Ord + Copy> RandomSketch<T> {
             group_choice: None,
             n: 0,
             rng: Xoshiro256pp::new(seed),
+            view: CachedView::default(),
         }
     }
 
@@ -190,10 +191,12 @@ impl<T: Ord + Copy> RandomSketch<T> {
                 out_size,
                 offset,
             );
-            let lvl = lvl_out;
+            // Distinct levels always cap the output below `s`: the
+            // result is a partial buffer (`random.fill_flag`), resumed
+            // at its own level like the partials `merge_from` leaves.
+            self.buffers[i].full = merged.len() == self.s;
             self.buffers[i].data = merged;
-            self.buffers[i].level = lvl;
-            self.buffers[i].full = true;
+            self.buffers[i].level = lvl_out;
             self.buffers[j].data.clear();
             self.buffers[j].full = false;
             self.buffers[j].level = 0;
@@ -247,12 +250,25 @@ impl<T: Ord + Copy> RandomSketch<T> {
 
     /// The live weighted buffers (including the partial fill buffer and
     /// the committed part of the in-progress group).
-    fn live_buffers(&self) -> Vec<(&[T], u64)> {
-        self.buffers
+    fn live_buffers(buffers: &[Buffer<T>]) -> Vec<(&[T], u64)> {
+        buffers
             .iter()
             .filter(|b| !b.data.is_empty())
             .map(|b| (b.data.as_slice(), 1u64 << b.level))
             .collect()
+    }
+
+    /// The rank index over the live buffers, sorted on the first query
+    /// after a mutation.
+    fn view(&mut self) -> &RankIndex<T> {
+        self.view
+            .get_or_build(|| RankIndex::build(&Self::live_buffers(&self.buffers)))
+    }
+
+    /// Whether a query has built the rank index since the last
+    /// mutation (inspection/tests; a clone never carries one).
+    pub fn view_is_cached(&self) -> bool {
+        self.view.get().is_some()
     }
 
     /// Current levels of the full buffers (inspection/tests).
@@ -304,6 +320,7 @@ impl<T: Ord + Copy> RandomSketch<T> {
             self.eps,
             other.eps
         );
+        self.view.invalidate();
         // Pool all nonempty buffers as (level, sorted samples). Partial
         // buffers participate at their own level; in-progress groups
         // are dropped (bounded by one group each, same as queries).
@@ -517,6 +534,7 @@ impl crate::codec::WireCodec for RandomSketch<u64> {
             group_choice: has_choice.then_some(choice_val),
             n,
             rng: Xoshiro256pp::from_state(rng_state),
+            view: CachedView::default(),
         })
     }
 }
@@ -525,8 +543,9 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for RandomSketch<T> {
     /// `Random` invariants (§2.2): the `b = h+1` / `s = ⌈(1/ε)√h⌉`
     /// sizing formulas, per-buffer fill discipline (`full ⇔ |data| = s`,
     /// full buffers sorted), the level sampler drawing its target
-    /// uniformly inside the current `2^l` group, and the represented
-    /// mass `Σ 2^level·|data|` never exceeding the arrivals `n`.
+    /// uniformly inside the current `2^l` group, the represented mass
+    /// `Σ 2^level·|data|` never exceeding the arrivals `n`, and a
+    /// cached rank index equal to a rebuild from the buffers.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "Random";
@@ -639,12 +658,14 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for RandomSketch<T> {
                 },
             )?;
         }
-        Ok(())
+        self.view
+            .ensure_fresh(&Self::live_buffers(&self.buffers), ALG, "random.view_fresh")
     }
 }
 
 impl<T: Ord + Copy> QuantileSummary<T> for RandomSketch<T> {
     fn insert(&mut self, x: T) {
+        self.view.invalidate();
         // Ensure a fill target exists before consuming the element.
         self.ensure_fill_target();
         self.n += 1;
@@ -688,6 +709,7 @@ impl<T: Ord + Copy> QuantileSummary<T> for RandomSketch<T> {
     /// elements go through the itemwise path, which is already O(1)
     /// amortized.
     fn insert_batch(&mut self, xs: &[T]) {
+        self.view.invalidate();
         let mut rest = xs;
         while !rest.is_empty() {
             self.ensure_fill_target();
@@ -734,16 +756,12 @@ impl<T: Ord + Copy> QuantileSummary<T> for RandomSketch<T> {
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
-        weighted_rank(&self.live_buffers(), x)
+        self.view().rank(x)
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
         crate::traits::check_phi(phi);
-        weighted_quantile(&self.live_buffers(), phi)
-    }
-
-    fn quantile_grid(&mut self, eps: f64) -> Vec<(f64, T)> {
-        weighted_quantile_grid(&self.live_buffers(), &sqs_util::exact::probe_phis(eps))
+        self.view().quantile(phi)
     }
 
     fn name(&self) -> &'static str {
@@ -1014,6 +1032,38 @@ mod tests {
     }
 
     #[test]
+    fn view_is_never_stale_under_any_interleaving() {
+        use crate::buffers::oracle::{check_view_never_stale, sweep};
+        use crate::codec::WireCodec;
+        type S = RandomSketch<u64>;
+        fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
+            sweep(&S::live_buffers(&s.buffers), phis, xs)
+        }
+        fn merge(s: &mut S, rng: &mut Xoshiro256pp) {
+            let mut other = S::new(s.eps, rng.next_below(1 << 32));
+            for _ in 0..rng.next_below(1500) {
+                other.insert(rng.next_below(48));
+            }
+            let _ = other.quantile(0.5); // the donor's own view must not leak in
+            s.merge_from(other);
+        }
+        fn roundtrip(s: &mut S, _: &mut Xoshiro256pp) {
+            *s = S::from_bytes(&s.to_bytes()).expect("own frame decodes");
+        }
+        // A 48-value universe piles equal values into buffers of
+        // different weight; the wide one has next to no ties.
+        for (universe, seed) in [(48, 1), (1 << 20, 2)] {
+            check_view_never_stale(
+                S::new(0.1, seed),
+                universe,
+                seed,
+                expect,
+                &[merge, roundtrip],
+            );
+        }
+    }
+
+    #[test]
     fn insert_compacts_when_merge_left_no_buffer_empty() {
         // `merge_from` may pack pooled samples into every slot (the
         // last one partial). Reconstruct that post-merge state and
@@ -1070,6 +1120,26 @@ mod corruption {
         let err = s.check_invariants().unwrap_err();
         assert_eq!(err.algorithm, "Random");
         assert_eq!(err.invariant, "random.full_buffer_sorted");
+    }
+
+    #[test]
+    fn auditor_catches_a_view_kept_across_a_mutation() {
+        let mut s = filled();
+        let before = s.quantile(0.5);
+        assert!(s.view_is_cached());
+        s.check_invariants().expect("a fresh view passes");
+        // A mutator that forgot to drop the view.
+        let b = s
+            .buffers
+            .iter_mut()
+            .find(|b| b.full)
+            .expect("a full buffer");
+        b.data.iter_mut().for_each(|v| *v /= 2);
+        assert_eq!(s.quantile(0.5), before, "the stale view still answers");
+        assert_eq!(
+            s.check_invariants().unwrap_err().invariant,
+            "random.view_fresh"
+        );
     }
 
     #[test]

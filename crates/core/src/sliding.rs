@@ -23,7 +23,7 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use crate::buffers::{weighted_quantile, weighted_quantile_grid, weighted_rank};
+use crate::buffers::{CachedView, RankIndex};
 use crate::QuantileSummary;
 use sqs_util::space::{words, SpaceUsage};
 
@@ -59,6 +59,9 @@ pub struct SlidingWindowQuantiles<T> {
     blocks: std::collections::VecDeque<Sealed<T>>,
     active: Vec<T>,
     n: u64,
+    /// The queries' sorted union of the sealed blocks and the active
+    /// block; `insert` drops it.
+    view: CachedView<RankIndex<T>>,
 }
 
 impl<T: Ord + Copy> SlidingWindowQuantiles<T> {
@@ -82,6 +85,7 @@ impl<T: Ord + Copy> SlidingWindowQuantiles<T> {
             blocks: std::collections::VecDeque::with_capacity(b + 1),
             active: Vec::with_capacity(block_size),
             n: 0,
+            view: CachedView::default(),
         }
     }
 
@@ -120,20 +124,28 @@ impl<T: Ord + Copy> SlidingWindowQuantiles<T> {
         }
     }
 
-    fn live_buffers(&self) -> Vec<(&[T], u64)> {
-        let mut bufs: Vec<(&[T], u64)> = self
-            .blocks
+    fn live_buffers<'a>(
+        blocks: &'a std::collections::VecDeque<Sealed<T>>,
+        active: &'a [T],
+    ) -> Vec<(&'a [T], u64)> {
+        let mut bufs: Vec<(&[T], u64)> = blocks
             .iter()
             .map(|b| (b.samples.as_slice(), b.stride))
             .collect();
-        if !self.active.is_empty() {
-            bufs.push((self.active.as_slice(), 1));
+        if !active.is_empty() {
+            bufs.push((active, 1));
         }
         bufs
     }
 
-    fn sort_active(&mut self) {
-        self.active.sort_unstable();
+    /// The rank index over the sealed blocks plus the raw active block
+    /// (sorted in place first, as sealing would), built on the first
+    /// query after an insert.
+    fn view(&mut self) -> &RankIndex<T> {
+        self.view.get_or_build(|| {
+            self.active.sort_unstable();
+            RankIndex::build(&Self::live_buffers(&self.blocks, &self.active))
+        })
     }
 }
 
@@ -231,12 +243,18 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for SlidingWindowQuantiles<
                     self.n
                 )
             },
+        )?;
+        self.view.ensure_fresh(
+            &Self::live_buffers(&self.blocks, &self.active),
+            ALG,
+            "sliding.view_fresh",
         )
     }
 }
 
 impl<T: Ord + Copy> QuantileSummary<T> for SlidingWindowQuantiles<T> {
     fn insert(&mut self, x: T) {
+        self.view.invalidate();
         self.n += 1;
         self.active.push(x);
         if self.active.len() >= self.block_size {
@@ -256,19 +274,12 @@ impl<T: Ord + Copy> QuantileSummary<T> for SlidingWindowQuantiles<T> {
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
-        self.sort_active();
-        weighted_rank(&self.live_buffers(), x)
+        self.view().rank(x)
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
         crate::traits::check_phi(phi);
-        self.sort_active();
-        weighted_quantile(&self.live_buffers(), phi)
-    }
-
-    fn quantile_grid(&mut self, eps: f64) -> Vec<(f64, T)> {
-        self.sort_active();
-        weighted_quantile_grid(&self.live_buffers(), &sqs_util::exact::probe_phis(eps))
+        self.view().quantile(phi)
     }
 
     fn name(&self) -> &'static str {
@@ -355,6 +366,21 @@ mod tests {
     fn empty_returns_none() {
         let mut s = SlidingWindowQuantiles::<u64>::new(0.1, 100);
         assert_eq!(s.quantile(0.5), None);
+    }
+
+    #[test]
+    fn view_is_never_stale_under_any_interleaving() {
+        use crate::buffers::oracle::{check_view_never_stale, sweep};
+        type S = SlidingWindowQuantiles<u64>;
+        fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
+            // The per-call sweep sorted the active block in place
+            // before flattening.
+            s.active.sort_unstable();
+            sweep(&S::live_buffers(&s.blocks, &s.active), phis, xs)
+        }
+        for (universe, seed) in [(48, 1), (1 << 20, 2)] {
+            check_view_never_stale(S::new(0.2, 400), universe, seed, expect, &[]);
+        }
     }
 
     #[test]

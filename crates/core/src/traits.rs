@@ -8,10 +8,16 @@ use sqs_util::SpaceUsage;
 /// point the summary can answer rank and quantile queries for the data
 /// seen so far — the paper's "always ready to stop" requirement (§1).
 ///
-/// Query methods take `&mut self` because several summaries (GKArray,
-/// FastQDigest) buffer recent inserts and must flush before answering;
-/// flushing never changes the summarized multiset, only its physical
-/// representation.
+/// Query methods take `&mut self` for two reasons, neither of which
+/// changes the summarized multiset. Several summaries (GKArray,
+/// FastQDigest) buffer recent inserts and must flush before answering.
+/// And the buffer summaries (Random, MRL99, MRL98, the sliding window)
+/// and FastQDigest answer from a sorted rank index that the first query
+/// after a mutation builds and keeps inside the summary: a query on a
+/// summary nobody has touched since the last one is a binary search,
+/// not a sort. Every mutator drops the index and `clone` never copies
+/// it, so it lives exactly as long as the state it describes — inside
+/// the engine's epoch-keyed merged snapshot, until the next publication.
 ///
 /// [`insert`]: QuantileSummary::insert
 pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
@@ -76,11 +82,14 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     /// A φ-sweep: one quantile per entry of `phis` (each `None` while
     /// the stream is empty).
     ///
-    /// The default is a per-φ [`quantile`] loop; summaries with a
-    /// cheaper batched read path (the turnstile dyadic structures walk
-    /// one shared bisection tree for the whole sorted sweep) override
-    /// it. Overrides must return exactly what the per-φ loop would —
-    /// answer for answer, not merely within ε.
+    /// The default is a per-φ [`quantile`] loop, which is already the
+    /// batched path for every summary that answers from a cached rank
+    /// index (one sort, then a binary search per φ; φ in any order,
+    /// duplicates allowed). Summaries with a cheaper joint walk (the
+    /// turnstile dyadic structures descend one shared bisection tree
+    /// for the whole sweep) override it. Overrides must return exactly
+    /// what the per-φ loop would — answer for answer, not merely
+    /// within ε.
     ///
     /// # Panics
     /// Implementations panic if any `φ ∉ (0, 1)`.

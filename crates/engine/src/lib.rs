@@ -1244,6 +1244,38 @@ mod tests {
     }
 
     #[test]
+    fn rank_index_lives_in_the_merge_cache_only() {
+        let e = random_engine(4, 64);
+        let has_view = |e: &ShardedEngine<u64, RandomSketch<u64>>| {
+            let cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            cache.as_ref().is_some_and(|c| c.summary.view_is_cached())
+        };
+        e.ingest_batch(&(0..4_000u64).collect::<Vec<_>>());
+        assert!(!e.snapshot().view_is_cached(), "never queried");
+        assert!(!has_view(&e), "a snapshot clone sorts nothing");
+        // The first query sorts once, inside the cached merge; the
+        // second is a hit on both the merge and its index.
+        let first = e.query_many(&[0.9, 0.1, 0.5, 0.5], &[1_000, 3_000]);
+        assert!(has_view(&e));
+        assert_eq!(e.query_many(&[0.9, 0.1, 0.5, 0.5], &[1_000, 3_000]), first);
+        assert_eq!(e.stats().snapshots, 1);
+        // Clones leave the index behind: what `snapshot` hands out and
+        // what `ingest_batch` publishes (a clone of a live shard, which
+        // no query ever touches) cost the same as before any query.
+        assert!(!e.snapshot().view_is_cached());
+        e.ingest_batch(&[7; 100]);
+        for shard in &e.shards {
+            assert!(!shard.published().view_is_cached());
+        }
+        // The write ticked the epoch: the stale merge, and the index
+        // inside it, are replaced on the next read.
+        let _ = e.query_many(&[0.5], &[3_000]);
+        assert_eq!(e.stats().snapshots, 2);
+        assert!(has_view(&e));
+        e.assert_invariants();
+    }
+
+    #[test]
     fn quantile_and_rank_work_through_the_engine() {
         let e = ShardedEngine::new_with(3, 128, |_| QDigest::new(0.01, 20));
         let mut h = e.handle();

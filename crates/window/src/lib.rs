@@ -750,7 +750,7 @@ where
             .as_mut()
             .expect("WindowRing invariant: cache populated just above");
         let answers = match cache.merged.as_mut() {
-            Some(s) => phis.iter().map(|&phi| s.quantile(phi)).collect(),
+            Some(s) => s.quantiles(phis),
             None => vec![None; phis.len()],
         };
         Ok(WindowAnswer {

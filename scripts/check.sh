@@ -88,4 +88,17 @@ cargo run --release -q -p sqs-harness --bin sqs-exp -- engine-scaling \
 echo "== cargo xtask bench-check (turnstile perf + engine scaling gates) =="
 cargo xtask bench-check
 
+# The benchmark (benchmark/README.md, BENCHMARK.json) is a package of
+# its own that the workspace commands above never build: run its unit
+# tests (oracle, trace, JSON, catalogue == BENCHMARK.json) and a
+# two-second `query_mix`, which exits non-zero if a single operation
+# fails its exact-oracle check. CARGO_TARGET_DIR keeps the build under
+# the root target/ so no benchmark/target/ appears.
+echo "== benchmark self-tests + query_mix smoke =="
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload query_mix --seed 1 --seconds 2 --trace 0 >/dev/null
+
 echo "== all checks passed =="
