@@ -331,7 +331,7 @@ fn main() -> ExitCode {
     match spawned {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("bind failed: {e}");
+            eprintln!("startup failed: {e}");
             ExitCode::FAILURE
         }
     }

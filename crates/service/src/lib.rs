@@ -5,7 +5,9 @@
 //! network service, std-only (no async runtime, no serde):
 //!
 //! * [`proto`] — the framed little-endian wire protocol: versioned
-//!   headers, FNV-1a-64 checksums, a hard payload cap, and panic-free
+//!   headers (`SQSW`/`SQWF` v2), the workspace's one frame checksum
+//!   ([`sqs_core::codec::Checksum`], docs/SERVICE.md §1.1) as trailer,
+//!   a hard payload cap, and panic-free
 //!   decoding of untrusted bytes.
 //! * [`server`] — `TcpListener` accept loop feeding a bounded
 //!   connection queue drained by a fixed worker pool; per-tenant

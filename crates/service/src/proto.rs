@@ -1,13 +1,13 @@
 //! The request/response wire protocol of the quantile service.
 //!
 //! One request frame, one response frame per round trip, both
-//! little-endian, length-prefixed and FNV-1a-64 checksummed (the same
-//! checksum the summary codec uses). Byte-layout tables live in
-//! `docs/SERVICE.md`.
+//! little-endian, length-prefixed and sealed with the workspace's one
+//! frame checksum ([`sqs_core::codec::Checksum`], the same trailer the
+//! summary codec uses). Byte-layout tables live in `docs/SERVICE.md`.
 //!
 //! ```text
-//! request:  "SQSW" | ver u8 | op u8     | rsvd u16 | tenant u64 | len u32 | payload | fnv64
-//! response: "SQSW" | ver u8 | status u8 | rsvd u16 |              len u32 | payload | fnv64
+//! request:  "SQSW" | ver u8 | op u8     | rsvd u16 | tenant u64 | len u32 | payload | sum64
+//! response: "SQSW" | ver u8 | status u8 | rsvd u16 |              len u32 | payload | sum64
 //! ```
 //!
 //! The checksum covers every byte before it. Payload size is capped at
@@ -20,7 +20,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use sqs_core::codec::{fnv1a64_concat, CodecError, Reader};
+use sqs_core::codec::{open_sealed, seal, Checksum, CodecError, Reader};
 use sqs_util::audit::CheckInvariants;
 use sqs_window::{WindowAnswer, WindowKind, WindowSpec, WindowStats, WINDOW_STATS_WORDS};
 
@@ -29,7 +29,7 @@ use sqs_window::{WindowAnswer, WindowKind, WindowSpec, WindowStats, WINDOW_STATS
 pub const MAGIC: [u8; 4] = *b"SQSW";
 
 /// Current protocol version; both sides reject anything else.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Upper bound on a frame payload (16 MiB) — comfortably above any
 /// honest snapshot or batch, far below anything that could pressure
@@ -285,8 +285,7 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), ProtoError
     let len = u32::try_from(req.payload.len()).map_err(|_| ProtoError::Oversized(u64::MAX))?;
     frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(&req.payload);
-    let sum = fnv1a64_concat(&[&frame]);
-    frame.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut frame);
     w.write_all(&frame)?;
     Ok(())
 }
@@ -327,8 +326,7 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), ProtoEr
     let len = u32::try_from(resp.payload.len()).map_err(|_| ProtoError::Oversized(u64::MAX))?;
     frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(&resp.payload);
-    let sum = fnv1a64_concat(&[&frame]);
-    frame.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut frame);
     w.write_all(&frame)?;
     Ok(())
 }
@@ -358,9 +356,9 @@ fn check_magic_version(cur: &mut Reader<'_>) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// Reads `len` payload bytes plus the trailing checksum and verifies
-/// the checksum over `head + payload`. The length cap is enforced
-/// before the allocation.
+/// Reads `len` payload bytes and the trailing checksum with one
+/// `read_exact` into one buffer, and verifies the checksum over
+/// `head + payload`. The length cap is enforced before the allocation.
 fn read_payload_and_verify(
     r: &mut impl Read,
     head: &[u8],
@@ -369,14 +367,17 @@ fn read_payload_and_verify(
     if len > MAX_PAYLOAD {
         return Err(ProtoError::Oversized(u64::from(len)));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut sum_bytes = [0u8; 8];
-    r.read_exact(&mut sum_bytes)?;
-    if fnv1a64_concat(&[head, &payload]) != u64::from_le_bytes(sum_bytes) {
+    let mut buf = vec![0u8; len as usize + 8];
+    r.read_exact(&mut buf)?;
+    let (payload, trailer) = buf.split_at(len as usize);
+    let mut sum = Checksum::new();
+    sum.update(head);
+    sum.update(payload);
+    if sum.finish().to_le_bytes() != *trailer {
         return Err(ProtoError::ChecksumMismatch);
     }
-    Ok(payload)
+    buf.truncate(len as usize);
+    Ok(buf)
 }
 
 /// `read_exact` that distinguishes "stream cleanly ended before byte
@@ -573,7 +574,7 @@ pub fn decode_query_many_reply(payload: &[u8]) -> Result<(Vec<Option<u64>>, Vec<
 // ---- window frames (payloads of the WINDOW_* ops) ----------------
 //
 // Window payloads are self-describing sub-frames inside the SQSW
-// envelope: their own magic, version, kind byte and trailing FNV-1a-64
+// envelope: their own magic, version, kind byte and trailing
 // checksum. The double checksum is deliberate — a window frame can be
 // logged, replayed or diffed *outside* a socket conversation (the WAL
 // stores raw payloads), so it must validate standalone. Every decoder
@@ -587,7 +588,7 @@ pub fn decode_query_many_reply(payload: &[u8]) -> Result<(Vec<Option<u64>>, Vec<
 pub const WINDOW_FRAME_MAGIC: [u8; 4] = *b"SQWF";
 
 /// Window sub-frame version; both sides reject anything else.
-pub const WINDOW_FRAME_VERSION: u8 = 1;
+pub const WINDOW_FRAME_VERSION: u8 = 2;
 
 /// Window frame kind bytes (`SQWF` header byte 6).
 mod wf {
@@ -621,8 +622,7 @@ fn seal_window_frame(kind: u8, body: &[u8]) -> Vec<u8> {
     out.push(WINDOW_FRAME_VERSION);
     out.push(kind);
     out.extend_from_slice(body);
-    let sum = fnv1a64_concat(&[&out]);
-    out.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut out);
     out
 }
 
@@ -630,19 +630,10 @@ fn seal_window_frame(kind: u8, body: &[u8]) -> Vec<u8> {
 /// Checksum first (any corruption lands here), then magic / version /
 /// kind.
 fn open_window_frame(expected_kind: u8, payload: &[u8]) -> Result<&[u8], ProtoError> {
-    if payload.len() < 6 + 8 {
-        return Err(ProtoError::Codec(CodecError::Truncated));
-    }
-    let body_end = payload.len() - 8;
-    let framed = payload.get(..body_end).unwrap_or_default();
-    let sum_bytes = payload.get(body_end..).unwrap_or_default();
-    let declared = {
-        let mut r = Reader::new(sum_bytes);
-        r.u64()?
-    };
-    if fnv1a64_concat(&[framed]) != declared {
-        return Err(ProtoError::ChecksumMismatch);
-    }
+    let framed = open_sealed(payload).map_err(|e| match e {
+        CodecError::ChecksumMismatch => ProtoError::ChecksumMismatch,
+        e => ProtoError::Codec(e),
+    })?;
     let mut r = Reader::new(framed);
     if r.bytes(4)? != WINDOW_FRAME_MAGIC {
         return Err(ProtoError::BadMagic);

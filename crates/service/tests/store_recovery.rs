@@ -227,6 +227,41 @@ fn sigkill_mid_ingest_recovers_every_acknowledged_batch() {
     let _ = child.wait();
 }
 
+/// A data directory written by another format version is not
+/// "recovered" into an empty one: the real binary names the file and
+/// the versions, exits non-zero, and leaves the file as it was.
+#[test]
+fn serve_refuses_a_data_dir_of_another_format_version() {
+    use sqs_store::wal::{SEGMENT_MAGIC, SEGMENT_VERSION};
+    let dir = TempDir::new("sqs-recovery-version").expect("tempdir");
+    let wal = dir.path().join("wal");
+    std::fs::create_dir_all(&wal).expect("wal dir");
+    let segment = wal.join(format!("seg-{:020}.wal", 1));
+    let mut header = SEGMENT_MAGIC.to_vec();
+    header.push(SEGMENT_VERSION - 1);
+    header.extend_from_slice(&[0u8; 3]);
+    header.extend_from_slice(&1u64.to_le_bytes());
+    header.extend_from_slice(b"records in the older layout");
+    std::fs::write(&segment, &header).expect("plant segment");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_sqs-serve"))
+        .args(["--addr", "127.0.0.1:0", "--data-dir"])
+        .arg(dir.path())
+        .output()
+        .expect("run sqs-serve");
+    assert!(
+        !out.status.success(),
+        "sqs-serve started on an old data dir"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("format version {}", SEGMENT_VERSION - 1))
+            && stderr.contains("seg-00000000000000000001.wal"),
+        "unhelpful refusal: {stderr}"
+    );
+    assert_eq!(std::fs::read(&segment).expect("read back"), header);
+}
+
 /// Pulls the engine-totals `"items"` count out of the `STATS` JSON
 /// (string search keeps the test serde-free, like the metrics tests).
 fn parse_items(stats: &str) -> u64 {

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! file:  "SQCK" | ver u8 | rsvd u8×3 | tenant u64 | seq u64 |
-//!        n u64 | frame_len u64 | frame | fnv64(everything before)
+//!        n u64 | frame_len u64 | frame | sum64(everything before)
 //! name:  t<tenant>-s<seq>.ckpt
 //! ```
 //!
@@ -35,7 +35,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use sqs_core::codec::{fnv1a64_concat, Reader};
+use sqs_core::codec::{open_sealed, seal, Reader};
 
 use crate::{StoreError, StoreResult};
 
@@ -43,8 +43,8 @@ use crate::{StoreError, StoreResult};
 /// ChecKpoint).
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SQCK";
 
-/// Current checkpoint-format version; loading rejects others.
-pub const CHECKPOINT_VERSION: u8 = 1;
+/// Current checkpoint-format version; loading refuses others untouched.
+pub const CHECKPOINT_VERSION: u8 = 2;
 
 /// How many checkpoints per tenant survive pruning (newest first).
 /// Two: the current one, plus one predecessor as a bit-rot fallback.
@@ -123,9 +123,12 @@ pub fn write_checkpoint(
 /// `.tmp` files left by a crash mid-write.
 ///
 /// # Errors
-/// Directory listing/read failures. Corrupt checkpoint *contents* are
-/// not errors — they are skipped.
+/// Directory listing/read failures, and
+/// [`StoreError::UnsupportedVersion`] — before anything is swept — if a
+/// file was written in another [`CHECKPOINT_VERSION`]. Corrupt
+/// checkpoint *contents* are not errors — they are skipped.
 pub fn load_checkpoints(dir: &Path) -> StoreResult<CheckpointLoad> {
+    refuse_other_versions(dir)?;
     let mut load = CheckpointLoad::default();
     let mut newest: std::collections::HashMap<u64, TenantCheckpoint> =
         std::collections::HashMap::new();
@@ -166,6 +169,14 @@ pub fn load_checkpoints(dir: &Path) -> StoreResult<CheckpointLoad> {
     Ok(load)
 }
 
+/// Fails if any checkpoint in `dir` was written in another
+/// [`CHECKPOINT_VERSION`]; reads headers only, changes nothing.
+fn refuse_other_versions(dir: &Path) -> StoreResult<()> {
+    list_files(dir)?.iter().try_for_each(|(path, _)| {
+        crate::refuse_other_version(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    })
+}
+
 /// Serializes one checkpoint file (header + frame + checksum).
 fn encode_checkpoint(tenant: u64, seq: u64, n: u64, frame: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(40 + frame.len() + 8);
@@ -177,27 +188,18 @@ fn encode_checkpoint(tenant: u64, seq: u64, n: u64, frame: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&n.to_le_bytes());
     out.extend_from_slice(&(frame.len() as u64).to_le_bytes());
     out.extend_from_slice(frame);
-    let sum = fnv1a64_concat(&[&out]);
-    out.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut out);
     out
 }
 
 /// Parses and validates one checkpoint file; `None` on any corruption.
 fn decode_checkpoint(bytes: &[u8]) -> Option<TenantCheckpoint> {
-    let body_len = bytes.len().checked_sub(8)?;
-    let (framed, sum_bytes) = bytes.split_at_checked(body_len)?;
-    let declared: [u8; 8] = sum_bytes.try_into().ok()?;
-    if fnv1a64_concat(&[framed]) != u64::from_le_bytes(declared) {
-        return None;
-    }
-    let mut r = Reader::new(framed);
+    let mut r = Reader::new(open_sealed(bytes).ok()?);
     if r.bytes(4).ok()? != CHECKPOINT_MAGIC {
         return None;
     }
-    if r.u8().ok()? != CHECKPOINT_VERSION {
-        return None;
-    }
-    let _reserved = r.bytes(3).ok()?;
+    // The version byte was vetted for every file before any decode.
+    let _version_and_reserved = r.bytes(4).ok()?;
     let tenant = r.u64().ok()?;
     let seq = r.u64().ok()?;
     let n = r.u64().ok()?;

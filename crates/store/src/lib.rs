@@ -43,7 +43,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -82,6 +82,17 @@ pub enum StoreError {
     /// ever depend on a record written after them. Restarting the
     /// process repairs the tail via replay.
     WalPoisoned,
+    /// A WAL segment or checkpoint carries the right magic but another
+    /// format version. Nothing was repaired, truncated, pruned or
+    /// deleted: the directory is exactly as it was found.
+    UnsupportedVersion {
+        /// The file that carries the other version.
+        path: PathBuf,
+        /// The version byte found in its header.
+        found: u8,
+        /// The only version this build reads and writes.
+        supported: u8,
+    },
 }
 
 impl StoreError {
@@ -92,6 +103,26 @@ impl StoreError {
             path: path.to_path_buf(),
             source,
         }
+    }
+}
+
+/// Refuses `path` if it starts with `magic` but carries a version
+/// other than `supported`. Anything else — a short or foreign header —
+/// is left for replay's corruption handling to judge.
+pub(crate) fn refuse_other_version(path: &Path, magic: [u8; 4], supported: u8) -> StoreResult<()> {
+    let mut head = Vec::with_capacity(5);
+    fs::File::open(path)
+        .and_then(|f| f.take(5).read_to_end(&mut head))
+        .map_err(|e| StoreError::io("format version check", path, e))?;
+    match head.split_last() {
+        Some((&found, m)) if m == magic && found != supported => {
+            Err(StoreError::UnsupportedVersion {
+                path: path.to_path_buf(),
+                found,
+                supported,
+            })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -114,6 +145,16 @@ impl fmt::Display for StoreError {
                 f,
                 "wal writer poisoned by an earlier failed append; restart to repair the tail"
             ),
+            StoreError::UnsupportedVersion {
+                path,
+                found,
+                supported,
+            } => write!(
+                f,
+                "{} is format version {found}; this build reads only version {supported} \
+                 (data directory left untouched)",
+                path.display()
+            ),
         }
     }
 }
@@ -122,7 +163,9 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::RecordTooLarge { .. } | StoreError::WalPoisoned => None,
+            StoreError::RecordTooLarge { .. }
+            | StoreError::WalPoisoned
+            | StoreError::UnsupportedVersion { .. } => None,
         }
     }
 }
@@ -285,7 +328,10 @@ impl DurableStore {
     /// the service must feed into its engines before serving.
     ///
     /// # Errors
-    /// I/O failures creating directories or reading/repairing state.
+    /// I/O failures creating directories or reading/repairing state,
+    /// and [`StoreError::UnsupportedVersion`] — raised before anything
+    /// on disk is touched — when a segment or checkpoint was written in
+    /// another format version.
     pub fn open(cfg: &StoreConfig) -> StoreResult<(Self, Recovery)> {
         let wal_dir = cfg.dir.join("wal");
         let ckpt_dir = cfg.dir.join("ckpt");
@@ -293,6 +339,11 @@ impl DurableStore {
         fs::create_dir_all(&ckpt_dir)
             .map_err(|e| StoreError::io("create ckpt dir", &ckpt_dir, e))?;
 
+        // Loading checkpoints sweeps stray `.tmp` files, so the WAL's
+        // format versions are vetted first: a refusal must leave every
+        // file as it was found. (Both loaders vet their own directory
+        // again before they change anything in it.)
+        wal::vetted_segments(&wal_dir)?;
         let load = checkpoint::load_checkpoints(&ckpt_dir)?;
         let ckpt_seq_of: HashMap<u64, u64> =
             load.checkpoints.iter().map(|c| (c.tenant, c.seq)).collect();
@@ -830,6 +881,82 @@ mod tests {
             (first + 1..=second + 1).collect::<Vec<_>>(),
             "every record past the fallback checkpoint is still replayable"
         );
+    }
+
+    /// Every file under `root` with its bytes, in path order.
+    fn dir_image(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut image = Vec::new();
+        for sub in ["wal", "ckpt"] {
+            for entry in fs::read_dir(root.join(sub)).expect("read dir") {
+                let path = entry.expect("dir entry").path();
+                let bytes = fs::read(&path).expect("read file");
+                image.push((path, bytes));
+            }
+        }
+        image.sort();
+        image
+    }
+
+    /// A segment or checkpoint headed with another format version is
+    /// not a torn file: the open fails before recovery repairs, sweeps
+    /// or deletes anything, so the directory stays byte-identical.
+    #[test]
+    fn other_format_version_is_refused_and_nothing_is_touched() {
+        let dir = tmp();
+        {
+            let (store, _) = DurableStore::open(&cfg(dir.path())).expect("open");
+            for i in 0..40u64 {
+                store.append_batch(1, &[i; 64]).expect("append");
+            }
+            store
+                .record_checkpoint(1, store.last_append(1), 40 * 64, &frame())
+                .expect("checkpoint");
+        }
+        // Work recovery would otherwise do: a torn tail to truncate, a
+        // stray `.tmp` to sweep.
+        let segments = wal_segments(dir.path());
+        assert!(segments.len() >= 3, "need later segments to delete");
+        let last = segments.last().expect("last segment");
+        let torn = fs::read(last).expect("read");
+        fs::write(last, &torn[..torn.len() - 5]).expect("tear the tail");
+        fs::write(dir.path().join("ckpt").join("stray.tmp"), b"half").expect("plant tmp");
+        let ckpt = fs::read_dir(dir.path().join("ckpt"))
+            .expect("read ckpt dir")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| p.extension().is_some_and(|x| x == "ckpt"))
+            .expect("one checkpoint");
+
+        let cases = [
+            (
+                segments.first().expect("first segment"),
+                wal::SEGMENT_VERSION,
+            ),
+            (&ckpt, checkpoint::CHECKPOINT_VERSION),
+        ];
+        for (victim, current) in cases {
+            let good = fs::read(victim).expect("read");
+            let mut old = good.clone();
+            old[4] = current - 1;
+            fs::write(victim, &old).expect("plant the older version");
+            let before = dir_image(dir.path());
+            match DurableStore::open(&cfg(dir.path())) {
+                Err(StoreError::UnsupportedVersion {
+                    path,
+                    found,
+                    supported,
+                }) => {
+                    assert_eq!(&path, victim);
+                    assert_eq!((found, supported), (current - 1, current));
+                }
+                other => panic!("expected a version refusal, got {other:?}"),
+            }
+            assert_eq!(dir_image(dir.path()), before, "open changed the directory");
+            fs::write(victim, &good).expect("restore");
+        }
+        // With both files back at the current version the same
+        // directory opens, and only now is the torn tail repaired.
+        let (_store, rec) = DurableStore::open(&cfg(dir.path())).expect("reopen");
+        assert_eq!(rec.report.torn_tails_dropped, 1);
     }
 
     #[test]

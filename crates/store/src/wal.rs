@@ -4,11 +4,11 @@
 //! `<data-dir>/wal/`, named `seg-<first_seq>.wal` by the sequence
 //! number of the first record they hold. Each segment starts with a
 //! fixed header and is followed by length-prefixed, individually
-//! FNV-1a-64-checksummed records:
+//! checksummed records ([`sqs_core::codec::Checksum`]):
 //!
 //! ```text
 //! segment: "SQWL" | ver u8 | rsvd u8×3 | first_seq u64 | record*
-//! record:  body_len u32 | body | fnv64(body_len ‖ body)
+//! record:  body_len u32 | body | sum64(body_len ‖ body)
 //! body:    seq u64 | tenant u64 | kind u8 | payload
 //! ```
 //!
@@ -46,7 +46,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use sqs_core::codec::{fnv1a64_concat, Reader};
+use sqs_core::codec::{open_sealed, seal, Reader};
 
 use crate::{StoreError, StoreResult};
 
@@ -54,8 +54,8 @@ use crate::{StoreError, StoreResult};
 /// Write-ahead Log).
 pub const SEGMENT_MAGIC: [u8; 4] = *b"SQWL";
 
-/// Current segment-format version; replay rejects others.
-pub const SEGMENT_VERSION: u8 = 1;
+/// Current segment-format version; replay refuses others untouched.
+pub const SEGMENT_VERSION: u8 = 2;
 
 /// Segment header length: magic(4) + version(1) + reserved(3) +
 /// first_seq(8).
@@ -413,8 +413,7 @@ fn encode_record(seq: u64, tenant: u64, payload: &WalPayload) -> StoreResult<Vec
             out.extend_from_slice(frame);
         }
     }
-    let sum = fnv1a64_concat(&[&out]);
-    out.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut out);
     Ok(out)
 }
 
@@ -448,6 +447,16 @@ fn list_segments(dir: &Path) -> StoreResult<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
+/// [`list_segments`], failing if any of them was written in another
+/// [`SEGMENT_VERSION`]; reads headers only, changes nothing.
+pub(crate) fn vetted_segments(dir: &Path) -> StoreResult<Vec<(u64, PathBuf)>> {
+    let segments = list_segments(dir)?;
+    for (_, path) in &segments {
+        crate::refuse_other_version(path, SEGMENT_MAGIC, SEGMENT_VERSION)?;
+    }
+    Ok(segments)
+}
+
 /// Fsyncs the directory itself so entry creations/unlinks are durable
 /// (POSIX: a renamed/created file is only crash-safe once its parent
 /// directory is synced). Best-effort on platforms where directories
@@ -468,10 +477,13 @@ fn sync_dir(dir: &Path) -> StoreResult<()> {
 /// replayed.
 ///
 /// # Errors
-/// I/O failures reading or repairing the log. Corruption itself is
-/// not an error — it is the condition this function exists to handle.
+/// I/O failures reading or repairing the log, and
+/// [`StoreError::UnsupportedVersion`] — before any record is applied or
+/// any file changed — if a segment was written in another
+/// [`SEGMENT_VERSION`]. Corruption itself is not an error — it is the
+/// condition this function exists to handle.
 pub fn replay(dir: &Path, mut apply: impl FnMut(WalRecord)) -> StoreResult<ReplayReport> {
-    let segments = list_segments(dir)?;
+    let segments = vetted_segments(dir)?;
     let mut report = ReplayReport::default();
     let mut expected_seq: Option<u64> = None;
     let mut last_applied: u64 = 0;
@@ -552,8 +564,8 @@ fn scan_segment(
     };
     let mut r = Reader::new(header);
     let magic_ok = r.bytes(4).is_ok_and(|m| m == SEGMENT_MAGIC);
-    let version_ok = r.u8().is_ok_and(|v| v == SEGMENT_VERSION);
-    let _reserved = r.bytes(3);
+    // The version byte was vetted for every segment before the scan.
+    let _version_and_reserved = r.bytes(4);
     let first_seq = r.u64().unwrap_or(u64::MAX);
     // The header's first_seq must agree with the file name, and must
     // not overlap the running sequence; a fresh log (expected == None)
@@ -563,7 +575,7 @@ fn scan_segment(
     // restart after such a recovery would delete the whole segment and
     // every acknowledged record in it.
     let seq_ok = first_seq == name_seq && expected.is_none_or(|e| first_seq >= e);
-    if !(magic_ok && version_ok && seq_ok) {
+    if !(magic_ok && seq_ok) {
         return SegmentScan::Corrupt { keep_bytes: 0 };
     }
     if expected.is_some_and(|e| first_seq > e) {
@@ -599,11 +611,7 @@ fn parse_record(bytes: &[u8], want_seq: u64) -> Option<(WalRecord, usize)> {
         return None;
     }
     let framed_len = 4 + body_len as usize;
-    let framed = bytes.get(..framed_len)?;
-    let declared: [u8; 8] = bytes.get(framed_len..framed_len + 8)?.try_into().ok()?;
-    if fnv1a64_concat(&[framed]) != u64::from_le_bytes(declared) {
-        return None;
-    }
+    let framed = open_sealed(bytes.get(..framed_len + 8)?).ok()?;
     let mut body = Reader::new(framed.get(4..)?);
     let seq = body.u64().ok()?;
     if seq != want_seq {

@@ -312,9 +312,8 @@ mod tests {
         // re-checksum so only the audit can catch it.
         let live_at = 20;
         frame[live_at..live_at + 8].copy_from_slice(&(-1i64 as u64).to_le_bytes());
-        let framed_len = frame.len() - 8;
-        let sum = sqs_core::codec::fnv1a64(&frame[..framed_len]);
-        frame[framed_len..].copy_from_slice(&sum.to_le_bytes());
+        frame.truncate(frame.len() - 8);
+        sqs_core::codec::seal(&mut frame);
         let err = TurnstileSummary::<CountSketch>::from_bytes(&frame).unwrap_err();
         assert!(matches!(err, CodecError::Invariant(_)), "{err}");
     }

@@ -187,10 +187,14 @@ pub enum WindowError {
         /// The ring's bucket width.
         bucket_nanos: u64,
     },
-    /// The span covers more buckets than the ring retains.
+    /// The span needs more buckets than the ring retains: a sliding
+    /// span of `m` buckets needs `m`, a tumbling one `2m` — its newest
+    /// completed group can start `2m − 1` buckets behind the open one.
     SpanExceedsRetention {
-        /// Buckets the span would cover.
+        /// Buckets the span covers.
         span_buckets: u64,
+        /// Buckets that must be retained for the answer to be whole.
+        needed_buckets: u64,
         /// Buckets the ring retains.
         retention_buckets: u64,
     },
@@ -209,11 +213,12 @@ impl fmt::Display for WindowError {
             ),
             WindowError::SpanExceedsRetention {
                 span_buckets,
+                needed_buckets,
                 retention_buckets,
             } => write!(
                 f,
-                "window spans {span_buckets} buckets but the ring retains only \
-                 {retention_buckets}"
+                "window spans {span_buckets} buckets and needs {needed_buckets} retained, \
+                 but the ring retains only {retention_buckets}"
             ),
         }
     }
@@ -581,9 +586,18 @@ where
             });
         }
         let m = spec.len_nanos / self.cfg.bucket_nanos;
-        if m > self.cfg.retention_buckets {
+        // Sliding reaches back m − 1 buckets from the open one. The
+        // newest completed tumbling group starts at cur − 2m + 1 when
+        // cur is the last bucket of the group after it, so only a ring
+        // retaining 2m buckets always still holds all of it.
+        let needed = match spec.kind {
+            WindowKind::Sliding => m,
+            WindowKind::Tumbling => m.saturating_mul(2),
+        };
+        if needed > self.cfg.retention_buckets {
             return Err(WindowError::SpanExceedsRetention {
                 span_buckets: m,
+                needed_buckets: needed,
                 retention_buckets: self.cfg.retention_buckets,
             });
         }

@@ -8,6 +8,7 @@
 //! * fully-empty windows (no data at all, and data that has entirely
 //!   rotated out),
 //! * retention eviction (mass conservation across the horizon),
+//! * the tumbling retention rule (`2m ≤ retention`),
 //! * late arrivals under both [`LatePolicy`] variants.
 
 use std::sync::Arc;
@@ -108,6 +109,41 @@ fn retention_evicts_and_conserves_mass() {
     assert!(r
         .query(WindowSpec::sliding(4 * BUCKET), &[0.5], 5 * BUCKET + 1)
         .is_err());
+}
+
+/// A tumbling span is whole only if the ring retains two of it: the
+/// newest completed group starts `2m − 1` buckets behind the open one
+/// in the worst case. With less, the answer used to claim the full
+/// range while half its buckets were already evicted.
+#[test]
+fn tumbling_span_needs_twice_its_buckets_retained() {
+    use sqs_window::WindowError;
+    let spec = WindowSpec::tumbling(4 * BUCKET);
+    let at = 7 * BUCKET + 1; // bucket 7: the last of group [4, 7]
+    for retention in [4, 7] {
+        let mut r = ring(retention, LatePolicy::Drop);
+        for i in 0..8u64 {
+            r.ingest(i * BUCKET + 1, &[i], i * BUCKET + 1);
+        }
+        assert_eq!(
+            r.query(spec, &[0.5], at),
+            Err(WindowError::SpanExceedsRetention {
+                span_buckets: 4,
+                needed_buckets: 8,
+                retention_buckets: retention,
+            })
+        );
+        // The same span, sliding, reaches back only m − 1 buckets.
+        assert!(r.query(WindowSpec::sliding(4 * BUCKET), &[0.5], at).is_ok());
+    }
+    // Retention 2m: the worst case — group [0, 3] seen from bucket 7 —
+    // is still held in full.
+    let mut r = ring(8, LatePolicy::Drop);
+    for i in 0..8u64 {
+        r.ingest(i * BUCKET + 1, &[i], i * BUCKET + 1);
+    }
+    let a = r.query(spec, &[0.5], at).expect("2m <= retention");
+    assert_eq!((a.start_nanos, a.end_nanos, a.n), (0, 4 * BUCKET, 4));
 }
 
 #[test]

@@ -29,6 +29,13 @@ cargo test -q -p sqs-analyze
 echo "== cargo test -q =="
 cargo test -q
 
+# The frame checksum's speed floor is a ratio against the byte-serial
+# sum it replaced (>= 8x on a 32 KiB batch frame, <= 1.5x its time on a
+# 28-byte reply), so it holds on any machine — but only optimized code
+# means anything, and the debug run above reports it as ignored.
+echo "== frame checksum speed floor (cargo test --release -p sqs-core checksum_beats) =="
+cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_reference
+
 # The engine's stress tests spawn up to 8 producer threads per test;
 # a single-threaded test runner keeps them from oversubscribing the
 # host and keeps shard/thread interleavings closer to the documented
@@ -91,14 +98,17 @@ cargo xtask bench-check
 # The benchmark (benchmark/README.md, BENCHMARK.json) is a package of
 # its own that the workspace commands above never build: run its unit
 # tests (oracle, trace, JSON, catalogue == BENCHMARK.json) and a
-# two-second `query_mix`, which exits non-zero if a single operation
-# fails its exact-oracle check. CARGO_TARGET_DIR keeps the build under
-# the root target/ so no benchmark/target/ appears.
-echo "== benchmark self-tests + query_mix smoke =="
+# two-second `query_mix` and `ingest_mem` (the write path: every frame
+# sealed and verified on both hops), each of which exits non-zero if a
+# single operation fails its exact-oracle check. CARGO_TARGET_DIR keeps
+# the build under the root target/ so no benchmark/target/ appears.
+echo "== benchmark self-tests + query_mix and ingest_mem smokes =="
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-CARGO_TARGET_DIR="$PWD/target/benchmark" \
-    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload query_mix --seed 1 --seconds 2 --trace 0 >/dev/null
+for workload in query_mix ingest_mem; do
+    CARGO_TARGET_DIR="$PWD/target/benchmark" \
+        cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
+done
 
 echo "== all checks passed =="

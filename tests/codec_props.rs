@@ -288,6 +288,114 @@ fn every_truncation_and_bit_flip_rejected_on_window_frames() {
     exhaustive_window_frame_sweep(&stats, decode_window_stats, "window_stats");
 }
 
+/// `frame` with the version byte at offset 4 set to `current − 1` and
+/// the trailer re-sealed, so only the version check can refuse it.
+fn downgraded(frame: &[u8], current: u8) -> Vec<u8> {
+    let mut old = frame[..frame.len() - 8].to_vec();
+    old[4] = current - 1;
+    streaming_quantiles::sqs_core::codec::seal(&mut old);
+    old
+}
+
+/// The checksum change bumped every family's version byte and left no
+/// reader for the one before: a frame carrying `version − 1` gets the
+/// family's bad-version error — not a checksum error, not a panic.
+#[test]
+fn previous_version_is_refused_by_every_frame_family() {
+    use sqs_store::{DurableStore, StoreConfig, StoreError};
+    use streaming_quantiles::sqs_core::codec::{frame_kind, CodecError, WIRE_VERSION};
+    use streaming_quantiles::sqs_service::proto::{
+        self, Op, Request, Response, Status, VERSION, WINDOW_FRAME_VERSION,
+    };
+    use streaming_quantiles::sqs_service::ProtoError;
+
+    // SQSC, from both crates that implement it.
+    let old = downgraded(&RandomSketch::<u64>::new(0.05, 1).to_bytes(), WIRE_VERSION);
+    let refused = CodecError::BadVersion(WIRE_VERSION - 1);
+    assert_eq!(
+        RandomSketch::<u64>::from_bytes(&old).err(),
+        Some(refused.clone())
+    );
+    assert_eq!(frame_kind(&old), Err(refused.clone()));
+    let old = downgraded(&TurnstileSummary::dcs(0.2, 12, 1).to_bytes(), WIRE_VERSION);
+    assert_eq!(
+        TurnstileSummary::<CountSketch>::from_bytes(&old).err(),
+        Some(refused)
+    );
+
+    // SQSW, both directions.
+    let mut wire = Vec::new();
+    let req = Request {
+        op: Op::InsertBatch,
+        tenant: 9,
+        payload: proto::encode_u64s(&[1, 2, 3]),
+    };
+    proto::write_request(&mut wire, &req).expect("frame fits");
+    let old = downgraded(&wire, VERSION);
+    let err = proto::read_request(&mut old.as_slice()).expect_err("old request");
+    assert!(
+        matches!(err, ProtoError::BadVersion(v) if v == VERSION - 1),
+        "{err}"
+    );
+    let mut wire = Vec::new();
+    let resp = Response {
+        status: Status::Ok,
+        payload: vec![7; 16],
+    };
+    proto::write_response(&mut wire, &resp).expect("frame fits");
+    let old = downgraded(&wire, VERSION);
+    let err = proto::read_response(&mut old.as_slice()).expect_err("old response");
+    assert!(
+        matches!(err, ProtoError::BadVersion(v) if v == VERSION - 1),
+        "{err}"
+    );
+
+    // SQWF.
+    let old = downgraded(
+        &proto::encode_window_insert(5, &[1, 2]),
+        WINDOW_FRAME_VERSION,
+    );
+    let err = proto::decode_window_insert(&old).expect_err("old window frame");
+    assert!(
+        matches!(err, ProtoError::BadVersion(v) if v == WINDOW_FRAME_VERSION - 1),
+        "{err}"
+    );
+
+    // SQWL and SQCK: the store refuses the whole directory.
+    let dir =
+        streaming_quantiles::sqs_util::tmpdir::TempDir::new("sqs-codec-props").expect("tempdir");
+    {
+        let (store, _) = DurableStore::open(&StoreConfig::new(dir.path())).expect("open");
+        store.append_batch(1, &[1, 2, 3]).expect("append");
+        let frame = RandomSketch::<u64>::new(0.05, 1).to_bytes();
+        store
+            .record_checkpoint(1, 1, 3, &frame)
+            .expect("checkpoint");
+    }
+    for (sub, current) in [
+        ("wal", sqs_store::wal::SEGMENT_VERSION),
+        ("ckpt", sqs_store::checkpoint::CHECKPOINT_VERSION),
+    ] {
+        let path = std::fs::read_dir(dir.path().join(sub))
+            .expect("read dir")
+            .next()
+            .expect("one file")
+            .expect("dir entry")
+            .path();
+        let good = std::fs::read(&path).expect("read");
+        let mut old = good.clone();
+        old[4] = current - 1;
+        std::fs::write(&path, &old).expect("plant the older version");
+        let err = DurableStore::open(&StoreConfig::new(dir.path())).expect_err("old file");
+        assert!(
+            matches!(err, StoreError::UnsupportedVersion { found, supported, .. }
+                if found == current - 1 && supported == current),
+            "{sub}: {err}"
+        );
+        std::fs::write(&path, &good).expect("restore");
+    }
+}
+
 #[test]
 fn empty_summaries_roundtrip() {
     roundtrip_then_extend(RandomSketch::<u64>::new(0.05, 1), &[1, 2, 3], 0.05);
