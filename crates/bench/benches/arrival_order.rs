@@ -30,7 +30,9 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(algo.name(), tag), &data, |b, data| {
                 b.iter(|| {
                     let mut s = algo.build(EPS, 32, N as u64, 29);
-                    s.extend_from_slice(data);
+                    for &x in data.iter() {
+                        s.insert(x);
+                    }
                     s.n()
                 });
             });

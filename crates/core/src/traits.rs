@@ -41,13 +41,6 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     /// The algorithm's name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
-    /// Observes a batch of elements (default: element-wise insert).
-    fn extend_from_slice(&mut self, xs: &[T]) {
-        for &x in xs {
-            self.insert(x);
-        }
-    }
-
     /// Observes a batch of elements through the summary's fastest bulk
     /// path.
     ///
@@ -56,26 +49,12 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     /// override it. Overrides must summarize the same multiset as
     /// itemwise insertion under the same ε guarantee — rank answers
     /// after a batch stay within `ε·n` of the itemwise answers (the
-    /// engine's shard-flush path relies on this; see
-    /// `docs/ENGINE.md`).
+    /// engine's `ingest_batch` relies on this; see `docs/ENGINE.md`).
     ///
     /// [`insert`]: QuantileSummary::insert
     fn insert_batch(&mut self, xs: &[T]) {
         for &x in xs {
             self.insert(x);
-        }
-    }
-
-    /// Folds several batches through [`insert_batch`] in one call —
-    /// the bulk path a propagation stage uses to drain a whole run of
-    /// handed-off producer buffers while it holds a shard exactly
-    /// once (`sqs-engine`'s propagator). The default simply loops;
-    /// summaries that can pre-size for the combined mass may override.
-    ///
-    /// [`insert_batch`]: QuantileSummary::insert_batch
-    fn insert_batches(&mut self, batches: &[&[T]]) {
-        for xs in batches {
-            self.insert_batch(xs);
         }
     }
 

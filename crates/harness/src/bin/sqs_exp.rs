@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Experiments: fig4 fig5 fig6 fig7 fig8 tab34 fig9 fig10 fig11 fig12
-//! xcompare ablation claims engine turnstile-perf (see DESIGN.md §2
-//! for what each reproduces; `engine` and `turnstile-perf` are
+//! xcompare ablation claims turnstile-perf window (see DESIGN.md §2
+//! for what each reproduces; `turnstile-perf` and `window` are
 //! implementation baselines, not paper figures). `--quick` shrinks the
 //! throughput experiments to CI scale. `sqs-exp plot <figure>` renders
 //! a previously-written CSV as an ASCII chart.

@@ -425,7 +425,7 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"seed\": {},", args.seed);
     let _ = writeln!(json, "  \"elapsed_secs\": {elapsed:.3},");
     let _ = writeln!(json, "  \"insert_rows\": {rows},");
-    let _ = writeln!(json, "  \"insert_batches\": {batches},");
+    let _ = writeln!(json, "  \"insert_requests\": {batches},");
     let _ = writeln!(json, "  \"inserts_per_sec\": {inserts_per_sec:.1},");
     let _ = writeln!(json, "  \"busy_sheds\": {busy},");
     let _ = writeln!(json, "  \"query_mix\": {},", args.query_mix);

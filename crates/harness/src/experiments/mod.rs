@@ -14,7 +14,6 @@ use crate::report::Table;
 
 pub mod ablation;
 pub mod claims;
-pub mod engine_scaling;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -83,7 +82,7 @@ impl ExpConfig {
 }
 
 /// Every experiment id, in DESIGN.md order.
-pub const ALL_EXPERIMENTS: [&str; 17] = [
+pub const ALL_EXPERIMENTS: [&str; 15] = [
     "fig4",
     "fig5",
     "fig6",
@@ -97,8 +96,6 @@ pub const ALL_EXPERIMENTS: [&str; 17] = [
     "xcompare",
     "ablation",
     "claims",
-    "engine",
-    "engine-scaling",
     "turnstile-perf",
     "window",
 ];
@@ -122,8 +119,6 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Vec<Table> {
         "xcompare" => xcompare::run(cfg),
         "ablation" => ablation::run(cfg),
         "claims" => claims::run(cfg),
-        "engine" => engine_scaling::run(cfg),
-        "engine-scaling" => engine_scaling::run_scaling(cfg),
         "turnstile-perf" => turnstile_perf::run(cfg),
         "window" => window::run(cfg),
         other => panic!("unknown experiment id: {other}"),

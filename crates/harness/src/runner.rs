@@ -157,7 +157,11 @@ pub fn run_cash_cell(
         let mut tracker = SpaceTracker::new();
         let t0 = Instant::now();
         for chunk in data.chunks(stride) {
-            s.extend_from_slice(chunk);
+            // Scalar `insert`, as the paper's update-time figures time
+            // it — not the batched path.
+            for &x in chunk {
+                s.insert(x);
+            }
             tracker.observe(s.space_bytes());
         }
         ns_sum += t0.elapsed().as_nanos() as f64 / data.len() as f64;

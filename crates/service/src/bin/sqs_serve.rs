@@ -17,7 +17,6 @@
 //! * `--shards N` — engine shards per tenant (default `4`).
 //! * `--workers N` — connection worker threads (default `4`).
 //! * `--queue N` — backpressure queue depth (default `64`).
-//! * `--batch N` — engine batch capacity (default `1024`).
 //! * `--seed N` — base RNG seed; per-tenant/per-shard seeds are
 //!   derived from it (default `42`).
 //! * `--data-dir PATH` — durable mode: write-ahead-log every
@@ -79,7 +78,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: sqs-serve [--addr HOST:PORT] [--backend random|qdigest|reservoir|dcs] \
-     [--eps F] [--log-u N] [--shards N] [--workers N] [--queue N] [--batch N] [--seed N] \
+     [--eps F] [--log-u N] [--shards N] [--workers N] [--queue N] [--seed N] \
      [--data-dir PATH] [--fsync always|interval:MS|never] [--segment-bytes N] \
      [--checkpoint-secs N] [--window-bucket-secs N] [--window-retention N] \
      [--window-rollup N] [--window-late drop|route]"
@@ -139,9 +138,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--queue" => {
                 args.cfg.queue_depth = parse_nonzero(value(&mut it, flag)?, "--queue")?;
-            }
-            "--batch" => {
-                args.cfg.batch_capacity = parse_nonzero(value(&mut it, flag)?, "--batch")?;
             }
             "--seed" => {
                 args.seed = value(&mut it, flag)?

@@ -90,14 +90,7 @@ impl LatencyHistogram {
 pub struct EngineTotals {
     /// Elements folded into shard summaries across all tenants.
     pub items: u64,
-    /// Elements handed off and not yet folded (0 at quiescence: the
-    /// request-scoped ingest path queues nothing engine-side).
-    pub queued_items: u64,
-    /// Producer buffers handed off to propagation queues.
-    pub handoffs: u64,
-    /// Publications (propagation rounds + direct folds).
-    pub propagations: u64,
-    /// Sum of every tenant engine's epoch.
+    /// Sum of every tenant engine's epoch (one tick per publication).
     pub epoch: u64,
     /// Merged snapshots rebuilt (query-path cache misses).
     pub snapshots: u64,
@@ -109,9 +102,6 @@ impl EngineTotals {
     /// Folds one engine's stats into the totals.
     pub fn absorb(&mut self, s: &sqs_engine::EngineStats) {
         self.items += s.items;
-        self.queued_items += s.queued_items;
-        self.handoffs += s.handoffs;
-        self.propagations += s.propagations;
         self.epoch += s.epoch;
         self.snapshots += s.snapshots;
         self.snapshot_cache_hits += s.snapshot_cache_hits;
@@ -275,9 +265,6 @@ impl Metrics {
         );
         out.push_str("  \"engine\": {\n");
         let _ = writeln!(out, "    \"items\": {},", engine.items);
-        let _ = writeln!(out, "    \"queued_items\": {},", engine.queued_items);
-        let _ = writeln!(out, "    \"handoffs\": {},", engine.handoffs);
-        let _ = writeln!(out, "    \"propagations\": {},", engine.propagations);
         let _ = writeln!(out, "    \"epoch\": {},", engine.epoch);
         let _ = writeln!(out, "    \"snapshots\": {},", engine.snapshots);
         let _ = writeln!(
@@ -392,9 +379,6 @@ mod tests {
         m.note_busy();
         let engine = EngineTotals {
             items: 5_000,
-            queued_items: 0,
-            handoffs: 12,
-            propagations: 9,
             epoch: 9,
             snapshots: 2,
             snapshot_cache_hits: 7,
@@ -408,7 +392,7 @@ mod tests {
         assert!(json.contains("\"tenants\": 3"));
         assert!(json.contains("\"items\": 5000"));
         assert!(json.contains("\"snapshot_cache_hits\": 7"));
-        assert!(json.contains("\"propagations\": 9"));
+        assert!(json.contains("\"epoch\": 9"));
         // In-memory servers omit the store section entirely, and
         // window-less servers omit the window section.
         assert!(!json.contains("\"store\""));

@@ -60,7 +60,9 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Shards per tenant engine.
     pub shards: usize,
-    /// Engine batch capacity (sizing hint for its ingest paths).
+    /// Unused: no request reads it since the engine lost its producer
+    /// buffers. The field stays only because `benchmark/` (frozen while
+    /// a PR is measured against it) still sets it.
     pub batch_capacity: usize,
     /// Upper bound (exclusive) on ingestable values, for backends with
     /// a bounded universe (q-digest): out-of-range values are refused
@@ -279,28 +281,63 @@ impl<S> Shared<S>
 where
     S: MergeableSummary<u64> + WireCodec + Clone + Send + Sync + 'static,
 {
-    /// The tenant's engine, created on first touch.
+    /// A fresh, empty engine for tenant `id`, in no registry yet.
+    fn new_engine(&self, id: u64) -> Arc<ShardedEngine<u64, S>> {
+        Arc::new(ShardedEngine::new_with(
+            self.cfg.shards,
+            self.cfg.batch_capacity,
+            |shard| (self.factory)(id, shard),
+        ))
+    }
+
+    /// A fresh, empty window ring over `engine` for tenant `id`, in no
+    /// registry yet. The ring's per-bucket summaries come from the same
+    /// factory as the shard summaries, with shard indices offset by
+    /// [`WINDOW_FACTORY_SHARD_BASE`] so bucket seeds never collide
+    /// with shard seeds (randomized backends stay merge-compatible —
+    /// same accuracy — but independently seeded).
+    fn new_window(
+        &self,
+        id: u64,
+        engine: Arc<ShardedEngine<u64, S>>,
+        opts: &WindowOptions,
+    ) -> Arc<WindowedEngine<S>> {
+        let factory = Arc::clone(&self.factory);
+        Arc::new(WindowedEngine::new(
+            engine,
+            opts.config,
+            Arc::clone(&opts.clock),
+            move |bucket| {
+                let slot = usize::try_from(bucket % 1021).unwrap_or(0);
+                factory(id, WINDOW_FACTORY_SHARD_BASE + slot)
+            },
+        ))
+    }
+
+    /// The tenant's engine for a **write**, registered on first touch.
     fn tenant(&self, id: u64) -> Arc<ShardedEngine<u64, S>> {
         let mut map = match self.tenants.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        Arc::clone(map.entry(id).or_insert_with(|| {
-            Arc::new(ShardedEngine::new_with(
-                self.cfg.shards,
-                self.cfg.batch_capacity,
-                |shard| (self.factory)(id, shard),
-            ))
-        }))
+        Arc::clone(map.entry(id).or_insert_with(|| self.new_engine(id)))
     }
 
-    /// The tenant's windowed engine, created on first touch; `None`
-    /// whenever the server runs without windowing. The ring's
-    /// per-bucket summaries come from the same factory as the shard
-    /// summaries, with shard indices offset by
-    /// [`WINDOW_FACTORY_SHARD_BASE`] so bucket seeds never collide
-    /// with shard seeds (randomized backends stay merge-compatible —
-    /// same accuracy — but independently seeded).
+    /// The tenant's engine for a **read**: the registered one, or, for
+    /// an id no write has touched, a throw-away engine from the same
+    /// factory. The reply is exactly an empty tenant's, and a client
+    /// probing fresh ids cannot grow the registry.
+    fn tenant_for_read(&self, id: u64) -> Arc<ShardedEngine<u64, S>> {
+        let registered = match self.tenants.lock() {
+            Ok(g) => g.get(&id).cloned(),
+            Err(poisoned) => poisoned.into_inner().get(&id).cloned(),
+        };
+        registered.unwrap_or_else(|| self.new_engine(id))
+    }
+
+    /// The tenant's windowed engine for a **write**, registered (with
+    /// its engine) on first touch; `None` whenever the server runs
+    /// without windowing.
     fn window_tenant(&self, id: u64) -> Option<Arc<WindowedEngine<S>>> {
         let opts = self.cfg.window.as_ref()?;
         // The engine lock is taken and released inside `tenant` before
@@ -310,18 +347,50 @@ where
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        Some(Arc::clone(map.entry(id).or_insert_with(|| {
-            let factory = Arc::clone(&self.factory);
-            Arc::new(WindowedEngine::new(
-                engine,
-                opts.config,
-                Arc::clone(&opts.clock),
-                move |bucket| {
-                    let slot = usize::try_from(bucket % 1021).unwrap_or(0);
-                    factory(id, WINDOW_FACTORY_SHARD_BASE + slot)
-                },
-            ))
-        })))
+        Some(Arc::clone(
+            map.entry(id)
+                .or_insert_with(|| self.new_window(id, engine, opts)),
+        ))
+    }
+
+    /// The tenant's windowed engine for a **read**: the registered
+    /// ring, or a throw-away empty one (see
+    /// [`tenant_for_read`](Self::tenant_for_read)); `None` whenever
+    /// the server runs without windowing.
+    fn window_for_read(&self, id: u64) -> Option<Arc<WindowedEngine<S>>> {
+        let opts = self.cfg.window.as_ref()?;
+        let registered = match self.windows.lock() {
+            Ok(g) => g.get(&id).cloned(),
+            Err(poisoned) => poisoned.into_inner().get(&id).cloned(),
+        };
+        Some(registered.unwrap_or_else(|| self.new_window(id, self.tenant_for_read(id), opts)))
+    }
+
+    /// Folds one batch into the tenant's all-time engine — after logging
+    /// it, on a durable server — and returns the ack, or the error reply
+    /// (prefixed with `op`) if the WAL refused the batch.
+    fn log_then_ingest(&self, tenant: u64, xs: &[u64], op: &str) -> Result<IngestAck, Response> {
+        let engine = self.tenant(tenant);
+        let Some(store) = self.store.as_ref() else {
+            engine.ingest_batch(xs);
+            return Ok(IngestAck {
+                n: engine.n(),
+                seq: 0,
+            });
+        };
+        // Durable path: log first, ingest second, both under the tenant
+        // gate — an ACK means the batch is on disk AND in the engine,
+        // and a checkpoint taken under the same gate sees a consistent
+        // (seq, engine-state) pair. The ack's count is read under the
+        // same gate so (n, seq) describe the same acknowledged prefix
+        // even when other connections ingest into this tenant.
+        let handle = store.tenant(tenant);
+        let _gate = handle.lock();
+        let seq = store
+            .append_batch(tenant, xs)
+            .map_err(|e| err(format!("{op}: wal append failed: {e}")))?;
+        engine.ingest_batch(xs);
+        Ok(IngestAck { n: engine.n(), seq })
     }
 
     /// Cross-tenant window aggregate for the `STATS` reply; `None`
@@ -730,34 +799,12 @@ where
                     ));
                 }
             }
-            let engine = shared.tenant(req.tenant);
-            let (n, seq) = match shared.store.as_ref() {
-                Some(store) => {
-                    // Durable path: log first, ingest second, both
-                    // under the tenant gate — an ACK means the batch
-                    // is on disk AND in the engine, and a checkpoint
-                    // taken under the same gate sees a consistent
-                    // (seq, engine-state) pair. The ack's count is
-                    // read under the same gate so (n, seq) describe
-                    // the same acknowledged prefix even when other
-                    // connections ingest into this tenant.
-                    let handle = store.tenant(req.tenant);
-                    let _gate = handle.lock();
-                    match store.append_batch(req.tenant, &xs) {
-                        Ok(seq) => {
-                            engine.ingest_batch(&xs);
-                            (engine.n(), seq)
-                        }
-                        Err(e) => return err(format!("insert batch: wal append failed: {e}")),
-                    }
-                }
-                None => {
-                    engine.ingest_batch(&xs);
-                    (engine.n(), 0)
-                }
+            let ack = match shared.log_then_ingest(req.tenant, &xs, "insert batch") {
+                Ok(ack) => ack,
+                Err(reply) => return reply,
             };
             shared.metrics.add_rows(xs.len() as u64);
-            ok(proto::encode_ingest_ack(IngestAck { n, seq }))
+            ok(proto::encode_ingest_ack(ack))
         }
         Op::QueryQuantiles => {
             let phis = match proto::decode_f64s(&req.payload) {
@@ -770,7 +817,7 @@ where
             {
                 return err(format!("query quantiles: phi {bad} outside (0, 1)"));
             }
-            let answers = shared.tenant(req.tenant).quantiles(&phis);
+            let answers = shared.tenant_for_read(req.tenant).quantiles(&phis);
             ok(proto::encode_answers(&answers))
         }
         Op::QueryMany => {
@@ -784,17 +831,17 @@ where
             {
                 return err(format!("query many: phi {bad} outside (0, 1)"));
             }
-            let (quantiles, ranks) = shared.tenant(req.tenant).query_many(&phis, &xs);
+            let (quantiles, ranks) = shared.tenant_for_read(req.tenant).query_many(&phis, &xs);
             ok(proto::encode_query_many_reply(&quantiles, &ranks))
         }
         Op::QueryRank => match proto::decode_u64(&req.payload) {
             Ok(x) => ok(proto::encode_u64(
-                shared.tenant(req.tenant).rank_estimate(x),
+                shared.tenant_for_read(req.tenant).rank_estimate(x),
             )),
             Err(e) => err(format!("query rank: {e}")),
         },
         Op::Snapshot => {
-            let mut snap = shared.tenant(req.tenant).snapshot();
+            let mut snap = shared.tenant_for_read(req.tenant).snapshot();
             let bytes = WireCodec::to_bytes(&mut snap);
             if bytes.len() > proto::MAX_PAYLOAD as usize {
                 return err(format!(
@@ -878,41 +925,26 @@ where
                             --window-bucket-secs)"
                     .to_owned());
             };
-            let engine = shared.tenant(req.tenant);
-            let (n, seq) = match shared.store.as_ref() {
-                Some(store) => {
-                    // Same durable contract as INSERT_BATCH: the WAL
-                    // logs the plain batch (the all-time stream is
-                    // what survives a restart — rings are rebuilt
-                    // empty and refill as new data arrives, which
-                    // docs/WINDOW.md spells out). Ring placement
-                    // happens after the gate: it is volatile state
-                    // and needs no WAL coverage.
-                    let handle = store.tenant(req.tenant);
-                    let _gate = handle.lock();
-                    match store.append_batch(req.tenant, &xs) {
-                        Ok(seq) => {
-                            engine.ingest_batch(&xs);
-                            (engine.n(), seq)
-                        }
-                        Err(e) => return err(format!("window insert: wal append failed: {e}")),
-                    }
-                }
-                None => {
-                    engine.ingest_batch(&xs);
-                    (engine.n(), 0)
-                }
+            // Same durable contract as INSERT_BATCH: the WAL logs the
+            // plain batch (the all-time stream is what survives a
+            // restart — rings are rebuilt empty and refill as new data
+            // arrives, which docs/WINDOW.md spells out). Ring placement
+            // happens after the gate: it is volatile state and needs no
+            // WAL coverage.
+            let ack = match shared.log_then_ingest(req.tenant, &xs, "window insert") {
+                Ok(ack) => ack,
+                Err(reply) => return reply,
             };
             let _outcome = windowed.ingest_window_only(ts_nanos, &xs);
             shared.metrics.add_rows(xs.len() as u64);
-            ok(proto::encode_ingest_ack(IngestAck { n, seq }))
+            ok(proto::encode_ingest_ack(ack))
         }
         Op::WindowQuery => {
             let (spec, phis) = match proto::decode_window_query(&req.payload) {
                 Ok(parts) => parts,
                 Err(e) => return err(format!("window query: {e}")),
             };
-            let Some(windowed) = shared.window_tenant(req.tenant) else {
+            let Some(windowed) = shared.window_for_read(req.tenant) else {
                 return err("window query: windowing disabled (start the server with \
                             --window-bucket-secs)"
                     .to_owned());
@@ -923,7 +955,7 @@ where
             }
         }
         Op::WindowStats => {
-            let Some(windowed) = shared.window_tenant(req.tenant) else {
+            let Some(windowed) = shared.window_for_read(req.tenant) else {
                 return err("window stats: windowing disabled (start the server with \
                             --window-bucket-secs)"
                     .to_owned());

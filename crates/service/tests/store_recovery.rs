@@ -262,6 +262,23 @@ fn serve_refuses_a_data_dir_of_another_format_version() {
     assert_eq!(std::fs::read(&segment).expect("read back"), header);
 }
 
+/// A flag the binary does not know is an error with the usage text, not
+/// a silent no-op: `--batch` set an engine knob no request read, and is
+/// gone with it.
+#[test]
+fn serve_refuses_an_unknown_flag_with_the_usage_text() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sqs-serve"))
+        .args(["--addr", "127.0.0.1:0", "--batch", "1024"])
+        .output()
+        .expect("run sqs-serve");
+    assert!(!out.status.success(), "sqs-serve accepted --batch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag \"--batch\"") && stderr.contains("usage: sqs-serve"),
+        "unhelpful refusal: {stderr}"
+    );
+}
+
 /// Pulls the engine-totals `"items"` count out of the `STATS` JSON
 /// (string search keeps the test serde-free, like the metrics tests).
 fn parse_items(stats: &str) -> u64 {

@@ -63,10 +63,10 @@
 //! ## Concurrent ingestion
 //!
 //! The study's summaries are single-threaded; [`ShardedEngine`] runs
-//! N of them behind striped locks with buffered batch flushes and
-//! folds them on query via the mergeable-summary property
-//! ([`MergeableSummary`]) — same ε guarantee, multi-producer
-//! throughput. See `docs/ENGINE.md`.
+//! N of them as shards, folds each incoming batch into one shard
+//! (`ingest_batch`), and folds the shards on query via the
+//! mergeable-summary property ([`MergeableSummary`]) — same ε
+//! guarantee, multi-writer throughput. See `docs/ENGINE.md`.
 //!
 //! ## Serving over the network
 //!
@@ -109,7 +109,7 @@ pub mod prelude {
     pub use sqs_core::sampled::ReservoirQuantiles;
     pub use sqs_core::sliding::SlidingWindowQuantiles;
     pub use sqs_core::{MergeableSummary, QuantileSummary};
-    pub use sqs_engine::{EngineStats, IngestHandle, ShardedEngine};
+    pub use sqs_engine::{EngineStats, ShardedEngine};
     pub use sqs_turnstile::{
         new_dcm, new_dcs, new_rss, Dcm, Dcs, PostProcessed, Rss, TurnstileQuantiles,
         TurnstileSummary,

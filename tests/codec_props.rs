@@ -86,7 +86,9 @@ where
 
 fn filled_random(eps: f64, seed: u64, data: &[u64]) -> RandomSketch<u64> {
     let mut s = RandomSketch::new(eps, seed);
-    s.extend_from_slice(data);
+    for &x in data {
+        s.insert(x);
+    }
     s
 }
 
@@ -100,7 +102,9 @@ fn filled_qdigest(eps: f64, data: &[u64]) -> QDigest {
 
 fn filled_reservoir(eps: f64, seed: u64, data: &[u64]) -> ReservoirQuantiles<u64> {
     let mut s = ReservoirQuantiles::new(eps, seed);
-    s.extend_from_slice(data);
+    for &x in data {
+        s.insert(x);
+    }
     s
 }
 

@@ -226,11 +226,84 @@ fn stats_reports_ingest_and_tenants() {
     assert!(json.contains("\"tenants\": 2"), "stats: {json}");
     assert!(json.contains("\"insert_batch\""), "stats: {json}");
     // The engine aggregate rides along: the request-scoped ingest path
-    // folds before replying, so every row is propagated (items) and
-    // nothing sits queued.
-    assert!(json.contains("\"engine\""), "stats: {json}");
+    // folds before replying, so every row is in a shard (items) and
+    // each batch was one publication (epoch).
     assert!(json.contains("\"items\": 150"), "stats: {json}");
-    assert!(json.contains("\"queued_items\": 0"), "stats: {json}");
+    assert!(json.contains("\"epoch\": 2"), "stats: {json}");
+    let engine = json
+        .split_once("\"engine\": {")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .map(|(section, _)| section)
+        .expect("stats JSON has an engine section");
+    let keys: Vec<&str> = engine.split('"').skip(1).step_by(2).collect();
+    assert_eq!(
+        keys,
+        ["items", "epoch", "snapshots", "snapshot_cache_hits"],
+        "stats: {json}"
+    );
+    server.shutdown();
+    server.join();
+}
+
+/// Reads never create tenants: a client probing fresh ids through every
+/// read op gets exactly the reply an empty tenant gives, and the
+/// registry (`STATS.tenants`) does not grow.
+#[test]
+fn reads_on_unknown_tenants_register_nothing() {
+    use streaming_quantiles::sqs_service::proto;
+    use streaming_quantiles::sqs_service::server::WindowOptions;
+    let clock = ManualClock::at(5_000_000_000);
+    let server = spawn(
+        ServerConfig {
+            window: Some(WindowOptions::with_clock(
+                WindowConfig::new(1_000_000_000, 8),
+                std::sync::Arc::new(clock),
+            )),
+            ..ServerConfig::default()
+        },
+        |tenant, shard| RandomSketch::new(EPS, 61 ^ (tenant << 8) ^ shard as u64),
+    )
+    .expect("ephemeral loopback bind");
+    let mut client = connect(server.addr());
+    client.insert_batch(1, &[1, 2, 3]).expect("insert");
+    let tenants_before = "\"tenants\": 1,";
+    assert!(client.stats().expect("stats").contains(tenants_before));
+
+    let spec = WindowSpec::sliding(2_000_000_000);
+    let reads = [
+        (Op::QueryQuantiles, proto::encode_f64s(&[0.25, 0.5])),
+        (Op::QueryRank, proto::encode_u64(7)),
+        (Op::QueryMany, proto::encode_query_many(&[0.5], &[7, 9])),
+        (Op::Snapshot, Vec::new()),
+        (Op::WindowQuery, proto::encode_window_query(spec, &[0.5])),
+        (Op::WindowStats, Vec::new()),
+    ];
+    let mut replies = Vec::new();
+    for round in 0..167u64 {
+        for (i, (op, payload)) in reads.iter().enumerate() {
+            let tenant = 1_000 + round * 6 + i as u64;
+            let reply = client
+                .call(*op, tenant, payload.clone())
+                .expect("a read on an unknown tenant is answered");
+            replies.push((*op, payload, tenant, reply));
+        }
+    }
+    let json = client.stats().expect("stats");
+    assert!(
+        json.contains(tenants_before),
+        "reads grew the registry: {json}"
+    );
+
+    // Byte for byte what a registered, empty tenant answers: register
+    // each probed id with an empty write and ask again.
+    for (op, payload, tenant, unregistered) in replies.iter().step_by(97) {
+        client.insert_batch(*tenant, &[]).expect("empty insert");
+        client
+            .window_insert(*tenant, 5_000_000_000, &[])
+            .expect("empty window insert");
+        let registered = client.call(*op, *tenant, (*payload).clone()).expect("read");
+        assert_eq!(&registered, unregistered, "{op:?} on tenant {tenant}");
+    }
     server.shutdown();
     server.join();
 }

@@ -27,10 +27,6 @@
 //! `--quick` scale so the comparison is apples-to-apples), or if a
 //! batched hot path — update or query side — loses its speedup over
 //! scalar (see `SPEEDUP_FLOORS` and docs/PERF.md).
-//! It also re-runs `engine-scaling --quick` and holds both the
-//! committed `results/engine_scaling.json` and the fresh run to a
-//! machine-independent thread-scaling floor keyed on each report's
-//! recorded `host_parallelism` (see `SCALING_FLOOR_PER_EFF`).
 
 #![forbid(unsafe_code)]
 
@@ -111,22 +107,6 @@ const SPEEDUP_FLOORS: &[(&str, f64, f64)] = &[
     ("DCM-rank", 2.0, 1.7),
     ("DCS-rank", 1.5, 1.3),
 ];
-
-/// Machine-independent thread-scaling floor for the wait-free ingest
-/// engine (`sqs-exp engine-scaling`). With `eff = min(threads,
-/// host_parallelism)` — the producer parallelism the host can actually
-/// run — a cell must keep `ratio_vs_1 ≥ SCALING_FLOOR_PER_EFF × eff`
-/// whenever real parallelism exists (0.375 × 8 = the 3× headline at 8
-/// threads on an ≥8-way host), and must at least not collapse below
-/// `SCALING_NO_COLLAPSE_FLOOR` when it doesn't: on a 1-core CI box 8
-/// contending producers time-slice one core, so the gate demands only
-/// that they not fall far below the single-thread rate — which still
-/// catches a lock-convoy or busy-wait regression — rather than a
-/// speedup the hardware cannot produce. `host_parallelism` is recorded
-/// inside each report by the harness, so a baseline measured on a big
-/// box keeps its strict floor wherever the gate later runs.
-const SCALING_FLOOR_PER_EFF: f64 = 0.375;
-const SCALING_NO_COLLAPSE_FLOOR: f64 = 0.40;
 
 fn bench_check() -> ExitCode {
     let root = workspace_root();
@@ -239,38 +219,6 @@ fn run_bench_check(root: &Path) -> Result<(), String> {
         }
     }
 
-    // Thread-scaling gate: the committed report must hold the
-    // machine-independent floor for the host it was recorded on, and a
-    // fresh run must hold it for this host.
-    let scaling_baseline_path = root.join("results").join("engine_scaling.json");
-    let scaling_baseline = read(&scaling_baseline_path).map_err(|e| {
-        format!(
-            "{e}\nno recorded scaling report — run `cargo run --release -p sqs-harness \
-             --bin sqs-exp -- engine-scaling` once and commit the JSON"
-        )
-    })?;
-    problems.extend(check_scaling_report(&scaling_baseline, "scaling baseline")?);
-    run_cargo(
-        root,
-        &[
-            "run",
-            "--release",
-            "--quiet",
-            "--offline",
-            "-p",
-            "sqs-harness",
-            "--bin",
-            "sqs-exp",
-            "--",
-            "engine-scaling",
-            "--quick",
-            "--out",
-            &out_str,
-        ],
-    )?;
-    let fresh_scaling = read(&out_dir.join("engine_scaling.json"))?;
-    problems.extend(check_scaling_report(&fresh_scaling, "scaling fresh")?);
-
     if problems.is_empty() {
         Ok(())
     } else {
@@ -279,72 +227,6 @@ fn run_bench_check(root: &Path) -> Result<(), String> {
             problems.join("\n  ")
         ))
     }
-}
-
-/// The scaling floor for one cell: `eff = min(threads,
-/// host_parallelism)` usable producers, then the per-eff slope (or
-/// the no-collapse floor when the host cannot parallelise at all).
-fn scaling_floor(threads: f64, host_parallelism: f64) -> f64 {
-    let eff = threads.min(host_parallelism.max(1.0));
-    if eff <= 1.0 {
-        SCALING_NO_COLLAPSE_FLOOR
-    } else {
-        SCALING_FLOOR_PER_EFF * eff
-    }
-}
-
-/// Checks one `engine_scaling.json` report (committed baseline or
-/// fresh run) against the machine-independent floor and the ε-accuracy
-/// contract. Returns the list of violations; errors only when the
-/// report itself is unusable.
-fn check_scaling_report(json: &str, label: &str) -> Result<Vec<String>, String> {
-    let host = json
-        .lines()
-        .find_map(|l| json_num_field(l, "host_parallelism"))
-        .ok_or_else(|| {
-            format!("{label}: no host_parallelism field — regenerate the scaling report")
-        })?;
-    let mut cells = 0usize;
-    let mut problems = Vec::new();
-    for line in json.lines() {
-        let (Some(backend), Some(threads), Some(ratio)) = (
-            json_str_field(line, "backend"),
-            json_num_field(line, "threads"),
-            json_num_field(line, "ratio_vs_1"),
-        ) else {
-            continue;
-        };
-        cells += 1;
-        let floor = scaling_floor(threads, host);
-        println!(
-            "xtask bench-check: {label}: {backend} x{threads:.0}: ratio {ratio:.2} \
-             (floor {floor:.2}, host_parallelism {host:.0})"
-        );
-        if ratio < floor {
-            problems.push(format!(
-                "{label}: {backend} at {threads:.0} threads scaled {ratio:.2}x vs 1 \
-                 thread, below the {floor:.2}x floor for a {host:.0}-way host — the \
-                 wait-free ingest path stopped scaling"
-            ));
-        }
-        if let (Some(err), Some(eps)) = (
-            json_num_field(line, "max_rank_err"),
-            json_num_field(line, "eps"),
-        ) {
-            if err > eps {
-                problems.push(format!(
-                    "{label}: {backend} at {threads:.0} threads: max rank error \
-                     {err:.4} exceeds eps {eps} under concurrent ingest"
-                ));
-            }
-        }
-    }
-    if cells == 0 {
-        return Err(format!(
-            "{label}: no scaling cells parsed — regenerate the scaling report"
-        ));
-    }
-    Ok(problems)
 }
 
 /// Extracts `(algo, mode, items_per_s)` from the one-cell-per-line
