@@ -2,8 +2,10 @@
 //! Figures 5e/5f): elements/second at a permissive and a tight ε.
 //!
 //! Expected shape (paper §4.2.3): GKArray, Random and MRL99 stay fast
-//! at tight ε because they only sort and merge; GKAdaptive and
-//! FastQDigest fall off once their pointer structures outgrow cache.
+//! at tight ε because they only sort and merge; GKAdaptive falls off
+//! once its pointer structures outgrow cache. The paper's FastQDigest
+//! falls off with it; ours is one sorted node array and stays within
+//! ~10× of Random (EXPERIMENTS.md, Fig. 5e/5f).
 
 use std::time::Duration;
 

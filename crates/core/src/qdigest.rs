@@ -11,30 +11,40 @@
 //! `log(u)·⌊n/σ⌋`. We size `σ = ⌈log₂(u)/ε⌉` for an `ε·n` rank
 //! guarantee.
 //!
-//! Updates are buffered and applied in batches ("Fast"), with COMPRESS
-//! re-run when the node map outgrows `3σ`, giving amortized O(1)-ish
-//! updates — the behaviour Figures 5e/5f and 7a measure.
+//! The nodes live in one array in ascending heap-id order, which is
+//! level order (level `d` is the contiguous id range `[2^d, 2^(d+1))`,
+//! the leaves are the tail) and the order of the byte form, so every
+//! operation is a linear walk: a flush sorts the buffered values and
+//! merges them into the leaf tail, COMPRESS goes up a level at a time
+//! with one cursor on the sibling pairs and one on their parents, a
+//! merge is a two-cursor union. Updates are buffered ("Fast") up to
+//! what is left of the `3σ` node budget, so COMPRESS runs once per
+//! refill of that budget — the behaviour Figures 5e/5f and 7a measure.
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 // ^ audited: indices and casts here are bounded by structural
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use crate::buffers::CachedView;
+use crate::codec::Reader;
 use crate::QuantileSummary;
 use sqs_util::space::{words, SpaceUsage};
 
 /// Errors from [`QDigest::from_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Wrong magic or version.
+    /// Wrong magic or version, or a σ no digest can have.
     BadHeader,
     /// Byte stream ends mid-record.
     Truncated,
     /// A node id is outside the declared universe's tree.
     BadNodeId(u64),
+    /// A node id does not exceed the one before it: the byte form lists
+    /// every node once, in ascending id order.
+    NodesNotAscending(u64),
     /// Node counts don't sum to the declared n.
     CountMismatch,
 }
@@ -45,6 +55,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadHeader => write!(f, "bad magic/version header"),
             DecodeError::Truncated => write!(f, "byte stream truncated"),
             DecodeError::BadNodeId(id) => write!(f, "node id {id} outside tree"),
+            DecodeError::NodesNotAscending(id) => {
+                write!(f, "node id {id} does not ascend past the one before it")
+            }
             DecodeError::CountMismatch => write!(f, "node counts do not sum to n"),
         }
     }
@@ -53,6 +66,17 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 const MAGIC: u32 = 0x5144_4731; // "QDG1"
+
+/// Bytes before the first node of the byte form: magic, `log_u`, σ, n
+/// and the node count.
+const HEADER_LEN: usize = 32;
+
+/// The fewest buffered updates a flush waits for, however little of the
+/// node budget is left.
+const MIN_BUFFER: usize = 256;
+
+/// A stored node: `(heap id, count)`.
+type Node = (u64, u64);
 
 /// The read path: the stored nodes in the q-digest query order — by
 /// right endpoint, smaller intervals first on ties (post-order of the
@@ -92,12 +116,14 @@ pub struct QDigest {
     log_u: u32,
     sigma: u64,
     n: u64,
-    /// Heap-numbered dyadic node → count. Root is id 1; the leaf for
-    /// value `x` is id `u + x`; node `id` has children `2id, 2id+1`.
-    counts: HashMap<u64, u64>,
+    /// The stored nodes in strictly ascending heap-id order. Root is
+    /// id 1; the leaf for value `x` is id `u + x`; node `id` has
+    /// children `2id, 2id+1`.
+    nodes: Vec<Node>,
+    /// Observed values not yet applied to `nodes`; flushed at
+    /// [`buffer_cap`](Self::buffer_cap) of them.
     buffer: Vec<u64>,
-    buffer_cap: usize,
-    /// The queries' sorted form of `counts`; dropped wherever `counts`
+    /// The queries' sorted form of `nodes`; dropped wherever `nodes`
     /// changes (`flush`, `merge_from`).
     view: CachedView<NodeIndex>,
 }
@@ -107,7 +133,8 @@ impl QDigest {
     /// at most `ε·n`.
     ///
     /// # Panics
-    /// Panics unless `0 < ε < 1` and `1 ≤ log_u ≤ 40`.
+    /// Panics unless `0 < ε < 1` and `1 ≤ log_u ≤ 40`, or if ε is so
+    /// small that the node budget `3σ` overflows.
     pub fn new(eps: f64, log_u: u32) -> Self {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
         assert!(
@@ -115,15 +142,33 @@ impl QDigest {
             "log_u must be in 1..=40, got {log_u}"
         );
         let sigma = ((log_u as f64) / eps).ceil() as u64;
+        assert!(
+            Self::sigma_is_valid(sigma),
+            "eps {eps} is too small: the node budget 3σ overflows"
+        );
+        Self::empty(log_u, sigma)
+    }
+
+    /// The digest of no data over `[0, 2^log_u)` at compression σ.
+    fn empty(log_u: u32, sigma: u64) -> Self {
         Self {
             log_u,
             sigma,
             n: 0,
-            counts: HashMap::new(),
-            buffer: Vec::with_capacity(256),
-            buffer_cap: 256,
+            nodes: Vec::new(),
+            buffer: Vec::new(),
             view: CachedView::default(),
         }
+    }
+
+    /// Whether σ is positive and its node budget `3σ + 1` fits a
+    /// `usize`, which [`buffer_cap`](Self::buffer_cap) relies on.
+    fn sigma_is_valid(sigma: u64) -> bool {
+        sigma >= 1
+            && sigma
+                .checked_mul(3)
+                .and_then(|budget| budget.checked_add(1))
+                .is_some_and(|budget| usize::try_from(budget).is_ok())
     }
 
     /// Universe exponent.
@@ -139,7 +184,7 @@ impl QDigest {
     /// Number of tree nodes currently stored (after a flush).
     pub fn node_count(&mut self) -> usize {
         self.flush();
-        self.counts.len()
+        self.nodes.len()
     }
 
     #[inline]
@@ -162,56 +207,174 @@ impl QDigest {
         (lo, lo + (1u64 << level) - 1)
     }
 
-    /// Applies buffered leaf increments.
+    /// Index in the ascending `nodes` at which level `depth` begins.
+    fn level_start(nodes: &[Node], depth: u32) -> usize {
+        nodes.partition_point(|&(id, _)| id < 1u64 << depth)
+    }
+
+    /// How many updates are buffered before a flush: what is left of
+    /// the node budget, `3σ + 1 − |nodes|`, since that many new leaves
+    /// are what it takes to make COMPRESS due — but no more than the
+    /// universe has values, which is all the leaves there can ever be —
+    /// and never fewer than [`MIN_BUFFER`]. Nodes plus buffered updates
+    /// therefore stay within `3σ + MIN_BUFFER`.
+    #[inline]
+    fn buffer_cap(&self) -> usize {
+        let universe = usize::try_from(self.universe()).unwrap_or(usize::MAX);
+        (3 * self.sigma as usize + 1)
+            .saturating_sub(self.nodes.len())
+            .min(universe)
+            .max(MIN_BUFFER)
+    }
+
+    /// Makes room for `extra` more buffered values, `extra` within what
+    /// is left of [`buffer_cap`](Self::buffer_cap). The buffer grows
+    /// geometrically up to exactly that cap: it never holds more memory
+    /// than `space_bytes` charges, nor more than twice what was
+    /// inserted, whatever σ a decoded header claims.
+    #[inline]
+    fn reserve_buffer(&mut self, extra: usize) {
+        let need = self.buffer.len() + extra;
+        if need > self.buffer.capacity() {
+            let target = need
+                .max(2 * self.buffer.capacity())
+                .max(MIN_BUFFER)
+                .min(self.buffer_cap());
+            self.buffer.reserve_exact(target - self.buffer.len());
+        }
+    }
+
+    /// Appends to `out` the union of two ascending node runs, adding
+    /// the counts of ids present in both.
+    fn union_into(out: &mut Vec<Node>, a: &[Node], b: &[Node]) {
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+    }
+
+    /// Applies the buffered updates: sorts them, run-lengths them into
+    /// leaves and merges those into the leaf tail of `nodes`.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
         self.view.invalidate();
+        self.buffer.sort_unstable();
         let u = self.universe();
-        let buf = std::mem::take(&mut self.buffer);
-        for x in buf {
-            *self.counts.entry(u + x).or_insert(0) += 1;
-        }
-        if self.counts.len() as u64 > 3 * self.sigma {
+        let fresh: Vec<Node> = self
+            .buffer
+            .chunk_by(|a, b| a == b)
+            .map(|run| (u + run[0], run.len() as u64))
+            .collect();
+        self.buffer.clear();
+        let leaves = Self::level_start(&self.nodes, self.log_u);
+        let mut merged = Vec::with_capacity(self.nodes.len() + fresh.len());
+        merged.extend_from_slice(&self.nodes[..leaves]);
+        Self::union_into(&mut merged, &self.nodes[leaves..], &fresh);
+        self.nodes = merged;
+        self.settle();
+    }
+
+    /// After `nodes` grew: runs COMPRESS if they exceed `3σ`, and hands
+    /// back the memory the node array and the (empty) buffer hold
+    /// beyond what `space_bytes` charges.
+    fn settle(&mut self) {
+        if self.nodes.len() as u64 > 3 * self.sigma {
             self.compress();
         }
+        self.nodes.shrink_to_fit();
+        self.buffer.shrink_to(self.buffer_cap());
     }
 
     /// The q-digest COMPRESS: bottom-up, merge any child pair whose
     /// combined weight with the parent is within `⌊n/σ⌋`.
+    ///
+    /// One level at a time: a cursor walks the sibling pairs of level
+    /// `d` (stored ones and those promoted from `d + 1`), another the
+    /// stored nodes of level `d − 1`. The pair-plus-parent triples of a
+    /// level are disjoint, so each decision reads counts no other
+    /// decision of that level writes, and the promoted parents come out
+    /// ascending, merged with the stored ones as they are passed.
     fn compress(&mut self) {
         let threshold = self.n / self.sigma;
         if threshold == 0 {
             return;
         }
-        // Bucket node ids by depth so merges feed the next level up.
-        let mut by_depth: Vec<Vec<u64>> = vec![Vec::new(); self.log_u as usize + 1];
-        for &id in self.counts.keys() {
-            by_depth[Self::depth(id) as usize].push(id);
-        }
-        for d in (1..=self.log_u as usize).rev() {
-            let ids = std::mem::take(&mut by_depth[d]);
-            for id in ids {
-                // Canonicalize to the even child; skip ids already merged.
-                let left = id & !1;
-                if !self.counts.contains_key(&left) && !self.counts.contains_key(&(left | 1)) {
-                    continue;
+        // The surviving nodes, deepest level first, and where each
+        // level's survivors begin.
+        let mut kept: Vec<Node> = Vec::with_capacity(self.nodes.len());
+        let mut level_begins = Vec::with_capacity(self.log_u as usize + 1);
+        let mut start = Self::level_start(&self.nodes, self.log_u);
+        let mut level = self.nodes[start..].to_vec();
+        let mut parents = Vec::new();
+        for depth in (1..=self.log_u).rev() {
+            let end = start;
+            start = Self::level_start(&self.nodes[..end], depth - 1);
+            let stored = &self.nodes[start..end];
+            level_begins.push(kept.len());
+            parents.clear();
+            parents.reserve(level.len() + stored.len());
+            let (mut i, mut j) = (0, 0);
+            while i < level.len() {
+                let (id, mut weight) = level[i];
+                // A left child directly followed by its right sibling
+                // is a pair; any other node stands alone.
+                let mut next = i + 1;
+                if id & 1 == 0 && level.get(next).is_some_and(|right| right.0 == id + 1) {
+                    weight += level[next].1;
+                    next += 1;
                 }
-                let parent = left >> 1;
-                let cl = self.counts.get(&left).copied().unwrap_or(0);
-                let cr = self.counts.get(&(left | 1)).copied().unwrap_or(0);
-                let cp = self.counts.get(&parent).copied().unwrap_or(0);
-                if cl + cr + cp <= threshold {
-                    self.counts.remove(&left);
-                    self.counts.remove(&(left | 1));
-                    let existed = self.counts.insert(parent, cl + cr + cp).is_some();
-                    if !existed {
-                        by_depth[d - 1].push(parent);
+                let parent = id >> 1;
+                while j < stored.len() && stored[j].0 < parent {
+                    parents.push(stored[j]);
+                    j += 1;
+                }
+                let parent_stored = j < stored.len() && stored[j].0 == parent;
+                if parent_stored {
+                    weight += stored[j].1;
+                }
+                if weight <= threshold {
+                    parents.push((parent, weight));
+                    j += usize::from(parent_stored);
+                } else {
+                    kept.push(level[i]);
+                    if next - i == 2 {
+                        kept.push(level[i + 1]);
                     }
                 }
+                i = next;
             }
+            parents.extend_from_slice(&stored[j..]);
+            std::mem::swap(&mut level, &mut parents);
         }
+        level_begins.push(kept.len());
+        kept.extend_from_slice(&level); // the root, if stored
+
+        // Back into ascending id order: shallowest level first.
+        let mut nodes = Vec::with_capacity(kept.len());
+        let mut end = kept.len();
+        for &begin in level_begins.iter().rev() {
+            nodes.extend_from_slice(&kept[begin..end]);
+            end = begin;
+        }
+        self.nodes = nodes;
     }
 
     /// Merges another q-digest into this one (the mergeable-summary
@@ -222,17 +385,9 @@ impl QDigest {
     /// universe.
     ///
     /// # Panics
-    /// Panics if the universes differ.
+    /// Panics if the universes or the compression factors differ.
     pub fn merge(&mut self, other: &mut QDigest) {
-        let empty = QDigest {
-            log_u: other.log_u,
-            sigma: other.sigma,
-            n: 0,
-            counts: HashMap::new(),
-            buffer: Vec::with_capacity(other.buffer_cap),
-            buffer_cap: other.buffer_cap,
-            view: CachedView::default(),
-        };
+        let empty = Self::empty(other.log_u, other.sigma);
         self.merge_from(std::mem::replace(other, empty));
     }
 
@@ -240,144 +395,127 @@ impl QDigest {
     /// engine's balanced merge tree folds with
     /// ([`MergeableSummary`](crate::MergeableSummary)).
     ///
-    /// COMPRESS runs only when the combined node map actually exceeds
+    /// COMPRESS runs only when the combined node array actually exceeds
     /// its `3σ` budget, not unconditionally — a k-way merge tree
     /// folding k ε-digests therefore compresses O(k·|digest|/σ) times
     /// total instead of once per internal node (no double-compression
     /// of an already-compact digest).
     ///
     /// # Panics
-    /// Panics if the universes differ.
+    /// Panics if the universes differ, or the compression factors σ:
+    /// the sum of two counts bounded by `⌊n₁/σ₁⌋` and `⌊n₂/σ₂⌋` is
+    /// bounded by `⌊(n₁+n₂)/σ⌋` only for `σ₁ = σ₂ = σ`.
     pub fn merge_from(&mut self, mut other: QDigest) {
         assert_eq!(self.log_u, other.log_u, "q-digest merge: universe mismatch");
+        assert_eq!(
+            self.sigma, other.sigma,
+            "q-digest merge: compression factor σ (accuracy) mismatch"
+        );
         self.flush();
         other.flush();
         if other.n == 0 {
             return; // merging nothing is the identity
         }
         self.view.invalidate();
-        for (&id, &c) in &other.counts {
-            *self.counts.entry(id).or_insert(0) += c;
-        }
+        let mut merged = Vec::with_capacity(self.nodes.len() + other.nodes.len());
+        Self::union_into(&mut merged, &self.nodes, &other.nodes);
+        self.nodes = merged;
         self.n += other.n;
-        if self.counts.len() as u64 > 3 * self.sigma {
-            self.compress();
-        }
+        self.settle();
     }
 
     /// Serializes the digest to a compact, portable byte form (the
     /// sensor-network deployment the q-digest was designed for ships
-    /// digests over the network): a fixed header followed by sorted
-    /// `(node id, count)` little-endian u64 pairs. Flushes first, so
-    /// equal digests serialize equally.
+    /// digests over the network): a 32-byte header followed by the
+    /// `(node id, count)` little-endian u64 pairs in ascending id
+    /// order. Flushes first, so equal digests serialize equally.
     pub fn to_bytes(&mut self) -> Vec<u8> {
         self.flush();
-        let mut ids: Vec<u64> = self.counts.keys().copied().collect();
-        ids.sort_unstable();
-        let mut out = Vec::with_capacity(28 + ids.len() * 16);
+        let mut out = Vec::with_capacity(HEADER_LEN + self.nodes.len() * 16);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&self.log_u.to_le_bytes());
         out.extend_from_slice(&self.sigma.to_le_bytes());
         out.extend_from_slice(&self.n.to_le_bytes());
-        out.extend_from_slice(&(ids.len() as u64).to_le_bytes());
-        for id in ids {
+        out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
+        for &(id, count) in &self.nodes {
             out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&self.counts[&id].to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
         }
         out
     }
 
     /// Reconstructs a digest from [`QDigest::to_bytes`] output,
-    /// validating structure (header, node ids within the declared
-    /// tree, counts summing to `n`).
+    /// validating structure: header, a node count the bytes can hold
+    /// (checked before anything is allocated for it), node ids within
+    /// the declared tree and strictly ascending, counts summing to `n`.
     pub fn from_bytes(bytes: &[u8]) -> Result<QDigest, DecodeError> {
-        let take_u32 = |b: &[u8], at: usize| -> Result<u32, DecodeError> {
-            b.get(at..at + 4)
-                .map(|s| {
-                    u32::from_le_bytes(
-                        s.try_into()
-                            .expect("QDigest invariant: chunks_exact(4) yields 4-byte slices"),
-                    )
-                })
-                .ok_or(DecodeError::Truncated)
-        };
-        let take_u64 = |b: &[u8], at: usize| -> Result<u64, DecodeError> {
-            b.get(at..at + 8)
-                .map(|s| {
-                    u64::from_le_bytes(
-                        s.try_into()
-                            .expect("QDigest invariant: chunks_exact(8) yields 8-byte slices"),
-                    )
-                })
-                .ok_or(DecodeError::Truncated)
-        };
-        if take_u32(bytes, 0)? != MAGIC {
+        // The cursor's only failure is running out of bytes.
+        let truncated = |_| DecodeError::Truncated;
+        let mut reader = Reader::new(bytes);
+        if reader.u32().map_err(truncated)? != MAGIC {
             return Err(DecodeError::BadHeader);
         }
-        let log_u = take_u32(bytes, 4)?;
+        let log_u = reader.u32().map_err(truncated)?;
         if !(1..=40).contains(&log_u) {
             return Err(DecodeError::BadHeader);
         }
-        let sigma = take_u64(bytes, 8)?;
-        let n = take_u64(bytes, 16)?;
-        let count = take_u64(bytes, 24)? as usize;
-        let mut counts = HashMap::with_capacity(count);
+        let sigma = reader.u64().map_err(truncated)?;
+        if !Self::sigma_is_valid(sigma) {
+            return Err(DecodeError::BadHeader);
+        }
+        let n = reader.u64().map_err(truncated)?;
+        let count = reader.u64().map_err(truncated)?;
+        if count > (reader.remaining() / 16) as u64 {
+            return Err(DecodeError::Truncated);
+        }
+        let mut digest = Self::empty(log_u, sigma);
+        digest.n = n;
+        digest.nodes.reserve_exact(count as usize);
         let max_id = 1u64 << (log_u + 1);
-        let mut total_at_some_level = 0u64;
-        for i in 0..count {
-            let at = 32 + i * 16;
-            let id = take_u64(bytes, at)?;
-            let c = take_u64(bytes, at + 8)?;
+        let mut last_id = 0u64;
+        let mut mass = 0u64;
+        for _ in 0..count {
+            let id = reader.u64().map_err(truncated)?;
+            let c = reader.u64().map_err(truncated)?;
             if id == 0 || id >= max_id {
                 return Err(DecodeError::BadNodeId(id));
             }
+            if id <= last_id {
+                return Err(DecodeError::NodesNotAscending(id));
+            }
+            last_id = id;
             // Adversarial counts could overflow the running sum; an
             // overflow can never equal an honest n, so report it as the
             // count mismatch it is instead of panicking.
-            total_at_some_level = total_at_some_level
-                .checked_add(c)
-                .ok_or(DecodeError::CountMismatch)?;
-            counts.insert(id, c);
+            mass = mass.checked_add(c).ok_or(DecodeError::CountMismatch)?;
+            digest.nodes.push((id, c));
         }
-        if total_at_some_level != n {
+        if mass != n {
             return Err(DecodeError::CountMismatch);
         }
-        Ok(QDigest {
-            log_u,
-            sigma: sigma.max(1),
-            n,
-            counts,
-            buffer: Vec::with_capacity(256),
-            buffer_cap: 256,
-            view: CachedView::default(),
-        })
+        Ok(digest)
     }
 
-    /// Nodes sorted in the q-digest query order: by right endpoint,
-    /// smaller intervals first on ties (post-order of the tree).
-    fn ordered_nodes(counts: &HashMap<u64, u64>, log_u: u32) -> Vec<(u64, u64, u64)> {
-        // (hi, lo, count)
-        let mut nodes: Vec<(u64, u64, u64)> = counts
+    /// Builds the form the queries search: the nodes by right endpoint,
+    /// smaller intervals first on ties (post-order of the tree). Read
+    /// backwards, the array is the levels deepest first, each a strictly
+    /// descending run of right endpoints, so one stable sort — which
+    /// merges presorted runs and keeps the deeper of two nodes that end
+    /// together in front — orders the lot.
+    fn build_view(nodes: &[Node], log_u: u32) -> NodeIndex {
+        let mut by_hi: Vec<Node> = nodes
             .iter()
-            .map(|(&id, &c)| {
-                let (lo, hi) = Self::node_range(log_u, id);
-                (hi, lo, c)
-            })
+            .rev()
+            .map(|&(id, count)| (Self::node_range(log_u, id).1, count))
             .collect();
-        nodes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        nodes
-    }
-
-    /// Sorts the node map once into the form the queries search.
-    fn build_view(counts: &HashMap<u64, u64>, log_u: u32) -> NodeIndex {
-        let nodes = Self::ordered_nodes(counts, log_u);
+        by_hi.sort_by_key(|&(hi, _)| hi);
         let mut cum = 0u64;
         NodeIndex {
-            his: nodes.iter().map(|n| n.0).collect(),
-            cum: nodes
+            his: by_hi.iter().map(|node| node.0).collect(),
+            cum: by_hi
                 .iter()
-                .map(|n| {
-                    cum += n.2;
+                .map(|node| {
+                    cum += node.1;
                     cum
                 })
                 .collect(),
@@ -385,11 +523,11 @@ impl QDigest {
     }
 
     /// Applies the buffered updates, then returns the node index —
-    /// sorted on the first query after the node map changed.
+    /// sorted on the first query after the node array changed.
     fn view(&mut self) -> &NodeIndex {
         self.flush();
         self.view
-            .get_or_build(|| Self::build_view(&self.counts, self.log_u))
+            .get_or_build(|| Self::build_view(&self.nodes, self.log_u))
     }
 }
 
@@ -398,8 +536,10 @@ impl crate::MergeableSummary<u64> for QDigest {
         QDigest::merge_from(self, other);
     }
 
+    /// Same universe and same σ: a digest built at a coarser ε carries
+    /// internal nodes heavier than this one's `⌊n/σ⌋` allows.
     fn merge_compatible(&self, other: &Self) -> bool {
-        self.log_u == other.log_u
+        self.log_u == other.log_u && self.sigma == other.sigma
     }
 }
 
@@ -419,6 +559,9 @@ impl crate::codec::WireCodec for QDigest {
             DecodeError::Truncated => CodecError::Truncated,
             DecodeError::BadHeader => CodecError::Malformed("q-digest: bad magic/version header"),
             DecodeError::BadNodeId(_) => CodecError::Malformed("q-digest: node id outside tree"),
+            DecodeError::NodesNotAscending(_) => {
+                CodecError::Malformed("q-digest: node ids not strictly ascending")
+            }
             DecodeError::CountMismatch => {
                 CodecError::Malformed("q-digest: node counts do not sum to n")
             }
@@ -430,10 +573,12 @@ impl sqs_util::audit::CheckInvariants for QDigest {
     /// q-digest invariants (Shrivastava et al. §3, study §1.2.1):
     /// every stored node id lies inside the dyadic tree over
     /// `[0, 2^log_u)` (so parent/child arithmetic `2id, 2id+1` stays
-    /// closed), the node count respects the `3σ` capacity (plus the
-    /// buffered-"Fast" slack of one unflushed buffer), the node counts
-    /// plus buffered updates conserve the stream mass `n`, and a cached
-    /// node index equals a rebuild from the node map.
+    /// closed) and exceeds the one before it (the order every walk of
+    /// the array assumes), no non-leaf node outweighs `⌊n/σ⌋` (what the
+    /// ε bound rests on), nodes and buffered updates together respect
+    /// the `3σ` capacity (plus the buffered-"Fast" slack), the node
+    /// counts plus buffered updates conserve the stream mass `n`, and a
+    /// cached node index equals a rebuild from the node array.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "FastQDigest";
@@ -443,12 +588,17 @@ impl sqs_util::audit::CheckInvariants for QDigest {
             "qdigest.log_u_range",
             || format!("log_u = {} outside 1..=40", self.log_u),
         )?;
-        ensure(self.sigma >= 1, ALG, "qdigest.sigma_positive", || {
-            format!("σ = {} must be ≥ 1", self.sigma)
-        })?;
+        ensure(
+            Self::sigma_is_valid(self.sigma),
+            ALG,
+            "qdigest.sigma_positive",
+            || format!("σ = {} must be ≥ 1 with 3σ + 1 a usize", self.sigma),
+        )?;
         let max_id = 1u64 << (self.log_u + 1);
+        let threshold = self.n / self.sigma;
         let mut mass = 0u64;
-        for (&id, &c) in &self.counts {
+        let mut last_id = 0u64;
+        for &(id, c) in &self.nodes {
             ensure(id >= 1 && id < max_id, ALG, "qdigest.node_in_tree", || {
                 format!("node id {id} outside the heap numbering [1, {max_id})")
             })?;
@@ -458,10 +608,20 @@ impl sqs_util::audit::CheckInvariants for QDigest {
                 "qdigest.depth_bound",
                 || format!("node id {id} deeper than the leaf level {}", self.log_u),
             )?;
-            mass += c;
+            ensure(id > last_id, ALG, "qdigest.nodes_ascending", || {
+                format!("node id {id} stored after node id {last_id}")
+            })?;
+            last_id = id;
+            ensure(
+                id >= self.universe() || c <= threshold,
+                ALG,
+                "qdigest.count_bound",
+                || format!("non-leaf node {id} counts {c} > ⌊n/σ⌋ = {threshold}"),
+            )?;
+            mass = mass.saturating_add(c);
         }
         ensure(
-            mass + self.buffer.len() as u64 == self.n,
+            mass.saturating_add(self.buffer.len() as u64) == self.n,
             ALG,
             "qdigest.mass_conservation",
             || {
@@ -473,34 +633,35 @@ impl sqs_util::audit::CheckInvariants for QDigest {
             },
         )?;
         ensure(
-            self.buffer.len() <= self.buffer_cap,
+            self.buffer.len() <= self.buffer_cap(),
             ALG,
             "qdigest.buffer_bound",
             || {
                 format!(
                     "{} buffered > capacity {}",
                     self.buffer.len(),
-                    self.buffer_cap
+                    self.buffer_cap()
                 )
             },
         )?;
         ensure(
-            self.counts.len() <= 3 * self.sigma as usize + self.buffer_cap,
+            self.nodes.len() + self.buffer.len()
+                <= (3 * self.sigma as usize).saturating_add(MIN_BUFFER),
             ALG,
             "qdigest.node_capacity",
             || {
                 format!(
-                    "{} nodes > 3σ = {} (+ {} buffer slack)",
-                    self.counts.len(),
+                    "{} nodes + {} buffered > 3σ = {} (+ {MIN_BUFFER} buffer slack)",
+                    self.nodes.len(),
+                    self.buffer.len(),
                     3 * self.sigma,
-                    self.buffer_cap
                 )
             },
         )?;
         ensure(
             self.view
                 .get()
-                .is_none_or(|v| *v == Self::build_view(&self.counts, self.log_u)),
+                .is_none_or(|v| *v == Self::build_view(&self.nodes, self.log_u)),
             ALG,
             "qdigest.view_fresh",
             || "cached node index differs from a rebuild (a mutator kept it)".to_string(),
@@ -517,8 +678,9 @@ impl QuantileSummary<u64> for QDigest {
             self.log_u
         );
         self.n += 1;
+        self.reserve_buffer(1);
         self.buffer.push(x);
-        if self.buffer.len() >= self.buffer_cap {
+        if self.buffer.len() >= self.buffer_cap() {
             self.flush();
         }
         #[cfg(any(test, feature = "audit"))]
@@ -537,16 +699,17 @@ impl QuantileSummary<u64> for QDigest {
         let u = self.universe();
         let mut rest = xs;
         while !rest.is_empty() {
-            let room = self.buffer_cap - self.buffer.len();
-            let take = room.min(rest.len()).max(1);
-            let (chunk, tail) = rest.split_at(take);
+            // A full buffer is flushed on the spot, so there is room.
+            let room = self.buffer_cap() - self.buffer.len();
+            let (chunk, tail) = rest.split_at(room.min(rest.len()));
             for &x in chunk {
                 assert!(x < u, "value {x} outside universe 2^{}", self.log_u);
             }
+            self.reserve_buffer(chunk.len());
             self.buffer.extend_from_slice(chunk);
-            self.n += take as u64;
+            self.n += chunk.len() as u64;
             rest = tail;
-            if self.buffer.len() >= self.buffer_cap {
+            if self.buffer.len() >= self.buffer_cap() {
                 self.flush();
             }
         }
@@ -587,9 +750,12 @@ impl QuantileSummary<u64> for QDigest {
 
 impl SpaceUsage for QDigest {
     fn space_bytes(&self) -> usize {
-        // Per stored node: id + count + one hash-slot pointer (3 words);
-        // plus the update buffer capacity.
-        words(self.counts.len() * 3 + self.buffer_cap)
+        // Two words per stored node (id, count) plus the update buffer
+        // at its budget — a function of σ, the universe and the node
+        // count, not of what a `Vec` happens to hold, so a clone reports
+        // what its original does. `|nodes| + 3σ + 1` words wherever the
+        // budget is neither at `MIN_BUFFER` nor capped by the universe.
+        words(self.nodes.len() * 2 + self.buffer_cap())
     }
 }
 
@@ -598,6 +764,7 @@ mod tests {
     use super::*;
     use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
     use sqs_util::rng::Xoshiro256pp;
+    use std::collections::HashMap;
 
     fn check_errors(eps: f64, log_u: u32, data: Vec<u64>) {
         let mut s = QDigest::new(eps, log_u);
@@ -657,8 +824,8 @@ mod tests {
         for _ in 0..200_000 {
             s.insert(rng.next_below(1 << 16));
         }
-        let bound = 3 * s.sigma() as usize + 256; // slack for the post-compress buffer refill
-        assert!(s.node_count() <= bound, "{} > {bound}", s.counts.len());
+        let bound = 3 * s.sigma() as usize + MIN_BUFFER; // slack for a flush at the buffer floor
+        assert!(s.node_count() <= bound, "{} > {bound}", s.nodes.len());
     }
 
     #[test]
@@ -714,7 +881,7 @@ mod tests {
             s.insert(512);
         }
         assert_eq!(s.quantile(0.5), Some(512));
-        assert!(s.node_count() <= 12, "nodes = {}", s.counts.len());
+        assert!(s.node_count() <= 12, "nodes = {}", s.nodes.len());
     }
 
     #[test]
@@ -736,6 +903,7 @@ mod tests {
         let mut back = QDigest::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(back.n(), d.n());
         assert_eq!(back.log_u(), d.log_u());
+        assert_eq!(back.nodes, d.nodes);
         for phi in [0.1, 0.5, 0.9] {
             assert_eq!(back.quantile(phi), d.quantile(phi), "phi={phi}");
         }
@@ -769,6 +937,132 @@ mod tests {
         assert_eq!(QDigest::from_bytes(&[]).err(), Some(DecodeError::Truncated));
     }
 
+    /// A byte form with every field chosen by the caller.
+    fn crafted_body(log_u: u32, sigma: u64, n: u64, count: u64, nodes: &[Node]) -> Vec<u8> {
+        let mut out = MAGIC.to_le_bytes().to_vec();
+        out.extend_from_slice(&log_u.to_le_bytes());
+        for word in [sigma, n, count] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        for &(id, c) in nodes {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        out
+    }
+
+    /// `body` in a sealed kind-2 frame, as a sender would ship it.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        use crate::codec::{seal, KIND_QDIGEST, WIRE_MAGIC, WIRE_VERSION};
+        let mut frame = WIRE_MAGIC.to_vec();
+        frame.extend_from_slice(&[WIRE_VERSION, KIND_QDIGEST, 0, 0]);
+        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        frame.extend_from_slice(body);
+        seal(&mut frame);
+        frame
+    }
+
+    #[test]
+    fn hostile_bodies_are_refused_without_allocating_for_them() {
+        use crate::codec::{CodecError, WireCodec};
+        const THIRD: u64 = u64::MAX / 3; // 3·THIRD = u64::MAX: one short of room for 3σ + 1
+        let leaves = [(256 + 3, 1), (256 + 9, 1)];
+        let cases: Vec<(&str, Vec<u8>, DecodeError)> = vec![
+            (
+                "count = u64::MAX",
+                crafted_body(8, 80, 2, u64::MAX, &leaves),
+                DecodeError::Truncated,
+            ),
+            (
+                "count asks for gigabytes",
+                crafted_body(8, 80, 2, 1 << 30, &leaves),
+                DecodeError::Truncated,
+            ),
+            (
+                "count one past the records",
+                crafted_body(8, 80, 2, 3, &leaves),
+                DecodeError::Truncated,
+            ),
+            (
+                "duplicated id",
+                crafted_body(8, 80, 2, 2, &[(259, 1), (259, 1)]),
+                DecodeError::NodesNotAscending(259),
+            ),
+            (
+                "descending ids",
+                crafted_body(8, 80, 2, 2, &[(265, 1), (259, 1)]),
+                DecodeError::NodesNotAscending(259),
+            ),
+            (
+                "σ = 0",
+                crafted_body(8, 0, 2, 2, &leaves),
+                DecodeError::BadHeader,
+            ),
+            (
+                "σ = u64::MAX",
+                crafted_body(8, u64::MAX, 2, 2, &leaves),
+                DecodeError::BadHeader,
+            ),
+            (
+                "3σ + 1 overflows",
+                crafted_body(8, THIRD, 2, 2, &leaves),
+                DecodeError::BadHeader,
+            ),
+        ];
+        for (what, body, expected) in cases {
+            assert_eq!(
+                QDigest::from_bytes(&body).err(),
+                Some(expected.clone()),
+                "{what}"
+            );
+            let through_frame = <QDigest as WireCodec>::from_bytes(&framed(&body));
+            match expected {
+                DecodeError::Truncated => {
+                    assert_eq!(through_frame.err(), Some(CodecError::Truncated), "{what}")
+                }
+                _ => assert!(
+                    matches!(through_frame, Err(CodecError::Malformed(_))),
+                    "{what}: {through_frame:?}"
+                ),
+            }
+        }
+        // The largest σ a header may carry decodes, audits and takes
+        // updates without reserving its 3σ-value buffer.
+        let body = crafted_body(8, THIRD - 1, 2, 2, &leaves);
+        let mut huge = <QDigest as WireCodec>::from_bytes(&framed(&body)).expect("valid frame");
+        huge.insert(7);
+        assert_eq!(huge.quantile(0.5), Some(7));
+        assert!(huge.buffer.capacity() <= MIN_BUFFER);
+    }
+
+    #[test]
+    fn a_fat_internal_node_fails_the_frame_audit() {
+        use crate::codec::{CodecError, WireCodec};
+        // n = 200 at σ = 80 allows internal counts of ⌊200/80⌋ = 2;
+        // node 2 (the left half of the universe) claims 150.
+        let body = crafted_body(8, 80, 200, 2, &[(2, 150), (256 + 200, 50)]);
+        assert!(QDigest::from_bytes(&body).is_ok(), "structurally sound");
+        match <QDigest as WireCodec>::from_bytes(&framed(&body)) {
+            Err(CodecError::Invariant(v)) => assert_eq!(v.invariant, "qdigest.count_bound"),
+            other => panic!("fat node not refused: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn merge_gate_compares_sigma_as_well_as_the_universe() {
+        use crate::MergeableSummary;
+        let fine = QDigest::new(0.01, 16);
+        assert!(fine.merge_compatible(&QDigest::new(0.01, 16)));
+        assert!(!fine.merge_compatible(&QDigest::new(0.1, 16)), "coarser ε");
+        assert!(!fine.merge_compatible(&QDigest::new(0.01, 12)), "universe");
+    }
+
+    #[test]
+    #[should_panic(expected = "σ (accuracy) mismatch")]
+    fn merge_rejects_a_different_sigma() {
+        QDigest::new(0.01, 16).merge_from(QDigest::new(0.1, 16));
+    }
+
     #[test]
     #[should_panic(expected = "outside universe")]
     fn rejects_out_of_universe() {
@@ -777,24 +1071,31 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_is_rank_equivalent_to_itemwise() {
-        // Bulk insertion hits the same flush boundaries as itemwise
-        // insertion, so the digests are byte-for-byte identical.
+    fn any_chunking_yields_the_same_bytes() {
+        // The flush boundaries depend on the values seen so far, never
+        // on how they were handed over, so the digest is a function of
+        // the stream alone.
         let mut rng = Xoshiro256pp::new(60);
-        let data: Vec<u64> = (0..80_000).map(|_| rng.next_below(1 << 16)).collect();
+        let data: Vec<u64> = (0..20_000).map(|_| rng.next_below(1 << 16)).collect();
         let mut itemwise = QDigest::new(0.02, 16);
-        let mut batched = QDigest::new(0.02, 16);
         for &x in &data {
             itemwise.insert(x);
         }
-        for chunk in data.chunks(1013) {
-            batched.insert_batch(chunk);
+        let expected = itemwise.to_bytes();
+        for chunk_len in [1, 255, 256, 1013, data.len()] {
+            let mut batched = QDigest::new(0.02, 16);
+            for chunk in data.chunks(chunk_len) {
+                batched.insert_batch(chunk);
+            }
+            assert_eq!(batched.n(), itemwise.n());
+            assert_eq!(batched.to_bytes(), expected, "chunks of {chunk_len}");
+            for x in [100u64, 30_000, 60_000] {
+                assert_eq!(itemwise.rank_estimate(x), batched.rank_estimate(x));
+            }
         }
-        assert_eq!(itemwise.n(), batched.n());
-        assert_eq!(itemwise.to_bytes(), batched.to_bytes());
-        for x in [100u64, 30_000, 60_000] {
-            assert_eq!(itemwise.rank_estimate(x), batched.rank_estimate(x));
-        }
+        let mut again = QDigest::new(0.02, 16);
+        again.insert_batch(&data);
+        assert_eq!(again.to_bytes(), expected, "a second run");
     }
 
     #[test]
@@ -802,6 +1103,127 @@ mod tests {
     fn insert_batch_rejects_out_of_universe() {
         let mut s = QDigest::new(0.1, 8);
         s.insert_batch(&[1, 2, 300]);
+    }
+
+    /// COMPRESS as this module ran it on its hash-map node store: the
+    /// reference the flat-array walk must agree with, node for node.
+    fn compress_oracle(log_u: u32, threshold: u64, nodes: &[Node]) -> Vec<Node> {
+        let mut counts: HashMap<u64, u64> = nodes.iter().copied().collect();
+        let mut by_depth: Vec<Vec<u64>> = vec![Vec::new(); log_u as usize + 1];
+        for &id in counts.keys() {
+            by_depth[QDigest::depth(id) as usize].push(id);
+        }
+        for d in (1..=log_u as usize).rev() {
+            if threshold == 0 {
+                break;
+            }
+            for id in std::mem::take(&mut by_depth[d]) {
+                // Canonicalize to the even child; skip ids already merged.
+                let left = id & !1;
+                if !counts.contains_key(&left) && !counts.contains_key(&(left | 1)) {
+                    continue;
+                }
+                let parent = left >> 1;
+                let cl = counts.get(&left).copied().unwrap_or(0);
+                let cr = counts.get(&(left | 1)).copied().unwrap_or(0);
+                let cp = counts.get(&parent).copied().unwrap_or(0);
+                if cl + cr + cp <= threshold {
+                    counts.remove(&left);
+                    counts.remove(&(left | 1));
+                    if counts.insert(parent, cl + cr + cp).is_none() {
+                        by_depth[d - 1].push(parent);
+                    }
+                }
+            }
+        }
+        let mut out: Vec<Node> = counts.into_iter().collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn flat_compress_matches_the_hash_map_oracle() {
+        type Draw = fn(&mut Xoshiro256pp, u64) -> u64;
+        let draws: [(&str, Draw); 3] = [
+            ("uniform", |rng, u| rng.next_below(u)),
+            ("skewed", |rng, u| {
+                let band = u.min(400) / 2;
+                u / 2 + (rng.next_below(band) + rng.next_below(band)) / 2
+            }),
+            ("all duplicates", |_, u| u / 3),
+        ];
+        let mut rounds_that_merged = 0;
+        // log u = 3 saturates: every leaf of the universe is stored.
+        for (log_u, eps, per_round) in [(3u32, 0.3, 40u64), (12, 0.05, 600), (32, 0.02, 4_000)] {
+            for (name, draw) in draws {
+                let mut rng = Xoshiro256pp::new(70 + u64::from(log_u));
+                let mut s = QDigest::new(eps, log_u);
+                let u = s.universe();
+                for round in 0..12 {
+                    let mut xs: Vec<u64> = (0..per_round).map(|_| draw(&mut rng, u)).collect();
+                    xs.sort_unstable();
+                    let fresh: Vec<Node> = xs
+                        .chunk_by(|a, b| a == b)
+                        .map(|run| (u + run[0], run.len() as u64))
+                        .collect();
+                    let mut grown = Vec::new();
+                    QDigest::union_into(&mut grown, &s.nodes, &fresh);
+                    s.nodes = grown;
+                    s.n += per_round;
+                    let expected = compress_oracle(log_u, s.n / s.sigma, &s.nodes);
+                    let before = s.nodes.len();
+                    s.compress();
+                    assert_eq!(s.nodes, expected, "log u {log_u}, {name}, round {round}");
+                    rounds_that_merged += usize::from(s.nodes.len() < before);
+                }
+            }
+        }
+        assert!(rounds_that_merged >= 40, "only {rounds_that_merged} rounds");
+    }
+
+    #[test]
+    fn heavy_leaves_flush_at_the_buffer_floor() {
+        // 3σ + 1 = 121 < 256: the budget is at its floor throughout, and
+        // 30 values of n/30 each outweigh ⌊n/40⌋, so no COMPRESS could
+        // merge anything.
+        let mut s = QDigest::new(0.5, 20);
+        assert_eq!(s.sigma(), 40);
+        for i in 0..10_000u64 {
+            s.insert((i % 30) << 15);
+            assert!(s.buffer.len() < MIN_BUFFER, "insert {i} left a full buffer");
+            assert_eq!(s.buffer.is_empty(), (i + 1) % 256 == 0, "insert {i}");
+        }
+        s.flush();
+        let before = s.nodes.clone();
+        assert_eq!(before.len(), 30);
+        s.compress();
+        assert_eq!(s.nodes, before);
+        sqs_util::audit::CheckInvariants::assert_invariants(&s);
+        assert_eq!(s.space_bytes(), words(30 * 2 + MIN_BUFFER));
+    }
+
+    #[test]
+    fn space_charges_the_budget_not_the_allocation() {
+        let mut s = QDigest::new(0.01, 16);
+        let budget = 3 * s.sigma() as usize + 1;
+        assert_eq!(s.space_bytes(), words(budget));
+        for x in 0..1_000u64 {
+            s.insert(x * 60);
+        }
+        assert_eq!(s.space_bytes(), words(budget), "buffered, not yet nodes");
+        assert!(s.buffer.capacity() <= s.buffer_cap());
+        // n < σ: nothing to compress, every value its own leaf.
+        assert_eq!(s.node_count(), 1_000);
+        assert_eq!(s.space_bytes(), words(1_000 + budget));
+        assert_eq!(s.clone().space_bytes(), s.space_bytes());
+        // What is held is what is charged: no slack behind either array.
+        assert_eq!(s.nodes.capacity(), s.nodes.len());
+        assert!(s.buffer.capacity() <= s.buffer_cap());
+        // A universe with fewer values than the node budget caps it:
+        // there can never be more than 2^10 leaves to make room for.
+        let saturable = QDigest::new(1e-4, 10);
+        assert!(3 * saturable.sigma() > 1 << 10);
+        assert_eq!(saturable.space_bytes(), words(1 << 10));
     }
 
     #[test]
@@ -830,11 +1252,20 @@ mod tests {
     fn view_is_never_stale_under_any_interleaving() {
         use crate::buffers::oracle::check_view_never_stale;
         use crate::codec::WireCodec;
-        // The per-call sweep: sort the node map, accumulate to ⌈φ·n⌉;
-        // ranks by a scan of every node.
+        // The per-call sweep: sort the nodes by (right endpoint, larger
+        // left endpoint first), accumulate to ⌈φ·n⌉; ranks by a scan of
+        // every node.
         fn expect(s: &mut QDigest, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
             s.flush();
-            let nodes = QDigest::ordered_nodes(&s.counts, s.log_u);
+            let mut nodes: Vec<(u64, u64, u64)> = s
+                .nodes
+                .iter()
+                .map(|&(id, c)| {
+                    let (lo, hi) = QDigest::node_range(s.log_u, id);
+                    (hi, lo, c)
+                })
+                .collect();
+            nodes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
             let quantile = |phi: f64| {
                 let target = ((phi * s.n as f64).ceil() as u64).max(1);
                 let mut cum = 0u64;
@@ -913,6 +1344,40 @@ mod tests {
             assert!(err <= 2.0 * eps, "phi={phi}: err {err}");
         }
     }
+
+    /// The update-time ceiling, as a ratio so it holds on any machine:
+    /// at the `paper_suite` shape of the benchmark (ε = 10⁻³, log u 32,
+    /// 2^19 uniform rows through the scalar `insert`) the q-digest may
+    /// cost at most 12× the fastest summary of the study.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
+    fn scalar_insert_stays_within_12x_of_random_sketch() {
+        use crate::random::RandomSketch;
+        use std::hint::black_box;
+        use std::time::Instant;
+        fn best_secs<S: QuantileSummary<u64>>(rows: &[u64], make: impl Fn() -> S) -> f64 {
+            (0..3)
+                .map(|_| {
+                    let mut s = make();
+                    let start = Instant::now();
+                    for &x in rows {
+                        s.insert(black_box(x));
+                    }
+                    black_box(s.n());
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let mut rng = Xoshiro256pp::new(0x5017e);
+        let rows: Vec<u64> = (0..1 << 19).map(|_| rng.next_below(1 << 32)).collect();
+        let digest = best_secs(&rows, || QDigest::new(1e-3, 32));
+        let random = best_secs(&rows, || RandomSketch::new(1e-3, 7));
+        let ratio = digest / random;
+        assert!(
+            ratio <= 12.0,
+            "q-digest insert is {ratio:.1}x RandomSketch's"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -926,16 +1391,52 @@ mod corruption {
         for x in 0..10_000u64 {
             s.insert(x % 4_096);
         }
+        // Two leaves too heavy to merge: the tail of the array.
+        for x in [4_000u64, 4_095] {
+            s.insert_batch(&[x; 100]);
+        }
+        s.flush();
         s
+    }
+
+    fn violated(s: &QDigest) -> &'static str {
+        let err = s.check_invariants().unwrap_err();
+        assert_eq!(err.algorithm, "FastQDigest");
+        err.invariant
     }
 
     #[test]
     fn auditor_catches_out_of_tree_node() {
         let mut s = filled();
-        s.counts.insert(1u64 << (s.log_u + 2), 1);
-        let err = s.check_invariants().unwrap_err();
-        assert_eq!(err.algorithm, "FastQDigest");
-        assert_eq!(err.invariant, "qdigest.node_in_tree");
+        s.nodes.push((1u64 << (s.log_u + 2), 0));
+        assert_eq!(violated(&s), "qdigest.node_in_tree");
+    }
+
+    #[test]
+    fn auditor_catches_nodes_out_of_order() {
+        let mut s = filled();
+        let last = s.nodes.len() - 1;
+        s.nodes.swap(last - 1, last);
+        assert_eq!(violated(&s), "qdigest.nodes_ascending");
+        let mut s = filled();
+        let repeated = s.nodes[last];
+        s.nodes.insert(last, (repeated.0, 0));
+        assert_eq!(violated(&s), "qdigest.nodes_ascending");
+    }
+
+    #[test]
+    fn auditor_catches_a_fat_internal_node() {
+        let mut s = filled();
+        let threshold = s.n / s.sigma;
+        // Move mass from the last leaf's side of the books onto the
+        // first internal node: conserved, ascending, but too heavy.
+        let internal = s.nodes.iter().position(|&(id, _)| id < s.universe());
+        let internal = internal.expect("a compressed digest has internal nodes");
+        let moved = threshold + 1 - s.nodes[internal].1;
+        s.n += moved;
+        s.nodes[internal].1 += moved;
+        assert!(s.nodes[internal].1 > s.n / s.sigma);
+        assert_eq!(violated(&s), "qdigest.count_bound");
     }
 
     #[test]
@@ -943,26 +1444,19 @@ mod corruption {
         let mut s = filled();
         let _ = s.quantile(0.5);
         s.check_invariants().expect("a fresh view passes");
-        // A mutator that forgot to drop the view: move one node's
-        // count to another, mass conserved.
-        let moved = {
-            let c = s.counts.values_mut().next().expect("nonempty");
-            std::mem::replace(c, 0)
-        };
-        *s.counts.values_mut().last().expect("nonempty") += moved;
-        assert_eq!(
-            s.check_invariants().unwrap_err().invariant,
-            "qdigest.view_fresh"
-        );
+        // A mutator that forgot to drop the view: move one leaf's count
+        // to another, mass conserved.
+        let last = s.nodes.len() - 1;
+        let moved = std::mem::replace(&mut s.nodes[last - 1].1, 0);
+        s.nodes[last].1 += moved;
+        assert_eq!(violated(&s), "qdigest.view_fresh");
     }
 
     #[test]
     fn auditor_catches_broken_mass() {
         let mut s = filled();
-        *s.counts.values_mut().next().expect("nonempty") += 17;
-        assert_eq!(
-            s.check_invariants().unwrap_err().invariant,
-            "qdigest.mass_conservation"
-        );
+        let last = s.nodes.len() - 1;
+        s.nodes[last].1 += 17;
+        assert_eq!(violated(&s), "qdigest.mass_conservation");
     }
 }

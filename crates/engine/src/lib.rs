@@ -870,6 +870,18 @@ mod tests {
         assert_eq!(e.n(), 3, "engine untouched");
         assert_eq!(e.stats().epoch, 1, "no epoch tick on rejection");
         e.assert_invariants();
+
+        // The q-digest's accuracy is its σ: an equal-universe digest
+        // built at a coarser ε carries internal nodes heavier than this
+        // tenant's ⌊n/σ⌋ allows, and must bounce the same way.
+        let e = ShardedEngine::new_with(2, 16, |_| QDigest::new(0.01, 16));
+        e.ingest_batch(&[1, 2, 3]);
+        let mut coarse = QDigest::new(0.2, 16);
+        coarse.insert(9);
+        let back = e.try_absorb(coarse).expect_err("σ mismatch must bounce");
+        assert_eq!(back.n(), 1, "donor returned untouched");
+        assert_eq!(e.n(), 3, "engine untouched");
+        e.assert_invariants();
     }
 
     #[test]

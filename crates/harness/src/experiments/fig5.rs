@@ -5,8 +5,10 @@
 //! Paper findings to reproduce: deterministic algorithms never exceed
 //! ε and average ¼ε–⅔ε; the randomized two are far below ε; MRL99 and
 //! Random are the best on space with GK variants close; FastQDigest is
-//! the largest; GKAdaptive (and FastQDigest) hit a speed cliff once
-//! their structures outgrow cache, which GKArray/Random/MRL99 avoid.
+//! the largest; GKAdaptive hits a speed cliff once its structures
+//! outgrow cache, which GKArray/Random/MRL99 avoid. (The paper's
+//! pointer-based FastQDigest hits it too; our array-based one does not
+//! — the deviation recorded in EXPERIMENTS.md.)
 
 use super::ExpConfig;
 use crate::report::{fkb, fnum, Table};

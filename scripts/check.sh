@@ -36,6 +36,13 @@ cargo test -q
 echo "== frame checksum speed floor (cargo test --release -p sqs-core checksum_beats) =="
 cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_reference
 
+# The q-digest's update-time ceiling, a ratio for the same reason: its
+# scalar insert against RandomSketch's at the benchmark's `paper_suite`
+# shape (<= 12x; ~6x on the box that recorded docs/PERF.md section 10,
+# 99x with the hash-map node store it replaced).
+echo "== q-digest insert ceiling (cargo test --release -p sqs-core scalar_insert_stays) =="
+cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_12x_of_random_sketch
+
 # The engine's stress tests spawn up to 8 writer threads per test (plus
 # a racing reader); a single-threaded test runner keeps them from
 # oversubscribing the host. Which shard a batch lands in depends on the
@@ -88,14 +95,16 @@ cargo xtask bench-check
 # The benchmark (benchmark/README.md, BENCHMARK.json) is a package of
 # its own that the workspace commands above never build: run its unit
 # tests (oracle, trace, JSON, catalogue == BENCHMARK.json) and a
-# two-second `query_mix` and `ingest_mem` (the write path: every frame
-# sealed and verified on both hops), each of which exits non-zero if a
-# single operation fails its exact-oracle check. CARGO_TARGET_DIR keeps
-# the build under the root target/ so no benchmark/target/ appears.
-echo "== benchmark self-tests + query_mix and ingest_mem smokes =="
+# two-second `query_mix`, `ingest_mem` (the write path: every frame
+# sealed and verified on both hops) and `paper_suite` (the only workload
+# that runs GK, MRL99, the q-digest and the scalar entry points), each
+# of which exits non-zero if a single operation fails its exact-oracle
+# check. CARGO_TARGET_DIR keeps the build under the root target/ so no
+# benchmark/target/ appears.
+echo "== benchmark self-tests + query_mix, ingest_mem and paper_suite smokes =="
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-for workload in query_mix ingest_mem; do
+for workload in query_mix ingest_mem paper_suite; do
     CARGO_TARGET_DIR="$PWD/target/benchmark" \
         cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null

@@ -215,6 +215,100 @@ fn server_replies_with_errors_not_panics() {
     server.join();
 }
 
+/// A hostile `MERGE_SNAPSHOT` on a q-digest tenant — the sender picks
+/// every field of the body and computes the frame checksum itself — gets
+/// an error reply, never a worker panic or an allocation of the sender's
+/// choosing, and the connection goes on answering.
+#[test]
+fn hostile_qdigest_snapshots_get_error_replies() {
+    use streaming_quantiles::sqs_core::codec::{
+        seal, WireCodec, KIND_QDIGEST, WIRE_MAGIC, WIRE_VERSION,
+    };
+
+    const LOG_U: u32 = 16;
+    let mut cfg = ServerConfig::default();
+    cfg.value_bound = Some(1u64 << LOG_U);
+    let server =
+        spawn(cfg, |_tenant, _shard| QDigest::new(EPS, LOG_U)).expect("ephemeral loopback bind");
+    let mut client = connect(server.addr());
+    let tenant = 5u64;
+    let mut rows = client.insert_batch(tenant, &[1, 2, 3]).expect("insert").n;
+
+    // A sealed kind-2 frame: the 32-byte q-digest header, then nodes.
+    let frame = |sigma: u64, n: u64, count: u64, nodes: &[(u64, u64)]| {
+        let mut body = 0x5144_4731u32.to_le_bytes().to_vec();
+        body.extend_from_slice(&LOG_U.to_le_bytes());
+        for word in [sigma, n, count] {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        for &(id, c) in nodes {
+            body.extend_from_slice(&id.to_le_bytes());
+            body.extend_from_slice(&c.to_le_bytes());
+        }
+        let mut frame = WIRE_MAGIC.to_vec();
+        frame.extend_from_slice(&[WIRE_VERSION, KIND_QDIGEST, 0, 0]);
+        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        frame.extend_from_slice(&body);
+        seal(&mut frame);
+        frame
+    };
+    let sigma = QDigest::new(EPS, LOG_U).sigma();
+    let leaf = |x: u64| (1u64 << LOG_U) + x;
+    let two = [(leaf(3), 1), (leaf(9), 1)];
+    let mut coarse = QDigest::new(4.0 * EPS, LOG_U);
+    coarse.insert(9);
+    let hostile = [
+        (
+            "count = u64::MAX",
+            frame(sigma, 2, u64::MAX, &two),
+            "rejected",
+        ),
+        (
+            "count asks for gigabytes",
+            frame(sigma, 2, 1 << 30, &two),
+            "rejected",
+        ),
+        (
+            "duplicated id",
+            frame(sigma, 2, 2, &[(leaf(3), 1), (leaf(3), 1)]),
+            "rejected",
+        ),
+        (
+            "descending ids",
+            frame(sigma, 2, 2, &[(leaf(9), 1), (leaf(3), 1)]),
+            "rejected",
+        ),
+        ("σ = 0", frame(0, 2, 2, &two), "rejected"),
+        ("σ = u64::MAX", frame(u64::MAX, 2, 2, &two), "rejected"),
+        (
+            // ⌊640/σ⌋ = 2 is all an internal node may count.
+            "fat internal node",
+            frame(sigma, 640, 2, &[(2, 500), (leaf(40_000), 140)]),
+            "rejected",
+        ),
+        (
+            "equal universe, coarser ε",
+            WireCodec::to_bytes(&mut coarse),
+            "accuracy configuration incompatible",
+        ),
+    ];
+    for (what, payload, expected) in hostile {
+        match client.merge_snapshot(tenant, payload) {
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains(expected), "{what}: unexpected message: {msg}")
+            }
+            other => panic!("{what}: not refused: {other:?}"),
+        }
+        // The worker is alive and the tenant untouched.
+        rows += 1;
+        let ack = client.insert_batch(tenant, &[7]).expect("next request");
+        assert_eq!(ack.n, rows, "after {what}");
+    }
+
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn stats_reports_ingest_and_tenants() {
     let server = test_server(41);
