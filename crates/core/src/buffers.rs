@@ -15,9 +15,10 @@
 //!   unbiased collapse; the fixed midpoint offset gives the
 //!   deterministic MRL98 collapse.
 //!
-//! plus the read side: a `RankIndex` over the union of all live
-//! buffers, which each summary keeps in a `CachedView` between
-//! mutations.
+//! plus the write side's `GroupSampler`, which thins the arrivals that
+//! feed a `Random` or `MRL99` fill buffer to one per `2^level`, and
+//! the read side: a `RankIndex` over the union of all live buffers,
+//! which each summary keeps in a `CachedView` between mutations.
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 // ^ audited: indices and casts here are bounded by structural
@@ -117,6 +118,176 @@ pub fn weighted_collapse<T: Ord + Copy>(
     }
     debug_assert_eq!(out.len(), out_size);
     (out, total_w)
+}
+
+/// The level sampler that feeds a fill buffer of `Random` and `MRL99`:
+/// out of every group of `2^level` consecutive arrivals it keeps the
+/// one at a position drawn uniformly when the group starts.
+///
+/// Between calls the sampler is always inside a group (`pos < size`).
+/// A group that completes hands its sample over and leaves the sampler
+/// *dormant* — the state of [`new`](GroupSampler::new), a level-0
+/// group nothing has entered — until the owner starts the next one.
+/// Whether a row is looked at depends only on its position, so
+/// [`offer_slice`](GroupSampler::offer_slice) steps over a whole span
+/// of rows at once and ends in the state the same rows would leave
+/// through [`offer`](GroupSampler::offer) one by one.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupSampler<T> {
+    /// Rows per group, `2^level`.
+    size: u64,
+    /// Rows of the current group already seen.
+    pos: u64,
+    /// Position inside the group of the row to keep.
+    target: u64,
+    /// The kept row, once `pos` has passed `target`.
+    choice: Option<T>,
+}
+
+impl<T: Copy> GroupSampler<T> {
+    /// A dormant sampler.
+    pub(crate) fn new() -> Self {
+        Self {
+            size: 1,
+            pos: 0,
+            target: 0,
+            choice: None,
+        }
+    }
+
+    /// Abandons the group in progress, as a merge does.
+    pub(crate) fn park(&mut self) {
+        *self = Self::new();
+    }
+
+    /// Begins a group of `2^level` rows. The one RNG draw a group
+    /// costs happens here, and not at all at level 0.
+    #[inline]
+    pub(crate) fn start(&mut self, level: u32, rng: &mut sqs_util::rng::Xoshiro256pp) {
+        let size = 1u64 << level;
+        *self = Self {
+            size,
+            pos: 0,
+            target: if level == 0 { 0 } else { rng.next_below(size) },
+            choice: None,
+        };
+    }
+
+    /// Whether rows of an unfinished group have been seen.
+    #[cfg(test)]
+    pub(crate) fn is_mid_group(&self) -> bool {
+        self.pos > 0
+    }
+
+    /// Rows per group (audits: must match the fill buffer's weight).
+    pub(crate) fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Feeds one row; returns the group's sample if `x` completed it.
+    #[inline]
+    pub(crate) fn offer(&mut self, x: T) -> Option<T> {
+        if self.pos == self.target {
+            self.choice = Some(x);
+        }
+        self.pos += 1;
+        self.finish_if_complete()
+    }
+
+    /// Feeds as many rows of `xs` as the current group still takes, in
+    /// one step; returns how many that was and the group's sample if
+    /// they completed it.
+    #[inline]
+    pub(crate) fn offer_slice(&mut self, xs: &[T]) -> (usize, Option<T>) {
+        let room = usize::try_from(self.size - self.pos).unwrap_or(usize::MAX);
+        let take = room.min(xs.len());
+        if self.pos <= self.target && self.target - self.pos < take as u64 {
+            self.choice = Some(xs[(self.target - self.pos) as usize]);
+        }
+        self.pos += take as u64;
+        (take, self.finish_if_complete())
+    }
+
+    #[inline]
+    fn finish_if_complete(&mut self) -> Option<T> {
+        if self.pos < self.size {
+            return None;
+        }
+        let kept = self.choice;
+        debug_assert!(kept.is_some(), "a completed group has passed its target");
+        self.park();
+        kept
+    }
+
+    /// The one rule that makes a sampler state safe to continue from,
+    /// for the owners' audits and so for every decoded frame: the
+    /// group size is a power of two, target and position lie inside
+    /// the group, and a choice is pending exactly when the position
+    /// has passed the target.
+    pub(crate) fn check_invariants(
+        &self,
+        algorithm: &'static str,
+        invariant: &'static str,
+    ) -> Result<(), sqs_util::audit::InvariantViolation> {
+        sqs_util::audit::ensure(
+            self.size.is_power_of_two()
+                && self.target < self.size
+                && self.pos < self.size
+                && self.choice.is_some() == (self.pos > self.target),
+            algorithm,
+            invariant,
+            || {
+                format!(
+                    "sampler at position {} of a group of {}, target {}, choice {}",
+                    self.pos,
+                    self.size,
+                    self.target,
+                    if self.choice.is_some() {
+                        "pending"
+                    } else {
+                        "not pending"
+                    }
+                )
+            },
+        )
+    }
+}
+
+impl GroupSampler<u64> {
+    /// Wire form (little-endian): `size`, `pos`, `target` `u64`×3,
+    /// choice flag `u8`, choice value `u64` (0 when none is pending).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.size.to_le_bytes());
+        out.extend_from_slice(&self.pos.to_le_bytes());
+        out.extend_from_slice(&self.target.to_le_bytes());
+        out.push(u8::from(self.choice.is_some()));
+        out.extend_from_slice(&self.choice.unwrap_or(0).to_le_bytes());
+    }
+
+    /// Reads [`encode`](GroupSampler::encode)'s form. The result is
+    /// only as sound as the frame: audit it with
+    /// [`check_invariants`](GroupSampler::check_invariants) before use.
+    pub(crate) fn decode(
+        r: &mut crate::codec::Reader<'_>,
+    ) -> Result<Self, crate::codec::CodecError> {
+        let (size, pos, target) = (r.u64()?, r.u64()?, r.u64()?);
+        let has_choice = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => {
+                return Err(crate::codec::CodecError::Malformed(
+                    "sampler: choice flag not 0/1",
+                ))
+            }
+        };
+        let value = r.u64()?;
+        Ok(Self {
+            size,
+            pos,
+            target,
+            choice: has_choice.then_some(value),
+        })
+    }
 }
 
 /// A read-side view cached inside a summary: built by the first query
@@ -316,6 +487,67 @@ pub(crate) mod oracle {
         query(&mut s, &mut rng);
     }
 
+    /// The state-identity property of a sampling summary's
+    /// `insert_batch`: feeds `rows` to `itemwise` one by one and to
+    /// `batched` in chunks, and after every chunk requires the two
+    /// `state`s (the frame, or whatever else covers buffers, sampler
+    /// and RNG) to be equal. Chunk lengths are drawn around `group` —
+    /// the span after which the summary's bulk path changes course, a
+    /// sampling group or the room left in a buffer — 0, 1, `group − 1`,
+    /// `group`, `group + 1`, many groups in one chunk, many chunks
+    /// inside one group, and anything up to 3 000.
+    pub(crate) fn feed_both<S: QuantileSummary<u64>>(
+        itemwise: &mut S,
+        batched: &mut S,
+        rows: &[u64],
+        rng: &mut Xoshiro256pp,
+        group: fn(&S) -> u64,
+        state: fn(&mut S) -> Vec<u8>,
+    ) {
+        let mut rest = rows;
+        while !rest.is_empty() {
+            let g = group(batched).max(1);
+            let len = match rng.next_below(8) {
+                0 => 0,
+                1 => 1,
+                2 => g - 1,
+                3 => g,
+                4 => g + 1,
+                5 => g * (2 + rng.next_below(30)) + rng.next_below(g),
+                6 => 1 + rng.next_below(g / 8 + 1),
+                _ => rng.next_below(3000),
+            };
+            let (chunk, tail) = rest.split_at((len as usize).min(rest.len()));
+            for &x in chunk {
+                itemwise.insert(x);
+            }
+            batched.insert_batch(chunk);
+            assert!(
+                state(itemwise) == state(batched),
+                "states differ at n = {} after a chunk of {}",
+                itemwise.n(),
+                chunk.len()
+            );
+            rest = tail;
+        }
+    }
+
+    /// A sampler in a state its own methods may never reach, for the
+    /// owners' corruption tests.
+    pub(crate) fn sampler_in_state(
+        size: u64,
+        pos: u64,
+        target: u64,
+        choice: Option<u64>,
+    ) -> super::GroupSampler<u64> {
+        super::GroupSampler {
+            size,
+            pos,
+            target,
+            choice,
+        }
+    }
+
     /// [`Expect`] for a buffer summary, given its live buffers.
     pub(crate) fn sweep(
         bufs: &[(&[u64], u64)],
@@ -432,6 +664,46 @@ mod tests {
     fn collapse_rejects_bad_offset() {
         let a = [1u64, 2];
         weighted_collapse(&[(&a, 1)], 2, 5);
+    }
+
+    #[test]
+    fn sampler_slices_end_where_single_rows_would() {
+        use sqs_util::rng::Xoshiro256pp;
+        // Every split of every group of 1, 2 and 8 rows, for every
+        // target the draw can produce.
+        let rows: Vec<u64> = (100..108).collect();
+        for level in [0, 1, 3] {
+            let size = 1usize << level;
+            for seed in 0..32 {
+                for cut in 0..=size {
+                    let mut single = GroupSampler::new();
+                    single.start(level, &mut Xoshiro256pp::new(seed));
+                    let mut sliced = single.clone();
+                    let kept: Vec<Option<u64>> =
+                        rows[..size].iter().map(|&x| single.offer(x)).collect();
+                    let (head, tail) = rows[..size].split_at(cut);
+                    assert_eq!(
+                        sliced.offer_slice(head),
+                        (cut, kept[..cut].last().copied().flatten())
+                    );
+                    sliced
+                        .check_invariants("test", "sampler")
+                        .expect("mid-group state");
+                    if cut < size {
+                        // More rows than the group takes: it stops at its end.
+                        let mut long = tail.to_vec();
+                        long.extend([7, 7, 7]);
+                        assert_eq!(sliced.offer_slice(&long), (size - cut, kept[size - 1]));
+                    }
+                    assert!(kept[size - 1].is_some());
+                    assert_eq!(format!("{sliced:?}"), format!("{single:?}"));
+                    assert_eq!(
+                        format!("{sliced:?}"),
+                        format!("{:?}", GroupSampler::<u64>::new())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

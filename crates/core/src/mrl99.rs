@@ -30,7 +30,7 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use crate::buffers::{weighted_collapse, CachedView, RankIndex};
+use crate::buffers::{weighted_collapse, CachedView, GroupSampler, RankIndex};
 use crate::QuantileSummary;
 use sqs_util::rng::Xoshiro256pp;
 use sqs_util::space::{words, SpaceUsage};
@@ -51,10 +51,8 @@ pub struct Mrl99<T> {
     k: usize,
     buffers: Vec<Buffer<T>>,
     fill: Option<usize>,
-    group_size: u64,
-    group_pos: u64,
-    group_target: u64,
-    group_choice: Option<T>,
+    /// Thins the arrivals feeding `buffers[fill]` to one per weight.
+    sampler: GroupSampler<T>,
     n: u64,
     rng: Xoshiro256pp,
     /// The queries' sorted union of `buffers`; every mutator drops it.
@@ -83,10 +81,7 @@ impl<T: Ord + Copy> Mrl99<T> {
                 })
                 .collect(),
             fill: None,
-            group_size: 1,
-            group_pos: 0,
-            group_target: 0,
-            group_choice: None,
+            sampler: GroupSampler::new(),
             n: 0,
             rng: Xoshiro256pp::new(seed),
             view: CachedView::default(),
@@ -117,25 +112,71 @@ impl<T: Ord + Copy> Mrl99<T> {
             .collect()
     }
 
-    fn active_weight(&self) -> u64 {
+    /// The level a buffer started now is sampled at — `Random`'s
+    /// rule; the buffer's weight is `2^level`.
+    fn active_level(&self) -> u32 {
         let denom = self.k as f64 * (1u64 << (self.h - 1)) as f64;
         let ratio = self.n as f64 / denom;
         if ratio <= 1.0 {
-            1
+            0
         } else {
-            1u64 << (ratio.log2().ceil() as u32)
+            ratio.log2().ceil() as u32
         }
     }
 
-    fn start_group(&mut self, weight: u64) {
-        self.group_size = weight;
-        self.group_pos = 0;
-        self.group_choice = None;
-        self.group_target = if weight == 1 {
-            0
+    /// Picks an empty buffer to fill, if none is being filled.
+    #[inline]
+    fn ensure_fill_target(&mut self) {
+        if self.fill.is_none() {
+            self.start_buffer();
+        }
+    }
+
+    /// Starts filling an empty buffer at the active level.
+    fn start_buffer(&mut self) {
+        let idx = self
+            .buffers
+            .iter()
+            .position(|b| !b.full && b.data.is_empty())
+            .expect("MRL99 invariant: an empty buffer exists after collapsing");
+        let level = self.active_level();
+        self.buffers[idx].weight = 1u64 << level;
+        self.fill = Some(idx);
+        self.sampler.start(level, &mut self.rng);
+    }
+
+    /// Appends a kept sample to the fill buffer: the next group starts
+    /// at the buffer's weight, unless the buffer is full.
+    #[inline]
+    fn push_sample(&mut self, kept: T) {
+        let idx = self
+            .fill
+            .expect("MRL99 invariant: fill buffer selected before append");
+        let buf = &mut self.buffers[idx];
+        buf.data.push(kept);
+        if buf.data.len() < self.k {
+            // A fill buffer's weight is the power of two it was
+            // started at (`mrl99.sampler_weight`).
+            self.sampler
+                .start(buf.weight.trailing_zeros(), &mut self.rng);
         } else {
-            self.rng.next_below(weight)
-        };
+            self.release_fill_buffer(idx);
+        }
+    }
+
+    /// Sorts and releases the fill buffer, now full; if that leaves no
+    /// buffer free, a COLLAPSE frees one.
+    // Cold — once per buffer of samples — so that the per-sample step
+    // around it stays small enough to inline into `insert`.
+    #[cold]
+    fn release_fill_buffer(&mut self, idx: usize) {
+        let buf = &mut self.buffers[idx];
+        buf.data.sort_unstable();
+        buf.full = true;
+        self.fill = None;
+        if self.buffers.iter().all(|b| b.full) {
+            self.collapse();
+        }
     }
 
     /// The MRL99 COLLAPSE: merge all minimal-weight full buffers (at
@@ -266,28 +307,7 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl99<T> {
         ensure(mass <= self.n, ALG, "mrl99.mass_bound", || {
             format!("represented mass {mass} exceeds arrivals n = {}", self.n)
         })?;
-        ensure(
-            self.group_target < self.group_size,
-            ALG,
-            "mrl99.sampler_target",
-            || {
-                format!(
-                    "sampler target {} outside group of {}",
-                    self.group_target, self.group_size
-                )
-            },
-        )?;
-        ensure(
-            self.group_pos <= self.group_size,
-            ALG,
-            "mrl99.sampler_pos",
-            || {
-                format!(
-                    "sampler position {} beyond group of {}",
-                    self.group_pos, self.group_size
-                )
-            },
-        )?;
+        self.sampler.check_invariants(ALG, "mrl99.sampler_choice")?;
         if let Some(idx) = self.fill {
             ensure(idx < self.buffers.len(), ALG, "mrl99.fill_index", || {
                 format!("fill index {idx} out of range")
@@ -296,13 +316,14 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl99<T> {
                 format!("fill buffer {idx} is already marked full")
             })?;
             ensure(
-                self.group_size == self.buffers[idx].weight,
+                self.sampler.size() == self.buffers[idx].weight,
                 ALG,
                 "mrl99.sampler_weight",
                 || {
                     format!(
                         "group size {} ≠ fill buffer weight {}",
-                        self.group_size, self.buffers[idx].weight
+                        self.sampler.size(),
+                        self.buffers[idx].weight
                     )
                 },
             )?;
@@ -315,48 +336,35 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl99<T> {
 impl<T: Ord + Copy> QuantileSummary<T> for Mrl99<T> {
     fn insert(&mut self, x: T) {
         self.view.invalidate();
-        if self.fill.is_none() {
-            let idx = self
-                .buffers
-                .iter()
-                .position(|b| !b.full && b.data.is_empty())
-                .expect("MRL99 invariant: an empty buffer exists after collapsing");
-            let w = self.active_weight();
-            self.buffers[idx].weight = w;
-            self.fill = Some(idx);
-            self.start_group(w);
-        }
+        self.ensure_fill_target();
         self.n += 1;
-
-        if self.group_pos == self.group_target {
-            self.group_choice = Some(x);
-        }
-        self.group_pos += 1;
-        if self.group_pos == self.group_size {
-            let idx = self
-                .fill
-                .expect("MRL99 invariant: fill buffer selected before append");
-            let chosen = self
-                .group_choice
-                .take()
-                .expect("MRL99 invariant: group choice set when targeting a group");
-            self.buffers[idx].data.push(chosen);
-            if self.buffers[idx].data.len() == self.k {
-                self.buffers[idx].data.sort_unstable();
-                self.buffers[idx].full = true;
-                self.fill = None;
-                if self.buffers.iter().all(|b| b.full) {
-                    self.collapse();
-                }
-            } else {
-                let w = self.buffers[idx].weight;
-                self.start_group(w);
-            }
+        if let Some(kept) = self.sampler.offer(x) {
+            self.push_sample(kept);
         }
         #[cfg(any(test, feature = "audit"))]
         if sqs_util::audit::audit_point(self.n) {
             sqs_util::audit::CheckInvariants::assert_invariants(self);
         }
+    }
+
+    /// Bulk insert, leaving exactly the state itemwise insertion of
+    /// the same rows would: the sampler steps over the rows of a group
+    /// it was never going to keep (`GroupSampler::offer_slice`), so a
+    /// batch costs one step per kept sample, not one per row.
+    fn insert_batch(&mut self, xs: &[T]) {
+        self.view.invalidate();
+        let mut rest = xs;
+        while !rest.is_empty() {
+            self.ensure_fill_target();
+            let (used, kept) = self.sampler.offer_slice(rest);
+            self.n += used as u64;
+            if let Some(kept) = kept {
+                self.push_sample(kept);
+            }
+            rest = &rest[used..];
+        }
+        #[cfg(any(test, feature = "audit"))]
+        sqs_util::audit::CheckInvariants::assert_invariants(self);
     }
 
     fn n(&self) -> u64 {
@@ -469,6 +477,27 @@ mod tests {
     }
 
     #[test]
+    fn insert_batch_leaves_the_state_itemwise_insertion_would() {
+        use crate::buffers::oracle::feed_both;
+        // MRL99 has no wire form; its `Debug` form covers the same
+        // ground — buffers, weights, fill index, sampler and RNG state.
+        fn state(s: &mut Mrl99<u64>) -> Vec<u8> {
+            format!("{s:?}").into_bytes()
+        }
+        fn group(s: &Mrl99<u64>) -> u64 {
+            s.sampler.size()
+        }
+        for (eps, n, seed) in [(0.1, 24_000, 1), (0.02, 400_000, 2), (0.01, 1_500_000, 3)] {
+            let mut rng = Xoshiro256pp::new(seed);
+            let rows: Vec<u64> = (0..n).map(|_| rng.next_below(1 << 24)).collect();
+            let mut itemwise = Mrl99::new(eps, seed);
+            let mut batched = itemwise.clone();
+            feed_both(&mut itemwise, &mut batched, &rows, &mut rng, group, state);
+            assert!(group(&batched) >= 1 << 6, "eps {eps}: level 6 not reached");
+        }
+    }
+
+    #[test]
     fn view_is_never_stale_under_any_interleaving() {
         use crate::buffers::oracle::{check_view_never_stale, sweep};
         type S = Mrl99<u64>;
@@ -503,6 +532,29 @@ mod corruption {
         let err = s.check_invariants().unwrap_err();
         assert_eq!(err.algorithm, "MRL99");
         assert_eq!(err.invariant, "mrl99.weight_positive");
+    }
+
+    #[test]
+    fn auditor_catches_a_sampler_outside_its_group() {
+        use crate::buffers::oracle::sampler_in_state;
+        let mut s = Mrl99::<u64>::new(0.05, 9);
+        for x in 0..20_000u64 {
+            s.insert(x);
+        }
+        let size = s.sampler.size();
+        assert!(s.fill.is_some() && size >= 4);
+        // Past the target with no choice: the group's sample is lost.
+        s.sampler = sampler_in_state(size, 2, 1, None);
+        assert_eq!(
+            s.check_invariants().unwrap_err().invariant,
+            "mrl99.sampler_choice"
+        );
+        // Sound in itself, but not the fill buffer's group.
+        s.sampler = sampler_in_state(size * 2, 0, 0, None);
+        assert_eq!(
+            s.check_invariants().unwrap_err().invariant,
+            "mrl99.sampler_weight"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use crate::buffers::{merge_equal_level, weighted_collapse, CachedView, RankIndex};
+use crate::buffers::{merge_equal_level, weighted_collapse, CachedView, GroupSampler, RankIndex};
 use crate::QuantileSummary;
 use sqs_util::rng::Xoshiro256pp;
 use sqs_util::space::{words, SpaceUsage};
@@ -57,11 +57,8 @@ pub struct RandomSketch<T> {
     buffers: Vec<Buffer<T>>,
     /// Index of the buffer currently being filled.
     fill: Option<usize>,
-    // --- sampling state for the in-progress group of 2^l elements ---
-    group_size: u64,
-    group_pos: u64,
-    group_target: u64,
-    group_choice: Option<T>,
+    /// Thins the arrivals feeding `buffers[fill]` to one per `2^level`.
+    sampler: GroupSampler<T>,
     n: u64,
     rng: Xoshiro256pp,
     /// The queries' sorted union of `buffers`; every mutator drops it.
@@ -91,10 +88,7 @@ impl<T: Ord + Copy> RandomSketch<T> {
                 })
                 .collect(),
             fill: None,
-            group_size: 1,
-            group_pos: 0,
-            group_target: 0,
-            group_choice: None,
+            sampler: GroupSampler::new(),
             n: 0,
             rng: Xoshiro256pp::new(seed),
             view: CachedView::default(),
@@ -126,18 +120,6 @@ impl<T: Ord + Copy> RandomSketch<T> {
         } else {
             ratio.log2().ceil() as u32
         }
-    }
-
-    /// Begins a new sampling group of `2^level` elements.
-    fn start_group(&mut self, level: u32) {
-        self.group_size = 1u64 << level;
-        self.group_pos = 0;
-        self.group_choice = None;
-        self.group_target = if self.group_size == 1 {
-            0
-        } else {
-            self.rng.next_below(self.group_size)
-        };
     }
 
     /// Frees one buffer by merging. Prefers the paper's rule (two
@@ -221,7 +203,7 @@ impl<T: Ord + Copy> RandomSketch<T> {
             let lvl = self.active_level();
             self.buffers[idx].level = lvl;
             self.fill = Some(idx);
-            self.start_group(lvl);
+            self.sampler.start(lvl, &mut self.rng);
             return;
         }
         let partial = self
@@ -233,7 +215,7 @@ impl<T: Ord + Copy> RandomSketch<T> {
             .map(|(i, _)| i);
         if let Some(idx) = partial {
             self.fill = Some(idx);
-            self.start_group(self.buffers[idx].level);
+            self.sampler.start(self.buffers[idx].level, &mut self.rng);
             return;
         }
         self.merge_once();
@@ -245,7 +227,35 @@ impl<T: Ord + Copy> RandomSketch<T> {
         let lvl = self.active_level();
         self.buffers[idx].level = lvl;
         self.fill = Some(idx);
-        self.start_group(lvl);
+        self.sampler.start(lvl, &mut self.rng);
+    }
+
+    /// Settles the fill buffer after samples were appended to it: the
+    /// next group starts at the buffer's level, unless the buffer is
+    /// full.
+    #[inline]
+    fn after_append(&mut self, idx: usize) {
+        let buf = &self.buffers[idx];
+        if buf.data.len() < self.s {
+            self.sampler.start(buf.level, &mut self.rng);
+        } else {
+            self.release_fill_buffer(idx);
+        }
+    }
+
+    /// Sorts and releases the fill buffer, now full; if that leaves no
+    /// buffer free, one merge frees one.
+    // Cold — once per buffer of samples — so that the per-sample step
+    // around it stays small enough to inline into `insert`.
+    #[cold]
+    fn release_fill_buffer(&mut self, idx: usize) {
+        let buf = &mut self.buffers[idx];
+        buf.data.sort_unstable();
+        buf.full = true;
+        self.fill = None;
+        if self.buffers.iter().all(|b| b.full) {
+            self.merge_once();
+        }
     }
 
     /// The live weighted buffers (including the partial fill buffer and
@@ -335,6 +345,7 @@ impl<T: Ord + Copy> RandomSketch<T> {
         }
         self.n += other.n;
         self.fill = None;
+        self.sampler.park();
 
         // Repeatedly merge the lowest equal-level pair until we fit.
         let budget = self.buffers.len();
@@ -409,40 +420,22 @@ impl crate::codec::WireCodec for RandomSketch<u64> {
     const WIRE_KIND: u8 = crate::codec::KIND_RANDOM;
 
     /// Body layout (little-endian): ε bits `u64`, `h u32`, `s u64`,
-    /// `n u64`, fill index `u64` (`u64::MAX` = none), sampler
-    /// `group_size`/`group_pos`/`group_target` `u64`×3, group-choice
-    /// flag `u8` + value `u64`, RNG state `u64`×4, buffer count `u64`,
-    /// then per buffer: `level u32`, full flag `u8`, length-prefixed
-    /// samples. Serializing the sampler and RNG state makes the decoded
-    /// summary *stream-identical* to the original: further inserts make
-    /// exactly the random choices the sender would have made.
+    /// `n u64`, fill index `u64` (`u64::MAX` = none), the sampler
+    /// (`GroupSampler::encode`: size, position, target `u64`×3,
+    /// choice flag `u8` + value `u64`), RNG state `u64`×4, buffer count
+    /// `u64`, then per buffer: `level u32`, full flag `u8`,
+    /// length-prefixed samples. Serializing the sampler and RNG state
+    /// makes the decoded summary *stream-identical* to the original:
+    /// further inserts make exactly the random choices the sender would
+    /// have made.
     fn encode_body(&mut self, out: &mut Vec<u8>) {
-        // Between buffers (`fill == None` — e.g. an insert just filled
-        // one) the sampler sits in a completed-group state: choice
-        // handed off, position parked at the end of the group. That
-        // state is dormant — the next insert starts a fresh group
-        // before touching it — but it violates the decoder's mid-group
-        // invariants, so park it in the canonical dormant state `new()`
-        // uses instead. The next insert draws from the serialized RNG
-        // either way, so sender and decoded summary stay
-        // stream-identical.
-        if self.fill.is_none() {
-            self.group_size = 1;
-            self.group_pos = 0;
-            self.group_target = 0;
-            self.group_choice = None;
-        }
         out.extend_from_slice(&self.eps.to_bits().to_le_bytes());
         out.extend_from_slice(&self.h.to_le_bytes());
         out.extend_from_slice(&(self.s as u64).to_le_bytes());
         out.extend_from_slice(&self.n.to_le_bytes());
         let fill = self.fill.map_or(u64::MAX, |i| i as u64);
         out.extend_from_slice(&fill.to_le_bytes());
-        out.extend_from_slice(&self.group_size.to_le_bytes());
-        out.extend_from_slice(&self.group_pos.to_le_bytes());
-        out.extend_from_slice(&self.group_target.to_le_bytes());
-        out.push(u8::from(self.group_choice.is_some()));
-        out.extend_from_slice(&self.group_choice.unwrap_or(0).to_le_bytes());
+        self.sampler.encode(out);
         for w in self.rng.state() {
             out.extend_from_slice(&w.to_le_bytes());
         }
@@ -469,15 +462,7 @@ impl crate::codec::WireCodec for RandomSketch<u64> {
             .map_err(|_| CodecError::Malformed("Random: buffer size exceeds address space"))?;
         let n = r.u64()?;
         let fill_raw = r.u64()?;
-        let group_size = r.u64()?;
-        let group_pos = r.u64()?;
-        let group_target = r.u64()?;
-        let has_choice = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(CodecError::Malformed("Random: group-choice flag not 0/1")),
-        };
-        let choice_val = r.u64()?;
+        let sampler = GroupSampler::decode(&mut r)?;
         let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let buf_count = r.read_len()?;
         // Each buffer costs at least 13 header bytes, so an honest
@@ -508,30 +493,16 @@ impl crate::codec::WireCodec for RandomSketch<u64> {
                     CodecError::Malformed("Random: fill index exceeds address space")
                 })?)
             };
-        // The itemwise sampler assumes a choice is pending exactly when
-        // the position has passed the target, and that the position
-        // stays inside the group between inserts; frames violating
-        // either would make a later insert panic.
-        if has_choice != (group_pos > group_target) {
-            return Err(CodecError::Malformed(
-                "Random: sampler choice/position disagree",
-            ));
-        }
-        if group_size == 0 || group_pos >= group_size {
-            return Err(CodecError::Malformed(
-                "Random: sampler position outside group",
-            ));
-        }
+        // Whether the sampler state can be continued from is
+        // `random.sampler_choice`, part of the audit `from_bytes` ends
+        // in.
         Ok(Self {
             eps,
             h,
             s,
             buffers,
             fill,
-            group_size,
-            group_pos,
-            group_target,
-            group_choice: has_choice.then_some(choice_val),
+            sampler,
             n,
             rng: Xoshiro256pp::from_state(rng_state),
             view: CachedView::default(),
@@ -606,39 +577,8 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for RandomSketch<T> {
         ensure(mass <= self.n, ALG, "random.mass_bound", || {
             format!("represented mass {mass} exceeds arrivals n = {}", self.n)
         })?;
-        ensure(
-            self.group_size.is_power_of_two(),
-            ALG,
-            "random.group_size_pow2",
-            || {
-                format!(
-                    "sampling group size {} is not a power of two",
-                    self.group_size
-                )
-            },
-        )?;
-        ensure(
-            self.group_target < self.group_size,
-            ALG,
-            "random.sampler_target",
-            || {
-                format!(
-                    "sampler target {} outside group of {}",
-                    self.group_target, self.group_size
-                )
-            },
-        )?;
-        ensure(
-            self.group_pos <= self.group_size,
-            ALG,
-            "random.sampler_pos",
-            || {
-                format!(
-                    "sampler position {} beyond group of {}",
-                    self.group_pos, self.group_size
-                )
-            },
-        )?;
+        self.sampler
+            .check_invariants(ALG, "random.sampler_choice")?;
         if let Some(idx) = self.fill {
             ensure(idx < self.buffers.len(), ALG, "random.fill_index", || {
                 format!("fill index {idx} out of range")
@@ -647,13 +587,14 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for RandomSketch<T> {
                 format!("fill buffer {idx} is already marked full")
             })?;
             ensure(
-                self.group_size == 1u64 << self.buffers[idx].level,
+                self.sampler.size() == 1u64 << self.buffers[idx].level,
                 ALG,
                 "random.sampler_level",
                 || {
                     format!(
                         "group size {} ≠ 2^level for fill buffer at level {}",
-                        self.group_size, self.buffers[idx].level
+                        self.sampler.size(),
+                        self.buffers[idx].level
                     )
                 },
             )?;
@@ -670,30 +611,12 @@ impl<T: Ord + Copy> QuantileSummary<T> for RandomSketch<T> {
         self.ensure_fill_target();
         self.n += 1;
 
-        if self.group_pos == self.group_target {
-            self.group_choice = Some(x);
-        }
-        self.group_pos += 1;
-        if self.group_pos == self.group_size {
+        if let Some(kept) = self.sampler.offer(x) {
             let idx = self
                 .fill
                 .expect("RandomSketch invariant: fill buffer selected before append");
-            let chosen = self
-                .group_choice
-                .take()
-                .expect("RandomSketch invariant: group choice set when targeting a group");
-            self.buffers[idx].data.push(chosen);
-            if self.buffers[idx].data.len() == self.s {
-                self.buffers[idx].data.sort_unstable();
-                self.buffers[idx].full = true;
-                self.fill = None;
-                if self.buffers.iter().all(|b| b.full) {
-                    self.merge_once();
-                }
-            } else {
-                let lvl = self.buffers[idx].level;
-                self.start_group(lvl);
-            }
+            self.buffers[idx].data.push(kept);
+            self.after_append(idx);
         }
         #[cfg(any(test, feature = "audit"))]
         if sqs_util::audit::audit_point(self.n) {
@@ -701,51 +624,44 @@ impl<T: Ord + Copy> QuantileSummary<T> for RandomSketch<T> {
         }
     }
 
-    /// Bulk insert. While the active sampling level is 0 every group
-    /// has size one and every arrival is kept, so whole slices are
-    /// appended to the fill buffer directly — the same state itemwise
-    /// insertion would produce, without the per-element sampler
-    /// bookkeeping. Once the sampler is subsampling (level ≥ 1)
-    /// elements go through the itemwise path, which is already O(1)
-    /// amortized.
+    /// Bulk insert, leaving exactly the state itemwise insertion of
+    /// the same rows would: the same samples, the same RNG draws in
+    /// the same order, the same sorts and merges.
+    ///
+    /// At level 0 every arrival is kept, so whole slices are appended
+    /// to the fill buffer. At level `l ≥ 1` one row in `2^l` is kept
+    /// and which one was drawn when its group started, so the sampler
+    /// steps over the rest of the group without looking at it
+    /// (`GroupSampler::offer_slice`): a batch costs one step per kept
+    /// sample, not one per row.
     fn insert_batch(&mut self, xs: &[T]) {
         self.view.invalidate();
         let mut rest = xs;
         while !rest.is_empty() {
             self.ensure_fill_target();
-            if self.group_size != 1 {
-                // Sampled regime: fall back to the itemwise sampler.
-                let (&x, tail) = rest
-                    .split_first()
-                    .expect("RandomSketch invariant: loop guard ensures a nonempty slice");
-                self.insert(x);
-                rest = tail;
-                continue;
-            }
             let idx = self
                 .fill
                 .expect("RandomSketch invariant: fill buffer selected before append");
-            let room = self.s - self.buffers[idx].data.len();
-            let take = room.min(rest.len());
-            self.buffers[idx].data.extend_from_slice(
-                rest.get(..take)
-                    .expect("RandomSketch invariant: take is bounded by the slice length"),
-            );
-            self.n += take as u64;
-            rest = rest.get(take..).unwrap_or(&[]);
-            if self.buffers[idx].data.len() == self.s {
-                self.buffers[idx].data.sort_unstable();
-                self.buffers[idx].full = true;
-                self.fill = None;
-                if self.buffers.iter().all(|b| b.full) {
-                    self.merge_once();
-                }
+            let buf = &mut self.buffers[idx];
+            let used = if buf.level == 0 {
+                let used = (self.s - buf.data.len()).min(rest.len());
+                buf.data.extend_from_slice(&rest[..used]);
+                self.after_append(idx);
+                used
             } else {
-                // Leave the level-0 sampler exactly as itemwise
-                // insertion would: at the start of a fresh group.
-                let lvl = self.buffers[idx].level;
-                self.start_group(lvl);
-            }
+                let mut used = 0;
+                while used < rest.len() && self.fill.is_some() {
+                    let (took, kept) = self.sampler.offer_slice(&rest[used..]);
+                    used += took;
+                    if let Some(kept) = kept {
+                        self.buffers[idx].data.push(kept);
+                        self.after_append(idx);
+                    }
+                }
+                used
+            };
+            self.n += used as u64;
+            rest = &rest[used..];
         }
         #[cfg(any(test, feature = "audit"))]
         sqs_util::audit::CheckInvariants::assert_invariants(self);
@@ -982,28 +898,107 @@ mod tests {
         a.merge(&mut b);
     }
 
+    fn frame(s: &mut RandomSketch<u64>) -> Vec<u8> {
+        use crate::codec::WireCodec;
+        s.to_bytes()
+    }
+
+    fn group(s: &RandomSketch<u64>) -> u64 {
+        s.sampler.size()
+    }
+
     #[test]
-    fn insert_batch_is_rank_equivalent_to_itemwise() {
-        // The bulk path replays the itemwise sampler exactly (level-0
-        // appends keep every element; higher levels fall back), so the
-        // two states answer every probe identically.
-        let mut rng = sqs_util::rng::Xoshiro256pp::new(31);
-        let data: Vec<u64> = (0..120_000).map(|_| rng.next_below(1 << 24)).collect();
-        let mut itemwise = RandomSketch::new(0.02, 9);
-        let mut batched = RandomSketch::new(0.02, 9);
-        for &x in &data {
-            itemwise.insert(x);
+    fn insert_batch_leaves_the_state_itemwise_insertion_would() {
+        use crate::buffers::oracle::feed_both;
+        use crate::codec::WireCodec;
+        // The frame covers buffers, levels, fill index, sampler and RNG
+        // state, so equal frames are equal summaries.
+        for (eps, n, seed) in [(0.1, 24_000, 1), (0.02, 400_000, 2), (0.01, 1_500_000, 3)] {
+            let mut rng = Xoshiro256pp::new(seed);
+            let rows: Vec<u64> = (0..n).map(|_| rng.next_below(1 << 24)).collect();
+            let (head, rest) = rows.split_at(n / 2);
+            let (middle, tail) = rest.split_at(n / 4);
+            let mut itemwise = RandomSketch::new(eps, seed);
+            let mut batched = itemwise.clone();
+            feed_both(&mut itemwise, &mut batched, head, &mut rng, group, frame);
+            assert!(group(&batched) >= 1 << 6, "eps {eps}: level 6 not reached");
+
+            // Resume from a frame taken in the middle of a group.
+            assert!(batched.sampler.is_mid_group(), "eps {eps}");
+            batched = RandomSketch::from_bytes(&frame(&mut batched)).expect("own frame decodes");
+            feed_both(&mut itemwise, &mut batched, middle, &mut rng, group, frame);
+
+            // A merge that packs every slot and leaves a partial buffer
+            // above level 0: the next insert resumes that partial.
+            let mut donor = RandomSketch::new(eps, seed + 100);
+            donor.insert_batch(head);
+            itemwise.merge_from(donor.clone());
+            batched.merge_from(donor);
+            assert!(
+                group(&batched) == 1 && !batched.sampler.is_mid_group(),
+                "eps {eps}: a merge abandons the group in progress"
+            );
+            assert!(
+                batched.buffers.iter().all(|b| !b.data.is_empty())
+                    && batched.buffers.iter().any(|b| !b.full && b.level > 0),
+                "eps {eps}: the merge left no partial to resume"
+            );
+            feed_both(&mut itemwise, &mut batched, tail, &mut rng, group, frame);
         }
-        for chunk in data.chunks(997) {
-            batched.insert_batch(chunk);
+    }
+
+    /// Frames the parent of the `GroupSampler` change encoded, at
+    /// ε = 0.5 (two buffers of two samples) and seed 7 over the rows
+    /// `value(0..n)`: one in the middle of a level-7 group with the
+    /// choice pending, one at n = 2048 where an insert has just filled
+    /// a buffer and no fill target exists.
+    const PARENT_FRAME_MID_GROUP: &str = "\
+        53515343020100009700000000000000000000000000e03f01000000020000000000000066010000\
+        00000000010000000000000080000000000000006600000000000000650000000000000001bf5ca3\
+        0000000000e3063922270b46e36beb7c91675fc360e84e823ae27e9b3b56ea863c6c182866020000\
+        000000000007000000010200000000000000bdb728000000000086fd750000000000070000000000\
+        0000000000000053d2ab82aeb25ac6";
+    const PARENT_FRAME_BUFFER_JUST_FILLED: &str = "\
+        53515343020100009700000000000000000000000000e03f01000000020000000000000000080000\
+        00000000ffffffffffffffff01000000000000000000000000000000000000000000000000000000\
+        0000000000fa657bf2f0a175a6f24ac0ff30ff012ed1d34820d8d2059df95ca02487699b43020000\
+        00000000000a000000010200000000000000d9551a00000000007ad9790000000000000000000000\
+        000000000000005edba272a6ab127f";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+            .collect()
+    }
+
+    #[test]
+    fn parent_frames_decode_continue_and_are_emitted_unchanged() {
+        use crate::codec::WireCodec;
+        let value = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        let mid = unhex(PARENT_FRAME_MID_GROUP);
+        let end = unhex(PARENT_FRAME_BUFFER_JUST_FILLED);
+
+        // Built here from nothing, scalar and batched: the parent's
+        // bytes, including the dormant sampler an encode used to write
+        // in by hand when no fill target exists.
+        let mut scalar = RandomSketch::<u64>::new(0.5, 7);
+        let mut batched = scalar.clone();
+        (0..358).for_each(|i| scalar.insert(value(i)));
+        batched.insert_batch(&(0..358).map(value).collect::<Vec<_>>());
+        assert_eq!(scalar.to_bytes(), mid);
+        assert_eq!(batched.to_bytes(), mid);
+
+        // The parent's mid-group frame, continued here in batches,
+        // makes the parent's random choices.
+        let mut resumed = RandomSketch::<u64>::from_bytes(&mid).expect("parent frame decodes");
+        assert!(resumed.sampler.is_mid_group());
+        let more: Vec<u64> = (358..2048).map(value).collect();
+        for chunk in more.chunks(97) {
+            resumed.insert_batch(chunk);
         }
-        assert_eq!(itemwise.n(), batched.n());
-        for phi in [0.05, 0.25, 0.5, 0.75, 0.95] {
-            assert_eq!(itemwise.quantile(phi), batched.quantile(phi), "phi={phi}");
-        }
-        for x in [1u64 << 20, 1 << 22, 1 << 23] {
-            assert_eq!(itemwise.rank_estimate(x), batched.rank_estimate(x));
-        }
+        assert!(resumed.fill.is_none());
+        assert_eq!(resumed.to_bytes(), end);
     }
 
     #[test]
@@ -1075,10 +1070,7 @@ mod tests {
             s.insert((x * 2654435761) % 100_000);
         }
         s.fill = None;
-        s.group_size = 1;
-        s.group_pos = 0;
-        s.group_target = 0;
-        s.group_choice = None;
+        s.sampler.park();
         for b in &mut s.buffers {
             if b.data.is_empty() {
                 b.data.push(7);
@@ -1140,6 +1132,35 @@ mod corruption {
             s.check_invariants().unwrap_err().invariant,
             "random.view_fresh"
         );
+    }
+
+    #[test]
+    fn auditor_catches_a_sampler_outside_its_group() {
+        use crate::buffers::oracle::sampler_in_state;
+        use crate::codec::{CodecError, WireCodec};
+        let mut s = filled();
+        let size = s.sampler.size();
+        assert!(s.fill.is_some() && size >= 4);
+        // A choice before the target is reached; none after it (the
+        // group's sample would be lost); a position at the group's
+        // end; a target beyond it; a group of three.
+        for (size, pos, target, choice) in [
+            (size, 0, 0, Some(1)),
+            (size, 2, 1, None),
+            (size, size, 0, Some(1)),
+            (size, 0, size, None),
+            (3, 0, 0, None),
+        ] {
+            s.sampler = sampler_in_state(size, pos, target, choice);
+            let err = s.check_invariants().unwrap_err();
+            assert_eq!(err.invariant, "random.sampler_choice", "{:?}", s.sampler);
+            // The same rule is what stands between a forged frame and
+            // a later insert.
+            match RandomSketch::<u64>::from_bytes(&s.to_bytes()) {
+                Err(CodecError::Invariant(v)) => assert_eq!(v.invariant, err.invariant),
+                other => panic!("{:?} decoded as {other:?}", s.sampler),
+            }
+        }
     }
 
     #[test]

@@ -261,6 +261,25 @@ impl<T: Ord + Copy> QuantileSummary<T> for ReservoirQuantiles<T> {
         }
     }
 
+    /// Bulk insert, leaving exactly the state itemwise insertion would:
+    /// while the reservoir has room every row is kept and no random
+    /// draw is made, so that prefix is one append; the rest goes
+    /// through Algorithm R row by row.
+    fn insert_batch(&mut self, xs: &[T]) {
+        let room = self.capacity - self.reservoir.len();
+        let (kept, sampled) = xs.split_at(room.min(xs.len()));
+        if !kept.is_empty() {
+            self.reservoir.extend_from_slice(kept);
+            self.sorted = false;
+            self.n += kept.len() as u64;
+        }
+        for &x in sampled {
+            self.insert(x);
+        }
+        #[cfg(any(test, feature = "audit"))]
+        sqs_util::audit::CheckInvariants::assert_invariants(self);
+    }
+
     fn n(&self) -> u64 {
         self.n
     }
@@ -362,6 +381,32 @@ mod tests {
         let mut s = ReservoirQuantiles::<u64>::with_capacity(10, 7);
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.rank_estimate(5), 0);
+    }
+
+    #[test]
+    fn insert_batch_leaves_the_state_itemwise_insertion_would() {
+        use crate::buffers::oracle::feed_both;
+        use crate::codec::WireCodec;
+        // Chunks are sized around the room left, so they stop short
+        // of, end at and straddle the point where sampling starts.
+        fn room(s: &ReservoirQuantiles<u64>) -> u64 {
+            (s.capacity - s.reservoir.len()) as u64
+        }
+        let mut rng = Xoshiro256pp::new(17);
+        let rows: Vec<u64> = (0..40_000).map(|_| rng.next_below(1 << 24)).collect();
+        for capacity in [1, 700, 5_000] {
+            let mut itemwise = ReservoirQuantiles::with_capacity(capacity, 3);
+            let mut batched = itemwise.clone();
+            feed_both(
+                &mut itemwise,
+                &mut batched,
+                &rows,
+                &mut rng,
+                room,
+                ReservoirQuantiles::to_bytes,
+            );
+            assert_eq!(batched.sample_len(), capacity);
+        }
     }
 
     #[test]

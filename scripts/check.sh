@@ -43,6 +43,15 @@ cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_referen
 echo "== q-digest insert ceiling (cargo test --release -p sqs-core scalar_insert_stays) =="
 cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_12x_of_random_sketch
 
+# The sampled fold's floor, a ratio again: once Random keeps one row in
+# 2^l, insert_batch steps over the rows it was never going to keep, so
+# at eps 0.01 past 2^22 rows a 4096-row batch must cost at most 1/8 of
+# the scalar loop per row (~60x on the box that recorded docs/PERF.md
+# section 11, ~1x before). An integration test: the lib's own cfg(test)
+# build audits every batch.
+echo "== sampled fold floor (cargo test --release -p sqs-core --test batch_fold_floor) =="
+cargo test -q --release -p sqs-core --test batch_fold_floor
+
 # The engine's stress tests spawn up to 8 writer threads per test (plus
 # a racing reader); a single-threaded test runner keeps them from
 # oversubscribing the host. Which shard a batch lands in depends on the
