@@ -3,15 +3,13 @@
 //!
 //! ```text
 //! sqs-exp <experiment|all> [--n N] [--trials T] [--seed S]
-//!         [--out DIR] [--max-stream-len N] [--quick]
+//!         [--out DIR] [--max-stream-len N]
 //! ```
 //!
 //! Experiments: fig4 fig5 fig6 fig7 fig8 tab34 fig9 fig10 fig11 fig12
-//! xcompare ablation claims turnstile-perf window (see DESIGN.md §2
-//! for what each reproduces; `turnstile-perf` and `window` are
-//! implementation baselines, not paper figures). `--quick` shrinks the
-//! throughput experiments to CI scale. `sqs-exp plot <figure>` renders
-//! a previously-written CSV as an ASCII chart.
+//! xcompare ablation claims (see DESIGN.md §2 for what each
+//! reproduces). `sqs-exp plot <figure>` renders a previously-written
+//! CSV as an ASCII chart.
 //! Defaults are laptop-scale; raise `--n`/`--trials` toward paper
 //! scale (n = 10⁷–10¹⁰, 100 trials) as time permits.
 
@@ -24,7 +22,7 @@ use sqs_harness::experiments::{self, ExpConfig, ALL_EXPERIMENTS};
 
 fn usage() -> String {
     format!(
-        "usage: sqs-exp <experiment|all> [--n N] [--trials T] [--seed S] [--out DIR] [--max-stream-len N] [--quick]\n\
+        "usage: sqs-exp <experiment|all> [--n N] [--trials T] [--seed S] [--out DIR] [--max-stream-len N]\n\
          experiments: {} all",
         ALL_EXPERIMENTS.join(" ")
     )
@@ -67,7 +65,6 @@ fn parse_args() -> Result<(Vec<String>, ExpConfig), String> {
                     .parse()
                     .map_err(|e| format!("--max-stream-len: {e}"))?;
             }
-            "--quick" => cfg.quick = true,
             "--help" | "-h" => return Err(usage()),
             id if !id.starts_with('-') => ids.push(id.to_string()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),

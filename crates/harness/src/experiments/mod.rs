@@ -24,8 +24,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod tab34;
-pub mod turnstile_perf;
-pub mod window;
 pub mod xcompare;
 
 /// Shared experiment configuration.
@@ -41,9 +39,6 @@ pub struct ExpConfig {
     pub seed: u64,
     /// Cap for the Figure 7 stream-length sweep.
     pub max_stream_len: usize,
-    /// Shrinks the throughput experiments to CI scale (`--quick`):
-    /// same cells, smaller streams, so a gate run finishes in seconds.
-    pub quick: bool,
 }
 
 impl Default for ExpConfig {
@@ -54,7 +49,6 @@ impl Default for ExpConfig {
             out_dir: PathBuf::from("results"),
             seed: 0x5195_2013,
             max_stream_len: 10_000_000,
-            quick: false,
         }
     }
 }
@@ -82,22 +76,9 @@ impl ExpConfig {
 }
 
 /// Every experiment id, in DESIGN.md order.
-pub const ALL_EXPERIMENTS: [&str; 15] = [
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "tab34",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "xcompare",
-    "ablation",
-    "claims",
-    "turnstile-perf",
-    "window",
+pub const ALL_EXPERIMENTS: [&str; 13] = [
+    "fig4", "fig5", "fig6", "fig7", "fig8", "tab34", "fig9", "fig10", "fig11", "fig12", "xcompare",
+    "ablation", "claims",
 ];
 
 /// Runs one experiment by id.
@@ -119,8 +100,6 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Vec<Table> {
         "xcompare" => xcompare::run(cfg),
         "ablation" => ablation::run(cfg),
         "claims" => claims::run(cfg),
-        "turnstile-perf" => turnstile_perf::run(cfg),
-        "window" => window::run(cfg),
         other => panic!("unknown experiment id: {other}"),
     }
 }
@@ -149,7 +128,6 @@ mod tests {
             out_dir: std::env::temp_dir().join("sqs_exp_smoke"),
             seed: 1,
             max_stream_len: 50_000,
-            quick: true,
         };
         for id in ALL_EXPERIMENTS {
             let tables = run(id, &cfg);

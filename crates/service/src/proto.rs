@@ -403,7 +403,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, ProtoErr
     Ok(true)
 }
 
-// ---- payload helpers (shared by server, client, loadgen, tests) ----
+// ---- payload helpers (shared by server, client, benchmark, tests) ----
 
 /// Encodes a `u64` slice as a length-prefixed vector.
 #[must_use]

@@ -212,6 +212,28 @@ fn wide_and_narrow_rank_sweeps_are_answer_identical() {
     }
 }
 
+/// The paper's tuned shape (ε = 0.01, u = 2³² — §4.3.1), the one
+/// `batch_floor.rs` times: the same state and the same answers there
+/// too, not only in the 2²⁰ universe of the tests above.
+#[test]
+fn paper_shape_is_state_and_answer_identical() {
+    let data: Vec<u64> = (0..30_000u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
+        .collect();
+    let batch = mixed_batch(&data);
+    assert_batch_identical(new_dcm(0.01, 32, 7), &batch);
+    assert_batch_identical(new_dcs(0.01, 32, 7), &batch);
+
+    let mut dcm = new_dcm(0.01, 32, 7);
+    let mut dcs = new_dcs(0.01, 32, 7);
+    dcm.update_batch(&batch);
+    dcs.update_batch(&batch);
+    let mut probes = vec![0u64, 1, (1 << 32) - 1, 1 << 32, u64::MAX];
+    probes.extend(data.iter().step_by(8).map(|&x| x ^ 0x5a5a));
+    assert_reads_identical(&dcm, &probes, &probe_phi_grid());
+    assert_reads_identical(&dcs, &probes, &probe_phi_grid());
+}
+
 // ---------------------------------------------------- truncation ε-oracle
 
 /// Adversarial streams for the truncation accuracy gate: mass piled

@@ -28,8 +28,12 @@ cargo run --release -p sqs-harness --bin sqs-exp -- all \
 echo "== claim verdicts =="
 cargo run --release -p sqs-harness --bin sqs-exp -- claims --out results
 
-echo "== benches =="
-cargo bench --workspace 2>&1 | tee bench_output.txt
+# The command BENCHMARK.json declares, run without a workload: every
+# workload end to end, result in benchmark/out/ (benchmark/README.md).
+# CARGO_TARGET_DIR keeps the build under the root target/.
+echo "== benchmark =="
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --
 
 echo "== examples =="
 for e in quickstart network_monitoring sensor_aggregation turnstile_flows sla_tracking; do
@@ -37,4 +41,4 @@ for e in quickstart network_monitoring sensor_aggregation turnstile_flows sla_tr
     cargo run --release --example "$e"
 done
 
-echo "done; see results/, test_output.txt, bench_output.txt, EXPERIMENTS.md"
+echo "done; see results/, benchmark/out/, test_output.txt, EXPERIMENTS.md"
