@@ -17,7 +17,7 @@ use sqs_util::SpaceUsage;
 /// summary nobody has touched since the last one is a binary search,
 /// not a sort. Every mutator drops the index and `clone` never copies
 /// it, so it lives exactly as long as the state it describes — inside
-/// the engine's epoch-keyed merged snapshot, until the next publication.
+/// the engine's epoch-keyed merged snapshot, until the next fold.
 ///
 /// [`insert`]: QuantileSummary::insert
 pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {

@@ -1,5 +1,5 @@
-//! A sharded, epoch-snapshotting concurrent engine over the mergeable
-//! quantile summaries of `sqs-core`.
+//! A sharded concurrent engine over the mergeable quantile summaries
+//! of `sqs-core`.
 //!
 //! The paper studies single-threaded summaries; production collectors
 //! ingest from many threads at once. The mergeable-summary property
@@ -8,64 +8,64 @@
 //! per *shard*, and answer queries by folding the shards with a merge
 //! tree — sharding buys concurrency without spending accuracy.
 //!
-//! One way in, one way out (safe stable Rust: `forbid(unsafe_code)`,
-//! atomics + mutex leaves only):
+//! One way in, one way out, one lock per shard (safe stable Rust:
+//! `forbid(unsafe_code)`, atomics + mutex leaves only):
 //!
-//! 1. **Request-scoped writes** — [`ShardedEngine::ingest_batch`]
-//!    folds the caller's slice into the next shard's *live* summary
-//!    under its [`OrderedMutex`] and clones it there, stamped with the
-//!    shard's fold count; outside the lock the clone is **published**
-//!    (the slot keeps whichever clone carries the newer stamp) and the
-//!    engine epoch ticks. Nothing is buffered or queued, and writes to
-//!    different shards run in parallel.
-//! 2. **Epoch / seqlock snapshots** — readers collect the published
-//!    `Arc`s between two equal reads of the epoch and never touch a
-//!    live lock, so queries cannot stall ingestion; the merged
-//!    snapshot is cached keyed on that epoch. See `docs/ENGINE.md` for
-//!    the memory-ordering argument and the error analysis.
+//! 1. **Writes publish nothing** — [`ShardedEngine::ingest_batch`]
+//!    folds the caller's slice into the next shard's summary under its
+//!    [`OrderedMutex`] and, still under it, counts the mass and ticks
+//!    the engine epoch. Nothing is cloned, buffered or queued, and
+//!    writes to different shards run in parallel.
+//! 2. **Reads cut on demand** — a read takes the cache mutex and
+//!    answers from the cached merge if it carries the current epoch.
+//!    Otherwise it takes *every* shard lock in ascending order, reads
+//!    the epoch (stable: each tick happens under one of the held
+//!    locks), clones the `k` summaries, releases, merges, and caches
+//!    the merge under that epoch: a cut is a state the engine was in,
+//!    by construction.
+//!
+//! Lock order: cache, then shards ascending; a writer takes one shard
+//! lock and never the cache. `docs/ENGINE.md` has the argument, the
+//! wait bound this costs and the error analysis.
 
 #![forbid(unsafe_code)]
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::{Mutex, PoisonError};
 
 use sqs_core::MergeableSummary;
 use sqs_util::audit::{ensure, CheckInvariants, InvariantViolation};
 use sqs_util::pad::CachePadded;
 use sqs_util::sync::{next_domain, OrderedMutex, OrderedMutexGuard};
 
-/// Seqlock read attempts before a reader accepts a possibly-mixed
-/// (multi-epoch) cut — the relaxed-semantics escape hatch that keeps
-/// readers wait-free under a continuous stream of publications.
-const SNAPSHOT_RETRY_LIMIT: usize = 16;
+/// The most elements an engine will count: [`ShardedEngine::try_absorb`]
+/// refuses a summary that would take `items` past it, so one that lies
+/// about its `n` cannot wrap the `u64` counters (or a turnstile
+/// backend's `i64` live count), and from below it `ingest_batch` would
+/// need another 2⁶³ rows to.
+const MAX_ITEMS: u64 = i64::MAX as u64;
 
 /// A point-in-time copy of the engine's operational counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Elements folded into shard summaries so far.
     pub items: u64,
-    /// The engine epoch: one tick per publication. The snapshot
-    /// cache's invalidation signal.
+    /// The engine epoch: one tick per fold (`ingest_batch` or
+    /// `try_absorb`). The snapshot cache's invalidation signal.
     pub epoch: u64,
     /// Merged snapshots rebuilt so far (snapshot-cache misses).
     pub snapshots: u64,
     /// Query sweeps answered from the epoch-keyed snapshot cache
     /// without re-merging.
     pub snapshot_cache_hits: u64,
-    /// Seqlock retries readers have paid waiting out concurrent
-    /// publications.
+    /// Always 0: a cut is taken under every shard lock and never
+    /// retried. Kept because `benchmark/` reads the field; goes with
+    /// the next benchmark-only change.
     pub snapshot_retries: u64,
-    /// Snapshots that gave up retrying and accepted a mixed-epoch
-    /// (relaxed-consistency) cut. Zero in every quiescent workload.
+    /// Always 0: no cut can mix epochs. Kept for the same reason as
+    /// [`snapshot_retries`](Self::snapshot_retries).
     pub snapshots_torn: u64,
-    /// Merge-tree depth of the most recent snapshot rebuild
-    /// (`⌈log₂ shards⌉`; 0 before the first).
-    pub last_merge_depth: u32,
-    /// Wall-clock nanoseconds spent on the most recent snapshot
-    /// rebuild (publication reads + merge tree; 0 before the first).
-    pub last_snapshot_nanos: u64,
     /// Poisoned shard locks recovered so far: a writer panicked while
     /// folding into a shard, and a later acquisition audited the
     /// summary's invariants, cleared the poison, and carried on —
@@ -73,56 +73,15 @@ pub struct EngineStats {
     pub lock_recoveries: u64,
 }
 
-/// A shard summary and the number of folds it contains. The live
-/// lock guards one (`X = S`); the published slot holds a clone of it
-/// for readers (`X = Arc<S>`), stamped with the count it was taken at.
-struct Stamped<X> {
-    stamp: u64,
-    summary: X,
-}
-
-impl<S: Clone> Stamped<S> {
-    /// Counts one fold and clones its result. `&mut self` is the live
-    /// guard, so the stamp is taken in the critical section that made
-    /// the clone: stamp order is fold order.
-    fn stamped_clone(&mut self) -> Stamped<Arc<S>> {
-        self.stamp += 1;
-        Stamped {
-            stamp: self.stamp,
-            summary: Arc::new(self.summary.clone()),
-        }
-    }
-}
-
-/// One shard: the live summary writes fold into and the last published
-/// clone readers merge from. The whole struct sits inside one
-/// [`CachePadded`] slot so neighbouring shards' hot words never
-/// false-share a cache line.
-struct Shard<S> {
-    live: OrderedMutex<Stamped<S>>,
-    published: Mutex<Stamped<Arc<S>>>,
-}
-
-impl<S> Shard<S> {
-    /// The published clone, without touching the live lock.
-    fn published(&self) -> Arc<S> {
-        let slot = self
-            .published
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(&slot.summary)
-    }
-}
-
-/// The merged snapshot the read path caches between ingest epochs.
+/// The merged snapshot the read path caches between folds.
 struct CachedSnapshot<S> {
     epoch: u64,
     summary: S,
 }
 
 /// A concurrent quantile-ingestion engine: `k` cache-padded shards,
-/// each a mergeable ε-summary plus its stamped published clone (see
-/// the [crate docs](crate)). Shared by reference across threads: all
+/// each one mergeable ε-summary behind one lock (see the
+/// [crate docs](crate)). Shared by reference across threads: all
 /// methods take `&self`, writers and readers alike.
 ///
 /// ```
@@ -145,22 +104,21 @@ struct CachedSnapshot<S> {
 /// assert!((q as f64 - 20_000.0).abs() <= 0.05 * 40_000.0);
 /// ```
 pub struct ShardedEngine<T, S> {
-    shards: Vec<CachePadded<Shard<S>>>,
-    /// The seqlock epoch: one tick per publication, read by snapshots
-    /// as the consistency check and the cache key.
+    /// One summary per shard, each in its own [`CachePadded`] slot so
+    /// neighbouring shards' lock words never false-share a line.
+    shards: Vec<CachePadded<OrderedMutex<S>>>,
+    /// Folds so far. Ticked only under a shard lock, so it is stable
+    /// while all of them are held; the snapshot cache's key.
     epoch: CachePadded<AtomicU64>,
     /// Round-robin shard router for incoming batches.
     router: CachePadded<AtomicUsize>,
-    /// Write-side counter (bumped once per fold).
+    /// Elements folded so far; moves with `epoch`, under the same lock.
     items: CachePadded<AtomicU64>,
-    /// Read-side stats + the epoch-keyed merged-snapshot cache.
     snapshots: AtomicU64,
     cache_hits: AtomicU64,
-    snapshot_retries: AtomicU64,
-    snapshots_torn: AtomicU64,
-    last_merge_depth: AtomicU64,
-    last_snapshot_nanos: AtomicU64,
     lock_recoveries: AtomicU64,
+    /// The merge of the last cut, keyed on the epoch it was taken at.
+    /// First in the lock order: held across a miss's shard locks.
     cache: Mutex<Option<CachedSnapshot<S>>>,
     _elem: PhantomData<fn(T)>,
 }
@@ -191,39 +149,22 @@ where
         let domain = next_domain();
         Self {
             shards: (0..shard_count)
-                .map(|i| {
-                    let live = Stamped {
-                        stamp: 0,
-                        summary: make(i),
-                    };
-                    let published = Stamped {
-                        stamp: 0,
-                        summary: Arc::new(live.summary.clone()),
-                    };
-                    CachePadded::new(Shard {
-                        live: OrderedMutex::new(domain, i, live),
-                        published: Mutex::new(published),
-                    })
-                })
+                .map(|i| CachePadded::new(OrderedMutex::new(domain, i, make(i))))
                 .collect(),
             epoch: CachePadded::new(AtomicU64::new(0)),
             router: CachePadded::new(AtomicUsize::new(0)),
             items: CachePadded::new(AtomicU64::new(0)),
             snapshots: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            snapshot_retries: AtomicU64::new(0),
-            snapshots_torn: AtomicU64::new(0),
-            last_merge_depth: AtomicU64::new(0),
-            last_snapshot_nanos: AtomicU64::new(0),
             lock_recoveries: AtomicU64::new(0),
             cache: Mutex::new(None),
             _elem: PhantomData,
         }
     }
 
-    /// Elements folded into shard summaries so far. A write is counted
-    /// just after it is published: a snapshot taken after reading `n()`
-    /// holds at least that many (exactly that many at quiescence).
+    /// Elements folded into shard summaries so far. A fold is counted
+    /// under the lock it ran under, so a snapshot taken after reading
+    /// `n()` holds at least that many (exactly that many at quiescence).
     pub fn n(&self) -> u64 {
         self.items.load(Ordering::Acquire)
     }
@@ -235,61 +176,46 @@ where
             epoch: self.epoch.load(Ordering::Acquire),
             snapshots: self.snapshots.load(Ordering::Acquire),
             snapshot_cache_hits: self.cache_hits.load(Ordering::Acquire),
-            snapshot_retries: self.snapshot_retries.load(Ordering::Acquire),
-            snapshots_torn: self.snapshots_torn.load(Ordering::Acquire),
-            last_merge_depth: u32::try_from(self.last_merge_depth.load(Ordering::Acquire))
-                .unwrap_or(u32::MAX),
-            last_snapshot_nanos: self.last_snapshot_nanos.load(Ordering::Acquire),
+            snapshot_retries: 0,
+            snapshots_torn: 0,
             lock_recoveries: self.lock_recoveries.load(Ordering::Acquire),
         }
     }
 
-    fn shard(&self, shard: usize) -> &Shard<S> {
-        self.shards
+    fn lock_shard(&self, shard: usize) -> OrderedMutexGuard<'_, S> {
+        let m = self
+            .shards
             .get(shard)
-            .expect("Engine invariant: shard index within shard count")
-    }
-
-    fn lock_shard(&self, shard: usize) -> OrderedMutexGuard<'_, Stamped<S>> {
-        let m = &self.shard(shard).live;
+            .expect("Engine invariant: shard index within shard count");
         m.lock().unwrap_or_else(|poisoned| {
             // A holder panicked mid-fold — necessarily inside the
             // summary's own insert/merge code, since the engine does
-            // nothing else under the guard. The summary is safe to keep
-            // only if its structural invariants survived the unwind;
-            // audit it (panicking loudly if not), then clear the poison
-            // so later acquisitions stop paying this path.
+            // nothing else under the guard that can unwind. The summary
+            // is safe to keep only if its structural invariants
+            // survived; audit it (panicking loudly if not), then clear
+            // the poison so later acquisitions stop paying this path.
             let guard = poisoned.into_inner();
-            guard.summary.assert_invariants();
+            guard.assert_invariants();
             m.clear_poison();
             self.lock_recoveries.fetch_add(1, Ordering::AcqRel);
             guard
         })
     }
 
-    /// Makes one fold visible and counts it, with no guard held: offer
-    /// the stamped clone to the shard's published slot, count the mass,
-    /// tick the epoch — in that order, so a reader that sees the tick
-    /// sees the publication (Release/Acquire pairs on the slot mutex
-    /// and the counters). Two writers on one shard fold in live-lock
-    /// order but get here in any order; the later fold's clone contains
-    /// the earlier fold, so the slot keeps the newer stamp and drops a
-    /// late arrival: a reader never sees a shard's mass go backwards.
-    fn publish(&self, shard: usize, next: Stamped<Arc<S>>, mass: u64) {
-        {
-            let slot = &self.shard(shard).published;
-            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if next.stamp > slot.stamp {
-                *slot = next;
-            }
-        }
+    /// Counts one finished fold. Takes the guard the fold ran under as
+    /// proof that `items` and `epoch` move inside that critical
+    /// section: a reader holding every shard lock therefore reads an
+    /// epoch and a mass that label the `k` summaries exactly.
+    fn count_fold(&self, _held: &OrderedMutexGuard<'_, S>, mass: u64) {
         self.items.fetch_add(mass, Ordering::AcqRel);
+        // Release half of the hit path's pair: a reader whose Acquire
+        // load sees this tick misses the cache and cuts afresh.
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Ingests one caller-assembled batch: picks the next shard
-    /// round-robin and folds the whole slice under a single critical
-    /// section, publishing before returning.
+    /// round-robin and folds the whole slice, counts it and ticks the
+    /// epoch in one critical section under that shard's lock. No clone.
     ///
     /// The ingest path is *request-scoped*: nothing stays buffered or
     /// queued engine-side afterwards — every element is visible to the
@@ -302,132 +228,61 @@ where
             return;
         }
         let shard = self.router.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let next = {
-            let mut live = self.lock_shard(shard);
-            live.summary.insert_batch(xs);
-            live.stamped_clone()
-        };
-        // The live guard is gone (it died with the block); publish and
-        // account outside the shard's critical section.
-        self.publish(shard, next, xs.len() as u64);
+        let mut held = self.lock_shard(shard);
+        held.insert_batch(xs);
+        self.count_fold(&held, xs.len() as u64);
     }
 
     /// Merges an externally-built summary (e.g. one decoded off the
     /// wire) into shard 0 under a single critical section, adding its
-    /// mass to the engine's totals. Returns the summary back as `Err`
-    /// without touching anything if its accuracy configuration is
-    /// incompatible with this engine's shards — the panic-free gate
-    /// remote `MERGE_SNAPSHOT` traffic goes through.
+    /// mass to the engine's totals — the panic-free gate remote
+    /// `MERGE_SNAPSHOT` traffic goes through. Returns the summary back
+    /// as `Err` without touching anything if its accuracy configuration
+    /// is incompatible with this engine's shards, or if its claimed `n`
+    /// would take the engine's count past `i64::MAX` (no honest stream
+    /// gets there; a crafted frame would otherwise wrap the counters).
     pub fn try_absorb(&self, other: S) -> Result<(), S> {
         let mass = other.n();
-        let next = {
-            let mut live = self.lock_shard(0);
-            if !live.summary.merge_compatible(&other) {
-                return Err(other);
-            }
-            live.summary.merge_from(other);
-            live.stamped_clone()
-        };
-        // Counting the absorbed mass keeps `engine.mass_conservation`
-        // (Σ shard.n() == items) holding.
-        self.publish(0, next, mass);
+        let mut held = self.lock_shard(0);
+        let fits = mass <= MAX_ITEMS.saturating_sub(self.n());
+        if !fits || !held.merge_compatible(&other) {
+            return Err(other);
+        }
+        held.merge_from(other);
+        self.count_fold(&held, mass);
         Ok(())
     }
 
-    /// Collects a consistent cut of the per-shard published clones —
-    /// the seqlock read protocol. Returns the `Arc`s plus the epoch
-    /// they correspond to, or `None` as the epoch if the reader
-    /// exhausted its retries and accepted a possibly mixed-epoch cut
-    /// (relaxed semantics; see `docs/ENGINE.md` §2).
-    ///
-    /// Never touches a shard's live lock: readers cannot stall
-    /// ingestion, and folding cannot stall readers — the epoch moves
-    /// only at the instant a write publishes, so a reader retries only
-    /// if a publication actually landed mid-collection.
-    fn published_cut(&self) -> (Vec<Arc<S>>, Option<u64>) {
-        let mut attempts = 0usize;
-        loop {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            let cut: Vec<Arc<S>> = self.shards.iter().map(|s| s.published()).collect();
-            let e2 = self.epoch.load(Ordering::Acquire);
-            if e1 == e2 {
-                return (cut, Some(e1));
-            }
-            if attempts >= SNAPSHOT_RETRY_LIMIT {
-                self.snapshots_torn.fetch_add(1, Ordering::AcqRel);
-                return (cut, None);
-            }
-            attempts += 1;
-            self.snapshot_retries.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Rebuilds the merged snapshot from the published cut. Returns
-    /// the merge and the epoch it is consistent with (`None` for a
-    /// torn cut, which is never cached).
-    fn rebuild_snapshot(&self) -> (S, Option<u64>) {
-        let start = Instant::now();
-        let (cut, epoch) = self.published_cut();
-        let clones: Vec<S> = cut.iter().map(|a| S::clone(a)).collect();
-        let (merged, depth) = merge_tree(clones);
-        self.snapshots.fetch_add(1, Ordering::AcqRel);
-        self.last_merge_depth
-            .store(u64::from(depth), Ordering::Release);
-        self.last_snapshot_nanos.store(
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Release,
-        );
-        (merged, epoch)
-    }
-
-    /// Runs `f` against the merged snapshot for the current epoch,
-    /// reusing the cached merge when no publication has happened since
-    /// it was built — the epoch counter is the invalidation signal, so
-    /// repeated query sweeps between writes cost one mutex acquisition
-    /// and zero merging.
+    /// Runs `f` against the merged snapshot for the current epoch — the
+    /// engine's one read path. A hit (no fold since the cached merge
+    /// was cut) costs the cache mutex and zero merging. A miss cuts
+    /// under every shard lock, so the clones and the epoch that labels
+    /// them are one state of the engine, then merges with the shards
+    /// released. The cache mutex is held throughout: racing readers
+    /// queue behind one rebuild and hit it.
     fn with_snapshot<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        let now = self.epoch.load(Ordering::Acquire);
-        {
-            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(cached) = cache.as_mut() {
-                if cached.epoch == now {
-                    self.cache_hits.fetch_add(1, Ordering::AcqRel);
-                    return f(&mut cached.summary);
-                }
-            }
-        }
-        // Rebuild outside the cache lock (the seqlock cut takes the
-        // published-slot locks; holding the cache lock across them
-        // would nest guards). A concurrent rebuild racing us is
-        // harmless — both are valid snapshots; the newer epoch wins
-        // the cache slot.
-        let (mut merged, epoch) = self.rebuild_snapshot();
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(e) = epoch {
-            let newer = cache.as_ref().is_some_and(|c| c.epoch > e);
-            if !newer {
-                *cache = Some(CachedSnapshot {
-                    epoch: e,
-                    summary: merged,
-                });
-                let cached = cache
-                    .as_mut()
-                    .expect("Engine invariant: cache slot just filled");
+        if let Some(cached) = cache.as_mut() {
+            if cached.epoch == self.epoch.load(Ordering::Acquire) {
+                self.cache_hits.fetch_add(1, Ordering::AcqRel);
                 return f(&mut cached.summary);
             }
         }
-        // Torn cut (or a newer cache already present): answer from our
-        // private merge without caching it.
-        drop(cache);
-        f(&mut merged)
+        let (epoch, parts) = {
+            // analyze:allow(SQS-L01): the engine's one lock order — cache, then shards ascending; writers take one shard and never the cache (docs/ENGINE.md §1.2)
+            let held: Vec<_> = (0..self.shards.len()).map(|i| self.lock_shard(i)).collect();
+            let parts: Vec<S> = held.iter().map(|shard| S::clone(shard)).collect();
+            (self.epoch.load(Ordering::Acquire), parts)
+        };
+        let (summary, _depth) = merge_tree(parts);
+        self.snapshots.fetch_add(1, Ordering::AcqRel);
+        f(&mut cache.insert(CachedSnapshot { epoch, summary }).summary)
     }
 
-    /// Folds the current published shard summaries into one queryable
-    /// summary (an ε-summary of every element ingested so far).
-    ///
-    /// Reads the per-shard publications under the seqlock protocol —
-    /// never the shard live locks — and reuses the epoch-keyed cache,
-    /// so a burst of snapshots between writes costs one merge.
+    /// Folds the shard summaries into one queryable summary (an
+    /// ε-summary of every element ingested so far): a clone of the
+    /// epoch-cached merge, so a burst of snapshots between writes costs
+    /// one cut and one merge.
     pub fn snapshot(&self) -> S {
         self.with_snapshot(|s| s.clone())
     }
@@ -469,7 +324,7 @@ where
     /// epoch-consistent snapshot in one call — the service's
     /// `QUERY_MANY` op. One snapshot read, one batched quantile sweep,
     /// one rank pass; the two answer vectors are mutually consistent
-    /// by construction (no publication can land between them).
+    /// by construction (no fold can land between them).
     ///
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`.
@@ -524,19 +379,17 @@ where
     ///
     /// * `engine.shard_structure` — at least one shard exists (a
     ///   construction-time guarantee that must survive);
-    /// * every shard's `CheckInvariants`, live **and** published
-    ///   (first violation wins);
-    /// * `engine.mass_conservation` — the live shards' element counts
-    ///   sum exactly to the engine's items counter: no fold lost or
+    /// * every shard summary's `CheckInvariants` (first violation
+    ///   wins);
+    /// * `engine.mass_conservation` — the shards' element counts sum
+    ///   exactly to the engine's items counter: no fold lost or
     ///   double-counted an element;
-    /// * `engine.epoch_accounting` — every fold ticked the epoch
-    ///   exactly once (the epoch equals the shards' fold stamps summed)
-    ///   and every published slot carries its shard's latest stamp;
     /// * `engine.cache_coherence` — a cached snapshot claiming the
     ///   current epoch carries exactly the folded mass.
     ///
-    /// Meaningful at quiescence (as the audit tests use it): a write
-    /// between its fold and its tick is, correctly, mid-publication.
+    /// Takes the read path's locks in the read path's order (cache,
+    /// then every shard ascending), so it audits one state of the
+    /// engine and holds **while writers run**, not only at quiescence.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
         ensure(
             !self.shards.is_empty(),
@@ -544,38 +397,29 @@ where
             "engine.shard_structure",
             || "no shards".to_owned(),
         )?;
+        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        // Poison alone is not a violation — `lock_shard` recovers from
+        // it by design; what matters is whether the summary's own
+        // invariants survived the holder's panic, which the audit below
+        // reports directly (and without `lock_shard`'s side effects).
+        let held: Vec<_> = self
+            .shards
+            .iter()
+            // analyze:allow(SQS-L01): same order as the read path — cache, then shards ascending (docs/ENGINE.md §1.2)
+            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         let mut shard_mass = 0u64;
-        let (mut folds, mut stale_slots) = (0u64, 0usize);
-        for s in &self.shards {
-            // Poison alone is not a violation — `lock_shard` recovers
-            // from it by design; what matters is whether the summary's
-            // own invariants survived the holder's panic, which the
-            // audit below reports directly.
-            let live = s.live.lock().unwrap_or_else(PoisonError::into_inner);
-            live.summary.check_invariants()?;
-            shard_mass = shard_mass.saturating_add(live.summary.n());
-            let stamp = live.stamp;
-            drop(live);
-            folds = folds.saturating_add(stamp);
-            let slot = s.published.lock().unwrap_or_else(PoisonError::into_inner);
-            slot.summary.check_invariants()?;
-            stale_slots += usize::from(slot.stamp != stamp);
+        for shard in &held {
+            shard.check_invariants()?;
+            shard_mass = shard_mass.saturating_add(shard.n());
         }
-        let counted = self.items.load(Ordering::Acquire);
+        let counted = self.n();
         ensure(
             shard_mass == counted,
             "ShardedEngine",
             "engine.mass_conservation",
             || format!("Σ shard.n() = {shard_mass} but items counter = {counted}"),
         )?;
-        let epoch = self.epoch.load(Ordering::Acquire);
-        ensure(
-            epoch == folds && stale_slots == 0,
-            "ShardedEngine",
-            "engine.epoch_accounting",
-            || format!("epoch {epoch} after {folds} folds, {stale_slots} slots behind their shard"),
-        )?;
-        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(cached) = cache.as_ref() {
             if cached.epoch == self.epoch.load(Ordering::Acquire) {
                 let cached_n = cached.summary.n();
@@ -595,15 +439,15 @@ where
         Ok(())
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqs_core::codec::{seal, WireCodec};
     use sqs_core::qdigest::QDigest;
     use sqs_core::random::RandomSketch;
     use sqs_core::sampled::ReservoirQuantiles;
     use sqs_core::QuantileSummary;
-    use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
 
     /// `cap` is `new_with`'s ignored middle argument, passed through.
     fn random_engine(shards: usize, cap: usize) -> ShardedEngine<u64, RandomSketch<u64>> {
@@ -624,34 +468,21 @@ mod tests {
         for rows in 1..=8u64 {
             ingest(&e, 0..rows);
         }
-        let per_shard: Vec<u64> = (0..4).map(|i| e.lock_shard(i).summary.n()).collect();
+        let per_shard: Vec<u64> = (0..4).map(|i| e.lock_shard(i).n()).collect();
         assert_eq!(per_shard, vec![1 + 5, 2 + 6, 3 + 7, 4 + 8]);
         e.assert_invariants();
     }
 
     #[test]
-    fn epoch_ticks_once_per_publication() {
+    fn epoch_ticks_once_per_fold() {
         let e = random_engine(2, 16);
         assert_eq!(e.stats().epoch, 0);
         e.ingest_batch(&[1, 2, 3]);
-        assert_eq!(e.stats().epoch, 1, "one fold = one publication");
+        assert_eq!(e.stats().epoch, 1, "one batch = one fold = one tick");
         e.try_absorb(RandomSketch::new(0.05, 9))
             .expect("same eps must merge");
         assert_eq!(e.stats().epoch, 2, "an absorbed summary is a fold too");
         e.assert_invariants();
-    }
-
-    #[test]
-    fn snapshot_records_depth_and_latency() {
-        for (shards, want_depth) in [(1usize, 0u32), (2, 1), (4, 2), (5, 3), (8, 3)] {
-            let e = random_engine(shards, 32);
-            ingest(&e, 0..100);
-            let _ = e.snapshot();
-            let stats = e.stats();
-            assert_eq!(stats.snapshots, 1);
-            assert_eq!(stats.last_merge_depth, want_depth, "shards = {shards}");
-            assert!(stats.last_snapshot_nanos > 0);
-        }
     }
 
     #[test]
@@ -707,13 +538,13 @@ mod tests {
         assert!(has_view(&e));
         assert_eq!(e.query_many(&[0.9, 0.1, 0.5, 0.5], &[1_000, 3_000]), first);
         assert_eq!(e.stats().snapshots, 1);
-        // Clones leave the index behind: what `snapshot` hands out and
-        // what `ingest_batch` publishes (a clone of a live shard, which
-        // no query ever touches) cost the same as before any query.
+        // Clones leave the index behind, so what `snapshot` hands out
+        // costs the same as before any query; and no query ever touches
+        // a shard's own summary, so none of them builds one.
         assert!(!e.snapshot().view_is_cached());
         e.ingest_batch(&[7; 100]);
-        for shard in &e.shards {
-            assert!(!shard.published().view_is_cached());
+        for shard in 0..4 {
+            assert!(!e.lock_shard(shard).view_is_cached());
         }
         // The write ticked the epoch: the stale merge, and the index
         // inside it, are replaced on the next read.
@@ -753,14 +584,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_tree_of_one_is_identity() {
-        let mut s = RandomSketch::new(0.1, 1);
-        for x in 0..100u64 {
-            s.insert(x);
+    fn merge_tree_keeps_all_mass_at_depth_ceil_log2() {
+        for (k, want_depth) in [(1u64, 0u32), (2, 1), (4, 2), (5, 3), (8, 3)] {
+            let leaves = (0..k)
+                .map(|i| {
+                    let mut s = RandomSketch::new(0.1, i);
+                    s.insert_batch(&(0..100u64).collect::<Vec<_>>());
+                    s
+                })
+                .collect();
+            let (merged, depth) = merge_tree(leaves);
+            assert_eq!(depth, want_depth, "k = {k}");
+            assert_eq!(merged.n(), 100 * k, "k = {k}");
         }
-        let (merged, depth) = merge_tree(vec![s]);
-        assert_eq!(depth, 0);
-        assert_eq!(merged.n(), 100);
     }
 
     #[test]
@@ -773,22 +609,6 @@ mod tests {
         let err = e.check_invariants().expect_err("corruption must be caught");
         assert_eq!(err.invariant, "engine.mass_conservation");
         assert_eq!(err.algorithm, "ShardedEngine");
-        e.items.fetch_sub(5, Ordering::AcqRel);
-        // And the epoch/fold ledger: a tick no fold made …
-        e.epoch.fetch_add(1, Ordering::AcqRel);
-        let err = e
-            .check_invariants()
-            .expect_err("epoch drift must be caught");
-        assert_eq!(err.invariant, "engine.epoch_accounting");
-        e.epoch.fetch_sub(1, Ordering::AcqRel);
-        // … and a published slot left behind its shard's last fold.
-        e.shard(0)
-            .published
-            .lock()
-            .expect("test invariant: slot not poisoned")
-            .stamp = 0;
-        let err = e.check_invariants().expect_err("stale slot must be caught");
-        assert_eq!(err.invariant, "engine.epoch_accounting");
     }
 
     #[test]
@@ -884,6 +704,44 @@ mod tests {
         e.assert_invariants();
     }
 
+    /// An honest `RandomSketch` frame whose `n` field (bytes 36..44:
+    /// 16 of frame header, then ε, h and s) is overwritten and the
+    /// frame re-sealed. It decodes and passes the audit — `Σ ≤ n` is
+    /// all `random.mass_bound` asks.
+    fn sketch_claiming(n: u64) -> RandomSketch<u64> {
+        let mut honest = RandomSketch::new(0.05, 7);
+        honest.insert_batch(&[1, 2, 3, 4, 5, 6]);
+        let mut frame = WireCodec::to_bytes(&mut honest);
+        frame.truncate(frame.len() - 8);
+        frame[36..44].copy_from_slice(&n.to_le_bytes());
+        seal(&mut frame);
+        let lying = RandomSketch::from_bytes(&frame).expect("a lie the decoder cannot see");
+        assert_eq!(lying.n(), n);
+        lying
+    }
+
+    #[test]
+    fn try_absorb_refuses_a_count_that_would_wrap() {
+        let e = random_engine(2, 16);
+        ingest(&e, 0..100);
+        // 100 + (u64::MAX − 5) wraps to 94; 100 + i64::MAX wraps an
+        // `i64` live count. Both bounce with nothing touched.
+        for n in [u64::MAX - 5, i64::MAX as u64, MAX_ITEMS - 99] {
+            let back = e.try_absorb(sketch_claiming(n)).expect_err("must bounce");
+            assert_eq!(back.n(), n, "donor returned untouched");
+            assert_eq!((e.n(), e.snapshot().n()), (100, 100), "after n = {n}");
+            assert_eq!(e.stats().epoch, 1, "no tick on refusal");
+            e.assert_invariants();
+        }
+        // The largest claim that fits is still absorbed; nothing after
+        // it is.
+        e.try_absorb(sketch_claiming(MAX_ITEMS - 100))
+            .expect("fits exactly");
+        assert_eq!(e.n(), MAX_ITEMS);
+        assert!(e.try_absorb(sketch_claiming(6)).is_err());
+        e.assert_invariants();
+    }
+
     #[test]
     fn dcs_backend_shards_merge_exactly() {
         use sqs_turnstile::TurnstileSummary;
@@ -931,36 +789,18 @@ mod tests {
         assert_eq!(e.stats().lock_recoveries, 1);
     }
 
-    /// Two writers fold into one shard in live-lock order but reach the
-    /// published slot in the other order: the late, older clone must
-    /// not replace the newer one (red with the stamp comparison in
-    /// `publish` removed).
+    /// What survives of "reads never take a shard lock": a cache hit
+    /// answers under the cache mutex alone, so it does not wait for a
+    /// fold in flight. (A miss does, for at most one fold per shard —
+    /// the bound `docs/ENGINE.md` §2 states.)
     #[test]
-    fn stale_publication_never_replaces_a_newer_one() {
-        let e = random_engine(1, 16);
-        let (first, second) = {
-            let mut live = e.lock_shard(0);
-            live.summary.insert_batch(&[1, 2, 3]);
-            let first = live.stamped_clone();
-            live.summary.insert_batch(&[4, 5]);
-            (first, live.stamped_clone())
-        };
-        e.publish(0, second, 2);
-        assert_eq!(e.snapshot().n(), 5, "the newer clone holds both folds");
-        e.publish(0, first, 3);
-        assert_eq!(e.shard(0).published().n(), 5, "late arrival dropped");
-        assert_eq!(e.snapshot().n(), 5);
-        assert_eq!(e.n(), 5);
-        e.assert_invariants();
-    }
-
-    #[test]
-    fn reads_never_take_a_live_lock() {
+    fn warm_reads_take_no_shard_lock() {
         let e = random_engine(2, 16);
         ingest(&e, 0..1_000);
         ingest(&e, 1_000..2_000);
+        assert_eq!(e.snapshot().n(), 2_000, "warms the cache");
         std::thread::scope(|scope| {
-            // Every live lock stays held while the reader runs. The
+            // Every shard lock stays held while the reader runs. The
             // guards live inside the scope so that a failure below
             // releases them on unwind and the reader can be joined.
             let _writers = (e.lock_shard(0), e.lock_shard(1));
@@ -971,60 +811,11 @@ mod tests {
                 let _ = tx.send(e.snapshot().n());
             });
             let n = rx
-                .recv_timeout(Duration::from_secs(30))
-                .expect("a read blocked on a live shard lock");
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a cache hit blocked on a shard lock");
             assert_eq!(n, 2_000);
         });
-    }
-
-    /// A reader that cannot get two equal epoch reads in
-    /// `SNAPSHOT_RETRY_LIMIT` tries answers from a possibly mixed cut:
-    /// counted, and never left in the cache. The ticker has to run
-    /// *inside* the reader's window, which takes a second core; the
-    /// test loops until it has seen one torn cut instead of assuming a
-    /// schedule.
-    #[test]
-    fn torn_cut_is_counted_and_never_cached() {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        if cores < 2 {
-            eprintln!("torn_cut_is_counted_and_never_cached: skipped on a {cores}-core host");
-            return;
-        }
-        let e = random_engine(2, 16);
-        ingest(&e, 0..1_000);
-        ingest(&e, 1_000..2_000);
-        let stop = AtomicBool::new(false);
-        let seen = std::thread::scope(|scope| {
-            // Stands in for a continuous stream of publications: the
-            // tick is all a reader can see of one.
-            scope.spawn(|| {
-                while !stop.load(Ordering::Acquire) {
-                    e.epoch.fetch_add(1, Ordering::AcqRel);
-                }
-            });
-            let deadline = Instant::now() + Duration::from_secs(30);
-            let mut seen = None;
-            while seen.is_none() && Instant::now() < deadline {
-                *e.cache.lock().unwrap_or_else(PoisonError::into_inner) = None;
-                let before = e.stats();
-                let n = e.snapshot().n();
-                let after = e.stats();
-                if after.snapshots_torn > before.snapshots_torn {
-                    let cached = e
-                        .cache
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .is_some();
-                    seen = Some((n, after.snapshot_retries - before.snapshot_retries, cached));
-                }
-            }
-            stop.store(true, Ordering::Release);
-            seen
-        });
-        let (n, retries, cached) = seen.expect("no torn cut in 30 s of continuous ticks");
-        assert_eq!(n, 2_000, "the slots are whole whatever the epoch does");
-        assert_eq!(retries, SNAPSHOT_RETRY_LIMIT as u64, "retried to the limit");
-        assert!(!cached, "a torn cut is never cached");
+        assert_eq!(e.stats().snapshots, 1);
     }
 
     #[cfg(debug_assertions)]

@@ -19,6 +19,7 @@ use sqs_engine::ShardedEngine;
 use sqs_util::audit::CheckInvariants;
 use sqs_util::exact::{probe_phis, ExactQuantiles};
 use sqs_util::rng::Xoshiro256pp;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const PER_THREAD: usize = 50_000;
@@ -93,13 +94,9 @@ where
         assert_eq!(
             stats.epoch,
             (shards * PER_THREAD.div_ceil(BATCH)) as u64,
-            "{label}/{shards}: one publication per batch"
+            "{label}/{shards}: one tick per batch"
         );
         assert!(stats.snapshots >= 1);
-        assert_eq!(
-            stats.last_merge_depth,
-            shards.ilog2() + u32::from(!shards.is_power_of_two())
-        );
     }
 }
 
@@ -128,25 +125,58 @@ fn reservoir_engine_stays_near_eps_across_shard_counts() {
 }
 
 /// More writers than shards, small batches: every fold contends for a
-/// live lock. Checks mass conservation exactly (accuracy is covered
-/// above).
+/// shard lock. Checks mass conservation exactly (accuracy is covered
+/// above) — at the end, and from an auditor *while the writers run*:
+/// `check_invariants` takes the read path's locks, so it sees one state
+/// of the engine and has no "mid-fold" excuse. The writers cycle their
+/// rows until the auditor has seen them move `AUDITS` times. (Red if a
+/// fold's count or tick moves outside the shard guard.)
 #[test]
 fn contended_round_robin_conserves_mass() {
-    let threads = 8usize;
+    const THREADS: u64 = 8;
+    const AUDITS: usize = 1_000;
     let engine = ShardedEngine::new_with(2, 0, |i| RandomSketch::new(0.05, 7 + i as u64));
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let engine = &engine;
-            scope.spawn(move || {
-                let mut rng = Xoshiro256pp::new(t as u64);
-                let rows: Vec<u64> = (0..10_000).map(|_| rng.next_below(1 << 16)).collect();
-                for chunk in rows.chunks(64) {
-                    engine.ingest_batch(chunk);
-                }
-            });
+    let audited = AtomicBool::new(false);
+    let (written, violation) = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, audited) = (&engine, &audited);
+                scope.spawn(move || {
+                    let mut rng = Xoshiro256pp::new(t);
+                    let rows: Vec<u64> = (0..10_000).map(|_| rng.next_below(1 << 16)).collect();
+                    let mut written = 0u64;
+                    for chunk in rows.chunks(64).cycle() {
+                        if written >= 10_000 && audited.load(Ordering::Acquire) {
+                            break;
+                        }
+                        engine.ingest_batch(chunk);
+                        written += chunk.len() as u64;
+                    }
+                    written
+                })
+            })
+            .collect();
+        // An audit counts once the writers have moved since the last
+        // (and dead writers end the wait: the joins below report them).
+        let (mut violation, mut raced, mut last_n) = (None, 0, 0);
+        while raced < AUDITS && !writers.iter().all(|w| w.is_finished()) {
+            violation = violation.or(engine.check_invariants().err());
+            // Keep a cached merge around for `engine.cache_coherence`.
+            let _ = engine.quantile(0.5);
+            let n = engine.n();
+            raced += usize::from(n != last_n);
+            last_n = n;
         }
+        audited.store(true, Ordering::Release);
+        let written = writers
+            .into_iter()
+            .map(|w| w.join().expect("stress invariant: writers do not panic"));
+        (written.sum::<u64>(), violation)
     });
-    assert_eq!(engine.n(), (threads * 10_000) as u64);
+    if let Some(v) = violation {
+        panic!("audit racing the writers: {v}");
+    }
+    assert_eq!(engine.n(), written);
     engine.assert_invariants();
     let snap = engine.snapshot();
     snap.assert_invariants();
@@ -171,10 +201,10 @@ fn adversarial_batch_sizes_conserve_mass() {
     }
 }
 
-/// Readers snapshotting *while* writers fold and publish: every
-/// mid-flight snapshot must be internally sound (audited), carry a
-/// plausible prefix mass, and answer ranks; after the writers join, the
-/// final answers must match the oracle within ε.
+/// Readers snapshotting *while* writers fold: every mid-flight snapshot
+/// must be internally sound (audited), carry a plausible prefix mass,
+/// and answer ranks; after the writers join, the final answers must
+/// match the oracle within ε.
 #[test]
 fn snapshots_mid_propagation_are_sound() {
     let eps = 0.05;
@@ -193,7 +223,7 @@ fn snapshots_mid_propagation_are_sound() {
                 let mut snap = engine.snapshot();
                 snap.assert_invariants();
                 let n = snap.n();
-                assert!(n >= last_n, "published mass went backwards: {last_n} → {n}");
+                assert!(n >= last_n, "snapshot mass went backwards: {last_n} → {n}");
                 assert!(n <= total, "snapshot mass {n} exceeds stream total {total}");
                 if n > 0 {
                     let med = snap
@@ -210,19 +240,12 @@ fn snapshots_mid_propagation_are_sound() {
     let mut snap = engine.snapshot();
     let max_err = max_rank_error(&mut snap, all, eps);
     assert!(max_err <= eps, "mid-flight run drifted: {max_err} > {eps}");
-    let stats = engine.stats();
-    assert!(stats.snapshots >= 1);
-    assert_eq!(stats.snapshots_torn, 0, "quiescent final snapshot torn");
+    assert!(engine.stats().snapshots >= 1);
 }
 
-/// Four writers on a **one-shard** engine: they fold in live-lock order
-/// but reach the published slot in whatever order the scheduler likes,
-/// and a late writer must not put its older clone back over a newer
-/// one. A racing reader therefore sees the published mass only grow,
-/// always by whole batches, and once the writers are done the slot
-/// holds every row. (Red with the stamp comparison in the engine's
-/// `publish` removed: the slot goes backwards mid-run and can end the
-/// run stale.)
+/// Four writers on a **one-shard** engine, all contending for one
+/// lock. A racing reader sees the mass only grow, always by whole
+/// batches, and once the writers are done a snapshot holds every row.
 #[test]
 fn same_shard_writers_never_publish_backwards() {
     const WRITERS: u64 = 4;
@@ -245,13 +268,75 @@ fn same_shard_writers_never_publish_backwards() {
             let mut last_n = 0u64;
             while engine.n() < total {
                 let n = engine.snapshot().n();
-                assert!(n >= last_n, "published mass went backwards: {last_n} → {n}");
+                assert!(n >= last_n, "snapshot mass went backwards: {last_n} → {n}");
                 assert_eq!(n % ROWS, 0, "snapshot mass {n} splits a batch");
                 last_n = n;
             }
         });
     });
     assert_eq!(engine.n(), total);
-    assert_eq!(engine.snapshot().n(), total, "the slot ended the run stale");
+    assert_eq!(engine.snapshot().n(), total, "the run ended on a stale cut");
+    engine.assert_invariants();
+}
+
+/// Cuts are prefixes **across** shards. One writer deals batch `j` —
+/// eight copies of `j` — round-robin over four shards whose reservoirs
+/// are large enough to keep every row, so a snapshot's sample is the
+/// exact multiset it cut. The writer finishes fold `j` before it starts
+/// `j + 1`, so a state the engine was in holds the batches `0..m` for
+/// some `m` and nothing else; a cut assembled shard by shard could hold
+/// batch `j + 1` without batch `j`. The reader hands the writer a
+/// budget of `BURST` more folds just before each cut and the writer
+/// spins at the end of it, so every cut has folds racing it — on one
+/// time-sliced core too. (Red if the read path clones each shard under
+/// its own lock in turn instead of under all of them.)
+#[test]
+fn racing_cuts_are_prefixes_of_the_write_order() {
+    const BATCHES: u64 = 2_000;
+    const ROWS: u64 = 8;
+    const BURST: u64 = 16;
+    /// Lifts the writer's budget when the reader is done — or dead: a
+    /// failed assertion must not leave the writer spinning.
+    struct Unleash<'a>(&'a AtomicU64);
+    impl Drop for Unleash<'_> {
+        fn drop(&mut self) {
+            self.0.store(u64::MAX, Ordering::Release);
+        }
+    }
+    let total = BATCHES * ROWS;
+    let engine = ShardedEngine::new_with(4, 0, |i| {
+        ReservoirQuantiles::with_capacity(total as usize, 0xC07 + i as u64)
+    });
+    let assert_prefix = |snap: &mut ReservoirQuantiles<u64>| {
+        let len = snap.sample_len() as u64;
+        assert_eq!(len, snap.n(), "the reservoir dropped a row");
+        assert_eq!(len % ROWS, 0, "cut of {len} rows splits a batch");
+        // The i-th smallest sample, for every i: batch i / ROWS.
+        let phis: Vec<f64> = (0..len).map(|i| (i as f64 + 0.5) / len as f64).collect();
+        for (i, got) in snap.quantiles(&phis).into_iter().enumerate() {
+            let want = i as u64 / ROWS;
+            assert_eq!(got, Some(want), "{len} rows, but not the first batches");
+        }
+    };
+    let budget = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            for j in 0..BATCHES {
+                while j >= budget.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                engine.ingest_batch(&[j; ROWS as usize]);
+            }
+        });
+        let _unleash = Unleash(&budget);
+        while engine.n() < total && !writer.is_finished() {
+            // One writer: the epoch is the number of batches folded.
+            budget.store(engine.stats().epoch + BURST, Ordering::Release);
+            assert_prefix(&mut engine.snapshot());
+        }
+    });
+    let mut last = engine.snapshot();
+    assert_eq!(last.n(), total);
+    assert_prefix(&mut last);
     engine.assert_invariants();
 }

@@ -90,7 +90,8 @@ impl LatencyHistogram {
 pub struct EngineTotals {
     /// Elements folded into shard summaries across all tenants.
     pub items: u64,
-    /// Sum of every tenant engine's epoch (one tick per publication).
+    /// Sum of every tenant engine's epoch (one tick per fold: an
+    /// acknowledged `INSERT_BATCH` or `MERGE_SNAPSHOT`).
     pub epoch: u64,
     /// Merged snapshots rebuilt (query-path cache misses).
     pub snapshots: u64,

@@ -779,6 +779,12 @@ fn err(msg: String) -> Response {
     }
 }
 
+/// The reply to a `MERGE_SNAPSHOT` whose frame decoded but which
+/// `ShardedEngine::try_absorb` handed back: the engine does not say
+/// which of its two reasons applied, so the reply names both.
+const MERGE_REFUSED: &str = "merge snapshot: refused — accuracy configuration incompatible \
+     with this tenant, or the summary's count would take the tenant's past i64::MAX";
+
 /// Executes one request against the tenant registry. Every failure is
 /// an error *reply* — malformed payloads, out-of-universe values, and
 /// incompatible snapshots must never panic a worker.
@@ -872,11 +878,7 @@ where
                                 n: engine.n(),
                                 seq: store.last_append(req.tenant),
                             })),
-                            Err(_) => {
-                                err("merge snapshot: accuracy configuration incompatible with \
-                                 this tenant"
-                                    .to_owned())
-                            }
+                            Err(_) => err(MERGE_REFUSED.to_owned()),
                         }
                     }
                     None => match engine.try_absorb(summary) {
@@ -884,10 +886,7 @@ where
                             n: engine.n(),
                             seq: 0,
                         })),
-                        Err(_) => err(
-                            "merge snapshot: accuracy configuration incompatible with this tenant"
-                                .to_owned(),
-                        ),
+                        Err(_) => err(MERGE_REFUSED.to_owned()),
                     },
                 }
             }

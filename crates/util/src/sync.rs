@@ -3,8 +3,9 @@
 //!
 //! The static lock-discipline pass (`sqs-analyze`, rules
 //! `SQS-L01`/`SQS-L02` — see `docs/ANALYSIS.md`) proves ordering only
-//! where shard indices are compile-time constants; the engine's merge
-//! and audit paths pick shard indices at runtime. `OrderedMutex`
+//! where shard indices are compile-time constants; the engine's read
+//! path — every snapshot-cache miss, and the invariant audit — holds
+//! *all* its shard locks at once, taken by a runtime loop. `OrderedMutex`
 //! closes that gap dynamically: every mutex carries a
 //! `(domain, rank)` pair, a thread-local stack records which pairs the
 //! current thread holds, and a debug-build acquisition whose rank is
@@ -18,7 +19,8 @@
 //!   (or engine locks vs. service locks) never constrain each other.
 //! * **Ranks** order locks within a domain: the engine uses the shard
 //!   index, making "shard locks only in ascending order" a machine-
-//!   checked rule rather than a comment.
+//!   checked rule rather than a comment — checked on every cut a
+//!   debug-build test takes.
 //! * Re-entrant acquisition is a rank-not-above-itself violation, so
 //!   self-deadlock panics too.
 //!

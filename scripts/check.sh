@@ -61,10 +61,14 @@ echo "== turnstile batch floors (cargo test --release -p sqs-turnstile --test ba
 cargo test -q --release -p sqs-turnstile --test batch_floor
 
 # The engine's stress tests spawn up to 8 writer threads per test (plus
-# a racing reader); a single-threaded test runner keeps them from
-# oversubscribing the host. Which shard a batch lands in depends on the
-# schedule, so the tests assert only what holds for any partition.
-# RUSTFLAGS promotes warnings so the crate stays warning-clean even
+# a racing reader or auditor); a single-threaded test runner keeps them
+# from oversubscribing the host. Which shard a batch lands in depends on
+# the schedule, so the tests assert only what holds for any partition —
+# and, since every cut is taken under all shard locks, that a racing
+# snapshot is always a state the engine was in (whole batches, prefixes
+# of the write order, invariants clean mid-run). A debug build on
+# purpose: OrderedMutex then checks the ascending acquisition on every
+# cut. RUSTFLAGS promotes warnings so the crate stays warning-clean even
 # where clippy's --lib/--bins gate can't see (integration tests).
 echo "== engine stress (cargo test -p sqs-engine, single-threaded runner) =="
 RUSTFLAGS="${RUSTFLAGS:--D warnings}" cargo test -q -p sqs-engine -- --test-threads=1
@@ -96,17 +100,20 @@ cargo test -q -p sqs-service --test window_stress
 
 # The benchmark (benchmark/README.md, BENCHMARK.json) is a package of
 # its own that the workspace commands above never build: run its unit
-# tests (oracle, trace, JSON, catalogue == BENCHMARK.json) and a
-# two-second `query_mix`, `ingest_mem` (the write path: every frame
-# sealed and verified on both hops) and `paper_suite` (the only workload
-# that runs GK, MRL99, the q-digest and the scalar entry points), each
-# of which exits non-zero if a single operation fails its exact-oracle
-# check. CARGO_TARGET_DIR keeps the build under the root target/ so no
-# benchmark/target/ appears.
-echo "== benchmark self-tests + query_mix, ingest_mem and paper_suite smokes =="
+# tests (oracle, trace, JSON, catalogue == BENCHMARK.json) and two
+# seconds of every catalogued workload — `query_mix`, `ingest_mem` (the
+# write path: every frame sealed and verified on both hops),
+# `turnstile_mix` (the DCS backend), `window_mix` (the ring on a virtual
+# clock) and `paper_suite` (the only workload that runs GK, MRL99, the
+# q-digest and the scalar entry points) — each of which exits non-zero
+# if a single operation fails its exact-oracle check, so a change under
+# crates/ cannot reach the benchmark driver with a workload that does
+# not build or answers wrongly. CARGO_TARGET_DIR keeps the build under
+# the root target/ so no benchmark/target/ appears.
+echo "== benchmark self-tests + a 2 s smoke of all five workloads =="
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-for workload in query_mix ingest_mem paper_suite; do
+for workload in query_mix ingest_mem turnstile_mix window_mix paper_suite; do
     CARGO_TARGET_DIR="$PWD/target/benchmark" \
         cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null

@@ -140,7 +140,7 @@ fn turnstile_summaries_hold_invariants_on_all_streams() {
 /// engine by four writers between prime-strided checkpoints. Which
 /// shard a batch lands in is the round-robin router's choice and
 /// depends on the schedule; the engine's own invariants (mass
-/// conservation, the epoch/fold ledger, cache coherence) must hold for
+/// conservation, cache coherence) must hold for
 /// any of them once the writers have joined, and each post-merge
 /// snapshot is audited too — a merge tree must hand back a structurally
 /// sound summary, not just an accurate one.

@@ -309,6 +309,56 @@ fn hostile_qdigest_snapshots_get_error_replies() {
     server.join();
 }
 
+/// A `MERGE_SNAPSHOT` whose summary lies about its count: an honest
+/// `RandomSketch` frame with `n` overwritten and the frame re-sealed
+/// decodes and passes the audit (`Σ ≤ n` is all `random.mass_bound`
+/// asks), and absorbing it would wrap the tenant's count — 100 rows +
+/// (u64::MAX − 5) reads 94. It gets an error reply, the tenant's `n`
+/// does not move, and the connection goes on answering.
+#[test]
+fn snapshot_claiming_a_wrapping_count_gets_an_error_reply() {
+    use streaming_quantiles::sqs_core::codec::{seal, WireCodec};
+
+    let server = test_server(23);
+    let mut client = connect(server.addr());
+    let tenant = 9u64;
+    let rows: Vec<u64> = (0..100).collect();
+    assert_eq!(client.insert_batch(tenant, &rows).expect("insert").n, 100);
+
+    // Bytes 36..44 are the body's `n`: 16 of frame header, then ε (8),
+    // h (4) and s (8).
+    let claiming = |n: u64| {
+        let mut honest = RandomSketch::new(EPS, 1);
+        honest.insert_batch(&[1, 2, 3, 4, 5, 6]);
+        let mut frame = WireCodec::to_bytes(&mut honest);
+        frame.truncate(frame.len() - 8);
+        frame[36..44].copy_from_slice(&n.to_le_bytes());
+        seal(&mut frame);
+        assert_eq!(
+            RandomSketch::<u64>::from_bytes(&frame).map(|s| s.n()),
+            Ok(n)
+        );
+        frame
+    };
+    for (at, n) in [u64::MAX - 5, i64::MAX as u64].into_iter().enumerate() {
+        match client.merge_snapshot(tenant, claiming(n)) {
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains("past i64::MAX"), "n = {n}: {msg}")
+            }
+            other => panic!("n = {n}: not refused: {other:?}"),
+        }
+        // The worker is alive and the tenant untouched.
+        let ack = client.insert_batch(tenant, &[7]).expect("next request");
+        assert_eq!(ack.n, 101 + at as u64, "after n = {n}");
+    }
+    // The same frame with its honest count is welcome.
+    let ack = client.merge_snapshot(tenant, claiming(6)).expect("honest");
+    assert_eq!(ack.n, 102 + 6);
+
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn stats_reports_ingest_and_tenants() {
     let server = test_server(41);
