@@ -55,7 +55,10 @@ pub const KIND_RESERVOIR: u8 = 3;
 /// Kind tag of the Dyadic Count-Sketch turnstile summary
 /// (`sqs_turnstile::TurnstileSummary<CountSketch>` — implemented in
 /// `sqs-turnstile` to keep this crate free of the sketch dependency).
-pub const KIND_DCS: u8 = 4;
+/// Tag 4 is retired: it carried the two-hash-family row form (a
+/// pairwise `(a, b)` beside the 4-wise coefficients) and is refused
+/// with [`CodecError::BadKind`].
+pub const KIND_DCS: u8 = 5;
 
 /// Fixed frame header length: magic(4) + version(1) + kind(1) +
 /// reserved(2) + body length(8).

@@ -8,8 +8,9 @@
 //!
 //! Experiments: fig4 fig5 fig6 fig7 fig8 tab34 fig9 fig10 fig11 fig12
 //! xcompare ablation claims (see DESIGN.md §2 for what each
-//! reproduces). `sqs-exp plot <figure>` renders a previously-written
-//! CSV as an ASCII chart.
+//! reproduces). `claims` exits non-zero unless every verdict is PASS.
+//! `sqs-exp plot <figure>` renders a previously-written CSV as an
+//! ASCII chart.
 //! Defaults are laptop-scale; raise `--n`/`--trials` toward paper
 //! scale (n = 10⁷–10¹⁰, 100 trials) as time permits.
 
@@ -135,6 +136,18 @@ fn main() -> ExitCode {
             }
         }
         println!("### {id} done in {:.1}s", t0.elapsed().as_secs_f64());
+        // `claims` is a gate (scripts/check.sh, CI): anything but PASS
+        // on every row — a FAIL, or a SKIP for a missing CSV — fails it.
+        let open = tables
+            .iter()
+            .filter(|t| t.id == "claims")
+            .flat_map(|t| &t.rows)
+            .filter(|row| row.last().map(String::as_str) != Some("PASS"))
+            .count();
+        if open > 0 {
+            eprintln!("claims: {open} verdict(s) not PASS");
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -78,3 +78,37 @@ pub fn panels(cells: &[TurnstileCell], prefix: &str, dataset: &str) -> Vec<Table
     }
     vec![a, b, c, d, e]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqs_turnstile::{new_dcm, new_dcs};
+    use sqs_util::SpaceUsage;
+
+    /// Space is data-independent, so the committed Fig. 10c must agree
+    /// with the same structures built empty from this tree: a sizing
+    /// change (a level cutoff, a row's coefficient count) that did not
+    /// regenerate `results/` trips here in milliseconds.
+    #[test]
+    fn committed_fig10c_space_is_this_trees() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fig10c.csv");
+        let csv = std::fs::read_to_string(path).expect("results/fig10c.csv is committed");
+        let mut rows = csv.lines().skip(1);
+        for algo in ["DCM", "DCS", "Post"] {
+            for eps in ExpConfig::default().eps_sweep_turnstile() {
+                let bytes = match algo {
+                    "DCM" => new_dcm(eps, MPCAT_LOG_U, 0).space_bytes(),
+                    _ => new_dcs(eps, MPCAT_LOG_U, 0).space_bytes(),
+                };
+                let row = rows.next().unwrap_or_default();
+                let want = format!("{algo},{},", fkb(bytes));
+                assert!(
+                    row.starts_with(&want),
+                    "fig10c.csv row {row:?} should start {want:?} (eps = {eps}): \
+                     regenerate results/ with `sqs-exp fig10`"
+                );
+            }
+        }
+        assert_eq!(rows.next(), None, "fig10c.csv has rows past the sweep");
+    }
+}

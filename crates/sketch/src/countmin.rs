@@ -246,6 +246,22 @@ impl FrequencySketch for CountMin {
     fn universe(&self) -> u64 {
         self.universe
     }
+
+    // Each live copy adds 1 to exactly one counter per row.
+    fn check_live_mass(&self, live: u64) -> Result<(), String> {
+        for (i, row) in self.counters.chunks_exact(self.stride).enumerate() {
+            if let Some(j) = row.iter().position(|&c| c < 0) {
+                return Err(format!("Count-Min row {i} counter {j} is {}", row[j]));
+            }
+            let mass: u128 = row.iter().map(|c| u128::from(c.unsigned_abs())).sum();
+            if mass != u128::from(live) {
+                return Err(format!(
+                    "Count-Min row {i} sums to {mass}, live count is {live}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl MergeableSketch for CountMin {

@@ -2,7 +2,9 @@
 //! frequency estimator behind the paper's new `DCS` algorithm (§3.1).
 //!
 //! Per row `i`, item `x` is hashed to counter `h_i(x)` with sign
-//! `g_i(x) ∈ {−1,+1}` (4-wise independent); the estimator
+//! `g_i(x) ∈ {−1,+1}`, both read off **one** 4-wise independent value
+//! (see [`FourwiseHash::cell`]; DESIGN.md §3, "One hash per
+//! Count-Sketch row", states what the proof rests on); the estimator
 //! `g_i(x)·C[i, h_i(x)]` is **unbiased** with variance `F₂/w`, and the
 //! median over `d` rows concentrates it. Unbiasedness with a symmetric
 //! error distribution is exactly what lets §3.1 sum `log u` level
@@ -15,7 +17,7 @@
 // this module is on the `cargo xtask check` allowlist.
 
 use crate::{batch_scratch::CHUNK, FrequencySketch, MergeableSketch};
-use sqs_util::hash::{FourwiseHash, PairwiseHash};
+use sqs_util::hash::{fold_to_field, key_powers, FourwiseHash};
 use sqs_util::rng::Xoshiro256pp;
 use sqs_util::space::{words, SpaceUsage};
 
@@ -40,10 +42,9 @@ use sqs_util::space::{words, SpaceUsage};
 #[derive(Debug, Clone)]
 pub struct CountSketch {
     width: usize,
-    stride: usize,      // width rounded up to a cache line of i64s
-    counters: Vec<i64>, // d rows × stride, row-contiguous
-    bucket_hashes: Vec<PairwiseHash>,
-    sign_hashes: Vec<FourwiseHash>,
+    stride: usize,             // width rounded up to a cache line of i64s
+    counters: Vec<i64>,        // d rows × stride, row-contiguous
+    hashes: Vec<FourwiseHash>, // one 4-wise draw per row: bucket and sign
     universe: u64,
     #[cfg(any(test, feature = "audit"))]
     updates: u64,
@@ -57,8 +58,7 @@ impl PartialEq for CountSketch {
         self.width == other.width
             && self.stride == other.stride
             && self.counters == other.counters
-            && self.bucket_hashes == other.bucket_hashes
-            && self.sign_hashes == other.sign_hashes
+            && self.hashes == other.hashes
             && self.universe == other.universe
     }
 }
@@ -80,10 +80,7 @@ impl CountSketch {
             width,
             stride,
             counters: vec![0; stride * depth],
-            bucket_hashes: (0..depth)
-                .map(|_| PairwiseHash::new(rng, width as u64))
-                .collect(),
-            sign_hashes: (0..depth).map(|_| FourwiseHash::new(rng)).collect(),
+            hashes: (0..depth).map(|_| FourwiseHash::new(rng)).collect(),
             universe: u64::MAX,
             #[cfg(any(test, feature = "audit"))]
             updates: 0,
@@ -104,13 +101,13 @@ impl CountSketch {
 
     /// Number of rows.
     pub fn depth(&self) -> usize {
-        self.bucket_hashes.len()
+        self.hashes.len()
     }
 
     /// The AMS F₂ estimate: mean over rows of the summed squared
     /// counters (each row's sum is an unbiased F₂ estimator).
     pub fn f2_estimate(&self) -> f64 {
-        let d = self.bucket_hashes.len();
+        let d = self.hashes.len();
         self.counters
             .iter()
             .map(|&c| (c as f64) * (c as f64))
@@ -120,17 +117,24 @@ impl CountSketch {
 
     /// The per-row estimates `g_i(x)·C[i, h_i(x)]` (tests, diagnostics).
     pub fn row_estimates(&self, x: u64) -> Vec<i64> {
-        (0..self.depth())
-            .map(|i| {
-                let j = self.bucket_hashes[i].hash(x) as usize;
-                self.sign_hashes[i].sign(x) * self.counters[i * self.stride + j]
-            })
-            .collect()
+        let mut ests = vec![0; self.depth()];
+        self.fill_row_estimates(key_powers(fold_to_field(x)), &mut ests);
+        ests
     }
 
-    /// The per-row `(bucket_hash, sign_hash)` draws, for serialization.
-    pub fn rows(&self) -> impl Iterator<Item = (&PairwiseHash, &FourwiseHash)> {
-        self.bucket_hashes.iter().zip(self.sign_hashes.iter())
+    /// Writes one key's `d` row estimates, in ascending row order.
+    #[inline]
+    fn fill_row_estimates(&self, powers: [u64; 3], ests: &mut [i64]) {
+        let rows = self.counters.chunks_exact(self.stride);
+        for ((h, row), e) in self.hashes.iter().zip(rows).zip(ests) {
+            let (j, sign) = h.cell(powers, self.width as u64);
+            *e = sign * row[j];
+        }
+    }
+
+    /// The per-row hash draws, for serialization.
+    pub fn rows(&self) -> impl Iterator<Item = &FourwiseHash> {
+        self.hashes.iter()
     }
 
     /// The **logical** counters, row-major `d × w` with cache-line
@@ -150,7 +154,7 @@ impl CountSketch {
     pub fn from_parts(
         universe: u64,
         width: usize,
-        rows: Vec<(PairwiseHash, FourwiseHash)>,
+        rows: Vec<FourwiseHash>,
         counters: &[i64],
     ) -> Result<Self, &'static str> {
         if width == 0 || rows.is_empty() {
@@ -170,13 +174,11 @@ impl CountSketch {
         {
             dst[..width].copy_from_slice(src);
         }
-        let (bucket_hashes, sign_hashes) = rows.into_iter().unzip();
         Ok(Self {
             width,
             stride,
             counters: padded,
-            bucket_hashes,
-            sign_hashes,
+            hashes: rows,
             universe,
             #[cfg(any(test, feature = "audit"))]
             updates: 0,
@@ -189,32 +191,14 @@ impl sqs_util::audit::CheckInvariants for CountSketch {
         use sqs_util::audit::ensure;
         const ALG: &str = "CountSketch";
         ensure(
-            self.width > 0 && !self.bucket_hashes.is_empty(),
+            self.width > 0 && !self.hashes.is_empty(),
             ALG,
             "countsketch.shape_positive",
-            || {
-                format!(
-                    "width = {}, depth = {}",
-                    self.width,
-                    self.bucket_hashes.len()
-                )
-            },
-        )?;
-        ensure(
-            self.sign_hashes.len() == self.bucket_hashes.len(),
-            ALG,
-            "countsketch.hash_pairing",
-            || {
-                format!(
-                    "{} sign hashes for {} bucket hashes",
-                    self.sign_hashes.len(),
-                    self.bucket_hashes.len()
-                )
-            },
+            || format!("width = {}, depth = {}", self.width, self.hashes.len()),
         )?;
         ensure(
             self.stride == crate::row_stride(self.width)
-                && self.counters.len() == self.stride * self.bucket_hashes.len(),
+                && self.counters.len() == self.stride * self.hashes.len(),
             ALG,
             "countsketch.counter_layout",
             || {
@@ -223,7 +207,7 @@ impl sqs_util::audit::CheckInvariants for CountSketch {
                     self.counters.len(),
                     self.stride,
                     self.width,
-                    self.bucket_hashes.len()
+                    self.hashes.len()
                 )
             },
         )?;
@@ -237,17 +221,17 @@ impl sqs_util::audit::CheckInvariants for CountSketch {
             )?;
         }
         // Signs are ±1, so each row's sum has the parity of the total
-        // update mass — every row must agree on it.
-        let first: i64 = self.counters[..self.width].iter().sum();
-        for i in 1..self.bucket_hashes.len() {
-            let row: i64 = self.counters[i * self.stride..i * self.stride + self.width]
-                .iter()
-                .sum();
+        // update mass — every row must agree on it. (XOR of low bits:
+        // a decoded frame's counters may not be summable in an i64.)
+        let parity = |row: &[i64]| row.iter().fold(0, |acc, &c| acc ^ (c & 1));
+        let mut rows = self.counters.chunks_exact(self.stride);
+        let first = rows.next().map_or(0, parity);
+        for (i, row) in rows.enumerate() {
             ensure(
-                row.rem_euclid(2) == first.rem_euclid(2),
+                parity(row) == first,
                 ALG,
                 "countsketch.row_mass_parity",
-                || format!("row {i} sum {row} disagrees in parity with row 0 sum {first}"),
+                || format!("row {} disagrees in sum parity with row 0", i + 1),
             )?;
         }
         Ok(())
@@ -256,9 +240,11 @@ impl sqs_util::audit::CheckInvariants for CountSketch {
 
 impl FrequencySketch for CountSketch {
     fn update(&mut self, x: u64, delta: i64) {
-        for i in 0..self.bucket_hashes.len() {
-            let j = self.bucket_hashes[i].hash(x) as usize;
-            self.counters[i * self.stride + j] += self.sign_hashes[i].sign(x) * delta;
+        let powers = key_powers(fold_to_field(x));
+        let rows = self.counters.chunks_exact_mut(self.stride);
+        for (h, row) in self.hashes.iter().zip(rows) {
+            let (j, sign) = h.cell(powers, self.width as u64);
+            row[j] += sign * delta;
         }
         #[cfg(any(test, feature = "audit"))]
         {
@@ -269,33 +255,24 @@ impl FrequencySketch for CountSketch {
         }
     }
 
-    // Row-major batch walk: each chunk folds its keys into the field
-    // once — shared by both hash families of all d rows — and the row
-    // loop then walks the chunk row-major: sign polynomial into a
-    // scratch buffer, bucket polynomial fused with the scatter, all
-    // stores landing in one row window. `CHUNK` matches the ingest
-    // batch, so a batch is normally a single chunk and each row is
-    // touched in exactly one pass. State-identical to the scalar loop
-    // (additions commute in a row).
+    // Row-major batch walk: each chunk folds its keys and takes their
+    // powers once — shared by all d rows — and every row then makes one
+    // fused hash-and-scatter pass over the chunk, all stores landing in
+    // one row window. State-identical to the scalar loop (additions
+    // commute in a row).
     fn update_batch(&mut self, batch: &[(u64, i64)]) {
-        let mut keys = [0u64; CHUNK];
-        let mut sbuf = [0i64; CHUNK];
+        let mut powers = [[0u64; 3]; CHUNK];
+        let width = self.width as u64;
         for chunk in batch.chunks(CHUNK) {
-            let m = chunk.len();
-            for (k, &(x, _)) in keys.iter_mut().zip(chunk) {
-                *k = sqs_util::hash::fold_to_field(x);
+            for (p, &(x, _)) in powers.iter_mut().zip(chunk) {
+                *p = key_powers(fold_to_field(x));
             }
-            for (i, (h, g)) in self
-                .bucket_hashes
-                .iter()
-                .zip(self.sign_hashes.iter())
-                .enumerate()
-            {
-                g.sign_folded_batch(&keys[..m], &mut sbuf[..m]);
-                let row = &mut self.counters[i * self.stride..i * self.stride + self.width];
-                h.buckets_folded_for_each(&keys[..m], |k, j| {
-                    row[j as usize] += sbuf[k] * chunk[k].1;
-                });
+            let rows = self.counters.chunks_exact_mut(self.stride);
+            for (h, row) in self.hashes.iter().zip(rows) {
+                for (&p, &(_, delta)) in powers.iter().zip(chunk) {
+                    let (j, sign) = h.cell(p, width);
+                    row[j] += sign * delta;
+                }
             }
         }
         #[cfg(any(test, feature = "audit"))]
@@ -313,65 +290,36 @@ impl FrequencySketch for CountSketch {
         *ests.select_nth_unstable(mid).1
     }
 
-    // Read-side dual of `update_batch`: small query sets gather one
-    // key across all d rows (buckets + signs in two register-resident
-    // passes); larger sweeps fold the chunk's keys once and fill a
-    // key-major estimate matrix row-major, each sketch row read in one
-    // L1-resident pass. Either way every key's d row estimates land in
-    // ascending row order — the exact slice `row_estimates` builds —
-    // before the same `select_nth_unstable` median, so answers are
-    // bit-identical to the scalar estimate.
+    // Key-major: a key's powers are taken once and its d row estimates
+    // land in ascending row order — the exact slice `row_estimates`
+    // builds — before the same `select_nth_unstable` median, so answers
+    // are bit-identical to the scalar estimate.
     fn estimate_batch(&self, xs: &[u64], out: &mut [i64]) {
         assert_eq!(xs.len(), out.len(), "estimate_batch: slice length mismatch");
-        let d = self.bucket_hashes.len();
-        let mid = d / 2;
-        if xs.len() <= 16 && d <= 64 {
-            let mut jb = [0u64; 64];
-            let mut sb = [0i64; 64];
-            let mut ests = [0i64; 64];
-            for (&x, o) in xs.iter().zip(out) {
-                let xf = sqs_util::hash::fold_to_field(x);
-                sqs_util::hash::buckets_folded_gather(&self.bucket_hashes, xf, &mut jb[..d]);
-                sqs_util::hash::signs_folded_gather(&self.sign_hashes, xf, &mut sb[..d]);
-                for i in 0..d {
-                    ests[i] = sb[i] * self.counters[i * self.stride + jb[i] as usize];
-                }
-                *o = *ests[..d].select_nth_unstable(mid).1;
-            }
-            return;
-        }
-        let mut keys = [0u64; CHUNK];
-        let mut jbuf = [0u64; CHUNK];
-        let mut sbuf = [0i64; CHUNK];
-        let mut ests = Vec::new();
-        for (chunk, out_c) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let m = chunk.len();
-            for (k, &x) in keys.iter_mut().zip(chunk) {
-                *k = sqs_util::hash::fold_to_field(x);
-            }
-            ests.clear();
-            ests.resize(m * d, 0i64);
-            for (i, (h, g)) in self
-                .bucket_hashes
-                .iter()
-                .zip(self.sign_hashes.iter())
-                .enumerate()
-            {
-                h.hash_folded_batch(&keys[..m], &mut jbuf[..m]);
-                g.sign_folded_batch(&keys[..m], &mut sbuf[..m]);
-                let row = &self.counters[i * self.stride..i * self.stride + self.width];
-                for k in 0..m {
-                    ests[k * d + i] = sbuf[k] * row[jbuf[k] as usize];
-                }
-            }
-            for (k, o) in out_c.iter_mut().enumerate() {
-                *o = *ests[k * d..(k + 1) * d].select_nth_unstable(mid).1;
-            }
+        let mut ests = vec![0i64; self.hashes.len()];
+        let mid = ests.len() / 2;
+        for (&x, o) in xs.iter().zip(out) {
+            self.fill_row_estimates(key_powers(fold_to_field(x)), &mut ests);
+            *o = *ests.select_nth_unstable(mid).1;
         }
     }
 
     fn universe(&self) -> u64 {
         self.universe
+    }
+
+    // Each live copy adds ±1 to one counter per row, so a row's
+    // absolute mass is at most the live count (collisions only cancel).
+    fn check_live_mass(&self, live: u64) -> Result<(), String> {
+        for (i, row) in self.counters.chunks_exact(self.stride).enumerate() {
+            let mass: u128 = row.iter().map(|c| u128::from(c.unsigned_abs())).sum();
+            if mass > u128::from(live) {
+                return Err(format!(
+                    "Count-Sketch row {i} holds absolute mass {mass}, live count is {live}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// §3.2.4: the variance of a single-row estimate is `F₂/w`, and a
@@ -408,10 +356,7 @@ impl FrequencySketch for CountSketch {
 
 impl MergeableSketch for CountSketch {
     fn merge_compatible(&self, other: &Self) -> bool {
-        self.width == other.width
-            && self.universe == other.universe
-            && self.bucket_hashes == other.bucket_hashes
-            && self.sign_hashes == other.sign_hashes
+        self.width == other.width && self.universe == other.universe && self.hashes == other.hashes
     }
 
     fn merge_from(&mut self, other: &Self) {
@@ -431,9 +376,9 @@ impl MergeableSketch for CountSketch {
 
 impl SpaceUsage for CountSketch {
     fn space_bytes(&self) -> usize {
-        // w·d counters + 2 pairwise + 4 fourwise coefficients per row.
+        // w·d counters + 4 polynomial coefficients per row.
         // Logical size: cache-line padding is layout, not sketch state.
-        words(self.width * self.bucket_hashes.len() + 6 * self.bucket_hashes.len())
+        words(self.width * self.hashes.len() + 4 * self.hashes.len())
     }
 }
 
@@ -523,16 +468,14 @@ mod tests {
 
     #[test]
     fn batch_is_state_identical_to_scalar() {
-        // Unpadded width (100 → stride 104) exercises the padding lanes.
+        // Unpadded width (100 → stride 104) exercises the padding lanes;
+        // 2500 keys over all of `u64` (most ≥ p) leave a chunk tail.
         let mut rng = Xoshiro256pp::new(36);
         let mut scalar = CountSketch::new(100, 7, &mut rng);
         let mut batched = scalar.clone();
         let mut stream_rng = Xoshiro256pp::new(37);
-        let batch: Vec<(u64, i64)> = (0..1000)
-            .map(|i| {
-                let x = stream_rng.next_below(1 << 30);
-                (x, if i % 3 == 2 { -1 } else { 1 })
-            })
+        let batch: Vec<(u64, i64)> = (0..2500)
+            .map(|i| (stream_rng.next_u64(), if i % 3 == 2 { -1 } else { 1 }))
             .collect();
         for &(x, d) in &batch {
             scalar.update(x, d);
@@ -543,17 +486,16 @@ mod tests {
 
     #[test]
     fn estimate_batch_is_bit_identical_to_scalar() {
-        // Exercises both the gather path (≤16 queries) and the
-        // row-major chunked path, plus the chunk-boundary tail.
         let mut rng = Xoshiro256pp::new(42);
         let mut cs = CountSketch::new(100, 7, &mut rng);
         let mut stream_rng = Xoshiro256pp::new(43);
         for _ in 0..20_000 {
             cs.update(stream_rng.next_below(1 << 20), 1);
         }
-        for n in [1usize, 3, 16, 17, 100, 1024, 1025, 2500] {
+        for n in [1usize, 3, 17, 1003] {
+            // Every other query is a fed key, the rest span all of u64.
             let xs: Vec<u64> = (0..n as u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9) % (1 << 20))
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (44 * (i % 2)))
                 .collect();
             let mut out = vec![0i64; n];
             cs.estimate_batch(&xs, &mut out);
@@ -590,7 +532,7 @@ mod tests {
         for x in 0..2000u64 {
             cs.update(x % 300, 1);
         }
-        let rows: Vec<_> = cs.rows().map(|(h, g)| (h.clone(), g.clone())).collect();
+        let rows: Vec<_> = cs.rows().cloned().collect();
         let rebuilt =
             CountSketch::from_parts(cs.universe(), cs.width(), rows, &cs.logical_counters())
                 .expect("invariant: parts round-trip from a live sketch");
@@ -603,7 +545,7 @@ mod tests {
     fn from_parts_rejects_shape_mismatch() {
         let mut rng = Xoshiro256pp::new(40);
         let cs = CountSketch::new(16, 3, &mut rng);
-        let rows: Vec<_> = cs.rows().map(|(h, g)| (h.clone(), g.clone())).collect();
+        let rows: Vec<_> = cs.rows().cloned().collect();
         assert!(CountSketch::from_parts(1, 16, rows.clone(), &[0; 47]).is_err());
         assert!(CountSketch::from_parts(0, 16, rows.clone(), &[0; 48]).is_err());
         assert!(CountSketch::from_parts(1, 0, rows, &[]).is_err());
@@ -629,13 +571,13 @@ mod corruption {
     }
 
     #[test]
-    fn auditor_catches_dropped_sign_hash() {
+    fn auditor_catches_dropped_row_hash() {
         let mut rng = Xoshiro256pp::new(61);
         let mut cs = CountSketch::new(32, 4, &mut rng);
-        cs.sign_hashes.pop();
+        cs.hashes.pop();
         assert_eq!(
             cs.check_invariants().unwrap_err().invariant,
-            "countsketch.hash_pairing"
+            "countsketch.counter_layout"
         );
     }
 }

@@ -54,9 +54,9 @@ pub(crate) mod batch_scratch {
     /// overrides. Sized to the engine/service ingest batch (1024), so
     /// a whole application batch folds its keys **once** — shared by
     /// every row — and each row then makes a single pass over it with
-    /// its counters L1-resident. 1024 keys × (8-byte key + 8-byte
-    /// sign) = 16 KiB of scratch, comfortably inside a 48 KiB L1
-    /// alongside one sketch row.
+    /// its counters L1-resident. The scratch is at most 1024 keys ×
+    /// 24 bytes (the Count-Sketch's three key powers) = 24 KiB, inside
+    /// a 48 KiB L1 alongside one sketch row.
     pub(crate) const CHUNK: usize = 1024;
 }
 
@@ -120,6 +120,21 @@ pub trait FrequencySketch: SpaceUsage + CheckInvariants {
 
     /// The universe size this sketch summarizes.
     fn universe(&self) -> u64;
+
+    /// Checks the counters against the number of live items `live` the
+    /// sketch summarizes, in the **strict** turnstile model (no item's
+    /// multiplicity ever negative). A linear sketch's state is then a
+    /// function of the live multiset alone, which bounds every row:
+    /// Count-Sketch rows hold `Σ|C| ≤ live`, Count-Min rows `C ≥ 0`
+    /// and `ΣC = live`. Only the owner of the exact live count can ask
+    /// (the dyadic structures' `dyadic.sketch_level_mass` audit);
+    /// with it, no counter a decoded frame carries exceeds its claimed
+    /// `n`. `Err` describes the first offending row. The default
+    /// checks nothing.
+    fn check_live_mass(&self, live: u64) -> Result<(), String> {
+        let _ = live;
+        Ok(())
+    }
 
     /// An estimate of the variance of [`estimate`](Self::estimate) —
     /// used by the DCS post-processing (§3.2.4: "the Count-Sketch

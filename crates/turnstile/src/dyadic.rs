@@ -266,19 +266,27 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     /// # Panics
     /// Panics if any element lies outside the universe.
     pub fn update_batch(&mut self, batch: &[(u64, i64)]) {
-        for &(x, _) in batch {
-            assert!(x < self.universe.size(), "element {x} outside universe");
-        }
-        self.live += batch.iter().map(|&(_, d)| d).sum::<i64>();
+        let reduced = batch
+            .iter()
+            .map(|&(x, delta)| (self.reduce(x), delta))
+            .collect();
+        self.fold(reduced);
+    }
+
+    /// An element as the lowest stored level keys it: the level walk
+    /// starts at the cutoff, so one shift here replaces the truncated
+    /// levels' per-level passes.
+    fn reduce(&self, x: u64) -> u64 {
+        assert!(x < self.universe.size(), "element {x} outside universe");
+        x >> self.cutoff
+    }
+
+    /// The one batched fold behind [`update_batch`](Self::update_batch)
+    /// and `insert_batch`: `reduced` holds `(reduce(x), delta)` and is
+    /// shifted in place as the walk climbs.
+    fn fold(&mut self, mut reduced: Vec<(u64, i64)>) {
+        self.live += reduced.iter().map(|&(_, d)| d).sum::<i64>();
         self.version += 1;
-        let mut reduced = batch.to_vec();
-        if self.cutoff > 0 {
-            // The level walk starts at the cutoff: one bulk shift
-            // replaces the truncated levels' per-level passes.
-            for (x, _) in reduced.iter_mut() {
-                *x >>= self.cutoff;
-            }
-        }
         for store in self.levels[self.cutoff as usize..].iter_mut() {
             match store {
                 Level::Exact(e) => e.update_batch(&reduced),
@@ -291,7 +299,7 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         }
         #[cfg(any(test, feature = "audit"))]
         {
-            self.updates += batch.len() as u64;
+            self.updates += reduced.len() as u64;
             if sqs_util::audit::audit_point(self.updates) {
                 sqs_util::audit::CheckInvariants::assert_invariants(self);
             }
@@ -665,7 +673,18 @@ impl<S: FrequencySketch> sqs_util::audit::CheckInvariants for DyadicQuantiles<S>
             // Recurse into the per-level store's own invariants.
             match store {
                 Level::Exact(e) => e.check_invariants()?,
-                Level::Sketch(s) => s.check_invariants()?,
+                Level::Sketch(s) => {
+                    s.check_invariants()?;
+                    // A sketched level summarizes the same live multiset
+                    // (strict turnstile model), which bounds its rows.
+                    if let Err(row) = s.check_live_mass(self.live.unsigned_abs()) {
+                        return Err(sqs_util::audit::InvariantViolation::new(
+                            ALG,
+                            "dyadic.sketch_level_mass",
+                            format!("level {i}: {row}"),
+                        ));
+                    }
+                }
                 Level::Truncated => {}
             }
             if let Level::Exact(e) = store {
@@ -740,8 +759,8 @@ impl<S: FrequencySketch> TurnstileQuantiles for DyadicQuantiles<S> {
     }
 
     fn insert_batch(&mut self, xs: &[u64]) {
-        let batch: Vec<(u64, i64)> = xs.iter().map(|&x| (x, 1)).collect();
-        self.update_batch(&batch);
+        let reduced = xs.iter().map(|&x| (self.reduce(x), 1)).collect();
+        self.fold(reduced);
     }
 
     fn live(&self) -> u64 {
@@ -1001,6 +1020,38 @@ mod corruption {
         let err = d.check_invariants().unwrap_err();
         assert_eq!(err.algorithm, "Dyadic");
         assert_eq!(err.invariant, "dyadic.exact_level_mass");
+    }
+
+    #[test]
+    fn auditor_catches_a_sketch_counter_heavier_than_live() {
+        use sqs_sketch::FrequencySketch;
+        // An even delta keeps the rows' parity agreement, so only the
+        // live-mass bound can see it.
+        let mut d = crate::new_dcs(0.2, 12, 1);
+        for x in 0..6u64 {
+            d.insert(x * 600);
+        }
+        let Some(super::Level::Sketch(s)) = d.levels.first_mut() else {
+            panic!("level 0 of dcs(0.2, 12) is sketched");
+        };
+        s.update(0, 1 << 62);
+        let err = d.check_invariants().unwrap_err();
+        assert_eq!(err.algorithm, "Dyadic");
+        assert_eq!(err.invariant, "dyadic.sketch_level_mass");
+
+        // Count-Min rows must total the live count exactly.
+        let mut d = crate::new_dcm(0.2, 12, 1);
+        for x in 0..6u64 {
+            d.insert(x * 600);
+        }
+        let Some(super::Level::Sketch(s)) = d.levels.first_mut() else {
+            panic!("level 0 of dcm(0.2, 12) is sketched");
+        };
+        s.update(0, 2);
+        assert_eq!(
+            d.check_invariants().unwrap_err().invariant,
+            "dyadic.sketch_level_mass"
+        );
     }
 
     #[test]

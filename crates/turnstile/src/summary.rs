@@ -18,7 +18,7 @@ use sqs_core::codec::{put_u64_slice, CodecError, Reader, WireCodec, KIND_DCS};
 use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_sketch::{CountMin, CountSketch, ExactCounts, FrequencySketch, MergeableSketch};
 use sqs_util::audit::{CheckInvariants, InvariantViolation};
-use sqs_util::hash::{FourwiseHash, PairwiseHash};
+use sqs_util::hash::FourwiseHash;
 use sqs_util::SpaceUsage;
 
 /// A dyadic turnstile structure wearing the cash-register
@@ -130,7 +130,7 @@ where
 //     u8 tag — 0 = exact, 1 = sketch, 2 = truncated
 //     exact:     u64-vec of counts (i64 bits)
 //     sketch:    u64 width, u64 depth,
-//                depth × (u64 a, u64 b, 4×u64 sign coeffs),
+//                depth × 4×u64 polynomial coeffs (c0..c3),
 //                u64-vec of logical d×w counters (i64 bits)
 //     truncated: nothing — the tag is the whole level. The level
 //                cutoff thus travels implicitly as the leading run of
@@ -157,11 +157,8 @@ impl WireCodec for TurnstileSummary<CountSketch> {
                     out.push(TAG_SKETCH);
                     out.extend_from_slice(&(s.width() as u64).to_le_bytes());
                     out.extend_from_slice(&(s.depth() as u64).to_le_bytes());
-                    for (h, g) in s.rows() {
-                        let (a, b) = h.params();
-                        out.extend_from_slice(&a.to_le_bytes());
-                        out.extend_from_slice(&b.to_le_bytes());
-                        for c in g.coeffs() {
+                    for h in s.rows() {
+                        for c in h.coeffs() {
                             out.extend_from_slice(&c.to_le_bytes());
                         }
                     }
@@ -196,15 +193,13 @@ impl WireCodec for TurnstileSummary<CountSketch> {
                         .map_err(|_| CodecError::Malformed("sketch depth exceeds address space"))?;
                     let mut rows = Vec::new();
                     for _ in 0..depth {
-                        let (a, b) = (r.u64()?, r.u64()?);
-                        let h = PairwiseHash::from_params(a, b, width as u64)
-                            .map_err(CodecError::Malformed)?;
                         let mut coeffs = [0u64; 4];
                         for c in &mut coeffs {
                             *c = r.u64()?;
                         }
-                        let g = FourwiseHash::from_coeffs(coeffs).map_err(CodecError::Malformed)?;
-                        rows.push((h, g));
+                        rows.push(
+                            FourwiseHash::from_coeffs(coeffs).map_err(CodecError::Malformed)?,
+                        );
                     }
                     let counters: Vec<i64> = r.u64_vec()?.into_iter().map(|v| v as i64).collect();
                     let s = CountSketch::from_parts(cells, width, rows, &counters)

@@ -3,10 +3,13 @@
 //! The turnstile sketches of the paper (§3) require
 //!
 //! * a **pairwise-independent** family `h_i : [u] → [w]` to spread
-//!   elements over the `w` counters of a sketch row, and
-//! * a **4-wise independent** family `g_i : [u] → {−1, +1}` for the
-//!   Count-Sketch sign (4-wise independence is what makes the variance
-//!   analysis of §3.1 / Appendix A.3 go through).
+//!   elements over the `w` counters of a Count-Min / subset-sum row
+//!   ([`PairwiseHash`]), and
+//! * for the Count-Sketch a bucket `h_i(x)` *and* a sign
+//!   `g_i(x) ∈ {−1, +1}` whose 4-wise independence across keys is what
+//!   makes the variance analysis of §3.1 / Appendix A.3 go through.
+//!   Both are read off **one** 4-wise independent value per (key, row)
+//!   ([`FourwiseHash::cell`]), so the pair is 4-wise independent too.
 //!
 //! Both are realized as random polynomials over GF(p) with
 //! p = 2^61 − 1: a degree-(k−1) polynomial with uniform coefficients is
@@ -264,8 +267,24 @@ impl PairwiseHash {
     }
 }
 
+/// The powers `[x, x², x³]` of a key already folded into `[0, p)` (see
+/// [`fold_to_field`]), each fully reduced. A key pays these two
+/// products once; every [`FourwiseHash`] row then evaluates its
+/// polynomial over them with independent products (see
+/// [`FourwiseHash::cell`]).
+#[inline]
+#[must_use]
+pub fn key_powers(xf: u64) -> [u64; 3] {
+    debug_assert!(xf < MERSENNE_P, "key_powers: key must be pre-folded");
+    let x2 = fold_p(lazy_reduce((xf as u128) * (xf as u128)));
+    let x3 = fold_p(lazy_reduce((x2 as u128) * (xf as u128)));
+    [xf, x2, x3]
+}
+
 /// A 4-wise independent hash function `[2^64] → [0, p)` realized as a
-/// uniform degree-3 polynomial over GF(2^61 − 1).
+/// uniform degree-3 polynomial over GF(2^61 − 1) — the **one** hash a
+/// Count-Sketch row draws: sign and bucket are both read off its value
+/// (see [`cell`](Self::cell)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FourwiseHash {
     /// Coefficients `c3 x^3 + c2 x^2 + c1 x + c0`, each in `[0, p)`.
@@ -285,102 +304,58 @@ impl FourwiseHash {
         }
     }
 
-    /// Evaluates the polynomial at `x` (Horner's rule), result in
-    /// `[0, p)`.
+    /// Evaluates the polynomial over a key's [`key_powers`], result in
+    /// `[0, p)`. The three products are independent (no Horner chain):
+    /// each is `< 2^122`, so their `u128` sum is `< 2^124`, its
+    /// [`lazy_reduce`] `< 2^63`, and `c0` rides in as a plain `u64` add
+    /// (`< 5·2^61`) before the one exact [`fold_p`].
+    #[inline]
+    fn eval(&self, [x1, x2, x3]: [u64; 3]) -> u64 {
+        let [c0, c1, c2, c3] = self.coeffs;
+        let sum =
+            (c3 as u128) * (x3 as u128) + (c2 as u128) * (x2 as u128) + (c1 as u128) * (x1 as u128);
+        fold_p(lazy_reduce(sum) + c0)
+    }
+
+    /// Evaluates the polynomial at `x`, result in `[0, p)`.
     #[inline]
     pub fn hash(&self, x: u64) -> u64 {
-        let x = x % MERSENNE_P;
-        let mut acc = self.coeffs[3];
-        for &c in self.coeffs[..3].iter().rev() {
-            acc = mod_mersenne((acc as u128) * (x as u128) + c as u128);
-        }
-        acc
+        self.eval(key_powers(fold_p(x)))
     }
 
-    /// Evaluates the ±1 **sign hash** `g(x)` used by Count-Sketch:
-    /// `+1` if the low bit of the 4-wise value is set, else `−1`.
+    /// The Count-Sketch cell of a key in a row of `width` counters,
+    /// both read off the one 4-wise value `v`: the **sign** is `+1` if
+    /// the low bit of `v` is set, else `−1`; the **bucket** is
+    /// `⌊(v ≫ 1)·width / 2^60⌋` (the multiply-shift range reduction of
+    /// [`bucket_of`] on the remaining 60 bits). `v` is uniform on
+    /// `[0, p)`, so `(v ≫ 1, v & 1)` is uniform on `[0, 2^60) × {0, 1}`
+    /// short of the single missing point `v = p`: sign and bucket are
+    /// independent up to that `≤ width/p` imbalance (DESIGN.md §3).
     #[inline]
-    pub fn sign(&self, x: u64) -> i64 {
-        if self.hash(x) & 1 == 1 {
-            1
-        } else {
-            -1
-        }
+    #[must_use]
+    pub fn cell(&self, powers: [u64; 3], width: u64) -> (usize, i64) {
+        debug_assert!(width < 1 << 60, "cell: width must fit 60 bits");
+        let v = self.eval(powers);
+        // ⌊(v ≫ 1)·w / 2^60⌋ as the high word of one product.
+        let bucket = (((v >> 1) as u128 * (width << 4) as u128) >> 64) as usize;
+        (bucket, ((v & 1) << 1) as i64 - 1)
     }
 
-    /// Evaluates the sign hash over a batch: `out[i] = sign(xs[i])`,
-    /// bit-identical to per-key [`sign`](Self::sign) calls.
-    ///
-    /// Convenience wrapper over
-    /// [`sign_folded_batch`](Self::sign_folded_batch); hot paths
-    /// sharing keys across rows should fold once with
-    /// [`fold_to_field`] and call the folded kernel directly.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length.
-    pub fn sign_batch(&self, xs: &[u64], out: &mut [i64]) {
-        assert_eq!(xs.len(), out.len(), "sign_batch: slice length mismatch");
-        let mut xm = [0u64; 64];
-        for (xs_c, out_c) in xs.chunks(64).zip(out.chunks_mut(64)) {
-            let m = xs_c.len();
-            for (t, &x) in xm.iter_mut().zip(xs_c) {
-                *t = fold_p(x);
-            }
-            self.sign_folded_batch(&xm[..m], out_c);
-        }
-    }
-
-    /// [`sign_batch`](Self::sign_batch) over keys already folded into
-    /// `[0, p)` — the Count-Sketch hot-path kernel.
-    ///
-    /// The four polynomial coefficients stay in registers for the
-    /// whole batch and the Horner chain uses *lazy* reduction: each of
-    /// the three multiply steps only merges the product's two 64-bit
-    /// limbs ([`lazy_reduce`] — congruent mod p, not fully reduced;
-    /// the accumulator grows by at most `2^61` per step, staying well
-    /// inside `u64`), and a key pays the exact fold just once at the
-    /// end, where the parity bit needs the canonical value. Unrolled
-    /// 8-wide: a key's three-step chain is latency-bound (~7 cycles a
-    /// step), so eight independent chains are needed to keep the
-    /// multiplier port busy.
+    /// Evaluates the ±1 sign of [`cell`](Self::cell) over keys already
+    /// folded into `[0, p)` — the one-row form of the evaluation, each
+    /// key paying its own [`key_powers`].
     ///
     /// # Panics
     /// Panics if the slices differ in length. Folding is only checked
     /// by `debug_assert`.
     pub fn sign_folded_batch(&self, xs: &[u64], out: &mut [i64]) {
-        assert_eq!(xs.len(), out.len(), "sign_batch: slice length mismatch");
-        debug_assert!(
-            xs.iter().all(|&x| x < MERSENNE_P),
-            "sign_folded_batch: keys must be pre-folded into the field"
+        assert_eq!(
+            xs.len(),
+            out.len(),
+            "sign_folded_batch: slice length mismatch"
         );
-        let [c0, c1, c2, c3] = self.coeffs;
-        let (c0, c1, c2, c3) = (c0 as u128, c1 as u128, c2 as u128, c3 as u128);
-        #[inline]
-        fn horner(x: u64, c3: u128, c2: u128, c1: u128, c0: u128) -> i64 {
-            let x = x as u128;
-            let acc = lazy_reduce(c3 * x + c2);
-            let acc = lazy_reduce((acc as u128) * x + c1);
-            let acc = lazy_reduce((acc as u128) * x + c0);
-            if fold_p(acc) & 1 == 1 {
-                1
-            } else {
-                -1
-            }
-        }
-        let mut xs8 = xs.chunks_exact(8);
-        let mut out8 = out.chunks_exact_mut(8);
-        for (x, o) in (&mut xs8).zip(&mut out8) {
-            o[0] = horner(x[0], c3, c2, c1, c0);
-            o[1] = horner(x[1], c3, c2, c1, c0);
-            o[2] = horner(x[2], c3, c2, c1, c0);
-            o[3] = horner(x[3], c3, c2, c1, c0);
-            o[4] = horner(x[4], c3, c2, c1, c0);
-            o[5] = horner(x[5], c3, c2, c1, c0);
-            o[6] = horner(x[6], c3, c2, c1, c0);
-            o[7] = horner(x[7], c3, c2, c1, c0);
-        }
-        for (&x, o) in xs8.remainder().iter().zip(out8.into_remainder()) {
-            *o = horner(x, c3, c2, c1, c0);
+        for (&x, o) in xs.iter().zip(out) {
+            *o = self.cell(key_powers(x), 1).1;
         }
     }
 
@@ -432,38 +407,6 @@ pub fn buckets_folded_gather(hashes: &[PairwiseHash], xf: u64, out: &mut [u64]) 
             fold_p(lazy_reduce((h.a as u128) * x + h.b as u128)),
             h.buckets,
         );
-    }
-}
-
-/// Read-side sign gather: evaluates **one** pre-folded key under all
-/// `d` rows' 4-wise sign functions, `out[i] = hashes[i].sign(x)` for
-/// `xf = fold_to_field(x)` — the Count-Sketch dual of
-/// [`buckets_folded_gather`]. Each row's Horner chain uses the same
-/// lazy-reduction schedule as
-/// [`FourwiseHash::sign_folded_batch`], and the `d` chains are
-/// independent so the multiplier port stays busy. Bit-identical to
-/// per-row [`FourwiseHash::sign`] calls.
-///
-/// # Panics
-/// Panics if the slices differ in length. Folding is only checked by
-/// `debug_assert`.
-pub fn signs_folded_gather(hashes: &[FourwiseHash], xf: u64, out: &mut [i64]) {
-    assert_eq!(
-        hashes.len(),
-        out.len(),
-        "signs_folded_gather: slice length mismatch"
-    );
-    debug_assert!(
-        xf < MERSENNE_P,
-        "signs_folded_gather: key must be pre-folded into the field"
-    );
-    let x = xf as u128;
-    for (g, o) in hashes.iter().zip(out) {
-        let [c0, c1, c2, c3] = g.coeffs;
-        let acc = lazy_reduce((c3 as u128) * x + c2 as u128);
-        let acc = lazy_reduce((acc as u128) * x + c1 as u128);
-        let acc = lazy_reduce((acc as u128) * x + c0 as u128);
-        *o = if fold_p(acc) & 1 == 1 { 1 } else { -1 };
     }
 }
 
@@ -542,78 +485,154 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fourwise_sign_is_balanced() {
-        let mut rng = Xoshiro256pp::new(4);
-        let g = FourwiseHash::new(&mut rng);
-        let pos = (0..100_000u64).filter(|&x| g.sign(x) == 1).count();
-        assert!((45_000..55_000).contains(&pos), "pos = {pos}");
-    }
-
-    #[test]
-    fn fourwise_signs_pairwise_uncorrelated() {
-        // E[g(x)g(y)] ≈ 0 for x ≠ y; average over many pairs.
-        let mut rng = Xoshiro256pp::new(5);
-        let g = FourwiseHash::new(&mut rng);
-        let mut acc: i64 = 0;
-        let pairs = 100_000u64;
-        for i in 0..pairs {
-            acc += g.sign(2 * i) * g.sign(2 * i + 1);
+    /// The textbook spelling the production evaluation is checked
+    /// against: Horner's rule with a full reduction per step, then
+    /// sign and bucket by their definitions.
+    fn reference_cell(g: &FourwiseHash, x: u64, width: u64) -> (usize, i64) {
+        let x = x % MERSENNE_P;
+        let [c0, c1, c2, c3] = g.coeffs();
+        let mut v = c3;
+        for c in [c2, c1, c0] {
+            v = mod_mersenne((v as u128) * (x as u128) + c as u128);
         }
-        let corr = acc as f64 / pairs as f64;
-        assert!(corr.abs() < 0.02, "corr = {corr}");
+        assert_eq!(v, g.hash(x), "value mismatch at x={x}");
+        let bucket = ((v >> 1) as u128 * width as u128) >> 60;
+        (bucket as usize, if v & 1 == 1 { 1 } else { -1 })
     }
 
-    #[test]
-    fn fourwise_range() {
-        let mut rng = Xoshiro256pp::new(6);
-        let g = FourwiseHash::new(&mut rng);
-        for x in 0..1000u64 {
-            assert!(g.hash(x) < MERSENNE_P);
-            assert!(g.sign(x) == 1 || g.sign(x) == -1);
-        }
-    }
-
-    #[test]
-    fn batch_matches_scalar() {
-        // The batched evaluators must be bit-identical to per-key
-        // calls — the sketches' state-identity guarantee rests on it.
-        let mut rng = Xoshiro256pp::new(8);
-        let h = PairwiseHash::new(&mut rng, 977);
-        let g = FourwiseHash::new(&mut rng);
-        // 1003 keys: exercises the 4-wide unroll and the remainder tail.
-        let xs: Vec<u64> = (0..1003u64)
+    /// 1003 keys spread over all of `u64` (seven in eight are ≥ p),
+    /// plus the field's edges.
+    fn probe_keys() -> Vec<u64> {
+        let mut xs: Vec<u64> = (0..1003u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let mut jb = vec![0u64; xs.len()];
-        let mut sb = vec![0i64; xs.len()];
-        h.hash_batch(&xs, &mut jb);
-        g.sign_batch(&xs, &mut sb);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(jb[i], h.hash(x), "bucket mismatch at i={i}");
-            assert_eq!(sb[i], g.sign(x), "sign mismatch at i={i}");
+        xs.extend([MERSENNE_P - 1, MERSENNE_P, MERSENNE_P + 1, u64::MAX]);
+        xs
+    }
+
+    #[test]
+    fn fourwise_cell_matches_the_horner_reference() {
+        let mut rng = Xoshiro256pp::new(4);
+        let xs = probe_keys();
+        let folded: Vec<u64> = xs.iter().map(|&x| fold_to_field(x)).collect();
+        let mut signs = vec![0i64; xs.len()];
+        for width in [1u64, 7, 490, 977, (1 << 60) - 1] {
+            let g = FourwiseHash::new(&mut rng);
+            g.sign_folded_batch(&folded, &mut signs);
+            for ((&x, &xf), &s) in xs.iter().zip(&folded).zip(&signs) {
+                let want = reference_cell(&g, x, width);
+                assert_eq!(g.cell(key_powers(xf), width), want, "x={x} w={width}");
+                assert!(want.0 < width as usize);
+                assert_eq!(s, want.1, "sign_folded_batch at x={x}");
+            }
+        }
+        // Extreme coefficients keep the lazy sum inside its bounds.
+        let top = FourwiseHash::from_coeffs([MERSENNE_P - 1; 4]).unwrap();
+        for &x in &xs {
+            reference_cell(&top, x, 490);
+        }
+    }
+
+    /// Draws `draws` functions and tallies, over a fixed key set, each
+    /// bucket's occupancy and signed sum. 4-wise independence is a
+    /// property over draws, so every statistic below redraws.
+    fn tally(width: u64, draws: usize, seed: u64) -> (Vec<u64>, Vec<i64>) {
+        let mut rng = Xoshiro256pp::new(seed);
+        let powers: Vec<[u64; 3]> = (0..64u64)
+            .map(|i| key_powers(fold_to_field(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))))
+            .collect();
+        let mut occupancy = vec![0u64; width as usize];
+        let mut signed = vec![0i64; width as usize];
+        for _ in 0..draws {
+            let g = FourwiseHash::new(&mut rng);
+            for &p in &powers {
+                let (j, s) = g.cell(p, width);
+                occupancy[j] += 1;
+                signed[j] += s;
+            }
+        }
+        (occupancy, signed)
+    }
+
+    #[test]
+    fn fourwise_buckets_near_uniform_and_signs_independent_of_them() {
+        for (width, draws) in [(490u64, 8_000usize), (7, 2_000)] {
+            let (occupancy, signed) = tally(width, draws, 5 + width);
+            let mean = (draws * 64) as f64 / width as f64;
+            let sd = mean.sqrt();
+            for (j, (&n, &s)) in occupancy.iter().zip(&signed).enumerate() {
+                // Occupancy: binomial around `mean`; 6σ over ≤ 490 cells.
+                assert!(
+                    (n as f64 - mean).abs() < 6.0 * sd,
+                    "w={width} bucket {j}: {n} keys, mean {mean:.0}"
+                );
+                // Sign ⟂ bucket: a bucket's signs sum like a ±1 walk.
+                assert!(
+                    (s as f64).abs() < 6.0 * sd,
+                    "w={width} bucket {j}: sign sum {s} over {n} keys"
+                );
+            }
+            let total: i64 = signed.iter().sum();
+            assert!(
+                (total as f64).abs() < 6.0 * ((draws * 64) as f64).sqrt(),
+                "w={width}: overall sign sum {total}"
+            );
         }
     }
 
     #[test]
-    fn gather_matches_scalar() {
-        // The read-side gather kernels must be bit-identical to
-        // per-row scalar calls — the batched-query identity guarantee
-        // rests on it.
+    fn fourwise_pair_collides_at_rate_one_over_w_with_uncorrelated_signs() {
+        let mut rng = Xoshiro256pp::new(6);
+        let width = 64u64;
+        let trials = 20_000;
+        let (px, py) = (
+            key_powers(fold_to_field(123_456)),
+            key_powers(fold_to_field(987_654_321)),
+        );
+        let (mut collisions, mut sign_products) = (0i64, 0i64);
+        for _ in 0..trials {
+            let g = FourwiseHash::new(&mut rng);
+            let ((jx, sx), (jy, sy)) = (g.cell(px, width), g.cell(py, width));
+            collisions += i64::from(jx == jy);
+            sign_products += sx * sy;
+        }
+        let rate = collisions as f64 / trials as f64;
+        let expect = 1.0 / width as f64;
+        assert!(
+            (rate - expect).abs() < 0.3 * expect,
+            "rate = {rate}, expect = {expect}"
+        );
+        let corr = sign_products as f64 / trials as f64;
+        assert!(corr.abs() < 0.03, "E[g(x)g(y)] = {corr}");
+    }
+
+    #[test]
+    fn pairwise_batch_matches_scalar() {
+        // The batched evaluator must be bit-identical to per-key calls
+        // — Count-Min's state-identity guarantee rests on it.
+        let mut rng = Xoshiro256pp::new(8);
+        let h = PairwiseHash::new(&mut rng, 977);
+        // 1003 keys: exercises the 4-wide unroll and the remainder tail.
+        let xs = probe_keys();
+        let mut jb = vec![0u64; xs.len()];
+        h.hash_batch(&xs, &mut jb);
+        for (i, &x) in xs.iter().enumerate() {
+            assert_eq!(jb[i], h.hash(x), "bucket mismatch at i={i}");
+        }
+    }
+
+    #[test]
+    fn pairwise_gather_matches_scalar() {
+        // The read-side gather kernel must be bit-identical to per-row
+        // scalar calls — the batched-query identity guarantee rests on
+        // it.
         let mut rng = Xoshiro256pp::new(10);
         let hs: Vec<PairwiseHash> = (0..7).map(|_| PairwiseHash::new(&mut rng, 977)).collect();
-        let gs: Vec<FourwiseHash> = (0..7).map(|_| FourwiseHash::new(&mut rng)).collect();
         let mut jb = vec![0u64; hs.len()];
-        let mut sb = vec![0i64; gs.len()];
-        for i in 0..1003u64 {
-            let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for x in probe_keys() {
             buckets_folded_gather(&hs, fold_to_field(x), &mut jb);
-            signs_folded_gather(&gs, fold_to_field(x), &mut sb);
             for (r, h) in hs.iter().enumerate() {
                 assert_eq!(jb[r], h.hash(x), "bucket mismatch at x={x} row={r}");
-            }
-            for (r, g) in gs.iter().enumerate() {
-                assert_eq!(sb[r], g.sign(x), "sign mismatch at x={x} row={r}");
             }
         }
     }

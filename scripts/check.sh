@@ -29,6 +29,21 @@ cargo test -q -p sqs-analyze
 echo "== cargo test -q =="
 cargo test -q
 
+# The same suite with the hot-path audits compiled into the library
+# crates (they are cfg(test) only inside each crate's own unit tests):
+# every power-of-two update re-checks the structure, so an invariant
+# such as dyadic.sketch_level_mass fires on the integration tests'
+# streams, not just on a decoded frame.
+echo "== cargo test -q --features audit =="
+cargo test -q --features audit
+
+# The paper's 16 qualitative claims against the committed results/
+# CSVs; exits non-zero unless every verdict is PASS. (The CSVs' space
+# columns are held to this tree by a harness unit test,
+# committed_fig10c_space_is_this_trees.)
+echo "== sqs-exp claims (16 PASS against results/) =="
+cargo run --release --quiet -p sqs-harness --bin sqs-exp -- claims
+
 # The frame checksum's speed floor is a ratio against the byte-serial
 # sum it replaced (>= 8x on a 32 KiB batch frame, <= 1.5x its time on a
 # 28-byte reply), so it holds on any machine — but only optimized code

@@ -424,6 +424,33 @@ fn wrong_kind_is_rejected_not_misparsed() {
     );
 }
 
+/// Kind 4 was the DCS body with two hash families per row (48 bytes a
+/// row); the one-polynomial body is kind 5, and a frame still tagged 4
+/// is refused by kind before its body is looked at.
+#[test]
+fn retired_dcs_kind_4_is_refused_and_kind_5_roundtrips() {
+    use streaming_quantiles::sqs_core::codec::{seal, CodecError, KIND_DCS};
+    let mut s = filled_dcs(3, &[5, 9, 9, 4000]);
+    let frame = s.to_bytes();
+    assert_eq!((KIND_DCS, frame.get(5)), (5, Some(&5)));
+    let mut back = TurnstileSummary::<CountSketch>::from_bytes(&frame).expect("kind 5 decodes");
+    assert_eq!(back.to_bytes(), frame);
+
+    let mut old = frame;
+    old.truncate(old.len() - 8);
+    if let Some(kind) = old.get_mut(5) {
+        *kind = 4;
+    }
+    seal(&mut old);
+    assert_eq!(
+        TurnstileSummary::<CountSketch>::from_bytes(&old).err(),
+        Some(CodecError::BadKind {
+            expected: 5,
+            got: 4
+        })
+    );
+}
+
 #[test]
 fn roundtrip_at_buffer_fill_boundary() {
     // Regression: encoding exactly when the Random sketch's bottom

@@ -309,6 +309,63 @@ fn hostile_qdigest_snapshots_get_error_replies() {
     server.join();
 }
 
+/// A `MERGE_SNAPSHOT` whose DCS carries a counter its own live count
+/// cannot account for: an honest 6-row `dcs(0.2, 12)` frame whose first
+/// sketch counter is raised by 2⁶² (an even delta, so the rows still
+/// agree in parity) and re-sealed. It used to decode, pass the audit
+/// and report `n = 6`; absorbing it twice overflowed the counter add in
+/// `CountSketch::merge_from` (a debug panic, a silent wrap in release).
+/// `dyadic.sketch_level_mass` (Σ|C| ≤ live per sketched row) refuses it
+/// at decode.
+#[test]
+fn hostile_dcs_counter_heavier_than_its_count_gets_an_error_reply() {
+    use streaming_quantiles::sqs_core::codec::{seal, WireCodec};
+
+    const LOG_U: u32 = 12;
+    let mut cfg = ServerConfig::default();
+    cfg.value_bound = Some(1u64 << LOG_U);
+    let server = spawn(cfg, |_tenant, _shard| TurnstileSummary::dcs(0.2, LOG_U, 77))
+        .expect("ephemeral loopback bind");
+    let mut client = connect(server.addr());
+    let tenant = 4u64;
+    assert_eq!(
+        client.insert_batch(tenant, &[1, 2, 3]).expect("insert").n,
+        3
+    );
+
+    let mut honest = TurnstileSummary::dcs(0.2, LOG_U, 77);
+    honest.insert_batch(&[5, 600, 1200, 1800, 2400, 3000]);
+    let honest = honest.to_bytes();
+    // Frame header (16), log_u (4), live (8), level 0's tag (1), width
+    // and depth (16), 7 rows × 4 coefficients (224), counter count (8).
+    let at = 16 + 4 + 8 + 1 + 16 + 7 * 32 + 8;
+    let mut hostile = honest.clone();
+    hostile.truncate(hostile.len() - 8);
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&hostile[at..at + 8]);
+    let heavy = i64::from_le_bytes(word) + (1 << 62);
+    hostile[at..at + 8].copy_from_slice(&heavy.to_le_bytes());
+    seal(&mut hostile);
+
+    for _ in 0..2 {
+        match client.merge_snapshot(tenant, hostile.clone()) {
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains("dyadic.sketch_level_mass"), "{msg}")
+            }
+            other => panic!("not refused: {other:?}"),
+        }
+    }
+    // The worker is alive, the tenant untouched, the honest frame welcome.
+    assert_eq!(
+        client.insert_batch(tenant, &[7]).expect("next request").n,
+        4
+    );
+    assert_eq!(client.merge_snapshot(tenant, honest).expect("honest").n, 10);
+
+    server.shutdown();
+    server.join();
+}
+
 /// A `MERGE_SNAPSHOT` whose summary lies about its count: an honest
 /// `RandomSketch` frame with `n` overwritten and the frame re-sealed
 /// decodes and passes the audit (`Σ ≤ n` is all `random.mass_bound`
