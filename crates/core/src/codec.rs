@@ -102,7 +102,7 @@ fn sum_step(acc: u64, word: u64) -> u64 {
 }
 
 /// The frame checksum every frame family carries as its trailer
-/// (`SQSC`, `SQSW`, `SQWF`, `SQWL`, `SQCK`), as a streaming hasher: the
+/// (`SQSC`, `SQSW`, `SQWL`, `SQCK`), as a streaming hasher: the
 /// value depends only on the concatenated bytes, never on how they were
 /// split across [`update`](Checksum::update) calls.
 ///

@@ -112,7 +112,8 @@ impl Client {
     }
 
     /// Queries one φ-quantile per entry of `phis` (each in (0, 1));
-    /// `None` marks an empty stream.
+    /// `None` marks an empty stream. The φ half of
+    /// [`Client::query_many`].
     ///
     /// # Errors
     /// See [`Client::call`].
@@ -121,8 +122,7 @@ impl Client {
         tenant: u64,
         phis: &[f64],
     ) -> Result<Vec<Option<u64>>, ClientError> {
-        let reply = self.call(Op::QueryQuantiles, tenant, proto::encode_f64s(phis))?;
-        Ok(proto::decode_answers(&reply)?)
+        Ok(self.query_many(tenant, phis, &[])?.0)
     }
 
     /// Answers a φ-sweep *and* a rank sweep from one merged snapshot
@@ -130,7 +130,8 @@ impl Client {
     /// in (0, 1)) plus one estimated rank per entry of `xs`. Both
     /// answer vectors describe the same instant of the stream, which
     /// separate [`Client::query_quantiles`]/[`Client::query_rank`]
-    /// calls cannot guarantee under concurrent ingest.
+    /// calls cannot guarantee under concurrent ingest. Either side may
+    /// be empty.
     ///
     /// # Errors
     /// See [`Client::call`].
@@ -144,13 +145,17 @@ impl Client {
         Ok(proto::decode_query_many_reply(&reply)?)
     }
 
-    /// Estimated rank of `x` in the tenant's stream.
+    /// Estimated rank of `x` in the tenant's stream. The rank half of
+    /// [`Client::query_many`], for one value.
     ///
     /// # Errors
     /// See [`Client::call`].
     pub fn query_rank(&mut self, tenant: u64, x: u64) -> Result<u64, ClientError> {
-        let reply = self.call(Op::QueryRank, tenant, proto::encode_u64(x))?;
-        Ok(proto::decode_u64(&reply)?)
+        let (_, ranks) = self.query_many(tenant, &[], &[x])?;
+        let rank = ranks.first().copied();
+        rank.ok_or(ClientError::Proto(ProtoError::Malformed(
+            "no rank in reply",
+        )))
     }
 
     /// A portable snapshot of the tenant's merged summary — feed it to

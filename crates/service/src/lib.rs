@@ -4,14 +4,15 @@
 //! The crate turns the in-process sharded quantile engine into a
 //! network service, std-only (no async runtime, no serde):
 //!
-//! * [`proto`] — the framed little-endian wire protocol: versioned
-//!   headers (`SQSW`/`SQWF` v2), the workspace's one frame checksum
-//!   ([`sqs_core::codec::Checksum`], docs/SERVICE.md §1.1) as trailer,
-//!   a hard payload cap, and panic-free
+//! * [`proto`] — the framed little-endian wire protocol: one versioned
+//!   header (`SQSW` v3), the workspace's one frame checksum
+//!   ([`sqs_core::codec::Checksum`], docs/SERVICE.md §1.1) as the one
+//!   trailer per hop, a hard payload cap, and panic-free
 //!   decoding of untrusted bytes.
 //! * [`server`] — `TcpListener` accept loop feeding a bounded
-//!   connection queue drained by a fixed worker pool; per-tenant
-//!   [`sqs_engine::ShardedEngine`] registry; explicit `BUSY` shedding
+//!   connection queue drained by a fixed worker pool; one registry of
+//!   per-tenant records ([`sqs_engine::ShardedEngine`], window ring,
+//!   store gate); explicit `BUSY` shedding
 //!   under overload; graceful shutdown with nothing acknowledged lost;
 //!   optional durability via [`sqs_store`] (write-ahead log + periodic
 //!   checkpoints, crash recovery at startup) when
@@ -24,7 +25,7 @@
 //! --window-bucket-secs`), the `WINDOW_INSERT` / `WINDOW_QUERY` /
 //! `WINDOW_STATS` ops expose [`sqs_window`]'s time-windowed quantiles
 //! per tenant: timestamped ingest, sliding/tumbling φ-sweeps, and ring
-//! counters, all inside self-checksummed `SQWF` payload frames.
+//! counters, as plain payloads of the `SQSW` frame like every other op.
 //!
 //! Summaries travel between servers via the [`sqs_core::codec`]
 //! frames: `SNAPSHOT` on one server, `MERGE_SNAPSHOT` on another, and

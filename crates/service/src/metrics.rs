@@ -376,7 +376,11 @@ mod tests {
         let m = Metrics::new();
         m.add_rows(5_000);
         m.record_op(Op::InsertBatch, 2_000);
-        m.record_op(Op::QueryQuantiles, 40_000);
+        // The last op's slot exists: the per-op table is indexed by
+        // position in `Op::ALL`, not by wire code (which has gaps).
+        let last = Op::ALL[Op::ALL.len() - 1];
+        m.record_op(last, 40_000);
+        assert_eq!(m.op_histogram(last).map(LatencyHistogram::count), Some(1));
         m.note_busy();
         let engine = EngineTotals {
             items: 5_000,
@@ -388,6 +392,8 @@ mod tests {
         for op in Op::ALL {
             assert!(json.contains(op.name()), "missing {}", op.name());
         }
+        let counted = format!("\"{}\": {{\"count\": 1,", last.name());
+        assert!(json.contains(&counted), "{json}");
         assert!(json.contains("\"ingest_rows\": 5000"));
         assert!(json.contains("\"busy_shed\": 1"));
         assert!(json.contains("\"tenants\": 3"));

@@ -10,17 +10,22 @@
 //! response: "SQSW" | ver u8 | status u8 | rsvd u16 |              len u32 | payload | sum64
 //! ```
 //!
-//! The checksum covers every byte before it. Payload size is capped at
-//! [`MAX_PAYLOAD`]; the cap is validated *before* the payload is
-//! allocated, so a forged length field cannot balloon server memory —
-//! it bounds both what a reader will accept and what a writer will
-//! send (an over-cap snapshot must be rejected by the sender, not
-//! truncated on the wire).
+//! The checksum covers every byte before it, and it is the only one on
+//! a hop: every op's payload — the `WINDOW_*` ones included — is a plain
+//! body of this frame, sealed once by the writer and verified once by
+//! the reader. What the checksum cannot vouch for, the payload decoders
+//! refuse: trailing bytes, counts larger than the bytes present, φ
+//! outside (0, 1), and window specs or answers that fail their
+//! `CheckInvariants`. Payload size is capped at [`MAX_PAYLOAD`]; the cap
+//! is validated *before* the payload is allocated, so a forged length
+//! field cannot balloon server memory — it bounds both what a reader
+//! will accept and what a writer will send (the server turns an
+//! over-cap reply into an error reply, never a truncated frame).
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use sqs_core::codec::{open_sealed, seal, Checksum, CodecError, Reader};
+use sqs_core::codec::{put_u64_slice, seal, Checksum, CodecError, Reader};
 use sqs_util::audit::CheckInvariants;
 use sqs_window::{WindowAnswer, WindowKind, WindowSpec, WindowStats, WINDOW_STATS_WORDS};
 
@@ -28,8 +33,10 @@ use sqs_window::{WindowAnswer, WindowKind, WindowSpec, WindowStats, WINDOW_STATS
 /// Wire).
 pub const MAGIC: [u8; 4] = *b"SQSW";
 
-/// Current protocol version; both sides reject anything else.
-pub const VERSION: u8 = 2;
+/// Current protocol version; both sides reject anything else. Version 3
+/// retired op codes 2 and 3 and the `WINDOW_*` payloads' inner `SQWF`
+/// envelope.
+pub const VERSION: u8 = 3;
 
 /// Upper bound on a frame payload (16 MiB) — comfortably above any
 /// honest snapshot or batch, far below anything that could pressure
@@ -44,101 +51,85 @@ pub const REQ_HEADER_LEN: usize = 20;
 /// reserved(2) + payload length(4).
 pub const RESP_HEADER_LEN: usize = 12;
 
-/// A request operation code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
+/// Declares [`Op`] from one table of `Variant = code, "name";` rows in
+/// wire-code order. The enum, [`Op::ALL`], [`Op::code`] and
+/// [`Op::name`] all expand from the same rows, so none can miss an op
+/// the others have, and a variant's position in `ALL` is its
+/// declaration order (what [`Op::index`] returns).
+macro_rules! ops {
+    ($($(#[$doc:meta])* $op:ident = $code:literal, $name:literal;)+) => {
+        /// A request operation code.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Op {
+            $($(#[$doc])* $op,)+
+        }
+
+        impl Op {
+            /// All operations, in wire-code order.
+            pub const ALL: [Op; [$($code),+].len()] = [$(Op::$op),+];
+
+            /// The wire byte for this op.
+            #[must_use]
+            pub fn code(self) -> u8 {
+                match self {
+                    $(Op::$op => $code,)+
+                }
+            }
+
+            /// The op's name as it appears in metrics JSON.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Op::$op => $name,)+
+                }
+            }
+        }
+    };
+}
+
+// Codes 2 and 3 were `QUERY_QUANTILES` and `QUERY_RANK` — `QUERY_MANY`
+// with one side empty. They are retired, not reused: `from_code`
+// refuses them like any unknown byte.
+ops! {
     /// Ingest a batch of values into the tenant's engine.
-    InsertBatch,
-    /// Answer a φ-sweep from one merged snapshot.
-    QueryQuantiles,
-    /// Estimate the rank of one value.
-    QueryRank,
+    InsertBatch = 1, "insert_batch";
     /// Return the tenant's merged summary as a codec frame.
-    Snapshot,
+    Snapshot = 4, "snapshot";
     /// Merge a codec frame (from this or another server) into the
     /// tenant's engine.
-    MergeSnapshot,
+    MergeSnapshot = 5, "merge_snapshot";
     /// Return server metrics as JSON.
-    Stats,
+    Stats = 6, "stats";
     /// Gracefully stop the server.
-    Shutdown,
+    Shutdown = 7, "shutdown";
     /// Ingest a timestamped batch into the tenant's window ring *and*
-    /// all-time engine (payload: a window insert frame).
-    WindowInsert,
-    /// Answer a sliding/tumbling window φ-sweep (payload: a window
-    /// query frame; reply: a window answer frame).
-    WindowQuery,
-    /// Return the tenant's window-ring counters (reply: a window
-    /// stats frame).
-    WindowStats,
-    /// Answer a φ-sweep *and* a rank sweep from one merged snapshot
-    /// in one round trip (payload: φ bits vector + value vector;
-    /// reply: answers block + rank vector).
-    QueryMany,
+    /// all-time engine (payload: event time + value vector).
+    WindowInsert = 8, "window_insert";
+    /// Answer a sliding/tumbling window φ-sweep (payload: window spec +
+    /// φ bits vector; reply: covered range, mass, answers block).
+    WindowQuery = 9, "window_query";
+    /// Return the tenant's window-ring counters (reply: a fixed word
+    /// vector).
+    WindowStats = 10, "window_stats";
+    /// The one all-time read: a φ-sweep *and* a rank sweep from one
+    /// merged snapshot in one round trip (payload: φ bits vector +
+    /// value vector; reply: answers block + rank vector). Either side
+    /// may be empty.
+    QueryMany = 11, "query_many";
 }
 
 impl Op {
-    /// All operations, in wire-code order.
-    pub const ALL: [Op; 11] = [
-        Op::InsertBatch,
-        Op::QueryQuantiles,
-        Op::QueryRank,
-        Op::Snapshot,
-        Op::MergeSnapshot,
-        Op::Stats,
-        Op::Shutdown,
-        Op::WindowInsert,
-        Op::WindowQuery,
-        Op::WindowStats,
-        Op::QueryMany,
-    ];
-
-    /// The wire byte for this op.
-    #[must_use]
-    pub fn code(self) -> u8 {
-        match self {
-            Op::InsertBatch => 1,
-            Op::QueryQuantiles => 2,
-            Op::QueryRank => 3,
-            Op::Snapshot => 4,
-            Op::MergeSnapshot => 5,
-            Op::Stats => 6,
-            Op::Shutdown => 7,
-            Op::WindowInsert => 8,
-            Op::WindowQuery => 9,
-            Op::WindowStats => 10,
-            Op::QueryMany => 11,
-        }
-    }
-
     /// Parses a wire byte.
     #[must_use]
     pub fn from_code(code: u8) -> Option<Op> {
         Op::ALL.iter().copied().find(|op| op.code() == code)
     }
 
-    /// Dense index for per-op tables (0-based, follows wire order).
+    /// Dense index for per-op tables: the op's position in
+    /// [`Op::ALL`], whatever gaps the wire codes have.
     #[must_use]
     pub fn index(self) -> usize {
-        self.code() as usize - 1
-    }
-
-    /// The op's name as it appears in metrics JSON.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Op::InsertBatch => "insert_batch",
-            Op::QueryQuantiles => "query_quantiles",
-            Op::QueryRank => "query_rank",
-            Op::Snapshot => "snapshot",
-            Op::MergeSnapshot => "merge_snapshot",
-            Op::Stats => "stats",
-            Op::Shutdown => "shutdown",
-            Op::WindowInsert => "window_insert",
-            Op::WindowQuery => "window_query",
-            Op::WindowStats => "window_stats",
-            Op::QueryMany => "query_many",
-        }
+        self as usize
     }
 }
 
@@ -270,24 +261,36 @@ pub struct Response {
     pub payload: Vec<u8>,
 }
 
-/// Writes one request frame (a single `write_all`, so the frame hits
-/// the socket in one piece).
-pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), ProtoError> {
-    if req.payload.len() > MAX_PAYLOAD as usize {
-        return Err(ProtoError::Oversized(req.payload.len() as u64));
-    }
-    let mut frame = Vec::with_capacity(REQ_HEADER_LEN + req.payload.len() + 8);
+/// Writes one `SQSW` frame with a single `write_all`, so it hits the
+/// socket in one piece: magic, version, the code byte (op or status),
+/// the reserved `u16`, a request's tenant id, then length, payload and
+/// the trailer — the one place a hop's checksum is computed.
+fn write_frame(
+    w: &mut impl Write,
+    code: u8,
+    tenant: Option<u64>,
+    payload: &[u8],
+) -> Result<(), ProtoError> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|len| *len <= MAX_PAYLOAD);
+    let len = len.ok_or(ProtoError::Oversized(payload.len() as u64))?;
+    let mut frame = Vec::with_capacity(REQ_HEADER_LEN + payload.len() + 8);
     frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(req.op.code());
-    frame.extend_from_slice(&[0u8; 2]);
-    frame.extend_from_slice(&req.tenant.to_le_bytes());
-    let len = u32::try_from(req.payload.len()).map_err(|_| ProtoError::Oversized(u64::MAX))?;
+    frame.extend_from_slice(&[VERSION, code, 0, 0]);
+    if let Some(tenant) = tenant {
+        frame.extend_from_slice(&tenant.to_le_bytes());
+    }
     frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&req.payload);
+    frame.extend_from_slice(payload);
     seal(&mut frame);
     w.write_all(&frame)?;
     Ok(())
+}
+
+/// Writes one request frame.
+pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), ProtoError> {
+    write_frame(w, req.op.code(), Some(req.tenant), &req.payload)
 }
 
 /// Reads one request frame. Returns `Ok(None)` on a clean end of
@@ -313,22 +316,9 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ProtoError> {
     }))
 }
 
-/// Writes one response frame (a single `write_all`).
+/// Writes one response frame.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), ProtoError> {
-    if resp.payload.len() > MAX_PAYLOAD as usize {
-        return Err(ProtoError::Oversized(resp.payload.len() as u64));
-    }
-    let mut frame = Vec::with_capacity(RESP_HEADER_LEN + resp.payload.len() + 8);
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(resp.status.code());
-    frame.extend_from_slice(&[0u8; 2]);
-    let len = u32::try_from(resp.payload.len()).map_err(|_| ProtoError::Oversized(u64::MAX))?;
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&resp.payload);
-    seal(&mut frame);
-    w.write_all(&frame)?;
-    Ok(())
+    write_frame(w, resp.status.code(), None, &resp.payload)
 }
 
 /// Reads one response frame.
@@ -409,7 +399,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, ProtoErr
 #[must_use]
 pub fn encode_u64s(xs: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + xs.len() * 8);
-    sqs_core::codec::put_u64_slice(&mut out, xs);
+    put_u64_slice(&mut out, xs);
     out
 }
 
@@ -419,36 +409,6 @@ pub fn decode_u64s(payload: &[u8]) -> Result<Vec<u64>, ProtoError> {
     let xs = r.u64_vec()?;
     r.done()?;
     Ok(xs)
-}
-
-/// Encodes an `f64` slice as a length-prefixed vector of IEEE-754
-/// bits.
-#[must_use]
-pub fn encode_f64s(xs: &[f64]) -> Vec<u8> {
-    let bits: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-    encode_u64s(&bits)
-}
-
-/// Decodes a length-prefixed `f64` vector.
-pub fn decode_f64s(payload: &[u8]) -> Result<Vec<f64>, ProtoError> {
-    Ok(decode_u64s(payload)?
-        .into_iter()
-        .map(f64::from_bits)
-        .collect())
-}
-
-/// Encodes one `u64`.
-#[must_use]
-pub fn encode_u64(x: u64) -> Vec<u8> {
-    x.to_le_bytes().to_vec()
-}
-
-/// Decodes exactly one `u64`.
-pub fn decode_u64(payload: &[u8]) -> Result<u64, ProtoError> {
-    let mut r = Reader::new(payload);
-    let x = r.u64()?;
-    r.done()?;
-    Ok(x)
 }
 
 /// The `INSERT_BATCH` / `MERGE_SNAPSHOT` acknowledgement: the
@@ -482,27 +442,41 @@ pub fn decode_ingest_ack(payload: &[u8]) -> Result<IngestAck, ProtoError> {
     Ok(IngestAck { n, seq })
 }
 
-/// Encodes quantile answers: count, then a presence flag byte and a
-/// value word per answer (`None` answers an empty tenant).
-#[must_use]
-pub fn encode_answers(answers: &[Option<u64>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + answers.len() * 9);
+/// Appends a φ-sweep as a length-prefixed vector of IEEE-754 bits.
+fn put_phis(out: &mut Vec<u8>, phis: &[f64]) {
+    let bits: Vec<u64> = phis.iter().map(|p| p.to_bits()).collect();
+    put_u64_slice(out, &bits);
+}
+
+/// Reads a φ-sweep, refusing any φ that is not finite and in (0, 1) —
+/// the one place a quantile request's ranks are vetted, so no summary's
+/// `quantile` ever sees a φ it would panic on.
+fn read_phis(r: &mut Reader<'_>) -> Result<Vec<f64>, ProtoError> {
+    let phis: Vec<f64> = r.u64_vec()?.into_iter().map(f64::from_bits).collect();
+    if !phis.iter().all(|p| p.is_finite() && *p > 0.0 && *p < 1.0) {
+        return Err(ProtoError::Malformed("phi outside (0, 1)"));
+    }
+    Ok(phis)
+}
+
+/// Appends an answers block: count, then a presence flag byte and a
+/// value word per answer (`None` answers an empty stream or window).
+fn put_answers(out: &mut Vec<u8>, answers: &[Option<u64>]) {
     out.extend_from_slice(&(answers.len() as u64).to_le_bytes());
     for a in answers {
         out.push(u8::from(a.is_some()));
         out.extend_from_slice(&a.unwrap_or(0).to_le_bytes());
     }
-    out
 }
 
-/// Decodes [`encode_answers`] output.
-pub fn decode_answers(payload: &[u8]) -> Result<Vec<Option<u64>>, ProtoError> {
-    let mut r = Reader::new(payload);
-    let count = r.read_len().map_err(ProtoError::Codec)?;
-    if count > payload.len() / 9 {
+/// Reads an answers block. The count is checked against the bytes
+/// actually present before anything is allocated for it.
+fn read_answers(r: &mut Reader<'_>) -> Result<Vec<Option<u64>>, ProtoError> {
+    let count = r.read_len()?;
+    if count > r.remaining() / 9 {
         return Err(ProtoError::Codec(CodecError::Truncated));
     }
-    let mut out = Vec::with_capacity(count);
+    let mut answers = Vec::with_capacity(count);
     for _ in 0..count {
         let present = match r.u8()? {
             0 => false,
@@ -510,10 +484,9 @@ pub fn decode_answers(payload: &[u8]) -> Result<Vec<Option<u64>>, ProtoError> {
             _ => return Err(ProtoError::Malformed("answer flag not 0/1")),
         };
         let value = r.u64()?;
-        out.push(present.then_some(value));
+        answers.push(present.then_some(value));
     }
-    r.done()?;
-    Ok(out)
+    Ok(answers)
 }
 
 /// Encodes a `QUERY_MANY` request payload: the φ-sweep (IEEE-754
@@ -521,81 +494,38 @@ pub fn decode_answers(payload: &[u8]) -> Result<Vec<Option<u64>>, ProtoError> {
 #[must_use]
 pub fn encode_query_many(phis: &[f64], xs: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + (phis.len() + xs.len()) * 8);
-    let bits: Vec<u64> = phis.iter().map(|p| p.to_bits()).collect();
-    sqs_core::codec::put_u64_slice(&mut out, &bits);
-    sqs_core::codec::put_u64_slice(&mut out, xs);
+    put_phis(&mut out, phis);
+    put_u64_slice(&mut out, xs);
     out
 }
 
-/// Decodes a `QUERY_MANY` request payload into `(phis, xs)`.
+/// Decodes a `QUERY_MANY` request payload into `(phis, xs)`, every φ
+/// finite and in (0, 1).
 pub fn decode_query_many(payload: &[u8]) -> Result<(Vec<f64>, Vec<u64>), ProtoError> {
     let mut r = Reader::new(payload);
-    let bits = r.u64_vec()?;
+    let phis = read_phis(&mut r)?;
     let xs = r.u64_vec()?;
     r.done()?;
-    let phis = bits.into_iter().map(f64::from_bits).collect();
     Ok((phis, xs))
 }
 
-/// Encodes a `QUERY_MANY` response: the φ answers block (same layout
-/// as [`encode_answers`]) followed by the length-prefixed rank vector.
+/// Encodes a `QUERY_MANY` response: the φ answers block followed by
+/// the length-prefixed rank vector.
 #[must_use]
 pub fn encode_query_many_reply(quantiles: &[Option<u64>], ranks: &[u64]) -> Vec<u8> {
-    let mut out = encode_answers(quantiles);
-    sqs_core::codec::put_u64_slice(&mut out, ranks);
+    let mut out = Vec::with_capacity(16 + quantiles.len() * 9 + ranks.len() * 8);
+    put_answers(&mut out, quantiles);
+    put_u64_slice(&mut out, ranks);
     out
 }
 
-/// Decodes a `QUERY_MANY` response into `(quantiles, ranks)`. This has
-/// its own decoder (rather than reusing [`decode_answers`]) because
-/// the answers block is followed by the rank vector, so the reply must
-/// be consumed as one frame.
+/// Decodes a `QUERY_MANY` response into `(quantiles, ranks)`.
 pub fn decode_query_many_reply(payload: &[u8]) -> Result<(Vec<Option<u64>>, Vec<u64>), ProtoError> {
     let mut r = Reader::new(payload);
-    let count = r.read_len().map_err(ProtoError::Codec)?;
-    if count > payload.len() / 9 {
-        return Err(ProtoError::Codec(CodecError::Truncated));
-    }
-    let mut quantiles = Vec::with_capacity(count);
-    for _ in 0..count {
-        let present = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(ProtoError::Malformed("answer flag not 0/1")),
-        };
-        let value = r.u64()?;
-        quantiles.push(present.then_some(value));
-    }
+    let quantiles = read_answers(&mut r)?;
     let ranks = r.u64_vec()?;
     r.done()?;
     Ok((quantiles, ranks))
-}
-
-// ---- window frames (payloads of the WINDOW_* ops) ----------------
-//
-// Window payloads are self-describing sub-frames inside the SQSW
-// envelope: their own magic, version, kind byte and trailing
-// checksum. The double checksum is deliberate — a window frame can be
-// logged, replayed or diffed *outside* a socket conversation (the WAL
-// stores raw payloads), so it must validate standalone. Every decoder
-// finishes by running the payload's `CheckInvariants`, so a
-// structurally-valid but semantically-impossible frame (inverted
-// range, Some-answers in an empty window, φ outside (0,1)) is rejected
-// at the boundary, never acted on.
-
-/// Window sub-frame magic: the four bytes `SQWF` (Streaming Quantile
-/// Window Frame).
-pub const WINDOW_FRAME_MAGIC: [u8; 4] = *b"SQWF";
-
-/// Window sub-frame version; both sides reject anything else.
-pub const WINDOW_FRAME_VERSION: u8 = 2;
-
-/// Window frame kind bytes (`SQWF` header byte 6).
-mod wf {
-    pub const INSERT: u8 = 1;
-    pub const QUERY: u8 = 2;
-    pub const ANSWER: u8 = 3;
-    pub const STATS: u8 = 4;
 }
 
 /// Wire codes for [`WindowKind`] (`0` is reserved as invalid).
@@ -614,41 +544,6 @@ fn window_kind_from_code(code: u8) -> Option<WindowKind> {
     }
 }
 
-/// Wraps a body in the `SQWF` envelope: magic, version, kind,
-/// body, trailing checksum over everything before it.
-fn seal_window_frame(kind: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(6 + body.len() + 8);
-    out.extend_from_slice(&WINDOW_FRAME_MAGIC);
-    out.push(WINDOW_FRAME_VERSION);
-    out.push(kind);
-    out.extend_from_slice(body);
-    seal(&mut out);
-    out
-}
-
-/// Opens an `SQWF` envelope of the expected kind, returning the body.
-/// Checksum first (any corruption lands here), then magic / version /
-/// kind.
-fn open_window_frame(expected_kind: u8, payload: &[u8]) -> Result<&[u8], ProtoError> {
-    let framed = open_sealed(payload).map_err(|e| match e {
-        CodecError::ChecksumMismatch => ProtoError::ChecksumMismatch,
-        e => ProtoError::Codec(e),
-    })?;
-    let mut r = Reader::new(framed);
-    if r.bytes(4)? != WINDOW_FRAME_MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != WINDOW_FRAME_VERSION {
-        return Err(ProtoError::BadVersion(version));
-    }
-    let kind = r.u8()?;
-    if kind != expected_kind {
-        return Err(ProtoError::Malformed("window frame kind mismatch"));
-    }
-    Ok(framed.get(6..).unwrap_or_default())
-}
-
 fn invariant_to_proto(v: sqs_util::audit::InvariantViolation) -> ProtoError {
     ProtoError::Malformed(v.invariant)
 }
@@ -657,16 +552,15 @@ fn invariant_to_proto(v: sqs_util::audit::InvariantViolation) -> ProtoError {
 /// batch.
 #[must_use]
 pub fn encode_window_insert(ts_nanos: u64, xs: &[u64]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + 8 + xs.len() * 8);
-    body.extend_from_slice(&ts_nanos.to_le_bytes());
-    sqs_core::codec::put_u64_slice(&mut body, xs);
-    seal_window_frame(wf::INSERT, &body)
+    let mut out = Vec::with_capacity(8 + 8 + xs.len() * 8);
+    out.extend_from_slice(&ts_nanos.to_le_bytes());
+    put_u64_slice(&mut out, xs);
+    out
 }
 
 /// Decodes a `WINDOW_INSERT` payload into `(ts_nanos, values)`.
 pub fn decode_window_insert(payload: &[u8]) -> Result<(u64, Vec<u64>), ProtoError> {
-    let body = open_window_frame(wf::INSERT, payload)?;
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(payload);
     let ts_nanos = r.u64()?;
     let xs = r.u64_vec()?;
     r.done()?;
@@ -677,72 +571,48 @@ pub fn decode_window_insert(payload: &[u8]) -> Result<(u64, Vec<u64>), ProtoErro
 /// φ-sweep (as IEEE-754 bits).
 #[must_use]
 pub fn encode_window_query(spec: WindowSpec, phis: &[f64]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(1 + 8 + 8 + phis.len() * 8);
-    body.push(window_kind_code(spec.kind));
-    body.extend_from_slice(&spec.len_nanos.to_le_bytes());
-    let bits: Vec<u64> = phis.iter().map(|p| p.to_bits()).collect();
-    sqs_core::codec::put_u64_slice(&mut body, &bits);
-    seal_window_frame(wf::QUERY, &body)
+    let mut out = Vec::with_capacity(1 + 8 + 8 + phis.len() * 8);
+    out.push(window_kind_code(spec.kind));
+    out.extend_from_slice(&spec.len_nanos.to_le_bytes());
+    put_phis(&mut out, phis);
+    out
 }
 
 /// Decodes a `WINDOW_QUERY` payload into `(spec, phis)`, enforcing the
 /// descriptor's invariants and that every φ is finite and in (0, 1).
 pub fn decode_window_query(payload: &[u8]) -> Result<(WindowSpec, Vec<f64>), ProtoError> {
-    let body = open_window_frame(wf::QUERY, payload)?;
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(payload);
     let kind_code = r.u8()?;
     let kind =
         window_kind_from_code(kind_code).ok_or(ProtoError::Malformed("unknown window kind"))?;
     let len_nanos = r.u64()?;
-    let bits = r.u64_vec()?;
+    let phis = read_phis(&mut r)?;
     r.done()?;
     let spec = WindowSpec { kind, len_nanos };
     spec.check_invariants().map_err(invariant_to_proto)?;
-    let phis: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
-    if !phis.iter().all(|p| p.is_finite() && *p > 0.0 && *p < 1.0) {
-        return Err(ProtoError::Malformed("phi outside (0, 1)"));
-    }
     Ok((spec, phis))
 }
 
 /// Encodes a `WINDOW_QUERY` response: the covered range, mass, and
-/// per-φ answers.
+/// the per-φ answers block.
 #[must_use]
 pub fn encode_window_answer(answer: &WindowAnswer) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 * 3 + 8 + answer.answers.len() * 9);
-    body.extend_from_slice(&answer.start_nanos.to_le_bytes());
-    body.extend_from_slice(&answer.end_nanos.to_le_bytes());
-    body.extend_from_slice(&answer.n.to_le_bytes());
-    body.extend_from_slice(&(answer.answers.len() as u64).to_le_bytes());
-    for a in &answer.answers {
-        body.push(u8::from(a.is_some()));
-        body.extend_from_slice(&a.unwrap_or(0).to_le_bytes());
-    }
-    seal_window_frame(wf::ANSWER, &body)
+    let mut out = Vec::with_capacity(8 * 3 + 8 + answer.answers.len() * 9);
+    out.extend_from_slice(&answer.start_nanos.to_le_bytes());
+    out.extend_from_slice(&answer.end_nanos.to_le_bytes());
+    out.extend_from_slice(&answer.n.to_le_bytes());
+    put_answers(&mut out, &answer.answers);
+    out
 }
 
 /// Decodes a `WINDOW_QUERY` response, ending in the answer's
 /// `CheckInvariants` (range ordered, empty windows answer `None`).
 pub fn decode_window_answer(payload: &[u8]) -> Result<WindowAnswer, ProtoError> {
-    let body = open_window_frame(wf::ANSWER, payload)?;
-    let mut r = Reader::new(body);
+    let mut r = Reader::new(payload);
     let start_nanos = r.u64()?;
     let end_nanos = r.u64()?;
     let n = r.u64()?;
-    let count = r.read_len().map_err(ProtoError::Codec)?;
-    if count > body.len() / 9 {
-        return Err(ProtoError::Codec(CodecError::Truncated));
-    }
-    let mut answers = Vec::with_capacity(count);
-    for _ in 0..count {
-        let present = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(ProtoError::Malformed("answer flag not 0/1")),
-        };
-        let value = r.u64()?;
-        answers.push(present.then_some(value));
-    }
+    let answers = read_answers(&mut r)?;
     r.done()?;
     let answer = WindowAnswer {
         start_nanos,
@@ -758,19 +628,12 @@ pub fn decode_window_answer(payload: &[u8]) -> Result<WindowAnswer, ProtoError> 
 /// word vector.
 #[must_use]
 pub fn encode_window_stats(stats: &WindowStats) -> Vec<u8> {
-    let words = stats.as_words();
-    let mut body = Vec::with_capacity(8 + words.len() * 8);
-    sqs_core::codec::put_u64_slice(&mut body, &words);
-    seal_window_frame(wf::STATS, &body)
+    encode_u64s(&stats.as_words())
 }
 
 /// Decodes a `WINDOW_STATS` response.
 pub fn decode_window_stats(payload: &[u8]) -> Result<WindowStats, ProtoError> {
-    let body = open_window_frame(wf::STATS, payload)?;
-    let mut r = Reader::new(body);
-    let words = r.u64_vec()?;
-    r.done()?;
-    let arr: [u64; WINDOW_STATS_WORDS] = words
+    let arr: [u64; WINDOW_STATS_WORDS] = decode_u64s(payload)?
         .try_into()
         .map_err(|_| ProtoError::Malformed("window stats word count"))?;
     Ok(WindowStats::from_words(&arr))
@@ -843,9 +706,9 @@ mod tests {
         write_request(
             &mut buf,
             &Request {
-                op: Op::QueryRank,
+                op: Op::QueryMany,
                 tenant: 7,
-                payload: encode_u64(12345),
+                payload: encode_query_many(&[], &[12345]),
             },
         )
         .expect("write");
@@ -904,10 +767,15 @@ mod tests {
 
     #[test]
     fn op_and_status_codes_are_stable() {
-        for op in Op::ALL {
+        assert_eq!(Op::ALL.len(), 9);
+        for (at, op) in Op::ALL.into_iter().enumerate() {
             assert_eq!(Op::from_code(op.code()), Some(op));
+            assert_eq!(op.index(), at, "{op:?} indexes its row of ALL");
         }
         assert_eq!(Op::from_code(0), None);
+        // QUERY_QUANTILES and QUERY_RANK: retired, never reused.
+        assert_eq!(Op::from_code(2), None);
+        assert_eq!(Op::from_code(3), None);
         assert_eq!(Op::from_code(8), Some(Op::WindowInsert));
         assert_eq!(Op::from_code(10), Some(Op::WindowStats));
         assert_eq!(Op::from_code(11), Some(Op::QueryMany));
@@ -919,11 +787,21 @@ mod tests {
     }
 
     #[test]
-    fn answer_payload_roundtrip() {
-        let answers = vec![Some(5u64), None, Some(u64::MAX)];
-        let bytes = encode_answers(&answers);
-        assert_eq!(decode_answers(&bytes).expect("roundtrip"), answers);
-        assert!(decode_answers(&bytes[..bytes.len() - 1]).is_err());
+    fn answers_block_rejects_truncation_bad_flags_and_forged_counts() {
+        let bytes = encode_query_many_reply(&[Some(5u64), None, Some(u64::MAX)], &[]);
+        assert!(decode_query_many_reply(&bytes).is_ok());
+        assert!(decode_query_many_reply(&bytes[..bytes.len() - 1]).is_err());
+        // Byte 8 is the first answer's presence flag.
+        let mut bad = bytes.clone();
+        bad[8] = 2;
+        assert!(matches!(
+            decode_query_many_reply(&bad),
+            Err(ProtoError::Malformed(_))
+        ));
+        // A count the bytes cannot hold is refused before allocating.
+        let mut bad = bytes;
+        bad[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_query_many_reply(&bad).is_err());
     }
 
     #[test]
@@ -939,20 +817,11 @@ mod tests {
     }
 
     #[test]
-    fn f64_payload_roundtrip_is_bit_exact() {
-        let phis = [0.001, 0.5, 0.999];
-        let back = decode_f64s(&encode_f64s(&phis)).expect("roundtrip");
-        assert_eq!(back, phis.to_vec());
-    }
-
-    #[test]
     fn window_insert_frame_roundtrip() {
         let bytes = encode_window_insert(12_345, &[1, 2, 3, u64::MAX]);
         let (ts, xs) = decode_window_insert(&bytes).expect("roundtrip");
         assert_eq!(ts, 12_345);
         assert_eq!(xs, vec![1, 2, 3, u64::MAX]);
-        // Wrong kind: an insert frame is not a query frame.
-        assert!(decode_window_query(&bytes).is_err());
     }
 
     #[test]
@@ -1007,26 +876,5 @@ mod tests {
         stats.rollup_hits = 5;
         let bytes = encode_window_stats(&stats);
         assert_eq!(decode_window_stats(&bytes).expect("roundtrip"), stats);
-    }
-
-    #[test]
-    fn window_frames_reject_corruption() {
-        let bytes = encode_window_insert(99, &[4, 5, 6]);
-        // Any single-bit flip lands in the checksum (or a structural
-        // check) — never a panic, never a silent accept.
-        for at in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            if let Some(b) = bad.get_mut(at) {
-                *b ^= 0x01;
-            }
-            assert!(decode_window_insert(&bad).is_err(), "flip at {at} accepted");
-        }
-        // Every truncation is refused too.
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_window_insert(bytes.get(..cut).unwrap_or_default()).is_err(),
-                "truncation to {cut} accepted"
-            );
-        }
     }
 }

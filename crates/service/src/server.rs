@@ -14,9 +14,11 @@
 //!   `INSERT_BATCH` reply means the data is already merged — there are
 //!   no server-side ingest buffers for shutdown to lose.
 //!
-//! Tenants are lazily materialized [`ShardedEngine`]s keyed by the
-//! request's tenant id; a caller-supplied factory builds each shard
-//! summary (per-tenant, per-shard seeds for randomized backends).
+//! A tenant is one record — its [`ShardedEngine`], its window ring,
+//! its store gate — in one registry keyed by the request's tenant id,
+//! looked up once per request and created by the first write; a
+//! caller-supplied factory builds each shard summary (per-tenant,
+//! per-shard seeds for randomized backends).
 //!
 //! Graceful shutdown (the `SHUTDOWN` op or
 //! [`ServerHandle::shutdown`]): set the stop flag, close the queue
@@ -30,18 +32,18 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sqs_core::codec::WireCodec;
 use sqs_core::MergeableSummary;
 use sqs_engine::ShardedEngine;
-use sqs_store::{DurableStore, FsyncPolicy, StoreConfig, WalPayload};
+use sqs_store::{DurableStore, FsyncPolicy, StoreConfig, StoreResult, TenantHandle, WalPayload};
 use sqs_util::clock::{Clock, SystemClock};
 use sqs_window::{WindowConfig, WindowedEngine};
 
-use crate::metrics::{Metrics, WindowTotals};
+use crate::metrics::{EngineTotals, Metrics, WindowTotals};
 use crate::proto::{self, IngestAck, Op, Request, Response, Status};
 
 /// Tuning knobs for [`spawn`].
@@ -257,14 +259,45 @@ impl<T> BoundedQueue<T> {
 /// horizons, which is harmless (only decorrelation matters).
 const WINDOW_FACTORY_SHARD_BASE: usize = 1 << 20;
 
+/// Why a request was refused; its `Display` form, prefixed with the
+/// op's name, is the error reply's payload.
+type Refusal = Box<dyn std::error::Error>;
+
+/// Whether a request may create the tenant it names.
+#[derive(Clone, Copy)]
+enum Access {
+    /// The tenant is only looked at: an unregistered id stays so.
+    Read,
+    /// The tenant is fed: an unregistered id is registered.
+    Write,
+}
+
+/// Everything the server keeps for one tenant id.
+struct Tenant<S> {
+    id: u64,
+    /// The all-time engine every op reads or feeds.
+    engine: Arc<ShardedEngine<u64, S>>,
+    /// The window ring, built by the tenant's first `WINDOW_INSERT`;
+    /// empty forever when `cfg.window` is `None`.
+    window: OnceLock<WindowedEngine<S>>,
+    /// The durable store's ingest/checkpoint gate for this tenant,
+    /// fetched from the store by the first durable write or checkpoint;
+    /// empty forever on an in-memory server.
+    gate: OnceLock<TenantHandle>,
+}
+
+impl<S> Tenant<S> {
+    fn gate(&self, store: &DurableStore) -> &TenantHandle {
+        self.gate.get_or_init(|| store.tenant(self.id))
+    }
+}
+
 /// State shared by the accept thread and every worker.
 struct Shared<S> {
     cfg: ServerConfig,
     addr: SocketAddr,
-    tenants: Mutex<HashMap<u64, Arc<ShardedEngine<u64, S>>>>,
-    /// Per-tenant window rings, lazily materialized on the first
-    /// `WINDOW_*` request; empty forever when `cfg.window` is `None`.
-    windows: Mutex<HashMap<u64, Arc<WindowedEngine<S>>>>,
+    /// The one tenant registry; see [`Shared::tenant`].
+    tenants: Mutex<HashMap<u64, Arc<Tenant<S>>>>,
     /// `Arc` (not `Box`) so window rings can hold a handle into the
     /// same factory for their per-bucket summaries.
     factory: Arc<dyn Fn(u64, usize) -> S + Send + Sync>,
@@ -281,149 +314,159 @@ impl<S> Shared<S>
 where
     S: MergeableSummary<u64> + WireCodec + Clone + Send + Sync + 'static,
 {
-    /// A fresh, empty engine for tenant `id`, in no registry yet.
-    fn new_engine(&self, id: u64) -> Arc<ShardedEngine<u64, S>> {
-        Arc::new(ShardedEngine::new_with(
-            self.cfg.shards,
-            self.cfg.batch_capacity,
-            |shard| (self.factory)(id, shard),
-        ))
+    fn registry(&self) -> MutexGuard<'_, HashMap<u64, Arc<Tenant<S>>>> {
+        // Entries are inserted whole, so a worker that panicked with
+        // the guard held left the map valid; recover it.
+        match self.tenants.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 
-    /// A fresh, empty window ring over `engine` for tenant `id`, in no
-    /// registry yet. The ring's per-bucket summaries come from the same
-    /// factory as the shard summaries, with shard indices offset by
+    /// A fresh, empty record for tenant `id`, in no registry yet.
+    fn new_tenant(&self, id: u64) -> Arc<Tenant<S>> {
+        Arc::new(Tenant {
+            id,
+            engine: Arc::new(ShardedEngine::new_with(
+                self.cfg.shards,
+                self.cfg.batch_capacity,
+                |shard| (self.factory)(id, shard),
+            )),
+            window: OnceLock::new(),
+            gate: OnceLock::new(),
+        })
+    }
+
+    /// A fresh, empty window ring over `tenant`'s engine. The ring's
+    /// per-bucket summaries come from the same factory as the shard
+    /// summaries, with shard indices offset by
     /// [`WINDOW_FACTORY_SHARD_BASE`] so bucket seeds never collide
     /// with shard seeds (randomized backends stay merge-compatible —
     /// same accuracy — but independently seeded).
-    fn new_window(
-        &self,
-        id: u64,
-        engine: Arc<ShardedEngine<u64, S>>,
-        opts: &WindowOptions,
-    ) -> Arc<WindowedEngine<S>> {
-        let factory = Arc::clone(&self.factory);
-        Arc::new(WindowedEngine::new(
-            engine,
+    fn new_window(&self, tenant: &Tenant<S>, opts: &WindowOptions) -> WindowedEngine<S> {
+        let (id, factory) = (tenant.id, Arc::clone(&self.factory));
+        WindowedEngine::new(
+            Arc::clone(&tenant.engine),
             opts.config,
             Arc::clone(&opts.clock),
             move |bucket| {
                 let slot = usize::try_from(bucket % 1021).unwrap_or(0);
                 factory(id, WINDOW_FACTORY_SHARD_BASE + slot)
             },
-        ))
+        )
     }
 
-    /// The tenant's engine for a **write**, registered on first touch.
-    fn tenant(&self, id: u64) -> Arc<ShardedEngine<u64, S>> {
-        let mut map = match self.tenants.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        Arc::clone(map.entry(id).or_insert_with(|| self.new_engine(id)))
+    /// Resolves the tenant a request names — the one registry lookup a
+    /// request makes. A **write** registers the id on first touch. A
+    /// **read** of an id no write has touched gets a throw-away record
+    /// from the same factory: the reply is exactly an empty tenant's,
+    /// and a client probing fresh ids cannot grow the registry.
+    fn tenant(&self, id: u64, access: Access) -> Arc<Tenant<S>> {
+        let mut map = self.registry();
+        match access {
+            Access::Write => Arc::clone(map.entry(id).or_insert_with(|| self.new_tenant(id))),
+            Access::Read => {
+                let registered = map.get(&id).cloned();
+                drop(map);
+                registered.unwrap_or_else(|| self.new_tenant(id))
+            }
+        }
     }
 
-    /// The tenant's engine for a **read**: the registered one, or, for
-    /// an id no write has touched, a throw-away engine from the same
-    /// factory. The reply is exactly an empty tenant's, and a client
-    /// probing fresh ids cannot grow the registry.
-    fn tenant_for_read(&self, id: u64) -> Arc<ShardedEngine<u64, S>> {
-        let registered = match self.tenants.lock() {
-            Ok(g) => g.get(&id).cloned(),
-            Err(poisoned) => poisoned.into_inner().get(&id).cloned(),
-        };
-        registered.unwrap_or_else(|| self.new_engine(id))
+    /// Refuses a batch holding a value outside a bounded backend's
+    /// universe, before it can reach the summary's panic.
+    fn check_values(&self, xs: &[u64]) -> Result<(), Refusal> {
+        if let Some(bound) = self.cfg.value_bound {
+            if let Some(bad) = xs.iter().find(|&&x| x >= bound) {
+                let msg = format!("value {bad} outside the backend universe [0, {bound})");
+                return Err(msg.into());
+            }
+        }
+        Ok(())
     }
 
-    /// The tenant's windowed engine for a **write**, registered (with
-    /// its engine) on first touch; `None` whenever the server runs
-    /// without windowing.
-    fn window_tenant(&self, id: u64) -> Option<Arc<WindowedEngine<S>>> {
-        let opts = self.cfg.window.as_ref()?;
-        // The engine lock is taken and released inside `tenant` before
-        // the windows lock below — never both at once.
-        let engine = self.tenant(id);
-        let mut map = match self.windows.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        Some(Arc::clone(
-            map.entry(id)
-                .or_insert_with(|| self.new_window(id, engine, opts)),
-        ))
+    /// The ring settings, or the refusal every `WINDOW_*` op gives on a
+    /// server that runs without windowing.
+    fn windowing(&self) -> Result<&WindowOptions, Refusal> {
+        let opts = self.cfg.window.as_ref();
+        opts.ok_or_else(|| "windowing disabled (start the server with --window-bucket-secs)".into())
     }
 
-    /// The tenant's windowed engine for a **read**: the registered
-    /// ring, or a throw-away empty one (see
-    /// [`tenant_for_read`](Self::tenant_for_read)); `None` whenever
-    /// the server runs without windowing.
-    fn window_for_read(&self, id: u64) -> Option<Arc<WindowedEngine<S>>> {
-        let opts = self.cfg.window.as_ref()?;
-        let registered = match self.windows.lock() {
-            Ok(g) => g.get(&id).cloned(),
-            Err(poisoned) => poisoned.into_inner().get(&id).cloned(),
-        };
-        Some(registered.unwrap_or_else(|| self.new_window(id, self.tenant_for_read(id), opts)))
+    /// Runs a window **read** on tenant `id`'s ring: its own, or — for
+    /// a tenant no `WINDOW_INSERT` has touched — a throw-away empty
+    /// one, so the reply is an empty ring's and `STATS` `window.rings`
+    /// counts only rings a write created.
+    fn read_ring<R>(
+        &self,
+        id: u64,
+        read: impl FnOnce(&WindowedEngine<S>) -> R,
+    ) -> Result<R, Refusal> {
+        let opts = self.windowing()?;
+        let tenant = self.tenant(id, Access::Read);
+        Ok(match tenant.window.get() {
+            Some(ring) => read(ring),
+            None => read(&self.new_window(&tenant, opts)),
+        })
     }
 
-    /// Folds one batch into the tenant's all-time engine — after logging
-    /// it, on a durable server — and returns the ack, or the error reply
-    /// (prefixed with `op`) if the WAL refused the batch.
-    fn log_then_ingest(&self, tenant: u64, xs: &[u64], op: &str) -> Result<IngestAck, Response> {
-        let engine = self.tenant(tenant);
-        let Some(store) = self.store.as_ref() else {
-            engine.ingest_batch(xs);
-            return Ok(IngestAck {
-                n: engine.n(),
-                seq: 0,
-            });
-        };
-        // Durable path: log first, ingest second, both under the tenant
-        // gate — an ACK means the batch is on disk AND in the engine,
+    /// Applies one write to the tenant's all-time engine — after
+    /// logging it, on a durable server — and returns the ack (`seq` 0
+    /// from an in-memory server, which has no log and takes no gate).
+    fn log_then_apply(
+        &self,
+        tenant: &Tenant<S>,
+        log: impl FnOnce(&DurableStore) -> StoreResult<u64>,
+        apply: impl FnOnce(&ShardedEngine<u64, S>) -> Result<(), Refusal>,
+    ) -> Result<IngestAck, Refusal> {
+        // Durable path: log first, apply second, both under the tenant
+        // gate — an ACK means the write is on disk AND in the engine,
         // and a checkpoint taken under the same gate sees a consistent
         // (seq, engine-state) pair. The ack's count is read under the
         // same gate so (n, seq) describe the same acknowledged prefix
-        // even when other connections ingest into this tenant.
-        let handle = store.tenant(tenant);
-        let _gate = handle.lock();
-        let seq = store
-            .append_batch(tenant, xs)
-            .map_err(|e| err(format!("{op}: wal append failed: {e}")))?;
-        engine.ingest_batch(xs);
-        Ok(IngestAck { n: engine.n(), seq })
+        // even when other connections write to this tenant.
+        let store = self.store.as_deref();
+        let _gate = store.map(|store| tenant.gate(store).lock());
+        let seq = match store {
+            Some(store) => log(store).map_err(|e| format!("wal append failed: {e}"))?,
+            None => 0,
+        };
+        apply(&tenant.engine)?;
+        let n = tenant.engine.n();
+        Ok(IngestAck { n, seq })
     }
 
-    /// Cross-tenant window aggregate for the `STATS` reply; `None`
-    /// when windowing is off (the JSON section is omitted). Ring
-    /// `Arc`s are cloned out first so each ring's stat read happens
-    /// without the map lock held.
-    fn window_totals(&self) -> Option<WindowTotals> {
-        self.cfg.window.as_ref()?;
-        let rings: Vec<Arc<WindowedEngine<S>>> = match self.windows.lock() {
-            Ok(g) => g.values().cloned().collect(),
-            Err(poisoned) => poisoned.into_inner().values().cloned().collect(),
-        };
-        let mut totals = WindowTotals::default();
-        for ring in &rings {
-            totals.absorb(&ring.stats());
-        }
-        Some(totals)
+    /// Folds one value batch into the tenant's all-time engine through
+    /// [`log_then_apply`](Self::log_then_apply) and counts its rows.
+    fn ingest(&self, tenant: &Tenant<S>, xs: &[u64]) -> Result<IngestAck, Refusal> {
+        let ack = self.log_then_apply(
+            tenant,
+            |store| store.append_batch(tenant.id, xs),
+            |engine| {
+                engine.ingest_batch(xs);
+                Ok(())
+            },
+        )?;
+        self.metrics.add_rows(xs.len() as u64);
+        Ok(ack)
     }
 
-    /// Tenant count plus the cross-tenant engine aggregate for the
-    /// `STATS` reply, read in one pass over the tenant map. The engine
-    /// `Arc`s are cloned out first so each engine's (brief) stat loads
-    /// happen without the map lock held.
-    fn stats_snapshot(&self) -> (usize, crate::metrics::EngineTotals) {
-        let engines: Vec<Arc<ShardedEngine<u64, S>>> = match self.tenants.lock() {
-            Ok(g) => g.values().cloned().collect(),
-            Err(poisoned) => poisoned.into_inner().values().cloned().collect(),
-        };
-        let mut totals = crate::metrics::EngineTotals::default();
-        for engine in &engines {
-            totals.absorb(&engine.stats());
+    /// Tenant count plus the cross-tenant engine and window-ring
+    /// aggregates for the `STATS` reply, read in one pass over the
+    /// registry; the ring aggregate is `None` when windowing is off
+    /// (the JSON section is omitted). The records are cloned out first
+    /// so each engine's and ring's stat read happens without the
+    /// registry lock held.
+    fn stats_snapshot(&self) -> (usize, EngineTotals, Option<WindowTotals>) {
+        let tenants: Vec<Arc<Tenant<S>>> = self.registry().values().cloned().collect();
+        let mut engines = EngineTotals::default();
+        let mut rings = self.cfg.window.as_ref().map(|_| WindowTotals::default());
+        for tenant in &tenants {
+            engines.absorb(&tenant.engine.stats());
+            if let (Some(rings), Some(ring)) = (rings.as_mut(), tenant.window.get()) {
+                rings.absorb(&ring.stats());
+            }
         }
-        (engines.len(), totals)
+        (tenants.len(), engines, rings)
     }
 
     /// Flips the stop flag, closes the queue, flushes the WAL, and
@@ -528,7 +571,6 @@ where
         cfg,
         addr,
         tenants: Mutex::new(HashMap::new()),
-        windows: Mutex::new(HashMap::new()),
         factory: Arc::new(factory),
         queue: BoundedQueue::new(queue_depth),
         stop: AtomicBool::new(false),
@@ -594,8 +636,8 @@ where
                 ckpt.tenant, ckpt.n, mass
             )));
         }
-        let engine = shared.tenant(ckpt.tenant);
-        if engine.try_absorb(decoded).is_err() {
+        let tenant = shared.tenant(ckpt.tenant, Access::Write);
+        if tenant.engine.try_absorb(decoded).is_err() {
             return Err(io::Error::other(format!(
                 "recovery: checkpoint for tenant {} is incompatible with the configured \
                  backend — was the server restarted with different accuracy settings?",
@@ -606,7 +648,7 @@ where
         summary.checkpoints_loaded += 1;
     }
     for record in &recovery.records {
-        let engine = shared.tenant(record.tenant);
+        let engine = &shared.tenant(record.tenant, Access::Write).engine;
         match &record.payload {
             WalPayload::Batch(xs) => {
                 engine.ingest_batch(xs);
@@ -633,7 +675,7 @@ where
             },
         }
     }
-    let (tenants, totals) = shared.stats_snapshot();
+    let (tenants, totals, _) = shared.stats_snapshot();
     summary.tenants = tenants;
     summary.total_items = totals.items;
     if totals.items != expected {
@@ -669,13 +711,13 @@ where
             std::thread::sleep(Duration::from_millis(25));
         }
         for (tenant, _target_seq) in store.tenants_needing_checkpoint() {
-            let engine = shared.tenant(tenant);
-            let handle = store.tenant(tenant);
+            let record = shared.tenant(tenant, Access::Write);
+            let engine = &record.engine;
             // Under the tenant gate, `last_append` and the engine
             // snapshot describe the same acknowledged prefix — the
             // consistency invariant recovery relies on.
             let (seq, mut snap, n) = {
-                let _gate = handle.lock();
+                let _gate = record.gate(store).lock();
                 (store.last_append(tenant), engine.snapshot(), engine.n())
             };
             let frame = WireCodec::to_bytes(&mut snap);
@@ -735,7 +777,7 @@ where
         match proto::read_request(&mut stream) {
             Ok(Some(req)) => {
                 let started = Instant::now();
-                let resp = dispatch(shared, &req);
+                let resp = reply(req.op, dispatch(shared, &req));
                 shared.metrics.record_op(
                     req.op,
                     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -765,201 +807,106 @@ where
     }
 }
 
-fn ok(payload: Vec<u8>) -> Response {
-    Response {
-        status: Status::Ok,
-        payload,
-    }
-}
-
-fn err(msg: String) -> Response {
-    Response {
-        status: Status::Err,
-        payload: msg.into_bytes(),
-    }
+/// Frames what [`dispatch`] returned. The payload cap is checked here,
+/// once for every op: a reply too large to frame becomes an error reply
+/// naming its size — the client is answered and the connection lives —
+/// where `write_response` could only refuse and drop the socket.
+fn reply(op: Op, outcome: Result<Vec<u8>, Refusal>) -> Response {
+    let (name, cap) = (op.name(), proto::MAX_PAYLOAD as usize);
+    let (status, payload) = match outcome {
+        Ok(payload) if payload.len() <= cap => (Status::Ok, payload),
+        Ok(payload) => {
+            let len = payload.len();
+            let msg = format!("{name}: reply of {len} bytes exceeds the {cap}-byte frame cap");
+            (Status::Err, msg.into_bytes())
+        }
+        Err(e) => (Status::Err, format!("{name}: {e}").into_bytes()),
+    };
+    Response { status, payload }
 }
 
 /// The reply to a `MERGE_SNAPSHOT` whose frame decoded but which
 /// `ShardedEngine::try_absorb` handed back: the engine does not say
 /// which of its two reasons applied, so the reply names both.
-const MERGE_REFUSED: &str = "merge snapshot: refused — accuracy configuration incompatible \
-     with this tenant, or the summary's count would take the tenant's past i64::MAX";
+const MERGE_REFUSED: &str = "refused — accuracy configuration incompatible with this tenant, \
+     or the summary's count would take the tenant's past i64::MAX";
 
 /// Executes one request against the tenant registry. Every failure is
-/// an error *reply* — malformed payloads, out-of-universe values, and
-/// incompatible snapshots must never panic a worker.
-fn dispatch<S>(shared: &Shared<S>, req: &Request) -> Response
+/// a [`Refusal`] that [`reply`] turns into an error *reply* — malformed
+/// payloads, out-of-universe values, and incompatible snapshots must
+/// never panic a worker. A refused write registers no tenant: the
+/// payload is vetted before the registry is touched.
+fn dispatch<S>(shared: &Shared<S>, req: &Request) -> Result<Vec<u8>, Refusal>
 where
     S: MergeableSummary<u64> + WireCodec + Clone + Send + Sync + 'static,
 {
     match req.op {
         Op::InsertBatch => {
-            let xs = match proto::decode_u64s(&req.payload) {
-                Ok(xs) => xs,
-                Err(e) => return err(format!("insert batch: {e}")),
-            };
-            if let Some(bound) = shared.cfg.value_bound {
-                if let Some(&bad) = xs.iter().find(|&&x| x >= bound) {
-                    return err(format!(
-                        "insert batch: value {bad} outside the backend universe [0, {bound})"
-                    ));
-                }
-            }
-            let ack = match shared.log_then_ingest(req.tenant, &xs, "insert batch") {
-                Ok(ack) => ack,
-                Err(reply) => return reply,
-            };
-            shared.metrics.add_rows(xs.len() as u64);
-            ok(proto::encode_ingest_ack(ack))
-        }
-        Op::QueryQuantiles => {
-            let phis = match proto::decode_f64s(&req.payload) {
-                Ok(phis) => phis,
-                Err(e) => return err(format!("query quantiles: {e}")),
-            };
-            if let Some(&bad) = phis
-                .iter()
-                .find(|p| !(p.is_finite() && **p > 0.0 && **p < 1.0))
-            {
-                return err(format!("query quantiles: phi {bad} outside (0, 1)"));
-            }
-            let answers = shared.tenant_for_read(req.tenant).quantiles(&phis);
-            ok(proto::encode_answers(&answers))
+            let xs = proto::decode_u64s(&req.payload)?;
+            shared.check_values(&xs)?;
+            let tenant = shared.tenant(req.tenant, Access::Write);
+            Ok(proto::encode_ingest_ack(shared.ingest(&tenant, &xs)?))
         }
         Op::QueryMany => {
-            let (phis, xs) = match proto::decode_query_many(&req.payload) {
-                Ok(parts) => parts,
-                Err(e) => return err(format!("query many: {e}")),
-            };
-            if let Some(&bad) = phis
-                .iter()
-                .find(|p| !(p.is_finite() && **p > 0.0 && **p < 1.0))
-            {
-                return err(format!("query many: phi {bad} outside (0, 1)"));
-            }
-            let (quantiles, ranks) = shared.tenant_for_read(req.tenant).query_many(&phis, &xs);
-            ok(proto::encode_query_many_reply(&quantiles, &ranks))
+            let (phis, xs) = proto::decode_query_many(&req.payload)?;
+            let tenant = shared.tenant(req.tenant, Access::Read);
+            let (quantiles, ranks) = tenant.engine.query_many(&phis, &xs);
+            Ok(proto::encode_query_many_reply(&quantiles, &ranks))
         }
-        Op::QueryRank => match proto::decode_u64(&req.payload) {
-            Ok(x) => ok(proto::encode_u64(
-                shared.tenant_for_read(req.tenant).rank_estimate(x),
-            )),
-            Err(e) => err(format!("query rank: {e}")),
-        },
         Op::Snapshot => {
-            let mut snap = shared.tenant_for_read(req.tenant).snapshot();
-            let bytes = WireCodec::to_bytes(&mut snap);
-            if bytes.len() > proto::MAX_PAYLOAD as usize {
-                return err(format!(
-                    "snapshot of {} bytes exceeds the {}-byte frame cap",
-                    bytes.len(),
-                    proto::MAX_PAYLOAD
-                ));
-            }
-            ok(bytes)
+            let mut snap = shared.tenant(req.tenant, Access::Read).engine.snapshot();
+            Ok(WireCodec::to_bytes(&mut snap))
         }
-        Op::MergeSnapshot => match S::from_bytes(&req.payload) {
-            Ok(summary) => {
-                let engine = shared.tenant(req.tenant);
-                match shared.store.as_ref() {
-                    Some(store) => {
-                        // Log-then-absorb under the tenant gate, like
-                        // ingest. An absorb failure after the append
-                        // leaves a harmless dud record: replay hits
-                        // the same deterministic incompatibility and
-                        // skips it.
-                        let handle = store.tenant(req.tenant);
-                        let _gate = handle.lock();
-                        if let Err(e) = store.append_snapshot(req.tenant, &req.payload) {
-                            return err(format!("merge snapshot: wal append failed: {e}"));
-                        }
-                        match engine.try_absorb(summary) {
-                            Ok(()) => ok(proto::encode_ingest_ack(IngestAck {
-                                n: engine.n(),
-                                seq: store.last_append(req.tenant),
-                            })),
-                            Err(_) => err(MERGE_REFUSED.to_owned()),
-                        }
-                    }
-                    None => match engine.try_absorb(summary) {
-                        Ok(()) => ok(proto::encode_ingest_ack(IngestAck {
-                            n: engine.n(),
-                            seq: 0,
-                        })),
-                        Err(_) => err(MERGE_REFUSED.to_owned()),
-                    },
-                }
-            }
-            Err(e) => err(format!("merge snapshot rejected: {e}")),
-        },
+        Op::MergeSnapshot => {
+            let summary =
+                S::from_bytes(&req.payload).map_err(|e| format!("frame rejected: {e}"))?;
+            let tenant = shared.tenant(req.tenant, Access::Write);
+            // Log-then-absorb under the tenant gate, like ingest. An
+            // absorb failure after the append leaves a harmless dud
+            // record: replay hits the same deterministic
+            // incompatibility and skips it.
+            let ack = shared.log_then_apply(
+                &tenant,
+                |store| store.append_snapshot(tenant.id, &req.payload),
+                |engine| engine.try_absorb(summary).map_err(|_| MERGE_REFUSED.into()),
+            )?;
+            Ok(proto::encode_ingest_ack(ack))
+        }
         Op::Stats => {
-            let (tenants, engine_totals) = shared.stats_snapshot();
-            let store_stats = shared.store.as_ref().map(|s| s.stats());
-            let window_totals = shared.window_totals();
-            ok(shared
+            let (tenants, engines, rings) = shared.stats_snapshot();
+            let store = shared.store.as_ref().map(|s| s.stats());
+            let json = shared
                 .metrics
-                .to_json(
-                    tenants,
-                    &engine_totals,
-                    store_stats.as_ref(),
-                    window_totals.as_ref(),
-                )
-                .into_bytes())
+                .to_json(tenants, &engines, store.as_ref(), rings.as_ref());
+            Ok(json.into_bytes())
         }
-        Op::Shutdown => ok(Vec::new()),
+        Op::Shutdown => Ok(Vec::new()),
         Op::WindowInsert => {
-            let (ts_nanos, xs) = match proto::decode_window_insert(&req.payload) {
-                Ok(parts) => parts,
-                Err(e) => return err(format!("window insert: {e}")),
-            };
-            if let Some(bound) = shared.cfg.value_bound {
-                if let Some(&bad) = xs.iter().find(|&&x| x >= bound) {
-                    return err(format!(
-                        "window insert: value {bad} outside the backend universe [0, {bound})"
-                    ));
-                }
-            }
-            let Some(windowed) = shared.window_tenant(req.tenant) else {
-                return err("window insert: windowing disabled (start the server with \
-                            --window-bucket-secs)"
-                    .to_owned());
-            };
+            let (ts_nanos, xs) = proto::decode_window_insert(&req.payload)?;
+            shared.check_values(&xs)?;
+            let opts = shared.windowing()?;
+            let tenant = shared.tenant(req.tenant, Access::Write);
+            let ring = tenant
+                .window
+                .get_or_init(|| shared.new_window(&tenant, opts));
             // Same durable contract as INSERT_BATCH: the WAL logs the
             // plain batch (the all-time stream is what survives a
             // restart — rings are rebuilt empty and refill as new data
             // arrives, which docs/WINDOW.md spells out). Ring placement
             // happens after the gate: it is volatile state and needs no
             // WAL coverage.
-            let ack = match shared.log_then_ingest(req.tenant, &xs, "window insert") {
-                Ok(ack) => ack,
-                Err(reply) => return reply,
-            };
-            let _outcome = windowed.ingest_window_only(ts_nanos, &xs);
-            shared.metrics.add_rows(xs.len() as u64);
-            ok(proto::encode_ingest_ack(ack))
+            let ack = shared.ingest(&tenant, &xs)?;
+            let _outcome = ring.ingest_window_only(ts_nanos, &xs);
+            Ok(proto::encode_ingest_ack(ack))
         }
         Op::WindowQuery => {
-            let (spec, phis) = match proto::decode_window_query(&req.payload) {
-                Ok(parts) => parts,
-                Err(e) => return err(format!("window query: {e}")),
-            };
-            let Some(windowed) = shared.window_for_read(req.tenant) else {
-                return err("window query: windowing disabled (start the server with \
-                            --window-bucket-secs)"
-                    .to_owned());
-            };
-            match windowed.query(spec, &phis) {
-                Ok(answer) => ok(proto::encode_window_answer(&answer)),
-                Err(e) => err(format!("window query: {e}")),
-            }
+            let (spec, phis) = proto::decode_window_query(&req.payload)?;
+            let answer = shared.read_ring(req.tenant, |ring| ring.query(spec, &phis))??;
+            Ok(proto::encode_window_answer(&answer))
         }
         Op::WindowStats => {
-            let Some(windowed) = shared.window_for_read(req.tenant) else {
-                return err("window stats: windowing disabled (start the server with \
-                            --window-bucket-secs)"
-                    .to_owned());
-            };
-            ok(proto::encode_window_stats(&windowed.stats()))
+            let stats = shared.read_ring(req.tenant, WindowedEngine::stats)?;
+            Ok(proto::encode_window_stats(&stats))
         }
     }
 }

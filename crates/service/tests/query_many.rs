@@ -1,7 +1,7 @@
 //! End-to-end socket test for the `QUERY_MANY` op: one round trip
 //! answers a φ-sweep plus a rank sweep from one merged snapshot, and
 //! on a quiescent server the combined answers must equal what the
-//! single-query ops return.
+//! client's one-sided wrappers (`query_quantiles`, `query_rank`) return.
 
 use std::time::Duration;
 
@@ -15,7 +15,7 @@ const LOG_U: u32 = 20;
 const TENANT: u64 = 7;
 
 #[test]
-fn query_many_matches_single_query_ops_over_the_socket() {
+fn query_many_matches_its_one_sided_wrappers_over_the_socket() {
     // Shards of one tenant merge at snapshot time, so every shard must
     // draw the same hash functions: the seed depends on the tenant only.
     let server = spawn(ServerConfig::default(), |tenant: u64, _shard: usize| {
@@ -39,14 +39,14 @@ fn query_many_matches_single_query_ops_over_the_socket() {
     assert_eq!(quantiles.len(), phis.len());
     assert_eq!(ranks.len(), probes.len());
 
-    // The stream is quiescent, so single-op answers must agree exactly.
+    // The stream is quiescent, so the wrappers must agree exactly.
     let separate = client
         .query_quantiles(TENANT, &phis)
         .expect("query quantiles");
-    assert_eq!(quantiles, separate, "φ-sweep must match QUERY_QUANTILES");
+    assert_eq!(quantiles, separate, "φ-sweep must match query_quantiles");
     for (&x, &rank) in probes.iter().zip(&ranks) {
         let single = client.query_rank(TENANT, x).expect("query rank");
-        assert_eq!(rank, single, "rank sweep must match QUERY_RANK at x={x}");
+        assert_eq!(rank, single, "rank sweep must match query_rank at x={x}");
     }
 
     // Asymmetric and empty shapes are legal.

@@ -15,17 +15,15 @@ cargo xtask check
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
-# The analyze step already ran inside `xtask check`; running it alone
-# here keeps a zero-findings transcript line even when someone edits
-# the gate above, and the fixture suite proves every pass still
-# recognizes its violations (golden diagnostics + clean-tree
-# self-test).
-echo "== cargo xtask analyze =="
-cargo xtask analyze
-
+# `xtask check` above ended with `cargo xtask analyze` on this tree;
+# the fixture suite proves every pass still recognizes its violations
+# (golden diagnostics + clean-tree self-test).
 echo "== analyzer fixture tests (cargo test -p sqs-analyze) =="
 cargo test -q -p sqs-analyze
 
+# The root package's suite, tests/service_smoke.rs included (real TCP
+# server on loopback, concurrent clients, cross-server snapshot merge,
+# hostile frames).
 echo "== cargo test -q =="
 cargo test -q
 
@@ -87,11 +85,6 @@ cargo test -q --release -p sqs-turnstile --test batch_floor
 # where clippy's --lib/--bins gate can't see (integration tests).
 echo "== engine stress (cargo test -p sqs-engine, single-threaded runner) =="
 RUSTFLAGS="${RUSTFLAGS:--D warnings}" cargo test -q -p sqs-engine -- --test-threads=1
-
-# Service layer: loopback smoke test (real TCP server, concurrent
-# clients, cross-server snapshot merge).
-echo "== service smoke (cargo test --test service_smoke) =="
-cargo test -q --test service_smoke
 
 # Durable store: WAL/checkpoint unit suite, then the crash-recovery
 # smoke test — the real sqs-serve binary is SIGKILLed mid-ingest and

@@ -221,65 +221,119 @@ fn every_truncation_and_bit_flip_rejected_across_backends() {
     exhaustive_corruption_sweep(filled_dcs(3, &data), "dcs");
 }
 
-/// The same every-byte sweep for the service's window frames
-/// (`SQWF` payloads of the `WINDOW_*` ops). They are not `WireCodec`
-/// summaries — each has its own encode/decode pair — so the sweep is
-/// expressed over a closure. A successful decode additionally ran the
-/// payload's `CheckInvariants` (the decoders end in it), so surviving
-/// here means "checksummed AND semantically possible".
+/// The same every-byte sweep for the `WINDOW_*` ops, at the level their
+/// one checksum lives: `wire` is a sealed `SQSW` frame that `unseal`
+/// (`read_request` or `read_response`) opens and `decode` then parses,
+/// so surviving means "checksummed AND semantically possible" (the
+/// decoders end in `CheckInvariants`). What the checksum cannot vouch
+/// for, `decode` must refuse on the bare payload: every truncation, a
+/// trailing byte, and a count field (eight bytes at `count_at`)
+/// claiming more than the payload holds.
 fn exhaustive_window_frame_sweep<T>(
-    frame: &[u8],
+    wire: &[u8],
+    unseal: impl Fn(&[u8]) -> Result<Vec<u8>, streaming_quantiles::sqs_service::ProtoError>,
+    count_at: usize,
     decode: impl Fn(&[u8]) -> Result<T, streaming_quantiles::sqs_service::ProtoError>,
     label: &str,
 ) {
-    assert!(decode(frame).is_ok(), "{label}: pristine frame rejected");
-    for cut in 0..frame.len() {
-        let truncated = frame.get(..cut).unwrap_or_default();
+    let read = |wire: &[u8]| decode(&unseal(wire)?);
+    assert!(read(wire).is_ok(), "{label}: pristine frame rejected");
+    for cut in 0..wire.len() {
         assert!(
-            decode(truncated).is_err(),
+            read(&wire[..cut]).is_err(),
             "{label}: truncation at {cut}/{} accepted",
-            frame.len()
+            wire.len()
         );
     }
-    for pos in 0..frame.len() {
+    for pos in 0..wire.len() {
         for bit in 0..8u8 {
-            let mut evil = frame.to_vec();
-            if let Some(b) = evil.get_mut(pos) {
-                *b ^= 1 << bit;
-            }
+            let mut evil = wire.to_vec();
+            evil[pos] ^= 1 << bit;
             assert!(
-                decode(&evil).is_err(),
+                read(&evil).is_err(),
                 "{label}: bit flip at byte {pos} bit {bit} accepted"
             );
         }
+    }
+
+    let payload = unseal(wire).expect("pristine frame");
+    for cut in 0..payload.len() {
+        assert!(
+            decode(&payload[..cut]).is_err(),
+            "{label}: payload truncation at {cut}/{} accepted",
+            payload.len()
+        );
+    }
+    assert!(
+        decode(&[&payload[..], &[0]].concat()).is_err(),
+        "{label}: trailing byte accepted"
+    );
+    let honest = u64::from_le_bytes(payload[count_at..count_at + 8].try_into().expect("8"));
+    for forged in [honest + 1, 1 << 40, u64::MAX] {
+        let mut evil = payload.clone();
+        evil[count_at..count_at + 8].copy_from_slice(&forged.to_le_bytes());
+        assert!(
+            decode(&evil).is_err(),
+            "{label}: forged count {forged} accepted"
+        );
     }
 }
 
 #[test]
 fn every_truncation_and_bit_flip_rejected_on_window_frames() {
     use streaming_quantiles::sqs_service::proto::{
-        decode_window_answer, decode_window_insert, decode_window_query, decode_window_stats,
-        encode_window_answer, encode_window_insert, encode_window_query, encode_window_stats,
+        self, decode_window_answer, decode_window_insert, decode_window_query, decode_window_stats,
+        encode_window_answer, encode_window_insert, encode_window_query, encode_window_stats, Op,
+        ProtoError, Request, Response, Status,
     };
     use streaming_quantiles::sqs_window::{WindowAnswer, WindowSpec, WindowStats};
 
+    let request = |op: Op, payload: Vec<u8>| {
+        let (mut wire, tenant) = (Vec::new(), 9);
+        proto::write_request(
+            &mut wire,
+            &Request {
+                op,
+                tenant,
+                payload,
+            },
+        )
+        .expect("frame fits");
+        wire
+    };
+    let response = |payload: Vec<u8>| {
+        let (mut wire, status) = (Vec::new(), Status::Ok);
+        proto::write_response(&mut wire, &Response { status, payload }).expect("frame fits");
+        wire
+    };
+    let req = |mut wire: &[u8]| {
+        let req = proto::read_request(&mut wire)?;
+        Ok(req.ok_or(ProtoError::Malformed("empty stream"))?.payload)
+    };
+    let resp = |mut wire: &[u8]| Ok(proto::read_response(&mut wire)?.payload);
+
+    // Count fields: after ts (8) in an insert, after kind + span (9) in
+    // a query, after start, end and n (24) in an answer, first in stats.
     let insert = encode_window_insert(123_456_789, &(0..48u64).collect::<Vec<_>>());
-    exhaustive_window_frame_sweep(&insert, decode_window_insert, "window_insert");
+    let insert = request(Op::WindowInsert, insert);
+    exhaustive_window_frame_sweep(&insert, req, 8, decode_window_insert, "insert");
 
     let query = encode_window_query(WindowSpec::sliding(5_000_000_000), &[0.1, 0.5, 0.99]);
-    exhaustive_window_frame_sweep(&query, decode_window_query, "window_query(sliding)");
+    let query = request(Op::WindowQuery, query);
+    exhaustive_window_frame_sweep(&query, req, 9, decode_window_query, "sliding");
     let query = encode_window_query(WindowSpec::tumbling(60_000_000_000), &[0.5]);
-    exhaustive_window_frame_sweep(&query, decode_window_query, "window_query(tumbling)");
+    let query = request(Op::WindowQuery, query);
+    exhaustive_window_frame_sweep(&query, req, 9, decode_window_query, "tumbling");
 
-    let answer = encode_window_answer(&WindowAnswer {
+    let answer = response(encode_window_answer(&WindowAnswer {
         start_nanos: 10_000,
         end_nanos: 20_000,
         n: 7,
         answers: vec![Some(3), None, Some(u64::MAX)],
-    });
-    exhaustive_window_frame_sweep(&answer, decode_window_answer, "window_answer");
+    }));
+    exhaustive_window_frame_sweep(&answer, resp, 24, decode_window_answer, "answer");
 
-    let stats = encode_window_stats(&WindowStats {
+    let stats = response(encode_window_stats(&WindowStats {
         bucket_nanos: 1_000_000_000,
         retention_buckets: 60,
         rollup_factor: 8,
@@ -288,8 +342,8 @@ fn every_truncation_and_bit_flip_rejected_on_window_frames() {
         buckets_rotated: 89,
         rollup_hits: 4,
         ..WindowStats::default()
-    });
-    exhaustive_window_frame_sweep(&stats, decode_window_stats, "window_stats");
+    }));
+    exhaustive_window_frame_sweep(&stats, resp, 0, decode_window_stats, "stats");
 }
 
 /// `frame` with the version byte at offset 4 set to `current − 1` and
@@ -308,9 +362,7 @@ fn downgraded(frame: &[u8], current: u8) -> Vec<u8> {
 fn previous_version_is_refused_by_every_frame_family() {
     use sqs_store::{DurableStore, StoreConfig, StoreError};
     use streaming_quantiles::sqs_core::codec::{frame_kind, CodecError, WIRE_VERSION};
-    use streaming_quantiles::sqs_service::proto::{
-        self, Op, Request, Response, Status, VERSION, WINDOW_FRAME_VERSION,
-    };
+    use streaming_quantiles::sqs_service::proto::{self, Op, Request, Response, Status, VERSION};
     use streaming_quantiles::sqs_service::ProtoError;
 
     // SQSC, from both crates that implement it.
@@ -337,10 +389,19 @@ fn previous_version_is_refused_by_every_frame_family() {
     proto::write_request(&mut wire, &req).expect("frame fits");
     let old = downgraded(&wire, VERSION);
     let err = proto::read_request(&mut old.as_slice()).expect_err("old request");
-    assert!(
-        matches!(err, ProtoError::BadVersion(v) if v == VERSION - 1),
-        "{err}"
-    );
+    assert!(matches!(err, ProtoError::BadVersion(2)), "{err}");
+    // Version 3 retired op codes 2 and 3 (QUERY_QUANTILES, QUERY_RANK):
+    // a current frame carrying one is refused by op.
+    for retired in [2u8, 3] {
+        let mut frame = wire[..wire.len() - 8].to_vec();
+        frame[5] = retired;
+        streaming_quantiles::sqs_core::codec::seal(&mut frame);
+        let err = proto::read_request(&mut frame.as_slice()).expect_err("retired op");
+        assert!(
+            matches!(err, ProtoError::BadOp(op) if op == retired),
+            "{err}"
+        );
+    }
     let mut wire = Vec::new();
     let resp = Response {
         status: Status::Ok,
@@ -349,21 +410,7 @@ fn previous_version_is_refused_by_every_frame_family() {
     proto::write_response(&mut wire, &resp).expect("frame fits");
     let old = downgraded(&wire, VERSION);
     let err = proto::read_response(&mut old.as_slice()).expect_err("old response");
-    assert!(
-        matches!(err, ProtoError::BadVersion(v) if v == VERSION - 1),
-        "{err}"
-    );
-
-    // SQWF.
-    let old = downgraded(
-        &proto::encode_window_insert(5, &[1, 2]),
-        WINDOW_FRAME_VERSION,
-    );
-    let err = proto::decode_window_insert(&old).expect_err("old window frame");
-    assert!(
-        matches!(err, ProtoError::BadVersion(v) if v == WINDOW_FRAME_VERSION - 1),
-        "{err}"
-    );
+    assert!(matches!(err, ProtoError::BadVersion(2)), "{err}");
 
     // SQWL and SQCK: the store refuses the whole directory.
     let dir =

@@ -23,6 +23,24 @@ fn test_server(seed: u64) -> ServerHandle<RandomSketch<u64>> {
     .expect("ephemeral loopback bind")
 }
 
+/// A server with windowing on (1 s buckets, 8 retained) whose clock
+/// stands still at 5 s.
+fn windowed_server(seed: u64) -> ServerHandle<RandomSketch<u64>> {
+    use streaming_quantiles::sqs_service::server::WindowOptions;
+    let clock = ManualClock::at(5_000_000_000);
+    spawn(
+        ServerConfig {
+            window: Some(WindowOptions::with_clock(
+                WindowConfig::new(1_000_000_000, 8),
+                std::sync::Arc::new(clock),
+            )),
+            ..ServerConfig::default()
+        },
+        move |tenant, shard| RandomSketch::new(EPS, seed ^ (tenant << 8) ^ shard as u64),
+    )
+    .expect("ephemeral loopback bind")
+}
+
 fn connect(addr: std::net::SocketAddr) -> Client {
     Client::connect(addr, Duration::from_secs(10)).expect("loopback connect")
 }
@@ -452,19 +470,7 @@ fn stats_reports_ingest_and_tenants() {
 #[test]
 fn reads_on_unknown_tenants_register_nothing() {
     use streaming_quantiles::sqs_service::proto;
-    use streaming_quantiles::sqs_service::server::WindowOptions;
-    let clock = ManualClock::at(5_000_000_000);
-    let server = spawn(
-        ServerConfig {
-            window: Some(WindowOptions::with_clock(
-                WindowConfig::new(1_000_000_000, 8),
-                std::sync::Arc::new(clock),
-            )),
-            ..ServerConfig::default()
-        },
-        |tenant, shard| RandomSketch::new(EPS, 61 ^ (tenant << 8) ^ shard as u64),
-    )
-    .expect("ephemeral loopback bind");
+    let server = windowed_server(61);
     let mut client = connect(server.addr());
     client.insert_batch(1, &[1, 2, 3]).expect("insert");
     let tenants_before = "\"tenants\": 1,";
@@ -472,17 +478,15 @@ fn reads_on_unknown_tenants_register_nothing() {
 
     let spec = WindowSpec::sliding(2_000_000_000);
     let reads = [
-        (Op::QueryQuantiles, proto::encode_f64s(&[0.25, 0.5])),
-        (Op::QueryRank, proto::encode_u64(7)),
         (Op::QueryMany, proto::encode_query_many(&[0.5], &[7, 9])),
         (Op::Snapshot, Vec::new()),
         (Op::WindowQuery, proto::encode_window_query(spec, &[0.5])),
         (Op::WindowStats, Vec::new()),
     ];
     let mut replies = Vec::new();
-    for round in 0..167u64 {
+    for round in 0..250u64 {
         for (i, (op, payload)) in reads.iter().enumerate() {
-            let tenant = 1_000 + round * 6 + i as u64;
+            let tenant = 1_000 + round * 4 + i as u64;
             let reply = client
                 .call(*op, tenant, payload.clone())
                 .expect("a read on an unknown tenant is answered");
@@ -505,6 +509,86 @@ fn reads_on_unknown_tenants_register_nothing() {
         let registered = client.call(*op, *tenant, (*payload).clone()).expect("read");
         assert_eq!(&registered, unregistered, "{op:?} on tenant {tenant}");
     }
+    server.shutdown();
+    server.join();
+}
+
+/// A request under the 16 MiB cap whose reply is over it — 1.9 M φ make
+/// a 15.2 MB request and a 17.1 MB answers block — is answered with an
+/// error naming the size, and the connection goes on answering. (The
+/// reply used to fail in `write_response`; the worker dropped the
+/// socket and the client read `UnexpectedEof`.)
+#[test]
+fn reply_over_the_frame_cap_is_an_error_reply_on_a_live_connection() {
+    let server = windowed_server(71);
+    let mut client = connect(server.addr());
+    let phis = vec![0.5; 1_900_000];
+    let spec = WindowSpec::sliding(2_000_000_000);
+    let wide_sweeps = [
+        client.query_many(1, &phis, &[]).map(drop),
+        client.window_query(1, spec, &phis).map(drop),
+    ];
+    for refused in wide_sweeps {
+        match refused {
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains("exceeds the 16777216-byte frame cap"), "{msg}")
+            }
+            other => panic!("oversized reply not refused: {other:?}"),
+        }
+    }
+    assert_eq!(
+        client.insert_batch(1, &[1, 2, 3]).expect("next request").n,
+        3
+    );
+    let json = client.stats().expect("stats");
+    assert!(json.contains("\"proto_errors\": 0"), "stats: {json}");
+    server.shutdown();
+    server.join();
+}
+
+/// The `SQSW` trailer is the only checksum over a `WINDOW_INSERT`: a
+/// bit flipped inside the frame's value words gets an error reply,
+/// reaches neither the ring nor the engine, and counts as one protocol
+/// error.
+#[test]
+fn bit_flip_inside_a_window_insert_frame_is_refused_and_ingests_nothing() {
+    use std::io::Write;
+    use streaming_quantiles::sqs_service::proto::{self, Request, Status};
+
+    let server = windowed_server(81);
+    let mut client = connect(server.addr());
+    let (tenant, now) = (6u64, 5_000_000_000);
+    assert_eq!(
+        client
+            .window_insert(tenant, now, &[1, 2, 3])
+            .expect("insert")
+            .n,
+        3
+    );
+
+    let mut frame = Vec::new();
+    let req = Request {
+        op: Op::WindowInsert,
+        tenant,
+        payload: proto::encode_window_insert(now, &[4, 5, 6]),
+    };
+    proto::write_request(&mut frame, &req).expect("frame fits");
+    // Header (20), event time (8), count (8), then the first value.
+    frame[proto::REQ_HEADER_LEN + 16] ^= 0x40;
+    let mut raw = std::net::TcpStream::connect(server.addr()).expect("raw connect");
+    raw.write_all(&frame).expect("send");
+    let resp = proto::read_response(&mut raw).expect("an error reply, not a hang-up");
+    assert_eq!(resp.status, Status::Err);
+    let msg = String::from_utf8_lossy(&resp.payload);
+    assert!(msg.contains("checksum"), "{msg}");
+
+    assert_eq!(
+        client.window_stats(tenant).expect("stats").ingested_items,
+        3
+    );
+    assert_eq!(client.query_rank(tenant, u64::MAX).expect("rank"), 3);
+    let json = client.stats().expect("stats");
+    assert!(json.contains("\"proto_errors\": 1"), "stats: {json}");
     server.shutdown();
     server.join();
 }
