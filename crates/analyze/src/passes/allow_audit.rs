@@ -36,11 +36,9 @@ pub const MODULE_ALLOWLIST: &[&str] = &[
     "crates/core/src/gk/mod.rs",
     "crates/core/src/gk/theory.rs",
     "crates/core/src/mrl98.rs",
-    "crates/core/src/mrl99.rs",
     "crates/core/src/qdigest.rs",
     "crates/core/src/random.rs",
     "crates/core/src/sampled.rs",
-    "crates/core/src/sliding.rs",
     "crates/data/src/lidar.rs",
     "crates/data/src/mpcat.rs",
     "crates/data/src/synthetic.rs",

@@ -1,8 +1,16 @@
-//! Shared buffer-merge machinery for the sampling-based summaries
-//! (`Random`, `MRL99`, `MRL98`).
+//! The buffer pool of the sampling-based summaries (`Random`, `MRL99`,
+//! `MRL98`) and the machinery around it.
 //!
-//! All three algorithms reduce to the same two primitives over sorted
-//! buffers of weighted samples:
+//! All three are one compactor hierarchy: a `Pool` of `b` buffers of
+//! `cap` weighted samples that is filled one buffer at a time and, when
+//! no buffer is empty, frees one by collapsing several into one. The
+//! pool owns everything the three do alike — the slots, the fill, the
+//! sort-and-release of a full buffer, the replacement of a set of
+//! buffers by their collapse, the read side and the audit of all that.
+//! Each summary keeps what tells it apart: its sizing, whether a
+//! `GroupSampler` thins the arrivals, and *which* buffers collapse at
+//! *what* offset. The collapses reduce to two primitives over sorted
+//! buffers:
 //!
 //! * [`merge_equal_level`] — the `Random` rule (§2.2): merge two
 //!   sorted, equal-weight buffers and keep either the odd or the even
@@ -15,10 +23,10 @@
 //!   unbiased collapse; the fixed midpoint offset gives the
 //!   deterministic MRL98 collapse.
 //!
-//! plus the write side's `GroupSampler`, which thins the arrivals that
-//! feed a `Random` or `MRL99` fill buffer to one per `2^level`, and
-//! the read side: a `RankIndex` over the union of all live buffers,
-//! which each summary keeps in a `CachedView` between mutations.
+//! The write side's `GroupSampler` thins the arrivals that feed a
+//! `Random` or `MRL99` fill buffer to one per `2^level`; the read side
+//! is a `RankIndex` over the union of all live buffers, which the pool
+//! keeps in a `CachedView` between mutations.
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 // ^ audited: indices and casts here are bounded by structural
@@ -329,24 +337,6 @@ impl<V> CachedView<V> {
     }
 }
 
-impl<T: Ord + Copy> CachedView<RankIndex<T>> {
-    /// The `*.view_fresh` invariant of the buffer summaries: a cached
-    /// index equals a rebuild from the buffers as they are now.
-    pub(crate) fn ensure_fresh(
-        &self,
-        bufs: &[(&[T], u64)],
-        algorithm: &'static str,
-        invariant: &'static str,
-    ) -> Result<(), sqs_util::audit::InvariantViolation> {
-        sqs_util::audit::ensure(
-            self.0.as_ref().is_none_or(|v| *v == RankIndex::build(bufs)),
-            algorithm,
-            invariant,
-            || "cached rank index differs from a rebuild (a mutator kept it)".to_string(),
-        )
-    }
-}
-
 /// The read path of every buffer summary: the sorted weighted union of
 /// the live buffers with prefix ranks, so that §2.2's
 /// `r̂(v) = Σ_X w(X)·|{y ∈ X : y < v}|` and its inverse are binary
@@ -409,6 +399,265 @@ impl<T: Ord + Copy> RankIndex<T> {
             below
         };
         Some(self.values[pick])
+    }
+}
+
+/// One slot of a [`Pool`].
+#[derive(Debug, Clone)]
+pub(crate) struct Buffer<T> {
+    /// Height in the collapse tree: a fill starts at the level its
+    /// owner states, a collapse lands one above its highest input.
+    pub(crate) level: u32,
+    /// Stream elements each sample stands for.
+    pub(crate) weight: u64,
+    /// At most `cap` samples, in arrival order until the buffer fills.
+    pub(crate) data: Vec<T>,
+    /// `|data| = cap`; a full buffer is sorted.
+    pub(crate) full: bool,
+}
+
+impl<T> Buffer<T> {
+    /// Back to an empty slot.
+    pub(crate) fn clear(&mut self) {
+        self.data.clear();
+        (self.level, self.weight, self.full) = (0, 1, false);
+    }
+}
+
+/// The live weighted buffers (a partial fill included): what a query
+/// sees of a pool.
+pub(crate) fn live_buffers<T>(buffers: &[Buffer<T>]) -> Vec<(&[T], u64)> {
+    buffers
+        .iter()
+        .filter(|b| !b.data.is_empty())
+        .map(|b| (b.data.as_slice(), b.weight))
+        .collect()
+}
+
+/// `b` buffers of `cap` weighted samples, the stream length and the
+/// queries' view of them: the state and the mechanics `Random`, `MRL99`
+/// and `MRL98` share. At most one buffer is *the fill* — appended to
+/// until it holds `cap` samples, then sorted and released; the owner
+/// decides at what level and weight a fill starts and, once no buffer
+/// is empty, which buffers [`collapse`](Pool::collapse) into one.
+#[derive(Debug, Clone)]
+pub(crate) struct Pool<T> {
+    /// Per-buffer capacity.
+    pub(crate) cap: usize,
+    pub(crate) buffers: Vec<Buffer<T>>,
+    /// Index of the buffer currently being filled.
+    pub(crate) fill: Option<usize>,
+    /// Stream elements seen.
+    pub(crate) n: u64,
+    /// The queries' sorted union of `buffers`; every mutator drops it.
+    pub(crate) view: CachedView<RankIndex<T>>,
+}
+
+impl<T> Pool<T> {
+    /// The preallocated footprint: `b·cap` sample slots plus a weight
+    /// and a level/fill word per buffer.
+    pub(crate) fn space_bytes(&self) -> usize {
+        sqs_util::space::words(self.buffers.len() * (self.cap + 2))
+    }
+}
+
+impl<T: Ord + Copy> Pool<T> {
+    /// `count` empty buffers, preallocated for `cap` samples each.
+    pub(crate) fn new(count: usize, cap: usize) -> Self {
+        let empty = || Buffer {
+            level: 0,
+            weight: 1,
+            data: Vec::with_capacity(cap),
+            full: false,
+        };
+        Self {
+            cap,
+            buffers: (0..count).map(|_| empty()).collect(),
+            fill: None,
+            n: 0,
+            view: CachedView::default(),
+        }
+    }
+
+    /// Whether `other` has this pool's buffer count and capacity, so
+    /// that its buffers fit this pool's slots.
+    pub(crate) fn same_shape(&self, other: &Self) -> bool {
+        self.cap == other.cap && self.buffers.len() == other.buffers.len()
+    }
+
+    /// The level `Random` and `MRL99` sample a buffer started now at,
+    /// given the height `h` their sizing aims for:
+    /// `max(0, ⌈log₂(n/(cap·2^{h−1}))⌉)`.
+    pub(crate) fn active_level(&self, h: u32) -> u32 {
+        let denom = self.cap as f64 * (1u64 << (h - 1)) as f64;
+        let ratio = self.n as f64 / denom;
+        if ratio <= 1.0 {
+            0
+        } else {
+            ratio.log2().ceil() as u32
+        }
+    }
+
+    /// Indices of the buffers holding nothing.
+    pub(crate) fn empty_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.buffers.len()).filter(|&i| self.buffers[i].data.is_empty())
+    }
+
+    /// Whether every buffer is full — the owner must collapse before
+    /// the next fill can start.
+    pub(crate) fn all_full(&self) -> bool {
+        self.buffers.iter().all(|b| b.full)
+    }
+
+    /// Makes buffer `idx` the fill, its samples standing for `weight`
+    /// stream elements each at `level`.
+    pub(crate) fn start_fill(&mut self, idx: usize, level: u32, weight: u64) {
+        (self.buffers[idx].level, self.buffers[idx].weight) = (level, weight);
+        self.fill = Some(idx);
+    }
+
+    /// Appends one sample to the fill. Returns the fill's level while
+    /// it still has room (a sampling owner starts its next group
+    /// there) — `None` once this sample filled it and it was released.
+    #[inline]
+    pub(crate) fn push(&mut self, x: T) -> Option<u32> {
+        let idx = self.fill_index();
+        self.buffers[idx].data.push(x);
+        self.room_or_release(idx)
+    }
+
+    /// Appends as many of `xs` as the fill has room for, in one copy;
+    /// returns how many that was and what [`push`](Pool::push) would.
+    #[inline]
+    pub(crate) fn extend(&mut self, xs: &[T]) -> (usize, Option<u32>) {
+        let idx = self.fill_index();
+        let buf = &mut self.buffers[idx];
+        let take = (self.cap - buf.data.len()).min(xs.len());
+        buf.data.extend_from_slice(&xs[..take]);
+        (take, self.room_or_release(idx))
+    }
+
+    #[inline]
+    fn fill_index(&self) -> usize {
+        self.fill
+            .expect("pool invariant: a fill is started before samples are appended")
+    }
+
+    #[inline]
+    fn room_or_release(&mut self, idx: usize) -> Option<u32> {
+        let buf = &self.buffers[idx];
+        if buf.data.len() < self.cap {
+            return Some(buf.level);
+        }
+        self.release_fill(idx);
+        None
+    }
+
+    /// Sorts and releases the fill, now full.
+    // Cold — once per buffer of samples — so that the per-sample step
+    // around it stays small enough to inline into the owner's `insert`.
+    #[cold]
+    fn release_fill(&mut self, idx: usize) {
+        let buf = &mut self.buffers[idx];
+        buf.data.sort_unstable();
+        buf.full = true;
+        self.fill = None;
+    }
+
+    /// Puts `data` at (`level`, `weight`) into the first buffer of
+    /// `chosen` and clears the others.
+    pub(crate) fn replace(&mut self, chosen: &[usize], level: u32, weight: u64, data: Vec<T>) {
+        let (&target, rest) = chosen
+            .split_first()
+            .expect("pool invariant: a replacement names its target");
+        rest.iter().for_each(|&i| self.buffers[i].clear());
+        let buf = &mut self.buffers[target];
+        (buf.level, buf.weight) = (level, weight);
+        buf.full = data.len() == self.cap;
+        buf.data = data;
+    }
+
+    /// The MRL COLLAPSE of the `chosen` buffers into one full buffer of
+    /// their summed weight, one level above the highest of them:
+    /// [`weighted_collapse`] at the offset `offset` picks given the
+    /// stride `W/cap`.
+    pub(crate) fn collapse(&mut self, chosen: &[usize], offset: impl FnOnce(u64) -> u64) {
+        let picked = || chosen.iter().map(|&i| &self.buffers[i]);
+        let inputs: Vec<(&[T], u64)> = picked().map(|b| (b.data.as_slice(), b.weight)).collect();
+        let total_w: u64 = inputs.iter().map(|(d, w)| d.len() as u64 * w).sum();
+        let stride = (total_w / self.cap as u64).max(1);
+        let (merged, _) = weighted_collapse(&inputs, self.cap, offset(stride));
+        let weight = picked().map(|b| b.weight).sum();
+        let level = picked().map(|b| b.level).max().map_or(0, |l| l + 1);
+        self.replace(chosen, level, weight, merged);
+    }
+
+    /// The rank index over the live buffers, sorted on the first query
+    /// after a mutation.
+    pub(crate) fn view(&mut self) -> &RankIndex<T> {
+        self.view
+            .get_or_build(|| RankIndex::build(&live_buffers(&self.buffers)))
+    }
+
+    /// The rules that hold for any owner's pool — positive weights, no
+    /// buffer past `cap`, `full ⇔ |data| = cap`, full buffers sorted,
+    /// the fill index in range and not on a full buffer, a cached rank
+    /// index equal to a rebuild — reported under the owner's
+    /// `algorithm`. Returns the represented mass `Σ weight·|data|`
+    /// (saturating), which each owner holds to its own rule against
+    /// `n`.
+    pub(crate) fn audit(
+        &self,
+        algorithm: &'static str,
+    ) -> Result<u64, sqs_util::audit::InvariantViolation> {
+        let broken = |rule: &'static str, what: String| {
+            Err(sqs_util::audit::InvariantViolation::new(
+                algorithm, rule, what,
+            ))
+        };
+        let cap = self.cap;
+        let mut mass = 0u64;
+        for (i, b) in self.buffers.iter().enumerate() {
+            let (len, w) = (b.data.len(), b.weight);
+            if w == 0 {
+                return broken(
+                    "buffers.weight_positive",
+                    format!("buffer {i} has weight 0"),
+                );
+            }
+            if len > cap {
+                let what = format!("buffer {i} holds {len} > capacity {cap}");
+                return broken("buffers.buffer_overflow", what);
+            }
+            if b.full != (len == cap) {
+                let what = format!("buffer {i}: full = {} but holds {len} of {cap}", b.full);
+                return broken("buffers.fill_flag", what);
+            }
+            if b.full && !b.data.windows(2).all(|w| w[0] <= w[1]) {
+                let what = format!("full buffer {i} at weight {w} is not sorted");
+                return broken("buffers.full_buffer_sorted", what);
+            }
+            mass = mass.saturating_add((len as u64).saturating_mul(w));
+        }
+        match self.fill {
+            Some(idx) if idx >= self.buffers.len() => {
+                return broken(
+                    "buffers.fill_index",
+                    format!("fill index {idx} out of range"),
+                );
+            }
+            Some(idx) if self.buffers[idx].full => {
+                let what = format!("fill buffer {idx} is already marked full");
+                return broken("buffers.fill_not_full", what);
+            }
+            _ => {}
+        }
+        let cached = self.view.get();
+        if cached.is_some_and(|v| *v != RankIndex::build(&live_buffers(&self.buffers))) {
+            let what = "cached rank index differs from a rebuild (a mutator kept it)";
+            return broken("buffers.view_fresh", what.to_string());
+        }
+        Ok(mass)
     }
 }
 
@@ -755,6 +1004,51 @@ mod tests {
         let index = RankIndex::<u64>::build(&[]);
         assert_eq!(index.quantile(0.5), None);
         assert_eq!(index.rank(7), 0);
+    }
+
+    /// The pool's rules, each broken in turn in each owner's pool: the
+    /// rule fires, and under that owner's name.
+    #[test]
+    fn auditor_catches_every_broken_pool_field_under_its_owners_name() {
+        use crate::{mrl98::Mrl98, mrl99::Mrl99, random::RandomSketch, QuantileSummary};
+        use sqs_util::audit::CheckInvariants;
+
+        fn a_full(pool: &mut Pool<u64>) -> &mut Buffer<u64> {
+            let full = pool.buffers.iter_mut().find(|b| b.full);
+            full.expect("a full buffer")
+        }
+        let breaks: [(&str, fn(&mut Pool<u64>)); 7] = [
+            ("buffers.weight_positive", |p| p.buffers[0].weight = 0),
+            ("buffers.buffer_overflow", |p| a_full(p).data.push(u64::MAX)),
+            ("buffers.fill_flag", |p| a_full(p).full = false),
+            ("buffers.full_buffer_sorted", |p| a_full(p).data.reverse()),
+            ("buffers.fill_index", |p| p.fill = Some(p.buffers.len())),
+            ("buffers.fill_not_full", |p| {
+                p.fill = p.buffers.iter().position(|b| b.full);
+            }),
+            // A mutator that forgot to drop the view.
+            ("buffers.view_fresh", |p| {
+                p.view();
+                a_full(p).data.iter_mut().for_each(|v| *v /= 2);
+            }),
+        ];
+        fn check<S: QuantileSummary<u64> + CheckInvariants + Clone>(
+            mut honest: S,
+            pool: fn(&mut S) -> &mut Pool<u64>,
+            breaks: &[(&str, fn(&mut Pool<u64>))],
+        ) {
+            (0..20_000).for_each(|x| honest.insert(20_000 - x));
+            honest.check_invariants().expect("honest state");
+            for (rule, corrupt) in breaks {
+                let mut s = honest.clone();
+                corrupt(pool(&mut s));
+                let err = s.check_invariants().expect_err(rule);
+                assert_eq!((err.algorithm, err.invariant), (honest.name(), *rule));
+            }
+        }
+        check(RandomSketch::new(0.05, 7), |s| &mut s.pool, &breaks);
+        check(Mrl99::new(0.05, 9), |s| &mut s.pool, &breaks);
+        check(Mrl98::new(0.05, 20_000), |s| &mut s.pool, &breaks);
     }
 
     #[test]

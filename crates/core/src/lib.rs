@@ -15,7 +15,10 @@
 //! | [`qdigest::QDigest`] | FastQDigest | deterministic, O((1/ε)·log u), mergeable | fixed universe |
 //! | [`sampled::ReservoirQuantiles`] | sampling baseline | randomized, O(1/ε²·log(1/ε)) | comparison |
 //! | [`biased::Ckms`] | (extension, [10]) | deterministic biased/targeted quantiles | comparison |
-//! | [`sliding::SlidingWindowQuantiles`] | (extension, [3]) | quantiles over the last W elements | comparison |
+//!
+//! `Random`, `MRL99` and `MRL(98)` are one compactor hierarchy over the
+//! buffer pool of [`buffers`], each keeping its own collapse rule; the
+//! first two are the two settings of one type, [`random::Sampled`].
 //!
 //! All comparison-model summaries are generic over `T: Ord + Copy`;
 //! the q-digest works over `u64` keys in a power-of-two universe (use
@@ -41,7 +44,6 @@ pub mod mrl99;
 pub mod qdigest;
 pub mod random;
 pub mod sampled;
-pub mod sliding;
 mod traits;
 
 pub use traits::{MergeableSummary, QuantileSummary};

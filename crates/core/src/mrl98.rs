@@ -34,29 +34,17 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use crate::buffers::{weighted_collapse, CachedView, RankIndex};
+use crate::buffers::Pool;
 use crate::QuantileSummary;
-use sqs_util::space::{words, SpaceUsage};
-
-#[derive(Debug, Clone)]
-struct Buffer<T> {
-    level: u32,
-    weight: u64,
-    data: Vec<T>,
-    full: bool,
-}
+use sqs_util::space::SpaceUsage;
 
 /// The deterministic MRL98 summary (comparison-based; requires an
 /// a-priori stream-length hint).
 #[derive(Debug, Clone)]
 pub struct Mrl98<T> {
     eps: f64,
-    k: usize,
-    buffers: Vec<Buffer<T>>,
-    fill: Option<usize>,
-    n: u64,
-    /// The queries' sorted union of `buffers`; every mutator drops it.
-    view: CachedView<RankIndex<T>>,
+    /// `b` buffers of `k` samples, sized by [`size_parameters`].
+    pub(crate) pool: Pool<T>,
 }
 
 /// Simulates the NEW/COLLAPSE level schedule for `fills` leaf-buffer
@@ -136,18 +124,7 @@ impl<T: Ord + Copy> Mrl98<T> {
         let (b, k) = size_parameters(eps, n_hint);
         Self {
             eps,
-            k,
-            buffers: (0..b)
-                .map(|_| Buffer {
-                    level: 0,
-                    weight: 1,
-                    data: Vec::with_capacity(k),
-                    full: false,
-                })
-                .collect(),
-            fill: None,
-            n: 0,
-            view: CachedView::default(),
+            pool: Pool::new(b, k),
         }
     }
 
@@ -158,124 +135,95 @@ impl<T: Ord + Copy> Mrl98<T> {
 
     /// Number of buffers `b`.
     pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
+        self.pool.buffers.len()
     }
 
     /// Buffer capacity `k`.
     pub fn buffer_size(&self) -> usize {
-        self.k
+        self.pool.cap
+    }
+
+    /// The lowest level among the full buffers.
+    fn min_level(&self) -> Option<u32> {
+        let full = self.pool.buffers.iter().filter(|b| b.full);
+        full.map(|b| b.level).min()
+    }
+
+    /// NEW: starts a raw (weight 1) fill in an empty buffer, after a
+    /// COLLAPSE if none is empty. The fill takes level 0 while at
+    /// least two buffers are empty, else the current minimum level.
+    fn start_buffer(&mut self) {
+        let empties = self.pool.empty_slots().count();
+        if empties == 0 {
+            self.collapse();
+        }
+        let level = if empties >= 2 {
+            0
+        } else {
+            self.min_level().unwrap_or(0)
+        };
+        let idx = (self.pool.empty_slots().next())
+            .expect("MRL98 invariant: collapse always frees a buffer");
+        self.pool.start_fill(idx, level, 1);
     }
 
     /// Deterministic COLLAPSE of all minimum-level buffers at the
     /// midpoint offset; the output moves to that level + 1.
     fn collapse(&mut self) {
         let lmin = self
-            .buffers
-            .iter()
-            .filter(|b| b.full)
-            .map(|b| b.level)
-            .min()
+            .min_level()
             .expect("MRL98 invariant: collapse requires \u{2265} 2 full buffers");
-        let chosen: Vec<usize> = self
-            .buffers
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.full && b.level == lmin)
-            .map(|(i, _)| i)
+        let bufs = &self.pool.buffers;
+        let chosen: Vec<usize> = (0..bufs.len())
+            .filter(|&i| bufs[i].full && bufs[i].level == lmin)
             .collect();
         debug_assert!(
             chosen.len() >= 2,
             "the NEW policy guarantees ≥ 2 at the min level"
         );
-        let inputs: Vec<(&[T], u64)> = chosen
-            .iter()
-            .map(|&i| (self.buffers[i].data.as_slice(), self.buffers[i].weight))
-            .collect();
-        let total_w: u64 = inputs.iter().map(|(d, w)| d.len() as u64 * w).sum();
-        let stride = (total_w / self.k as u64).max(1);
-        let (merged, _) = weighted_collapse(&inputs, self.k, stride / 2);
-        let new_weight: u64 = chosen.iter().map(|&i| self.buffers[i].weight).sum();
-        let target = chosen[0];
-        self.buffers[target].data = merged;
-        self.buffers[target].weight = new_weight;
-        self.buffers[target].level = lmin + 1;
-        for &i in &chosen[1..] {
-            self.buffers[i].data.clear();
-            self.buffers[i].full = false;
-            self.buffers[i].weight = 1;
-            self.buffers[i].level = 0;
-        }
+        self.pool.collapse(&chosen, |stride| stride / 2);
     }
 
-    fn live_buffers(buffers: &[Buffer<T>]) -> Vec<(&[T], u64)> {
-        buffers
-            .iter()
-            .filter(|b| !b.data.is_empty())
-            .map(|b| (b.data.as_slice(), b.weight))
-            .collect()
-    }
-
-    /// The rank index over the live buffers, sorted on the first query
-    /// after a mutation. The partial fill buffer participates with
-    /// weight 1 and is sorted in place first, as it would be on
+    /// The pool's rank index. The partial fill buffer participates
+    /// with weight 1 and is sorted in place first, as it would be on
     /// filling up.
-    fn view(&mut self) -> &RankIndex<T> {
-        self.view.get_or_build(|| {
-            if let Some(idx) = self.fill {
-                self.buffers[idx].data.sort_unstable();
-            }
-            RankIndex::build(&Self::live_buffers(&self.buffers))
-        })
+    fn view(&mut self) -> &crate::buffers::RankIndex<T> {
+        if let (None, Some(idx)) = (self.pool.view.get(), self.pool.fill) {
+            self.pool.buffers[idx].data.sort_unstable();
+        }
+        self.pool.view()
     }
 }
 
 impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl98<T> {
-    /// MRL98 invariants (Manku et al. '98): positive buffer weights,
-    /// the `full ⇔ |data| = k` fill discipline, and — because NEW
-    /// stores raw elements at weight 1 and the deterministic COLLAPSE
-    /// of full buffers conserves `k·Σw` exactly — the represented mass
-    /// `Σ weight·|data|` equals the stream length `n` at all times;
-    /// a cached rank index equals a rebuild from the buffers.
+    /// MRL98 invariants (Manku et al. '98): the pool's own rules
+    /// (`buffers.*`: positive buffer weights, the `full ⇔ |data| = k`
+    /// fill discipline, a fresh view), and — because NEW stores raw
+    /// elements at weight 1 and the deterministic COLLAPSE of full
+    /// buffers conserves `k·Σw` exactly — the represented mass
+    /// `Σ weight·|data|` equals the stream length `n` at all times.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "MRL98";
+        let pool = &self.pool;
         ensure(
             self.eps > 0.0 && self.eps < 1.0,
             ALG,
             "mrl98.eps_range",
             || format!("eps = {} outside (0,1)", self.eps),
         )?;
-        ensure(self.buffers.len() >= 3, ALG, "mrl98.buffer_count", || {
+        ensure(pool.buffers.len() >= 3, ALG, "mrl98.buffer_count", || {
             format!(
                 "{} buffers — the NEW/COLLAPSE schedule needs ≥ 3",
-                self.buffers.len()
+                pool.buffers.len()
             )
         })?;
-        ensure(self.k >= 2, ALG, "mrl98.buffer_size", || {
-            format!("k = {} below the minimum of 2", self.k)
+        ensure(pool.cap >= 2, ALG, "mrl98.buffer_size", || {
+            format!("k = {} below the minimum of 2", pool.cap)
         })?;
-        let mut mass = 0u64;
-        for (i, b) in self.buffers.iter().enumerate() {
-            ensure(b.weight >= 1, ALG, "mrl98.weight_positive", || {
-                format!("buffer {i} has weight 0")
-            })?;
-            ensure(b.data.len() <= self.k, ALG, "mrl98.buffer_overflow", || {
-                format!("buffer {i} holds {} > k = {}", b.data.len(), self.k)
-            })?;
-            ensure(
-                b.full == (b.data.len() == self.k),
-                ALG,
-                "mrl98.fill_flag",
-                || {
-                    format!(
-                        "buffer {i}: full = {} but |data| = {} (k = {})",
-                        b.full,
-                        b.data.len(),
-                        self.k
-                    )
-                },
-            )?;
-            if Some(i) != self.fill && !b.data.is_empty() {
+        let mass = pool.audit(ALG)?;
+        for (i, b) in pool.buffers.iter().enumerate() {
+            if Some(i) != pool.fill && !b.data.is_empty() {
                 ensure(
                     b.weight == 1 || b.level >= 1,
                     ALG,
@@ -283,92 +231,46 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl98<T> {
                     || format!("buffer {i}: weight {} > 1 at leaf level 0", b.weight),
                 )?;
             }
-            mass += b.data.len() as u64 * b.weight;
         }
-        ensure(mass == self.n, ALG, "mrl98.mass_conservation", || {
+        ensure(mass == pool.n, ALG, "mrl98.mass_conservation", || {
             format!(
                 "represented mass {mass} ≠ n = {} — COLLAPSE lost or invented mass",
-                self.n
+                pool.n
             )
         })?;
-        if let Some(idx) = self.fill {
-            ensure(idx < self.buffers.len(), ALG, "mrl98.fill_index", || {
-                format!("fill index {idx} out of range")
-            })?;
-            ensure(!self.buffers[idx].full, ALG, "mrl98.fill_not_full", || {
-                format!("fill buffer {idx} is already marked full")
-            })?;
-            ensure(
-                self.buffers[idx].weight == 1,
-                ALG,
-                "mrl98.fill_weight",
-                || {
-                    format!(
-                        "fill buffer {idx} has weight {} ≠ 1 (NEW stores raw elements)",
-                        self.buffers[idx].weight
-                    )
-                },
-            )?;
-        }
-        self.view
-            .ensure_fresh(&Self::live_buffers(&self.buffers), ALG, "mrl98.view_fresh")
+        let Some(idx) = pool.fill else {
+            return Ok(());
+        };
+        ensure(
+            pool.buffers[idx].weight == 1,
+            ALG,
+            "mrl98.fill_weight",
+            || {
+                format!(
+                    "fill buffer {idx} has weight {} ≠ 1 (NEW stores raw elements)",
+                    pool.buffers[idx].weight
+                )
+            },
+        )
     }
 }
 
 impl<T: Ord + Copy> QuantileSummary<T> for Mrl98<T> {
     fn insert(&mut self, x: T) {
-        self.view.invalidate();
-        if self.fill.is_none() {
-            let empties: Vec<usize> = self
-                .buffers
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.full && b.data.is_empty())
-                .map(|(i, _)| i)
-                .collect();
-            let idx = match empties.len() {
-                0 => {
-                    self.collapse();
-                    self.buffers
-                        .iter()
-                        .position(|b| !b.full && b.data.is_empty())
-                        .expect("MRL98 invariant: collapse always frees a buffer")
-                }
-                _ => empties[0],
-            };
-            // NEW policy: level 0 while ≥ 2 empties, else the min level.
-            let level = if empties.len() >= 2 {
-                0
-            } else {
-                self.buffers
-                    .iter()
-                    .filter(|b| b.full)
-                    .map(|b| b.level)
-                    .min()
-                    .unwrap_or(0)
-            };
-            self.buffers[idx].level = level;
-            self.buffers[idx].weight = 1;
-            self.fill = Some(idx);
+        self.pool.view.invalidate();
+        if self.pool.fill.is_none() {
+            self.start_buffer();
         }
-        self.n += 1;
-        let idx = self
-            .fill
-            .expect("MRL98 invariant: fill buffer selected before append");
-        self.buffers[idx].data.push(x);
-        if self.buffers[idx].data.len() == self.k {
-            self.buffers[idx].data.sort_unstable();
-            self.buffers[idx].full = true;
-            self.fill = None;
-        }
+        self.pool.n += 1;
+        self.pool.push(x);
         #[cfg(any(test, feature = "audit"))]
-        if sqs_util::audit::audit_point(self.n) {
+        if sqs_util::audit::audit_point(self.pool.n) {
             sqs_util::audit::CheckInvariants::assert_invariants(self);
         }
     }
 
     fn n(&self) -> u64 {
-        self.n
+        self.pool.n
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
@@ -387,7 +289,7 @@ impl<T: Ord + Copy> QuantileSummary<T> for Mrl98<T> {
 
 impl<T> SpaceUsage for Mrl98<T> {
     fn space_bytes(&self) -> usize {
-        words(self.buffers.len() * (self.k + 2))
+        self.pool.space_bytes()
     }
 }
 
@@ -502,15 +404,16 @@ mod tests {
 
     #[test]
     fn view_is_never_stale_under_any_interleaving() {
+        use crate::buffers::live_buffers;
         use crate::buffers::oracle::{check_view_never_stale, sweep};
         type S = Mrl98<u64>;
         fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
             // The per-call sweep sorted the partial fill buffer in
             // place before flattening.
-            if let Some(idx) = s.fill {
-                s.buffers[idx].data.sort_unstable();
+            if let Some(idx) = s.pool.fill {
+                s.pool.buffers[idx].data.sort_unstable();
             }
-            sweep(&S::live_buffers(&s.buffers), phis, xs)
+            sweep(&live_buffers(&s.pool.buffers), phis, xs)
         }
         for (universe, seed) in [(48, 1), (1 << 20, 2)] {
             check_view_never_stale(S::new(0.2, 5_000), universe, seed, expect, &[]);
@@ -536,6 +439,7 @@ mod corruption {
             s.insert(x);
         }
         let b = s
+            .pool
             .buffers
             .iter_mut()
             .find(|b| b.full && b.weight >= 1)
@@ -544,23 +448,5 @@ mod corruption {
         let err = s.check_invariants().unwrap_err();
         assert_eq!(err.algorithm, "MRL98");
         assert_eq!(err.invariant, "mrl98.mass_conservation");
-    }
-
-    #[test]
-    fn auditor_catches_fill_flag_lie() {
-        let mut s = Mrl98::<u64>::new(0.05, 20_000);
-        for x in 0..20_000u64 {
-            s.insert(x);
-        }
-        let b = s
-            .buffers
-            .iter_mut()
-            .find(|b| b.full)
-            .expect("a full buffer");
-        b.full = false;
-        assert_eq!(
-            s.check_invariants().unwrap_err().invariant,
-            "mrl98.fill_flag"
-        );
     }
 }

@@ -11,7 +11,7 @@ use sqs_util::SpaceUsage;
 /// Query methods take `&mut self` for two reasons, neither of which
 /// changes the summarized multiset. Several summaries (GKArray,
 /// FastQDigest) buffer recent inserts and must flush before answering.
-/// And the buffer summaries (Random, MRL99, MRL98, the sliding window)
+/// And the buffer summaries (Random, MRL99, MRL98 — one `buffers::Pool`)
 /// and FastQDigest answer from a sorted rank index that the first query
 /// after a mutation builds and keeps inside the summary: a query on a
 /// summary nobody has touched since the last one is a binary search,

@@ -1,7 +1,8 @@
 //! SLA tracking with the study's extension algorithms: *targeted*
 //! quantiles (CKMS, [10] in the paper's §1 extension list) pin p50 and
-//! p99.9 with different precisions, and a *sliding window* ([3]) keeps
-//! the percentile honest over the last hour instead of all time.
+//! p99.9 with different precisions, and a *sliding window* ([3]; the
+//! `sqs-window` ring on a counting clock) keeps the percentile honest
+//! over the last 100k requests instead of all time.
 //!
 //! ```text
 //! cargo run --release --example sla_tracking
@@ -16,9 +17,13 @@ fn main() {
     let targets = [(0.5, 0.02), (0.999, 0.0005)];
     let mut targeted: Ckms<u64> = Ckms::targeted(&targets);
 
-    // And a 100k-request sliding window at ε = 2%.
-    let window = 100_000;
-    let mut windowed: SlidingWindowQuantiles<u64> = SlidingWindowQuantiles::new(0.02, window);
+    // And a 100k-request sliding window at ε = 2%: request `i` arrives
+    // at time `i`, so a count-based window is a time-based one — twenty
+    // buckets of 5 000 requests, one `Random` summary each.
+    let window = 100_000u64;
+    let mut windowed = WindowRing::new(WindowConfig::new(window / 20, 20), |bucket| {
+        RandomSketch::new(0.02, bucket)
+    });
 
     // Uniform-ε reference at the tail's precision, to show the space
     // the targeted invariant saves.
@@ -41,13 +46,20 @@ fn main() {
         };
         let lat = lat as u64;
         targeted.insert(lat);
-        windowed.insert(lat);
+        windowed.ingest(i, &[lat], i);
         uniform.insert(lat);
         all.push(lat);
     }
 
     let oracle_all = ExactQuantiles::new(all.clone());
-    let covered = windowed.covered();
+    let in_window = windowed
+        .query(WindowSpec::sliding(window), &[0.5, 0.999], total - 1)
+        .expect("the span fits the ring");
+    let (covered, win_p50, win_p999) = (
+        in_window.n as usize,
+        in_window.answers[0].unwrap(),
+        in_window.answers[1].unwrap(),
+    );
     let oracle_win = ExactQuantiles::new(all[all.len() - covered..].to_vec());
 
     println!("{:<28} {:>10} {:>10}", "view", "p50 (us)", "p99.9 (us)");
@@ -72,9 +84,7 @@ fn main() {
     );
     println!(
         "{:<28} {:>10} {:>10}",
-        "sliding window summary",
-        windowed.quantile(0.5).unwrap(),
-        windowed.quantile(0.999).unwrap()
+        "sliding window summary", win_p50, win_p999
     );
 
     println!("\nerrors vs their own ground truth:");
@@ -85,7 +95,7 @@ fn main() {
             phi * 100.0
         );
     }
-    let werr = oracle_win.quantile_error(0.5, windowed.quantile(0.5).unwrap());
+    let werr = oracle_win.quantile_error(0.5, win_p50);
     println!("  windowed p50   err {werr:.6}  (budget 0.02)");
 
     println!(
@@ -96,8 +106,8 @@ fn main() {
         uniform.space_bytes() / targeted.space_bytes().max(1)
     );
     println!(
-        "window summary: {:.1} KB covering the last {} requests.",
-        windowed.space_bytes() as f64 / 1024.0,
+        "window ring: {} live buckets covering the last {} requests.",
+        windowed.stats().live_buckets,
         covered
     );
 }

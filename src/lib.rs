@@ -107,7 +107,6 @@ pub mod prelude {
     pub use sqs_core::qdigest::QDigest;
     pub use sqs_core::random::RandomSketch;
     pub use sqs_core::sampled::ReservoirQuantiles;
-    pub use sqs_core::sliding::SlidingWindowQuantiles;
     pub use sqs_core::{MergeableSummary, QuantileSummary};
     pub use sqs_engine::{EngineStats, ShardedEngine};
     pub use sqs_turnstile::{

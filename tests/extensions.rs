@@ -1,6 +1,7 @@
 //! Integration tests for the extension features (the study's §1
 //! pointers beyond whole-stream summaries): biased/targeted quantiles,
-//! sliding windows, and q-digest persistence.
+//! sliding windows (served by `sqs-window`'s ring), and q-digest
+//! persistence.
 
 use streaming_quantiles::prelude::*;
 use streaming_quantiles::sqs_data::{Lidar, Mpcat, Uniform};
@@ -39,18 +40,44 @@ fn high_biased_relative_error_across_the_tail() {
     }
 }
 
+/// A count-based window is a time-based one on a counting clock: row
+/// `i` arrives at time `i`, so a span of `w` "nanoseconds" is the last
+/// `w` rows. Feeds `rows` from row `first` on, one bucket's worth per
+/// call, and returns the time of the last row.
+fn feed_by_row(ring: &mut WindowRing<RandomSketch<u64>>, first: u64, rows: &[u64]) -> u64 {
+    let bucket = ring.config().bucket_nanos;
+    assert_eq!(first % bucket, 0, "chunks must not straddle a bucket");
+    for (i, chunk) in rows.chunks(bucket as usize).enumerate() {
+        let at = first + i as u64 * bucket;
+        let last = at + chunk.len() as u64 - 1;
+        assert_eq!(ring.ingest(at, chunk, last).accepted, chunk.len() as u64);
+    }
+    first + rows.len() as u64 - 1
+}
+
+fn ring_over_last_rows(eps: f64, w: u64) -> WindowRing<RandomSketch<u64>> {
+    WindowRing::new(WindowConfig::new(w / 10, 10), move |bucket| {
+        RandomSketch::new(eps, bucket)
+    })
+}
+
 #[test]
 fn sliding_window_follows_distribution_shift() {
     let w = 50_000;
-    let mut s = SlidingWindowQuantiles::new(0.05, w);
+    let mut ring = ring_over_last_rows(0.05, w);
     // Regime A then regime B; after 2 windows of B, A must be gone.
-    for x in Uniform::new(16, 3).take(200_000) {
-        s.insert(x);
-    }
-    for x in Uniform::new(16, 4).take(2 * w) {
-        s.insert(x + (1 << 20)); // shifted far above regime A
-    }
-    let q = s.quantile(0.01).unwrap();
+    let a: Vec<u64> = Uniform::new(16, 3).take(200_000).collect();
+    let b: Vec<u64> = Uniform::new(16, 4)
+        .take(2 * w as usize)
+        .map(|x| x + (1 << 20)) // shifted far above regime A
+        .collect();
+    feed_by_row(&mut ring, 0, &a);
+    let now = feed_by_row(&mut ring, a.len() as u64, &b);
+    let answer = ring
+        .query(WindowSpec::sliding(w), &[0.01], now)
+        .expect("the span fits the ring");
+    assert_eq!(answer.n, w, "exactly the last w rows");
+    let q = answer.answers[0].expect("a non-empty window");
     assert!(q >= 1 << 20, "stale regime leaked into the window: {q}");
 }
 
@@ -59,15 +86,20 @@ fn sliding_window_full_grid_within_eps() {
     let eps = 0.05;
     let w = 30_000;
     let data: Vec<u64> = Mpcat::new(5).take(140_000).collect();
-    let mut s = SlidingWindowQuantiles::new(eps, w);
-    for &x in &data {
-        s.insert(x);
-    }
-    let covered = s.covered();
-    let oracle = ExactQuantiles::new(data[data.len() - covered..].to_vec());
-    for phi in probe_phis(eps) {
-        let q = s.quantile(phi).unwrap();
-        let err = oracle.quantile_error(phi, q);
+    let mut ring = ring_over_last_rows(eps, w);
+    let now = feed_by_row(&mut ring, 0, &data);
+    let phis = probe_phis(eps);
+    let answer = ring
+        .query(WindowSpec::sliding(w), &phis, now)
+        .expect("the span fits the ring");
+    // The open bucket is part-full: the window is the nine sealed
+    // buckets before it plus the rows it holds so far.
+    let covered = &data[answer.start_nanos as usize..];
+    assert_eq!(answer.n, covered.len() as u64);
+    assert!((w - w / 10..=w).contains(&answer.n), "{}", answer.n);
+    let oracle = ExactQuantiles::new(covered.to_vec());
+    for (phi, q) in phis.into_iter().zip(answer.answers) {
+        let err = oracle.quantile_error(phi, q.expect("a non-empty window"));
         assert!(err <= eps, "phi={phi}: err={err}");
     }
 }

@@ -108,11 +108,6 @@ fn extension_summaries_hold_invariants_on_all_streams() {
             &data,
             &format!("CKMS-targeted/{name}"),
         );
-        drive(
-            SlidingWindowQuantiles::new(EPS, N / 4),
-            &data,
-            &format!("SlidingWindow/{name}"),
-        );
     }
 }
 

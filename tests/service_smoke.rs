@@ -434,6 +434,74 @@ fn snapshot_claiming_a_wrapping_count_gets_an_error_reply() {
     server.join();
 }
 
+/// A `MERGE_SNAPSHOT` with the tenant's ε and somebody else's buffer
+/// size: an honest frame whose `s` is raised a hundredfold and whose
+/// partial buffer then holds 50·s samples decodes and passes the audit
+/// (`random.buffer_size` is a lower bound, the buffer is within *its*
+/// `s`). Absorbed, the tenant would hold a buffer fifty times its own
+/// capacity and every peer would refuse its `SNAPSHOT`
+/// (`buffers.buffer_overflow`). Compatibility is the pool's shape, so
+/// it gets an error reply, the tenant's `n` does not move, its snapshot
+/// still decodes, and the connection goes on answering.
+#[test]
+fn snapshot_with_the_tenants_eps_and_a_larger_buffer_size_gets_an_error_reply() {
+    use streaming_quantiles::sqs_core::codec::{put_u64_slice, seal, WireCodec};
+
+    let server = test_server(29);
+    let mut client = connect(server.addr());
+    let tenant = 11u64;
+    let rows: Vec<u64> = (0..100).collect();
+    assert_eq!(client.insert_batch(tenant, &rows).expect("insert").n, 100);
+
+    let mut honest = RandomSketch::new(EPS, 1);
+    honest.insert_batch(&[1, 2, 3, 4, 5, 6]);
+    let s = honest.buffer_size() as u64;
+    let honest = WireCodec::to_bytes(&mut honest);
+    // Body length at 8..16; after the 16-byte header ε (8) and h (4),
+    // then `s` at 28..36 and `n` at 36..44; fill index, sampler (33),
+    // RNG (32) and buffer count end at 125; buffer 0 is level (4), full
+    // flag (1) and, from 130, its six length-prefixed samples.
+    let (at, old_len) = (130, 8 + 6 * 8);
+    assert_eq!(honest[at..at + 8], 6u64.to_le_bytes());
+    let samples: Vec<u64> = (0..50 * s).collect();
+    let mut hostile = honest[..at].to_vec();
+    put_u64_slice(&mut hostile, &samples);
+    hostile.extend_from_slice(&honest[at + old_len..honest.len() - 8]);
+    let body_len = (hostile.len() - 16) as u64;
+    hostile[8..16].copy_from_slice(&body_len.to_le_bytes());
+    hostile[28..36].copy_from_slice(&(100 * s).to_le_bytes());
+    hostile[36..44].copy_from_slice(&(50 * s).to_le_bytes());
+    seal(&mut hostile);
+    let decoded = RandomSketch::<u64>::from_bytes(&hostile).expect("a lie the decoder cannot see");
+    assert_eq!(
+        (decoded.n(), decoded.buffer_size() as u64),
+        (50 * s, 100 * s)
+    );
+
+    for _ in 0..2 {
+        match client.merge_snapshot(tenant, hostile.clone()) {
+            Err(ClientError::Server(msg)) => assert!(msg.contains("incompatible"), "{msg}"),
+            other => panic!("not refused: {other:?}"),
+        }
+    }
+    // The worker is alive, the tenant untouched and still exportable,
+    // the honest frame welcome.
+    assert_eq!(
+        client.insert_batch(tenant, &[7]).expect("next request").n,
+        101
+    );
+    let snapshot = client.snapshot(tenant).expect("snapshot");
+    let exported = RandomSketch::<u64>::from_bytes(&snapshot).expect("the tenant's own frame");
+    assert_eq!((exported.n(), exported.buffer_size() as u64), (101, s));
+    assert_eq!(
+        client.merge_snapshot(tenant, honest).expect("honest").n,
+        107
+    );
+
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn stats_reports_ingest_and_tenants() {
     let server = test_server(41);
