@@ -55,10 +55,11 @@ pub const KIND_RESERVOIR: u8 = 3;
 /// Kind tag of the Dyadic Count-Sketch turnstile summary
 /// (`sqs_turnstile::TurnstileSummary<CountSketch>` — implemented in
 /// `sqs-turnstile` to keep this crate free of the sketch dependency).
-/// Tag 4 is retired: it carried the two-hash-family row form (a
-/// pairwise `(a, b)` beside the 4-wise coefficients) and is refused
-/// with [`CodecError::BadKind`].
-pub const KIND_DCS: u8 = 5;
+/// Tags 4 and 5 are retired and refused with [`CodecError::BadKind`]:
+/// 4 carried the two-hash-family row form (a pairwise `(a, b)` beside
+/// the 4-wise coefficients), 5 a sketch at every sketched level (before
+/// every other one became derived, level tag 3).
+pub const KIND_DCS: u8 = 6;
 
 /// Fixed frame header length: magic(4) + version(1) + kind(1) +
 /// reserved(2) + body length(8).

@@ -85,30 +85,74 @@ mod tests {
     use sqs_turnstile::{new_dcm, new_dcs};
     use sqs_util::SpaceUsage;
 
-    /// Space is data-independent, so the committed Fig. 10c must agree
-    /// with the same structures built empty from this tree: a sizing
-    /// change (a level cutoff, a row's coefficient count) that did not
-    /// regenerate `results/` trips here in milliseconds.
+    fn committed(name: &str) -> String {
+        let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("results/{name}: {e}"))
+    }
+
+    /// The space column a DCM / DCS / Post row must carry.
+    fn want_kb(algo: &str, eps: f64, log_u: u32) -> Option<String> {
+        let bytes = match algo {
+            "DCM" => new_dcm(eps, log_u, 0).space_bytes(),
+            "DCS" | "Post" => new_dcs(eps, log_u, 0).space_bytes(),
+            _ => return None,
+        };
+        Some(fkb(bytes))
+    }
+
+    /// Space is data-independent, so every committed DCM / DCS space
+    /// column — Fig. 10c at both stream lengths, Fig. 11a and xcompare —
+    /// must agree with the same structures built empty from this tree:
+    /// a sizing or layout change (a level cutoff, a row's coefficient
+    /// count, which levels keep a sketch) that did not regenerate
+    /// `results/` trips here in milliseconds.
     #[test]
     fn committed_fig10c_space_is_this_trees() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fig10c.csv");
-        let csv = std::fs::read_to_string(path).expect("results/fig10c.csv is committed");
-        let mut rows = csv.lines().skip(1);
-        for algo in ["DCM", "DCS", "Post"] {
-            for eps in ExpConfig::default().eps_sweep_turnstile() {
-                let bytes = match algo {
-                    "DCM" => new_dcm(eps, MPCAT_LOG_U, 0).space_bytes(),
-                    _ => new_dcs(eps, MPCAT_LOG_U, 0).space_bytes(),
+        // Fig. 10c rows carry no ε column: they follow the sweep.
+        for name in ["fig10c.csv", "fig10c_n10m.csv"] {
+            let csv = committed(name);
+            let mut rows = csv.lines().skip(1);
+            for algo in ["DCM", "DCS", "Post"] {
+                for eps in ExpConfig::default().eps_sweep_turnstile() {
+                    let row = rows.next().unwrap_or_default();
+                    let want = format!(
+                        "{algo},{},",
+                        want_kb(algo, eps, MPCAT_LOG_U).unwrap_or_default()
+                    );
+                    assert!(
+                        row.starts_with(&want),
+                        "{name} row {row:?} should start {want:?} (eps = {eps}): \
+                         regenerate results/ with `sqs-exp fig10`"
+                    );
+                }
+            }
+            assert_eq!(rows.next(), None, "{name} has rows past the sweep");
+        }
+        // Fig. 11a: algo,log_u,eps,space_kb,… with algo `DCS(u=2^16)`;
+        // xcompare: model,algo,eps,avg_err,space_kb,… at MPCAT's u.
+        let mut checked = 0;
+        for (name, algo, log_u, eps, kb) in [
+            ("fig11a.csv", 0, Some(1), 2, 3),
+            ("xcompare.csv", 1, None, 2, 4),
+        ] {
+            for row in committed(name).lines().skip(1) {
+                let f: Vec<&str> = row.split(',').collect();
+                let algo = f[algo].split('(').next().unwrap_or_default();
+                let log_u = log_u.map_or(Ok(MPCAT_LOG_U), |i: usize| f[i].parse());
+                let (Ok(log_u), Ok(eps)) = (log_u, f[eps].parse::<f64>()) else {
+                    continue; // Fig. 11a's exact-counting row
                 };
-                let row = rows.next().unwrap_or_default();
-                let want = format!("{algo},{},", fkb(bytes));
-                assert!(
-                    row.starts_with(&want),
-                    "fig10c.csv row {row:?} should start {want:?} (eps = {eps}): \
-                     regenerate results/ with `sqs-exp fig10`"
-                );
+                if let Some(want) = want_kb(algo, eps, log_u) {
+                    assert_eq!(
+                        f[kb],
+                        want,
+                        "{name} row {row:?}: regenerate results/ with `sqs-exp {}`",
+                        name.trim_end_matches(".csv").trim_end_matches('a')
+                    );
+                    checked += 1;
+                }
             }
         }
-        assert_eq!(rows.next(), None, "fig10c.csv has rows past the sweep");
+        assert_eq!(checked, 36 + 4, "Fig. 11a and xcompare turnstile rows");
     }
 }

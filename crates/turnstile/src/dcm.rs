@@ -29,16 +29,27 @@ pub fn new_dcm(eps: f64, log_u: u32, seed: u64) -> Dcm {
 pub fn new_dcm_with(eps: f64, log_u: u32, depth: usize, seed: u64) -> Dcm {
     assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
     let width = ((1.0 / eps) * log_u as f64).ceil().max(8.0) as usize;
-    from_width_depth(width, depth, log_u, seed)
-        .with_level_cutoff(crate::default_level_cutoff(eps, log_u))
+    build(
+        width,
+        depth,
+        log_u,
+        crate::default_level_cutoff(eps, log_u),
+        seed,
+    )
 }
 
 /// Builds a DCM with an explicit per-level `width × depth` geometry
-/// (used when sweeping total sketch size, Tables 3–4).
+/// and no level cutoff (used when sweeping total sketch size, Tables
+/// 3–4).
 pub fn from_width_depth(width: usize, depth: usize, log_u: u32, seed: u64) -> Dcm {
+    build(width, depth, log_u, 0, seed)
+}
+
+fn build(width: usize, depth: usize, log_u: u32, cutoff: u32, seed: u64) -> Dcm {
     let mut seeds = SplitMix64::new(seed);
     DyadicQuantiles::new(
         log_u,
+        cutoff,
         (width * depth) as u64,
         move |cells, _| {
             let mut rng = Xoshiro256pp::new(seeds.next_u64());

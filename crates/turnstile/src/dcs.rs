@@ -8,7 +8,11 @@
 //! `O((1/ε)·log^1.5 u·log^1.5(log u/ε))` bound of §3.1, the best known
 //! for the problem. The paper's tuning (§4.3.1) sets the per-level
 //! width to `w = √(log₂u)/ε` and depth `d = 7`, which is about 1/10th
-//! of DCM's space at equal error (Figure 10c).
+//! of DCM's space at equal error (Figure 10c). This reproduction keeps
+//! a sketch at every other sketched level only (the 4-adic layout of
+//! [`crate::dyadic`]), so a derived cell sums two sketched ones; the
+//! width becomes `w = √(2·log₂u)/ε` to cover the worst case, a derived
+//! term with twice one cell's variance (DESIGN.md §3).
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 // ^ audited: indices and casts here are bounded by structural
@@ -22,8 +26,9 @@ use sqs_util::rng::{SplitMix64, Xoshiro256pp};
 /// The Dyadic Count-Sketch turnstile quantile summary.
 pub type Dcs = DyadicQuantiles<CountSketch>;
 
-/// Builds a DCS for error target ε over the universe `[0, 2^log_u)`,
-/// with the paper's tuned parameters: `w = √(log₂u)/ε`, `d = 7`.
+/// Builds a DCS for error target ε over the universe `[0, 2^log_u)`:
+/// `w = √(2·log₂u)/ε` (the paper's `√(log₂u)/ε`, widened for derived
+/// levels), `d = 7`.
 pub fn new_dcs(eps: f64, log_u: u32, seed: u64) -> Dcs {
     new_dcs_with(eps, log_u, 7, seed)
 }
@@ -35,17 +40,27 @@ pub fn new_dcs(eps: f64, log_u: u32, seed: u64) -> Dcs {
 /// while staying inside the error budget.
 pub fn new_dcs_with(eps: f64, log_u: u32, depth: usize, seed: u64) -> Dcs {
     assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
-    let width = ((log_u as f64).sqrt() / eps).ceil().max(8.0) as usize;
-    from_width_depth(width, depth, log_u, seed)
-        .with_level_cutoff(crate::default_level_cutoff(eps, log_u))
+    let width = ((2.0 * log_u as f64).sqrt() / eps).ceil().max(8.0) as usize;
+    build(
+        width,
+        depth,
+        log_u,
+        crate::default_level_cutoff(eps, log_u),
+        seed,
+    )
 }
 
 /// Builds a DCS with an explicit per-level `width × depth` geometry
-/// (total-sketch-size sweeps, Tables 3–4).
+/// and no level cutoff (total-sketch-size sweeps, Tables 3–4).
 pub fn from_width_depth(width: usize, depth: usize, log_u: u32, seed: u64) -> Dcs {
+    build(width, depth, log_u, 0, seed)
+}
+
+fn build(width: usize, depth: usize, log_u: u32, cutoff: u32, seed: u64) -> Dcs {
     let mut seeds = SplitMix64::new(seed);
     DyadicQuantiles::new(
         log_u,
+        cutoff,
         (width * depth) as u64,
         move |cells, _| {
             let mut rng = Xoshiro256pp::new(seeds.next_u64());

@@ -20,13 +20,23 @@ pub type Dgm = DyadicQuantiles<CrPrecis>;
 const MAX_T: usize = 1 << 14;
 
 /// Builds the deterministic dyadic quantile structure for error target
-/// ε over `[0, 2^log_u)`. The per-level error budget is `ε/log u`, so
-/// every factor in the paper's scary bound shows up honestly.
+/// ε over `[0, 2^log_u)`, so every factor in the paper's scary bound
+/// shows up honestly.
+///
+/// **The bound.** A CR-precis cell overshoots by at most `ε'·n`, `ε'`
+/// the per-level budget, and exact cells not at all. A rank sums at
+/// most three stored cells per (stored, derived) level pair — a
+/// derived cell is two stored ones — and one for a lone stored level
+/// under the exact run: at most `1.5·log u` sketched cells. With
+/// `ε' = 2ε/(3·log u)` the rank is therefore off by at most `εn`,
+/// deterministically (while the row cap `MAX_T` and the `10⁻⁶` floor
+/// on `ε'` do not bind).
 pub fn new_dgm(eps: f64, log_u: u32) -> Dgm {
     assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
-    let per_level_eps = (eps / log_u as f64).max(1e-6);
+    let per_level_eps = (2.0 * eps / (3.0 * log_u as f64)).max(1e-6);
     DyadicQuantiles::new(
         log_u,
+        0,
         // Exact-level rule: match the sketch's own counter budget.
         {
             let probe = CrPrecis::for_eps(1u64 << log_u, per_level_eps);

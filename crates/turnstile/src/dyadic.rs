@@ -1,13 +1,23 @@
 //! The generic dyadic quantile scaffold shared by every turnstile
 //! algorithm (§3).
 //!
-//! One frequency sketch per dyadic level; updating element `x` touches
-//! its ancestor cell `x >> i` at every level `i`; the rank of `x` is
-//! the summed estimate over the ≤ `log u` cells of the prefix
-//! decomposition of `[0, x)`; a φ-quantile is found by binary search
-//! on the universe. Levels whose reduced universe is no larger than
-//! the sketch's counter budget store exact frequencies instead (§3),
-//! which also anchors the OLS post-processing.
+//! Level `i` partitions the universe into cells of width `2^i`;
+//! updating element `x` touches its ancestor cell `x >> i` at every
+//! level that keeps counters; the rank of `x` is the summed estimate
+//! over the cells of the prefix decomposition of `[0, x)`; a
+//! φ-quantile is found by binary search on the universe. Levels whose
+//! reduced universe is no larger than the sketch's counter budget store
+//! exact frequencies instead (§3), which also anchors the OLS
+//! post-processing.
+//!
+//! **Every other sketched level.** In the run of sketched levels
+//! between the truncation cutoff and the exact levels, a level at an
+//! odd offset from the cutoff keeps no counters: its cell `(ℓ, i)` is
+//! answered as `(ℓ−1, 2i) + (ℓ−1, 2i+1)`. That embeds a 4-adic tree in
+//! the dyadic one — an update touches half the sketches, a rank sums
+//! ≤ 3 cells of each stored level of a pair — while cells,
+//! `prefix_decomposition` and Post's binary tree keep their meaning
+//! (DESIGN.md §3 prices the variance).
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 // ^ audited: indices and casts here are bounded by structural
@@ -21,17 +31,57 @@ use sqs_util::space::{words, SpaceUsage};
 
 /// Per-level storage: exact counters for small reduced universes, a
 /// sketch otherwise — or nothing at all for levels below the
-/// truncation cutoff (see
-/// [`DyadicQuantiles::with_level_cutoff`]).
+/// truncation cutoff and for every other sketched level (see
+/// [`slot`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Level<S> {
     Exact(ExactCounts),
     Sketch(S),
+    /// A sketched level at an odd offset from the cutoff: no counters
+    /// are kept. Its cell `(ℓ, i)` is the sum of `(ℓ−1, 2i)` and
+    /// `(ℓ−1, 2i+1)`, which the stored level below holds.
+    Derived,
     /// A level below the truncation cutoff: no counters are kept. Its
     /// mass is recorded by the coarser levels above (every update
     /// still touches them), and queries round to multiples of
     /// `2^cutoff`, never addressing a truncated cell.
     Truncated,
+}
+
+/// What the layout puts at one level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Truncated,
+    Sketch,
+    Derived,
+    Exact,
+}
+
+/// The layout rule, written once: nothing below the cutoff, exact
+/// counters from `exact_from` up, and in the sketched run between them
+/// a sketch at every even offset from the cutoff and a derived level at
+/// every odd one.
+fn slot(level: u32, cutoff: u32, exact_from: u32) -> Slot {
+    if level < cutoff {
+        Slot::Truncated
+    } else if level >= exact_from {
+        Slot::Exact
+    } else if (level - cutoff) % 2 == 1 {
+        Slot::Derived
+    } else {
+        Slot::Sketch
+    }
+}
+
+impl<S> Level<S> {
+    fn slot(&self) -> Slot {
+        match self {
+            Level::Exact(_) => Slot::Exact,
+            Level::Sketch(_) => Slot::Sketch,
+            Level::Derived => Slot::Derived,
+            Level::Truncated => Slot::Truncated,
+        }
+    }
 }
 
 /// The default truncation cutoff for an ε-accuracy structure over a
@@ -66,12 +116,13 @@ pub struct DyadicQuantiles<S> {
     universe: DyadicUniverse,
     /// `levels[i]` summarizes the reduced universe at level `i`
     /// (`i = 0` is the singletons; the root level `log_u` is implied by
-    /// the exact live count and never stored). The bottom `cutoff`
-    /// entries are [`Level::Truncated`].
+    /// the exact live count and never stored), laid out by [`slot`].
     levels: Vec<Level<S>>,
     /// Leading truncated-level count; updates and queries start their
     /// level walk here and queries align to multiples of `2^cutoff`.
     cutoff: u32,
+    /// The finest exact level (`log_u` when none is stored).
+    exact_from: u32,
     live: i64,
     name: &'static str,
     /// Bumped on every state change (updates, merges) — the cheap
@@ -97,58 +148,49 @@ impl<S: PartialEq> PartialEq for DyadicQuantiles<S> {
 }
 
 impl<S: FrequencySketch> DyadicQuantiles<S> {
-    /// Builds the structure. `make_sketch(reduced_universe, level)`
-    /// constructs the per-level sketch; `sketch_counters` is the
-    /// counter budget used for the exact-level rule (a level is exact
-    /// when its reduced universe has at most that many cells).
+    /// Builds the structure. The bottom `cutoff` levels (clamped to
+    /// `log_u − 1`) are truncated — see [`default_level_cutoff`] for
+    /// the error argument; a level above them is exact when its reduced
+    /// universe has at most `sketch_counters` cells; the sketched run
+    /// between keeps a sketch at every other level, built by
+    /// `make_sketch(reduced_universe, level)` — the only levels it is
+    /// called for.
     pub fn new(
         log_u: u32,
+        cutoff: u32,
         sketch_counters: u64,
         mut make_sketch: impl FnMut(u64, u32) -> S,
         name: &'static str,
     ) -> Self {
         let universe = DyadicUniverse::new(log_u);
+        let cutoff = cutoff.min(log_u - 1);
+        // Reduced universes shrink as levels rise, so once a level
+        // qualifies for exact counters every higher one does too.
+        let exact_from = (cutoff..log_u)
+            .find(|&level| universe.cells_at_level(level) <= sketch_counters)
+            .unwrap_or(log_u);
         let levels = (0..log_u)
             .map(|level| {
                 let cells = universe.cells_at_level(level);
-                if cells <= sketch_counters {
-                    Level::Exact(ExactCounts::new(cells))
-                } else {
-                    Level::Sketch(make_sketch(cells, level))
+                match slot(level, cutoff, exact_from) {
+                    Slot::Truncated => Level::Truncated,
+                    Slot::Derived => Level::Derived,
+                    Slot::Sketch => Level::Sketch(make_sketch(cells, level)),
+                    Slot::Exact => Level::Exact(ExactCounts::new(cells)),
                 }
             })
             .collect();
         Self {
             universe,
             levels,
-            cutoff: 0,
+            cutoff,
+            exact_from,
             live: 0,
             name,
             version: 0,
             #[cfg(any(test, feature = "audit"))]
             updates: 0,
         }
-    }
-
-    /// Truncates the bottom `cutoff` levels (clamped to `log_u − 1`):
-    /// their stores are dropped, updates skip them, and queries align
-    /// to multiples of `2^cutoff` — see [`default_level_cutoff`] for
-    /// the error argument. Must be applied before any updates.
-    ///
-    /// # Panics
-    /// Panics if the structure has already absorbed updates.
-    #[must_use]
-    pub fn with_level_cutoff(mut self, cutoff: u32) -> Self {
-        assert_eq!(
-            self.live, 0,
-            "Dyadic: level cutoff must be set before any updates"
-        );
-        let cutoff = cutoff.min(self.universe.log_u() - 1);
-        for store in &mut self.levels[..cutoff as usize] {
-            *store = Level::Truncated;
-        }
-        self.cutoff = cutoff;
-        self
     }
 
     /// The truncation cutoff: the number of bottom levels that keep no
@@ -176,11 +218,32 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     /// Level `log_u` (the root) is always exact: its only cell is the
     /// live count.
     pub fn is_exact_level(&self, level: u32) -> bool {
-        level >= self.levels.len() as u32 || matches!(self.levels[level as usize], Level::Exact(_))
+        level >= self.exact_from
+    }
+
+    /// Whether `level` is derived: answered from the stored level below
+    /// it, with no counters of its own.
+    pub fn is_derived_level(&self, level: u32) -> bool {
+        slot(level, self.cutoff, self.exact_from) == Slot::Derived
+    }
+
+    /// The levels that keep counters, bottom first, as `(level, span)`:
+    /// a sketched level answers for itself and the derived level above
+    /// it (`span` 2) unless the exact run starts right above it; an
+    /// exact level answers for itself (`span` 1). `update`, `fold`,
+    /// `rank_signed` and `rank_signed_batch` all walk this, so the
+    /// derived-level rule is read in one place.
+    fn stored(&self) -> impl Iterator<Item = (u32, u32)> {
+        let (cutoff, exact_from) = (self.cutoff, self.exact_from);
+        let keeps = move |level| slot(level, cutoff, exact_from) != Slot::Derived;
+        (cutoff..self.universe.log_u())
+            .filter(move |&level| keeps(level))
+            .map(move |level| (level, if keeps(level + 1) { 1 } else { 2 }))
     }
 
     /// Estimated number of live elements in a dyadic cell (may be
-    /// negative for unbiased sketches).
+    /// negative for unbiased sketches). A derived cell is the sum of
+    /// its two children.
     ///
     /// # Panics
     /// Panics on a cell below the truncation cutoff — truncated levels
@@ -194,6 +257,10 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         match &self.levels[cell.level as usize] {
             Level::Exact(e) => e.estimate(cell.index),
             Level::Sketch(s) => s.estimate(cell.index),
+            Level::Derived => {
+                let (l, r) = cell.children();
+                self.cell_estimate(l) + self.cell_estimate(r)
+            }
             Level::Truncated => panic!(
                 "Dyadic: cell estimate at level {} is below the truncation cutoff {}",
                 cell.level, self.cutoff
@@ -201,8 +268,9 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         }
     }
 
-    /// The sketch's own variance estimate for cells at `level`
-    /// (0 for exact levels); used by the OLS post-processing.
+    /// The sketch's own variance estimate for cells at `level` (0 for
+    /// exact levels, ∞ for derived ones: a derived value carries no
+    /// observation of its own); used by the OLS post-processing.
     pub fn level_variance(&self, level: u32) -> f64 {
         if level >= self.levels.len() as u32 {
             return 0.0;
@@ -210,12 +278,13 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         match &self.levels[level as usize] {
             Level::Exact(_) | Level::Truncated => 0.0,
             Level::Sketch(s) => s.variance_estimate().unwrap_or(0.0),
+            Level::Derived => f64::INFINITY,
         }
     }
 
-    /// Per-cell variance estimate (0 for exact levels) — the
-    /// Count-Sketch's `(F₂ − f̂²)/w` refinement; used by the OLS
-    /// post-processing's default variance mode.
+    /// Per-cell variance estimate (0 for exact levels, ∞ for derived
+    /// ones) — the Count-Sketch's `(F₂ − f̂²)/w` refinement; used by the
+    /// OLS post-processing's default variance mode.
     pub fn cell_variance(&self, cell: Cell) -> f64 {
         if cell.level >= self.levels.len() as u32 {
             return 0.0;
@@ -223,6 +292,7 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         match &self.levels[cell.level as usize] {
             Level::Exact(_) | Level::Truncated => 0.0,
             Level::Sketch(s) => s.variance_estimate_for(cell.index).unwrap_or(0.0),
+            Level::Derived => f64::INFINITY,
         }
     }
 
@@ -230,17 +300,14 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         assert!(x < self.universe.size(), "element {x} outside universe");
         self.live += delta;
         self.version += 1;
-        for (level, store) in self
-            .levels
-            .iter_mut()
-            .enumerate()
-            .skip(self.cutoff as usize)
-        {
+        for (level, _) in self.stored() {
             let idx = x >> level;
-            match store {
+            match &mut self.levels[level as usize] {
                 Level::Exact(e) => e.update(idx, delta),
                 Level::Sketch(s) => s.update(idx, delta),
-                Level::Truncated => unreachable!("truncated levels sit below the cutoff"),
+                Level::Derived | Level::Truncated => {
+                    unreachable!("the walk yields stored levels only")
+                }
             }
         }
         #[cfg(any(test, feature = "audit"))]
@@ -253,11 +320,11 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     }
 
     /// Applies a batch of `(element, delta)` updates, restructured
-    /// level-major → row-major: the reduced keys for each level are
-    /// materialized once (one extra right-shift per level) and handed
-    /// to the level store's own batched path, so every sketch row's
-    /// hash coefficients are evaluated over the whole batch with the
-    /// coefficients held in registers (see `docs/PERF.md`).
+    /// level-major → row-major: the reduced keys for each stored level
+    /// are materialized once (one extra right-shift per level) and
+    /// handed to the level store's own batched path, so every sketch
+    /// row's hash coefficients are evaluated over the whole batch with
+    /// the coefficients held in registers (see `docs/PERF.md`).
     ///
     /// State-identical to the element-wise [`update`](Self::update)
     /// loop — counter for counter — which the property tests in
@@ -283,18 +350,21 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
 
     /// The one batched fold behind [`update_batch`](Self::update_batch)
     /// and `insert_batch`: `reduced` holds `(reduce(x), delta)` and is
-    /// shifted in place as the walk climbs.
+    /// shifted in place as the walk climbs from one stored level to the
+    /// next.
     fn fold(&mut self, mut reduced: Vec<(u64, i64)>) {
         self.live += reduced.iter().map(|&(_, d)| d).sum::<i64>();
         self.version += 1;
-        for store in self.levels[self.cutoff as usize..].iter_mut() {
-            match store {
+        for (level, span) in self.stored() {
+            match &mut self.levels[level as usize] {
                 Level::Exact(e) => e.update_batch(&reduced),
                 Level::Sketch(s) => s.update_batch(&reduced),
-                Level::Truncated => unreachable!("truncated levels sit below the cutoff"),
+                Level::Derived | Level::Truncated => {
+                    unreachable!("the walk yields stored levels only")
+                }
             }
             for (x, _) in reduced.iter_mut() {
-                *x >>= 1;
+                *x >>= span;
             }
         }
         #[cfg(any(test, feature = "audit"))]
@@ -318,11 +388,24 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     /// Signed rank estimate (before clamping): the summed cell
     /// estimates over the prefix decomposition of `[0, x)`, with `x`
     /// rounded down to the truncation granularity.
+    ///
+    /// Walked per stored level: the prefix's cells at a stored level and
+    /// the derived level above it are the run of stored cells from the
+    /// start of the enclosing `2^span`-cell group up to the prefix end —
+    /// ≤ 3 cells for a pair, the derived cell's two children included.
     pub fn rank_signed(&self, x: u64) -> i64 {
-        self.universe
-            .prefix_decomposition(self.align(x))
-            .into_iter()
-            .map(|c| self.cell_estimate(c))
+        let ax = self.align(x);
+        if ax == self.universe.size() {
+            // The root cell: its count is the implied live total.
+            return self.live;
+        }
+        self.stored()
+            .map(|(level, span)| {
+                let first = (ax >> (level + span)) << span;
+                (first..ax >> level)
+                    .map(|index| self.cell_estimate(Cell { level, index }))
+                    .sum::<i64>()
+            })
             .sum()
     }
 
@@ -344,9 +427,9 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     ///   entry is the live count) with a single lookup. Narrow sweeps
     ///   skip the table and peel the exact cells directly, computing
     ///   the same sums.
-    /// * **Level-major sketch reads.** Each sketch level's cover cells
-    ///   (one per query with that bit set) are collected in the same
-    ///   pass and answered in one
+    /// * **Level-major sketch reads.** Each stored sketch level's cells
+    ///   (the run below each query's digit, as in the scalar walk) are
+    ///   collected in the same pass and answered in one
     ///   [`estimate_batch`](FrequencySketch::estimate_batch) call —
     ///   the read-side analogue of `update_batch`'s row-major walk,
     ///   and what makes a `quantiles` sweep's ~log u ranks per φ
@@ -369,24 +452,20 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         out.fill(0);
         let log_u = self.universe.log_u();
         let size = self.universe.size();
-        let below = |b: u32| -> u64 { (1u64 << b) - 1 };
-        // The finest stored exact level (exact levels are a contiguous
-        // top run; everything in `cutoff..fe` is a sketch).
-        let fe = (self.cutoff..log_u)
-            .find(|&l| matches!(self.levels[l as usize], Level::Exact(_)))
-            .unwrap_or(log_u);
+        let fe = self.exact_from;
         let exacts: Vec<&ExactCounts> = self.levels[fe as usize..]
             .iter()
             .map(|store| match store {
                 Level::Exact(e) => e,
-                _ => unreachable!("levels above the finest exact level are exact"),
+                _ => unreachable!("levels from exact_from up are exact"),
             })
             .collect();
-        let sketches: Vec<&S> = self.levels[self.cutoff as usize..fe as usize]
-            .iter()
-            .map(|store| match store {
-                Level::Sketch(s) => s,
-                _ => unreachable!("levels between the cutoff and the exact run are sketches"),
+        let sketches: Vec<(u32, u32, &S)> = self
+            .stored()
+            .take_while(|&(level, _)| level < fe)
+            .map(|(level, span)| match &self.levels[level as usize] {
+                Level::Sketch(s) => (level, span, s),
+                _ => unreachable!("stored levels below exact_from are sketches"),
             })
             .collect();
         // Build the exact-prefix table only when the sweep is wide
@@ -415,13 +494,20 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
             Vec::new()
         };
         // One pass over the queries: the exact region is settled
-        // inline (table lookup or direct peel), sketch-level cover
-        // cells are deferred into per-level lists.
-        let smask = below(fe) & !below(self.cutoff);
+        // inline (table lookup or direct peel), sketch-level cells are
+        // deferred into per-level lists — a digit in 0..2^span puts
+        // that many cells on its level, (2^span − 1)/2 on average.
+        let below = |b: u32| -> u64 { (1u64 << b) - 1 };
         let emask = below(log_u) & !below(fe);
-        let cap = xs.len() / 2 + 1;
-        let mut scells: Vec<Vec<u64>> = sketches.iter().map(|_| Vec::with_capacity(cap)).collect();
-        let mut sqidx: Vec<Vec<u32>> = sketches.iter().map(|_| Vec::with_capacity(cap)).collect();
+        let cap = |span: u32| xs.len() * below(span) as usize / 2 + 1;
+        let mut scells: Vec<Vec<u64>> = sketches
+            .iter()
+            .map(|&(_, span, _)| Vec::with_capacity(cap(span)))
+            .collect();
+        let mut sqidx: Vec<Vec<u32>> = sketches
+            .iter()
+            .map(|&(_, span, _)| Vec::with_capacity(cap(span)))
+            .collect();
         for (q, (&x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
             let ax = self.align(x);
             if use_prefix {
@@ -440,25 +526,24 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
                     *o += exacts[(level - fe) as usize].estimate((ax >> level) - 1);
                 }
             }
-            let mut sb = ax & smask;
-            while sb != 0 {
-                let level = sb.trailing_zeros();
-                sb &= sb - 1;
-                let k = (level - self.cutoff) as usize;
-                scells[k].push((ax >> level) - 1);
-                sqidx[k].push(q as u32);
+            for (k, &(level, span, _)) in sketches.iter().enumerate() {
+                let first = (ax >> (level + span)) << span;
+                for c in first..ax >> level {
+                    scells[k].push(c);
+                    sqidx[k].push(q as u32);
+                }
             }
         }
         let mut uniq: Vec<u64> = Vec::new();
         let mut pos: Vec<u32> = Vec::new();
         let mut slots: Vec<u32> = Vec::new();
         let mut ests: Vec<i64> = Vec::new();
-        for (k, s) in sketches.iter().enumerate() {
+        for (k, &(level, _, s)) in sketches.iter().enumerate() {
             let cells = &scells[k];
             if cells.is_empty() {
                 continue;
             }
-            let reduced = self.universe.cells_at_level(self.cutoff + k as u32);
+            let reduced = self.universe.cells_at_level(level);
             if reduced <= cells.len() as u64 {
                 // Coarse level: more queries than cells, so estimate
                 // each distinct cell once and scatter. The map is
@@ -504,9 +589,9 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     }
 
     /// Rebuilds a structure from decoded parts. Shape errors (wrong
-    /// level count, a level scoped to the wrong reduced universe, or
-    /// an exact level below a sketch level) are reported as `Err`; the
-    /// caller follows up with a full invariant audit.
+    /// level count, a level scoped to the wrong reduced universe, or a
+    /// level kind the layout does not put there) are reported as `Err`;
+    /// the caller follows up with a full invariant audit.
     pub(crate) fn from_raw(
         log_u: u32,
         levels: Vec<Level<S>>,
@@ -520,38 +605,48 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         if levels.len() != log_u as usize {
             return Err("Dyadic: level count does not match log_u");
         }
-        // The cutoff travels implicitly as the leading truncated run.
-        let mut cutoff = 0u32;
-        let mut in_lead = true;
-        let mut prev_exact = false;
+        // The cutoff travels implicitly as the leading truncated run,
+        // the exact run as its first level; the layout rule then fixes
+        // every other level's kind.
+        let cutoff = levels
+            .iter()
+            .take_while(|l| matches!(l, Level::Truncated))
+            .count() as u32;
+        if cutoff == log_u {
+            return Err("Dyadic: every level truncated");
+        }
+        let exact_from = levels
+            .iter()
+            .position(|l| matches!(l, Level::Exact(_)))
+            .map_or(log_u, |i| i as u32);
         for (i, store) in levels.iter().enumerate() {
-            let (scope, exact) = match store {
-                Level::Truncated => {
-                    if !in_lead {
-                        return Err("Dyadic: truncated level above a stored level");
+            let level = i as u32;
+            let (got, want) = (store.slot(), slot(level, cutoff, exact_from));
+            if got != want {
+                return Err(match (got, want) {
+                    (Slot::Truncated, _) => "Dyadic: truncated level above a stored level",
+                    (_, Slot::Exact) => "Dyadic: non-exact level above an exact level",
+                    (Slot::Derived, _) if level == cutoff => {
+                        "Dyadic: derived level directly above the truncated run"
                     }
-                    cutoff += 1;
-                    continue;
-                }
-                Level::Exact(e) => (e.universe(), true),
-                Level::Sketch(s) => (s.universe(), false),
+                    (Slot::Derived, _) => "Dyadic: derived level in a stored slot",
+                    _ => "Dyadic: sketch level in a derived slot",
+                });
+            }
+            let scope = match store {
+                Level::Exact(e) => e.universe(),
+                Level::Sketch(s) => s.universe(),
+                Level::Derived | Level::Truncated => continue,
             };
-            in_lead = false;
-            if scope != universe.cells_at_level(i as u32) {
+            if scope != universe.cells_at_level(level) {
                 return Err("Dyadic: level scoped to wrong reduced universe");
             }
-            if prev_exact && !exact {
-                return Err("Dyadic: sketch level above an exact level");
-            }
-            prev_exact = exact;
-        }
-        if cutoff as usize == levels.len() {
-            return Err("Dyadic: every level truncated");
         }
         Ok(Self {
             universe,
             levels,
             cutoff,
+            exact_from,
             live,
             name,
             version: 0,
@@ -574,7 +669,7 @@ impl<S: MergeableSketch> DyadicQuantiles<S> {
                 .all(|(a, b)| match (a, b) {
                     (Level::Exact(x), Level::Exact(y)) => x.merge_compatible(y),
                     (Level::Sketch(x), Level::Sketch(y)) => x.merge_compatible(y),
-                    (Level::Truncated, Level::Truncated) => true,
+                    (Level::Derived, Level::Derived) | (Level::Truncated, Level::Truncated) => true,
                     _ => false,
                 })
     }
@@ -597,7 +692,7 @@ impl<S: MergeableSketch> DyadicQuantiles<S> {
             match (a, b) {
                 (Level::Exact(x), Level::Exact(y)) => x.merge_from(y),
                 (Level::Sketch(x), Level::Sketch(y)) => x.merge_from(y),
-                (Level::Truncated, Level::Truncated) => {}
+                (Level::Derived, Level::Derived) | (Level::Truncated, Level::Truncated) => {}
                 _ => unreachable!("merge_compatible checked the level kinds"),
             }
         }
@@ -628,51 +723,57 @@ impl<S: FrequencySketch> sqs_util::audit::CheckInvariants for DyadicQuantiles<S>
         ensure(self.live >= 0, ALG, "dyadic.live_nonnegative", || {
             format!("live count is {}", self.live)
         })?;
-        // Truncated levels form exactly the leading `cutoff` run.
-        let lead = self
-            .levels
-            .iter()
-            .take_while(|l| matches!(l, Level::Truncated))
-            .count();
+        // Every level holds what the layout rule puts there.
+        let log_u = self.universe.log_u();
         ensure(
-            lead == self.cutoff as usize && lead < self.levels.len(),
+            self.cutoff < log_u && self.cutoff <= self.exact_from && self.exact_from <= log_u,
             ALG,
-            "dyadic.cutoff_consistent",
+            "dyadic.layout",
             || {
                 format!(
-                    "cutoff field is {} but {} leading levels are truncated",
-                    self.cutoff, lead
+                    "cutoff {} and exact run from level {} in a {log_u}-level tree",
+                    self.cutoff, self.exact_from
                 )
             },
         )?;
-        let mut prev_exact = false;
         for (i, store) in self.levels.iter().enumerate() {
+            let want = slot(i as u32, self.cutoff, self.exact_from);
+            ensure(store.slot() == want, ALG, "dyadic.layout", || {
+                format!(
+                    "level {i} is {:?}, the layout puts {want:?} there",
+                    store.slot()
+                )
+            })?;
             let cells = self.universe.cells_at_level(i as u32);
-            let (scope, exact) = match store {
-                Level::Truncated => {
-                    ensure(i < lead, ALG, "dyadic.truncated_contiguous", || {
-                        format!("level {i} is truncated above a stored level")
-                    })?;
-                    continue;
-                }
-                Level::Exact(e) => (e.universe(), true),
-                Level::Sketch(s) => (s.universe(), false),
+            let scope = match store {
+                Level::Exact(e) => e.universe(),
+                Level::Sketch(s) => s.universe(),
+                Level::Derived | Level::Truncated => continue,
             };
             ensure(scope == cells, ALG, "dyadic.level_universe", || {
                 format!("level {i} summarizes {scope} cells, the dyadic tree has {cells}")
             })?;
-            // Reduced universes shrink as levels rise, so once a level
-            // qualifies for exact counters every higher one does too.
-            ensure(
-                !prev_exact || exact,
-                ALG,
-                "dyadic.exact_levels_contiguous",
-                || format!("level {i} is a sketch but level {} is exact", i - 1),
-            )?;
-            prev_exact = exact;
             // Recurse into the per-level store's own invariants.
             match store {
-                Level::Exact(e) => e.check_invariants()?,
+                Level::Exact(e) => {
+                    e.check_invariants()?;
+                    // Sum-consistency: each exact level partitions the
+                    // live multiset, so its counters must total `live`.
+                    // Summed wide: a hostile frame's counters must not
+                    // overflow the audit that refuses them.
+                    let sum: i128 = e.counts().iter().map(|&c| i128::from(c)).sum();
+                    ensure(
+                        sum == i128::from(self.live),
+                        ALG,
+                        "dyadic.exact_level_mass",
+                        || {
+                            format!(
+                                "level {i} counters total {sum}, live count is {}",
+                                self.live
+                            )
+                        },
+                    )?;
+                }
                 Level::Sketch(s) => {
                     s.check_invariants()?;
                     // A sketched level summarizes the same live multiset
@@ -685,18 +786,7 @@ impl<S: FrequencySketch> sqs_util::audit::CheckInvariants for DyadicQuantiles<S>
                         ));
                     }
                 }
-                Level::Truncated => {}
-            }
-            if let Level::Exact(e) = store {
-                // Sum-consistency: each exact level partitions the live
-                // multiset, so its counters must total `live`.
-                let sum: i64 = (0..cells).map(|c| e.estimate(c)).sum();
-                ensure(sum == self.live, ALG, "dyadic.exact_level_mass", || {
-                    format!(
-                        "level {i} counters total {sum}, live count is {}",
-                        self.live
-                    )
-                })?;
+                Level::Derived | Level::Truncated => {}
             }
         }
         // Parent/child consistency across adjacent exact levels: a
@@ -705,18 +795,18 @@ impl<S: FrequencySketch> sqs_util::audit::CheckInvariants for DyadicQuantiles<S>
             if let (Level::Exact(child), Level::Exact(parent)) =
                 (&self.levels[i], &self.levels[i + 1])
             {
-                for j in 0..self.universe.cells_at_level(i as u32 + 1) {
+                let (parent, child) = (parent.counts(), child.counts());
+                for (j, (&p, pair)) in parent.iter().zip(child.chunks_exact(2)).enumerate() {
                     ensure(
-                        parent.estimate(j) == child.estimate(2 * j) + child.estimate(2 * j + 1),
+                        i128::from(p) == i128::from(pair[0]) + i128::from(pair[1]),
                         ALG,
                         "dyadic.parent_child_mass",
                         || {
                             format!(
-                                "level {} cell {j} holds {}, children hold {} + {}",
+                                "level {} cell {j} holds {p}, children hold {} + {}",
                                 i + 1,
-                                parent.estimate(j),
-                                child.estimate(2 * j),
-                                child.estimate(2 * j + 1)
+                                pair[0],
+                                pair[1]
                             )
                         },
                     )?;
@@ -731,7 +821,7 @@ impl<S: FrequencySketch> sqs_util::audit::CheckInvariants for DyadicQuantiles<S>
             .map(|l| match l {
                 Level::Exact(e) => e.space_bytes(),
                 Level::Sketch(s) => s.space_bytes(),
-                Level::Truncated => 0,
+                Level::Derived | Level::Truncated => 0,
             })
             .sum::<usize>()
             + words(1);
@@ -888,7 +978,7 @@ impl<S: FrequencySketch> SpaceUsage for DyadicQuantiles<S> {
             .map(|l| match l {
                 Level::Exact(e) => e.space_bytes(),
                 Level::Sketch(s) => s.space_bytes(),
-                Level::Truncated => 0,
+                Level::Derived | Level::Truncated => 0,
             })
             .sum();
         levels + words(1) // + the live counter
@@ -905,6 +995,7 @@ mod tests {
         let mut seeds = SplitMix64::new(seed);
         DyadicQuantiles::new(
             log_u,
+            0,
             (w * d) as u64,
             move |cells, _| {
                 let mut rng = Xoshiro256pp::new(seeds.next_u64());
@@ -1000,6 +1091,124 @@ mod tests {
         let dq = make(8, 16, 3, 9);
         assert_eq!(dq.quantile(0.5), None);
     }
+
+    /// `dcs(0.01, 24)` — the benchmark's tenant shape: levels 0..7 are
+    /// cut off, 7, 9 and 11 keep a sketch, 8 and 10 are derived, 12 up
+    /// are exact, and a sketch is built for the three stored levels only.
+    #[test]
+    fn make_sketch_runs_for_stored_sketched_levels_only() {
+        let mut built = Vec::new();
+        let dq = DyadicQuantiles::new(
+            24,
+            default_level_cutoff(0.01, 24),
+            693 * 7,
+            |cells, level| {
+                built.push(level);
+                CountSketch::for_universe(cells, 693, 7, &mut Xoshiro256pp::new(level.into()))
+            },
+            "count-the-calls",
+        );
+        assert_eq!(built, [7, 9, 11]);
+        let mut want = vec![Slot::Truncated; 7];
+        want.extend([
+            Slot::Sketch,
+            Slot::Derived,
+            Slot::Sketch,
+            Slot::Derived,
+            Slot::Sketch,
+        ]);
+        want.extend([Slot::Exact; 12]);
+        let layout = |dq: &DyadicQuantiles<CountSketch>| -> Vec<Slot> {
+            dq.levels.iter().map(Level::slot).collect()
+        };
+        assert_eq!(layout(&dq), want);
+        assert_eq!(layout(&crate::new_dcs(0.01, 24, 5)), want);
+        assert_eq!(
+            dq.stored().collect::<Vec<_>>()[..3],
+            [(7, 2), (9, 2), (11, 1)]
+        );
+    }
+
+    fn loaded<S: FrequencySketch>(mut dq: DyadicQuantiles<S>) -> DyadicQuantiles<S> {
+        let mut rng = Xoshiro256pp::new(31);
+        let xs: Vec<u64> = (0..20_000)
+            .map(|_| rng.next_below(1 << 12) * rng.next_below(1 << 8))
+            .collect();
+        dq.insert_batch(&xs);
+        dq
+    }
+
+    /// A derived cell is its children's sum, and the per-stored-level
+    /// rank walk sums exactly the prefix decomposition's cells.
+    fn derived_cells_add_up<S: FrequencySketch>(dq: &DyadicQuantiles<S>) {
+        let u = dq.universe();
+        let derived: Vec<u32> = (0..u.log_u()).filter(|&l| dq.is_derived_level(l)).collect();
+        assert!(derived.len() >= 2, "test premise: derived levels");
+        for &level in &derived {
+            assert!(!dq.is_derived_level(level - 1) && !dq.is_exact_level(level - 1));
+            let cells = u.cells_at_level(level);
+            for index in [0, 1, cells / 3, cells / 2, cells - 1] {
+                let cell = Cell { level, index };
+                let (l, r) = cell.children();
+                assert_eq!(
+                    dq.cell_estimate(cell),
+                    dq.cell_estimate(l) + dq.cell_estimate(r),
+                    "cell {cell:?}"
+                );
+            }
+        }
+        let grain = 1u64 << dq.level_cutoff();
+        for x in (0..u.size())
+            .step_by(9_973)
+            .chain([u.size() - grain, u.size()])
+        {
+            let ax = x & !(grain - 1);
+            let cells: i64 = u
+                .prefix_decomposition(ax)
+                .into_iter()
+                .map(|c| dq.cell_estimate(c))
+                .sum();
+            assert_eq!(dq.rank_signed(x), cells, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn derived_cells_are_the_sum_of_their_children() {
+        derived_cells_add_up(&loaded(crate::new_dcm(0.05, 20, 3)));
+        derived_cells_add_up(&loaded(crate::new_dcs(0.05, 20, 3)));
+    }
+
+    /// `from_raw` rebuilds only the layout `new` lays out.
+    fn refuses_a_foreign_layout<S: FrequencySketch + Clone>(dq: &DyadicQuantiles<S>) {
+        let c = dq.level_cutoff() as usize;
+        let rebuild = |levels: Vec<Level<S>>| {
+            DyadicQuantiles::from_raw(dq.universe().log_u(), levels, dq.live, "x").map(|_| ())
+        };
+        assert_eq!(rebuild(dq.levels.clone()), Ok(()));
+        let with = |at: usize, level: Level<S>| {
+            let mut levels = dq.levels.clone();
+            levels[at] = level;
+            rebuild(levels)
+        };
+        assert_eq!(
+            with(c + 1, dq.levels[c].clone()),
+            Err("Dyadic: sketch level in a derived slot")
+        );
+        assert_eq!(
+            with(c + 2, Level::Derived),
+            Err("Dyadic: derived level in a stored slot")
+        );
+        assert_eq!(
+            with(c, Level::Derived),
+            Err("Dyadic: derived level directly above the truncated run")
+        );
+    }
+
+    #[test]
+    fn from_raw_refuses_kinds_the_layout_does_not_put_there() {
+        refuses_a_foreign_layout(&loaded(crate::new_dcm(0.05, 20, 4)));
+        refuses_a_foreign_layout(&loaded(crate::new_dcs(0.05, 20, 4)));
+    }
 }
 
 #[cfg(test)]
@@ -1051,6 +1260,24 @@ mod corruption {
         assert_eq!(
             d.check_invariants().unwrap_err().invariant,
             "dyadic.sketch_level_mass"
+        );
+    }
+
+    #[test]
+    fn exact_level_mass_is_summed_without_overflow() {
+        // Three counters at i64::MAX wrap an i64 sum (a debug panic,
+        // and in release a total that may happen to equal `live`).
+        let mut d = crate::new_dcs(0.05, 12, 1);
+        let fe = (0..12).find(|&l| d.is_exact_level(l)).expect("exact run");
+        let Some(super::Level::Exact(e)) = d.levels.get_mut(fe as usize) else {
+            panic!("level {fe} is exact");
+        };
+        for x in 0..3 {
+            sqs_sketch::FrequencySketch::update(e, x, i64::MAX);
+        }
+        assert_eq!(
+            d.check_invariants().unwrap_err().invariant,
+            "dyadic.exact_level_mass"
         );
     }
 

@@ -7,9 +7,10 @@
 //! level:
 //!
 //! * [`dyadic::DyadicQuantiles`] — the generic scaffold: `log u`
-//!   levels, exact counters where the reduced universe is small,
-//!   rank = sum over the prefix decomposition, quantile = binary
-//!   search (§3).
+//!   levels, exact counters where the reduced universe is small, a
+//!   sketch at every other level below them (the level between is the
+//!   sum of its children), rank = sum over the prefix decomposition,
+//!   quantile = binary search (§3).
 //! * [`dcm`] — Dyadic Count-Min (Cormode & Muthukrishnan), the prior
 //!   state of the art.
 //! * [`dcs`] — Dyadic Count-Sketch, the paper's new variant with the

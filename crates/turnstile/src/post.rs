@@ -18,7 +18,9 @@
 //! 2. **Decompose.** Exact nodes (the top levels stored as plain
 //!    counters) shield their subtrees; each maximal subtree whose root
 //!    is exact and whose other nodes are sketched is solved
-//!    independently.
+//!    independently. A node on a derived level (no counters; its value
+//!    is its children's sum) is *unobserved*: σ² = ∞, zero precision in
+//!    the BLUE, and truncation always expands it.
 //! 3. **Solve.** Three linear-time traversals per subtree compute the
 //!    node weights `λ`, the path sums `π`, the auxiliary `Z`/`Δ`/`F`
 //!    quantities, and finally the BLUE `x*` for every node — the
@@ -336,7 +338,9 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
         // node whose estimate clears the threshold; recurse into
         // children that clear it themselves. The descent floor is the
         // structure's level cutoff — below it no counters exist, so
-        // frontier leaves bottom out at 2^cutoff-wide cells.
+        // frontier leaves bottom out at 2^cutoff-wide cells. A derived
+        // node is always expanded: it carries no observation of its
+        // own, so a frontier leaf never sits on a derived level.
         let floor = dq.level_cutoff();
         let root = Cell {
             level: dq.universe().log_u(),
@@ -349,7 +353,7 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
                 continue;
             }
             let est = this.raw(cell);
-            if est > threshold {
+            if est > threshold || dq.is_derived_level(cell.level) {
                 let (l, r) = cell.children();
                 let (rl, rr) = (this.raw(l), this.raw(r));
                 this.xstar_mut().insert(l, rl);
@@ -879,6 +883,76 @@ mod tests {
             let (max_err, _) = observed_errors(&oracle, &answers);
             assert!(max_err <= eps, "mode {mode:?}: max {max_err}");
         }
+    }
+
+    /// A tree with an unobserved (σ² = ∞) internal node solves as the
+    /// limit of ever-noisier observations of it, ignores that node's
+    /// own value, and stays additive.
+    #[test]
+    fn unobserved_node_is_the_infinite_variance_limit() {
+        let solve = |y: f64, s2: f64| {
+            let mut nodes: Vec<BlueNode> = vec![
+                BlueNode::new(100.0, 0.0),
+                BlueNode::new(y, s2), // the derived node
+                BlueNode::new(42.0, 3.0),
+                BlueNode::new(20.0, 5.0),
+                BlueNode::new(33.0, 4.0),
+            ];
+            nodes[0].left = Some(1);
+            nodes[0].right = Some(2);
+            nodes[1].parent = Some(0);
+            nodes[2].parent = Some(0);
+            nodes[1].left = Some(3);
+            nodes[1].right = Some(4);
+            nodes[3].parent = Some(1);
+            nodes[4].parent = Some(1);
+            solve_blue(&mut nodes);
+            nodes.iter().map(|n| n.xstar).collect::<Vec<f64>>()
+        };
+        let at_inf = solve(61.0, f64::INFINITY);
+        let near = solve(61.0, 1e15);
+        for (a, b) in at_inf.iter().zip(&near) {
+            assert!((a - b).abs() < 1e-6, "{at_inf:?} vs {near:?}");
+        }
+        assert_eq!(solve(500.0, f64::INFINITY), at_inf);
+        assert!((at_inf[1] + at_inf[2] - 100.0).abs() < 1e-9);
+        assert!((at_inf[3] + at_inf[4] - at_inf[1]).abs() < 1e-9);
+    }
+
+    /// T̂ crossing derived levels: no frontier leaf sits on one, and the
+    /// solution satisfies every children-sum constraint of T̂.
+    fn frontier_avoids_derived_levels<S: FrequencySketch>(dq: &DyadicQuantiles<S>) {
+        let n = dq.live() as f64;
+        let post = PostProcessed::new(dq, 0.02, 0.1);
+        let mut derived_inside = 0;
+        for (&cell, &x) in post.xstar.iter() {
+            if !post.has_children(cell) {
+                assert!(
+                    !dq.is_derived_level(cell.level),
+                    "frontier leaf {cell:?} on a derived level"
+                );
+                continue;
+            }
+            derived_inside += usize::from(dq.is_derived_level(cell.level));
+            let (l, r) = cell.children();
+            let sum = post.xstar[&l] + post.xstar[&r];
+            assert!((sum - x).abs() <= 1e-9 * n, "{cell:?}: {x} vs {sum}");
+        }
+        assert!(derived_inside > 0, "test premise: T̂ crosses derived levels");
+    }
+
+    #[test]
+    fn post_expands_every_derived_node_and_stays_additive() {
+        let mut rng = Xoshiro256pp::new(23);
+        let data: Vec<u64> = (0..40_000)
+            .map(|_| rng.next_below(1 << 10) * rng.next_below(1 << 10))
+            .collect();
+        let mut dcs = new_dcs(0.02, 20, 5);
+        let mut dcm = crate::new_dcm(0.02, 20, 5);
+        dcs.insert_batch(&data);
+        dcm.insert_batch(&data);
+        frontier_avoids_derived_levels(&dcs);
+        frontier_avoids_derived_levels(&dcm);
     }
 
     #[test]

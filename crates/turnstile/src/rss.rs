@@ -38,6 +38,7 @@ pub fn new_rss_with(k: usize, log_u: u32, seed: u64) -> Rss {
     let mut seeds = SplitMix64::new(seed);
     DyadicQuantiles::new(
         log_u,
+        0,
         k as u64,
         move |cells, _| {
             let mut rng = Xoshiro256pp::new(seeds.next_u64());

@@ -47,7 +47,7 @@ impl<S> TurnstileSummary<S> {
 }
 
 impl TurnstileSummary<CountSketch> {
-    /// A DCS summary with the paper's tuning (`w = √(log₂u)/ε`,
+    /// A DCS summary tuned as [`new_dcs`] (`w = √(2·log₂u)/ε`,
     /// `d = 7`) over the universe `[0, 2^log_u)`.
     pub fn dcs(eps: f64, log_u: u32, seed: u64) -> Self {
         Self::from_inner(new_dcs(eps, log_u, seed))
@@ -127,18 +127,45 @@ where
 //   u32  log_u
 //   u64  live (i64 bits)
 //   then log_u levels, bottom first, each:
-//     u8 tag — 0 = exact, 1 = sketch, 2 = truncated
+//     u8 tag — 0 = exact, 1 = sketch, 2 = truncated, 3 = derived
 //     exact:     u64-vec of counts (i64 bits)
 //     sketch:    u64 width, u64 depth,
 //                depth × 4×u64 polynomial coeffs (c0..c3),
 //                u64-vec of logical d×w counters (i64 bits)
-//     truncated: nothing — the tag is the whole level. The level
-//                cutoff thus travels implicitly as the leading run of
-//                truncated tags; the header layout is unchanged.
+//     truncated, derived: nothing — the tag is the whole level. The
+//                level cutoff thus travels implicitly as the leading
+//                run of truncated tags, and decode refuses any layout
+//                `DyadicQuantiles::new` would not have laid out.
 
 const TAG_EXACT: u8 = 0;
 const TAG_SKETCH: u8 = 1;
 const TAG_TRUNCATED: u8 = 2;
+const TAG_DERIVED: u8 = 3;
+
+/// Appends one level's wire form.
+fn put_level(out: &mut Vec<u8>, level: &Level<CountSketch>) {
+    match level {
+        Level::Exact(e) => {
+            out.push(TAG_EXACT);
+            let bits: Vec<u64> = e.counts().iter().map(|&c| c as u64).collect();
+            put_u64_slice(out, &bits);
+        }
+        Level::Sketch(s) => {
+            out.push(TAG_SKETCH);
+            out.extend_from_slice(&(s.width() as u64).to_le_bytes());
+            out.extend_from_slice(&(s.depth() as u64).to_le_bytes());
+            for h in s.rows() {
+                for c in h.coeffs() {
+                    out.extend_from_slice(&c.to_le_bytes());
+                }
+            }
+            let bits: Vec<u64> = s.logical_counters().iter().map(|&c| c as u64).collect();
+            put_u64_slice(out, &bits);
+        }
+        Level::Truncated => out.push(TAG_TRUNCATED),
+        Level::Derived => out.push(TAG_DERIVED),
+    }
+}
 
 impl WireCodec for TurnstileSummary<CountSketch> {
     const WIRE_KIND: u8 = KIND_DCS;
@@ -147,26 +174,7 @@ impl WireCodec for TurnstileSummary<CountSketch> {
         out.extend_from_slice(&self.dq.universe().log_u().to_le_bytes());
         out.extend_from_slice(&(self.dq.live_signed() as u64).to_le_bytes());
         for level in self.dq.levels() {
-            match level {
-                Level::Exact(e) => {
-                    out.push(TAG_EXACT);
-                    let bits: Vec<u64> = e.counts().iter().map(|&c| c as u64).collect();
-                    put_u64_slice(out, &bits);
-                }
-                Level::Sketch(s) => {
-                    out.push(TAG_SKETCH);
-                    out.extend_from_slice(&(s.width() as u64).to_le_bytes());
-                    out.extend_from_slice(&(s.depth() as u64).to_le_bytes());
-                    for h in s.rows() {
-                        for c in h.coeffs() {
-                            out.extend_from_slice(&c.to_le_bytes());
-                        }
-                    }
-                    let bits: Vec<u64> = s.logical_counters().iter().map(|&c| c as u64).collect();
-                    put_u64_slice(out, &bits);
-                }
-                Level::Truncated => out.push(TAG_TRUNCATED),
-            }
+            put_level(out, level);
         }
     }
 
@@ -207,6 +215,7 @@ impl WireCodec for TurnstileSummary<CountSketch> {
                     levels.push(Level::Sketch(s));
                 }
                 TAG_TRUNCATED => levels.push(Level::Truncated),
+                TAG_DERIVED => levels.push(Level::Derived),
                 _ => return Err(CodecError::Malformed("unknown level tag")),
             }
         }
@@ -297,6 +306,44 @@ mod tests {
         for cut in [0, 1, 7, 16, frame.len() - 1] {
             assert!(TurnstileSummary::<CountSketch>::from_bytes(&frame[..cut]).is_err());
         }
+    }
+
+    /// Decode rebuilds only what `DyadicQuantiles::new` lays out: a
+    /// sketch in a derived slot, a derived level in a stored slot and
+    /// one directly above the truncated run are refused.
+    #[test]
+    fn decode_refuses_a_foreign_layout() {
+        let s = fed_dcs(2_000, 6);
+        let dq = s.inner();
+        let c = dq.level_cutoff() as usize;
+        let Level::Sketch(stored) = &dq.levels()[c] else {
+            panic!("level {c} is stored");
+        };
+        let decode = |at: usize, level: Level<CountSketch>| {
+            let mut out = Vec::new();
+            out.extend_from_slice(&20u32.to_le_bytes());
+            out.extend_from_slice(&(dq.live_signed() as u64).to_le_bytes());
+            for (i, l) in dq.levels().iter().enumerate() {
+                put_level(&mut out, if i == at { &level } else { l });
+            }
+            TurnstileSummary::<CountSketch>::decode_body(&out).map(|_| ())
+        };
+        let refused = |msg| Err(CodecError::Malformed(msg));
+        assert_eq!(decode(c, dq.levels()[c].clone()), Ok(()));
+        let mut rng = Xoshiro256pp::new(1);
+        let scoped = CountSketch::for_universe(1 << (19 - c), stored.width(), 7, &mut rng);
+        assert_eq!(
+            decode(c + 1, Level::Sketch(scoped)),
+            refused("Dyadic: sketch level in a derived slot")
+        );
+        assert_eq!(
+            decode(c + 2, Level::Derived),
+            refused("Dyadic: derived level in a stored slot")
+        );
+        assert_eq!(
+            decode(c, Level::Derived),
+            refused("Dyadic: derived level directly above the truncated run")
+        );
     }
 
     #[test]

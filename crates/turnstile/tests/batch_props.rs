@@ -12,7 +12,8 @@
 //! `rank_signed_batch` and the lockstep `quantiles` sweep must return
 //! **answer-identical** results to the scalar `rank_signed` /
 //! per-φ `quantile` loops — with or without level truncation, since
-//! both paths align queries the same way. Truncation itself is gated
+//! both paths align queries the same way, and across every shape of
+//! the every-other-level layout. Truncation itself is gated
 //! by the ε-oracle suite: answers of truncated structures stay within
 //! ε rank error of the exact oracle on adversarial streams.
 
@@ -209,6 +210,57 @@ fn wide_and_narrow_rank_sweeps_are_answer_identical() {
             assert_reads_identical(&dcm, &probes, &probe_phi_grid());
             assert_reads_identical(&dcs, &probes, &probe_phi_grid());
         }
+    }
+}
+
+/// ε values whose DCM and DCS layouts at u = 2²⁰ cover the four shapes
+/// of the every-other-level rule: cutoff parity 0 and 1, and a sketched
+/// run of odd length (a lone stored level under the exact run) and of
+/// even length (a derived level under it).
+const LAYOUT_EPS: [f64; 6] = [0.01, 0.01675, 0.02, 0.0335, 0.05, 0.1];
+
+/// `(cutoff parity, sketched-run parity)`.
+fn layout_shape<S: sqs_sketch::FrequencySketch>(dq: &DyadicQuantiles<S>) -> (u32, usize) {
+    let c = dq.level_cutoff();
+    let run = (c..LOG_U).take_while(|&l| !dq.is_exact_level(l)).count();
+    assert!(run >= 1, "test premise: a sketched run");
+    (c % 2, run % 2)
+}
+
+fn assert_layout_identical<S>(dq: DyadicQuantiles<S>, batch: &[(u64, i64)], seed: u64)
+where
+    S: sqs_sketch::FrequencySketch + Clone + PartialEq + std::fmt::Debug,
+{
+    assert_batch_identical(dq.clone(), batch);
+    let mut dq = dq;
+    dq.update_batch(batch);
+    for probes in [probe_xs(4096, seed), probe_xs(3, seed)] {
+        assert_reads_identical(&dq, &probes, &probe_phi_grid());
+    }
+}
+
+#[test]
+fn every_layout_shape_is_state_and_answer_identical() {
+    let data: Vec<u64> = (0..3_000u64)
+        .map(|i| (i ^ 0x5eed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - LOG_U))
+        .collect();
+    let batch = mixed_batch(&data);
+    let mut shapes = (Vec::new(), Vec::new());
+    for (seed, eps) in (0u64..).zip(LAYOUT_EPS) {
+        let (dcm, dcs) = (new_dcm(eps, LOG_U, seed), new_dcs(eps, LOG_U, seed));
+        shapes.0.push(layout_shape(&dcm));
+        shapes.1.push(layout_shape(&dcs));
+        assert_layout_identical(dcm, &batch, seed);
+        assert_layout_identical(dcs, &batch, seed);
+    }
+    for (alg, mut seen) in [("DCM", shapes.0), ("DCS", shapes.1)] {
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(
+            seen,
+            [(0, 0), (0, 1), (1, 0), (1, 1)],
+            "{alg} layout shapes"
+        );
     }
 }
 

@@ -472,30 +472,61 @@ fn wrong_kind_is_rejected_not_misparsed() {
 }
 
 /// Kind 4 was the DCS body with two hash families per row (48 bytes a
-/// row); the one-polynomial body is kind 5, and a frame still tagged 4
-/// is refused by kind before its body is looked at.
+/// row), kind 5 the body with a sketch at every sketched level; the
+/// every-other-level body (level tag 3 for a derived level) is kind 6,
+/// and a frame still tagged 4 or 5 is refused by kind before its body
+/// is looked at.
 #[test]
-fn retired_dcs_kind_4_is_refused_and_kind_5_roundtrips() {
+fn retired_dcs_kinds_4_and_5_are_refused_and_kind_6_roundtrips() {
     use streaming_quantiles::sqs_core::codec::{seal, CodecError, KIND_DCS};
     let mut s = filled_dcs(3, &[5, 9, 9, 4000]);
     let frame = s.to_bytes();
-    assert_eq!((KIND_DCS, frame.get(5)), (5, Some(&5)));
-    let mut back = TurnstileSummary::<CountSketch>::from_bytes(&frame).expect("kind 5 decodes");
+    assert_eq!((KIND_DCS, frame.get(5)), (6, Some(&6)));
+    let mut back = TurnstileSummary::<CountSketch>::from_bytes(&frame).expect("kind 6 decodes");
     assert_eq!(back.to_bytes(), frame);
 
-    let mut old = frame;
-    old.truncate(old.len() - 8);
-    if let Some(kind) = old.get_mut(5) {
-        *kind = 4;
+    for retired in [4u8, 5] {
+        let mut old = frame.clone();
+        old.truncate(old.len() - 8);
+        if let Some(kind) = old.get_mut(5) {
+            *kind = retired;
+        }
+        seal(&mut old);
+        assert_eq!(
+            TurnstileSummary::<CountSketch>::from_bytes(&old).err(),
+            Some(CodecError::BadKind {
+                expected: 6,
+                got: retired
+            })
+        );
     }
-    seal(&mut old);
-    assert_eq!(
-        TurnstileSummary::<CountSketch>::from_bytes(&old).err(),
-        Some(CodecError::BadKind {
-            expected: 5,
-            got: 4
-        })
-    );
+}
+
+/// An empty `dcs(0.05, 12)` frame with three counters of its finest
+/// exact level set to `i64::MAX`, re-sealed: the audit's level-mass sum
+/// overflowed an `i64` (a panic in every overflow-checked build, a
+/// wrapped total in release). It is summed wide now and the frame is
+/// refused as an invariant violation.
+#[test]
+fn forged_exact_counters_are_refused_without_a_panic() {
+    use streaming_quantiles::sqs_core::codec::{seal, CodecError};
+    let mut s = TurnstileSummary::dcs(0.05, 12, 1);
+    let fe = (0..12)
+        .find(|&l| s.inner().is_exact_level(l))
+        .expect("exact run");
+    let mut frame = s.to_bytes();
+    frame.truncate(frame.len() - 8);
+    // Exact levels close the body: a tag, a count, then the counters.
+    let tail: usize = (fe..12).map(|l| 1 + 8 + 8 * (1usize << (12 - l))).sum();
+    let at = frame.len() - tail + 1 + 8;
+    for c in 0..3 {
+        frame[at + 8 * c..at + 8 * c + 8].copy_from_slice(&i64::MAX.to_le_bytes());
+    }
+    seal(&mut frame);
+    match TurnstileSummary::<CountSketch>::from_bytes(&frame) {
+        Err(CodecError::Invariant(v)) => assert_eq!(v.invariant, "dyadic.exact_level_mass"),
+        other => panic!("forged frame not refused by the audit: {other:?}"),
+    }
 }
 
 #[test]

@@ -384,6 +384,57 @@ fn hostile_dcs_counter_heavier_than_its_count_gets_an_error_reply() {
     server.join();
 }
 
+/// A `MERGE_SNAPSHOT` carrying an empty `dcs(0.05, 12)` frame whose
+/// finest exact level has three counters at `i64::MAX`, re-sealed. The
+/// audit's level-mass sum overflowed an `i64` and, in this overflow-
+/// checked build, panicked the worker. It gets an error reply naming
+/// `dyadic.exact_level_mass`, the tenant's `n` does not move, and the
+/// connection goes on answering.
+#[test]
+fn hostile_dcs_exact_counters_at_i64_max_get_an_error_reply() {
+    use streaming_quantiles::sqs_core::codec::{seal, WireCodec};
+
+    const LOG_U: u32 = 12;
+    let mut cfg = ServerConfig::default();
+    cfg.value_bound = Some(1u64 << LOG_U);
+    let server = spawn(cfg, |_tenant, _shard| TurnstileSummary::dcs(0.05, LOG_U, 5))
+        .expect("ephemeral loopback bind");
+    let mut client = connect(server.addr());
+    let tenant = 6u64;
+    assert_eq!(
+        client.insert_batch(tenant, &[1, 2, 3]).expect("insert").n,
+        3
+    );
+
+    let mut empty = TurnstileSummary::dcs(0.05, LOG_U, 5);
+    let fe = (0..LOG_U)
+        .find(|&l| empty.inner().is_exact_level(l))
+        .expect("exact run");
+    let mut hostile = empty.to_bytes();
+    hostile.truncate(hostile.len() - 8);
+    // Exact levels close the body: a tag, a count, then the counters.
+    let tail: usize = (fe..LOG_U)
+        .map(|l| 1 + 8 + 8 * (1usize << (LOG_U - l)))
+        .sum();
+    let at = hostile.len() - tail + 1 + 8;
+    for c in 0..3 {
+        hostile[at + 8 * c..at + 8 * c + 8].copy_from_slice(&i64::MAX.to_le_bytes());
+    }
+    seal(&mut hostile);
+
+    match client.merge_snapshot(tenant, hostile) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("dyadic.exact_level_mass"), "{msg}"),
+        other => panic!("not refused: {other:?}"),
+    }
+    assert_eq!(
+        client.insert_batch(tenant, &[7]).expect("next request").n,
+        4
+    );
+
+    server.shutdown();
+    server.join();
+}
+
 /// A `MERGE_SNAPSHOT` whose summary lies about its count: an honest
 /// `RandomSketch` frame with `n` overwritten and the frame re-sealed
 /// decodes and passes the audit (`Σ ≤ n` is all `random.mass_bound`
