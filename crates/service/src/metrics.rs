@@ -139,7 +139,8 @@ pub struct WindowTotals {
     pub rollup_hits: u64,
     /// Window queries answered.
     pub queries: u64,
-    /// Queries served from the version-keyed merge cache.
+    /// Queries that merged no sealed bucket (their spec's cached
+    /// sealed merge still covered the same range).
     pub cache_hits: u64,
 }
 

@@ -262,6 +262,63 @@ fn sliding_and_tumbling_match_exact_oracle_qdigest_backend() {
     server.join();
 }
 
+/// The cache's hit path over the socket: one connection alternates an
+/// insert with the same sliding and tumbling specs, eight rounds per
+/// bucket. Inserts land in the open bucket only, so between rotations
+/// both specs answer from their cached sealed merge — and every answer
+/// still matches the exact oracle.
+#[test]
+fn repeated_specs_between_inserts_hit_the_sealed_merge() {
+    const ROUNDS: u64 = 48;
+    const ROUNDS_PER_BUCKET: u64 = 8;
+    let clock = ManualClock::new();
+    let server = spawn(
+        windowed_config(&clock, LatePolicy::Drop),
+        move |tenant, shard| RandomSketch::new(EPS, 0x5EA1 ^ (tenant << 8) ^ shard as u64),
+    )
+    .expect("ephemeral loopback bind");
+    let mut client = connect(server.addr());
+    let mut oracle = Oracle::new(LatePolicy::Drop);
+    let mut rng = Xoshiro256pp::new(0x417);
+    let specs = [
+        WindowSpec::sliding(8 * BUCKET),
+        WindowSpec::tumbling(4 * BUCKET),
+    ];
+    // Ten buckets of history first, so both specs cover sealed buckets.
+    for _ in 0..10 {
+        let now = clock.now_nanos();
+        let batch: Vec<u64> = (0..200).map(|_| rng.next_below(1 << LOG_U)).collect();
+        client.window_insert(TENANT, now, &batch).expect("insert");
+        oracle.ingest(now, now, &batch);
+        clock.advance(BUCKET);
+    }
+    let before = client.window_stats(TENANT).expect("stats").cache_hits;
+    for round in 0..ROUNDS {
+        if round % ROUNDS_PER_BUCKET == ROUNDS_PER_BUCKET - 1 {
+            clock.advance(BUCKET);
+        }
+        let now = clock.now_nanos();
+        let batch: Vec<u64> = (0..50).map(|_| rng.next_below(1 << LOG_U)).collect();
+        client.window_insert(TENANT, now, &batch).expect("insert");
+        oracle.ingest(now, now, &batch);
+        for spec in specs {
+            let answer = client.window_query(TENANT, spec, &PHIS).expect("query");
+            let exact = oracle
+                .window_values(now, spec)
+                .expect("past the first span");
+            assert_within_eps(&answer, &exact, &format!("round {round} {spec:?}"));
+        }
+    }
+    let hits = client.window_stats(TENANT).expect("stats").cache_hits - before;
+    let queries = ROUNDS * specs.len() as u64;
+    assert!(
+        hits >= queries * 3 / 4,
+        "{hits} of {queries} queries reused their sealed merge"
+    );
+    client.shutdown().expect("shutdown op");
+    server.join();
+}
+
 #[test]
 fn window_ops_refused_without_window_config() {
     let server = spawn(ServerConfig::default(), move |tenant, shard| {

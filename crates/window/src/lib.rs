@@ -25,10 +25,11 @@
 //!   window covers the last `len` of time ending at the current bucket
 //!   (inclusive, so the in-progress bucket participates); a tumbling
 //!   window is the most recently *completed* aligned `len`-wide
-//!   window. Covered buckets are merged with the engine's balanced
-//!   [`sqs_engine::merge_tree`], and the merged summary is cached
-//!   keyed on the ring's mutation version — the same epoch-keyed
-//!   pattern the engine's read path uses.
+//!   window. Covered sealed buckets are merged with the engine's
+//!   balanced [`sqs_engine::merge_tree`], and that merge is cached per
+//!   spec, keyed on the covered range: an ingest touches only the open
+//!   bucket, so the merge outlives it until a rotation moves the range.
+//!   The open bucket, when in range, is merged in at the root.
 //! * **Rollups** — TimescaleDB-style pre-aggregation: groups of
 //!   `rollup_factor` sealed buckets are merged once (lazily, the first
 //!   time a query covers the whole group) and reused, so a span of
@@ -309,7 +310,8 @@ pub struct WindowStats {
     pub rollup_hits: u64,
     /// Window queries answered.
     pub queries: u64,
-    /// Queries served from the version-keyed merge cache.
+    /// Queries that merged no sealed bucket: their spec's cached
+    /// sealed merge still covered the same range.
     pub cache_hits: u64,
 }
 
@@ -382,21 +384,34 @@ struct Rollup<S> {
     summary: S,
 }
 
-/// The merged summary the query path caches between ring mutations,
-/// keyed on (version, spec) — any ingest, rotation or eviction ticks
-/// the version and invalidates it.
-struct QueryCache<S> {
-    version: u64,
+/// How many specs keep a sealed merge at once, least recently queried
+/// dropped first. A client can name up to 2 × retention distinct specs
+/// between two rotations, and every entry pins up to two summaries.
+const SEALED_MERGES: usize = 4;
+
+/// One queried spec's merge of the *sealed* buckets it covers. Sealed
+/// buckets never change, so the merge is exact for as long as the spec
+/// covers the same range: an ingest (which touches only the open
+/// bucket) leaves it valid, and a rotation that moves the range makes
+/// the spec's next query rebuild it.
+struct SealedMerge<S> {
     spec: WindowSpec,
-    answer_range: (u64, u64),
+    /// The covered bucket range `[lo, hi]` it was built for.
+    range: (u64, u64),
+    /// Items in the sealed part of the range.
     n: u64,
-    merged: Option<S>,
+    /// `merge_tree` of the sealed parts; `None` when they hold nothing.
+    sealed: Option<S>,
+    /// A clone of the open bucket with `sealed` merged in, valid while
+    /// the ring version still equals the stamp.
+    with_open: Option<(u64, S)>,
 }
 
 /// The clock-free windowing core: a sparse ring of per-bucket partial
-/// summaries with rotation, retention, rollups and a version-keyed
-/// query cache. Every method takes `now_nanos` explicitly — the caller
-/// owns time (see [`WindowedEngine`] for the clock-driven wrapper).
+/// summaries with rotation, retention, rollups and a range-keyed
+/// cache of sealed merges. Every method takes `now_nanos` explicitly —
+/// the caller owns time (see [`WindowedEngine`] for the clock-driven
+/// wrapper).
 pub struct WindowRing<S> {
     cfg: WindowConfig,
     make: Box<dyn Fn(u64) -> S + Send + Sync>,
@@ -410,9 +425,11 @@ pub struct WindowRing<S> {
     cur_idx: u64,
     /// False until the first `advance_to` anchors the ring in time.
     started: bool,
-    /// Ticks on every mutation; keys the query cache.
+    /// Ticks on every mutation; stamps each entry's `with_open`.
     version: u64,
-    cache: Option<QueryCache<S>>,
+    /// Sealed merges, least recently queried first; at most
+    /// [`SEALED_MERGES`], one per spec.
+    merges: Vec<SealedMerge<S>>,
     stats: WindowStats,
 }
 
@@ -423,6 +440,7 @@ impl<S> fmt::Debug for WindowRing<S> {
             .field("cur_idx", &self.cur_idx)
             .field("live_buckets", &self.buckets.len())
             .field("rollups", &self.rollups.len())
+            .field("sealed_merges", &self.merges.len())
             .field("version", &self.version)
             .finish_non_exhaustive()
     }
@@ -452,7 +470,7 @@ where
             cur_idx: 0,
             started: false,
             version: 0,
-            cache: None,
+            merges: Vec::new(),
             stats: WindowStats {
                 bucket_nanos: cfg.bucket_nanos,
                 retention_buckets: cfg.retention_buckets,
@@ -500,7 +518,6 @@ where
         self.stats.buckets_rotated += idx - self.cur_idx;
         self.cur_idx = idx;
         self.version += 1;
-        self.cache = None;
         let min_idx = self.min_retained();
         while let Some(front) = self.buckets.front() {
             if front.idx >= min_idx {
@@ -548,7 +565,7 @@ where
         }
         // On-time, routed-late and clamped-future values all land in
         // the current bucket: sealed buckets stay immutable, which is
-        // what keeps rollups and the cache coherent.
+        // what keeps rollups and the sealed merges coherent.
         let cur_idx = self.cur_idx;
         let needs_new = self.buckets.back().is_none_or(|b| b.idx != cur_idx);
         if needs_new {
@@ -566,7 +583,6 @@ where
         bucket.n += len;
         self.stats.ingested_items += len;
         self.version += 1;
-        self.cache = None;
         WindowIngestOutcome {
             accepted: len,
             dropped: 0,
@@ -662,52 +678,67 @@ where
         Some((merged, n))
     }
 
-    /// Collects the partial summaries covering `[lo, hi]`, using
-    /// sealed rollups for fully-covered groups and fine buckets for
-    /// the edges.
+    /// Collects the partial summaries covering the *sealed* range
+    /// `[lo, hi]` (`hi < cur_idx`): first one rollup per aligned group
+    /// lying entirely inside it, then the fine buckets of the ragged
+    /// edges, each in ascending order.
     fn collect_parts(&mut self, lo: u64, hi: u64) -> (Vec<S>, u64) {
         let f = self.cfg.rollup_factor;
+        // Exclusive group bound; an empty span when rollups are off.
+        let groups = if f >= 2 {
+            lo.div_ceil(f)..(hi + 1) / f
+        } else {
+            0..0
+        };
         let mut parts = Vec::new();
         let mut n = 0u64;
-        let mut fine_ranges: Vec<(u64, u64)> = Vec::new();
-        if f >= 2 {
-            // A group g is usable when it lies entirely inside the
-            // query range AND entirely behind the current bucket
-            // (sealed: no bucket of it can still mutate).
-            let g_lo = lo.div_ceil(f);
-            let g_hi = (hi + 1) / f; // exclusive group bound
-            let mut cursor = lo;
-            for g in g_lo..g_hi {
-                let (b_lo, b_hi) = (g * f, g * f + (f - 1));
-                if b_hi >= self.cur_idx {
-                    break; // group still open
-                }
-                if cursor < b_lo {
-                    fine_ranges.push((cursor, b_lo - 1));
-                }
-                if let Some((part, part_n)) = self.rollup_part(g) {
-                    parts.push(part);
-                    n += part_n;
-                }
-                cursor = b_hi + 1;
+        for g in groups.clone() {
+            if let Some((part, part_n)) = self.rollup_part(g) {
+                parts.push(part);
+                n += part_n;
             }
-            if cursor <= hi {
-                fine_ranges.push((cursor, hi));
-            }
-        } else {
-            fine_ranges.push((lo, hi));
         }
-        for (r_lo, r_hi) in fine_ranges {
-            for b in self
-                .buckets
-                .iter()
-                .filter(|b| b.idx >= r_lo && b.idx <= r_hi)
-            {
-                parts.push(b.summary.clone());
-                n += b.n;
-            }
+        let fine = self
+            .buckets
+            .iter()
+            .filter(|b| b.idx >= lo && b.idx <= hi && !(f >= 2 && groups.contains(&(b.idx / f))));
+        for b in fine {
+            parts.push(b.summary.clone());
+            n += b.n;
         }
         (parts, n)
+    }
+
+    /// Makes the last entry of `merges` the sealed merge of `spec`
+    /// over `range`: reused when the spec's entry still covers it
+    /// (counted in `cache_hits`), rebuilt from the sealed parts
+    /// otherwise, the least recently queried entry making room.
+    fn sealed_merge(&mut self, spec: WindowSpec, range: (u64, u64)) {
+        if let Some(i) = self.merges.iter().position(|e| e.spec == spec) {
+            let entry = self.merges.remove(i);
+            if entry.range == range {
+                self.stats.cache_hits += 1;
+                self.merges.push(entry);
+                return;
+            }
+        } else if self.merges.len() == SEALED_MERGES {
+            self.merges.remove(0);
+        }
+        // Every covered bucket but the open one is sealed.
+        let (lo, hi) = range;
+        let (parts, n) = if lo < self.cur_idx {
+            self.collect_parts(lo, hi.min(self.cur_idx - 1))
+        } else {
+            (Vec::new(), 0)
+        };
+        let sealed = (!parts.is_empty()).then(|| merge_tree(parts).0);
+        self.merges.push(SealedMerge {
+            spec,
+            range,
+            n,
+            sealed,
+            with_open: None,
+        });
     }
 
     /// Answers one window query at `now`. Rotation happens first, so
@@ -735,43 +766,34 @@ where
                 answers: vec![None; phis.len()],
             });
         };
-        let start_nanos = lo.saturating_mul(self.cfg.bucket_nanos);
-        let end_nanos = (hi + 1).saturating_mul(self.cfg.bucket_nanos);
-        let cache_ok = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.version == self.version && c.spec == spec);
-        if !cache_ok {
-            let (parts, n) = self.collect_parts(lo, hi);
-            let merged = if parts.is_empty() {
-                None
-            } else {
-                let (root, _depth) = merge_tree(parts);
-                Some(root)
-            };
-            self.cache = Some(QueryCache {
-                version: self.version,
-                spec,
-                answer_range: (start_nanos, end_nanos),
-                n,
-                merged,
-            });
-        } else {
-            self.stats.cache_hits += 1;
-        }
-        let cache = self
-            .cache
-            .as_mut()
-            .expect("WindowRing invariant: cache populated just above");
-        let answers = match cache.merged.as_mut() {
-            Some(s) => s.quantiles(phis),
-            None => vec![None; phis.len()],
+        self.sealed_merge(spec, (lo, hi));
+        let entry = self
+            .merges
+            .last_mut()
+            .expect("WindowRing invariant: sealed_merge leaves the spec's entry last");
+        // The open bucket is in range only for a sliding window, and
+        // exists only once something landed in it.
+        let cur = self.cur_idx;
+        let open = self.buckets.back().filter(|b| b.idx == cur && hi == cur);
+        let (n, root) = match open {
+            None => (entry.n, entry.sealed.as_mut()),
+            Some(b) => {
+                let version = self.version;
+                if entry.with_open.as_ref().is_none_or(|(v, _)| *v != version) {
+                    let mut merged = b.summary.clone();
+                    if let Some(sealed) = &entry.sealed {
+                        merged.merge_from(sealed.clone());
+                    }
+                    entry.with_open = Some((version, merged));
+                }
+                (entry.n + b.n, entry.with_open.as_mut().map(|(_, s)| s))
+            }
         };
         Ok(WindowAnswer {
-            start_nanos: cache.answer_range.0,
-            end_nanos: cache.answer_range.1,
-            n: cache.n,
-            answers,
+            start_nanos: lo.saturating_mul(self.cfg.bucket_nanos),
+            end_nanos: (hi + 1).saturating_mul(self.cfg.bucket_nanos),
+            n,
+            answers: root.map_or_else(|| vec![None; phis.len()], |s| s.quantiles(phis)),
         })
     }
 }
@@ -838,6 +860,41 @@ where
                         "rollup group {g} ledger holds {} items but its summary holds {}",
                         r.n,
                         r.summary.n()
+                    )
+                },
+            )?;
+        }
+        ensure(
+            self.merges.len() <= SEALED_MERGES,
+            "WindowRing",
+            "window.sealed_merges_bounded",
+            || format!("{} sealed merges cached", self.merges.len()),
+        )?;
+        for e in &self.merges {
+            let m = e.spec.len_nanos / self.cfg.bucket_nanos;
+            if self.covered_range(e.spec, m) != Some(e.range) {
+                continue; // stale: rebuilt on its spec's next query
+            }
+            let (lo, hi) = e.range;
+            let sealed: u64 = (self.buckets.iter())
+                .filter(|b| b.idx >= lo && b.idx <= hi && b.idx < self.cur_idx)
+                .map(|b| b.n)
+                .sum();
+            let open = self
+                .buckets
+                .back()
+                .filter(|b| b.idx == self.cur_idx && hi == b.idx);
+            let with_open = e.with_open.as_ref().filter(|(v, _)| *v == self.version);
+            ensure(
+                e.n == sealed
+                    && e.sealed.as_ref().map_or(0, |s| s.n()) == sealed
+                    && with_open.is_none_or(|(_, s)| s.n() == sealed + open.map_or(0, |b| b.n)),
+                "WindowRing",
+                "window.sealed_merge_coherence",
+                || {
+                    format!(
+                        "the sealed merge of {:?} over {:?} holds {} items, its buckets {sealed}",
+                        e.spec, e.range, e.n
                     )
                 },
             )?;
@@ -1038,15 +1095,32 @@ mod tests {
     #[test]
     fn cache_hits_between_mutations() {
         let mut r = ring(100, 8, 0, LatePolicy::Drop);
-        r.ingest(10, &[5; 64], 10);
-        let spec = WindowSpec::sliding(100);
-        let a = r.query(spec, &[0.5], 10).expect("q1");
-        let b = r.query(spec, &[0.25, 0.75], 10).expect("q2");
-        assert_eq!(a.n, b.n);
-        assert_eq!(r.stats().cache_hits, 1, "second sweep reuses the merge");
-        r.ingest(20, &[7], 20);
-        let _ = r.query(spec, &[0.5], 20).expect("q3");
-        assert_eq!(r.stats().cache_hits, 1, "ingest invalidated the cache");
+        r.ingest(10, &[5; 64], 10); // bucket 0
+        r.ingest(110, &[6; 32], 110); // bucket 1, open
+        let hits = |r: &WindowRing<RandomSketch<u64>>| r.stats().cache_hits;
+        let spec = WindowSpec::sliding(200);
+        let a = r.query(spec, &[0.5], 110).expect("q1");
+        assert_eq!((a.n, hits(&r)), (96, 0), "the first query merges bucket 0");
+        let b = r.query(spec, &[0.25, 0.75], 110).expect("q2");
+        assert_eq!((b.n, hits(&r)), (96, 1), "a repeat merges nothing");
+        // An ingest touches only the open bucket: the sealed merge of
+        // bucket 0 outlives it.
+        r.ingest(120, &[7], 120);
+        let c = r.query(spec, &[0.5], 120).expect("q3");
+        assert_eq!((c.n, hits(&r)), (97, 2), "the ingest kept the sealed merge");
+        // A rotation moves the range to [1, 2]: rebuilt.
+        r.advance_to(200);
+        let d = r.query(spec, &[0.5], 200).expect("q4");
+        assert_eq!((d.n, hits(&r)), (33, 2), "the rotation moved the range");
+        // A tumbling range outlives ingests and rotations until the
+        // next span completes.
+        let t = WindowSpec::tumbling(200);
+        assert_eq!(r.query(t, &[0.5], 200).expect("t1").n, 97);
+        r.ingest(250, &[8], 250);
+        r.advance_to(300);
+        let e = r.query(t, &[0.5], 300).expect("t2");
+        assert_eq!((e.n, hits(&r)), (97, 3), "[0, 1] is still the newest span");
+        r.assert_invariants();
     }
 
     #[test]
@@ -1059,16 +1133,77 @@ mod tests {
         let spec = WindowSpec::sliding(160); // 16 buckets: 1..=16
         let a = r.query(spec, &[0.5], 160).expect("aligned");
         assert_eq!(a.n, 16);
+        // Sealed part [1, 15]: groups 1–3 rolled up, buckets 1–3 fine.
         let s1 = r.stats();
-        assert!(s1.rollups_built >= 2, "sealed groups were materialized");
-        assert!(s1.rollup_hits >= s1.rollups_built);
-        // Same span again after a mutation: groups are reused, not
-        // rebuilt.
+        assert_eq!((s1.rollups_built, s1.rollup_hits), (3, 3));
+        // An ingest leaves the sealed merge valid: no rollup is read.
         r.ingest(165, &[99], 165);
-        let _ = r.query(spec, &[0.5], 165).expect("aligned");
+        assert_eq!(r.query(spec, &[0.5], 165).expect("aligned").n, 17);
         let s2 = r.stats();
-        assert_eq!(s2.rollups_built, s1.rollups_built, "no rebuilds");
-        assert!(s2.rollup_hits > s1.rollup_hits, "rollups served the query");
+        assert_eq!((s2.rollups_built, s2.rollup_hits), (3, 3));
+        assert_eq!(s2.cache_hits, s1.cache_hits + 1);
+        // A rotation moves the range to [2, 17]; the rebuild reuses the
+        // three groups instead of building them again.
+        r.ingest(175, &[100], 175);
+        assert_eq!(r.query(spec, &[0.5], 175).expect("aligned").n, 17);
+        let s3 = r.stats();
+        assert_eq!((s3.rollups_built, s3.rollup_hits), (3, 6));
+        r.assert_invariants();
+    }
+
+    /// Every valid span of a 256-bucket ring, both kinds, between two
+    /// rotations: the cache never holds more than its constant, and
+    /// each answer covers the right range with the right mass and ranks
+    /// within ε of an exact mirror.
+    #[test]
+    fn a_storm_of_distinct_specs_stays_bounded_and_exact() {
+        use sqs_util::exact::ExactQuantiles;
+        const RETENTION: u64 = 256;
+        const PHIS: [f64; 3] = [0.1, 0.5, 0.9];
+        let mut r = ring(10, RETENTION, 8, LatePolicy::Drop);
+        let mut mirror: Vec<Vec<u64>> = Vec::new();
+        let cur = 300u64;
+        for idx in 0..=cur {
+            let xs: Vec<u64> = (0..64)
+                .map(|k| (idx * 7_919 + k * 104_729) % 10_007)
+                .collect();
+            r.ingest(idx * 10, &xs, idx * 10);
+            mirror.push(xs);
+        }
+        let now = cur * 10 + 5;
+        let storm = (1..=RETENTION)
+            .map(|m| WindowSpec::sliding(m * 10))
+            .chain((1..=RETENTION / 2).map(|m| WindowSpec::tumbling(m * 10)));
+        for (i, spec) in storm.enumerate() {
+            if i % 5 == 0 {
+                // The open bucket moves under the cached sealed merges.
+                let x = i as u64 % 10_007;
+                r.ingest(now, &[x], now);
+                mirror[cur as usize].push(x);
+            }
+            let a = r.query(spec, &PHIS, now).expect("every span fits");
+            assert!(
+                r.merges.len() <= SEALED_MERGES,
+                "{} entries",
+                r.merges.len()
+            );
+            let m = spec.len_nanos / 10;
+            let (lo, hi) = match spec.kind {
+                WindowKind::Sliding => (cur + 1 - m, cur),
+                WindowKind::Tumbling => ((cur / m - 1) * m, (cur / m) * m - 1),
+            };
+            assert_eq!(
+                (a.start_nanos, a.end_nanos),
+                (lo * 10, (hi + 1) * 10),
+                "{spec:?}"
+            );
+            let exact = ExactQuantiles::new(mirror[lo as usize..=hi as usize].concat());
+            assert_eq!(a.n, exact.len() as u64, "{spec:?}");
+            for (&phi, ans) in PHIS.iter().zip(&a.answers) {
+                let err = exact.quantile_error(phi, ans.expect("no window is empty"));
+                assert!(err <= 0.05, "{spec:?} phi {phi}: rank error {err}");
+            }
+        }
         r.assert_invariants();
     }
 

@@ -73,6 +73,14 @@ cargo test -q --release -p sqs-core --test batch_fold_floor
 echo "== turnstile batch floors (cargo test --release -p sqs-turnstile --test batch_floor) =="
 cargo test -q --release -p sqs-turnstile --test batch_floor
 
+# The window query cache's floor, a ratio too: a sliding-64 query right
+# after an insert, its sealed merge cached, costs at most 1/3 of the
+# same query right after a rotation, which rebuilds the merge
+# (docs/PERF.md section 17; ~0.17 measured, ~0.92 before the cache
+# outlived an ingest).
+echo "== window query floor (cargo test --release -p sqs-window --test query_floor) =="
+cargo test -q --release -p sqs-window --test query_floor
+
 # The engine's stress tests spawn up to 8 writer threads per test (plus
 # a racing reader or auditor); a single-threaded test runner keeps them
 # from oversubscribing the host. Which shard a batch lands in depends on

@@ -712,6 +712,68 @@ fn bit_flip_inside_a_window_insert_frame_is_refused_and_ingests_nothing() {
     server.join();
 }
 
+/// Every valid spec of a 256-bucket ring, sliding and tumbling, asked
+/// between two rotations: each distinct spec would pin a merged summary
+/// if the ring cached one per spec without bound. Every answer covers
+/// the right range with the right mass, and the connection goes on
+/// answering.
+#[test]
+fn a_storm_of_distinct_window_specs_is_answered_and_the_connection_lives() {
+    use streaming_quantiles::sqs_service::server::WindowOptions;
+    const SEC: u64 = 1_000_000_000;
+    const RETENTION: u64 = 256;
+    let clock = ManualClock::at(0);
+    let server = spawn(
+        ServerConfig {
+            window: Some(WindowOptions::with_clock(
+                WindowConfig::new(SEC, RETENTION),
+                std::sync::Arc::new(clock.clone()),
+            )),
+            ..ServerConfig::default()
+        },
+        move |tenant, shard| RandomSketch::new(EPS, 91 ^ (tenant << 8) ^ shard as u64),
+    )
+    .expect("ephemeral loopback bind");
+    let mut client = connect(server.addr());
+    let (tenant, cur) = (4u64, 300u64);
+    for idx in 0..=cur {
+        clock.set(idx * SEC);
+        let xs: Vec<u64> = (0..=idx % 3).map(|k| idx * 10 + k).collect();
+        client
+            .window_insert(tenant, idx * SEC, &xs)
+            .expect("insert");
+    }
+    let rows_in = |lo: u64, hi: u64| (lo..=hi).map(|i| i % 3 + 1).sum::<u64>();
+    let storm = (1..=RETENTION)
+        .map(|m| (WindowSpec::sliding(m * SEC), cur + 1 - m, cur))
+        .chain((1..=RETENTION / 2).map(|m| {
+            let g = cur / m;
+            (WindowSpec::tumbling(m * SEC), (g - 1) * m, g * m - 1)
+        }));
+    for (spec, lo, hi) in storm {
+        let a = client
+            .window_query(tenant, spec, &[0.5])
+            .expect("valid spec");
+        assert_eq!(
+            (a.start_nanos, a.end_nanos, a.n),
+            (lo * SEC, (hi + 1) * SEC, rows_in(lo, hi)),
+            "{spec:?}"
+        );
+    }
+    let stats = client.window_stats(tenant).expect("stats after the storm");
+    assert_eq!(stats.queries, 384);
+    let ack = client.insert_batch(tenant, &[1, 2, 3]).expect("insert");
+    assert_eq!(
+        ack.n,
+        rows_in(0, cur) + 3,
+        "the engine saw every window row"
+    );
+    let json = client.stats().expect("stats");
+    assert!(json.contains("\"proto_errors\": 0"), "stats: {json}");
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn shutdown_op_stops_the_server() {
     let server = test_server(51);
