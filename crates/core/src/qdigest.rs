@@ -15,11 +15,14 @@
 //! level order (level `d` is the contiguous id range `[2^d, 2^(d+1))`,
 //! the leaves are the tail) and the order of the byte form, so every
 //! operation is a linear walk: a flush sorts the buffered values and
-//! merges them into the leaf tail, COMPRESS goes up a level at a time
-//! with one cursor on the sibling pairs and one on their parents, a
-//! merge is a two-cursor union. Updates are buffered ("Fast") up to
-//! what is left of the `3σ` node budget, so COMPRESS runs once per
-//! refill of that budget — the behaviour Figures 5e/5f and 7a measure.
+//! merges them into the leaf tail, a merge is a two-cursor union.
+//! COMPRESS and the queries read the nodes in post-order instead (by
+//! right endpoint, deeper first), one bucket sort away: COMPRESS is one
+//! pass over that order with a stack of pending subtrees, where a node
+//! alone in its subtree jumps straight to the level at which it next
+//! meets mass. Updates are buffered ("Fast") up to what is left of the
+//! `3σ` node budget, so COMPRESS runs once per refill of that budget —
+//! the behaviour Figures 5e/5f and 7a measure.
 
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 // ^ audited: indices and casts here are bounded by structural
@@ -31,6 +34,7 @@ use std::cmp::Ordering;
 use crate::buffers::CachedView;
 use crate::codec::Reader;
 use crate::QuantileSummary;
+use sqs_util::audit::{CheckInvariants, InvariantViolation};
 use sqs_util::space::{words, SpaceUsage};
 
 /// Errors from [`QDigest::from_bytes`].
@@ -47,6 +51,10 @@ pub enum DecodeError {
     NodesNotAscending(u64),
     /// Node counts don't sum to the declared n.
     CountMismatch,
+    /// The nodes parse but break the digest's own audit
+    /// ([`CheckInvariants`]): an internal count above `⌊n/σ⌋`, or more
+    /// nodes than the `3σ` budget allows.
+    Invariant(InvariantViolation),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -59,6 +67,7 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "node id {id} does not ascend past the one before it")
             }
             DecodeError::CountMismatch => write!(f, "node counts do not sum to n"),
+            DecodeError::Invariant(v) => write!(f, "decoded digest fails audit: {v}"),
         }
     }
 }
@@ -270,7 +279,9 @@ impl QDigest {
     }
 
     /// Applies the buffered updates: sorts them, run-lengths them into
-    /// leaves and merges those into the leaf tail of `nodes`.
+    /// leaves and merges those into the leaf tail of `nodes`, in place:
+    /// one pass counts the values not stored yet, a second merges from
+    /// the back into the array grown by that many.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
@@ -278,17 +289,33 @@ impl QDigest {
         self.view.invalidate();
         self.buffer.sort_unstable();
         let u = self.universe();
-        let fresh: Vec<Node> = self
-            .buffer
-            .chunk_by(|a, b| a == b)
-            .map(|run| (u + run[0], run.len() as u64))
-            .collect();
-        self.buffer.clear();
         let leaves = Self::level_start(&self.nodes, self.log_u);
-        let mut merged = Vec::with_capacity(self.nodes.len() + fresh.len());
-        merged.extend_from_slice(&self.nodes[..leaves]);
-        Self::union_into(&mut merged, &self.nodes[leaves..], &fresh);
-        self.nodes = merged;
+        let old = self.nodes.len();
+        let (mut added, mut at) = (0, leaves);
+        for run in self.buffer.chunk_by(|a, b| a == b) {
+            let id = u + run[0];
+            while at < old && self.nodes[at].0 < id {
+                at += 1;
+            }
+            added += usize::from(at == old || self.nodes[at].0 != id);
+        }
+        self.nodes.resize(old + added, (0, 0));
+        let (mut read, mut write) = (old, old + added);
+        for run in self.buffer.chunk_by(|a, b| a == b).rev() {
+            let (id, mut count) = (u + run[0], run.len() as u64);
+            while read > leaves && self.nodes[read - 1].0 > id {
+                read -= 1;
+                write -= 1;
+                self.nodes[write] = self.nodes[read];
+            }
+            if read > leaves && self.nodes[read - 1].0 == id {
+                read -= 1;
+                count += self.nodes[read].1;
+            }
+            write -= 1;
+            self.nodes[write] = (id, count);
+        }
+        self.buffer.clear();
         self.settle();
     }
 
@@ -306,75 +333,22 @@ impl QDigest {
     /// The q-digest COMPRESS: bottom-up, merge any child pair whose
     /// combined weight with the parent is within `⌊n/σ⌋`.
     ///
-    /// One level at a time: a cursor walks the sibling pairs of level
-    /// `d` (stored ones and those promoted from `d + 1`), another the
-    /// stored nodes of level `d − 1`. The pair-plus-parent triples of a
-    /// level are disjoint, so each decision reads counts no other
-    /// decision of that level writes, and the promoted parents come out
-    /// ascending, merged with the stored ones as they are passed.
+    /// One pass over the nodes in post-order ([`Compress`]). A node with
+    /// no sibling and no stored parent makes the same decision at every
+    /// level of the empty chain above it — rise iff its weight is within
+    /// `⌊n/σ⌋` — so it jumps straight to where it next meets mass: a
+    /// stored ancestor, or the lowest common ancestor of it and the next
+    /// pending subtree. Those meetings are exactly the pair-plus-parent
+    /// triples a level-by-level walk decides, so the surviving nodes are
+    /// the same; they come out ascending within each depth and are laid
+    /// back out shallowest depth first.
     fn compress(&mut self) {
         let threshold = self.n / self.sigma;
         if threshold == 0 {
             return;
         }
-        // The surviving nodes, deepest level first, and where each
-        // level's survivors begin.
-        let mut kept: Vec<Node> = Vec::with_capacity(self.nodes.len());
-        let mut level_begins = Vec::with_capacity(self.log_u as usize + 1);
-        let mut start = Self::level_start(&self.nodes, self.log_u);
-        let mut level = self.nodes[start..].to_vec();
-        let mut parents = Vec::new();
-        for depth in (1..=self.log_u).rev() {
-            let end = start;
-            start = Self::level_start(&self.nodes[..end], depth - 1);
-            let stored = &self.nodes[start..end];
-            level_begins.push(kept.len());
-            parents.clear();
-            parents.reserve(level.len() + stored.len());
-            let (mut i, mut j) = (0, 0);
-            while i < level.len() {
-                let (id, mut weight) = level[i];
-                // A left child directly followed by its right sibling
-                // is a pair; any other node stands alone.
-                let mut next = i + 1;
-                if id & 1 == 0 && level.get(next).is_some_and(|right| right.0 == id + 1) {
-                    weight += level[next].1;
-                    next += 1;
-                }
-                let parent = id >> 1;
-                while j < stored.len() && stored[j].0 < parent {
-                    parents.push(stored[j]);
-                    j += 1;
-                }
-                let parent_stored = j < stored.len() && stored[j].0 == parent;
-                if parent_stored {
-                    weight += stored[j].1;
-                }
-                if weight <= threshold {
-                    parents.push((parent, weight));
-                    j += usize::from(parent_stored);
-                } else {
-                    kept.push(level[i]);
-                    if next - i == 2 {
-                        kept.push(level[i + 1]);
-                    }
-                }
-                i = next;
-            }
-            parents.extend_from_slice(&stored[j..]);
-            std::mem::swap(&mut level, &mut parents);
-        }
-        level_begins.push(kept.len());
-        kept.extend_from_slice(&level); // the root, if stored
-
-        // Back into ascending id order: shallowest level first.
-        let mut nodes = Vec::with_capacity(kept.len());
-        let mut end = kept.len();
-        for &begin in level_begins.iter().rev() {
-            nodes.extend_from_slice(&kept[begin..end]);
-            end = begin;
-        }
-        self.nodes = nodes;
+        let order = Self::post_order(&self.nodes, self.log_u);
+        Compress::run(threshold, order, &mut self.nodes);
     }
 
     /// Merges another q-digest into this one (the mergeable-summary
@@ -447,7 +421,9 @@ impl QDigest {
     /// Reconstructs a digest from [`QDigest::to_bytes`] output,
     /// validating structure: header, a node count the bytes can hold
     /// (checked before anything is allocated for it), node ids within
-    /// the declared tree and strictly ascending, counts summing to `n`.
+    /// the declared tree and strictly ascending, counts summing to `n`
+    /// — and then the digest's whole audit, so what decodes here is
+    /// what a framed decode accepts.
     pub fn from_bytes(bytes: &[u8]) -> Result<QDigest, DecodeError> {
         // The cursor's only failure is running out of bytes.
         let truncated = |_| DecodeError::Truncated;
@@ -493,25 +469,68 @@ impl QDigest {
         if mass != n {
             return Err(DecodeError::CountMismatch);
         }
+        digest.check_invariants().map_err(DecodeError::Invariant)?;
         Ok(digest)
     }
 
-    /// Builds the form the queries search: the nodes by right endpoint,
-    /// smaller intervals first on ties (post-order of the tree). Read
-    /// backwards, the array is the levels deepest first, each a strictly
-    /// descending run of right endpoints, so one stable sort — which
-    /// merges presorted runs and keeps the deeper of two nodes that end
-    /// together in front — orders the lot.
+    /// The stored nodes in post-order of the tree: by right endpoint,
+    /// the deeper of two nodes that end together first — the order
+    /// COMPRESS decides in and the queries accumulate in.
+    ///
+    /// A counting sort on a packed key — the end of the node's range in
+    /// leaf ids, then its height — by the high bits of the end, about a
+    /// bucket per two to four nodes; each bucket is then sorted on the
+    /// whole key, which is unique and gives the id back.
+    fn post_order(nodes: &[Node], log_u: u32) -> Vec<Node> {
+        let key = |id: u64| {
+            let height = log_u - Self::depth(id);
+            ((id + 1) << height) << 6 | u64::from(height)
+        };
+        let bits = (usize::BITS - nodes.len().leading_zeros())
+            .saturating_sub(2)
+            .min(log_u);
+        // The end of the first leaf, the smallest end there is.
+        let first_end = (1 << log_u) + 1;
+        let bucket = |key: u64| (((key >> 6) - first_end) >> (log_u - bits)) as usize;
+        // `next[b]`: where bucket `b`'s next node goes.
+        let mut next = vec![0usize; (1 << bits) + 1];
+        for &(id, _) in nodes {
+            next[bucket(key(id)) + 1] += 1;
+        }
+        for b in 1..next.len() {
+            next[b] += next[b - 1];
+        }
+        let mut order = vec![(0, 0); nodes.len()];
+        for &(id, count) in nodes {
+            let key = key(id);
+            let slot = &mut next[bucket(key)];
+            order[*slot] = (key, count);
+            *slot += 1;
+        }
+        // Each `next[b]` is now where bucket `b` ends.
+        let mut start = 0;
+        for &end in &next[..1 << bits] {
+            if end - start > 1 {
+                order[start..end].sort_unstable_by_key(|&(key, _)| key);
+            }
+            start = end;
+        }
+        for node in &mut order {
+            node.0 = (node.0 >> 6 >> (node.0 & 63)) - 1;
+        }
+        order
+    }
+
+    /// Builds the form the queries search: the nodes in
+    /// [post-order](Self::post_order) with inclusive prefix sums.
     fn build_view(nodes: &[Node], log_u: u32) -> NodeIndex {
-        let mut by_hi: Vec<Node> = nodes
-            .iter()
-            .rev()
-            .map(|&(id, count)| (Self::node_range(log_u, id).1, count))
-            .collect();
-        by_hi.sort_by_key(|&(hi, _)| hi);
+        let by_hi = Self::post_order(nodes, log_u);
         let mut cum = 0u64;
         NodeIndex {
-            his: by_hi.iter().map(|node| node.0).collect(),
+            his: by_hi
+                .iter()
+                .map(|&(id, _)| Self::node_range(log_u, id).1)
+                .collect(),
             cum: by_hi
                 .iter()
                 .map(|node| {
@@ -528,6 +547,224 @@ impl QDigest {
         self.flush();
         self.view
             .get_or_build(|| Self::build_view(&self.nodes, self.log_u))
+    }
+}
+
+/// One COMPRESS pass ([`QDigest::compress`]) over the stored nodes in
+/// post-order.
+///
+/// The stack holds the pending subtrees left to right, one [`Pending`]
+/// each: a node that may still rise (weight within `⌊n/σ⌋`), carried at
+/// the position it was last decided at, or a heavy left child — already
+/// kept, it never rises, but it makes its sibling's pair decision fail.
+/// The lowest common ancestors of neighbouring entries deepen towards
+/// the top, so when a node arrives at most two entries lie in its
+/// subtree, one under each child.
+struct Compress {
+    threshold: u64,
+    stack: Vec<Pending>,
+    /// The nodes in post-order, read front to back. Its first `kept`
+    /// slots are overwritten with the survivors in the order they are
+    /// decided — ascending within each depth. That never overtakes the
+    /// read: each survivor stands for a node already read, and no node
+    /// for two survivors.
+    nodes: Vec<Node>,
+    kept: usize,
+    /// How many survivors lie at each depth.
+    per_depth: [usize; 41],
+}
+
+/// A pending subtree of [`Compress`].
+#[derive(Clone, Copy)]
+struct Pending {
+    id: u64,
+    weight: u64,
+    depth: u32,
+    /// Depth of the lowest common ancestor of this entry and the one
+    /// below it on the stack (meaningless at the bottom).
+    meet: u32,
+}
+
+impl Compress {
+    /// Compresses `order`, the stored nodes in post-order, at
+    /// `threshold`: `out` is overwritten with the survivors in ascending
+    /// id order.
+    fn run(threshold: u64, order: Vec<Node>, out: &mut Vec<Node>) {
+        let mut pass = Self {
+            threshold,
+            stack: Vec::with_capacity(64),
+            nodes: order,
+            kept: 0,
+            per_depth: [0; 41],
+        };
+        for i in 0..pass.nodes.len() {
+            let (id, count) = pass.nodes[i];
+            pass.arrive(id, count);
+        }
+        pass.finish(out);
+    }
+
+    fn keep(&mut self, node: Node, depth: u32) {
+        self.per_depth[depth as usize] += 1;
+        self.nodes[self.kept] = node;
+        self.kept += 1;
+    }
+
+    /// Stored node `id` with `count` arrives.
+    fn arrive(&mut self, id: u64, count: u64) {
+        let depth = QDigest::depth(id);
+        let (promoted, meet) = self.gather(id, depth, count);
+        self.push(Pending {
+            id,
+            weight: promoted.unwrap_or(count),
+            depth,
+            meet,
+        });
+    }
+
+    /// Decides what `id` (at `depth`, stored with `count`) ends: every
+    /// finished pair left of it, then its own children. Returns the
+    /// weight promoted into `id`, if any, and the depth at which `id`
+    /// meets the entry left on top.
+    // Inlined, as `decide` is: through the two calls per node the pass
+    // ran about twice as slow.
+    #[inline(always)]
+    fn gather(&mut self, id: u64, depth: u32, count: u64) -> (Option<u64>, u32) {
+        // Depth of the lowest common ancestor of the top entry and `id`.
+        let mut reach = match self.stack.last() {
+            Some(top) => {
+                let d = depth.min(top.depth);
+                let diff = (top.id >> (top.depth - d)) ^ (id >> (depth - d));
+                d - (64 - diff.leading_zeros())
+            }
+            None => 0,
+        };
+        // Every pair whose lowest common ancestor lies deeper than
+        // `reach` is finished: no stored node is left in that subtree,
+        // so the pair meets there with no parent count.
+        while let [.., a, b] = self.stack[..] {
+            if b.meet <= reach {
+                break;
+            }
+            self.stack.truncate(self.stack.len() - 2);
+            match self.decide(0, [a, b], b.meet + 1) {
+                Some(weight) => self.stack.push(Pending {
+                    id: b.id >> (b.depth - b.meet),
+                    weight,
+                    depth: b.meet,
+                    meet: a.meet,
+                }),
+                None => reach = reach.min(a.meet),
+            }
+        }
+        // The entries in `id`'s subtree, one under each child at most.
+        if reach != depth {
+            return (None, reach);
+        }
+        match self.stack[..] {
+            [.., a, b] if b.meet == depth => {
+                self.stack.truncate(self.stack.len() - 2);
+                (self.decide(count, [a, b], depth + 1), a.meet)
+            }
+            [.., c] => {
+                self.stack.pop();
+                (self.decide(count, [c], depth + 1), c.meet)
+            }
+            [] => (None, reach),
+        }
+    }
+
+    /// The pair-plus-parent decision on `children` (left to right, each
+    /// strictly below depth `child − 1`) carried up to depth `child`,
+    /// and the parent's stored `count`: the promoted weight if it is
+    /// within `⌊n/σ⌋`, else the children are kept (the heavy ones
+    /// already are) and `None`. A light child rises through the empty
+    /// levels; a heavy one stays where it is, and is gone from every
+    /// level above its own.
+    #[inline(always)]
+    fn decide<const K: usize>(
+        &mut self,
+        count: u64,
+        children: [Pending; K],
+        child: u32,
+    ) -> Option<u64> {
+        let threshold = self.threshold;
+        let mut weight = count;
+        let mut present = false;
+        for c in children {
+            if c.weight <= threshold || c.depth == child {
+                weight += c.weight;
+                present = true;
+            }
+        }
+        if !present {
+            return None;
+        }
+        if weight <= threshold {
+            return Some(weight);
+        }
+        for c in children {
+            if c.weight <= threshold {
+                self.keep((c.id >> (c.depth - child), c.weight), child);
+            }
+        }
+        None
+    }
+
+    /// Puts `entry` on the stack. A heavy node never rises, so it is
+    /// kept now; as a right child it decides its pair on the spot, as a
+    /// left child it stays as its sibling's blocker.
+    fn push(&mut self, entry: Pending) {
+        if entry.weight <= self.threshold {
+            self.stack.push(entry);
+            return;
+        }
+        if entry.id & 1 == 0 {
+            self.keep((entry.id, entry.weight), entry.depth);
+            self.stack.push(entry);
+            return;
+        }
+        // The top entry lies under the left sibling iff it meets this
+        // node at their parent.
+        if entry.depth > 0 && entry.meet + 1 == entry.depth {
+            if let Some(top) = self.stack.pop() {
+                if top.weight <= self.threshold {
+                    self.keep(
+                        (top.id >> (top.depth - entry.depth), top.weight),
+                        entry.depth,
+                    );
+                }
+            }
+        }
+        self.keep((entry.id, entry.weight), entry.depth);
+    }
+
+    /// Ends the pass at the root — the last arrival if it is stored,
+    /// else a meeting with no count — and lays the survivors out in
+    /// `out` shallowest depth first: ascending id order.
+    fn finish(mut self, out: &mut Vec<Node>) {
+        match self.stack[..] {
+            [Pending { id: 1, weight, .. }] => self.keep((1, weight), 0),
+            [] => {}
+            _ => {
+                if let (Some(weight), _) = self.gather(1, 0, 0) {
+                    self.keep((1, weight), 0);
+                }
+            }
+        }
+        let mut next = [0usize; 41];
+        let mut at = 0;
+        for (slot, &count) in next.iter_mut().zip(&self.per_depth) {
+            *slot = at;
+            at += count;
+        }
+        out.clear();
+        out.resize(self.kept, (0, 0));
+        for &node in &self.nodes[..self.kept] {
+            let slot = &mut next[QDigest::depth(node.0) as usize];
+            out[*slot] = node;
+            *slot += 1;
+        }
     }
 }
 
@@ -565,11 +802,12 @@ impl crate::codec::WireCodec for QDigest {
             DecodeError::CountMismatch => {
                 CodecError::Malformed("q-digest: node counts do not sum to n")
             }
+            DecodeError::Invariant(v) => CodecError::Invariant(v),
         })
     }
 }
 
-impl sqs_util::audit::CheckInvariants for QDigest {
+impl CheckInvariants for QDigest {
     /// q-digest invariants (Shrivastava et al. §3, study §1.2.1):
     /// every stored node id lies inside the dyadic tree over
     /// `[0, 2^log_u)` (so parent/child arithmetic `2id, 2id+1` stays
@@ -1036,16 +1274,45 @@ mod tests {
     }
 
     #[test]
-    fn a_fat_internal_node_fails_the_frame_audit() {
+    fn the_byte_form_decoder_runs_the_audit_the_frame_runs() {
         use crate::codec::{CodecError, WireCodec};
-        // n = 200 at σ = 80 allows internal counts of ⌊200/80⌋ = 2;
-        // node 2 (the left half of the universe) claims 150.
-        let body = crafted_body(8, 80, 200, 2, &[(2, 150), (256 + 200, 50)]);
-        assert!(QDigest::from_bytes(&body).is_ok(), "structurally sound");
-        match <QDigest as WireCodec>::from_bytes(&framed(&body)) {
-            Err(CodecError::Invariant(v)) => assert_eq!(v.invariant, "qdigest.count_bound"),
-            other => panic!("fat node not refused: {other:?}"),
+        let leaves: Vec<Node> = (0..260).map(|x| (512 + x, 1)).collect();
+        let cases = [
+            // A root holding all of n = 100, where σ = 1 600 allows no
+            // internal count at all: it answered every φ with 65 535.
+            (
+                "root over ⌊n/σ⌋",
+                crafted_body(16, 1_600, 100, 1, &[(1, 100)]),
+                "qdigest.count_bound",
+            ),
+            // n = 200 at σ = 80 allows internal counts of 2; node 2
+            // (the left half of the universe) claims 150.
+            (
+                "fat internal node",
+                crafted_body(8, 80, 200, 2, &[(2, 150), (256 + 200, 50)]),
+                "qdigest.count_bound",
+            ),
+            // σ = 1: 3σ + 256 = 259 nodes at most, 260 leaves sent.
+            (
+                "nodes over the budget",
+                crafted_body(9, 1, 260, 260, &leaves),
+                "qdigest.node_capacity",
+            ),
+        ];
+        for (what, body, rule) in cases {
+            match QDigest::from_bytes(&body) {
+                Err(DecodeError::Invariant(v)) => assert_eq!(v.invariant, rule, "{what}"),
+                other => panic!("{what}: not refused: {other:?}"),
+            }
+            match <QDigest as WireCodec>::from_bytes(&framed(&body)) {
+                Err(CodecError::Invariant(v)) => assert_eq!(v.invariant, rule, "{what}"),
+                other => panic!("{what}: frame not refused: {other:?}"),
+            }
         }
+        // One leaf fewer is within the budget, and decodes both ways.
+        let body = crafted_body(9, 1, 259, 259, &leaves[..259]);
+        assert!(QDigest::from_bytes(&body).is_ok());
+        assert!(<QDigest as WireCodec>::from_bytes(&framed(&body)).is_ok());
     }
 
     #[test]
@@ -1106,7 +1373,7 @@ mod tests {
     }
 
     /// COMPRESS as this module ran it on its hash-map node store: the
-    /// reference the flat-array walk must agree with, node for node.
+    /// reference the post-order pass must agree with, node for node.
     fn compress_oracle(log_u: u32, threshold: u64, nodes: &[Node]) -> Vec<Node> {
         let mut counts: HashMap<u64, u64> = nodes.iter().copied().collect();
         let mut by_depth: Vec<Vec<u64>> = vec![Vec::new(); log_u as usize + 1];
@@ -1141,44 +1408,168 @@ mod tests {
         out
     }
 
-    #[test]
-    fn flat_compress_matches_the_hash_map_oracle() {
+    /// Runs COMPRESS on `s` as it stands and checks it node for node
+    /// against the hash-map oracle; whether it merged anything.
+    fn compress_against_the_oracle(s: &mut QDigest, what: &str) -> bool {
+        let expected = compress_oracle(s.log_u, s.n / s.sigma, &s.nodes);
+        let before = s.nodes.len();
+        s.compress();
+        assert_eq!(s.nodes, expected, "{what}");
+        s.nodes.len() < before
+    }
+
+    /// Adds `xs` to the leaf tail the way a flush does, without the
+    /// flush's own COMPRESS.
+    fn add_leaves(s: &mut QDigest, mut xs: Vec<u64>) {
+        xs.sort_unstable();
+        let u = s.universe();
+        let fresh: Vec<Node> = xs
+            .chunk_by(|a, b| a == b)
+            .map(|run| (u + run[0], run.len() as u64))
+            .collect();
+        let mut grown = Vec::new();
+        QDigest::union_into(&mut grown, &s.nodes, &fresh);
+        s.nodes = grown;
+        s.n += xs.len() as u64;
+    }
+
+    /// A digest over `2^log_u` with up to `k` nodes at random depths,
+    /// some of count 0, leaves up to three times a random cap and
+    /// internal nodes up to the cap (up to three times it too when
+    /// `fat`), σ picked so that `⌊n/σ⌋` is at least the cap.
+    fn scattered(rng: &mut Xoshiro256pp, log_u: u32, k: usize, fat: bool) -> QDigest {
+        let cap = 1 + rng.next_below(20);
+        let mut ids: Vec<u64> = (0..k)
+            .map(|_| {
+                let depth = rng.next_below(u64::from(log_u) + 1);
+                (1 << depth) + rng.next_below(1 << depth)
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut s = QDigest::empty(log_u, 1);
+        for id in ids {
+            let most = if fat || id >> log_u == 1 {
+                3 * cap
+            } else {
+                cap
+            };
+            s.nodes.push((id, rng.next_below(most + 1)));
+        }
+        s.n = s.nodes.iter().map(|node| node.1).sum();
+        s.sigma = (s.n / cap).max(1);
+        s
+    }
+
+    /// Rounds of rows added to the leaf tail and compressed, each
+    /// checked against the oracle, for every `(log u, ε, rows per round,
+    /// rounds)` shape, draw and four seeds: how many rounds merged
+    /// anything.
+    fn oracle_rounds(shapes: &[(u32, f64, u64, usize)]) -> usize {
         type Draw = fn(&mut Xoshiro256pp, u64) -> u64;
-        let draws: [(&str, Draw); 3] = [
+        let draws: [(&str, Draw); 4] = [
             ("uniform", |rng, u| rng.next_below(u)),
             ("skewed", |rng, u| {
                 let band = u.min(400) / 2;
                 u / 2 + (rng.next_below(band) + rng.next_below(band)) / 2
             }),
             ("all duplicates", |_, u| u / 3),
+            // One row in eight on one of three values: leaves heavier
+            // than ⌊n/σ⌋ among light lone ones.
+            ("hot values", |rng, u| match rng.next_below(24) {
+                hot @ 0..=2 => u / 5 * (hot + 1) + 1,
+                _ => rng.next_below(u),
+            }),
         ];
-        let mut rounds_that_merged = 0;
-        // log u = 3 saturates: every leaf of the universe is stored.
-        for (log_u, eps, per_round) in [(3u32, 0.3, 40u64), (12, 0.05, 600), (32, 0.02, 4_000)] {
+        let mut merged = 0;
+        for &(log_u, eps, per_round, rounds) in shapes {
             for (name, draw) in draws {
-                let mut rng = Xoshiro256pp::new(70 + u64::from(log_u));
-                let mut s = QDigest::new(eps, log_u);
-                let u = s.universe();
-                for round in 0..12 {
-                    let mut xs: Vec<u64> = (0..per_round).map(|_| draw(&mut rng, u)).collect();
-                    xs.sort_unstable();
-                    let fresh: Vec<Node> = xs
-                        .chunk_by(|a, b| a == b)
-                        .map(|run| (u + run[0], run.len() as u64))
-                        .collect();
-                    let mut grown = Vec::new();
-                    QDigest::union_into(&mut grown, &s.nodes, &fresh);
-                    s.nodes = grown;
-                    s.n += per_round;
-                    let expected = compress_oracle(log_u, s.n / s.sigma, &s.nodes);
-                    let before = s.nodes.len();
-                    s.compress();
-                    assert_eq!(s.nodes, expected, "log u {log_u}, {name}, round {round}");
-                    rounds_that_merged += usize::from(s.nodes.len() < before);
+                for seed in 0..4 {
+                    let mut rng = Xoshiro256pp::new(70 + u64::from(log_u) * 8 + seed);
+                    let mut s = QDigest::new(eps, log_u);
+                    for round in 0..rounds {
+                        let u = s.universe();
+                        add_leaves(&mut s, (0..per_round).map(|_| draw(&mut rng, u)).collect());
+                        let what = format!("log u {log_u}, {name}, seed {seed}, round {round}");
+                        merged += usize::from(compress_against_the_oracle(&mut s, &what));
+                    }
                 }
             }
         }
-        assert!(rounds_that_merged >= 40, "only {rounds_that_merged} rounds");
+        merged
+    }
+
+    #[test]
+    fn compress_matches_the_hash_map_oracle_at_the_paper_suite_shape() {
+        // The first round's ⌊n/σ⌋ is 1: leaves of count 1 rise but never
+        // pair, so only the second merges anything.
+        let merged = oracle_rounds(&[(32, 1e-3, 50_000, 2)]);
+        assert!(merged >= 8, "only {merged} rounds merged anything");
+    }
+
+    #[test]
+    fn compress_matches_the_hash_map_oracle() {
+        // log u = 3 saturates: every leaf of the universe is stored.
+        let merged = oracle_rounds(&[
+            (3, 0.3, 40, 12),
+            (12, 0.05, 600, 12),
+            (32, 0.02, 4_000, 6),
+            (40, 0.02, 4_000, 4),
+        ]);
+        assert!(merged >= 200, "only {merged} rounds merged anything");
+
+        // Two heavy leaves with a light subtree between them whose pair
+        // is kept, a heavy right child beside a light left one, and a
+        // stored root: n = 61 at σ = 20 gives ⌊n/σ⌋ = 3.
+        let mut s = QDigest::empty(5, 20);
+        s.nodes = vec![
+            (1, 2),
+            (32, 1),
+            (33, 9),
+            (36, 2),
+            (37, 2),
+            (42, 1),
+            (44, 10),
+            (61, 1),
+            (62, 33),
+        ];
+        s.n = 61;
+        compress_against_the_oracle(&mut s, "heavy leaves around a kept pair");
+        for kept in [(32, 1), (33, 9), (36, 2), (44, 10)] {
+            assert!(s.nodes.contains(&kept), "{kept:?} in {:?}", s.nodes);
+        }
+
+        // Nodes at every depth, counts of 0, a stored root now and then,
+        // fed in as decoded byte forms; then internal nodes over ⌊n/σ⌋,
+        // which no audited digest holds but COMPRESS takes as they are.
+        for seed in 0..64 {
+            let mut rng = Xoshiro256pp::new(700 + seed);
+            let log_u = [4, 9, 20, 40][seed as usize % 4];
+            let mut s = scattered(&mut rng, log_u, 8 + seed as usize * 3, false);
+            let mut s = QDigest::from_bytes(&s.to_bytes()).expect("an audited byte form");
+            compress_against_the_oracle(&mut s, &format!("decoded, seed {seed}"));
+            let mut s = scattered(&mut rng, log_u, 8 + seed as usize * 3, true);
+            compress_against_the_oracle(&mut s, &format!("fat internal nodes, seed {seed}"));
+        }
+
+        // Digests built at different n, unioned as `merge_from` does:
+        // internal nodes at the depths each one's ⌊n/σ⌋ left them.
+        for seed in 0..4 {
+            let mut rng = Xoshiro256pp::new(800 + seed);
+            let mut build = |rows: u64| {
+                let mut s = QDigest::new(0.01, 20);
+                let xs: Vec<u64> = (0..rows).map(|_| rng.next_below(1 << 20)).collect();
+                s.insert_batch(&xs);
+                s.flush();
+                s
+            };
+            let (small, large) = (build(3_000 * (seed + 1)), build(40_000));
+            let mut s = QDigest::empty(20, small.sigma);
+            QDigest::union_into(&mut s.nodes, &small.nodes, &large.nodes);
+            s.n = small.n + large.n;
+            let what = format!("merge of n = {} and {}", small.n, large.n);
+            assert!(compress_against_the_oracle(&mut s, &what), "{what}");
+        }
     }
 
     #[test]
@@ -1348,10 +1739,11 @@ mod tests {
     /// The update-time ceiling, as a ratio so it holds on any machine:
     /// at the `paper_suite` shape of the benchmark (ε = 10⁻³, log u 32,
     /// 2^19 uniform rows through the scalar `insert`) the q-digest may
-    /// cost at most 12× the fastest summary of the study.
+    /// cost at most 5× the fastest summary of the study. The level walk
+    /// COMPRESS replaced read ≈ 6×; the post-order pass ≈ 3×.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
-    fn scalar_insert_stays_within_12x_of_random_sketch() {
+    fn scalar_insert_stays_within_5x_of_random_sketch() {
         use crate::random::RandomSketch;
         use std::hint::black_box;
         use std::time::Instant;
@@ -1373,8 +1765,9 @@ mod tests {
         let digest = best_secs(&rows, || QDigest::new(1e-3, 32));
         let random = best_secs(&rows, || RandomSketch::new(1e-3, 7));
         let ratio = digest / random;
+        println!("q-digest insert is {ratio:.2}x RandomSketch's");
         assert!(
-            ratio <= 12.0,
+            ratio <= 5.0,
             "q-digest insert is {ratio:.1}x RandomSketch's"
         );
     }

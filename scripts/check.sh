@@ -51,10 +51,17 @@ cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_referen
 
 # The q-digest's update-time ceiling, a ratio for the same reason: its
 # scalar insert against RandomSketch's at the benchmark's `paper_suite`
-# shape (<= 12x; ~6x on the box that recorded docs/PERF.md section 10,
-# 99x with the hash-map node store it replaced).
+# shape (<= 5x; ~3x with the post-order COMPRESS of docs/PERF.md
+# section 18, ~6x with the level walk before it, 99x with the hash-map
+# node store before that).
 echo "== q-digest insert ceiling (cargo test --release -p sqs-core scalar_insert_stays) =="
-cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_12x_of_random_sketch
+cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_5x_of_random_sketch
+
+# The post-order COMPRESS against the hash-map walk it replaced, node for
+# node (the root suite above does not run sqs-core's unit tests; ~2 s
+# optimized, ~30 s unoptimized).
+echo "== q-digest COMPRESS oracle (cargo test --release -p sqs-core compress_matches) =="
+cargo test -q --release -p sqs-core --lib compress_matches_the_hash_map_oracle
 
 # The sampled fold's floor, a ratio again: once Random keeps one row in
 # 2^l, insert_batch steps over the rows it was never going to keep, so
