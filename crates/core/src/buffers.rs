@@ -23,6 +23,19 @@
 //!   unbiased collapse; the fixed midpoint offset gives the
 //!   deterministic MRL98 collapse.
 //!
+//! Both the COLLAPSE and the read side need the weighted union of
+//! several buffers in ascending order. The full buffers are sorted
+//! already, so [`merge_runs`] merges them instead of sorting their
+//! union: one ordered pass per level of a balanced merge tree, the
+//! partial fill (the one run that may be out of order) sorted as a
+//! copy. Equal values come out in slice order, the order a stable sort
+//! of the flattened buffers gives, whatever the sort of a fill did.
+//! That order cannot change a COLLAPSE: a block of equal values covers
+//! the same expanded positions however it is arranged inside, so every
+//! target picks the same value. It can change a `RankIndex` quantile in
+//! one case only — equal values of different weight at the boundary of
+//! the target — and never a rank.
+//!
 //! The write side's `GroupSampler` thins the arrivals that feed a
 //! `Random` or `MRL99` fill buffer to one per `2^level`; the read side
 //! is a `RankIndex` over the union of all live buffers, which the pool
@@ -94,15 +107,8 @@ pub fn weighted_collapse<T: Ord + Copy>(
         "weighted_collapse: offset {offset} out of range (stride {stride})"
     );
 
-    // Flatten to (value, weight) and sort by value; buffer sizes are
-    // small (O(1/ε·polylog)), so the O(N log N) flatten is the paper's
-    // own cost model for a collapse.
-    let mut items: Vec<(T, u64)> = Vec::with_capacity(bufs.iter().map(|(d, _)| d.len()).sum());
-    for (data, w) in bufs {
-        debug_assert!(data.windows(2).all(|x| x[0] <= x[1]));
-        items.extend(data.iter().map(|&v| (v, *w)));
-    }
-    items.sort_unstable_by_key(|x| x.0);
+    debug_assert!(bufs.iter().all(|(d, _)| d.windows(2).all(|x| x[0] <= x[1])));
+    let items = merge_runs(bufs);
 
     let mut out = Vec::with_capacity(out_size);
     let mut cum = 0u64; // expanded positions consumed so far
@@ -126,6 +132,93 @@ pub fn weighted_collapse<T: Ord + Copy>(
     }
     debug_assert_eq!(out.len(), out_size);
     (out, total_w)
+}
+
+/// The weighted union of `bufs` as `(value, weight)` pairs in ascending
+/// value order: what flattening the slices and sorting them stably
+/// gives, at the cost of a merge.
+///
+/// Each slice is one run at its weight. A run that is not ascending is
+/// sorted as a copy; the others are read as they are. Neighbouring runs
+/// are merged pairwise, level by level of a balanced tree, and a tie
+/// takes the left run's element, so equal values keep slice order.
+pub fn merge_runs<T: Ord + Copy>(bufs: &[(&[T], u64)]) -> Vec<(T, u64)> {
+    let total = bufs.iter().map(|(d, _)| d.len()).sum();
+    let mut src: Vec<(T, u64)> = Vec::with_capacity(total);
+    // `ends[i]`: where run `i` ends in `src`.
+    let mut ends: Vec<usize> = Vec::with_capacity(bufs.len());
+    for &(data, w) in bufs.iter().filter(|(d, _)| !d.is_empty()) {
+        let start = src.len();
+        src.extend(data.iter().map(|&v| (v, w)));
+        if !data.windows(2).all(|p| p[0] <= p[1]) {
+            src[start..].sort_unstable_by_key(|x| x.0);
+        }
+        ends.push(src.len());
+    }
+    if ends.len() <= 1 {
+        return src;
+    }
+    let mut dst = src.clone();
+    while ends.len() > 1 {
+        let mut start = 0;
+        for pair in ends.chunks(2) {
+            let end = pair[pair.len() - 1];
+            match *pair {
+                [mid, _] => merge_into(&src[start..mid], &src[mid..end], &mut dst[start..end]),
+                _ => dst[start..end].copy_from_slice(&src[start..end]),
+            }
+            start = end;
+        }
+        ends = ends.chunks(2).map(|pair| pair[pair.len() - 1]).collect();
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
+}
+
+/// Merges two ascending runs into `out` (`|out| = |a| + |b|`), the left
+/// run first on a tie. Which side the next element comes from is
+/// computed, not branched on: on random data that branch mispredicts
+/// about every other element, and a branchy merge measured no faster
+/// than the sort it replaces.
+///
+/// The merge runs from both ends at once, the smallest remaining pair
+/// to the front and the largest to the back, so that two independent
+/// chains of compares overlap. For `min(|a|, |b|)` steps neither end
+/// can run out of a run, and within `|out| / 2` they cannot meet; the
+/// front finishes whatever lies between them.
+fn merge_into<T: Ord + Copy>(a: &[(T, u64)], b: &[(T, u64)], out: &mut [(T, u64)]) {
+    debug_assert_eq!(a.len() + b.len(), out.len());
+    let (mut i, mut j) = (0, 0);
+    let (mut ie, mut je) = (a.len(), b.len());
+    for _ in 0..a.len().min(b.len()).min(out.len() / 2) {
+        let (x, y) = (a[i], b[j]);
+        let right = y.0 < x.0;
+        out[i + j] = if right { y } else { x };
+        i += usize::from(!right);
+        j += usize::from(right);
+        let (x, y) = (a[ie - 1], b[je - 1]);
+        let left = y.0 < x.0;
+        out[ie + je - 1] = if left { x } else { y };
+        ie -= usize::from(left);
+        je -= usize::from(!left);
+    }
+    merge_front(&a[i..ie], &b[j..je], &mut out[i + j..ie + je]);
+}
+
+/// [`merge_into`] from the front only.
+#[inline]
+fn merge_front<T: Ord + Copy>(a: &[(T, u64)], b: &[(T, u64)], out: &mut [(T, u64)]) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let right = y.0 < x.0;
+        out[i + j] = if right { y } else { x };
+        i += usize::from(!right);
+        j += usize::from(right);
+    }
+    // One side is used up; the other's tail follows as it is.
+    out[i + j..j + a.len()].copy_from_slice(&a[i..]);
+    out[j + a.len()..].copy_from_slice(&b[j..]);
 }
 
 /// The level sampler that feeds a fill buffer of `Random` and `MRL99`:
@@ -353,14 +446,11 @@ pub(crate) struct RankIndex<T> {
 }
 
 impl<T: Ord + Copy> RankIndex<T> {
-    /// Flattens `bufs` (slices of samples with a per-slice weight; the
-    /// slices need not be sorted) and sorts the union once.
+    /// The index over `bufs` (slices of samples with a per-slice weight;
+    /// a slice need not be sorted), their union ordered by
+    /// [`merge_runs`].
     pub(crate) fn build(bufs: &[(&[T], u64)]) -> Self {
-        let mut items: Vec<(T, u64)> = Vec::with_capacity(bufs.iter().map(|(d, _)| d.len()).sum());
-        for (data, w) in bufs {
-            items.extend(data.iter().map(|&v| (v, *w)));
-        }
-        items.sort_unstable_by_key(|x| x.0);
+        let items = merge_runs(bufs);
         let mut values = Vec::with_capacity(items.len());
         let mut rank_before = Vec::with_capacity(items.len());
         let mut total = 0u64;
@@ -592,7 +682,7 @@ impl<T: Ord + Copy> Pool<T> {
         self.replace(chosen, level, weight, merged);
     }
 
-    /// The rank index over the live buffers, sorted on the first query
+    /// The rank index over the live buffers, merged on the first query
     /// after a mutation.
     pub(crate) fn view(&mut self) -> &RankIndex<T> {
         self.view
@@ -661,8 +751,9 @@ impl<T: Ord + Copy> Pool<T> {
     }
 }
 
-/// The per-query flatten-sort-sweep queries the `RankIndex` replaced,
-/// kept as the reference the index is tested against.
+/// The per-query flatten-sort-sweep queries the `RankIndex` replaced and
+/// the sort-based COLLAPSE [`merge_runs`] replaced, kept as the
+/// references the merged forms are tested against.
 #[cfg(test)]
 pub(crate) mod oracle {
     use crate::QuantileSummary;
@@ -816,18 +907,64 @@ pub(crate) mod oracle {
             .sum()
     }
 
+    /// The flattened slices as `(value, weight)` pairs, in slice order.
+    fn flatten<T: Copy>(bufs: &[(&[T], u64)]) -> Vec<(T, u64)> {
+        let pairs = bufs
+            .iter()
+            .flat_map(|&(d, w)| d.iter().map(move |&v| (v, w)));
+        pairs.collect()
+    }
+
+    /// [`super::merge_runs`] as a stable flatten-and-sort: equal values
+    /// in slice order.
+    pub(crate) fn merge_runs_by_sort<T: Ord + Copy>(bufs: &[(&[T], u64)]) -> Vec<(T, u64)> {
+        let mut items = flatten(bufs);
+        items.sort_by_key(|x| x.0);
+        items
+    }
+
+    /// [`super::weighted_collapse`] as it was before [`super::merge_runs`]:
+    /// flatten, sort unstably, then sweep the targets.
+    pub(crate) fn weighted_collapse_by_sort<T: Ord + Copy>(
+        bufs: &[(&[T], u64)],
+        out_size: usize,
+        offset: u64,
+    ) -> (Vec<T>, u64) {
+        let total_w: u64 = bufs.iter().map(|(d, w)| d.len() as u64 * w).sum();
+        let mut items = flatten(bufs);
+        items.sort_unstable_by_key(|x| x.0);
+
+        let mut out = Vec::with_capacity(out_size);
+        let mut cum = 0u64; // expanded positions consumed so far
+        let mut j = 0u64; // next target index
+        for (v, w) in items {
+            let hi = cum + w;
+            // Emit every target position falling inside [cum, hi).
+            while j < out_size as u64 {
+                let target = offset + (j * total_w) / out_size as u64;
+                if target < hi {
+                    out.push(v);
+                    j += 1;
+                } else {
+                    break;
+                }
+            }
+            cum = hi;
+            if j == out_size as u64 {
+                break;
+            }
+        }
+        (out, total_w)
+    }
+
     /// The sampled element whose estimated rank is closest to `φ · W`,
-    /// found by a sweep over the freshly sorted union.
+    /// found by a sweep over the freshly (stably) sorted union.
     pub(crate) fn weighted_quantile<T: Ord + Copy>(bufs: &[(&[T], u64)], phi: f64) -> Option<T> {
         let total_w: u64 = bufs.iter().map(|(d, w)| d.len() as u64 * w).sum();
         if total_w == 0 {
             return None;
         }
-        let mut items: Vec<(T, u64)> = Vec::with_capacity(bufs.iter().map(|(d, _)| d.len()).sum());
-        for (data, w) in bufs {
-            items.extend(data.iter().map(|&v| (v, *w)));
-        }
-        items.sort_unstable_by_key(|x| x.0);
+        let items = merge_runs_by_sort(bufs);
 
         let target = phi * total_w as f64;
         let mut cum = 0u64;
@@ -913,6 +1050,67 @@ mod tests {
     fn collapse_rejects_bad_offset() {
         let a = [1u64, 2];
         weighted_collapse(&[(&a, 1)], 2, 5);
+    }
+
+    /// Seeded runs for the merge tests: 1–12 of them, lengths from 0 up
+    /// (empty runs included), weights 1–2^20, values from a universe of
+    /// 4 (heavy ties across runs of different weight) up to 2^40.
+    fn seeded_runs(rng: &mut sqs_util::rng::Xoshiro256pp) -> Vec<(Vec<u64>, u64)> {
+        let universe = [4, 64, 5_000, 1 << 40][rng.next_below(4) as usize];
+        (0..1 + rng.next_below(12))
+            .map(|_| {
+                let len = [0, 1, 2, 7, 300, 3_163][rng.next_below(6) as usize];
+                let mut run: Vec<u64> = (0..len).map(|_| rng.next_below(universe)).collect();
+                run.sort_unstable();
+                let bits = rng.next_below(21);
+                (run, 1 + rng.next_below(1 << bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_collapse_is_bit_equal_to_the_sort_it_replaced() {
+        let mut rng = sqs_util::rng::Xoshiro256pp::new(30);
+        let mut checked = 0;
+        while checked < 2_000 {
+            let runs = seeded_runs(&mut rng);
+            let bufs: Vec<(&[u64], u64)> = runs.iter().map(|(d, w)| (d.as_slice(), *w)).collect();
+            let total_w: u64 = bufs.iter().map(|(d, w)| d.len() as u64 * w).sum();
+            if total_w == 0 {
+                continue;
+            }
+            let out_size = 1 + rng.next_below(4_000) as usize;
+            let stride = (total_w / out_size as u64).max(1);
+            for offset in [0, stride / 2, stride - 1, rng.next_below(stride)] {
+                assert_eq!(
+                    weighted_collapse(&bufs, out_size, offset),
+                    oracle::weighted_collapse_by_sort(&bufs, out_size, offset),
+                    "{} runs into {out_size} at offset {offset}",
+                    bufs.len()
+                );
+            }
+            checked += 1;
+        }
+    }
+
+    #[test]
+    fn merge_runs_is_a_stable_sort_of_the_flattened_runs() {
+        let mut rng = sqs_util::rng::Xoshiro256pp::new(31);
+        for _ in 0..500 {
+            let mut runs = seeded_runs(&mut rng);
+            // One run out of order, as a partial fill is.
+            let unsorted = rng.next_below(runs.len() as u64) as usize;
+            runs[unsorted].0.reverse();
+            let bufs: Vec<(&[u64], u64)> = runs.iter().map(|(d, w)| (d.as_slice(), *w)).collect();
+            assert_eq!(merge_runs(&bufs), oracle::merge_runs_by_sort(&bufs));
+        }
+        // Equal values at different weights keep slice order.
+        let (a, b, c) = ([5u64, 5, 9], [1u64, 5], [5u64, 0]);
+        let merged = merge_runs(&[(&a, 2), (&b, 7), (&c, 3)]);
+        let expect = [(0, 3), (1, 7), (5, 2), (5, 2), (5, 7), (5, 3), (9, 2)];
+        assert_eq!(merged, expect);
+        assert!(merge_runs::<u64>(&[]).is_empty());
+        assert!(merge_runs::<u64>(&[(&[], 4)]).is_empty());
     }
 
     #[test]

@@ -55,8 +55,9 @@ pub(crate) fn threshold(eps: f64, n: u64) -> u64 {
     (2.0 * eps * n as f64).floor() as u64
 }
 
-/// Answers a φ-quantile query over a sorted tuple list (shared by all
-/// variants); `eps` is the summary's error parameter.
+/// Answers a φ-sweep over a sorted tuple list (shared by all variants;
+/// `eps` is the summary's error parameter): one answer per φ, in the
+/// order given, each `None` while the list is empty.
 ///
 /// GK's extraction guarantee (§2.1): for the 1-indexed target rank
 /// `r = ⌊φn⌋ + 1`, invariant (2) ensures some tuple satisfies both
@@ -64,107 +65,57 @@ pub(crate) fn threshold(eps: f64, n: u64) -> u64 {
 /// element has true rank within `εn` of the target (by invariant (1)).
 /// Among the tuples satisfying the two-sided condition we return the
 /// one whose bracket midpoint is closest to `r`, which makes answers
-/// exact on an uncompressed list. If rounding leaves no tuple
-/// two-sided-valid we fall back to the closest midpoint overall.
-pub(crate) fn query_quantile<T: Ord + Copy>(
-    tuples: &[Tuple<T>],
-    n: u64,
-    eps: f64,
-    phi: f64,
-) -> Option<T> {
-    crate::traits::check_phi(phi);
-    if tuples.is_empty() || n == 0 {
-        return None;
-    }
-    let target = (phi * n as f64).floor() + 1.0;
-    let margin = eps * n as f64;
-    let mut rmin = 0u64;
-    let mut best_valid: Option<(f64, T)> = None;
-    let mut best_any: Option<(f64, T)> = None;
-    for t in tuples {
-        rmin += t.g;
-        let rmax = rmin + t.delta;
-        let mid = rmin as f64 + t.delta as f64 / 2.0;
-        let dist = (mid - target).abs();
-        if rmin as f64 >= target - margin && rmax as f64 <= target + margin {
-            match best_valid {
-                Some((d, _)) if d <= dist => {}
-                _ => best_valid = Some((dist, t.v)),
-            }
-        }
-        match best_any {
-            Some((d, _)) if d <= dist => {}
-            _ => best_any = Some((dist, t.v)),
-        }
-        if rmin as f64 > target + margin {
-            break; // every later bracket is farther and invalid
-        }
-    }
-    best_valid.or(best_any).map(|(_, v)| v)
-}
-
-/// Answers the whole φ-grid in one pass: precomputes the rank
-/// brackets once, then serves each target with a binary search over
-/// the (monotone) `rmin` array plus a local validity scan — the same
-/// selection rule as [`query_quantile`], amortized for the
-/// `1/ε − 1`-probe grids the harness uses (§4.1.2).
-pub(crate) fn query_quantile_grid<T: Ord + Copy>(
+/// exact on an uncompressed list.
+///
+/// The `rmin` prefix is summed once for the whole sweep; each φ then
+/// binary-searches it for the window `rmin ∈ [r − εn, r + εn]` (from one
+/// tuple before it), which holds every two-sided-valid tuple. Should
+/// rounding leave no tuple valid, the closest midpoint inside the
+/// window answers.
+pub(crate) fn query_quantiles<T: Ord + Copy>(
     tuples: &[Tuple<T>],
     n: u64,
     eps: f64,
     phis: &[f64],
-) -> Vec<(f64, T)> {
+) -> Vec<Option<T>> {
+    phis.iter().for_each(|&phi| crate::traits::check_phi(phi));
     if tuples.is_empty() || n == 0 {
-        return Vec::new();
+        return vec![None; phis.len()];
     }
-    let mut rmin = 0u64;
-    let brackets: Vec<(u64, u64, f64, T)> = tuples
+    let rmins: Vec<u64> = tuples
         .iter()
-        .map(|t| {
-            rmin += t.g;
-            (
-                rmin,
-                rmin + t.delta,
-                rmin as f64 + t.delta as f64 / 2.0,
-                t.v,
-            )
+        .scan(0u64, |rmin, t| {
+            *rmin += t.g;
+            Some(*rmin)
         })
         .collect();
     let margin = eps * n as f64;
     phis.iter()
         .map(|&phi| {
-            crate::traits::check_phi(phi);
             let target = (phi * n as f64).floor() + 1.0;
-            // Window of tuples whose rmin can possibly be valid or
-            // closest: rmin ∈ [target − margin − maxgap, target + margin].
             let lo_rank = (target - margin).max(0.0) as u64;
             let hi_rank = (target + margin) as u64;
-            let start = brackets
-                .partition_point(|b| b.0 < lo_rank)
-                .saturating_sub(1);
+            let start = rmins.partition_point(|&r| r < lo_rank).saturating_sub(1);
             let mut best_valid: Option<(f64, T)> = None;
             let mut best_any: Option<(f64, T)> = None;
-            for &(rmin, rmax, mid, v) in &brackets[start..] {
-                let dist = (mid - target).abs();
+            for (&rmin, t) in rmins[start..].iter().zip(&tuples[start..]) {
+                let rmax = rmin + t.delta;
+                let dist = (rmin as f64 + t.delta as f64 / 2.0 - target).abs();
                 if rmin as f64 >= target - margin && rmax as f64 <= target + margin {
                     match best_valid {
                         Some((d, _)) if d <= dist => {}
-                        _ => best_valid = Some((dist, v)),
+                        _ => best_valid = Some((dist, t.v)),
                     }
                 }
                 match best_any {
                     Some((d, _)) if d <= dist => {}
-                    _ => best_any = Some((dist, v)),
+                    _ => best_any = Some((dist, t.v)),
                 }
                 if rmin > hi_rank {
-                    break;
+                    break; // every later bracket is farther and invalid
                 }
             }
-            let v = best_valid
-                .or(best_any)
-                .map(|(_, v)| v)
-                .expect("GK invariant: summary holds at least the sentinel tuples");
-            (phi, v)
+            best_valid.or(best_any).map(|(_, v)| v)
         })
         .collect()
 }
@@ -286,17 +237,46 @@ mod tests {
 
     #[test]
     fn exact_list_answers_exactly() {
-        // Exact convention: the φ-quantile is the element of rank ⌊φn⌋.
+        // Exact convention: the φ-quantile is the element of rank ⌊φn⌋:
+        // ⌊1.04⌋ = rank 1, then ranks 2, 3 and 0.
         let t = toy();
-        assert_eq!(query_quantile(&t, 4, 0.25, 0.26), Some(20)); // ⌊1.04⌋ = rank 1
-        assert_eq!(query_quantile(&t, 4, 0.25, 0.5), Some(30)); // rank 2
-        assert_eq!(query_quantile(&t, 4, 0.25, 0.76), Some(40)); // rank 3
-        assert_eq!(query_quantile(&t, 4, 0.25, 0.01), Some(10)); // rank 0
+        assert_eq!(
+            query_quantiles(&t, 4, 0.25, &[0.26, 0.5, 0.76, 0.01]),
+            [Some(20), Some(30), Some(40), Some(10)]
+        );
     }
 
     #[test]
     fn empty_list_returns_none() {
-        assert_eq!(query_quantile::<u64>(&[], 0, 0.1, 0.5), None);
+        assert_eq!(
+            query_quantiles::<u64>(&[], 0, 0.1, &[0.5, 0.2]),
+            [None, None]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "open interval")]
+    fn empty_list_still_checks_phi() {
+        query_quantiles::<u64>(&[], 0, 0.1, &[0.5, 1.0]);
+    }
+
+    /// The per-φ scan over the whole list that the windowed sweep
+    /// replaced.
+    fn full_scan(tuples: &[Tuple<u64>], n: u64, eps: f64, phi: f64) -> Option<u64> {
+        let target = (phi * n as f64).floor() + 1.0;
+        let margin = eps * n as f64;
+        let mut rmin = 0u64;
+        let mut best: Option<(f64, u64)> = None;
+        for t in tuples {
+            rmin += t.g;
+            let dist = (rmin as f64 + t.delta as f64 / 2.0 - target).abs();
+            let valid =
+                rmin as f64 >= target - margin && (rmin + t.delta) as f64 <= target + margin;
+            if valid && best.is_none_or(|(d, _)| dist < d) {
+                best = Some((dist, t.v));
+            }
+        }
+        best.map(|(_, v)| v)
     }
 
     #[test]
@@ -330,25 +310,37 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_pointwise_queries() {
-        // The batched grid must agree with per-φ queries exactly.
+    fn the_window_holds_every_valid_tuple() {
+        // Whenever a two-sided-valid tuple exists, the sweep's window
+        // answers what a scan of the whole list would — over lists of
+        // each variant, φ dense near 0 and 1 and in between.
+        use crate::QuantileSummary;
         let mut rng = sqs_util::rng::Xoshiro256pp::new(123);
-        let tuples: Vec<Tuple<u64>> = {
-            let mut s = crate::gk::GkArray::new(0.02);
-            for _ in 0..20_000 {
-                crate::QuantileSummary::insert(&mut s, rng.next_below(1 << 20));
+        let mut phis = sqs_util::exact::probe_phis(0.001);
+        phis.extend([1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9]);
+        for (eps, universe) in [(0.02, 1 << 20), (0.005, 1 << 40), (0.01, 37)] {
+            let rows: Vec<u64> = (0..20_000).map(|_| rng.next_below(universe)).collect();
+            let mut array = crate::gk::GkArray::new(eps);
+            let mut theory = crate::gk::GkTheory::new(eps);
+            let mut adaptive = crate::gk::GkAdaptive::new(eps);
+            for &x in &rows {
+                array.insert(x);
+                theory.insert(x);
+                adaptive.insert(x);
             }
-            s.tuples().to_vec()
-        };
-        let phis = sqs_util::exact::probe_phis(0.02);
-        let grid = query_quantile_grid(&tuples, 20_000, 0.02, &phis);
-        assert_eq!(grid.len(), phis.len());
-        for (phi, v) in grid {
-            assert_eq!(
-                Some(v),
-                query_quantile(&tuples, 20_000, 0.02, phi),
-                "phi={phi}"
-            );
+            let lists = [
+                array.tuples().to_vec(),
+                theory.tuples().to_vec(),
+                adaptive.tuples(),
+            ];
+            for tuples in &lists {
+                let sweep = query_quantiles(tuples, 20_000, eps, &phis);
+                for (&phi, got) in phis.iter().zip(sweep) {
+                    let want = full_scan(tuples, 20_000, eps, phi);
+                    assert!(want.is_some(), "eps {eps} phi {phi}: no valid tuple");
+                    assert_eq!(got, want, "eps {eps} phi {phi}");
+                }
+            }
         }
     }
 

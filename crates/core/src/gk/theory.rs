@@ -26,7 +26,7 @@
 // invariants (see `check_invariants` impls and docs/ANALYSIS.md);
 // this module is on the `cargo xtask check` allowlist.
 
-use super::{query_quantile, query_quantile_grid, query_rank, threshold, Tuple};
+use super::{query_quantiles, query_rank, threshold, Tuple};
 use crate::QuantileSummary;
 use sqs_util::space::{words, SpaceUsage};
 
@@ -276,18 +276,13 @@ impl<T: Ord + Copy> QuantileSummary<T> for GkTheory<T> {
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
-        self.fold_in();
-        query_quantile(&self.tuples, self.n, self.eps, phi)
+        self.quantiles(&[phi]).pop().flatten()
     }
 
-    fn quantile_grid(&mut self, eps: f64) -> Vec<(f64, T)> {
+    /// One fold-in and one prefix sum for the whole sweep.
+    fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<T>> {
         self.fold_in();
-        query_quantile_grid(
-            &self.tuples,
-            self.n,
-            self.eps,
-            &sqs_util::exact::probe_phis(eps),
-        )
+        query_quantiles(&self.tuples, self.n, self.eps, phis)
     }
 
     fn name(&self) -> &'static str {

@@ -183,16 +183,6 @@ impl<T: Ord + Copy> Mrl98<T> {
         );
         self.pool.collapse(&chosen, |stride| stride / 2);
     }
-
-    /// The pool's rank index. The partial fill buffer participates
-    /// with weight 1 and is sorted in place first, as it would be on
-    /// filling up.
-    fn view(&mut self) -> &crate::buffers::RankIndex<T> {
-        if let (None, Some(idx)) = (self.pool.view.get(), self.pool.fill) {
-            self.pool.buffers[idx].data.sort_unstable();
-        }
-        self.pool.view()
-    }
 }
 
 impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl98<T> {
@@ -274,12 +264,12 @@ impl<T: Ord + Copy> QuantileSummary<T> for Mrl98<T> {
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
-        self.view().rank(x)
+        self.pool.view().rank(x)
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
         crate::traits::check_phi(phi);
-        self.view().quantile(phi)
+        self.pool.view().quantile(phi)
     }
 
     fn name(&self) -> &'static str {
@@ -403,16 +393,22 @@ mod tests {
     }
 
     #[test]
+    fn a_query_leaves_the_fill_in_arrival_order() {
+        let mut s = Mrl98::new(0.1, 1_000);
+        let rows = [9u64, 2, 7, 2, 0];
+        rows.iter().for_each(|&x| s.insert(x));
+        assert_eq!(s.quantiles(&[0.3, 0.9]), [Some(2), Some(9)]);
+        assert_eq!(s.rank_estimate(7), 3);
+        let fill = s.pool.fill.expect("a partial fill");
+        assert_eq!(s.pool.buffers[fill].data, rows);
+    }
+
+    #[test]
     fn view_is_never_stale_under_any_interleaving() {
         use crate::buffers::live_buffers;
         use crate::buffers::oracle::{check_view_never_stale, sweep};
         type S = Mrl98<u64>;
         fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
-            // The per-call sweep sorted the partial fill buffer in
-            // place before flattening.
-            if let Some(idx) = s.pool.fill {
-                s.pool.buffers[idx].data.sort_unstable();
-            }
             sweep(&live_buffers(&s.pool.buffers), phis, xs)
         }
         for (universe, seed) in [(48, 1), (1 << 20, 2)] {

@@ -10,14 +10,17 @@ use sqs_util::SpaceUsage;
 ///
 /// Query methods take `&mut self` for two reasons, neither of which
 /// changes the summarized multiset. Several summaries (GKArray,
-/// FastQDigest) buffer recent inserts and must flush before answering.
-/// And the buffer summaries (Random, MRL99, MRL98 — one `buffers::Pool`)
-/// and FastQDigest answer from a sorted rank index that the first query
-/// after a mutation builds and keeps inside the summary: a query on a
-/// summary nobody has touched since the last one is a binary search,
-/// not a sort. Every mutator drops the index and `clone` never copies
-/// it, so it lives exactly as long as the state it describes — inside
-/// the engine's epoch-keyed merged snapshot, until the next fold.
+/// GKTheory, FastQDigest) buffer recent inserts and must flush before
+/// answering. And the buffer summaries (Random, MRL99, MRL98 — one
+/// `buffers::Pool`) and FastQDigest answer from a sorted rank index that
+/// the first query after a mutation builds and keeps inside the
+/// summary: a query on a summary nobody has touched since the last one
+/// is a binary search, not a rebuild. The buffer summaries build theirs
+/// by merging buffers that are sorted already (`buffers::merge_runs`),
+/// never by sorting their union. Every mutator drops the index and
+/// `clone` never copies it, so it lives exactly as long as the state it
+/// describes — inside the engine's epoch-keyed merged snapshot, until
+/// the next fold.
 ///
 /// [`insert`]: QuantileSummary::insert
 pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
@@ -59,32 +62,38 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     }
 
     /// A φ-sweep: one quantile per entry of `phis` (each `None` while
-    /// the stream is empty).
+    /// the stream is empty; φ in any order, duplicates allowed). The one
+    /// batched read: [`quantile_grid`] and every multi-φ caller go
+    /// through it.
     ///
     /// The default is a per-φ [`quantile`] loop, which is already the
     /// batched path for every summary that answers from a cached rank
-    /// index (one sort, then a binary search per φ; φ in any order,
-    /// duplicates allowed). Summaries with a cheaper joint walk (the
-    /// turnstile dyadic structures descend one shared bisection tree
-    /// for the whole sweep) override it. Overrides must return exactly
-    /// what the per-φ loop would — answer for answer, not merely
-    /// within ε.
+    /// index (one build, then a binary search per φ). Summaries with a
+    /// cheaper joint walk override it: the GK family flushes or walks
+    /// its tuple list and sums its rank prefix once for the whole sweep,
+    /// and the turnstile dyadic structures descend one shared bisection
+    /// tree. Overrides must return exactly what the per-φ loop would —
+    /// answer for answer, not merely within ε.
     ///
     /// # Panics
     /// Implementations panic if any `φ ∉ (0, 1)`.
     ///
     /// [`quantile`]: QuantileSummary::quantile
+    /// [`quantile_grid`]: QuantileSummary::quantile_grid
     fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<T>> {
         phis.iter().map(|&phi| self.quantile(phi)).collect()
     }
 
-    /// Answers the standard probe grid φ = ε, 2ε, …, 1−ε in one call,
-    /// returning `(φ, answer)` pairs (empty if the stream is empty).
+    /// Answers the standard probe grid φ = ε, 2ε, …, 1−ε in one
+    /// [`quantiles`] call, returning `(φ, answer)` pairs (empty if the
+    /// stream is empty).
+    ///
+    /// [`quantiles`]: QuantileSummary::quantiles
     fn quantile_grid(&mut self, eps: f64) -> Vec<(f64, T)> {
-        sqs_util::exact::probe_phis(eps)
-            .into_iter()
-            .filter_map(|phi| self.quantile(phi).map(|q| (phi, q)))
-            .collect()
+        let phis = sqs_util::exact::probe_phis(eps);
+        let answers = self.quantiles(&phis);
+        let pairs = phis.into_iter().zip(answers);
+        pairs.filter_map(|(phi, q)| q.map(|q| (phi, q))).collect()
     }
 
     /// The estimated cumulative distribution at `x`:

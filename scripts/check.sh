@@ -57,6 +57,16 @@ cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_referen
 echo "== q-digest insert ceiling (cargo test --release -p sqs-core scalar_insert_stays) =="
 cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_5x_of_random_sketch
 
+# Two more ratios of the same kind (docs/PERF.md section 19): MRL99's
+# scalar insert against RandomSketch's at the paper_suite shape (<= 1.6x;
+# ~1.2-1.4x now that a COLLAPSE merges its sorted buffers, ~2.1x when it
+# sorted their union), and a 99-phi GKAdaptive sweep against one
+# quantile (<= 5x; one list walk for the sweep, where the per-phi loop
+# walked it 99 times).
+echo "== MRL99 insert ceiling and GK sweep ceiling (cargo test --release -p sqs-core) =="
+cargo test -q --release -p sqs-core --lib mrl99_insert_stays_within_1_6x_of_random_sketch
+cargo test -q --release -p sqs-core --lib gk_sweep_is_one_walk
+
 # The post-order COMPRESS against the hash-map walk it replaced, node for
 # node (the root suite above does not run sqs-core's unit tests; ~2 s
 # optimized, ~30 s unoptimized).
