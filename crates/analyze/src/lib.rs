@@ -3,10 +3,8 @@
 //! `cargo xtask check` used to enforce the repo's source discipline
 //! (no `.unwrap()`, `forbid(unsafe_code)` everywhere, the pedantic
 //! allowlist) with line-oriented greps. Greps cannot tell a call from
-//! a comment, and they cannot state *positive* obligations — "every
-//! wire kind has a codec impl and a property test" is not a pattern
-//! you can forbid. This crate replaces them with a real, dependency-
-//! free analysis pipeline:
+//! a comment. This crate replaces them with a real, dependency-free
+//! analysis pipeline:
 //!
 //! * [`lexer`] — a lossless Rust token scanner (raw strings, nested
 //!   block comments, char-vs-lifetime, structural `#[cfg(test)]`
@@ -15,9 +13,8 @@
 //!   `members` globs and pre-lexed file loading;
 //! * [`passes`] — the [`passes::Pass`] framework and the production
 //!   rules: panic discipline (`SQS-P*`), the no-unsafe guarantee
-//!   (`SQS-U*`), lock discipline (`SQS-L*`), the allow audit
-//!   (`SQS-A*`), codec exhaustiveness (`SQS-C*`) and invariant-audit
-//!   coverage (`SQS-I*`);
+//!   (`SQS-U*`), lock discipline (`SQS-L*`) and the allow audit
+//!   (`SQS-A*`);
 //! * [`diag`] — `file:line:col` diagnostics plus per-site
 //!   justification codes (`// analyze:allow(SQS-XXX): reason`), where
 //!   malformed or unused justifications are findings too (`SQS-J*`).

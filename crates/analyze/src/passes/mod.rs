@@ -4,16 +4,13 @@
 //! Passes are deliberately dumb: each one scans the pre-lexed token
 //! streams in [`AnalysisInput`] and appends [`Diagnostic`]s. There is
 //! no AST — the rules this repo needs (panic discipline, lock
-//! ordering, attribute audits, coverage proofs) are all expressible
-//! over tokens plus the light structure recovered here ([`Code`] for
-//! comment-free scanning, [`trait_impls`] for `impl` blocks), and
-//! staying at token level keeps the analyzer dependency-free and fast
-//! enough to run on every `cargo xtask check`.
+//! ordering, attribute audits) are all expressible over tokens plus
+//! [`Code`]'s comment-free view, and staying at token level keeps the
+//! analyzer dependency-free and fast enough to run on every
+//! `cargo xtask check`.
 
 pub mod allow_audit;
-pub mod codec_coverage;
 pub mod forbid_unsafe;
-pub mod invariant_coverage;
 pub mod lock;
 pub mod panic;
 
@@ -32,7 +29,7 @@ pub trait Pass {
 }
 
 /// The production roster, in report order. Fixture tests build custom
-/// rosters (or reconfigure the coverage passes) instead.
+/// rosters instead.
 #[must_use]
 pub fn default_passes() -> Vec<Box<dyn Pass>> {
     vec![
@@ -40,8 +37,6 @@ pub fn default_passes() -> Vec<Box<dyn Pass>> {
         Box::new(forbid_unsafe::ForbidUnsafe),
         Box::new(lock::LockDiscipline),
         Box::new(allow_audit::AllowAudit::default()),
-        Box::new(codec_coverage::CodecCoverage::default()),
-        Box::new(invariant_coverage::InvariantCoverage::default()),
     ]
 }
 
@@ -115,23 +110,6 @@ impl<'a> Code<'a> {
             .unwrap_or(false)
     }
 
-    /// Whether the `>` at code index `ci` is the tail of a `->` arrow
-    /// (the two punct tokens are byte-adjacent) rather than a closing
-    /// angle bracket.
-    #[must_use]
-    pub fn is_arrow_tail(&self, ci: usize) -> bool {
-        if self.text(ci) != ">" {
-            return false;
-        }
-        let Some(prev) = ci.checked_sub(1).and_then(|p| self.tok(p)) else {
-            return false;
-        };
-        let Some(cur) = self.tok(ci) else {
-            return false;
-        };
-        prev.text(&self.file.text) == "-" && prev.end == cur.start
-    }
-
     /// Builds a diagnostic anchored at code index `ci` (clamped to the
     /// last token when out of range; line 1 on an empty file).
     #[must_use]
@@ -149,175 +127,5 @@ impl<'a> Code<'a> {
                 message,
             },
         }
-    }
-}
-
-/// One `impl` block recovered from a file's token stream.
-#[derive(Debug, Clone)]
-pub struct TraitImpl {
-    /// Final path segment of the implemented trait (`"WireCodec"`),
-    /// `None` for inherent impls (and for `impl Trait` in type
-    /// position, which this scanner does not distinguish).
-    pub trait_name: Option<String>,
-    /// Final path segment of the implementing type (`"QDigest"`).
-    pub type_name: String,
-    /// Code-index range of the body: the `{` and its matching `}`,
-    /// both inclusive.
-    pub body: (usize, usize),
-    /// The `impl` keyword's token, for anchoring diagnostics.
-    pub anchor: Token,
-}
-
-/// Recovers the `impl` blocks of `code`: generic parameter lists are
-/// skipped (including `Fn(..) -> X` bounds, whose `->` must not close
-/// an angle bracket), trait and type names are the last path segment
-/// seen at angle-depth zero, and nested impls inside a body are not
-/// re-scanned. This is exactly enough structure for the coverage
-/// passes — not a parser.
-#[must_use]
-pub fn trait_impls(code: &Code<'_>) -> Vec<TraitImpl> {
-    let mut out = Vec::new();
-    let mut ci = 0usize;
-    while ci < code.len() {
-        if code.text(ci) != "impl" || code.kind(ci) != Some(TokenKind::Ident) {
-            ci += 1;
-            continue;
-        }
-        let Some(anchor) = code.tok(ci).copied() else {
-            break;
-        };
-        let mut j = ci + 1;
-        // Skip the generic parameter list `<…>`.
-        if code.text(j) == "<" {
-            let mut depth = 0usize;
-            while j < code.len() {
-                match code.text(j) {
-                    "<" => depth += 1,
-                    ">" if !code.is_arrow_tail(j) => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        // Path (and optional `for Type`) up to the body or a `where`
-        // clause.
-        let mut angle = 0usize;
-        let mut names: Vec<String> = Vec::new();
-        let mut before_for: Option<Vec<String>> = None;
-        while j < code.len() {
-            let t = code.text(j);
-            match t {
-                "<" => angle += 1,
-                ">" if !code.is_arrow_tail(j) => angle = angle.saturating_sub(1),
-                "for" if angle == 0 => before_for = Some(std::mem::take(&mut names)),
-                "where" | "{" | ";" if angle == 0 => break,
-                _ => {
-                    if angle == 0 && code.kind(j) == Some(TokenKind::Ident) {
-                        names.push(t.to_string());
-                    }
-                }
-            }
-            j += 1;
-        }
-        // Skip a `where` clause (no braces can appear inside one).
-        while j < code.len() && code.text(j) != "{" && code.text(j) != ";" {
-            j += 1;
-        }
-        if code.text(j) != "{" {
-            ci = j + 1;
-            continue;
-        }
-        let open = j;
-        let mut brace = 0usize;
-        while j < code.len() {
-            match code.text(j) {
-                "{" => brace += 1,
-                "}" => {
-                    brace -= 1;
-                    if brace == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let close = j.min(code.len().saturating_sub(1));
-        let (trait_name, type_names) = match before_for {
-            Some(tn) => (tn.last().cloned(), names),
-            None => (None, names),
-        };
-        if let Some(type_name) = type_names.last() {
-            out.push(TraitImpl {
-                trait_name,
-                type_name: type_name.clone(),
-                body: (open, close),
-                anchor,
-            });
-        }
-        ci = close + 1;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::workspace::FileRole;
-
-    fn file(src: &str) -> SourceFile {
-        SourceFile::new(
-            "t.rs",
-            src.to_string(),
-            FileRole::Library,
-            "t",
-            false,
-            false,
-        )
-    }
-
-    #[test]
-    fn trait_impls_recovers_names_and_bodies() {
-        let src =
-            "impl<T: Ord, F: Fn(u64) -> u64> WireCodec for QDigest<T> { fn encode_body() {} }\n\
-                   impl QDigest<u64> { fn inherent() {} }\n\
-                   impl traits::MergeableSummary<u64> for RandomSketch { }";
-        let f = file(src);
-        let code = Code::new(&f);
-        let impls = trait_impls(&code);
-        assert_eq!(impls.len(), 3, "{impls:?}");
-        assert_eq!(impls[0].trait_name.as_deref(), Some("WireCodec"));
-        assert_eq!(impls[0].type_name, "QDigest");
-        assert_eq!(impls[1].trait_name, None);
-        assert_eq!(impls[1].type_name, "QDigest");
-        assert_eq!(impls[2].trait_name.as_deref(), Some("MergeableSummary"));
-        assert_eq!(impls[2].type_name, "RandomSketch");
-        // Body range covers the methods.
-        let (open, close) = impls[0].body;
-        let body_text: Vec<&str> = (open..=close).map(|ci| code.text(ci)).collect();
-        assert!(body_text.contains(&"encode_body"));
-    }
-
-    #[test]
-    fn impl_trait_in_return_position_is_not_a_trait_impl() {
-        let src = "fn f() -> impl Iterator<Item = u64> { std::iter::empty() }";
-        let f = file(src);
-        let code = Code::new(&f);
-        let impls = trait_impls(&code);
-        assert!(impls.iter().all(|i| i.trait_name.is_none()), "{impls:?}");
-    }
-
-    #[test]
-    fn arrow_tail_is_not_a_closing_angle() {
-        let f = file("let f: fn(u64) -> u64 = id; x < y");
-        let code = Code::new(&f);
-        let arrow = (0..code.len()).filter(|&ci| code.is_arrow_tail(ci)).count();
-        assert_eq!(arrow, 1);
     }
 }

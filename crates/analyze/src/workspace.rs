@@ -34,8 +34,7 @@ pub enum FileRole {
     /// Library or binary code (`src/**`) — full rule set.
     Library,
     /// Integration tests and benches (`tests/**`, `benches/**`) —
-    /// exempt from the panic/lock lints, still scanned by the
-    /// coverage passes.
+    /// exempt from the panic/lock lints, still scanned for `unsafe`.
     Test,
 }
 
@@ -101,12 +100,6 @@ impl AnalysisInput {
     #[must_use]
     pub fn from_files(files: Vec<SourceFile>) -> Self {
         Self { files }
-    }
-
-    /// Looks a file up by its workspace-relative path.
-    #[must_use]
-    pub fn file(&self, rel_path: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel_path == rel_path)
     }
 }
 
@@ -321,15 +314,12 @@ mod tests {
     #[test]
     fn load_workspace_roles_and_roots() {
         let input = load_workspace(&repo_root()).expect("workspace loads");
-        let engine = input
-            .file("crates/engine/src/lib.rs")
-            .expect("engine crate root present");
+        let file = |path: &str| input.files.iter().find(|f| f.rel_path == path);
+        let engine = file("crates/engine/src/lib.rs").expect("engine crate root present");
         assert!(engine.is_crate_root);
         assert_eq!(engine.role, FileRole::Library);
         assert_eq!(engine.crate_name, "sqs-engine");
-        let stress = input
-            .file("crates/engine/tests/stress.rs")
-            .expect("engine stress tests present");
+        let stress = file("crates/engine/tests/stress.rs").expect("engine stress tests present");
         assert_eq!(stress.role, FileRole::Test);
         // Fixture corpora are never part of the analyzed tree.
         assert!(input

@@ -11,11 +11,7 @@ use sqs_analyze::diag::{RULE_BAD_JUSTIFICATION, RULE_UNUSED_JUSTIFICATION};
 use sqs_analyze::passes::allow_audit::{
     AllowAudit, RULE_STALE_ALLOWLIST_ENTRY, RULE_UNJUSTIFIED_ALLOW, RULE_UNLISTED_MODULE_ALLOW,
 };
-use sqs_analyze::passes::codec_coverage::{CodecCoverage, RULE_KIND_UNTESTED, RULE_KIND_UNWIRED};
 use sqs_analyze::passes::forbid_unsafe::{ForbidUnsafe, RULE_MISSING_FORBID, RULE_UNSAFE_TOKEN};
-use sqs_analyze::passes::invariant_coverage::{
-    InvariantCoverage, RULE_UNAUDITABLE_MERGE, RULE_UNAUDITED_MERGE,
-};
 use sqs_analyze::passes::lock::{
     LockDiscipline, RULE_IO_UNDER_LOCK, RULE_NESTED_LOCK, RULE_SHARD_ORDER,
 };
@@ -32,18 +28,6 @@ fn lib_file(rel_path: &str, src: &str, is_crate_root: bool) -> SourceFile {
         "fx",
         false,
         is_crate_root,
-    )
-}
-
-/// Wraps one fixture source as a test-suite file.
-fn test_file(rel_path: &str, src: &str) -> SourceFile {
-    SourceFile::new(
-        rel_path,
-        src.to_string(),
-        FileRole::Test,
-        "fx",
-        false,
-        false,
     )
 }
 
@@ -177,75 +161,6 @@ fn justification_fixture_suppresses_and_reports() {
         "line 5's unwrap is suppressed; the unused and malformed \
          justifications are findings, and the malformed one suppresses \
          nothing"
-    );
-}
-
-#[test]
-fn codec_fixture_yields_the_golden_diagnostics() {
-    let pass = CodecCoverage {
-        codec_file: "fx/src/codec.rs".to_string(),
-        test_file: "fx/tests/codec_tests.rs".to_string(),
-    };
-    let files = vec![
-        lib_file("fx/src/codec.rs", include_str!("fixtures/codec.rs"), false),
-        test_file(
-            "fx/tests/codec_tests.rs",
-            include_str!("fixtures/codec_tests.rs"),
-        ),
-    ];
-    let got = findings(Box::new(pass), files);
-    let unwired: Vec<u32> = got
-        .iter()
-        .filter(|&&(r, _)| r == RULE_KIND_UNWIRED)
-        .map(|&(_, l)| l)
-        .collect();
-    let untested: Vec<u32> = got
-        .iter()
-        .filter(|&&(r, _)| r == RULE_KIND_UNTESTED)
-        .map(|&(_, l)| l)
-        .collect();
-    assert_eq!(got.len(), unwired.len() + untested.len(), "{got:?}");
-    assert_eq!(
-        unwired.len(),
-        2,
-        "Beta's missing decode arm and the unwired KIND_C: {got:?}"
-    );
-    assert_eq!(
-        untested,
-        vec![20],
-        "Beta (impl at line 20) is untested: {got:?}"
-    );
-}
-
-#[test]
-fn invariant_fixture_yields_the_golden_diagnostics() {
-    let pass = InvariantCoverage {
-        audit_test_file: "fx/tests/invariant_tests.rs".to_string(),
-    };
-    let files = vec![
-        lib_file(
-            "fx/src/invariants.rs",
-            include_str!("fixtures/invariants.rs"),
-            false,
-        ),
-        test_file(
-            "fx/tests/invariant_tests.rs",
-            include_str!("fixtures/invariant_tests.rs"),
-        ),
-    ];
-    let got = findings(Box::new(pass), files);
-    assert!(
-        got.iter()
-            .any(|&(r, l)| r == RULE_UNAUDITABLE_MERGE && l == 25),
-        "Naked (impl at line 25) lacks CheckInvariants: {got:?}"
-    );
-    assert!(
-        got.iter().any(|&(r, _)| r == RULE_UNAUDITED_MERGE),
-        "Quiet and/or Naked never appear in the audit suite: {got:?}"
-    );
-    assert!(
-        !got.iter().any(|&(_, l)| l == 5),
-        "Covered (impl at line 5) is fully covered: {got:?}"
     );
 }
 

@@ -21,10 +21,12 @@
 //!   corrupt or adversarial frame yields a [`CodecError`], never a
 //!   panic and never a structurally-invalid summary.
 //!
-//! Implementors: [`RandomSketch<u64>`](crate::random::RandomSketch),
+//! Implementors, one per [`Kind`]:
+//! [`RandomSketch<u64>`](crate::random::RandomSketch),
 //! [`QDigest`](crate::qdigest::QDigest) (the frame body is its
-//! pre-existing compact byte form), and
-//! [`ReservoirQuantiles<u64>`](crate::sampled::ReservoirQuantiles).
+//! pre-existing compact byte form),
+//! [`ReservoirQuantiles<u64>`](crate::sampled::ReservoirQuantiles), and
+//! the Dyadic Count-Sketch (`sqs_turnstile::TurnstileSummary<CountSketch>`).
 //! Randomized summaries serialize their PRNG state
 //! ([`Xoshiro256pp::state`](sqs_util::rng::Xoshiro256pp::state)), so a
 //! decoded summary continues the sender's random choices exactly —
@@ -45,21 +47,60 @@ pub const WIRE_MAGIC: [u8; 4] = *b"SQSC";
 /// other versions rather than guessing.
 pub const WIRE_VERSION: u8 = 2;
 
-/// Kind tag of [`RandomSketch<u64>`](crate::random::RandomSketch).
-pub const KIND_RANDOM: u8 = 1;
-/// Kind tag of [`QDigest`](crate::qdigest::QDigest).
-pub const KIND_QDIGEST: u8 = 2;
-/// Kind tag of
-/// [`ReservoirQuantiles<u64>`](crate::sampled::ReservoirQuantiles).
-pub const KIND_RESERVOIR: u8 = 3;
-/// Kind tag of the Dyadic Count-Sketch turnstile summary
-/// (`sqs_turnstile::TurnstileSummary<CountSketch>` — implemented in
-/// `sqs-turnstile` to keep this crate free of the sketch dependency).
-/// Tags 4 and 5 are retired and refused with [`CodecError::BadKind`]:
-/// 4 carried the two-hash-family row form (a pairwise `(a, b)` beside
-/// the 4-wise coefficients), 5 a sketch at every sketched level (before
-/// every other one became derived, level tag 3).
-pub const KIND_DCS: u8 = 6;
+/// The summary kind a frame carries: the byte after the version.
+///
+/// One variant per served summary family. `sqs-serve` matches on it to
+/// pick its backend and the conformance suite (`tests/conformance.rs`)
+/// to pick its table row, both exhaustively, so a new kind does not
+/// compile until it is served and tested. Bytes 4 and 5 are retired DCS
+/// layouts and decode to no kind ([`CodecError::BadKind`]): 4 carried
+/// the two-hash-family row form (a pairwise `(a, b)` beside the 4-wise
+/// coefficients), 5 a sketch at every sketched level (before every
+/// other one became derived, level tag 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Kind {
+    /// [`RandomSketch<u64>`](crate::random::RandomSketch).
+    Random = 1,
+    /// [`QDigest`](crate::qdigest::QDigest).
+    QDigest = 2,
+    /// [`ReservoirQuantiles<u64>`](crate::sampled::ReservoirQuantiles).
+    Reservoir = 3,
+    /// The Dyadic Count-Sketch turnstile summary
+    /// (`sqs_turnstile::TurnstileSummary<CountSketch>`, implemented in
+    /// `sqs-turnstile` to keep this crate free of the sketch
+    /// dependency).
+    Dcs = 6,
+}
+
+impl Kind {
+    /// Every kind, in byte order.
+    pub const ALL: [Kind; 4] = [Kind::Random, Kind::QDigest, Kind::Reservoir, Kind::Dcs];
+
+    /// The kind a frame's kind byte names, if any.
+    #[must_use]
+    pub fn from_byte(byte: u8) -> Option<Kind> {
+        Kind::ALL.into_iter().find(|&k| k as u8 == byte)
+    }
+
+    /// The lower-case name `sqs-serve --backend` takes.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Random => "random",
+            Kind::QDigest => "qdigest",
+            Kind::Reservoir => "reservoir",
+            Kind::Dcs => "dcs",
+        }
+    }
+}
+
+impl fmt::Display for Kind {
+    /// The name and the byte: `dcs (6)`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ({})", self.name(), *self as u8)
+    }
+}
 
 /// Fixed frame header length: magic(4) + version(1) + kind(1) +
 /// reserved(2) + body length(8).
@@ -270,9 +311,10 @@ pub enum CodecError {
     BadVersion(u8),
     /// The frame carries a different summary kind than requested.
     BadKind {
-        /// The kind tag the decoder was asked to produce.
-        expected: u8,
-        /// The kind tag found in the frame.
+        /// The kind the decoder was asked to produce.
+        expected: Kind,
+        /// The kind byte found in the frame: a raw byte, because 4, 5
+        /// and garbage are not kinds.
         got: u8,
     },
     /// The trailing checksum does not match the frame bytes.
@@ -400,12 +442,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Reads the summary-kind tag out of a frame without decoding it:
+/// Reads the summary-kind byte out of a frame without decoding it:
 /// validates the magic, version and trailing checksum, then returns
-/// the `KIND_*` byte. This is how kind-generic layers (the durable
-/// store, routing code) sanity-check a frame they cannot yet decode —
-/// the typed [`WireCodec::from_bytes`] still re-validates everything
-/// when the frame is finally consumed.
+/// the byte as it stands, a retired or unknown kind included, so that
+/// the typed decode is the one that refuses it. This is how
+/// kind-generic layers (the durable store, routing code) sanity-check a
+/// frame they cannot yet decode — the typed [`WireCodec::from_bytes`]
+/// still re-validates everything when the frame is finally consumed.
 ///
 /// # Errors
 /// The same structural errors `from_bytes` would report: truncation,
@@ -439,11 +482,18 @@ pub fn put_u64_slice(out: &mut Vec<u8>, xs: &[u64]) {
 /// several summaries flush internal buffers so that equal summaries
 /// serialize equally.
 pub trait WireCodec: CheckInvariants + Sized {
-    /// This summary's kind tag in the frame header (one of the
-    /// `KIND_*` constants).
-    const WIRE_KIND: u8;
+    /// This summary's kind in the frame header.
+    const KIND: Kind;
 
     /// Appends the summary's body bytes (everything inside the frame).
+    ///
+    /// An encode may flush, and a flush is part of the state: a
+    /// q-digest's encode COMPRESSes its buffered inserts, so a digest
+    /// that was checkpointed or snapshotted and then continued can hold
+    /// other nodes, and answer differently, than one that never was.
+    /// Both stay within ε. What does hold for every kind is that the
+    /// decoded copy continues exactly as the encoded original does
+    /// (check 2 of `tests/conformance.rs`).
     fn encode_body(&mut self, out: &mut Vec<u8>);
 
     /// Parses a body produced by
@@ -459,7 +509,7 @@ pub trait WireCodec: CheckInvariants + Sized {
         let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 64);
         out.extend_from_slice(&WIRE_MAGIC);
         out.push(WIRE_VERSION);
-        out.push(Self::WIRE_KIND);
+        out.push(Self::KIND as u8);
         out.extend_from_slice(&[0u8; 2]); // reserved
         out.extend_from_slice(&0u64.to_le_bytes()); // body length placeholder
         self.encode_body(&mut out);
@@ -485,9 +535,9 @@ pub trait WireCodec: CheckInvariants + Sized {
             return Err(CodecError::BadVersion(version));
         }
         let kind = r.u8()?;
-        if kind != Self::WIRE_KIND {
+        if Kind::from_byte(kind) != Some(Self::KIND) {
             return Err(CodecError::BadKind {
-                expected: Self::WIRE_KIND,
+                expected: Self::KIND,
                 got: kind,
             });
         }
@@ -716,6 +766,26 @@ mod tests {
         let reply = pattern(28);
         let cost = best_ns(&reply, checksum) / best_ns(&reply, fnv1a64);
         assert!(cost <= 1.5, "28 bytes: {cost:.2}x the reference's time");
+    }
+
+    /// Every byte maps to at most one kind and back; exactly 1, 2, 3
+    /// and 6 are kinds, so 4, 5 and garbage are refused.
+    #[test]
+    fn every_byte_maps_through_from_byte_and_back() {
+        assert!((0..=u8::MAX).all(|b| Kind::from_byte(b).is_none_or(|k| k as u8 == b)));
+        let kinds: Vec<u8> = (0..=u8::MAX)
+            .filter_map(Kind::from_byte)
+            .map(|k| k as u8)
+            .collect();
+        assert_eq!(kinds, [1, 2, 3, 6]);
+        let err = CodecError::BadKind {
+            expected: Kind::Dcs,
+            got: 5,
+        };
+        assert_eq!(
+            err.to_string(),
+            "summary kind mismatch: expected dcs (6), got 5"
+        );
     }
 
     #[test]

@@ -323,7 +323,6 @@ impl<T: Ord + Copy> RandomSketch<T> {
     }
 }
 
-// analyze:allow(SQS-I01): `RandomSketch` is `Sampled<T, false>`, whose `CheckInvariants` impl is below
 impl<T: Ord + Copy> crate::MergeableSummary<T> for RandomSketch<T> {
     fn merge_from(&mut self, other: Self) {
         RandomSketch::merge_from(self, other);
@@ -339,7 +338,7 @@ impl<T: Ord + Copy> crate::MergeableSummary<T> for RandomSketch<T> {
 }
 
 impl crate::codec::WireCodec for RandomSketch<u64> {
-    const WIRE_KIND: u8 = crate::codec::KIND_RANDOM;
+    const KIND: crate::codec::Kind = crate::codec::Kind::Random;
 
     /// Body layout (little-endian): ε bits `u64`, `h u32`, `s u64`,
     /// `n u64`, fill index `u64` (`u64::MAX` = none), the sampler
@@ -698,89 +697,6 @@ mod tests {
     fn empty_returns_none() {
         let mut s = RandomSketch::<u64>::new(0.1, 11);
         assert_eq!(s.quantile(0.5), None);
-    }
-
-    #[test]
-    fn merge_combines_two_streams() {
-        let eps = 0.05;
-        let mut rng = sqs_util::rng::Xoshiro256pp::new(21);
-        let a_data: Vec<u64> = (0..80_000).map(|_| rng.next_below(1 << 20)).collect();
-        let b_data: Vec<u64> = (0..80_000)
-            .map(|_| (1 << 19) + rng.next_below(1 << 20))
-            .collect();
-        let mut a = RandomSketch::new(eps, 1);
-        let mut b = RandomSketch::new(eps, 2);
-        for &x in &a_data {
-            a.insert(x);
-        }
-        for &x in &b_data {
-            b.insert(x);
-        }
-        a.merge(&mut b);
-        assert_eq!(a.n(), 160_000);
-        let mut all = a_data;
-        all.extend(b_data);
-        let oracle = ExactQuantiles::new(all);
-        for phi in [0.1, 0.5, 0.9] {
-            let q = a.quantile(phi).unwrap();
-            let err = oracle.quantile_error(phi, q);
-            // Mergeable-summary constant: allow 2ε.
-            assert!(err <= 2.0 * eps, "phi={phi}: err {err}");
-        }
-    }
-
-    #[test]
-    fn merge_tree_of_many_shards() {
-        let eps = 0.05;
-        let mut shards: Vec<RandomSketch<u64>> = Vec::new();
-        let mut all = Vec::new();
-        for i in 0..8u64 {
-            let mut rng = sqs_util::rng::Xoshiro256pp::new(100 + i);
-            let data: Vec<u64> = (0..20_000).map(|_| rng.next_below(1 << 16)).collect();
-            let mut s = RandomSketch::new(eps, i);
-            for &x in &data {
-                s.insert(x);
-            }
-            all.extend(data);
-            shards.push(s);
-        }
-        while shards.len() > 1 {
-            let mut next = Vec::new();
-            let mut it = shards.into_iter();
-            while let (Some(mut a), Some(mut b)) = (it.next(), it.next()) {
-                a.merge(&mut b);
-                next.push(a);
-            }
-            shards = next;
-        }
-        let mut root = shards.pop().unwrap();
-        assert_eq!(root.n(), 160_000);
-        let oracle = ExactQuantiles::new(all);
-        for phi in [0.25, 0.5, 0.75] {
-            let err = oracle.quantile_error(phi, root.quantile(phi).unwrap());
-            assert!(err <= 2.5 * eps, "phi={phi}: err {err}");
-        }
-    }
-
-    #[test]
-    fn merge_with_empty_keeps_answers_valid() {
-        let mut a = RandomSketch::new(0.1, 5);
-        for x in 0..10_000u64 {
-            a.insert(x);
-        }
-        let mut empty = RandomSketch::new(0.1, 6);
-        a.merge(&mut empty);
-        assert_eq!(a.n(), 10_000);
-        let q = a.quantile(0.5).unwrap();
-        assert!((4_000..6_000).contains(&q), "median {q}");
-    }
-
-    #[test]
-    #[should_panic(expected = "eps mismatch")]
-    fn merge_rejects_mismatched_eps() {
-        let mut a = RandomSketch::<u64>::new(0.1, 1);
-        let mut b = RandomSketch::<u64>::new(0.2, 2);
-        a.merge(&mut b);
     }
 
     fn frame(s: &mut RandomSketch<u64>) -> Vec<u8> {

@@ -1,5 +1,6 @@
 //! The common interface of every cash-register quantile summary.
 
+use sqs_util::audit::CheckInvariants;
 use sqs_util::SpaceUsage;
 
 /// A one-pass (cash-register) quantile summary.
@@ -141,9 +142,14 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
 /// sampled fallback for the GK family, whose tuple summaries are not
 /// mergeable without weakening ε.
 ///
+/// Anything that can be merged can be corrupted by a merge, so a
+/// mergeable summary must be auditable: [`CheckInvariants`] is a
+/// supertrait, and the engine, the window ring and the server audit
+/// what they merge and decode without asking for it separately.
+///
 /// [`merge_from`]: MergeableSummary::merge_from
 /// [`merge`]: crate::qdigest::QDigest::merge
-pub trait MergeableSummary<T: Ord + Copy>: QuantileSummary<T> + Sized {
+pub trait MergeableSummary<T: Ord + Copy>: QuantileSummary<T> + CheckInvariants + Sized {
     /// Merges `other` into `self`, consuming it.
     ///
     /// Both summaries must have been built with the same accuracy

@@ -126,7 +126,7 @@ pub struct ShardedEngine<T, S> {
 impl<T, S> ShardedEngine<T, S>
 where
     T: Ord + Copy,
-    S: MergeableSummary<T> + CheckInvariants + Clone,
+    S: MergeableSummary<T> + Clone,
 {
     /// Builds an engine with `shard_count` shards, constructing each
     /// shard's summary via `make(shard_index)` — the closure is where
@@ -373,7 +373,7 @@ pub fn merge_tree<T: Ord + Copy, S: MergeableSummary<T>>(mut layer: Vec<S>) -> (
 impl<T, S> CheckInvariants for ShardedEngine<T, S>
 where
     T: Ord + Copy,
-    S: MergeableSummary<T> + CheckInvariants + Clone,
+    S: MergeableSummary<T> + Clone,
 {
     /// Engine-level invariants on top of each shard's own:
     ///
@@ -457,7 +457,7 @@ mod tests {
     /// Ingests `rows` as one batch (one fold on the next shard).
     fn ingest<S>(e: &ShardedEngine<u64, S>, rows: std::ops::Range<u64>)
     where
-        S: MergeableSummary<u64> + CheckInvariants + Clone,
+        S: MergeableSummary<u64> + Clone,
     {
         e.ingest_batch(&rows.collect::<Vec<_>>());
     }

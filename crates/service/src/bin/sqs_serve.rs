@@ -51,6 +51,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use sqs_core::codec::Kind;
 use sqs_core::qdigest::QDigest;
 use sqs_core::random::RandomSketch;
 use sqs_core::sampled::ReservoirQuantiles;
@@ -60,17 +61,9 @@ use sqs_turnstile::TurnstileSummary;
 use sqs_util::rng::SplitMix64;
 use sqs_window::{LatePolicy, WindowConfig};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Random,
-    QDigest,
-    Reservoir,
-    Dcs,
-}
-
 struct Args {
     cfg: ServerConfig,
-    backend: Backend,
+    backend: Kind,
     eps: f64,
     log_u: u32,
     seed: u64,
@@ -90,7 +83,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             addr: "127.0.0.1:7171".to_owned(),
             ..ServerConfig::default()
         },
-        backend: Backend::Random,
+        backend: Kind::Random,
         eps: 0.01,
         log_u: 32,
         seed: 42,
@@ -106,13 +99,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.cfg.addr = value(&mut it, flag)?.clone(),
             "--backend" => {
-                args.backend = match value(&mut it, flag)?.as_str() {
-                    "random" => Backend::Random,
-                    "qdigest" => Backend::QDigest,
-                    "reservoir" => Backend::Reservoir,
-                    "dcs" => Backend::Dcs,
-                    other => return Err(format!("unknown backend {other:?}")),
-                }
+                let name = value(&mut it, flag)?;
+                args.backend = Kind::ALL
+                    .into_iter()
+                    .find(|k| k.name() == name)
+                    .ok_or_else(|| format!("unknown backend {name:?}"))?;
             }
             "--eps" => {
                 args.eps = value(&mut it, flag)?
@@ -295,23 +286,25 @@ fn main() -> ExitCode {
         log_u,
         seed,
     } = args;
+    // Exhaustive over `Kind`: a wire kind this binary does not serve
+    // does not compile.
     let spawned = match backend {
-        Backend::Random => spawn(cfg, move |tenant, shard| {
+        Kind::Random => spawn(cfg, move |tenant, shard| {
             RandomSketch::new(eps, derive_seed(seed, tenant, shard))
         })
         .map(|h| run(h.addr(), h)),
-        Backend::QDigest => {
+        Kind::QDigest => {
             // q-digest summarises the bounded universe [0, 2^log_u);
             // the server gates inserts so out-of-range values get an
             // error reply instead of panicking a worker.
             cfg.value_bound = Some(1u64 << log_u);
             spawn(cfg, move |_tenant, _shard| QDigest::new(eps, log_u)).map(|h| run(h.addr(), h))
         }
-        Backend::Reservoir => spawn(cfg, move |tenant, shard| {
+        Kind::Reservoir => spawn(cfg, move |tenant, shard| {
             ReservoirQuantiles::new(eps, derive_seed(seed, tenant, shard))
         })
         .map(|h| run(h.addr(), h)),
-        Backend::Dcs => {
+        Kind::Dcs => {
             // Fixed-universe like qdigest: gate out-of-range inserts.
             cfg.value_bound = Some(1u64 << log_u);
             // One seed per *tenant*, shared by all of its shards: the

@@ -209,8 +209,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<TenantCheckpoint> {
     }
     let frame = r.bytes(frame_len).ok()?.to_vec();
     // Cheap structural sanity on the inner frame before handing it to
-    // the service's typed decode: it must at least carry the codec
-    // magic and a kind tag.
+    // the service's typed decode: codec magic, version and checksum.
+    // Not the kind byte: a retired kind must reach the typed decode and
+    // stop recovery, not be skipped for an older checkpoint.
     sqs_core::codec::frame_kind(&frame).ok()?;
     Some(TenantCheckpoint {
         tenant,

@@ -14,9 +14,11 @@
 //!    count passes a power of two, gated behind
 //!    `#[cfg(any(test, feature = "audit"))]` so release benchmarks are
 //!    untouched (see [`audit_point`]).
-//! 2. **The audit driver** (`tests/invariant_audit.rs`) — streams
-//!    seeded Sorted/Random/Zipf/adversarial inputs through every
-//!    summary and checks invariants at a schedule of checkpoints.
+//! 2. **The audit drivers** — `tests/conformance.rs` streams seeded
+//!    sorted / random / skewed / adversarial inputs through every
+//!    summary and checks invariants at a schedule of checkpoints;
+//!    `tests/invariant_audit.rs` does the same for the sharded engine
+//!    and the turnstile structures under churn.
 //! 3. **Corruption tests** — each crate deliberately corrupts a
 //!    summary and asserts the auditor names the violated invariant.
 

@@ -927,7 +927,7 @@ impl<S> fmt::Debug for WindowedEngine<S> {
 
 impl<S> WindowedEngine<S>
 where
-    S: MergeableSummary<u64> + CheckInvariants + Clone + Send + 'static,
+    S: MergeableSummary<u64> + Clone + Send + 'static,
 {
     /// Wraps an existing engine with a window ring. `make` builds each
     /// bucket's empty partial summary (see [`WindowRing::new`]).

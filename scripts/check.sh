@@ -15,17 +15,24 @@ cargo xtask check
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
-# `xtask check` above ended with `cargo xtask analyze` on this tree;
-# the fixture suite proves every pass still recognizes its violations
-# (golden diagnostics + clean-tree self-test).
-echo "== analyzer fixture tests (cargo test -p sqs-analyze) =="
-cargo test -q -p sqs-analyze
-
 # The root package's suite, tests/service_smoke.rs included (real TCP
 # server on loopback, concurrent clients, cross-server snapshot merge,
-# hostile frames).
+# hostile frames) and tests/conformance.rs (the served-summary
+# contract).
 echo "== cargo test -q =="
 cargo test -q
+
+# Every member's own tests in debug: the analyzer's fixtures (every pass
+# still recognizes its violations) and clean-tree self-test, sqs-core's
+# and the turnstile's suites, the durable store (WAL + checkpoints), the
+# crash-recovery smoke (the real sqs-serve binary SIGKILLed mid-ingest
+# and restarted on the same data directory; every acknowledged batch
+# must come back rank-consistent with an exact oracle, docs/STORE.md),
+# the window ring and the socket-level window stress test against an
+# exact per-window oracle on a ManualClock schedule (docs/WINDOW.md).
+# The engine has its own single-threaded step below.
+echo "== workspace tests (cargo test --workspace --exclude sqs-engine) =="
+cargo test -q --workspace --exclude sqs-engine
 
 # The same suite with the hot-path audits compiled into the library
 # crates (they are cfg(test) only inside each crate's own unit tests):
@@ -68,8 +75,8 @@ cargo test -q --release -p sqs-core --lib mrl99_insert_stays_within_1_6x_of_rand
 cargo test -q --release -p sqs-core --lib gk_sweep_is_one_walk
 
 # The post-order COMPRESS against the hash-map walk it replaced, node for
-# node (the root suite above does not run sqs-core's unit tests; ~2 s
-# optimized, ~30 s unoptimized).
+# node (~2 s optimized; the workspace step above also ran it
+# unoptimized, ~30 s).
 echo "== q-digest COMPRESS oracle (cargo test --release -p sqs-core compress_matches) =="
 cargo test -q --release -p sqs-core --lib compress_matches_the_hash_map_oracle
 
@@ -110,26 +117,6 @@ cargo test -q --release -p sqs-window --test query_floor
 # where clippy's --lib/--bins gate can't see (integration tests).
 echo "== engine stress (cargo test -p sqs-engine, single-threaded runner) =="
 RUSTFLAGS="${RUSTFLAGS:--D warnings}" cargo test -q -p sqs-engine -- --test-threads=1
-
-# Durable store: WAL/checkpoint unit suite, then the crash-recovery
-# smoke test — the real sqs-serve binary is SIGKILLed mid-ingest and
-# restarted on the same data directory; every acknowledged batch must
-# come back rank-consistent with an exact oracle (docs/STORE.md).
-echo "== durable store tests (cargo test -p sqs-store) =="
-cargo test -q -p sqs-store
-
-echo "== crash-recovery smoke (cargo test -p sqs-service --test store_recovery) =="
-cargo test -q -p sqs-service --test store_recovery
-
-# Windowed quantiles: the ring/rollup unit + boundary suites, then the
-# socket-level stress test that checks every sliding/tumbling answer
-# against an exact per-window oracle on a ManualClock schedule
-# (docs/WINDOW.md).
-echo "== window unit + boundary tests (cargo test -p sqs-window) =="
-cargo test -q -p sqs-window
-
-echo "== window stress vs exact oracle (cargo test -p sqs-service --test window_stress) =="
-cargo test -q -p sqs-service --test window_stress
 
 # The benchmark (benchmark/README.md, BENCHMARK.json) is a package of
 # its own that the workspace commands above never build: run its unit

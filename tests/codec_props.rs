@@ -1,224 +1,82 @@
-//! Property tests for the wire codec (`sqs_core::codec`): every
-//! summary that travels over the service's `SNAPSHOT` /
-//! `MERGE_SNAPSHOT` ops must
+//! The wire codec (`sqs_core::codec`) beyond the per-kind contract:
+//! the window frames' every-byte sweep, version refusal across every
+//! frame family, retired kind bytes, and regressions on hand-built
+//! frames.
 //!
-//! * round-trip **rank-identically** — the decoded summary answers
-//!   every probe quantile exactly like the original, and keeps doing
-//!   so after both sides ingest the same suffix (RNG state travels
-//!   with the frame);
-//! * reject every truncated prefix and every single-bit flip with an
-//!   `Err` — never a panic, never a silently-wrong summary.
+//! The per-kind codec contract (a decoded copy continues as the encoded
+//! original; every truncation, bit flip, trailing byte and foreign kind
+//! byte is refused) is checks 2 and 3 of `tests/contract/mod.rs`, which
+//! `tests/conformance.rs` runs on every served kind. The first tests
+//! here call them one kind at a time under their earlier names.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+mod contract;
+
 use streaming_quantiles::prelude::*;
 use streaming_quantiles::sqs_core::codec::WireCodec;
 use streaming_quantiles::sqs_sketch::CountSketch;
-use streaming_quantiles::sqs_util::exact::probe_phis;
 
-/// Ranks agree at every probe φ (and at a fixed grid for good measure).
-fn rank_identical<S: MergeableSummary<u64>>(a: &mut S, b: &mut S, eps: f64) {
-    assert_eq!(a.n(), b.n(), "decoded summary lost mass");
-    for phi in probe_phis(eps) {
-        assert_eq!(
-            a.quantile(phi),
-            b.quantile(phi),
-            "decoded summary diverges at phi={phi}"
-        );
-    }
-    for x in [0u64, 1, 1 << 10, 1 << 20, u64::from(u32::MAX)] {
-        assert_eq!(
-            a.rank_estimate(x),
-            b.rank_estimate(x),
-            "decoded summary diverges at rank({x})"
-        );
-    }
-}
-
-/// Round-trips `s`, checks rank-identity, then feeds `suffix` to both
-/// copies and checks again — decoded randomized summaries must resume
-/// the *same* random stream.
-fn roundtrip_then_extend<S>(mut s: S, suffix: &[u64], eps: f64)
-where
-    S: MergeableSummary<u64> + WireCodec + Clone,
-{
-    let frame = s.to_bytes();
-    let mut decoded = S::from_bytes(&frame).expect("self-produced frame decodes");
-    rank_identical(&mut s, &mut decoded, eps);
-    for &x in suffix {
-        s.insert(x);
-        decoded.insert(x);
-    }
-    rank_identical(&mut s, &mut decoded, eps);
-}
-
-/// Every strict prefix must fail to decode (never panic); every
-/// single-bit flip must fail the checksum or a structural check.
-fn corruption_rejected<S>(mut s: S)
-where
-    S: MergeableSummary<u64> + WireCodec,
-{
-    let frame = s.to_bytes();
-    for cut in 0..frame.len() {
-        let truncated = frame.get(..cut).unwrap_or_default();
-        assert!(
-            S::from_bytes(truncated).is_err(),
-            "truncation at {cut}/{} accepted",
-            frame.len()
-        );
-    }
-    // Flip one bit in a spread of positions (every byte would be slow
-    // on big frames; stride keeps it a few hundred flips).
-    let stride = (frame.len() / 97).max(1);
-    for pos in (0..frame.len()).step_by(stride) {
-        for bit in [0u8, 3, 7] {
-            let mut evil = frame.clone();
-            if let Some(b) = evil.get_mut(pos) {
-                *b ^= 1 << bit;
-            }
-            assert!(
-                S::from_bytes(&evil).is_err(),
-                "bit flip at byte {pos} bit {bit} accepted"
-            );
-        }
-    }
-}
-
-fn filled_random(eps: f64, seed: u64, data: &[u64]) -> RandomSketch<u64> {
-    let mut s = RandomSketch::new(eps, seed);
-    for &x in data {
-        s.insert(x);
-    }
-    s
-}
-
-fn filled_qdigest(eps: f64, data: &[u64]) -> QDigest {
-    let mut s = QDigest::new(eps, 20);
-    for &x in data {
-        s.insert(x % (1 << 20));
-    }
-    s
-}
-
-fn filled_reservoir(eps: f64, seed: u64, data: &[u64]) -> ReservoirQuantiles<u64> {
-    let mut s = ReservoirQuantiles::new(eps, seed);
-    for &x in data {
-        s.insert(x);
-    }
-    s
-}
-
-/// A DCS turnstile summary over a small universe: `eps = 0.2`,
-/// `log_u = 12` keeps the dense per-level counters to a few KB so the
-/// exhaustive truncation loop stays cheap.
-fn filled_dcs(seed: u64, data: &[u64]) -> TurnstileSummary<CountSketch> {
-    let mut s = TurnstileSummary::dcs(0.2, 12, seed);
-    for &x in data {
-        s.insert(x & ((1 << 12) - 1));
-    }
-    s
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn random_sketch_roundtrips_rank_identical(
-        data in vec(0u64..(1 << 24), 1..8_000),
-        suffix in vec(0u64..(1 << 24), 0..2_000),
-        seed in 0u64..1_000,
-    ) {
-        roundtrip_then_extend(filled_random(0.05, seed, &data), &suffix, 0.05);
-    }
-
-    #[test]
-    fn qdigest_roundtrips_rank_identical(
-        data in vec(0u64..(1 << 20), 1..8_000),
-        suffix in vec(0u64..(1 << 20), 0..2_000),
-    ) {
-        roundtrip_then_extend(filled_qdigest(0.05, &data), &suffix, 0.05);
-    }
-
-    #[test]
-    fn reservoir_roundtrips_rank_identical(
-        data in vec(0u64..(1 << 24), 1..8_000),
-        suffix in vec(0u64..(1 << 24), 0..2_000),
-        seed in 0u64..1_000,
-    ) {
-        roundtrip_then_extend(filled_reservoir(0.05, seed, &data), &suffix, 0.05);
-    }
-
-    #[test]
-    fn turnstile_dcs_roundtrips_rank_identical(
-        data in vec(0u64..(1 << 12), 1..2_000),
-        suffix in vec(0u64..(1 << 12), 0..500),
-        seed in 0u64..1_000,
-    ) {
-        roundtrip_then_extend(filled_dcs(seed, &data), &suffix, 0.2);
-    }
-
-    #[test]
-    fn random_sketch_rejects_corruption(data in vec(0u64..(1 << 24), 1..4_000)) {
-        corruption_rejected(filled_random(0.05, 7, &data));
-    }
-
-    #[test]
-    fn qdigest_rejects_corruption(data in vec(0u64..(1 << 20), 1..4_000)) {
-        corruption_rejected(filled_qdigest(0.05, &data));
-    }
-
-    #[test]
-    fn reservoir_rejects_corruption(data in vec(0u64..(1 << 24), 1..4_000)) {
-        corruption_rejected(filled_reservoir(0.05, 7, &data));
-    }
-
-    #[test]
-    fn turnstile_dcs_rejects_corruption(data in vec(0u64..(1 << 12), 1..1_000)) {
-        corruption_rejected(filled_dcs(7, &data));
-    }
-}
-
-/// Deterministic exhaustive sweep, complementing the strided proptest
-/// above: truncate one small frame at *every* byte and flip *every*
-/// bit of every byte. This is the same corruption model the WAL's
-/// torn-tail repair assumes (`sqs-store`), so the codec must hold the
-/// line at byte granularity, not just at sampled offsets.
-fn exhaustive_corruption_sweep<S>(mut s: S, label: &str)
-where
-    S: MergeableSummary<u64> + WireCodec,
-{
-    let frame = s.to_bytes();
-    for cut in 0..frame.len() {
-        let truncated = frame.get(..cut).unwrap_or_default();
-        assert!(
-            S::from_bytes(truncated).is_err(),
-            "{label}: truncation at {cut}/{} accepted",
-            frame.len()
-        );
-    }
-    for pos in 0..frame.len() {
-        for bit in 0..8u8 {
-            let mut evil = frame.clone();
-            if let Some(b) = evil.get_mut(pos) {
-                *b ^= 1 << bit;
-            }
-            assert!(
-                S::from_bytes(&evil).is_err(),
-                "{label}: bit flip at byte {pos} bit {bit} accepted"
-            );
-        }
-    }
+#[test]
+fn random_sketch_roundtrips_rank_identical() {
+    contract::decode_continues(&contract::random());
 }
 
 #[test]
+fn qdigest_roundtrips_rank_identical() {
+    contract::decode_continues(&contract::qdigest());
+}
+
+#[test]
+fn reservoir_roundtrips_rank_identical() {
+    contract::decode_continues(&contract::reservoir());
+}
+
+#[test]
+fn turnstile_dcs_roundtrips_rank_identical() {
+    contract::decode_continues(&contract::dcs());
+}
+
+#[test]
+fn random_sketch_rejects_corruption() {
+    contract::corruption_refused(&contract::random());
+}
+
+#[test]
+fn qdigest_rejects_corruption() {
+    contract::corruption_refused(&contract::qdigest());
+}
+
+#[test]
+fn reservoir_rejects_corruption() {
+    contract::corruption_refused(&contract::reservoir());
+}
+
+#[test]
+fn turnstile_dcs_rejects_corruption() {
+    contract::corruption_refused(&contract::dcs());
+}
+
+/// Check 3 sweeps every byte of a small frame of each kind.
+#[test]
 fn every_truncation_and_bit_flip_rejected_across_backends() {
-    // ~64 items keep every frame to a few hundred bytes (a few KB for
-    // DCS), so the full 8×len flip matrix is still fast.
-    let data: Vec<u64> = (0..64u64).map(|i| (i * 37) % (1 << 12)).collect();
-    exhaustive_corruption_sweep(filled_random(0.2, 3, &data), "random");
-    exhaustive_corruption_sweep(filled_qdigest(0.2, &data), "qdigest");
-    exhaustive_corruption_sweep(filled_reservoir(0.2, 3, &data), "reservoir");
-    exhaustive_corruption_sweep(filled_dcs(3, &data), "dcs");
+    contract::corruption_refused(&contract::random());
+    contract::corruption_refused(&contract::qdigest());
+    contract::corruption_refused(&contract::reservoir());
+    contract::corruption_refused(&contract::dcs());
+}
+
+/// Check 2 encodes every stream at n = 0 too.
+#[test]
+fn empty_summaries_roundtrip() {
+    contract::decode_continues(&contract::random());
+    contract::decode_continues(&contract::qdigest());
+    contract::decode_continues(&contract::reservoir());
+    contract::decode_continues(&contract::dcs());
+}
+
+/// Check 3 re-tags a frame with every other byte.
+#[test]
+fn wrong_kind_is_rejected_not_misparsed() {
+    contract::corruption_refused(&contract::qdigest());
 }
 
 /// The same every-byte sweep for the `WINDOW_*` ops, at the level their
@@ -447,55 +305,31 @@ fn previous_version_is_refused_by_every_frame_family() {
     }
 }
 
-#[test]
-fn empty_summaries_roundtrip() {
-    roundtrip_then_extend(RandomSketch::<u64>::new(0.05, 1), &[1, 2, 3], 0.05);
-    roundtrip_then_extend(QDigest::new(0.05, 16), &[1, 2, 3], 0.05);
-    roundtrip_then_extend(ReservoirQuantiles::<u64>::new(0.05, 1), &[1, 2, 3], 0.05);
-    roundtrip_then_extend(TurnstileSummary::dcs(0.2, 12, 1), &[1, 2, 3], 0.2);
-}
-
-#[test]
-fn wrong_kind_is_rejected_not_misparsed() {
-    let mut q = QDigest::new(0.05, 16);
-    q.insert(5);
-    // Qualified call: QDigest also has an inherent (unframed) to_bytes.
-    let frame = WireCodec::to_bytes(&mut q);
-    assert!(
-        RandomSketch::<u64>::from_bytes(&frame).is_err(),
-        "q-digest frame must not decode as a Random sketch"
-    );
-    assert!(
-        ReservoirQuantiles::<u64>::from_bytes(&frame).is_err(),
-        "q-digest frame must not decode as a reservoir"
-    );
-}
-
 /// Kind 4 was the DCS body with two hash families per row (48 bytes a
 /// row), kind 5 the body with a sketch at every sketched level; the
-/// every-other-level body (level tag 3 for a derived level) is kind 6,
-/// and a frame still tagged 4 or 5 is refused by kind before its body
-/// is looked at.
+/// every-other-level body (level tag 3 for a derived level) is kind 6.
+/// Bytes 4 and 5 name no [`Kind`], so a frame still tagged with one is
+/// refused by kind before its body is looked at.
 #[test]
 fn retired_dcs_kinds_4_and_5_are_refused_and_kind_6_roundtrips() {
-    use streaming_quantiles::sqs_core::codec::{seal, CodecError, KIND_DCS};
-    let mut s = filled_dcs(3, &[5, 9, 9, 4000]);
+    use streaming_quantiles::sqs_core::codec::{seal, CodecError, Kind};
+    let mut s = TurnstileSummary::dcs(0.2, 12, 3);
+    [5, 9, 9, 4000].into_iter().for_each(|x| s.insert(x));
     let frame = s.to_bytes();
-    assert_eq!((KIND_DCS, frame.get(5)), (6, Some(&6)));
+    assert_eq!((Kind::Dcs as u8, frame.get(5)), (6, Some(&6)));
     let mut back = TurnstileSummary::<CountSketch>::from_bytes(&frame).expect("kind 6 decodes");
     assert_eq!(back.to_bytes(), frame);
 
     for retired in [4u8, 5] {
+        assert_eq!(Kind::from_byte(retired), None);
         let mut old = frame.clone();
         old.truncate(old.len() - 8);
-        if let Some(kind) = old.get_mut(5) {
-            *kind = retired;
-        }
+        old[5] = retired;
         seal(&mut old);
         assert_eq!(
             TurnstileSummary::<CountSketch>::from_bytes(&old).err(),
             Some(CodecError::BadKind {
-                expected: 6,
+                expected: Kind::Dcs,
                 got: retired
             })
         );

@@ -1,15 +1,19 @@
-//! Deterministic audit driver: streams seeded sorted / random / skewed
-//! / adversarial inputs through every summary and verifies the full
-//! structural-invariant set ([`CheckInvariants`]) at fixed checkpoints.
+//! Deterministic audit drivers: seeded sorted / random / skewed /
+//! adversarial inputs through the sharded engine and the turnstile
+//! structures, verifying the full structural-invariant set
+//! ([`CheckInvariants`]) at prime-strided checkpoints, so "odd"
+//! mid-stream states (half-filled buffers, pre-compress tuple lists)
+//! are covered as well as the power-of-two ones the hot paths audit.
 //!
-//! The hot paths already self-audit at powers of two under `cfg(test)`
-//! and the `audit` feature; this driver additionally checks at
-//! prime-strided checkpoints so "odd" mid-stream states (half-filled
-//! buffers, pre-compress tuple lists) are covered too, and it does so
-//! through the public API only.
+//! The same audit on each summary by itself is check 6 of
+//! `tests/contract/mod.rs` (run by `tests/conformance.rs`); the first
+//! tests here call it family by family under their earlier names.
 
+mod contract;
+
+use contract::streams;
 use streaming_quantiles::prelude::*;
-use streaming_quantiles::sqs_data::synthetic::{Normal, Order, Uniform};
+use streaming_quantiles::sqs_data::synthetic::Uniform;
 use streaming_quantiles::sqs_data::turnstile::Op;
 use streaming_quantiles::sqs_turnstile::{new_dgm, ExactTurnstile};
 
@@ -19,96 +23,29 @@ const EPS: f64 = 0.05;
 /// hot-path audit schedule.
 const CHECK_EVERY: usize = 1_871;
 
-/// The input matrix: every value distribution and arrival order the
-/// invariants must survive.
-fn streams() -> Vec<(&'static str, Vec<u64>)> {
-    let mut sorted: Vec<u64> = Uniform::new(20, 11).take(N).collect();
-    Order::Sorted.apply(&mut sorted, 0);
-    let mut reversed = sorted.clone();
-    Order::Reversed.apply(&mut reversed, 0);
-    let mut runs: Vec<u64> = Uniform::new(20, 12).take(N).collect();
-    Order::SortedRuns { min: 50, max: 500 }.apply(&mut runs, 13);
-    vec![
-        ("random", Uniform::new(20, 10).take(N).collect()),
-        ("sorted", sorted),
-        ("reversed", reversed),
-        ("sorted_runs", runs),
-        // Heavy concentration — the skew knob of §4.2.4.
-        ("skewed", Normal::new(20, 0.01, 14).take(N).collect()),
-        // Few distinct values: exercises duplicate-heavy tuple merging.
-        ("duplicates", (0..N as u64).map(|i| i % 37).collect()),
-        // Alternating extremes: new min, new max, new min, ...
-        (
-            "extremes",
-            (0..N as u64)
-                .map(|i| if i % 2 == 0 { i } else { u64::MAX >> 44 })
-                .collect(),
-        ),
-    ]
-}
-
-/// Streams `data` into `summary`, auditing at every checkpoint.
-fn drive<S>(mut summary: S, data: &[u64], label: &str)
-where
-    S: QuantileSummary<u64> + CheckInvariants,
-{
-    for (i, &x) in data.iter().enumerate() {
-        summary.insert(x);
-        if (i + 1) % CHECK_EVERY == 0 {
-            if let Err(v) = summary.check_invariants() {
-                panic!("{label} after {} inserts: {v}", i + 1);
-            }
-        }
-    }
-    // Query, then re-audit: queries must not corrupt state either.
-    let _ = summary.quantile(0.5);
-    let _ = summary.rank_estimate(data[0]);
-    if let Err(v) = summary.check_invariants() {
-        panic!("{label} after queries: {v}");
-    }
-}
-
 #[test]
 fn gk_family_holds_invariants_on_all_streams() {
-    for (name, data) in streams() {
-        drive(GkTheory::new(EPS), &data, &format!("GKTheory/{name}"));
-        drive(GkArray::new(EPS), &data, &format!("GKArray/{name}"));
-        drive(GkAdaptive::new(EPS), &data, &format!("GKAdaptive/{name}"));
-    }
+    contract::audits_hold(&contract::gk_theory());
+    contract::audits_hold(&contract::gk_array());
+    contract::audits_hold(&contract::gk_adaptive());
 }
 
 #[test]
 fn sampling_family_holds_invariants_on_all_streams() {
-    for (name, data) in streams() {
-        drive(RandomSketch::new(EPS, 42), &data, &format!("Random/{name}"));
-        drive(Mrl99::new(EPS, 43), &data, &format!("MRL99/{name}"));
-        drive(Mrl98::new(EPS, N as u64), &data, &format!("MRL98/{name}"));
-        drive(
-            ReservoirQuantiles::new(EPS, 44),
-            &data,
-            &format!("Reservoir/{name}"),
-        );
-    }
+    contract::audits_hold(&contract::random());
+    contract::audits_hold(&contract::mrl99());
+    contract::audits_hold(&contract::mrl98());
+    contract::audits_hold(&contract::reservoir());
 }
 
 #[test]
 fn qdigest_holds_invariants_on_all_streams() {
-    for (name, data) in streams() {
-        drive(QDigest::new(EPS, 20), &data, &format!("QDigest/{name}"));
-    }
+    contract::audits_hold(&contract::qdigest());
 }
 
 #[test]
 fn extension_summaries_hold_invariants_on_all_streams() {
-    for (name, data) in streams() {
-        drive(Ckms::low_biased(EPS), &data, &format!("CKMS-low/{name}"));
-        drive(Ckms::high_biased(EPS), &data, &format!("CKMS-high/{name}"));
-        drive(
-            Ckms::targeted(&[(0.5, 0.02), (0.99, 0.005)]),
-            &data,
-            &format!("CKMS-targeted/{name}"),
-        );
-    }
+    contract::ckms().iter().for_each(contract::audits_hold);
 }
 
 /// The turnstile adapter on the insert-only interface: the DCS / DCM
@@ -117,18 +54,8 @@ fn extension_summaries_hold_invariants_on_all_streams() {
 /// cash-register summaries.
 #[test]
 fn turnstile_summaries_hold_invariants_on_all_streams() {
-    for (name, data) in streams() {
-        drive(
-            TurnstileSummary::dcs(EPS, 20, 45),
-            &data,
-            &format!("TurnstileDCS/{name}"),
-        );
-        drive(
-            TurnstileSummary::dcm(EPS, 20, 46),
-            &data,
-            &format!("TurnstileDCM/{name}"),
-        );
-    }
+    contract::audits_hold(&contract::dcs());
+    contract::audits_hold(&contract::dcm());
 }
 
 /// The engine pass: every stream of the matrix, raced into a sharded
@@ -141,10 +68,10 @@ fn turnstile_summaries_hold_invariants_on_all_streams() {
 /// sound summary, not just an accurate one.
 fn drive_engine<S, F>(label: &str, make: F)
 where
-    S: MergeableSummary<u64> + CheckInvariants + Clone + Send + Sync,
+    S: MergeableSummary<u64> + Clone + Send + Sync,
     F: Fn(usize) -> S,
 {
-    for (name, data) in streams() {
+    for (name, data) in streams(N) {
         let engine = ShardedEngine::new_with(4, 0, &make);
         let mut fed = 0usize;
         for segment in data.chunks(CHECK_EVERY) {

@@ -1,113 +1,45 @@
-//! Mergeability integration: §4.2.4 keeps the q-digest relevant as
-//! "the only deterministic mergeable summary for quantiles, needed
-//! when summaries are merged in an arbitrary fashion" — so merging in
-//! arbitrary fashions is exactly what these tests do.
+//! Mergeability: §4.2.4 keeps the q-digest relevant as "the only
+//! deterministic mergeable summary for quantiles, needed when summaries
+//! are merged in an arbitrary fashion".
+//!
+//! Merge trees of every shape, on every mergeable summary, are check 4
+//! of `tests/contract/mod.rs` (run by `tests/conformance.rs`); the first
+//! tests here call it on the q-digest under their earlier names.
 
+mod contract;
+
+use contract::Shape;
 use streaming_quantiles::prelude::*;
-use streaming_quantiles::sqs_data::{Mpcat, Normal, Uniform};
-use streaming_quantiles::sqs_util::exact::probe_phis;
-use streaming_quantiles::sqs_util::rng::Xoshiro256pp;
-
-const EPS: f64 = 0.02;
-const LOG_U: u32 = 20;
-
-fn digest_of(data: &[u64]) -> QDigest {
-    let mut d = QDigest::new(EPS, LOG_U);
-    for &x in data {
-        d.insert(x % (1 << LOG_U));
-    }
-    d
-}
-
-fn check_merged(mut merged: QDigest, all: Vec<u64>, slack: f64, label: &str) {
-    let all: Vec<u64> = all.into_iter().map(|x| x % (1 << LOG_U)).collect();
-    assert_eq!(merged.n() as usize, all.len(), "{label}: n mismatch");
-    let oracle = ExactQuantiles::new(all);
-    for phi in probe_phis(0.1) {
-        let q = merged.quantile(phi).unwrap();
-        let err = oracle.quantile_error(phi, q);
-        assert!(err <= slack * EPS, "{label}: phi={phi}, err={err}");
-    }
-}
+use streaming_quantiles::sqs_data::Uniform;
 
 #[test]
 fn balanced_binary_merge_tree() {
-    // 16 shards merged pairwise — the sensor-network topology.
-    let shards: Vec<Vec<u64>> = (0..16)
-        .map(|i| Uniform::new(LOG_U, i as u64).take(5_000).collect())
-        .collect();
-    let all: Vec<u64> = shards.iter().flatten().copied().collect();
-    let mut digests: Vec<QDigest> = shards.iter().map(|s| digest_of(s)).collect();
-    while digests.len() > 1 {
-        let mut next = Vec::new();
-        let mut it = digests.into_iter();
-        while let (Some(mut a), Some(mut b)) = (it.next(), it.next()) {
-            a.merge(&mut b);
-            next.push(a);
-        }
-        digests = next;
-    }
-    check_merged(digests.pop().unwrap(), all, 2.0, "balanced");
+    contract::merge_tree(&contract::qdigest(), Shape::Balanced);
 }
 
 #[test]
 fn skewed_chain_merge() {
-    // Worst-case shape: fold shards one by one into an accumulator.
-    let shards: Vec<Vec<u64>> = (0..12)
-        .map(|i| {
-            Normal::new(LOG_U, 0.1 + 0.02 * i as f64, 100 + i as u64)
-                .take(4_000)
-                .collect()
-        })
-        .collect();
-    let all: Vec<u64> = shards.iter().flatten().copied().collect();
-    let mut acc = digest_of(&shards[0]);
-    for shard in &shards[1..] {
-        let mut d = digest_of(shard);
-        acc.merge(&mut d);
-    }
-    check_merged(acc, all, 2.5, "chain");
+    contract::merge_tree(&contract::qdigest(), Shape::Chain);
 }
 
 #[test]
 fn random_merge_order() {
-    // "Merged in an arbitrary fashion": random pairing each round.
-    let mut rng = Xoshiro256pp::new(77);
-    let shards: Vec<Vec<u64>> = (0..10)
-        .map(|i| Mpcat::new(i as u64).take(4_000).collect())
-        .collect();
-    let all: Vec<u64> = shards.iter().flatten().copied().collect();
-    let mut digests: Vec<QDigest> = shards.iter().map(|s| digest_of(s)).collect();
-    while digests.len() > 1 {
-        let i = rng.next_below(digests.len() as u64) as usize;
-        let mut a = digests.swap_remove(i);
-        let j = rng.next_below(digests.len() as u64) as usize;
-        let mut b = digests.swap_remove(j);
-        a.merge(&mut b);
-        digests.push(a);
-    }
-    check_merged(digests.pop().unwrap(), all, 2.5, "random-order");
+    contract::merge_tree(&contract::qdigest(), Shape::Random);
 }
 
 #[test]
 fn merge_with_empty_is_identity() {
-    let data: Vec<u64> = Uniform::new(LOG_U, 3).take(10_000).collect();
-    let mut a = digest_of(&data);
-    let before: Vec<Option<u64>> = [0.25, 0.5, 0.75].iter().map(|&p| a.quantile(p)).collect();
-    let mut empty = QDigest::new(EPS, LOG_U);
-    a.merge(&mut empty);
-    let after: Vec<Option<u64>> = [0.25, 0.5, 0.75].iter().map(|&p| a.quantile(p)).collect();
-    assert_eq!(before, after);
-    assert_eq!(a.n(), 10_000);
+    contract::merge_with_empty(&contract::qdigest());
 }
 
 #[test]
 fn merged_size_stays_bounded() {
     // Merging must not blow up the digest: size stays O(σ) after
     // compression regardless of how many shards went in.
-    let mut acc = QDigest::new(EPS, LOG_U);
+    let mut acc = QDigest::new(0.02, 20);
     for i in 0..20u64 {
-        let mut d = digest_of(&Uniform::new(LOG_U, i).take(5_000).collect::<Vec<_>>());
+        let mut d = QDigest::new(0.02, 20);
+        d.insert_batch(&Uniform::new(20, i).take(5_000).collect::<Vec<_>>());
         acc.merge(&mut d);
     }
     let bound = 3 * acc.sigma() as usize + 512;

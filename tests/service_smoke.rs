@@ -239,9 +239,7 @@ fn server_replies_with_errors_not_panics() {
 /// choosing, and the connection goes on answering.
 #[test]
 fn hostile_qdigest_snapshots_get_error_replies() {
-    use streaming_quantiles::sqs_core::codec::{
-        seal, WireCodec, KIND_QDIGEST, WIRE_MAGIC, WIRE_VERSION,
-    };
+    use streaming_quantiles::sqs_core::codec::{seal, Kind, WireCodec, WIRE_MAGIC, WIRE_VERSION};
 
     const LOG_U: u32 = 16;
     let mut cfg = ServerConfig::default();
@@ -264,7 +262,7 @@ fn hostile_qdigest_snapshots_get_error_replies() {
             body.extend_from_slice(&c.to_le_bytes());
         }
         let mut frame = WIRE_MAGIC.to_vec();
-        frame.extend_from_slice(&[WIRE_VERSION, KIND_QDIGEST, 0, 0]);
+        frame.extend_from_slice(&[WIRE_VERSION, Kind::QDigest as u8, 0, 0]);
         frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
         frame.extend_from_slice(&body);
         seal(&mut frame);

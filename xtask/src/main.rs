@@ -10,9 +10,8 @@
 //! 3. `cargo xtask analyze` — the `sqs-analyze` static-analysis
 //!    engine: a token-level scan of the whole workspace enforcing
 //!    panic discipline, the no-unsafe guarantee, lock discipline in
-//!    the engine/service layers, the `#[allow]` audit, and the
-//!    codec/invariant coverage proofs. Rule catalog and justification
-//!    codes are documented in `docs/ANALYSIS.md`.
+//!    the engine/service layers, and the `#[allow]` audit. Rule catalog
+//!    and justification codes are documented in `docs/ANALYSIS.md`.
 //!
 //! Run it as `cargo xtask check` (alias in `.cargo/config.toml`) or
 //! `scripts/check.sh`. Steps run in order and the process exits
