@@ -7,7 +7,9 @@
 //! justification code:
 //!
 //! ```text
-//! let g = self.lock_shard(lo); // analyze:allow(SQS-L01): lo < hi proven two lines up
+//! let cache = self.cache.lock();
+//! // analyze:allow(SQS-L01): one lock order — cache, then shards ascending
+//! let held: Vec<_> = (0..k).map(|i| self.lock_shard(i)).collect();
 //! ```
 //!
 //! The comment must name the exact rule and carry a non-empty reason;
@@ -29,7 +31,7 @@ pub const RULE_UNUSED_JUSTIFICATION: &str = "SQS-J02";
 /// One static-analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule ID (`"SQS-P01"`, …).
+    /// Stable rule ID (`"SQS-P02"`, …).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -179,37 +181,37 @@ mod tests {
 
     #[test]
     fn same_line_and_next_line_suppression() {
-        let src = "// analyze:allow(SQS-P01): fixture needs it\nx.unwrap();\ny.unwrap(); // analyze:allow(SQS-P01): also fine here\n";
+        let src = "// analyze:allow(SQS-P02): fixture needs it\nx.expect(\"m\");\ny.expect(\"m\"); // analyze:allow(SQS-P02): also fine here\n";
         let toks = lex(src);
-        let mut diags = vec![diag("SQS-P01", 2), diag("SQS-P01", 3)];
+        let mut diags = vec![diag("SQS-P02", 2), diag("SQS-P02", 3)];
         apply_justifications("f.rs", src, &toks, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn wrong_rule_does_not_suppress() {
-        let src = "// analyze:allow(SQS-L01): wrong rule\nx.unwrap();\n";
+        let src = "// analyze:allow(SQS-L01): wrong rule\nx.expect(\"m\");\n";
         let toks = lex(src);
-        let mut diags = vec![diag("SQS-P01", 2)];
+        let mut diags = vec![diag("SQS-P02", 2)];
         apply_justifications("f.rs", src, &toks, &mut diags);
-        // The P01 survives, and the L01 justification is now unused.
-        assert!(diags.iter().any(|d| d.rule == "SQS-P01"));
+        // The P02 survives, and the L01 justification is now unused.
+        assert!(diags.iter().any(|d| d.rule == "SQS-P02"));
         assert!(diags.iter().any(|d| d.rule == RULE_UNUSED_JUSTIFICATION));
     }
 
     #[test]
     fn missing_reason_is_malformed() {
-        let src = "// analyze:allow(SQS-P01)\nx.unwrap();\n";
+        let src = "// analyze:allow(SQS-P02)\nx.expect(\"m\");\n";
         let toks = lex(src);
-        let mut diags = vec![diag("SQS-P01", 2)];
+        let mut diags = vec![diag("SQS-P02", 2)];
         apply_justifications("f.rs", src, &toks, &mut diags);
-        assert!(diags.iter().any(|d| d.rule == "SQS-P01"), "not suppressed");
+        assert!(diags.iter().any(|d| d.rule == "SQS-P02"), "not suppressed");
         assert!(diags.iter().any(|d| d.rule == RULE_BAD_JUSTIFICATION));
     }
 
     #[test]
     fn doc_comments_are_not_justifications() {
-        let src = "/// like `// analyze:allow(SQS-P01): example in docs`\nfn f() {}\n";
+        let src = "/// like `// analyze:allow(SQS-P02): example in docs`\nfn f() {}\n";
         let toks = lex(src);
         let mut diags = vec![];
         apply_justifications("f.rs", src, &toks, &mut diags);
@@ -218,7 +220,7 @@ mod tests {
 
     #[test]
     fn display_is_clickable() {
-        let d = diag("SQS-P01", 2);
-        assert_eq!(d.to_string(), "f.rs:2:5: SQS-P01: m");
+        let d = diag("SQS-P02", 2);
+        assert_eq!(d.to_string(), "f.rs:2:5: SQS-P02: m");
     }
 }

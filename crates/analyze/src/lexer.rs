@@ -1,11 +1,10 @@
 //! A lossless, dependency-free Rust token scanner.
 //!
-//! `cargo xtask check` used to lint sources with line-oriented string
-//! matching, which cannot tell a `.unwrap()` *call* from the same
-//! characters inside a string literal, a nested block comment, or a
-//! doc example. This lexer produces the real token stream the passes
-//! need, handling the parts of Rust's lexical grammar that defeat
-//! greps:
+//! Line-oriented string matching cannot tell an `.expect()` *call*
+//! from the same characters inside a string literal, a nested block
+//! comment, or a doc example. This lexer produces the real token stream
+//! the passes need, handling the parts of Rust's lexical grammar that
+//! defeat greps:
 //!
 //! * raw strings with arbitrary hash fences (`r#"…"#`, `br##"…"##`,
 //!   `cr"…"`) and raw identifiers (`r#fn`);
@@ -24,11 +23,10 @@
 //! operators are not distinguished — but it never loses sync on any
 //! code `rustc` accepts, which is the property the passes rely on.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: every index below is produced by `char_indices` on the
-// same string it indexes (always a char boundary), and line/col
-// counters are bounded by file sizes; this module is on the
-// `sqs-analyze` allow-audit allowlist.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index comes from `char_indices` on the string it indexes, so it lies on a char boundary"
+)]
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

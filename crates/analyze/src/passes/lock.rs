@@ -1,21 +1,17 @@
-//! SQS-L01/SQS-L02/SQS-L03 — lock discipline in the engine and
-//! service layers.
+//! SQS-L01/SQS-L03 — lock discipline in the engine and service
+//! layers.
 //!
-//! The concurrency design of `sqs-engine`/`sqs-service` rests on three
-//! rules, previously enforced only by review:
+//! The concurrency design of `sqs-engine`/`sqs-service` rests on two
+//! rules that nothing else states:
 //!
 //! 1. **No nested acquisition** (`SQS-L01`): a `MutexGuard` must not
 //!    be live when another `lock()`/`lock_shard()` is made — the
 //!    engine's shard mutexes and the service's queue/tenant mutexes
-//!    are leaves of the lock graph.
-//! 2. **Shard order** (`SQS-L02`): the one sanctioned exception is
-//!    holding two *shard* locks (merge paths), which is deadlock-free
-//!    only if they are taken in ascending shard-index order. Nested
-//!    `lock_shard` calls whose indices are not provably ascending
-//!    (constant indices `lo < hi`) are flagged; a call site that is
-//!    ascending by construction but not by constants carries an
-//!    `analyze:allow(SQS-L02)` justification.
-//! 3. **No I/O under a guard** (`SQS-L03`): socket/file calls
+//!    are leaves of the lock graph. Shard-over-shard is the one
+//!    exception the pass leaves alone: the engine takes all its shard
+//!    locks in one ascending loop, and `sqs_util::sync::OrderedMutex`
+//!    panics in debug builds on any other order.
+//! 2. **No I/O under a guard** (`SQS-L03`): socket/file calls
 //!    (`write_all`, `read_exact`, `accept`, …) while a guard is live
 //!    stall every thread contending for that mutex behind a peer's
 //!    network latency.
@@ -30,12 +26,10 @@
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::passes::{Code, Pass};
-use crate::workspace::{AnalysisInput, FileRole};
+use crate::workspace::AnalysisInput;
 
 /// Rule ID: acquisition while another guard is live.
 pub const RULE_NESTED_LOCK: &str = "SQS-L01";
-/// Rule ID: shard locks not in ascending index order.
-pub const RULE_SHARD_ORDER: &str = "SQS-L02";
 /// Rule ID: I/O call while a guard is live.
 pub const RULE_IO_UNDER_LOCK: &str = "SQS-L03";
 
@@ -61,8 +55,6 @@ struct Guard {
     /// Brace depth at the acquisition site; the guard dies when the
     /// scan leaves this depth.
     depth: usize,
-    /// Constant shard index for `lock_shard(<int literal>)` calls.
-    shard_index: Option<u64>,
     /// Whether this came from `lock_shard` (shard mutex) rather than a
     /// generic `lock`.
     is_shard: bool,
@@ -79,14 +71,11 @@ impl Pass for LockDiscipline {
     }
 
     fn description(&self) -> &'static str {
-        "no nested lock acquisition (shard locks only in ascending order), no I/O under a guard"
+        "no nested lock acquisition, no I/O under a guard"
     }
 
     fn run(&self, input: &AnalysisInput, diags: &mut Vec<Diagnostic>) {
         for file in &input.files {
-            if file.role != FileRole::Library || file.is_shim {
-                continue;
-            }
             scan_file(&Code::new(file), diags);
         }
     }
@@ -103,16 +92,6 @@ fn is_acquisition(code: &Code<'_>, ci: usize) -> bool {
         && code.text(ci + 1) == "("
         && ci > 0
         && code.text(ci - 1) == "."
-}
-
-/// The constant argument of `name(<int literal>)`, if the call has
-/// exactly one integer-literal argument. `open` is the `(`.
-fn const_arg(code: &Code<'_>, open: usize) -> Option<u64> {
-    if code.kind(open + 1) == Some(TokenKind::NumLit) && code.text(open + 2) == ")" {
-        code.text(open + 1).replace('_', "").parse().ok()
-    } else {
-        None
-    }
 }
 
 /// Code index of the `)` matching the `(` at `open` (the code length
@@ -211,8 +190,7 @@ fn scan_file(code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
             _ => {
                 if is_acquisition(code, ci) {
                     let is_shard = code.text(ci) == "lock_shard";
-                    let shard_index = const_arg(code, ci + 1);
-                    report_nested(code, ci, &guards, is_shard, shard_index, diags);
+                    report_nested(code, ci, &guards, is_shard, diags);
                     let name = if chain_consumes_guard(code, ci + 1) {
                         None // `lock().clone()` etc: the binding is not a guard
                     } else {
@@ -224,7 +202,6 @@ fn scan_file(code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
                     guards.push(Guard {
                         name,
                         depth,
-                        shard_index,
                         is_shard,
                         line: code.tok(ci).map_or(0, |t| t.line),
                     });
@@ -250,44 +227,26 @@ fn scan_file(code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Reports SQS-L01/SQS-L02 for an acquisition at `ci` given the
-/// currently live guards.
+/// Reports SQS-L01 for an acquisition at `ci` given the currently
+/// live guards. A shard lock taken under another shard guard is
+/// `OrderedMutex`'s to check, not this pass's.
 fn report_nested(
     code: &Code<'_>,
     ci: usize,
     guards: &[Guard],
     new_is_shard: bool,
-    new_index: Option<u64>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    for g in guards {
-        if g.is_shard && new_is_shard {
-            // Shard-over-shard is legal only in ascending constant
-            // order; anything else needs a justification.
-            let ascending = matches!((g.shard_index, new_index), (Some(a), Some(b)) if a < b);
-            if !ascending {
-                diags.push(code.diag(
-                    RULE_SHARD_ORDER,
-                    ci,
-                    format!(
-                        "second shard lock while the shard guard from line {} is live — \
-                         shard locks must be taken in ascending index order (and \
-                         provably so, or carry a justification)",
-                        g.line
-                    ),
-                ));
-            }
-        } else {
-            diags.push(code.diag(
-                RULE_NESTED_LOCK,
-                ci,
-                format!(
-                    "lock acquisition while {} is live — engine/service mutexes are \
-                     lock-graph leaves; drop the guard first",
-                    describe(g)
-                ),
-            ));
-        }
+    for g in guards.iter().filter(|g| !(g.is_shard && new_is_shard)) {
+        diags.push(code.diag(
+            RULE_NESTED_LOCK,
+            ci,
+            format!(
+                "lock acquisition while {} is live — engine/service mutexes are \
+                 lock-graph leaves; drop the guard first",
+                describe(g)
+            ),
+        ));
     }
 }
 
@@ -306,14 +265,7 @@ mod tests {
     use crate::workspace::SourceFile;
 
     fn run_on(src: &str) -> Vec<Diagnostic> {
-        let f = SourceFile::new(
-            "x/src/a.rs",
-            src.to_string(),
-            FileRole::Library,
-            "x",
-            false,
-            false,
-        );
+        let f = SourceFile::new("x/src/a.rs", src.to_string());
         let input = AnalysisInput::from_files(vec![f]);
         let mut diags = Vec::new();
         LockDiscipline.run(&input, &mut diags);
@@ -347,13 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_order_ascending_is_legal_descending_is_not() {
+    fn shard_over_shard_is_left_to_the_ordered_mutex() {
         let asc = "fn m(&self) { let lo = self.lock_shard(0); let hi = self.lock_shard(1); }";
         assert!(run_on(asc).is_empty(), "{:?}", run_on(asc));
         let desc = "fn m(&self) { let hi = self.lock_shard(1); let lo = self.lock_shard(0); }";
-        let diags = run_on(desc);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, RULE_SHARD_ORDER);
+        assert!(run_on(desc).is_empty(), "{:?}", run_on(desc));
     }
 
     #[test]

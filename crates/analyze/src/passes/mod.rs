@@ -3,14 +3,13 @@
 //!
 //! Passes are deliberately dumb: each one scans the pre-lexed token
 //! streams in [`AnalysisInput`] and appends [`Diagnostic`]s. There is
-//! no AST — the rules this repo needs (panic discipline, lock
-//! ordering, attribute audits) are all expressible over tokens plus
-//! [`Code`]'s comment-free view, and staying at token level keeps the
-//! analyzer dependency-free and fast enough to run on every
-//! `cargo xtask check`.
+//! no AST — the rules this repo needs (invariant-naming `expect`s, lock
+//! discipline) are expressible over tokens plus [`Code`]'s
+//! comment-free view, and staying at token level keeps the analyzer
+//! dependency-free and fast enough to run on every `cargo xtask check`.
+//! A rule rustc or clippy can state belongs there instead
+//! (`docs/ANALYSIS.md` §4.1 lists the rules that moved).
 
-pub mod allow_audit;
-pub mod forbid_unsafe;
 pub mod lock;
 pub mod panic;
 
@@ -34,9 +33,7 @@ pub trait Pass {
 pub fn default_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(panic::PanicDiscipline),
-        Box::new(forbid_unsafe::ForbidUnsafe),
         Box::new(lock::LockDiscipline),
-        Box::new(allow_audit::AllowAudit::default()),
     ]
 }
 
@@ -61,12 +58,6 @@ impl<'a> Code<'a> {
             .map(|(i, _)| i)
             .collect();
         Self { file, idx }
-    }
-
-    /// The underlying file.
-    #[must_use]
-    pub fn file(&self) -> &'a SourceFile {
-        self.file
     }
 
     /// Number of code (non-comment) tokens.

@@ -1,23 +1,20 @@
-//! SQS-P01/SQS-P02 — panic discipline in library code.
+//! SQS-P02 — every `.expect(…)` in library code names an invariant.
 //!
-//! `.unwrap()` is forbidden outright in non-test, first-party library
-//! code, and `.expect("…")` must name an invariant (the message has to
-//! contain the word `invariant`, mirroring the
-//! `sqs_util::audit::InvariantViolation` discipline: a panic is only
-//! acceptable when it reports a *broken structural invariant*, never
-//! an "I didn't feel like handling this" shortcut). The old grep
-//! version of this rule could not tell a call from the same characters
-//! inside a string, comment, or doc example, and exempted everything
-//! below the first `#[cfg(test)]` line; this pass works on real tokens
-//! and structural test regions.
+//! `.unwrap()` is clippy's `unwrap_used`, denied workspace-wide. What
+//! clippy cannot say is that the message of an `.expect("…")` in
+//! non-test, first-party library code has to contain the word
+//! `invariant`, mirroring the `sqs_util::audit::InvariantViolation`
+//! discipline: a panic is only acceptable when it reports a *broken
+//! structural invariant*, never an "I didn't feel like handling this"
+//! shortcut. The pass works on real tokens, so the same characters in
+//! a string, comment or doc example do not count, and structural test
+//! regions are exempt.
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::passes::{Code, Pass};
-use crate::workspace::{AnalysisInput, FileRole};
+use crate::workspace::AnalysisInput;
 
-/// Rule ID: `.unwrap()` in non-test library code.
-pub const RULE_UNWRAP: &str = "SQS-P01";
 /// Rule ID: `.expect(…)` whose message does not name an invariant.
 pub const RULE_EXPECT: &str = "SQS-P02";
 
@@ -30,45 +27,31 @@ impl Pass for PanicDiscipline {
     }
 
     fn description(&self) -> &'static str {
-        "no .unwrap() in library code; .expect() messages must name an invariant"
+        ".expect() messages in library code must name an invariant"
     }
 
     fn run(&self, input: &AnalysisInput, diags: &mut Vec<Diagnostic>) {
         for file in &input.files {
-            if file.role != FileRole::Library || file.is_shim {
-                continue;
-            }
             let code = Code::new(file);
             for ci in 0..code.len() {
-                if code.is_test(ci) || code.text(ci) != "." {
+                if code.is_test(ci)
+                    || code.text(ci) != "."
+                    || code.text(ci + 1) != "expect"
+                    || code.text(ci + 2) != "("
+                    || expect_message_names_invariant(&code, ci + 2)
+                {
                     continue;
                 }
-                let callee = code.text(ci + 1);
-                if code.kind(ci + 1) != Some(TokenKind::Ident) || code.text(ci + 2) != "(" {
-                    continue;
-                }
-                match callee {
-                    "unwrap" => diags.push(
-                        code.diag(
-                            RULE_UNWRAP,
-                            ci + 1,
-                            "`.unwrap()` in library code — propagate the error, or use \
-                         `.expect(\"… invariant: …\")` if this genuinely cannot fail"
-                                .to_string(),
-                        ),
+                diags.push(
+                    code.diag(
+                        RULE_EXPECT,
+                        ci + 1,
+                        "`.expect()` message must name the broken invariant \
+                     (contain the word \"invariant\"), e.g. \
+                     `expect(\"QDigest invariant: root covers universe\")`"
+                            .to_string(),
                     ),
-                    "expect" if !expect_message_names_invariant(&code, ci + 2) => diags.push(
-                        code.diag(
-                            RULE_EXPECT,
-                            ci + 1,
-                            "`.expect()` message must name the broken invariant \
-                             (contain the word \"invariant\"), e.g. \
-                             `expect(\"QDigest invariant: root covers universe\")`"
-                                .to_string(),
-                        ),
-                    ),
-                    _ => {}
-                }
+                );
             }
         }
     }
@@ -105,14 +88,7 @@ mod tests {
     use crate::workspace::SourceFile;
 
     fn run_on(src: &str) -> Vec<Diagnostic> {
-        let f = SourceFile::new(
-            "x/src/a.rs",
-            src.to_string(),
-            FileRole::Library,
-            "x",
-            false,
-            false,
-        );
+        let f = SourceFile::new("x/src/a.rs", src.to_string());
         let input = AnalysisInput::from_files(vec![f]);
         let mut diags = Vec::new();
         PanicDiscipline.run(&input, &mut diags);
@@ -120,23 +96,23 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_call_fires_but_string_and_comment_do_not() {
+    fn expect_in_string_and_comment_does_not_fire() {
         let src = r#"
 fn f(x: Option<u32>) -> u32 {
-    let msg = "docs say .unwrap() is fine"; // .unwrap() in a comment
+    let msg = "docs say .expect(\"m\") is fine"; // .expect("m") in a comment
     let _ = msg;
-    x.unwrap()
+    x.expect("m")
 }
 "#;
         let diags = run_on(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, RULE_UNWRAP);
+        assert_eq!(diags[0].rule, RULE_EXPECT);
         assert_eq!(diags[0].line, 5);
     }
 
     #[test]
-    fn unwrap_or_is_not_unwrap() {
-        assert!(run_on("fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }").is_empty());
+    fn unwrap_is_left_to_clippy() {
+        assert!(run_on("fn f(x: Option<u32>) -> u32 { x.unwrap() }").is_empty());
     }
 
     #[test]

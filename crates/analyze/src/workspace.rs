@@ -4,12 +4,9 @@
 //! The member list is derived from the root `Cargo.toml`'s
 //! `[workspace] members` globs — there is deliberately no hand-curated
 //! crate list anywhere in the gate, so a newly added crate is covered
-//! by `cargo xtask check`'s clippy step and every analyzer pass from
-//! its first commit ([`workspace_members`] is also what xtask feeds to
-//! clippy `-p`). Shim crates (`shims/*`, vendored stand-ins for
-//! third-party dev-dependencies) are flagged so passes can exempt them
-//! from first-party-only rules while still covering them with the
-//! `forbid(unsafe_code)` check.
+//! by every analyzer pass from its first commit. Shim crates
+//! (`shims/*`, vendored stand-ins for third-party dev-dependencies)
+//! are flagged and left out of the analyzed file set.
 
 use std::path::{Path, PathBuf};
 
@@ -27,17 +24,6 @@ pub struct Member {
     pub is_shim: bool,
 }
 
-/// What kind of target a source file belongs to, which decides which
-/// passes apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileRole {
-    /// Library or binary code (`src/**`) — full rule set.
-    Library,
-    /// Integration tests and benches (`tests/**`, `benches/**`) —
-    /// exempt from the panic/lock lints, still scanned for `unsafe`.
-    Test,
-}
-
 /// One source file, pre-lexed.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -45,15 +31,6 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Full source text.
     pub text: String,
-    /// The file's target kind.
-    pub role: FileRole,
-    /// Owning crate's package name (root package for `src/`+`tests/`).
-    pub crate_name: String,
-    /// Whether the owning crate is a vendored shim.
-    pub is_shim: bool,
-    /// Whether this file is a crate root (`lib.rs`, `main.rs`, or a
-    /// `src/bin/*.rs`) and must carry `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
     /// The lexed token stream.
     pub tokens: Vec<Token>,
     /// Per-token flag: inside a `#[cfg(test)]`/`#[test]` region.
@@ -63,31 +40,20 @@ pub struct SourceFile {
 impl SourceFile {
     /// Builds (and lexes) a source file record.
     #[must_use]
-    pub fn new(
-        rel_path: &str,
-        text: String,
-        role: FileRole,
-        crate_name: &str,
-        is_shim: bool,
-        is_crate_root: bool,
-    ) -> Self {
+    pub fn new(rel_path: &str, text: String) -> Self {
         let tokens = lexer::lex(&text);
         let test_mask = lexer::test_mask(&text, &tokens);
         Self {
             rel_path: rel_path.to_string(),
             text,
-            role,
-            crate_name: crate_name.to_string(),
-            is_shim,
-            is_crate_root,
             tokens,
             test_mask,
         }
     }
 }
 
-/// The full input to an analysis run: every source file of every
-/// workspace member (plus the root package), pre-lexed.
+/// The full input to an analysis run: the library and binary sources
+/// (`src/**`) of every first-party member, pre-lexed.
 #[derive(Debug, Default)]
 pub struct AnalysisInput {
     /// All files, in deterministic (sorted) order.
@@ -197,9 +163,7 @@ pub fn workspace_members(root: &Path) -> Result<Vec<Member>, String> {
     Ok(members)
 }
 
-/// Recursively collects `.rs` files under `dir` (sorted), skipping
-/// `fixtures` subtrees — fixture corpora contain *deliberate*
-/// violations for the analyzer's own tests.
+/// Recursively collects `.rs` files under `dir` (sorted).
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     if !dir.is_dir() {
         return Ok(());
@@ -209,9 +173,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     entries.sort();
     for entry in entries {
         if entry.is_dir() {
-            if entry.file_name().is_some_and(|n| n == "fixtures") {
-                continue;
-            }
             collect_rs(&entry, out)?;
         } else if entry.extension().is_some_and(|e| e == "rs") {
             out.push(entry);
@@ -220,51 +181,24 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads the analyzed file set of the workspace at `root`: for every
-/// member, `src/**` (role [`FileRole::Library`]) plus `tests/**` and
-/// `benches/**` (role [`FileRole::Test`]); shims contribute `src/`
-/// only.
+/// Loads the analyzed file set of the workspace at `root`: `src/**`
+/// of every first-party member. Integration tests, benches, shims and
+/// the analyzer's fixture corpora (deliberate violations, under
+/// `tests/fixtures/`) are left out — no rule applies to them.
 pub fn load_workspace(root: &Path) -> Result<AnalysisInput, String> {
-    let members = workspace_members(root)?;
     let mut files = Vec::new();
-    for m in &members {
-        let base = if m.path.is_empty() {
-            root.to_path_buf()
-        } else {
-            root.join(&m.path)
-        };
-        let mut sections: Vec<(&str, FileRole)> = vec![("src", FileRole::Library)];
-        if !m.is_shim {
-            sections.push(("tests", FileRole::Test));
-            sections.push(("benches", FileRole::Test));
-        }
-        for (sub, role) in sections {
-            let mut paths = Vec::new();
-            collect_rs(&base.join(sub), &mut paths)?;
-            for p in paths {
-                let rel = p
-                    .strip_prefix(root)
-                    .map_err(|e| e.to_string())?
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                let text = std::fs::read_to_string(&p)
-                    .map_err(|e| format!("read {}: {e}", p.display()))?;
-                let fname = p.file_name().map(|n| n.to_string_lossy().to_string());
-                let in_bin_dir = p
-                    .parent()
-                    .and_then(Path::file_name)
-                    .is_some_and(|n| n == "bin");
-                let is_crate_root = role == FileRole::Library
-                    && (matches!(fname.as_deref(), Some("lib.rs" | "main.rs")) || in_bin_dir);
-                files.push(SourceFile::new(
-                    &rel,
-                    text,
-                    role,
-                    &m.name,
-                    m.is_shim,
-                    is_crate_root,
-                ));
-            }
+    for m in workspace_members(root)?.iter().filter(|m| !m.is_shim) {
+        let mut paths = Vec::new();
+        collect_rs(&root.join(&m.path).join("src"), &mut paths)?;
+        for p in paths {
+            let rel = p
+                .strip_prefix(root)
+                .map_err(|e| e.to_string())?
+                .to_string_lossy()
+                .replace('\\', "/");
+            let text =
+                std::fs::read_to_string(&p).map_err(|e| format!("read {}: {e}", p.display()))?;
+            files.push(SourceFile::new(&rel, text));
         }
     }
     files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
@@ -311,20 +245,61 @@ mod tests {
             .all(|m| m.is_shim == m.path.starts_with("shims/")));
     }
 
+    /// The lines of the manifest table headed `header`, trimmed and
+    /// with spaces removed (`unsafe_code="forbid"`).
+    fn table<'a>(manifest: &'a str, header: &'a str) -> impl Iterator<Item = String> + 'a {
+        manifest
+            .lines()
+            .map(str::trim)
+            .skip_while(move |l| *l != header)
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .map(|l| l.replace(' ', ""))
+    }
+
+    /// rustc forbids `unsafe` in every target of every member — tests,
+    /// examples and the shims included — because every manifest either
+    /// inherits `[workspace.lints]`, whose `unsafe_code` is `forbid`, or
+    /// forbids it in its own `[lints.rust]`.
     #[test]
-    fn load_workspace_roles_and_roots() {
+    fn every_manifest_forbids_unsafe_code() {
+        let root = repo_root();
+        let read = |dir: &str| {
+            std::fs::read_to_string(root.join(dir).join("Cargo.toml"))
+                .expect("test invariant: every member has a manifest")
+        };
+        let forbid = r#"unsafe_code="forbid""#;
+        assert!(
+            table(&read(""), "[workspace.lints.rust]").any(|l| l == forbid),
+            "the root manifest's [workspace.lints.rust] must forbid unsafe_code"
+        );
+        let members = workspace_members(&root).expect("workspace parses");
+        for m in &members {
+            let manifest = read(&m.path);
+            let inherits = table(&manifest, "[lints]").any(|l| l == "workspace=true");
+            let own = table(&manifest, "[lints.rust]").any(|l| l == forbid);
+            assert!(
+                inherits || own,
+                "{} ({}/Cargo.toml) neither inherits [workspace.lints] nor forbids \
+                 unsafe_code in [lints.rust]",
+                m.name,
+                m.path
+            );
+        }
+    }
+
+    #[test]
+    fn load_workspace_reads_first_party_sources_only() {
         let input = load_workspace(&repo_root()).expect("workspace loads");
-        let file = |path: &str| input.files.iter().find(|f| f.rel_path == path);
-        let engine = file("crates/engine/src/lib.rs").expect("engine crate root present");
-        assert!(engine.is_crate_root);
-        assert_eq!(engine.role, FileRole::Library);
-        assert_eq!(engine.crate_name, "sqs-engine");
-        let stress = file("crates/engine/tests/stress.rs").expect("engine stress tests present");
-        assert_eq!(stress.role, FileRole::Test);
-        // Fixture corpora are never part of the analyzed tree.
-        assert!(input
-            .files
-            .iter()
-            .all(|f| !f.rel_path.contains("/fixtures/")));
+        let has = |path: &str| input.files.iter().any(|f| f.rel_path == path);
+        assert!(has("crates/engine/src/lib.rs"));
+        assert!(has("src/lib.rs"), "the root package's own sources");
+        assert!(has("xtask/src/main.rs"));
+        // Integration tests, shims and fixture corpora are never part
+        // of the analyzed tree.
+        assert!(!has("crates/engine/tests/stress.rs"));
+        assert!(input.files.iter().all(|f| f.rel_path.contains("src/")
+            && !f.rel_path.starts_with("shims/")
+            && !f.rel_path.contains("/fixtures/")));
     }
 }

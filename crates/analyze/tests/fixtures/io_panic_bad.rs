@@ -1,6 +1,6 @@
 //! Fixture: I/O error paths must propagate, not panic (the `sqs-store`
-//! rule): the `unwrap` / bare `expect` on fallible I/O below are the
-//! golden findings; `?`-propagation and invariant-expects are exempt.
+//! rule): the bare `expect` on fallible I/O below is the golden finding
+//! (the `unwrap` is clippy's); `?`-propagation and invariant-expects pass.
 
 use std::fs::File;
 use std::io::{self, Read, Write};

@@ -1,8 +1,8 @@
 //! Justification fixture: suppression, unused, malformed.
 
 pub fn suppressed(v: Option<u32>) -> u32 {
-    // analyze:allow(SQS-P01): fixture demonstrates suppression.
-    v.unwrap()
+    // analyze:allow(SQS-P02): fixture demonstrates suppression.
+    v.expect("value missing")
 }
 
 pub fn unused_justification() {
@@ -10,6 +10,6 @@ pub fn unused_justification() {
 }
 
 pub fn malformed(v: Option<u32>) -> u32 {
-    // analyze:allow(SQS-P01) reason lacks the leading colon
-    v.unwrap()
+    // analyze:allow(SQS-P02) reason lacks the leading colon
+    v.expect("value missing")
 }

@@ -1,6 +1,6 @@
-//! Lock-discipline fixture: a nested guard, descending shard locks,
-//! ascending shard locks (the sanctioned exception), and I/O under a
-//! live guard.
+//! Lock-discipline fixture: a nested guard, shard-over-shard pairs in
+//! either order (left to `OrderedMutex`'s runtime check), and I/O under
+//! a live guard.
 
 pub fn nested(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {
     let ga = a.lock().expect("fixture invariant: unpoisoned");

@@ -1,6 +1,6 @@
 //! Panic-discipline fixture: the golden test pins (rule, line).
 
-pub fn bad_unwrap(v: Option<u32>) -> u32 {
+pub fn unwrap_is_clippys(v: Option<u32>) -> u32 {
     v.unwrap()
 }
 

@@ -19,10 +19,11 @@
 //! the successor, periodically sweep and merge every tuple whose
 //! combined gap fits `f` at its rank.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use crate::gk::Tuple;
 use crate::QuantileSummary;

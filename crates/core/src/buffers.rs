@@ -41,10 +41,11 @@
 //! is a `RankIndex` over the union of all live buffers, which the pool
 //! keeps in a `CachedView` between mutations.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 /// Merges two sorted equal-weight buffers, keeping odd (`take_odd`)
 /// or even positions of the merged sequence (0-indexed).

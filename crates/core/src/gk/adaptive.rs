@@ -12,10 +12,11 @@
 //! chasing structure whose cache behaviour §4.2.3 of the paper
 //! dissects (the "big speed loss when space exceeds the CPU cache").
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};

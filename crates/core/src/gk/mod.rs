@@ -21,10 +21,11 @@
 //!   pass (§2.1.2); algorithmically identical pruning rule, far more
 //!   cache-friendly.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 mod adaptive;
 mod array;

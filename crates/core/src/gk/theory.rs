@@ -21,10 +21,11 @@
 //! reproduces — but it is the only GK variant with a proven size
 //! bound.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use super::{query_quantiles, query_rank, threshold, Tuple};
 use crate::QuantileSummary;

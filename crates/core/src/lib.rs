@@ -32,7 +32,6 @@
 //! can be shipped across process boundaries and merged remotely
 //! (`sqs-service`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod biased;

@@ -29,10 +29,11 @@
 //! working but the guarantee degrades (documented; this awkwardness is
 //! why the paper's lineage moved on to MRL99 and GK).
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use crate::buffers::Pool;
 use crate::QuantileSummary;

@@ -24,10 +24,11 @@
 //! `3σ` node budget, so COMPRESS runs once per refill of that budget —
 //! the behaviour Figures 5e/5f and 7a measure.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use std::cmp::Ordering;
 

@@ -17,10 +17,11 @@
 //! frees a buffer, this module's odd/even merge or
 //! [`mrl99`](crate::mrl99)'s COLLAPSE.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use crate::buffers::{merge_equal_level, weighted_collapse, GroupSampler, Pool};
 use crate::QuantileSummary;

@@ -9,10 +9,11 @@
 //! the reservoir. This baseline is what the sophisticated algorithms
 //! must beat: its space is quadratic in 1/ε where theirs is linear.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use crate::QuantileSummary;
 use sqs_util::rng::Xoshiro256pp;

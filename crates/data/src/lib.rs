@@ -22,7 +22,6 @@
 //! `Iterator<Item = u64>` so arbitrarily long streams never need to be
 //! materialized.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lidar;

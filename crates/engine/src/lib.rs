@@ -28,8 +28,6 @@
 //! lock and never the cache. `docs/ENGINE.md` has the argument, the
 //! wait bound this costs and the error analysis.
 
-#![forbid(unsafe_code)]
-
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

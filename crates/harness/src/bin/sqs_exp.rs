@@ -14,8 +14,6 @@
 //! Defaults are laptop-scale; raise `--n`/`--trials` toward paper
 //! scale (n = 10⁷–10¹⁰, 100 trials) as time permits.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 use std::time::Instant;
 

@@ -12,7 +12,6 @@
 //! from the command line (see DESIGN.md §2 for the index, and
 //! EXPERIMENTS.md for paper-vs-measured records).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -46,8 +46,6 @@
 //! a recovery summary line (`recovered ...`) is printed before the
 //! listening line whenever prior state was found.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 use std::time::Duration;
 

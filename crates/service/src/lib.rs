@@ -32,8 +32,6 @@
 //! mergeability (Agarwal et al., PODS '12) guarantees the combined
 //! summary keeps its ε-rank error.
 
-#![forbid(unsafe_code)]
-
 pub mod client;
 pub mod metrics;
 pub mod proto;

@@ -15,10 +15,11 @@
 //!   rows (CRT), so the *minimum* row overshoots by at most
 //!   `(n − f_x)·log_b(u)/t`.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "cell indices are reduced into [0, width) before use, and `check_invariants` audits the counter layout they index"
+)]
 
 use crate::FrequencySketch;
 use sqs_util::space::{words, SpaceUsage};

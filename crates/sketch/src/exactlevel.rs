@@ -7,10 +7,11 @@
 //! which is also what anchors the OLS post-processing (the exact nodes
 //! are the `σ_i = 0` constraints in Definition 1).
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "cell indices are reduced into [0, width) before use, and `check_invariants` audits the counter layout they index"
+)]
 
 use crate::{FrequencySketch, MergeableSketch};
 use sqs_util::space::{words, SpaceUsage};

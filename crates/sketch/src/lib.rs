@@ -30,7 +30,6 @@
 //! All sketches share the [`FrequencySketch`] interface and the
 //! paper's 4-byte-per-counter space accounting.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod countmin;

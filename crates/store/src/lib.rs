@@ -37,7 +37,6 @@
 //! service keeps the monopoly on summary types. See `docs/STORE.md`
 //! for the byte layouts and the crash matrix.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;

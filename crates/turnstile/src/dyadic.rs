@@ -19,10 +19,11 @@
 //! `prefix_decomposition` and Post's binary tree keep their meaning
 //! (DESIGN.md §3 prices the variance).
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "level and node indices stay within the dyadic layout `check_invariants` audits"
+)]
 
 use crate::TurnstileQuantiles;
 use sqs_sketch::{ExactCounts, FrequencySketch, MergeableSketch};

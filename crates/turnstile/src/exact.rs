@@ -9,10 +9,11 @@
 //! descending the implicit tree), all *exact* — strictly dominating
 //! every sketch whenever `u` words of memory are affordable.
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices and narrowing casts stay within the bounds `check_invariants` audits"
+)]
 
 use crate::TurnstileQuantiles;
 use sqs_util::space::{words, SpaceUsage};

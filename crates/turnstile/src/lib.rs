@@ -28,7 +28,6 @@
 //!   the tree constraints `x_v = x_left + x_right` via the BLUE,
 //!   cutting DCS error by 60–80%.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dcm;

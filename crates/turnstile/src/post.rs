@@ -40,10 +40,11 @@
 //! measurably beats the raw-sketch fallback (see the frontier
 //! ablation).
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "level and node indices stay within the dyadic layout `check_invariants` audits"
+)]
 
 use std::collections::HashMap;
 use std::sync::Arc;

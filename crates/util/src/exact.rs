@@ -14,10 +14,11 @@
 //!   interval endpoint (0 if contained) — i.e. the measurement
 //!   "favors the algorithms".
 
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
-// ^ audited: indices and casts here are bounded by structural
-// invariants (see `check_invariants` impls and docs/ANALYSIS.md);
-// this module is on the `cargo xtask check` allowlist.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
+    reason = "indices come from binary searches over the sorted data they index, and ranks never exceed its length"
+)]
 
 /// The rank interval of a value within a data set: every position the
 /// value could legitimately occupy in some sorted order.

@@ -31,13 +31,12 @@
 //!   out of each other's cache lines.
 //! * [`sync`] — [`sync::OrderedMutex`], the rank-badged mutex whose
 //!   debug builds panic on out-of-order (or re-entrant) acquisition;
-//!   the runtime half of the lock discipline `sqs-analyze` checks
-//!   statically.
+//!   it checks the shard-lock order the static lock discipline of
+//!   `sqs-analyze` leaves to runtime.
 //! * [`tmpdir`] — [`tmpdir::TempDir`], self-cleaning unique temp
 //!   directories for tests that write on-disk state (the offline
 //!   stand-in for the `tempfile` crate).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

@@ -1,12 +1,12 @@
 //! [`OrderedMutex`] — a mutex that enforces a lock order at runtime in
 //! debug builds.
 //!
-//! The static lock-discipline pass (`sqs-analyze`, rules
-//! `SQS-L01`/`SQS-L02` — see `docs/ANALYSIS.md`) proves ordering only
-//! where shard indices are compile-time constants; the engine's read
-//! path — every snapshot-cache miss, and the invariant audit — holds
-//! *all* its shard locks at once, taken by a runtime loop. `OrderedMutex`
-//! closes that gap dynamically: every mutex carries a
+//! The static lock-discipline pass (`sqs-analyze`, rule `SQS-L01` — see
+//! `docs/ANALYSIS.md`) forbids taking a lock under another guard, but
+//! leaves shard-over-shard to this type: the engine's read path — every
+//! snapshot-cache miss, and the invariant audit — holds *all* its shard
+//! locks at once, taken by a runtime loop. `OrderedMutex` checks that
+//! order dynamically: every mutex carries a
 //! `(domain, rank)` pair, a thread-local stack records which pairs the
 //! current thread holds, and a debug-build acquisition whose rank is
 //! not **strictly above** every held rank in the same domain panics on

@@ -47,7 +47,6 @@
 //!   [`WindowRing`] behind one mutex, rotation driven by an injected
 //!   [`sqs_util::clock::Clock`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

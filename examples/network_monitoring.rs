@@ -54,7 +54,8 @@ fn main() {
         summary.insert(f64_to_ordered_u64(rtt));
 
         if (i + 1) % report_every == 0 {
-            let mut q = |phi: f64| ordered_u64_to_f64(summary.quantile(phi).unwrap());
+            let mut q =
+                |phi: f64| ordered_u64_to_f64(summary.quantile(phi).expect("non-empty stream"));
             println!(
                 "{:>10}  {:>9.0}  {:>9.0}  {:>9.0}  {:>9.0}  {:>9.1}",
                 i + 1,

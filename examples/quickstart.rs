@@ -58,30 +58,30 @@ fn main() {
     for (name, p50, p95, p99, space) in [
         (
             "GKArray",
-            gk.quantile(0.5).unwrap(),
-            gk.quantile(0.95).unwrap(),
-            gk.quantile(0.99).unwrap(),
+            gk.quantile(0.5).expect("non-empty stream"),
+            gk.quantile(0.95).expect("non-empty stream"),
+            gk.quantile(0.99).expect("non-empty stream"),
             gk.space_bytes(),
         ),
         (
             "Random",
-            random.quantile(0.5).unwrap(),
-            random.quantile(0.95).unwrap(),
-            random.quantile(0.99).unwrap(),
+            random.quantile(0.5).expect("non-empty stream"),
+            random.quantile(0.95).expect("non-empty stream"),
+            random.quantile(0.99).expect("non-empty stream"),
             random.space_bytes(),
         ),
         (
             "FastQDigest",
-            qd.quantile(0.5).unwrap(),
-            qd.quantile(0.95).unwrap(),
-            qd.quantile(0.99).unwrap(),
+            qd.quantile(0.5).expect("non-empty stream"),
+            qd.quantile(0.95).expect("non-empty stream"),
+            qd.quantile(0.99).expect("non-empty stream"),
             qd.space_bytes(),
         ),
         (
             "DCS",
-            dcs.quantile(0.5).unwrap(),
-            dcs.quantile(0.95).unwrap(),
-            dcs.quantile(0.99).unwrap(),
+            dcs.quantile(0.5).expect("non-empty stream"),
+            dcs.quantile(0.95).expect("non-empty stream"),
+            dcs.quantile(0.99).expect("non-empty stream"),
             dcs.space_bytes(),
         ),
     ] {
@@ -93,10 +93,10 @@ fn main() {
 
     println!("\nobserved errors at p99 (fraction of n, guarantee was 0.001):");
     for (name, q) in [
-        ("GKArray", gk.quantile(0.99).unwrap()),
-        ("Random", random.quantile(0.99).unwrap()),
-        ("FastQDigest", qd.quantile(0.99).unwrap()),
-        ("DCS", dcs.quantile(0.99).unwrap()),
+        ("GKArray", gk.quantile(0.99).expect("non-empty stream")),
+        ("Random", random.quantile(0.99).expect("non-empty stream")),
+        ("FastQDigest", qd.quantile(0.99).expect("non-empty stream")),
+        ("DCS", dcs.quantile(0.99).expect("non-empty stream")),
     ] {
         println!("  {name:<12} {:.6}", oracle.quantile_error(0.99, q));
     }

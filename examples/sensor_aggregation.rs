@@ -71,7 +71,11 @@ fn main() {
         println!(
             "hop {level}: {} digests, max {:.1} KB each",
             next.len(),
-            next.iter().map(|d| d.space_bytes()).max().unwrap() as f64 / 1024.0
+            next.iter()
+                .map(|d| d.space_bytes())
+                .max()
+                .expect("at least one sensor") as f64
+                / 1024.0
         );
         digests = next;
     }
@@ -86,7 +90,7 @@ fn main() {
         "phi", "digest (C)", "exact (C)", "rank err"
     );
     for phi in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-        let q = root.quantile(phi).unwrap();
+        let q = root.quantile(phi).expect("non-empty stream");
         let err = oracle.quantile_error(phi, q);
         println!(
             "{phi:>6} {:>12.2} {:>12.2} {:>10.5}",

@@ -57,8 +57,8 @@ fn main() {
         .expect("the span fits the ring");
     let (covered, win_p50, win_p999) = (
         in_window.n as usize,
-        in_window.answers[0].unwrap(),
-        in_window.answers[1].unwrap(),
+        in_window.answers[0].expect("the window holds rows"),
+        in_window.answers[1].expect("the window holds rows"),
     );
     let oracle_win = ExactQuantiles::new(all[all.len() - covered..].to_vec());
 
@@ -73,8 +73,8 @@ fn main() {
     println!(
         "{:<28} {:>10} {:>10}",
         "targeted CKMS, all time",
-        targeted.quantile(0.5).unwrap(),
-        targeted.quantile(0.999).unwrap()
+        targeted.quantile(0.5).expect("non-empty stream"),
+        targeted.quantile(0.999).expect("non-empty stream")
     );
     println!(
         "{:<28} {:>10} {:>10}",
@@ -89,7 +89,7 @@ fn main() {
 
     println!("\nerrors vs their own ground truth:");
     for &(phi, eps) in &targets {
-        let err = oracle_all.quantile_error(phi, targeted.quantile(phi).unwrap());
+        let err = oracle_all.quantile_error(phi, targeted.quantile(phi).expect("non-empty stream"));
         println!(
             "  targeted p{:<5} err {err:.6}  (budget {eps})",
             phi * 100.0

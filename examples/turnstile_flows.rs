@@ -60,8 +60,8 @@ fn main() {
             let row = |phi: f64| {
                 format!(
                     "{}/{}/{}",
-                    dcs.quantile(phi).unwrap(),
-                    post.quantile(phi).unwrap(),
+                    dcs.quantile(phi).expect("non-empty stream"),
+                    post.quantile(phi).expect("non-empty stream"),
                     oracle.quantile(phi)
                 )
             };
@@ -83,8 +83,8 @@ fn main() {
     let mut post_avg = 0.0;
     let phis: Vec<f64> = (1..100).map(|i| i as f64 / 100.0).collect();
     for &phi in &phis {
-        raw_avg += oracle.quantile_error(phi, dcs.quantile(phi).unwrap());
-        post_avg += oracle.quantile_error(phi, post.quantile(phi).unwrap());
+        raw_avg += oracle.quantile_error(phi, dcs.quantile(phi).expect("non-empty stream"));
+        post_avg += oracle.quantile_error(phi, post.quantile(phi).expect("non-empty stream"));
     }
     raw_avg /= phis.len() as f64;
     post_avg /= phis.len() as f64;

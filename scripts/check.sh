@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# fmt, the clippy deny-list (unwrap_used, allow_attributes_without_reason,
+# and -D warnings, which fails a module's stale #![expect]) and the
+# analyzer's rules rustc and clippy cannot state (SQS-P02, SQS-L01,
+# SQS-L03). unsafe_code needs no step: every manifest forbids it, so the
+# builds below refuse it in every target.
 echo "== cargo xtask check =="
 cargo xtask check
 
@@ -22,8 +27,9 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q
 
-# Every member's own tests in debug: the analyzer's fixtures (every pass
-# still recognizes its violations) and clean-tree self-test, sqs-core's
+# Every member's own tests in debug: the analyzer's fixtures (every kept
+# rule still recognizes its violations), its clean-tree self-test and the
+# check that every manifest forbids unsafe_code, sqs-core's
 # and the turnstile's suites, the durable store (WAL + checkpoints), the
 # crash-recovery smoke (the real sqs-serve binary SIGKILLed mid-ingest
 # and restarted on the same data directory; every acknowledged batch

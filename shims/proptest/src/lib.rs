@@ -12,7 +12,6 @@
 //! Unlike real proptest there is no shrinking: failures report the seed and
 //! case index instead. Generation is fully deterministic — the RNG is seeded
 //! from the test name (plus `PROPTEST_SEED` if set), so failures reproduce.
-#![forbid(unsafe_code)]
 
 pub mod strategy;
 

@@ -85,7 +85,6 @@
 //! exposes it per tenant via the `WINDOW_*` ops
 //! (`sqs-serve --window-bucket-secs`). See `docs/WINDOW.md`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use sqs_core;

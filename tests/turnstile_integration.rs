@@ -37,14 +37,14 @@ fn check_against_live(ops: &[Op], seed: u64) {
             "DCM",
             probe_phis(EPS)
                 .into_iter()
-                .map(|p| (p, dcm.quantile(p).unwrap()))
+                .map(|p| (p, dcm.quantile(p).expect("non-empty stream")))
                 .collect::<Vec<_>>(),
         ),
         (
             "DCS",
             probe_phis(EPS)
                 .into_iter()
-                .map(|p| (p, dcs.quantile(p).unwrap()))
+                .map(|p| (p, dcs.quantile(p).expect("non-empty stream")))
                 .collect::<Vec<_>>(),
         ),
     ] {
@@ -56,7 +56,7 @@ fn check_against_live(ops: &[Op], seed: u64) {
     let post = PostProcessed::new(&dcs, EPS, 0.1);
     let answers: Vec<(f64, u64)> = probe_phis(EPS)
         .into_iter()
-        .map(|p| (p, post.quantile(p).unwrap()))
+        .map(|p| (p, post.quantile(p).expect("non-empty stream")))
         .collect();
     let (max_err, _) = observed_errors(&oracle, &answers);
     assert!(max_err <= EPS, "Post: max err {max_err} > {EPS}");
@@ -129,11 +129,11 @@ fn post_never_worse_than_twice_raw_under_churn() {
     let phis = probe_phis(EPS);
     let raw: Vec<(f64, u64)> = phis
         .iter()
-        .map(|&p| (p, dcs.quantile(p).unwrap()))
+        .map(|&p| (p, dcs.quantile(p).expect("non-empty stream")))
         .collect();
     let cooked: Vec<(f64, u64)> = phis
         .iter()
-        .map(|&p| (p, post.quantile(p).unwrap()))
+        .map(|&p| (p, post.quantile(p).expect("non-empty stream")))
         .collect();
     let (_, raw_avg) = observed_errors(&oracle, &raw);
     let (_, post_avg) = observed_errors(&oracle, &cooked);
