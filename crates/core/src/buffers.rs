@@ -38,8 +38,16 @@
 //!
 //! The write side's `GroupSampler` thins the arrivals that feed a
 //! `Random` or `MRL99` fill buffer to one per `2^level`; the read side
-//! is a `RankIndex` over the union of all live buffers, which the pool
+//! is a [`RankIndex`] over the union of all live buffers, which the pool
 //! keeps in a `CachedView` between mutations.
+//!
+//! A reader that keeps its own index across writes splits the live
+//! buffers in two ([`Runs`]): the *stable* buffers, which change only
+//! when the pool bumps its generation (a fill released, a replacement
+//! or collapse, a partial resumed as the fill), and the *fresh* one,
+//! the fill, which every insert may change. [`UnionReader`] answers
+//! from an index over each part exactly what one index over their
+//! union would, so only the fill is re-sorted per read.
 
 #![expect(
     clippy::cast_possible_truncation,
@@ -436,12 +444,12 @@ impl<V> CachedView<V> {
 /// `r̂(v) = Σ_X w(X)·|{y ∈ X : y < v}|` and its inverse are binary
 /// searches instead of a flatten-and-sort per query.
 #[derive(Debug, PartialEq)]
-pub(crate) struct RankIndex<T> {
-    /// Every live sample, ascending.
-    values: Vec<T>,
-    /// `rank_before[i]`: the summed weight of the samples sorted before
-    /// position `i` — strictly increasing, since every weight is ≥ 1.
-    rank_before: Vec<u64>,
+pub struct RankIndex<T> {
+    /// Every live sample, ascending, with the summed weight of the
+    /// samples sorted before it — strictly increasing, since every
+    /// weight is ≥ 1. One vector, written in place over the merge's
+    /// `(value, weight)` pairs.
+    items: Vec<(T, u64)>,
     /// The represented mass `W = Σ weight·|buffer|`.
     total: u64,
 }
@@ -450,47 +458,196 @@ impl<T: Ord + Copy> RankIndex<T> {
     /// The index over `bufs` (slices of samples with a per-slice weight;
     /// a slice need not be sorted), their union ordered by
     /// [`merge_runs`].
-    pub(crate) fn build(bufs: &[(&[T], u64)]) -> Self {
-        let items = merge_runs(bufs);
-        let mut values = Vec::with_capacity(items.len());
-        let mut rank_before = Vec::with_capacity(items.len());
+    pub fn build(bufs: &[(&[T], u64)]) -> Self {
+        let mut items = merge_runs(bufs);
         let mut total = 0u64;
-        for (v, w) in items {
-            values.push(v);
-            rank_before.push(total);
-            total += w;
+        for item in &mut items {
+            let weight = std::mem::replace(&mut item.1, total);
+            total += weight;
         }
-        Self {
-            values,
-            rank_before,
-            total,
-        }
+        Self { items, total }
+    }
+
+    /// The sample at `i` and the mass before it.
+    fn at(&self, i: usize) -> (T, u64) {
+        self.items[i]
+    }
+
+    /// The mass before the first sample for which `past` holds, or the
+    /// total if none does.
+    fn rank_before(&self, past: impl Fn(T) -> bool) -> u64 {
+        self.rank_within(0, self.len(), past)
+    }
+
+    /// [`rank_before`](Self::rank_before), searching positions
+    /// `lo..hi` only: `past` is known not to hold before `lo` and to
+    /// hold from `hi` on.
+    fn rank_within(&self, lo: usize, hi: usize, past: impl Fn(T) -> bool) -> u64 {
+        let i = lo + self.items[lo..hi].partition_point(|&(v, _)| !past(v));
+        self.items.get(i).map_or(self.total, |&(_, r)| r)
     }
 
     /// Estimated rank of `x`: the summed weight of all sampled
     /// elements strictly smaller than `x`.
-    pub(crate) fn rank(&self, x: T) -> u64 {
-        let i = self.values.partition_point(|&v| v < x);
-        self.rank_before.get(i).copied().unwrap_or(self.total)
+    pub fn rank(&self, x: T) -> u64 {
+        self.rank_before(|v| v >= x)
+    }
+
+    /// The summed weight of all sampled elements no larger than `x`.
+    fn rank_at_or_below(&self, x: T) -> u64 {
+        self.rank_before(|v| v > x)
+    }
+
+    /// How many samples are smaller than `x`.
+    fn count_below(&self, x: T) -> usize {
+        self.items.partition_point(|&(v, _)| v < x)
+    }
+
+    /// Samples indexed.
+    fn len(&self) -> usize {
+        self.items.len()
     }
 
     /// φ-quantile: the sampled element whose estimated rank — the mass
     /// strictly before it — is closest to `φ·W` (§2.2), the earlier
-    /// one on a tie. `None` when the buffers hold nothing.
-    pub(crate) fn quantile(&self, phi: f64) -> Option<T> {
+    /// one on a tie. `None` when the buffers hold nothing. φ is not
+    /// checked: the summaries check it before they ask.
+    pub fn quantile(&self, phi: f64) -> Option<T> {
         let target = phi * self.total as f64;
         // Distances to the target shrink up to the last rank ≤ target
         // and grow from the first rank beyond it: one of the two wins.
-        let above = self.rank_before.partition_point(|&r| r as f64 <= target);
+        let above = self.items.partition_point(|&(_, r)| r as f64 <= target);
         let below = above.checked_sub(1)?;
-        let dist = |i: usize| (self.rank_before[i] as f64 - target).abs();
-        let pick = if above < self.values.len() && dist(above) < dist(below) {
+        let dist = |i: usize| (self.at(i).1 as f64 - target).abs();
+        let pick = if above < self.items.len() && dist(above) < dist(below) {
             above
         } else {
             below
         };
-        Some(self.values[pick])
+        Some(self.at(pick).0)
     }
+}
+
+/// An index per part, read as one: what [`RankIndex::build`] over the
+/// `stable` runs followed by the `fresh` runs answers, without merging
+/// the two. Equal values order as that merge orders them, stable runs
+/// first; a rank is the sum of the two ranks, a quantile a bisection
+/// over each index for the union's neighbours of the target.
+#[derive(Debug, Clone, Copy)]
+pub struct UnionReader<'a, T> {
+    stable: &'a RankIndex<T>,
+    fresh: &'a RankIndex<T>,
+}
+
+impl<'a, T: Ord + Copy> UnionReader<'a, T> {
+    /// The reader over `stable ++ fresh`.
+    pub fn new(stable: &'a RankIndex<T>, fresh: &'a RankIndex<T>) -> Self {
+        Self { stable, fresh }
+    }
+
+    /// The summed weight of all samples strictly smaller than `x`.
+    pub fn rank(&self, x: T) -> u64 {
+        self.stable.rank(x) + self.fresh.rank(x)
+    }
+
+    /// [`RankIndex::quantile`] of the union.
+    ///
+    /// # Panics
+    /// Panics if `φ ∉ (0, 1)`.
+    pub fn quantile(&self, phi: f64) -> Option<T> {
+        crate::traits::check_phi(phi);
+        let (s, f) = (self.stable, self.fresh);
+        let target = phi * (s.total + f.total) as f64;
+        let past = |r: u64| r as f64 > target;
+        // A stable sample's union rank lies in [own, own + fresh total):
+        // it is past the target from the first own rank past it on, and
+        // not before the first whose own rank plus the fresh total is.
+        let i_hi = first(0, s.len(), |i| past(s.at(i).1));
+        let i_lo = first(0, i_hi, |i| past(s.at(i).1 + f.total));
+        // A fresh sample below the stable sample before that window is
+        // not past the target; one at or above the sample that ends it
+        // is (stable samples count first on a tie).
+        let from = i_lo.checked_sub(1).map_or(0, |i| f.count_below(s.at(i).0));
+        let to = if i_hi < s.len() {
+            f.count_below(s.at(i_hi).0)
+        } else {
+            f.len()
+        };
+        // Where each sample sits in the union: its own index's rank plus
+        // the other part's mass before it — strictly below its value
+        // for a stable sample, at or below it for a fresh one. For the
+        // samples of the two windows that mass is a search of the other
+        // window alone: all of the other part before it lies below them,
+        // none after it does.
+        let in_stable = |i: usize| {
+            let (v, r) = s.at(i);
+            (r + f.rank_within(from, to, |x| x >= v), v)
+        };
+        let s_from = i_lo.saturating_sub(1);
+        let in_window = |j: usize| {
+            let (v, r) = f.at(j);
+            (r + s.rank_within(s_from, i_hi, |x| x > v), v)
+        };
+        let in_fresh = |j: usize| {
+            let (v, r) = f.at(j);
+            (r + s.rank_at_or_below(v), v)
+        };
+        let i = first(i_lo, i_hi, |i| past(in_stable(i).0));
+        let j = first(from, to, |j| past(in_window(j).0));
+        // The union's last sample at or before the target and the one
+        // after it, as `RankIndex::quantile` picks between them.
+        let below = [
+            i.checked_sub(1).map(in_stable),
+            j.checked_sub(1).map(in_fresh),
+        ];
+        let above = [
+            (i < s.len()).then(|| in_stable(i)),
+            (j < f.len()).then(|| in_fresh(j)),
+        ];
+        let (rb, vb) = below.into_iter().flatten().max_by_key(|p| p.0)?;
+        let dist = |r: u64| (r as f64 - target).abs();
+        match above.into_iter().flatten().min_by_key(|p| p.0) {
+            Some((ra, va)) if dist(ra) < dist(rb) => Some(va),
+            _ => Some(vb),
+        }
+    }
+
+    /// One [`quantile`](Self::quantile) per φ.
+    ///
+    /// # Panics
+    /// Panics if any `φ ∉ (0, 1)`.
+    pub fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
+        phis.iter().map(|&phi| self.quantile(phi)).collect()
+    }
+}
+
+/// The first `i` in `lo..hi` at which `pred` holds, or `hi`: `pred`
+/// is monotone and known to hold at `hi`.
+fn first(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// A pool's live buffers split for a reader that keeps an index across
+/// writes (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Runs<'a, T> {
+    /// The pool's generation: while it reads the same, `stable` holds
+    /// the same samples at the same weights in the same order, and the
+    /// fill only grows at its end, at its weight.
+    pub generation: u64,
+    /// Every nonempty buffer but the fill, in slot order; each sorted
+    /// unless it is a partial that `merge_from` left.
+    pub stable: Vec<(&'a [T], u64)>,
+    /// The fill, in arrival order, while it holds anything.
+    pub fresh: Option<(&'a [T], u64)>,
 }
 
 /// One slot of a [`Pool`].
@@ -542,6 +699,9 @@ pub(crate) struct Pool<T> {
     pub(crate) n: u64,
     /// The queries' sorted union of `buffers`; every mutator drops it.
     pub(crate) view: CachedView<RankIndex<T>>,
+    /// Bumped by every change to a buffer other than the fill: the key
+    /// of [`Runs::stable`].
+    pub(crate) generation: u64,
 }
 
 impl<T> Pool<T> {
@@ -567,6 +727,7 @@ impl<T: Ord + Copy> Pool<T> {
             fill: None,
             n: 0,
             view: CachedView::default(),
+            generation: 0,
         }
     }
 
@@ -605,6 +766,13 @@ impl<T: Ord + Copy> Pool<T> {
     pub(crate) fn start_fill(&mut self, idx: usize, level: u32, weight: u64) {
         (self.buffers[idx].level, self.buffers[idx].weight) = (level, weight);
         self.fill = Some(idx);
+    }
+
+    /// Makes the partial buffer `idx` the fill again, at its own level
+    /// and weight: it leaves the stable part.
+    pub(crate) fn resume_fill(&mut self, idx: usize) {
+        self.fill = Some(idx);
+        self.generation += 1;
     }
 
     /// Appends one sample to the fill. Returns the fill's level while
@@ -653,6 +821,7 @@ impl<T: Ord + Copy> Pool<T> {
         buf.data.sort_unstable();
         buf.full = true;
         self.fill = None;
+        self.generation += 1;
     }
 
     /// Puts `data` at (`level`, `weight`) into the first buffer of
@@ -666,6 +835,7 @@ impl<T: Ord + Copy> Pool<T> {
         (buf.level, buf.weight) = (level, weight);
         buf.full = data.len() == self.cap;
         buf.data = data;
+        self.generation += 1;
     }
 
     /// The MRL COLLAPSE of the `chosen` buffers into one full buffer of
@@ -681,6 +851,22 @@ impl<T: Ord + Copy> Pool<T> {
         let weight = picked().map(|b| b.weight).sum();
         let level = picked().map(|b| b.level).max().map_or(0, |l| l + 1);
         self.replace(chosen, level, weight, merged);
+    }
+
+    /// The live buffers split into the stable part and the fill.
+    pub(crate) fn runs(&self) -> Runs<'_, T> {
+        fn run<T>(b: &Buffer<T>) -> (&[T], u64) {
+            (b.data.as_slice(), b.weight)
+        }
+        let live = |&(i, b): &(usize, &Buffer<T>)| Some(i) != self.fill && !b.data.is_empty();
+        let stable = self.buffers.iter().enumerate().filter(live);
+        Runs {
+            generation: self.generation,
+            stable: stable.map(|(_, b)| run(b)).collect(),
+            fresh: (self.fill.map(|i| &self.buffers[i]))
+                .filter(|b| !b.data.is_empty())
+                .map(run),
+        }
     }
 
     /// The rank index over the live buffers, merged on the first query
@@ -826,6 +1012,85 @@ pub(crate) mod oracle {
             }
         }
         query(&mut s, &mut rng);
+    }
+
+    /// The generation contract of a summary's [`super::Runs`] under a
+    /// random interleaving of inserts, batches (0, 1, up to a fill
+    /// boundary and past it, many buffers) and `extra` mutators: while
+    /// the generation reads what it read one step earlier, `stable`
+    /// holds the same runs and the fill has only grown at its end; and,
+    /// read through
+    /// [`super::UnionReader`], the two parts answer what one index over
+    /// `stable ++ fresh` answers, their ranks the summary's own.
+    pub(crate) fn check_runs_follow_the_generation<S>(
+        mut s: S,
+        universe: u64,
+        seed: u64,
+        runs: for<'a> fn(&'a S) -> super::Runs<'a, u64>,
+        cap: u64,
+        extra: &[Mutator<S>],
+    ) where
+        S: QuantileSummary<u64> + CheckInvariants,
+    {
+        use super::{RankIndex, UnionReader};
+        type Owned = Vec<(Vec<u64>, u64)>;
+        let own = |parts: &[(&[u64], u64)]| -> Owned {
+            parts.iter().map(|&(d, w)| (d.to_vec(), w)).collect()
+        };
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut last: Option<(u64, Owned, (Vec<u64>, u64))> = None;
+        for step in 0..3000 {
+            // Rows to the fill's boundary, give or take a sampler group.
+            let room = |s: &S| {
+                let fill = runs(s).fresh;
+                fill.map_or(cap, |(d, w)| (cap - d.len() as u64) * w)
+            };
+            let len = match rng.next_below(5 + extra.len() as u64) {
+                0 => 1,
+                1 => [0, room(&s), room(&s) + 1][rng.next_below(3) as usize],
+                2 => rng.next_below(40),
+                3 => rng.next_below(4_000),
+                4 => 0,
+                k => {
+                    extra[k as usize - 5](&mut s, &mut rng);
+                    0
+                }
+            };
+            let xs: Vec<u64> = (0..len).map(|_| rng.next_below(universe)).collect();
+            s.insert_batch(&xs);
+            let r = runs(&s);
+            let stable = own(&r.stable);
+            let fill = r.fresh.map_or((Vec::new(), 0), |(d, w)| (d.to_vec(), w));
+            if let Some((generation, before, (prefix, weight))) = &last {
+                if *generation == r.generation {
+                    assert_eq!(
+                        &stable, before,
+                        "step {step}: stable runs moved at one generation"
+                    );
+                    let grown =
+                        fill.0.starts_with(prefix) && (prefix.is_empty() || fill.1 == *weight);
+                    assert!(grown, "step {step}: the fill changed other than at its end");
+                }
+            }
+            let mut both = r.stable.clone();
+            both.extend(r.fresh);
+            let fresh: Vec<(&[u64], u64)> = r.fresh.into_iter().collect();
+            let (whole, stable_index) = (RankIndex::build(&both), RankIndex::build(&r.stable));
+            let fresh_index = RankIndex::build(&fresh);
+            let reader = UnionReader::new(&stable_index, &fresh_index);
+            let phis: Vec<f64> = (1..40).map(|i| f64::from(i) / 40.0).collect();
+            let want: Vec<Option<u64>> = phis.iter().map(|&p| whole.quantile(p)).collect();
+            let xs: Vec<u64> = (0..6).map(|_| rng.next_below(universe + 1)).collect();
+            let ranks: Vec<u64> = xs.iter().map(|&x| reader.rank(x)).collect();
+            last = Some((r.generation, stable, fill));
+            assert_eq!(reader.quantiles(&phis), want, "step {step}");
+            let own_ranks: Vec<u64> = xs.iter().map(|&x| s.rank_estimate(x)).collect();
+            assert_eq!(
+                ranks, own_ranks,
+                "step {step}: the parts are not the live buffers"
+            );
+        }
+        s.assert_invariants();
     }
 
     /// The state-identity property of a sampling summary's
@@ -1196,6 +1461,55 @@ mod tests {
         for x in 0..172 {
             assert_eq!(index.rank(x), oracle::weighted_rank(&bufs, x), "x={x}");
         }
+    }
+
+    #[test]
+    fn a_union_reader_answers_what_one_index_over_both_parts_answers() {
+        let mut rng = sqs_util::rng::Xoshiro256pp::new(35);
+        let mut phis: Vec<f64> = (1..300).map(|i| f64::from(i) / 300.0).collect();
+        phis.extend([1e-9, 0.5, 1.0 - 1e-9]);
+        for _ in 0..400 {
+            let mut runs = seeded_runs(&mut rng);
+            // Any split, either part empty included; a fill is unsorted.
+            let cut = rng.next_below(runs.len() as u64 + 1) as usize;
+            if let Some(fill) = runs.get_mut(cut) {
+                fill.0.reverse();
+            }
+            let bufs: Vec<(&[u64], u64)> = runs.iter().map(|(d, w)| (d.as_slice(), *w)).collect();
+            let (stable, fresh) = bufs.split_at(cut);
+            let whole = RankIndex::build(&bufs);
+            let (s, f) = (RankIndex::build(stable), RankIndex::build(fresh));
+            let reader = UnionReader::new(&s, &f);
+            assert_eq!(
+                reader.quantiles(&phis),
+                phis.iter().map(|&p| whole.quantile(p)).collect::<Vec<_>>()
+            );
+            for _ in 0..50 {
+                let x = rng.next_below(1 << 41);
+                let x = [x, x % 70, x % 5][rng.next_below(3) as usize];
+                assert_eq!(reader.rank(x), whole.rank(x), "x = {x}");
+            }
+        }
+        // A tie across the parts at the target: the stable 5 (weight 3)
+        // is the union's, as merge_runs orders it.
+        let (s, f) = (
+            RankIndex::build(&[(&[5u64][..], 3)]),
+            RankIndex::build(&[(&[5u64, 9][..], 1)]),
+        );
+        let whole = RankIndex::build(&[(&[5u64][..], 3), (&[9u64, 5][..], 1)]);
+        let reader = UnionReader::new(&s, &f);
+        for phi in [0.1, 0.4, 0.6, 0.7, 0.9] {
+            assert_eq!(reader.quantile(phi), whole.quantile(phi), "phi {phi}");
+        }
+        let empty = RankIndex::<u64>::build(&[]);
+        assert_eq!(UnionReader::new(&empty, &empty).quantile(0.5), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "phi must be in the open interval")]
+    fn a_union_reader_checks_phi() {
+        let empty = RankIndex::<u64>::build(&[]);
+        UnionReader::new(&empty, &empty).quantile(1.0);
     }
 
     #[test]

@@ -144,6 +144,12 @@ impl<T: Ord + Copy> Mrl98<T> {
         self.pool.cap
     }
 
+    /// The live buffers split into the stable part and the fill
+    /// ([`Runs`](crate::buffers::Runs)).
+    pub fn runs(&self) -> crate::buffers::Runs<'_, T> {
+        self.pool.runs()
+    }
+
     /// The lowest level among the full buffers.
     fn min_level(&self) -> Option<u32> {
         let full = self.pool.buffers.iter().filter(|b| b.full);
@@ -402,6 +408,16 @@ mod tests {
         assert_eq!(s.rank_estimate(7), 3);
         let fill = s.pool.fill.expect("a partial fill");
         assert_eq!(s.pool.buffers[fill].data, rows);
+    }
+
+    #[test]
+    fn stable_runs_follow_the_generation() {
+        use crate::buffers::oracle::check_runs_follow_the_generation;
+        for (universe, seed) in [(48, 1), (1 << 20, 2)] {
+            let s = Mrl98::new(0.1, 50_000);
+            let cap = s.buffer_size() as u64;
+            check_runs_follow_the_generation(s, universe, seed, Mrl98::runs, cap, &[]);
+        }
     }
 
     #[test]

@@ -40,6 +40,13 @@ impl<T: Ord + Copy> Mrl99<T> {
         let full = self.pool.buffers.iter().filter(|b| b.full);
         full.map(|b| b.weight).collect()
     }
+
+    /// The live buffers split into the stable part and the fill
+    /// ([`Runs`](crate::buffers::Runs)), as `Random` hands them to the
+    /// engine.
+    pub fn runs(&self) -> crate::buffers::Runs<'_, T> {
+        self.pool.runs()
+    }
 }
 
 /// The MRL99 COLLAPSE: merge all minimal-weight full buffers (at least
@@ -167,6 +174,16 @@ mod tests {
             let mut whole = Mrl99::new(eps, seed);
             whole.insert_batch(&rows);
             assert!(state(&mut whole) == state(&mut itemwise), "eps {eps}");
+        }
+    }
+
+    #[test]
+    fn stable_runs_follow_the_generation() {
+        use crate::buffers::oracle::check_runs_follow_the_generation;
+        for (universe, seed) in [(48, 1), (1 << 20, 2)] {
+            let s = Mrl99::new(0.1, seed);
+            let cap = s.buffer_size() as u64;
+            check_runs_follow_the_generation(s, universe, seed, Mrl99::runs, cap, &[]);
         }
     }
 

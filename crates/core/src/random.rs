@@ -203,7 +203,7 @@ impl<T: Ord + Copy, const WEIGHTED: bool> Sampled<T, WEIGHTED> {
             let partials = bufs.iter().enumerate().filter(|(_, b)| !b.full);
             let lowest = partials.min_by_key(|(_, b)| b.level);
             if let Some((idx, level)) = lowest.map(|(i, b)| (i, b.level)) {
-                self.pool.fill = Some(idx);
+                self.pool.resume_fill(idx);
                 return self.sampler.start(level, &mut self.rng);
             }
             self.make_room();
@@ -335,6 +335,10 @@ impl<T: Ord + Copy> crate::MergeableSummary<T> for RandomSketch<T> {
     /// would otherwise hand over buffers no slot here can hold.
     fn merge_compatible(&self, other: &Self) -> bool {
         (self.eps - other.eps).abs() < 1e-12 && self.pool.same_shape(&other.pool)
+    }
+
+    fn runs(&self) -> Option<crate::buffers::Runs<'_, T>> {
+        Some(self.pool.runs())
     }
 }
 
@@ -858,6 +862,30 @@ mod tests {
                 expect,
                 &[merge, roundtrip],
             );
+        }
+    }
+
+    #[test]
+    fn stable_runs_follow_the_generation() {
+        use crate::buffers::oracle::check_runs_follow_the_generation;
+        type S = RandomSketch<u64>;
+        fn runs(s: &S) -> crate::buffers::Runs<'_, u64> {
+            crate::MergeableSummary::runs(s).expect("Random has runs")
+        }
+        // A donor big enough that the merge often packs every slot, so
+        // that the next insert resumes a partial as the fill.
+        fn merge(s: &mut S, rng: &mut Xoshiro256pp) {
+            let mut other = S::new(s.eps, rng.next_below(1 << 32));
+            let xs: Vec<u64> = (0..rng.next_below(6_000))
+                .map(|_| rng.next_below(48))
+                .collect();
+            other.insert_batch(&xs);
+            s.merge_from(other);
+        }
+        for (universe, seed) in [(48, 1), (1 << 20, 2)] {
+            let s = S::new(0.1, seed);
+            let cap = s.buffer_size() as u64;
+            check_runs_follow_the_generation(s, universe, seed, runs, cap, &[merge]);
         }
     }
 

@@ -20,8 +20,8 @@ use sqs_util::SpaceUsage;
 /// by merging buffers that are sorted already (`buffers::merge_runs`),
 /// never by sorting their union. Every mutator drops the index and
 /// `clone` never copies it, so it lives exactly as long as the state it
-/// describes — inside the engine's epoch-keyed merged snapshot, until
-/// the next fold.
+/// describes. (The engine does not query its shards' summaries: it
+/// indexes their [`runs`](MergeableSummary::runs) itself.)
 ///
 /// [`insert`]: QuantileSummary::insert
 pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
@@ -168,6 +168,20 @@ pub trait MergeableSummary<T: Ord + Copy>: QuantileSummary<T> + CheckInvariants 
     /// and the server uses this check to turn the mismatch into an
     /// error reply instead of a worker panic.
     fn merge_compatible(&self, other: &Self) -> bool;
+
+    /// The summary's live samples split into the part that outlives
+    /// writes and the part every write may change, for a reader that
+    /// keeps an index over the first across writes (the engine's cold
+    /// read, docs/ENGINE.md §2). `None`, the default, for a summary
+    /// that has no such split: the engine then merges clones.
+    ///
+    /// Answering from [`UnionReader`](crate::buffers::UnionReader) over
+    /// indexes of the two parts must stay within ε of the summary's
+    /// own answers — it is the union the summary itself answers from,
+    /// in another order among equal values.
+    fn runs(&self) -> Option<crate::buffers::Runs<'_, T>> {
+        None
+    }
 }
 
 /// Validates a φ argument; shared by all implementations.

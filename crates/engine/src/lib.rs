@@ -17,12 +17,17 @@
 //!    the engine epoch. Nothing is cloned, buffered or queued, and
 //!    writes to different shards run in parallel.
 //! 2. **Reads cut on demand** — a read takes the cache mutex and
-//!    answers from the cached merge if it carries the current epoch.
+//!    answers from the read cache if it carries the current epoch.
 //!    Otherwise it takes *every* shard lock in ascending order, reads
 //!    the epoch (stable: each tick happens under one of the held
-//!    locks), clones the `k` summaries, releases, merges, and caches
-//!    the merge under that epoch: a cut is a state the engine was in,
-//!    by construction.
+//!    locks), copies what it answers from, and releases: a cut is a
+//!    state the engine was in, by construction. A summary with
+//!    [`runs`](MergeableSummary::runs) is answered from the union of
+//!    the shards' runs: the cut copies the fills, and the stable runs
+//!    only when a shard's generation moved, and the read indexes them
+//!    after the locks are released — the stable index outlives writes.
+//!    Any other summary, and every [`snapshot`](ShardedEngine::snapshot),
+//!    is answered from the merge of `k` clones.
 //!
 //! Lock order: cache, then shards ascending; a writer takes one shard
 //! lock and never the cache. `docs/ENGINE.md` has the argument, the
@@ -32,7 +37,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use sqs_core::MergeableSummary;
+use sqs_core::buffers::{RankIndex, Runs, UnionReader};
+use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_util::audit::{ensure, CheckInvariants, InvariantViolation};
 use sqs_util::pad::CachePadded;
 use sqs_util::sync::{next_domain, OrderedMutex, OrderedMutexGuard};
@@ -52,10 +58,12 @@ pub struct EngineStats {
     /// The engine epoch: one tick per fold (`ingest_batch` or
     /// `try_absorb`). The snapshot cache's invalidation signal.
     pub epoch: u64,
-    /// Merged snapshots rebuilt so far (snapshot-cache misses).
+    /// Cuts taken so far (read-cache misses): each took every shard
+    /// lock once, for a read or a [`snapshot`](ShardedEngine::snapshot)
+    /// the epoch-keyed cache could not answer.
     pub snapshots: u64,
-    /// Query sweeps answered from the epoch-keyed snapshot cache
-    /// without re-merging.
+    /// Reads and snapshots answered from the epoch-keyed read cache
+    /// without a cut.
     pub snapshot_cache_hits: u64,
     /// Always 0: a cut is taken under every shard lock and never
     /// retried. Kept because `benchmark/` reads the field; goes with
@@ -71,10 +79,217 @@ pub struct EngineStats {
     pub lock_recoveries: u64,
 }
 
-/// The merged snapshot the read path caches between folds.
-struct CachedSnapshot<S> {
+/// A merge of `k` shard clones and the epoch of the cut it was taken at.
+struct Merged<S> {
     epoch: u64,
     summary: S,
+}
+
+/// One part of the shards' runs as a cut copied it — the samples back
+/// to back, each run's end and weight — until the first read indexes it,
+/// after the shard locks are released.
+struct Part<T> {
+    samples: Vec<T>,
+    runs: Vec<(usize, u64)>,
+    index: Option<RankIndex<T>>,
+}
+
+impl<T: Ord + Copy> Part<T> {
+    fn copy<'a>(runs: impl Iterator<Item = (&'a [T], u64)>) -> Self
+    where
+        T: 'a,
+    {
+        let (mut samples, mut ends) = (Vec::new(), Vec::new());
+        for (data, weight) in runs {
+            samples.extend_from_slice(data);
+            ends.push((samples.len(), weight));
+        }
+        Self {
+            samples,
+            runs: ends,
+            index: None,
+        }
+    }
+
+    /// The copied runs as slices.
+    fn slices<'a>(samples: &'a [T], runs: &[(usize, u64)]) -> Vec<(&'a [T], u64)> {
+        let starts = std::iter::once(0).chain(runs.iter().map(|&(end, _)| end));
+        let bounds = starts.zip(runs);
+        bounds
+            .map(|(start, &(end, weight))| (samples.get(start..end).unwrap_or_default(), weight))
+            .collect()
+    }
+
+    /// The index over the copied runs, built (and the copy dropped) on
+    /// first use.
+    fn index(&mut self) -> &RankIndex<T> {
+        self.index.get_or_insert_with(|| {
+            let (samples, runs) = (
+                std::mem::take(&mut self.samples),
+                std::mem::take(&mut self.runs),
+            );
+            RankIndex::build(&Self::slices(&samples, &runs))
+        })
+    }
+
+    /// Whether this part is what a copy of `runs` would be.
+    fn holds(&self, runs: &[(&[T], u64)]) -> bool {
+        match &self.index {
+            Some(index) => *index == RankIndex::build(runs),
+            None => Self::slices(&self.samples, &self.runs) == runs,
+        }
+    }
+}
+
+/// One shard's fill as the last cut saw it: its samples, sorted up to
+/// where the last read sorted them, and their weight.
+struct Fill<T> {
+    weight: u64,
+    samples: Vec<T>,
+}
+
+impl<T: Ord + Copy> Fill<T> {
+    /// Brings the copy up to the shard's fill in `runs`, read under its
+    /// lock. At an unmoved generation the fill has only grown at its
+    /// end (`Runs`' contract), so only what was appended is copied.
+    fn cut(mut self, runs: &Runs<'_, T>, same_generation: bool) -> Self {
+        let (data, weight) = runs.fresh.unwrap_or((&[], self.weight));
+        let grown = same_generation && (self.samples.is_empty() || self.weight == weight);
+        match data.get(self.samples.len()..) {
+            Some(appended) if grown => self.samples.extend_from_slice(appended),
+            _ => {
+                self.samples.clear();
+                self.samples.extend_from_slice(data);
+            }
+        }
+        self.weight = weight;
+        self
+    }
+
+    /// Whether the copy holds the samples of `fresh` at its weight.
+    fn holds(&self, fresh: Option<(&[T], u64)>) -> bool {
+        let (data, weight) = fresh.unwrap_or((&[], self.weight));
+        let (mut mine, mut theirs) = (self.samples.clone(), data.to_vec());
+        mine.sort_unstable();
+        theirs.sort_unstable();
+        weight == self.weight && mine == theirs
+    }
+}
+
+/// The shards' runs as of a cut: the stable runs of the last cut that
+/// found a shard's generation moved, and every shard's fill.
+struct Parts<T> {
+    epoch: u64,
+    /// Each shard's generation when `stable` was copied: the key that
+    /// lets `stable`, and its index, outlive writes.
+    generations: Vec<u64>,
+    stable: Part<T>,
+    fills: Vec<Fill<T>>,
+    /// The index over `fills`, built by the first read of this cut.
+    fresh: Option<RankIndex<T>>,
+}
+
+impl<T: Ord + Copy> Parts<T> {
+    /// Copies `runs` (read under every shard lock at `epoch`), keeping
+    /// `kept` whole if it is of this epoch, its stable part if every
+    /// generation still matches, and a shard's fill copy, extended, if
+    /// that shard's does.
+    fn cut(epoch: u64, runs: &[Runs<'_, T>], kept: Option<Self>) -> Self {
+        let generations: Vec<u64> = runs.iter().map(|r| r.generation).collect();
+        let (stable, fills) = match kept {
+            Some(kept) if kept.epoch == epoch => return kept,
+            Some(kept) => {
+                let same = |i: usize| kept.generations.get(i) == generations.get(i);
+                let fills = (runs.iter().zip(kept.fills).enumerate())
+                    .map(|(i, (r, fill))| fill.cut(r, same(i)))
+                    .collect();
+                (
+                    (kept.generations == generations).then_some(kept.stable),
+                    fills,
+                )
+            }
+            None => {
+                let empty = || Fill {
+                    weight: 1,
+                    samples: Vec::new(),
+                };
+                (None, runs.iter().map(|r| empty().cut(r, false)).collect())
+            }
+        };
+        let copy = || Part::copy(runs.iter().flat_map(|r| r.stable.iter().copied()));
+        Self {
+            epoch,
+            generations,
+            stable: stable.unwrap_or_else(copy),
+            fills,
+            fresh: None,
+        }
+    }
+
+    /// The reader over both parts, indexing what this cut left
+    /// unindexed: the fills always, sorted in place (a stable sort, so
+    /// a sorted prefix and an appended tail cost a sort of the tail and
+    /// one merge), the stable runs when they were copied afresh.
+    fn reader(&mut self) -> UnionReader<'_, T> {
+        let fills = &mut self.fills;
+        let fresh = self.fresh.get_or_insert_with(|| {
+            fills.iter_mut().for_each(|fill| fill.samples.sort());
+            let runs: Vec<(&[T], u64)> = fills.iter().map(|f| (&f.samples[..], f.weight)).collect();
+            RankIndex::build(&runs)
+        });
+        UnionReader::new(self.stable.index(), fresh)
+    }
+}
+
+/// What the read path keeps between folds.
+struct ReadCache<T, S> {
+    /// The merge of the last cut that took clones: every snapshot, and
+    /// every read of a summary without runs.
+    merged: Option<Merged<S>>,
+    /// The shards' runs as of the last cut, for summaries that have
+    /// them: what their reads answer from.
+    parts: Option<Parts<T>>,
+}
+
+impl<T, S> ReadCache<T, S> {
+    /// Whether a read at `epoch` is answered without a cut.
+    fn reads_at(&self, epoch: u64) -> bool {
+        match &self.parts {
+            Some(parts) => parts.epoch == epoch,
+            None => self.merged.as_ref().is_some_and(|m| m.epoch == epoch),
+        }
+    }
+}
+
+/// What one read answers from.
+enum Reader<'a, T, S> {
+    /// The union of the shards' runs.
+    Runs(UnionReader<'a, T>),
+    /// The merge of a cut, for a summary without runs.
+    Merged(&'a mut S),
+}
+
+impl<T: Ord + Copy, S: QuantileSummary<T>> Reader<'_, T, S> {
+    fn quantile(&mut self, phi: f64) -> Option<T> {
+        match self {
+            Self::Runs(r) => r.quantile(phi),
+            Self::Merged(s) => s.quantile(phi),
+        }
+    }
+
+    fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<T>> {
+        match self {
+            Self::Runs(r) => r.quantiles(phis),
+            Self::Merged(s) => s.quantiles(phis),
+        }
+    }
+
+    fn rank(&mut self, x: T) -> u64 {
+        match self {
+            Self::Runs(r) => r.rank(x),
+            Self::Merged(s) => s.rank_estimate(x),
+        }
+    }
 }
 
 /// A concurrent quantile-ingestion engine: `k` cache-padded shards,
@@ -115,9 +330,9 @@ pub struct ShardedEngine<T, S> {
     snapshots: AtomicU64,
     cache_hits: AtomicU64,
     lock_recoveries: AtomicU64,
-    /// The merge of the last cut, keyed on the epoch it was taken at.
-    /// First in the lock order: held across a miss's shard locks.
-    cache: Mutex<Option<CachedSnapshot<S>>>,
+    /// What the last cuts copied, keyed on the epoch they were taken
+    /// at. First in the lock order: held across a miss's shard locks.
+    cache: Mutex<ReadCache<T, S>>,
     _elem: PhantomData<fn(T)>,
 }
 
@@ -155,7 +370,10 @@ where
             snapshots: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             lock_recoveries: AtomicU64::new(0),
-            cache: Mutex::new(None),
+            cache: Mutex::new(ReadCache {
+                merged: None,
+                parts: None,
+            }),
             _elem: PhantomData,
         }
     }
@@ -251,53 +469,92 @@ where
         Ok(())
     }
 
-    /// Runs `f` against the merged snapshot for the current epoch — the
-    /// engine's one read path. A hit (no fold since the cached merge
-    /// was cut) costs the cache mutex and zero merging. A miss cuts
-    /// under every shard lock, so the clones and the epoch that labels
-    /// them are one state of the engine, then merges with the shards
-    /// released. The cache mutex is held throughout: racing readers
-    /// queue behind one rebuild and hit it.
-    fn with_snapshot<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cached) = cache.as_mut() {
-            if cached.epoch == self.epoch.load(Ordering::Acquire) {
-                self.cache_hits.fetch_add(1, Ordering::AcqRel);
-                return f(&mut cached.summary);
-            }
-        }
-        let (epoch, parts) = {
-            // analyze:allow(SQS-L01): the engine's one lock order — cache, then shards ascending; writers take one shard and never the cache (docs/ENGINE.md §1.2)
+    /// Takes a cut into `cache`: every shard lock in ascending order,
+    /// the epoch, then what the read needs — the shards' runs if they
+    /// have them (the fills; the stable runs only where a generation
+    /// moved), `k` clones if `merge` asks for them or there are no
+    /// runs. The locks are released before anything is indexed or
+    /// merged, so a writer waits for copies only.
+    fn cut(&self, cache: &mut ReadCache<T, S>, merge: bool) {
+        let (epoch, clones) = {
+            // The engine's one lock order: the caller holds the cache,
+            // then every shard ascending; writers take one shard and never
+            // the cache (docs/ENGINE.md §1.2).
             let held: Vec<_> = (0..self.shards.len()).map(|i| self.lock_shard(i)).collect();
-            let parts: Vec<S> = held.iter().map(|shard| S::clone(shard)).collect();
-            (self.epoch.load(Ordering::Acquire), parts)
+            let epoch = self.epoch.load(Ordering::Acquire);
+            let runs: Option<Vec<Runs<'_, T>>> = held.iter().map(|shard| shard.runs()).collect();
+            let merge = merge || runs.is_none();
+            if let Some(runs) = runs {
+                cache.parts = Some(Parts::cut(epoch, &runs, cache.parts.take()));
+            }
+            let clones = merge.then(|| held.iter().map(|shard| S::clone(shard)).collect());
+            (epoch, clones)
         };
-        let (summary, _depth) = merge_tree(parts);
+        if let Some(clones) = clones {
+            let (summary, _depth) = merge_tree(clones);
+            cache.merged = Some(Merged { epoch, summary });
+        }
         self.snapshots.fetch_add(1, Ordering::AcqRel);
-        f(&mut cache.insert(CachedSnapshot { epoch, summary }).summary)
+    }
+
+    /// Runs `f` against what the current epoch reads from — the
+    /// engine's one read path. A hit (no fold since the last cut) costs
+    /// the cache mutex and no shard lock. A miss cuts (see
+    /// [`cut`](Self::cut)). The cache mutex is held throughout: racing
+    /// readers queue behind one cut and hit it.
+    fn read<R>(&self, f: impl FnOnce(Reader<'_, T, S>) -> R) -> R {
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if cache.reads_at(self.epoch.load(Ordering::Acquire)) {
+            self.cache_hits.fetch_add(1, Ordering::AcqRel);
+        } else {
+            self.cut(&mut cache, false);
+        }
+        let cache = &mut *cache;
+        f(match (&mut cache.parts, &mut cache.merged) {
+            (Some(parts), _) => Reader::Runs(parts.reader()),
+            (None, merged) => Reader::Merged(
+                &mut merged
+                    .as_mut()
+                    .expect("Engine invariant: a cut leaves runs or a merge")
+                    .summary,
+            ),
+        })
     }
 
     /// Folds the shard summaries into one queryable summary (an
     /// ε-summary of every element ingested so far): a clone of the
     /// epoch-cached merge, so a burst of snapshots between writes costs
-    /// one cut and one merge.
+    /// one cut and one merge. Its answers are within ε of the engine's
+    /// own, not equal to them: the engine answers from the union of the
+    /// shards' runs where the summary has them.
     pub fn snapshot(&self) -> S {
-        self.with_snapshot(|s| s.clone())
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let epoch = self.epoch.load(Ordering::Acquire);
+        if cache.merged.as_ref().is_some_and(|m| m.epoch == epoch) {
+            self.cache_hits.fetch_add(1, Ordering::AcqRel);
+        } else {
+            self.cut(&mut cache, true);
+        }
+        let merged = cache.merged.as_ref();
+        merged
+            .expect("Engine invariant: a merging cut leaves a merge")
+            .summary
+            .clone()
     }
 
     /// An ε-approximate φ-quantile of everything ingested so far,
-    /// answered from the epoch-cached snapshot. `None` while empty.
+    /// answered from the epoch-cached read. `None` while empty.
     ///
     /// Answering *many* ranks? [`quantiles`](Self::quantiles) answers
-    /// a whole sweep against one snapshot read.
+    /// a whole sweep against one read.
     pub fn quantile(&self, phi: f64) -> Option<T> {
-        self.with_snapshot(|s| s.quantile(phi))
+        self.read(|mut r| r.quantile(phi))
     }
 
-    /// Answers a whole rank sweep from **one** epoch-consistent
-    /// snapshot: every φ reads the same merged summary, so the
-    /// answers are mutually consistent, and a sweep between writes
-    /// costs no merging at all (cache hit). Rides the summary's
+    /// Answers a whole rank sweep from **one** epoch-consistent read:
+    /// every φ reads the same cut, so the answers are mutually
+    /// consistent, and a sweep between writes takes no shard lock
+    /// (cache hit). A merged read rides the summary's
     /// [`quantiles`](sqs_core::QuantileSummary::quantiles) bulk path —
     /// the turnstile backends answer the whole sorted sweep in one
     /// lockstep bisection instead of re-bisecting per φ.
@@ -309,20 +566,20 @@ where
         if phis.is_empty() {
             return Vec::new();
         }
-        self.with_snapshot(|s| s.quantiles(phis))
+        self.read(|mut r| r.quantiles(phis))
     }
 
     /// Estimated rank of `x` over everything ingested so far,
-    /// answered from the epoch-cached snapshot.
+    /// answered from the epoch-cached read.
     pub fn rank_estimate(&self, x: T) -> u64 {
-        self.with_snapshot(|s| s.rank_estimate(x))
+        self.read(|mut r| r.rank(x))
     }
 
     /// Answers a φ-sweep **and** a rank sweep against the *same*
-    /// epoch-consistent snapshot in one call — the service's
-    /// `QUERY_MANY` op. One snapshot read, one batched quantile sweep,
-    /// one rank pass; the two answer vectors are mutually consistent
-    /// by construction (no fold can land between them).
+    /// epoch-consistent read in one call — the service's `QUERY_MANY`
+    /// op. One read, one batched quantile sweep, one rank pass; the two
+    /// answer vectors are mutually consistent by construction (no fold
+    /// can land between them).
     ///
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`.
@@ -330,9 +587,9 @@ where
         if phis.is_empty() && xs.is_empty() {
             return (Vec::new(), Vec::new());
         }
-        self.with_snapshot(|s| {
-            let quantiles = s.quantiles(phis);
-            let ranks = xs.iter().map(|&x| s.rank_estimate(x)).collect();
+        self.read(|mut r| {
+            let quantiles = r.quantiles(phis);
+            let ranks = xs.iter().map(|&x| r.rank(x)).collect();
             (quantiles, ranks)
         })
     }
@@ -382,8 +639,12 @@ where
     /// * `engine.mass_conservation` — the shards' element counts sum
     ///   exactly to the engine's items counter: no fold lost or
     ///   double-counted an element;
-    /// * `engine.cache_coherence` — a cached snapshot claiming the
-    ///   current epoch carries exactly the folded mass.
+    /// * `engine.cache_coherence` — a cached merge claiming the
+    ///   current epoch carries exactly the folded mass; cached stable
+    ///   runs whose generation key still matches the shards' equal a
+    ///   rebuild from them (so a missed generation bump fails here, not
+    ///   in an answer); cached fills claiming the current epoch equal
+    ///   the shards' fills.
     ///
     /// Takes the read path's locks in the read path's order (cache,
     /// then every shard ascending), so it audits one state of the
@@ -418,21 +679,43 @@ where
             "engine.mass_conservation",
             || format!("Σ shard.n() = {shard_mass} but items counter = {counted}"),
         )?;
-        if let Some(cached) = cache.as_ref() {
-            if cached.epoch == self.epoch.load(Ordering::Acquire) {
-                let cached_n = cached.summary.n();
-                ensure(
-                    cached_n == counted,
-                    "ShardedEngine",
-                    "engine.cache_coherence",
-                    || {
-                        format!(
-                            "cached snapshot at current epoch holds {cached_n} \
-                             elements but items counter = {counted}"
-                        )
-                    },
-                )?;
-            }
+        let epoch = self.epoch.load(Ordering::Acquire);
+        if let Some(merged) = cache.merged.as_ref().filter(|m| m.epoch == epoch) {
+            let merged_n = merged.summary.n();
+            ensure(
+                merged_n == counted,
+                "ShardedEngine",
+                "engine.cache_coherence",
+                || {
+                    format!(
+                        "cached merge at current epoch holds {merged_n} \
+                         elements but items counter = {counted}"
+                    )
+                },
+            )?;
+        }
+        let runs: Option<Vec<Runs<'_, T>>> = held.iter().map(|shard| shard.runs()).collect();
+        if let (Some(parts), Some(runs)) = (cache.parts.as_ref(), runs) {
+            let generations: Vec<u64> = runs.iter().map(|r| r.generation).collect();
+            let stable: Vec<_> = runs.iter().flat_map(|r| r.stable.iter().copied()).collect();
+            ensure(
+                parts.generations != generations || parts.stable.holds(&stable),
+                "ShardedEngine",
+                "engine.cache_coherence",
+                || {
+                    format!(
+                        "cached stable runs at generations {generations:?} differ \
+                         from a rebuild (a missed generation bump)"
+                    )
+                },
+            )?;
+            let fills = runs.iter().zip(&parts.fills);
+            ensure(
+                parts.epoch != epoch || fills.clone().all(|(r, fill)| fill.holds(r.fresh)),
+                "ShardedEngine",
+                "engine.cache_coherence",
+                || format!("cached fills at current epoch {epoch} differ from the shards'"),
+            )?;
         }
         Ok(())
     }
@@ -520,36 +803,94 @@ mod tests {
         e.assert_invariants();
     }
 
+    /// Generations of the shards' pools, read under each lock in turn.
+    fn generations(e: &ShardedEngine<u64, RandomSketch<u64>>) -> Vec<u64> {
+        let generation = |i| e.lock_shard(i).runs().map(|r| r.generation);
+        (0..e.shards.len()).filter_map(generation).collect()
+    }
+
     #[test]
-    fn rank_index_lives_in_the_merge_cache_only() {
+    fn rank_indexes_live_in_the_read_cache_only() {
         let e = random_engine(4, 64);
-        let has_view = |e: &ShardedEngine<u64, RandomSketch<u64>>| {
+        let indexed = |e: &ShardedEngine<u64, RandomSketch<u64>>| {
             let cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            cache.as_ref().is_some_and(|c| c.summary.view_is_cached())
+            let parts = cache.parts.as_ref().expect("a read cut the runs");
+            (parts.stable.index.is_some(), parts.fresh.is_some())
         };
         e.ingest_batch(&(0..4_000u64).collect::<Vec<_>>());
         assert!(!e.snapshot().view_is_cached(), "never queried");
-        assert!(!has_view(&e), "a snapshot clone sorts nothing");
-        // The first query sorts once, inside the cached merge; the
-        // second is a hit on both the merge and its index.
+        // The snapshot's cut copied the runs; nothing indexed them yet.
+        assert_eq!(indexed(&e), (false, false));
+        // The first query indexes both parts inside the read cache; the
+        // second is a hit on both.
         let first = e.query_many(&[0.9, 0.1, 0.5, 0.5], &[1_000, 3_000]);
-        assert!(has_view(&e));
+        assert_eq!(indexed(&e), (true, true));
         assert_eq!(e.query_many(&[0.9, 0.1, 0.5, 0.5], &[1_000, 3_000]), first);
         assert_eq!(e.stats().snapshots, 1);
-        // Clones leave the index behind, so what `snapshot` hands out
-        // costs the same as before any query; and no query ever touches
-        // a shard's own summary, so none of them builds one.
+        // No query touches a shard's own summary or the cached merge,
+        // so none of them builds a view.
         assert!(!e.snapshot().view_is_cached());
-        e.ingest_batch(&[7; 100]);
         for shard in 0..4 {
             assert!(!e.lock_shard(shard).view_is_cached());
         }
-        // The write ticked the epoch: the stale merge, and the index
-        // inside it, are replaced on the next read.
+        // A write that releases no fill keeps every generation: the next
+        // read copies the fills only, and the stable index survives it.
+        let before = generations(&e);
+        e.ingest_batch(&[7; 10]);
+        assert_eq!(generations(&e), before);
         let _ = e.query_many(&[0.5], &[3_000]);
         assert_eq!(e.stats().snapshots, 2);
-        assert!(has_view(&e));
+        assert_eq!(
+            indexed(&e),
+            (true, true),
+            "the stable index outlived a write"
+        );
         e.assert_invariants();
+        // A write that releases a fill moves its shard's generation: the
+        // stable runs are copied and indexed afresh.
+        while generations(&e) == before {
+            e.ingest_batch(&(0..500u64).collect::<Vec<_>>());
+        }
+        let _ = e.quantile(0.5);
+        let cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let parts = cache.parts.as_ref().expect("a read cut the runs");
+        assert_eq!(parts.generations, generations(&e));
+        drop(cache);
+        e.assert_invariants();
+    }
+
+    /// A generation bump a summary forgot, as the engine would see it:
+    /// the stable runs moved and the cached key still matches. The
+    /// audit rebuilds the key-matching runs and names the difference.
+    #[test]
+    fn a_missed_generation_bump_fails_the_audit() {
+        let e = random_engine(2, 16);
+        ingest(&e, 0..4_000);
+        let _ = e.quantile(0.5);
+        e.assert_invariants();
+        let before = generations(&e);
+        while generations(&e) == before {
+            ingest(&e, 0..300);
+        }
+        {
+            let mut cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            let parts = cache.parts.as_mut().expect("a read cut the runs");
+            parts.generations = generations(&e);
+        }
+        let err = e.check_invariants().expect_err("a stale stable index");
+        assert_eq!(err.invariant, "engine.cache_coherence");
+        assert!(err.to_string().contains("missed generation bump"), "{err}");
+        // Fills claiming the current epoch are held to the shards' too.
+        let e = random_engine(1, 16);
+        ingest(&e, 0..50);
+        let _ = e.quantile(0.5);
+        {
+            let mut cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            let parts = cache.parts.as_mut().expect("a read cut the runs");
+            parts.fills[0].samples.push(1);
+        }
+        let err = e.check_invariants().expect_err("stale fills");
+        assert_eq!(err.invariant, "engine.cache_coherence");
     }
 
     #[test]
@@ -609,23 +950,35 @@ mod tests {
         assert_eq!(err.algorithm, "ShardedEngine");
     }
 
+    /// A sweep answers from one read of the shards' runs: each φ as a
+    /// single `quantile` answers it, every answer within ε of the truth,
+    /// as the merged snapshot's are — the two are different ε-summaries
+    /// of the same stream, not one.
     #[test]
-    fn quantiles_sweep_matches_single_snapshot() {
+    fn quantiles_sweep_matches_single_quantiles_and_the_snapshot_within_eps() {
         let e = random_engine(4, 64);
         for t in 0..4u64 {
             ingest(&e, t * 5_000..(t + 1) * 5_000);
         }
         let phis = [0.1, 0.25, 0.5, 0.75, 0.9];
         let swept = e.quantiles(&phis);
-        // One snapshot answers all ranks; the per-φ answers must agree
-        // with reading the same snapshot directly.
-        let mut snap = e.snapshot();
-        let direct: Vec<Option<u64>> = phis.iter().map(|&p| snap.quantile(p)).collect();
+        let direct: Vec<Option<u64>> = phis.iter().map(|&p| e.quantile(p)).collect();
         assert_eq!(swept, direct);
-        // And repeat sweeps between writes never re-merge.
+        let mut snap = e.snapshot();
+        for (&phi, q) in phis.iter().zip(&swept) {
+            let truth = phi * 20_000.0;
+            let q = q.expect("test invariant: nonempty") as f64;
+            let s = snap.quantile(phi).expect("test invariant: nonempty") as f64;
+            assert!((q - truth).abs() <= 0.05 * 20_000.0, "phi {phi}: {q}");
+            assert!(
+                (s - truth).abs() <= 0.05 * 20_000.0,
+                "phi {phi}: snapshot {s}"
+            );
+        }
+        // And repeat sweeps between writes never cut again.
         let before = e.stats().snapshots;
         let _ = e.quantiles(&phis);
-        assert_eq!(e.stats().snapshots, before, "cache hit, no rebuild");
+        assert_eq!(e.stats().snapshots, before, "cache hit, no cut");
         assert_eq!(e.quantiles(&[]), Vec::<Option<u64>>::new());
     }
 

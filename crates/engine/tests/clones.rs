@@ -1,10 +1,12 @@
-//! The engine's clone ledger: writes clone nothing, a cold read clones
-//! each shard once, warm reads clone nothing, and `snapshot()` clones
-//! the cached merge for its caller. Counted by a summary wrapper, so
-//! it holds for whatever the read path is built from.
+//! The engine's clone ledger: writes clone nothing, a cold read of a
+//! summary without runs clones each shard once and a cold read of one
+//! with runs clones none, warm reads clone nothing, and `snapshot()`
+//! clones the cached merge for its caller. Counted by a summary
+//! wrapper, so it holds for whatever the read path is built from.
 
 use std::cell::Cell;
 
+use sqs_core::buffers::Runs;
 use sqs_core::random::RandomSketch;
 use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_engine::ShardedEngine;
@@ -17,23 +19,24 @@ thread_local! {
     static CLONES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// A `RandomSketch` that counts how often the engine clones it.
-struct CountsClones(RandomSketch<u64>);
+/// A `RandomSketch` that counts how often the engine clones it, and
+/// hands the engine its runs only if `RUNS`.
+struct CountsClones<const RUNS: bool = false>(RandomSketch<u64>);
 
-impl Clone for CountsClones {
+impl<const RUNS: bool> Clone for CountsClones<RUNS> {
     fn clone(&self) -> Self {
         CLONES.set(CLONES.get() + 1);
         Self(self.0.clone())
     }
 }
 
-impl SpaceUsage for CountsClones {
+impl<const RUNS: bool> SpaceUsage for CountsClones<RUNS> {
     fn space_bytes(&self) -> usize {
         self.0.space_bytes()
     }
 }
 
-impl QuantileSummary<u64> for CountsClones {
+impl<const RUNS: bool> QuantileSummary<u64> for CountsClones<RUNS> {
     fn insert(&mut self, x: u64) {
         self.0.insert(x);
     }
@@ -54,16 +57,19 @@ impl QuantileSummary<u64> for CountsClones {
     }
 }
 
-impl MergeableSummary<u64> for CountsClones {
+impl<const RUNS: bool> MergeableSummary<u64> for CountsClones<RUNS> {
     fn merge_from(&mut self, other: Self) {
         self.0.merge_from(other.0);
     }
     fn merge_compatible(&self, other: &Self) -> bool {
         self.0.merge_compatible(&other.0)
     }
+    fn runs(&self) -> Option<Runs<'_, u64>> {
+        self.0.runs().filter(|_| RUNS)
+    }
 }
 
-impl CheckInvariants for CountsClones {
+impl<const RUNS: bool> CheckInvariants for CountsClones<RUNS> {
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
         self.0.check_invariants()
     }
@@ -78,7 +84,7 @@ fn clones_during(f: impl FnOnce()) -> usize {
 #[test]
 fn only_cold_reads_clone_shards() {
     const SHARDS: usize = 4;
-    let sketch = |seed: usize| CountsClones(RandomSketch::new(0.05, seed as u64));
+    let sketch = |seed: usize| CountsClones::<false>(RandomSketch::new(0.05, seed as u64));
     let e = ShardedEngine::new_with(SHARDS, 0, sketch);
     let writes = clones_during(|| {
         for lo in (0..8_000u64).step_by(8) {
@@ -100,5 +106,25 @@ fn only_cold_reads_clone_shards() {
     assert_eq!(warm, 0, "hits answer from the cached merge in place");
     assert_eq!(clones_during(|| drop(e.snapshot())), 1);
     assert_eq!(e.stats().snapshots, 1);
+    e.assert_invariants();
+}
+
+#[test]
+fn cold_reads_of_a_summary_with_runs_clone_no_shard() {
+    const SHARDS: usize = 4;
+    let sketch = |seed: usize| CountsClones::<true>(RandomSketch::new(0.05, seed as u64));
+    let e = ShardedEngine::new_with(SHARDS, 0, sketch);
+    let reads = clones_during(|| {
+        for lo in (0..40_000u64).step_by(1_000) {
+            e.ingest_batch(&(lo..lo + 1_000).collect::<Vec<_>>());
+            let _ = e.query_many(&[0.5], &[4_000]);
+            let _ = e.quantile(0.25);
+        }
+    });
+    assert_eq!(reads, 0, "a cold read copies runs, never a summary");
+    assert_eq!(e.stats().snapshots, 40, "one cut per cold read");
+    // A snapshot merges clones of every shard, then hands one out.
+    assert_eq!(clones_during(|| drop(e.snapshot())), SHARDS + 1);
+    assert_eq!(e.stats().snapshots, 41);
     e.assert_invariants();
 }

@@ -125,7 +125,7 @@ impl Client {
         Ok(self.query_many(tenant, phis, &[])?.0)
     }
 
-    /// Answers a φ-sweep *and* a rank sweep from one merged snapshot
+    /// Answers a φ-sweep *and* a rank sweep from one cut of the tenant
     /// in a single round trip: one quantile per entry of `phis` (each
     /// in (0, 1)) plus one estimated rank per entry of `xs`. Both
     /// answer vectors describe the same instant of the stream, which

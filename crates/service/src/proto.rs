@@ -112,7 +112,7 @@ ops! {
     /// vector).
     WindowStats = 10, "window_stats";
     /// The one all-time read: a φ-sweep *and* a rank sweep from one
-    /// merged snapshot in one round trip (payload: φ bits vector +
+    /// cut of the tenant's shards in one round trip (payload: φ bits vector +
     /// value vector; reply: answers block + rank vector). Either side
     /// may be empty.
     QueryMany = 11, "query_many";
