@@ -23,10 +23,10 @@
 //!
 //! Implementors, one per [`Kind`]:
 //! [`RandomSketch<u64>`](crate::random::RandomSketch),
-//! [`QDigest`](crate::qdigest::QDigest) (the frame body is its
-//! pre-existing compact byte form),
+//! [`QDigest`](crate::qdigest::QDigest) (the frame body is its compact
+//! `QDG1` byte form),
 //! [`ReservoirQuantiles<u64>`](crate::sampled::ReservoirQuantiles), and
-//! the Dyadic Count-Sketch (`sqs_turnstile::TurnstileSummary<CountSketch>`).
+//! the Dyadic Count-Sketch (`sqs_turnstile::Dcs`).
 //! Randomized summaries serialize their PRNG state
 //! ([`Xoshiro256pp::state`](sqs_util::rng::Xoshiro256pp::state)), so a
 //! decoded summary continues the sender's random choices exactly —
@@ -67,7 +67,7 @@ pub enum Kind {
     /// [`ReservoirQuantiles<u64>`](crate::sampled::ReservoirQuantiles).
     Reservoir = 3,
     /// The Dyadic Count-Sketch turnstile summary
-    /// (`sqs_turnstile::TurnstileSummary<CountSketch>`, implemented in
+    /// (`sqs_turnstile::Dcs`, implemented in
     /// `sqs-turnstile` to keep this crate free of the sketch
     /// dependency).
     Dcs = 6,

@@ -144,12 +144,6 @@ impl<T: Ord + Copy> Mrl98<T> {
         self.pool.cap
     }
 
-    /// The live buffers split into the stable part and the fill
-    /// ([`Runs`](crate::buffers::Runs)).
-    pub fn runs(&self) -> crate::buffers::Runs<'_, T> {
-        self.pool.runs()
-    }
-
     /// The lowest level among the full buffers.
     fn min_level(&self) -> Option<u32> {
         let full = self.pool.buffers.iter().filter(|b| b.full);
@@ -413,10 +407,12 @@ mod tests {
     #[test]
     fn stable_runs_follow_the_generation() {
         use crate::buffers::oracle::check_runs_follow_the_generation;
+        use crate::buffers::Runs;
         for (universe, seed) in [(48, 1), (1 << 20, 2)] {
             let s = Mrl98::new(0.1, 50_000);
             let cap = s.buffer_size() as u64;
-            check_runs_follow_the_generation(s, universe, seed, Mrl98::runs, cap, &[]);
+            let runs: for<'a> fn(&'a Mrl98<u64>) -> Runs<'a, u64> = |s| s.pool.runs();
+            check_runs_follow_the_generation(s, universe, seed, runs, cap, &[]);
         }
     }
 

@@ -40,13 +40,6 @@ impl<T: Ord + Copy> Mrl99<T> {
         let full = self.pool.buffers.iter().filter(|b| b.full);
         full.map(|b| b.weight).collect()
     }
-
-    /// The live buffers split into the stable part and the fill
-    /// ([`Runs`](crate::buffers::Runs)), as `Random` hands them to the
-    /// engine.
-    pub fn runs(&self) -> crate::buffers::Runs<'_, T> {
-        self.pool.runs()
-    }
 }
 
 /// The MRL99 COLLAPSE: merge all minimal-weight full buffers (at least
@@ -180,10 +173,12 @@ mod tests {
     #[test]
     fn stable_runs_follow_the_generation() {
         use crate::buffers::oracle::check_runs_follow_the_generation;
+        use crate::buffers::Runs;
         for (universe, seed) in [(48, 1), (1 << 20, 2)] {
             let s = Mrl99::new(0.1, seed);
             let cap = s.buffer_size() as u64;
-            check_runs_follow_the_generation(s, universe, seed, Mrl99::runs, cap, &[]);
+            let runs: for<'a> fn(&'a Mrl99<u64>) -> Runs<'a, u64> = |s| s.pool.runs();
+            check_runs_follow_the_generation(s, universe, seed, runs, cap, &[]);
         }
     }
 

@@ -35,45 +35,8 @@ use std::cmp::Ordering;
 use crate::buffers::CachedView;
 use crate::codec::Reader;
 use crate::QuantileSummary;
-use sqs_util::audit::{CheckInvariants, InvariantViolation};
+use sqs_util::audit::CheckInvariants;
 use sqs_util::space::{words, SpaceUsage};
-
-/// Errors from [`QDigest::from_bytes`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Wrong magic or version, or a σ no digest can have.
-    BadHeader,
-    /// Byte stream ends mid-record.
-    Truncated,
-    /// A node id is outside the declared universe's tree.
-    BadNodeId(u64),
-    /// A node id does not exceed the one before it: the byte form lists
-    /// every node once, in ascending id order.
-    NodesNotAscending(u64),
-    /// Node counts don't sum to the declared n.
-    CountMismatch,
-    /// The nodes parse but break the digest's own audit
-    /// ([`CheckInvariants`]): an internal count above `⌊n/σ⌋`, or more
-    /// nodes than the `3σ` budget allows.
-    Invariant(InvariantViolation),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadHeader => write!(f, "bad magic/version header"),
-            DecodeError::Truncated => write!(f, "byte stream truncated"),
-            DecodeError::BadNodeId(id) => write!(f, "node id {id} outside tree"),
-            DecodeError::NodesNotAscending(id) => {
-                write!(f, "node id {id} does not ascend past the one before it")
-            }
-            DecodeError::CountMismatch => write!(f, "node counts do not sum to n"),
-            DecodeError::Invariant(v) => write!(f, "decoded digest fails audit: {v}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 const MAGIC: u32 = 0x5144_4731; // "QDG1"
 
@@ -105,7 +68,8 @@ struct NodeIndex {
 /// # Example
 ///
 /// ```
-/// use sqs_core::{qdigest::QDigest, QuantileSummary};
+/// use sqs_core::codec::WireCodec;
+/// use sqs_core::{qdigest::QDigest, MergeableSummary, QuantileSummary};
 ///
 /// // Two sensors summarize locally, merge, ship as bytes.
 /// let mut a = QDigest::new(0.01, 16);
@@ -114,7 +78,7 @@ struct NodeIndex {
 ///     a.insert(x % 65_536);
 ///     b.insert((x * 7) % 65_536);
 /// }
-/// a.merge(&mut b);
+/// a.merge_from(b);
 /// let bytes = a.to_bytes();
 /// let mut back = QDigest::from_bytes(&bytes).unwrap();
 /// assert_eq!(back.n(), 60_000);
@@ -350,128 +314,6 @@ impl QDigest {
         }
         let order = Self::post_order(&self.nodes, self.log_u);
         Compress::run(threshold, order, &mut self.nodes);
-    }
-
-    /// Merges another q-digest into this one (the mergeable-summary
-    /// operation of Agarwal et al. the paper highlights in §4.2.4).
-    ///
-    /// Thin wrapper over [`merge_from`](QDigest::merge_from): takes
-    /// `other`'s state and leaves it an empty digest over the same
-    /// universe.
-    ///
-    /// # Panics
-    /// Panics if the universes or the compression factors differ.
-    pub fn merge(&mut self, other: &mut QDigest) {
-        let empty = Self::empty(other.log_u, other.sigma);
-        self.merge_from(std::mem::replace(other, empty));
-    }
-
-    /// Consuming form of [`merge`](QDigest::merge): the primitive the
-    /// engine's balanced merge tree folds with
-    /// ([`MergeableSummary`](crate::MergeableSummary)).
-    ///
-    /// COMPRESS runs only when the combined node array actually exceeds
-    /// its `3σ` budget, not unconditionally — a k-way merge tree
-    /// folding k ε-digests therefore compresses O(k·|digest|/σ) times
-    /// total instead of once per internal node (no double-compression
-    /// of an already-compact digest).
-    ///
-    /// # Panics
-    /// Panics if the universes differ, or the compression factors σ:
-    /// the sum of two counts bounded by `⌊n₁/σ₁⌋` and `⌊n₂/σ₂⌋` is
-    /// bounded by `⌊(n₁+n₂)/σ⌋` only for `σ₁ = σ₂ = σ`.
-    pub fn merge_from(&mut self, mut other: QDigest) {
-        assert_eq!(self.log_u, other.log_u, "q-digest merge: universe mismatch");
-        assert_eq!(
-            self.sigma, other.sigma,
-            "q-digest merge: compression factor σ (accuracy) mismatch"
-        );
-        self.flush();
-        other.flush();
-        if other.n == 0 {
-            return; // merging nothing is the identity
-        }
-        self.view.invalidate();
-        let mut merged = Vec::with_capacity(self.nodes.len() + other.nodes.len());
-        Self::union_into(&mut merged, &self.nodes, &other.nodes);
-        self.nodes = merged;
-        self.n += other.n;
-        self.settle();
-    }
-
-    /// Serializes the digest to a compact, portable byte form (the
-    /// sensor-network deployment the q-digest was designed for ships
-    /// digests over the network): a 32-byte header followed by the
-    /// `(node id, count)` little-endian u64 pairs in ascending id
-    /// order. Flushes first, so equal digests serialize equally.
-    pub fn to_bytes(&mut self) -> Vec<u8> {
-        self.flush();
-        let mut out = Vec::with_capacity(HEADER_LEN + self.nodes.len() * 16);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.log_u.to_le_bytes());
-        out.extend_from_slice(&self.sigma.to_le_bytes());
-        out.extend_from_slice(&self.n.to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
-        for &(id, count) in &self.nodes {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-        }
-        out
-    }
-
-    /// Reconstructs a digest from [`QDigest::to_bytes`] output,
-    /// validating structure: header, a node count the bytes can hold
-    /// (checked before anything is allocated for it), node ids within
-    /// the declared tree and strictly ascending, counts summing to `n`
-    /// — and then the digest's whole audit, so what decodes here is
-    /// what a framed decode accepts.
-    pub fn from_bytes(bytes: &[u8]) -> Result<QDigest, DecodeError> {
-        // The cursor's only failure is running out of bytes.
-        let truncated = |_| DecodeError::Truncated;
-        let mut reader = Reader::new(bytes);
-        if reader.u32().map_err(truncated)? != MAGIC {
-            return Err(DecodeError::BadHeader);
-        }
-        let log_u = reader.u32().map_err(truncated)?;
-        if !(1..=40).contains(&log_u) {
-            return Err(DecodeError::BadHeader);
-        }
-        let sigma = reader.u64().map_err(truncated)?;
-        if !Self::sigma_is_valid(sigma) {
-            return Err(DecodeError::BadHeader);
-        }
-        let n = reader.u64().map_err(truncated)?;
-        let count = reader.u64().map_err(truncated)?;
-        if count > (reader.remaining() / 16) as u64 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut digest = Self::empty(log_u, sigma);
-        digest.n = n;
-        digest.nodes.reserve_exact(count as usize);
-        let max_id = 1u64 << (log_u + 1);
-        let mut last_id = 0u64;
-        let mut mass = 0u64;
-        for _ in 0..count {
-            let id = reader.u64().map_err(truncated)?;
-            let c = reader.u64().map_err(truncated)?;
-            if id == 0 || id >= max_id {
-                return Err(DecodeError::BadNodeId(id));
-            }
-            if id <= last_id {
-                return Err(DecodeError::NodesNotAscending(id));
-            }
-            last_id = id;
-            // Adversarial counts could overflow the running sum; an
-            // overflow can never equal an honest n, so report it as the
-            // count mismatch it is instead of panicking.
-            mass = mass.checked_add(c).ok_or(DecodeError::CountMismatch)?;
-            digest.nodes.push((id, c));
-        }
-        if mass != n {
-            return Err(DecodeError::CountMismatch);
-        }
-        digest.check_invariants().map_err(DecodeError::Invariant)?;
-        Ok(digest)
     }
 
     /// The stored nodes in post-order of the tree: by right endpoint,
@@ -770,8 +612,36 @@ impl Compress {
 }
 
 impl crate::MergeableSummary<u64> for QDigest {
-    fn merge_from(&mut self, other: Self) {
-        QDigest::merge_from(self, other);
+    /// Merges another q-digest into this one (the mergeable-summary
+    /// operation of Agarwal et al. the paper highlights in §4.2.4).
+    ///
+    /// COMPRESS runs only when the combined node array actually exceeds
+    /// its `3σ` budget, not unconditionally — a k-way merge tree
+    /// folding k ε-digests therefore compresses O(k·|digest|/σ) times
+    /// total instead of once per internal node (no double-compression
+    /// of an already-compact digest).
+    ///
+    /// # Panics
+    /// Panics if the universes differ, or the compression factors σ:
+    /// the sum of two counts bounded by `⌊n₁/σ₁⌋` and `⌊n₂/σ₂⌋` is
+    /// bounded by `⌊(n₁+n₂)/σ⌋` only for `σ₁ = σ₂ = σ`.
+    fn merge_from(&mut self, mut other: Self) {
+        assert_eq!(self.log_u, other.log_u, "q-digest merge: universe mismatch");
+        assert_eq!(
+            self.sigma, other.sigma,
+            "q-digest merge: compression factor σ (accuracy) mismatch"
+        );
+        self.flush();
+        other.flush();
+        if other.n == 0 {
+            return; // merging nothing is the identity
+        }
+        self.view.invalidate();
+        let mut merged = Vec::with_capacity(self.nodes.len() + other.nodes.len());
+        Self::union_into(&mut merged, &self.nodes, &other.nodes);
+        self.nodes = merged;
+        self.n += other.n;
+        self.settle();
     }
 
     /// Same universe and same σ: a digest built at a coarser ε carries
@@ -784,32 +654,83 @@ impl crate::MergeableSummary<u64> for QDigest {
 impl crate::codec::WireCodec for QDigest {
     const KIND: crate::codec::Kind = crate::codec::Kind::QDigest;
 
-    /// The frame body is exactly the digest's pre-existing compact
-    /// byte form ([`QDigest::to_bytes`]); the shared frame adds the
-    /// version/kind header and checksum on top. Encoding flushes the
-    /// buffered inserts first, so a digest that was checkpointed or
-    /// snapshotted and then continued can hold other nodes, and answer
-    /// otherwise, than one that never was; both stay within ε, and the
-    /// decoded copy continues exactly as the encoded original
+    /// The compact byte form the sensor-network deployment the q-digest
+    /// was designed for ships: a 32-byte header (magic `QDG1`, `log_u`,
+    /// σ, n, the node count) followed by the `(node id, count)`
+    /// little-endian u64 pairs in ascending id order. Encoding flushes
+    /// the buffered inserts first, so equal digests serialize equally —
+    /// and a digest that was checkpointed or snapshotted and then
+    /// continued can hold other nodes, and answer otherwise, than one
+    /// that never was; both stay within ε, and the decoded copy
+    /// continues exactly as the encoded original
     /// ([`WireCodec::encode_body`](crate::codec::WireCodec::encode_body)).
     fn encode_body(&mut self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
+        self.flush();
+        out.reserve(HEADER_LEN + self.nodes.len() * 16);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&self.log_u.to_le_bytes());
+        out.extend_from_slice(&self.sigma.to_le_bytes());
+        out.extend_from_slice(&self.n.to_le_bytes());
+        out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
+        for &(id, count) in &self.nodes {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
+        }
     }
 
+    /// Validates the structure: the header, a node count the bytes can
+    /// hold (checked before anything is allocated for it), node ids
+    /// within the declared tree and strictly ascending, counts summing
+    /// to `n`. The frame's audit then checks the rest.
     fn decode_body(body: &[u8]) -> Result<Self, crate::codec::CodecError> {
         use crate::codec::CodecError;
-        QDigest::from_bytes(body).map_err(|e| match e {
-            DecodeError::Truncated => CodecError::Truncated,
-            DecodeError::BadHeader => CodecError::Malformed("q-digest: bad magic/version header"),
-            DecodeError::BadNodeId(_) => CodecError::Malformed("q-digest: node id outside tree"),
-            DecodeError::NodesNotAscending(_) => {
-                CodecError::Malformed("q-digest: node ids not strictly ascending")
+        let bad_header = CodecError::Malformed("q-digest: bad magic/version header");
+        let mut reader = Reader::new(body);
+        if reader.u32()? != MAGIC {
+            return Err(bad_header);
+        }
+        let log_u = reader.u32()?;
+        if !(1..=40).contains(&log_u) {
+            return Err(bad_header);
+        }
+        let sigma = reader.u64()?;
+        if !Self::sigma_is_valid(sigma) {
+            return Err(bad_header);
+        }
+        let n = reader.u64()?;
+        let count = reader.u64()?;
+        if count > (reader.remaining() / 16) as u64 {
+            return Err(CodecError::Truncated);
+        }
+        let mut digest = Self::empty(log_u, sigma);
+        digest.n = n;
+        digest.nodes.reserve_exact(count as usize);
+        let max_id = 1u64 << (log_u + 1);
+        let mut last_id = 0u64;
+        let mut mass = 0u64;
+        let count_mismatch = || CodecError::Malformed("q-digest: node counts do not sum to n");
+        for _ in 0..count {
+            let id = reader.u64()?;
+            let c = reader.u64()?;
+            if id == 0 || id >= max_id {
+                return Err(CodecError::Malformed("q-digest: node id outside tree"));
             }
-            DecodeError::CountMismatch => {
-                CodecError::Malformed("q-digest: node counts do not sum to n")
+            if id <= last_id {
+                return Err(CodecError::Malformed(
+                    "q-digest: node ids not strictly ascending",
+                ));
             }
-            DecodeError::Invariant(v) => CodecError::Invariant(v),
-        })
+            last_id = id;
+            // Adversarial counts could overflow the running sum; an
+            // overflow can never equal an honest n, so report it as the
+            // count mismatch it is instead of panicking.
+            mass = mass.checked_add(c).ok_or_else(count_mismatch)?;
+            digest.nodes.push((id, c));
+        }
+        if mass != n {
+            return Err(count_mismatch());
+        }
+        Ok(digest)
     }
 }
 
@@ -1006,6 +927,8 @@ impl SpaceUsage for QDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::WireCodec;
+    use crate::MergeableSummary;
     use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
     use sqs_util::rng::Xoshiro256pp;
     use std::collections::HashMap;
@@ -1088,7 +1011,7 @@ mod tests {
         for &x in &b_data {
             b.insert(x);
         }
-        a.merge(&mut b);
+        a.merge_from(b);
         assert_eq!(a.n(), 60_000);
         let mut all = a_data;
         all.extend(b_data);
@@ -1138,27 +1061,29 @@ mod tests {
 
     #[test]
     fn deserialization_validates() {
+        use crate::codec::{CodecError, WireCodec};
         let mut d = QDigest::new(0.1, 8);
         d.insert(3);
-        let good = d.to_bytes();
-        assert_eq!(
-            QDigest::from_bytes(&good[..10]).err(),
-            Some(DecodeError::Truncated)
-        );
+        let mut good = Vec::new();
+        d.encode_body(&mut good);
+        let decode = |body: &[u8]| QDigest::decode_body(body).err();
+        assert_eq!(decode(&good[..10]), Some(CodecError::Truncated));
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
         assert_eq!(
-            QDigest::from_bytes(&bad_magic).err(),
-            Some(DecodeError::BadHeader)
+            decode(&bad_magic),
+            Some(CodecError::Malformed("q-digest: bad magic/version header"))
         );
         let mut bad_count = good.clone();
         let last = bad_count.len() - 1;
         bad_count[last] ^= 0x01; // corrupt a node count
         assert!(matches!(
-            QDigest::from_bytes(&bad_count),
-            Err(DecodeError::CountMismatch) | Err(DecodeError::BadNodeId(_))
+            decode(&bad_count),
+            Some(CodecError::Malformed(
+                "q-digest: node counts do not sum to n" | "q-digest: node id outside tree"
+            ))
         ));
-        assert_eq!(QDigest::from_bytes(&[]).err(), Some(DecodeError::Truncated));
+        assert_eq!(decode(&[]), Some(CodecError::Truncated));
     }
 
     /// A byte form with every field chosen by the caller.
@@ -1191,76 +1116,70 @@ mod tests {
         use crate::codec::{CodecError, WireCodec};
         const THIRD: u64 = u64::MAX / 3; // 3·THIRD = u64::MAX: one short of room for 3σ + 1
         let leaves = [(256 + 3, 1), (256 + 9, 1)];
-        let cases: Vec<(&str, Vec<u8>, DecodeError)> = vec![
+        let not_ascending = CodecError::Malformed("q-digest: node ids not strictly ascending");
+        let bad_header = CodecError::Malformed("q-digest: bad magic/version header");
+        let cases: Vec<(&str, Vec<u8>, CodecError)> = vec![
             (
                 "count = u64::MAX",
                 crafted_body(8, 80, 2, u64::MAX, &leaves),
-                DecodeError::Truncated,
+                CodecError::Truncated,
             ),
             (
                 "count asks for gigabytes",
                 crafted_body(8, 80, 2, 1 << 30, &leaves),
-                DecodeError::Truncated,
+                CodecError::Truncated,
             ),
             (
                 "count one past the records",
                 crafted_body(8, 80, 2, 3, &leaves),
-                DecodeError::Truncated,
+                CodecError::Truncated,
             ),
             (
                 "duplicated id",
                 crafted_body(8, 80, 2, 2, &[(259, 1), (259, 1)]),
-                DecodeError::NodesNotAscending(259),
+                not_ascending.clone(),
             ),
             (
                 "descending ids",
                 crafted_body(8, 80, 2, 2, &[(265, 1), (259, 1)]),
-                DecodeError::NodesNotAscending(259),
+                not_ascending.clone(),
             ),
             (
                 "σ = 0",
                 crafted_body(8, 0, 2, 2, &leaves),
-                DecodeError::BadHeader,
+                bad_header.clone(),
             ),
             (
                 "σ = u64::MAX",
                 crafted_body(8, u64::MAX, 2, 2, &leaves),
-                DecodeError::BadHeader,
+                bad_header.clone(),
             ),
             (
                 "3σ + 1 overflows",
                 crafted_body(8, THIRD, 2, 2, &leaves),
-                DecodeError::BadHeader,
+                bad_header.clone(),
             ),
         ];
         for (what, body, expected) in cases {
             assert_eq!(
-                QDigest::from_bytes(&body).err(),
+                QDigest::decode_body(&body).err(),
                 Some(expected.clone()),
                 "{what}"
             );
-            let through_frame = <QDigest as WireCodec>::from_bytes(&framed(&body));
-            match expected {
-                DecodeError::Truncated => {
-                    assert_eq!(through_frame.err(), Some(CodecError::Truncated), "{what}")
-                }
-                _ => assert!(
-                    matches!(through_frame, Err(CodecError::Malformed(_))),
-                    "{what}: {through_frame:?}"
-                ),
-            }
+            let through_frame = QDigest::from_bytes(&framed(&body));
+            assert_eq!(through_frame.err(), Some(expected), "{what}");
         }
         // The largest σ a header may carry decodes, audits and takes
         // updates without reserving its 3σ-value buffer.
         let body = crafted_body(8, THIRD - 1, 2, 2, &leaves);
-        let mut huge = <QDigest as WireCodec>::from_bytes(&framed(&body)).expect("valid frame");
+        let mut huge = QDigest::from_bytes(&framed(&body)).expect("valid frame");
         huge.insert(7);
         assert_eq!(huge.quantile(0.5), Some(7));
         assert!(huge.buffer.capacity() <= MIN_BUFFER);
     }
 
     #[test]
-    fn the_byte_form_decoder_runs_the_audit_the_frame_runs() {
+    fn decoded_frames_run_the_digest_audit() {
         use crate::codec::{CodecError, WireCodec};
         let leaves: Vec<Node> = (0..260).map(|x| (512 + x, 1)).collect();
         let cases = [
@@ -1286,19 +1205,14 @@ mod tests {
             ),
         ];
         for (what, body, rule) in cases {
-            match QDigest::from_bytes(&body) {
-                Err(DecodeError::Invariant(v)) => assert_eq!(v.invariant, rule, "{what}"),
-                other => panic!("{what}: not refused: {other:?}"),
-            }
-            match <QDigest as WireCodec>::from_bytes(&framed(&body)) {
+            match QDigest::from_bytes(&framed(&body)) {
                 Err(CodecError::Invariant(v)) => assert_eq!(v.invariant, rule, "{what}"),
                 other => panic!("{what}: frame not refused: {other:?}"),
             }
         }
-        // One leaf fewer is within the budget, and decodes both ways.
+        // One leaf fewer is within the budget, and decodes.
         let body = crafted_body(9, 1, 259, 259, &leaves[..259]);
-        assert!(QDigest::from_bytes(&body).is_ok());
-        assert!(<QDigest as WireCodec>::from_bytes(&framed(&body)).is_ok());
+        assert!(QDigest::from_bytes(&framed(&body)).is_ok());
     }
 
     #[test]
@@ -1573,28 +1487,6 @@ mod tests {
         let saturable = QDigest::new(1e-4, 10);
         assert!(3 * saturable.sigma() > 1 << 10);
         assert_eq!(saturable.space_bytes(), words(1 << 10));
-    }
-
-    #[test]
-    fn merge_from_consuming_matches_wrapper() {
-        let build = |step: u64| {
-            let mut s = QDigest::new(0.05, 14);
-            for x in 0..20_000u64 {
-                s.insert((x * step) % (1 << 14));
-            }
-            s
-        };
-        let mut via_wrapper = build(7);
-        let mut donor = build(13);
-        via_wrapper.merge(&mut donor);
-        let mut via_consume = build(7);
-        via_consume.merge_from(build(13));
-        assert_eq!(via_wrapper.n(), via_consume.n());
-        assert_eq!(via_wrapper.to_bytes(), via_consume.to_bytes());
-        // The drained donor is a usable empty digest over the universe.
-        assert_eq!(donor.n(), 0);
-        donor.insert(9);
-        assert_eq!(donor.quantile(0.5), Some(9));
     }
 
     #[test]

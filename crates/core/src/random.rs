@@ -245,7 +245,8 @@ impl<T: Ord + Copy> RandomSketch<T> {
     /// Merges another summary into this one — the mergeable-summary
     /// operation of Agarwal et al. [1] that `Random` descends from
     /// (§2.2: "inspired by the algorithm ... that provides the
-    /// mergeable property").
+    /// mergeable property"), and the primitive the engine's balanced
+    /// merge tree folds with.
     ///
     /// Both summaries' full buffers are pooled; equal-level pairs are
     /// merged with the usual odd/even rule until at most `b` buffers
@@ -253,25 +254,12 @@ impl<T: Ord + Copy> RandomSketch<T> {
     /// still over budget). Partial fill buffers are folded in by
     /// replaying their samples at their buffer's level. The combined
     /// summary keeps the ε guarantee with the usual mergeable-summary
-    /// constant.
+    /// constant, and compacts once per call — no double-compression
+    /// when the result immediately feeds the next round.
     ///
-    /// # Panics
-    /// Panics if the two summaries were built with different ε.
-    pub fn merge(&mut self, other: &mut RandomSketch<T>) {
-        // Thin wrapper over the consuming form: take `other`'s state,
-        // leaving it a fresh empty summary with the same ε (the
-        // pre-merge contract — `other` ends up drained either way).
-        let eps = other.eps;
-        self.merge_from(std::mem::replace(other, RandomSketch::new(eps, 0)));
-    }
-
-    /// Consuming form of [`merge`](RandomSketch::merge): the primitive
-    /// the engine's balanced merge tree folds with
-    /// ([`MergeableSummary`](crate::MergeableSummary)). Taking `other`
-    /// by value lets the tree hand summaries down the fold without
-    /// leaving drained husks behind, and the pooled equal-level merge
-    /// below compacts once per call — no double-compression when the
-    /// result immediately feeds the next round.
+    /// Inherent as well as [`MergeableSummary`](crate::MergeableSummary)'s,
+    /// whose impl calls it: the benchmark package merges without
+    /// importing the trait.
     ///
     /// # Panics
     /// Panics if the two summaries were built with different ε, or
@@ -805,31 +793,6 @@ mod tests {
         }
         assert!(resumed.pool.fill.is_none());
         assert_eq!(resumed.to_bytes(), end);
-    }
-
-    #[test]
-    fn merge_from_consuming_matches_wrapper() {
-        let eps = 0.05;
-        let build = |seed: u64, lo: u64| {
-            let mut s = RandomSketch::new(eps, seed);
-            for x in 0..40_000u64 {
-                s.insert(lo + (x * 2654435761) % 100_000);
-            }
-            s
-        };
-        let mut via_wrapper = build(1, 0);
-        let mut donor = build(2, 50_000);
-        via_wrapper.merge(&mut donor);
-        let mut via_consume = build(1, 0);
-        via_consume.merge_from(build(2, 50_000));
-        assert_eq!(via_wrapper.n(), via_consume.n());
-        for phi in [0.1, 0.5, 0.9] {
-            assert_eq!(via_wrapper.quantile(phi), via_consume.quantile(phi));
-        }
-        // The drained donor is a usable empty summary.
-        assert_eq!(donor.n(), 0);
-        donor.insert(7);
-        assert_eq!(donor.quantile(0.5), Some(7));
     }
 
     #[test]

@@ -75,7 +75,9 @@ impl<T: Ord + Copy> ReservoirQuantiles<T> {
             self.sorted = true;
         }
     }
+}
 
+impl<T: Ord + Copy> crate::MergeableSummary<T> for ReservoirQuantiles<T> {
     /// Merges `other` into `self`, consuming it — the sampled fallback
     /// the engine uses where the paper's GK summaries (which are not
     /// mergeable without weakening ε) would otherwise be the backend.
@@ -92,7 +94,7 @@ impl<T: Ord + Copy> ReservoirQuantiles<T> {
     /// # Panics
     /// Panics if the two reservoirs were built with different
     /// capacities (i.e. different ε).
-    pub fn merge_from(&mut self, mut other: ReservoirQuantiles<T>) {
+    fn merge_from(&mut self, mut other: Self) {
         assert_eq!(
             self.capacity, other.capacity,
             "Reservoir merge: capacity mismatch"
@@ -138,12 +140,6 @@ impl<T: Ord + Copy> ReservoirQuantiles<T> {
         self.reservoir = merged;
         self.sorted = false;
         self.n = n_total;
-    }
-}
-
-impl<T: Ord + Copy> crate::MergeableSummary<T> for ReservoirQuantiles<T> {
-    fn merge_from(&mut self, other: Self) {
-        ReservoirQuantiles::merge_from(self, other);
     }
 
     fn merge_compatible(&self, other: &Self) -> bool {
@@ -319,6 +315,7 @@ impl<T> SpaceUsage for ReservoirQuantiles<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MergeableSummary;
     use sqs_util::exact::ExactQuantiles;
     use sqs_util::rng::Xoshiro256pp;
 

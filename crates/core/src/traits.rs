@@ -1,13 +1,18 @@
-//! The common interface of every cash-register quantile summary.
+//! The common interface of every quantile summary, cash-register and
+//! turnstile alike.
 
 use sqs_util::audit::CheckInvariants;
 use sqs_util::SpaceUsage;
 
-/// A one-pass (cash-register) quantile summary.
+/// A one-pass quantile summary.
 ///
 /// The stream is fed element-by-element through [`insert`]; at any
 /// point the summary can answer rank and quantile queries for the data
 /// seen so far — the paper's "always ready to stop" requirement (§1).
+/// The cash-register summaries of this crate (§2) and the turnstile
+/// structures of `sqs-turnstile` (§3) both implement it; the turnstile
+/// ones add a `delete` of their own (`TurnstileQuantiles`), and their
+/// [`n`](QuantileSummary::n) is the live count.
 ///
 /// Query methods take `&mut self` for two reasons, neither of which
 /// changes the summarized multiset. Several summaries (GKArray,
@@ -131,24 +136,21 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
 /// each maintain their own summary, and a query folds them with a
 /// balanced merge tree (`sqs-engine`). The consuming signature lets a
 /// merge tree thread ownership down the fold without re-compressing a
-/// summary that was already compacted by a previous round — the
-/// borrowed [`merge`]-style APIs on the concrete types are thin
-/// wrappers over [`merge_from`].
+/// summary that was already compacted by a previous round.
 ///
 /// Implementors in this crate: [`RandomSketch`](crate::random::RandomSketch)
 /// (randomized, comparison model), [`QDigest`](crate::qdigest::QDigest)
 /// (deterministic, fixed universe), and
 /// [`ReservoirQuantiles`](crate::sampled::ReservoirQuantiles) — the
 /// sampled fallback for the GK family, whose tuple summaries are not
-/// mergeable without weakening ε.
+/// mergeable without weakening ε. In `sqs-turnstile`, every
+/// `DyadicQuantiles` over a mergeable sketch (DCM, DCS): linear
+/// sketches built from one seed merge exactly.
 ///
 /// Anything that can be merged can be corrupted by a merge, so a
 /// mergeable summary must be auditable: [`CheckInvariants`] is a
 /// supertrait, and the engine, the window ring and the server audit
 /// what they merge and decode without asking for it separately.
-///
-/// [`merge_from`]: MergeableSummary::merge_from
-/// [`merge`]: crate::qdigest::QDigest::merge
 pub trait MergeableSummary<T: Ord + Copy>: QuantileSummary<T> + CheckInvariants + Sized {
     /// Merges `other` into `self`, consuming it.
     ///

@@ -984,8 +984,8 @@ mod tests {
 
     #[test]
     fn query_many_matches_separate_queries_on_one_snapshot() {
-        use sqs_turnstile::TurnstileSummary;
-        let e = ShardedEngine::new_with(2, 64, |_| TurnstileSummary::dcs(0.05, 16, 0xABC));
+        use sqs_turnstile::Dcs;
+        let e = ShardedEngine::new_with(2, 64, |_| Dcs::dcs(0.05, 16, 0xABC));
         e.ingest_batch(&(0..10_000u64).collect::<Vec<_>>());
         let phis = [0.9, 0.25, 0.5];
         let xs = [0u64, 2_500, 9_999, 70_000];
@@ -1095,13 +1095,13 @@ mod tests {
 
     #[test]
     fn dcs_backend_shards_merge_exactly() {
-        use sqs_turnstile::TurnstileSummary;
+        use sqs_turnstile::Dcs;
         // Same seed on every shard → identical hash draws → snapshot
         // merging is *exact*: the engine snapshot is state-identical
         // to one summary fed the whole stream directly.
         let seed = 0xD05;
-        let e = ShardedEngine::new_with(4, 64, |_| TurnstileSummary::dcs(0.05, 16, seed));
-        let mut direct = TurnstileSummary::dcs(0.05, 16, seed);
+        let e = ShardedEngine::new_with(4, 64, |_| Dcs::dcs(0.05, 16, seed));
+        let mut direct = Dcs::dcs(0.05, 16, seed);
         let mut rng = sqs_util::rng::Xoshiro256pp::new(77);
         let data: Vec<u64> = (0..8_000).map(|_| rng.next_below(1 << 16)).collect();
         for chunk in data.chunks(250) {

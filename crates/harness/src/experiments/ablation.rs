@@ -12,15 +12,14 @@
 
 use super::ExpConfig;
 use crate::report::{fkb, fnum, Table};
-use crate::runner::{run_turnstile_cell, TurnstileAlgo};
+use crate::runner::{post_grid, run_turnstile_cell, TurnstileAlgo};
 use sqs_core::{gk::GkArray, QuantileSummary};
 use sqs_data::Uniform;
 use sqs_turnstile::{
-    new_dcs,
     post::{FrontierMode, VarianceMode},
-    PostProcessed, TurnstileQuantiles,
+    Dcs, PostProcessed,
 };
-use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
+use sqs_util::exact::{observed_errors, ExactQuantiles};
 use sqs_util::SpaceUsage;
 use std::time::Instant;
 
@@ -67,65 +66,17 @@ fn variance_mode(cfg: &ExpConfig) -> Table {
         .collect();
     for (name, data) in [("mild-normal", mild), ("mice-elephants", skewed)] {
         let oracle = ExactQuantiles::new(data.clone());
-        let phis = probe_phis(eps);
-        let mut dcs = new_dcs(eps, 24, cfg.seed ^ 0xAB4);
+        let mut dcs = Dcs::dcs(eps, 24, cfg.seed ^ 0xAB4);
         for &x in &data {
             dcs.insert(x);
         }
         let score = |answers: Vec<(f64, u64)>| observed_errors(&oracle, &answers).1;
-        let raw = score(
-            phis.iter()
-                .map(|&p| {
-                    (
-                        p,
-                        dcs.quantile(p)
-                            .expect("harness invariant: summary nonempty after feeding the stream"),
-                    )
-                })
-                .collect(),
-        );
-        let per_cell = {
-            let post = PostProcessed::with_options(
-                &dcs,
-                eps,
-                0.1,
-                FrontierMode::Interpolate,
-                VarianceMode::PerCell,
-            );
-            score(
-                phis.iter()
-                    .map(|&p| {
-                        (
-                            p,
-                            post.quantile(p).expect(
-                                "harness invariant: summary nonempty after feeding the stream",
-                            ),
-                        )
-                    })
-                    .collect(),
-            )
+        let raw = score(dcs.quantile_grid(eps));
+        let post = |mode| {
+            let post = PostProcessed::with_options(&dcs, eps, 0.1, FrontierMode::Interpolate, mode);
+            score(post_grid(&post, eps))
         };
-        let per_level = {
-            let post = PostProcessed::with_options(
-                &dcs,
-                eps,
-                0.1,
-                FrontierMode::Interpolate,
-                VarianceMode::PerLevel,
-            );
-            score(
-                phis.iter()
-                    .map(|&p| {
-                        (
-                            p,
-                            post.quantile(p).expect(
-                                "harness invariant: summary nonempty after feeding the stream",
-                            ),
-                        )
-                    })
-                    .collect(),
-            )
-        };
+        let (per_cell, per_level) = (post(VarianceMode::PerCell), post(VarianceMode::PerLevel));
         t.push_row(vec![
             name.into(),
             fnum(raw),
@@ -140,7 +91,6 @@ fn buffer_factor(cfg: &ExpConfig) -> Table {
     let eps = if cfg.n >= 100_000 { 0.001 } else { 0.01 };
     let data: Vec<u64> = Uniform::new(32, cfg.seed).take(cfg.n).collect();
     let oracle = ExactQuantiles::new(data.clone());
-    let phis = probe_phis(eps);
     let mut t = Table::new(
         "ablation_gkarray_buffer",
         "GKArray buffer factor ablation (Uniform u=2^32)",
@@ -153,17 +103,7 @@ fn buffer_factor(cfg: &ExpConfig) -> Table {
             s.insert(x);
         }
         let ns = t0.elapsed().as_nanos() as f64 / data.len() as f64;
-        let answers: Vec<(f64, u64)> = phis
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    s.quantile(p)
-                        .expect("harness invariant: summary nonempty after feeding the stream"),
-                )
-            })
-            .collect();
-        let (max_err, _) = observed_errors(&oracle, &answers);
+        let (max_err, _) = observed_errors(&oracle, &s.quantile_grid(eps));
         t.push_row(vec![
             fnum(factor),
             fnum(ns),
@@ -178,13 +118,12 @@ fn frontier(cfg: &ExpConfig) -> Table {
     let eps = 0.01;
     let data: Vec<u64> = Uniform::new(24, cfg.seed).take(cfg.n).collect();
     let oracle = ExactQuantiles::new(data.clone());
-    let phis = probe_phis(eps);
     let mut t = Table::new(
         "ablation_post_frontier",
         "Post sub-frontier mode ablation (Uniform u=2^24)",
         &["eta", "mode", "avg_err"],
     );
-    let mut dcs = new_dcs(eps, 24, cfg.seed ^ 0xAB1);
+    let mut dcs = Dcs::dcs(eps, 24, cfg.seed ^ 0xAB1);
     for &x in &data {
         dcs.insert(x);
     }
@@ -195,17 +134,7 @@ fn frontier(cfg: &ExpConfig) -> Table {
             ("discard", FrontierMode::Discard),
         ] {
             let post = PostProcessed::with_options(&dcs, eps, eta, mode, VarianceMode::PerCell);
-            let answers: Vec<(f64, u64)> = phis
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        post.quantile(p)
-                            .expect("harness invariant: summary nonempty after feeding the stream"),
-                    )
-                })
-                .collect();
-            let (_, avg_err) = observed_errors(&oracle, &answers);
+            let (_, avg_err) = observed_errors(&oracle, &post_grid(&post, eps));
             t.push_row(vec![fnum(eta), name.to_string(), fnum(avg_err)]);
         }
     }
@@ -223,43 +152,20 @@ fn rss(cfg: &ExpConfig) -> Table {
         "RSS/DGM vs DCM vs DCS at eps=0.05, u=2^16 (why the paper dropped them)",
         &["algo", "space_kb", "avg_err", "update_ns"],
     );
-    for algo in [TurnstileAlgo::Rss, TurnstileAlgo::Dcm, TurnstileAlgo::Dcs] {
+    // DGM (deterministic CR-precis) only exists to be dismissed with
+    // numbers; it runs once.
+    for algo in [
+        TurnstileAlgo::Rss,
+        TurnstileAlgo::Dcm,
+        TurnstileAlgo::Dcs,
+        TurnstileAlgo::Dgm,
+    ] {
         let c = run_turnstile_cell(algo, &data, eps, 16, 1, cfg.seed ^ 0xAB2);
         t.push_row(vec![
             c.algo.into(),
             fkb(c.space_bytes),
             fnum(c.avg_err),
             fnum(c.update_ns),
-        ]);
-    }
-    // DGM (deterministic CR-precis) measured inline — it is not part of
-    // the standard TurnstileAlgo sweep because it only exists to be
-    // dismissed with numbers.
-    {
-        use sqs_turnstile::new_dgm;
-        let mut s = new_dgm(eps, 16);
-        let oracle = ExactQuantiles::new(data.clone());
-        let t0 = Instant::now();
-        for &x in &data {
-            s.insert(x);
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / data.len() as f64;
-        let answers: Vec<(f64, u64)> = probe_phis(eps)
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    s.quantile(p)
-                        .expect("harness invariant: summary nonempty after feeding the stream"),
-                )
-            })
-            .collect();
-        let (_, avg) = observed_errors(&oracle, &answers);
-        t.push_row(vec![
-            "DGM".into(),
-            fkb(s.space_bytes()),
-            fnum(avg),
-            fnum(ns),
         ]);
     }
     t

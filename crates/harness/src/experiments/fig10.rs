@@ -6,15 +6,16 @@
 //! needs ~1/10 of DCM's space at equal error; Post cuts DCS error by
 //! a further 60–80% at no streaming cost; update times are similar.
 
+use super::fig5::{panels_of, EPS_AVG, EPS_MAX, SPACE_AVG, SPACE_TIME, TIME_AVG};
 use super::ExpConfig;
-use crate::report::{fkb, fnum, Table};
-use crate::runner::{run_turnstile_cell, TurnstileAlgo, TurnstileCell};
+use crate::report::Table;
+use crate::runner::{run_turnstile_cell, Cell, TurnstileAlgo};
 use sqs_data::mpcat::{Mpcat, MPCAT_LOG_U};
 
 /// Runs the experiment.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let data: Vec<u64> = Mpcat::new(cfg.seed).take(cfg.n).collect();
-    let mut cells: Vec<TurnstileCell> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::new();
     for algo in [
         TurnstileAlgo::Dcm,
         TurnstileAlgo::Dcs,
@@ -31,58 +32,20 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             ));
         }
     }
-    panels(&cells, "fig10", "MPCAT-OBS surrogate")
-}
-
-/// The five turnstile panels (shared with Figures 11/12 variants).
-pub fn panels(cells: &[TurnstileCell], prefix: &str, dataset: &str) -> Vec<Table> {
-    let mk = |suffix: &str, title: &str, headers: &[&str]| {
-        Table::new(
-            &format!("{prefix}{suffix}"),
-            &format!("{title} ({dataset})"),
-            headers,
-        )
-    };
-    let mut a = mk(
-        "a",
-        "eps vs observed max error",
-        &["algo", "eps", "max_err"],
-    );
-    let mut b = mk(
-        "b",
-        "eps vs observed avg error",
-        &["algo", "eps", "avg_err"],
-    );
-    let mut c = mk("c", "space vs avg error", &["algo", "space_kb", "avg_err"]);
-    let mut d = mk(
-        "d",
-        "update time vs avg error",
-        &["algo", "update_ns", "avg_err"],
-    );
-    let mut e = mk(
-        "e",
-        "space vs update time",
-        &["algo", "space_kb", "update_ns"],
-    );
-    for cell in cells {
-        let algo = cell.algo.to_string();
-        a.push_row(vec![algo.clone(), fnum(cell.eps), fnum(cell.max_err)]);
-        b.push_row(vec![algo.clone(), fnum(cell.eps), fnum(cell.avg_err)]);
-        c.push_row(vec![
-            algo.clone(),
-            fkb(cell.space_bytes),
-            fnum(cell.avg_err),
-        ]);
-        d.push_row(vec![algo.clone(), fnum(cell.update_ns), fnum(cell.avg_err)]);
-        e.push_row(vec![algo, fkb(cell.space_bytes), fnum(cell.update_ns)]);
-    }
-    vec![a, b, c, d, e]
+    // Figure 5's panels but space vs max error.
+    panels_of(
+        &[EPS_MAX, EPS_AVG, SPACE_AVG, TIME_AVG, SPACE_TIME],
+        &cells,
+        "fig10",
+        "MPCAT-OBS surrogate",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqs_turnstile::{new_dcm, new_dcs};
+    use crate::report::fkb;
+    use sqs_turnstile::{Dcm, Dcs};
     use sqs_util::SpaceUsage;
 
     fn committed(name: &str) -> String {
@@ -93,8 +56,8 @@ mod tests {
     /// The space column a DCM / DCS / Post row must carry.
     fn want_kb(algo: &str, eps: f64, log_u: u32) -> Option<String> {
         let bytes = match algo {
-            "DCM" => new_dcm(eps, log_u, 0).space_bytes(),
-            "DCS" | "Post" => new_dcs(eps, log_u, 0).space_bytes(),
+            "DCM" => Dcm::dcm(eps, log_u, 0).space_bytes(),
+            "DCS" | "Post" => Dcs::dcs(eps, log_u, 0).space_bytes(),
             _ => return None,
         };
         Some(fkb(bytes))

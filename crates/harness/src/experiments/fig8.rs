@@ -7,7 +7,7 @@
 
 use super::{fig5::panels, ExpConfig};
 use crate::report::Table;
-use crate::runner::{run_cash_cell, CashAlgo, CashCell};
+use crate::runner::{run_cash_cell, CashAlgo, Cell};
 use sqs_data::{Order, Uniform};
 
 /// Runs the experiment.
@@ -17,7 +17,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     for (tag, order) in [("random", Order::Random), ("sorted", Order::Sorted)] {
         let mut data = base.clone();
         order.apply(&mut data, cfg.seed);
-        let mut cells: Vec<CashCell> = Vec::new();
+        let mut cells: Vec<Cell> = Vec::new();
         for algo in CashAlgo::HEADLINE {
             for &eps in &cfg.eps_sweep() {
                 cells.push(run_cash_cell(

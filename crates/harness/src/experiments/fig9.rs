@@ -14,9 +14,11 @@
 
 use super::ExpConfig;
 use crate::report::{fnum, Table};
+use crate::runner::post_grid;
+use sqs_core::QuantileSummary;
 use sqs_data::mpcat::{Mpcat, MPCAT_LOG_U};
-use sqs_turnstile::{new_dcs, PostProcessed, TurnstileQuantiles};
-use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
+use sqs_turnstile::{Dcs, PostProcessed};
+use sqs_util::exact::{observed_errors, ExactQuantiles};
 use sqs_util::rng::SplitMix64;
 use sqs_util::SpaceUsage;
 
@@ -45,39 +47,17 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         if eps * (cfg.n as f64) < 50.0 {
             continue;
         }
-        let phis = probe_phis(eps);
         let mut rows: Vec<(f64, f64, f64, f64, f64)> = vec![(0.0, 0.0, 0.0, 0.0, 0.0); ETAS.len()];
         for _ in 0..cfg.trials.max(1) {
-            let mut dcs = new_dcs(eps, MPCAT_LOG_U, seeds.next_u64());
+            let mut dcs = Dcs::dcs(eps, MPCAT_LOG_U, seeds.next_u64());
             for &x in &data {
                 dcs.insert(x);
             }
-            let raw_answers: Vec<(f64, u64)> = phis
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        dcs.quantile(p)
-                            .expect("harness invariant: summary nonempty after feeding the stream"),
-                    )
-                })
-                .collect();
-            let (_, raw_avg) = observed_errors(&oracle, &raw_answers);
+            let (_, raw_avg) = observed_errors(&oracle, &dcs.quantile_grid(eps));
             let sketch_words = dcs.space_bytes() / 4;
             for (i, &eta) in ETAS.iter().enumerate() {
                 let post = PostProcessed::new(&dcs, eps, eta);
-                let answers: Vec<(f64, u64)> = phis
-                    .iter()
-                    .map(|&p| {
-                        (
-                            p,
-                            post.quantile(p).expect(
-                                "harness invariant: summary nonempty after feeding the stream",
-                            ),
-                        )
-                    })
-                    .collect();
-                let (_, post_avg) = observed_errors(&oracle, &answers);
+                let (_, post_avg) = observed_errors(&oracle, &post_grid(&post, eps));
                 // Tree node = (cell id + estimate) ≈ 2 words.
                 let rel_size = (post.tree_size() * 2) as f64 / sketch_words as f64;
                 rows[i].0 += post.tree_size() as f64;

@@ -12,9 +12,10 @@
 
 use super::ExpConfig;
 use crate::report::Table;
+use crate::runner::measure;
+use sqs_core::QuantileSummary;
 use sqs_data::Uniform;
-use sqs_turnstile::{dcs, TurnstileQuantiles};
-use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
+use sqs_turnstile::dcs;
 use sqs_util::rng::SplitMix64;
 
 const DEPTHS: [usize; 6] = [3, 5, 7, 9, 11, 13];
@@ -30,8 +31,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     // counter updates per insert; cap n so the sweep stays in minutes.
     let n = cfg.n.min(300_000);
     let data: Vec<u64> = Uniform::new(LOG_U, cfg.seed).take(n).collect();
-    let oracle = ExactQuantiles::new(data.clone());
-    let phis = probe_phis(PROBE_EPS);
 
     let headers: Vec<String> = std::iter::once("d".to_string())
         .chain(SIZES_KB.iter().map(|kb| format!("{kb}KB")))
@@ -54,31 +53,17 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         let mut row4 = vec![d.to_string()];
         for kb in SIZES_KB {
             let width = (kb * 1024 / 4) / d;
-            let mut max_sum = 0.0;
-            let mut avg_sum = 0.0;
-            for _ in 0..cfg.trials.max(1) {
-                let mut s = dcs::from_width_depth(width, d, LOG_U, seeds.next_u64());
-                for &x in &data {
-                    s.insert(x);
-                }
-                let answers: Vec<(f64, u64)> = phis
-                    .iter()
-                    .map(|&p| {
-                        (
-                            p,
-                            s.quantile(p).expect(
-                                "harness invariant: summary nonempty after feeding the stream",
-                            ),
-                        )
-                    })
-                    .collect();
-                let (me, ae) = observed_errors(&oracle, &answers);
-                max_sum += me;
-                avg_sum += ae;
-            }
-            let trials = cfg.trials.max(1) as f64;
-            row3.push(format!("{:.3}", avg_sum / trials * 1e4));
-            row4.push(format!("{:.3}", max_sum / trials * 1e4));
+            let cell = measure(
+                "DCS",
+                &data,
+                PROBE_EPS,
+                cfg.trials,
+                &mut seeds,
+                |seed| Box::new(dcs::from_width_depth(width, d, LOG_U, seed)),
+                |s| s.quantile_grid(PROBE_EPS),
+            );
+            row3.push(format!("{:.3}", cell.avg_err * 1e4));
+            row4.push(format!("{:.3}", cell.max_err * 1e4));
         }
         t3.push_row(row3);
         t4.push_row(row4);

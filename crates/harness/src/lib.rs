@@ -20,4 +20,4 @@ pub mod report;
 pub mod runner;
 
 pub use report::Table;
-pub use runner::{CashAlgo, CashCell, TurnstileAlgo, TurnstileCell};
+pub use runner::{CashAlgo, Cell, TurnstileAlgo};

@@ -12,7 +12,8 @@ use sqs_core::{
     sampled::ReservoirQuantiles,
     QuantileSummary,
 };
-use sqs_turnstile::{new_dcm, new_dcs, new_rss, PostProcessed, TurnstileQuantiles};
+use sqs_sketch::FrequencySketch;
+use sqs_turnstile::{new_dgm, new_rss, Dcm, Dcs, PostProcessed};
 use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
 use sqs_util::rng::SplitMix64;
 use sqs_util::space::SpaceTracker;
@@ -110,9 +111,9 @@ impl CashAlgo {
 }
 
 /// The five measurements for one (algorithm × data × ε) cell,
-/// averaged over trials.
+/// averaged over trials — the same for both models (§4.1.2).
 #[derive(Debug, Clone)]
-pub struct CashCell {
+pub struct Cell {
     /// Algorithm name.
     pub algo: &'static str,
     /// The ε parameter the algorithm was built with.
@@ -141,24 +142,50 @@ pub fn run_cash_cell(
     log_u: u32,
     trials: usize,
     seed: u64,
-) -> CashCell {
+) -> Cell {
+    let trials = if algo.randomized() { trials } else { 1 };
+    let n_hint = data.len() as u64;
+    measure(
+        algo.name(),
+        data,
+        eps,
+        trials,
+        &mut SplitMix64::new(seed),
+        |seed| algo.build(eps, log_u, n_hint, seed),
+        |s| s.quantile_grid(eps),
+    )
+}
+
+/// The one measurement loop: per trial, builds a summary from the next
+/// seed, feeds `data` by scalar `insert` (as the paper's update-time
+/// figures time it — not the batched path) while sampling its space,
+/// then scores `read`'s `(φ, answer)` grid against the exact oracle.
+///
+/// # Panics
+/// Panics on an empty stream, or if `read` answers nothing.
+pub fn measure<S: QuantileSummary<u64> + ?Sized>(
+    algo: &'static str,
+    data: &[u64],
+    eps: f64,
+    trials: usize,
+    seeds: &mut SplitMix64,
+    mut build: impl FnMut(u64) -> Box<S>,
+    mut read: impl FnMut(&mut S) -> Vec<(f64, u64)>,
+) -> Cell {
     assert!(!data.is_empty(), "empty stream");
-    let trials = if algo.randomized() { trials.max(1) } else { 1 };
+    let trials = trials.max(1);
     let oracle = ExactQuantiles::new(data.to_vec());
     let stride = (data.len() / SPACE_SAMPLES).max(1);
 
-    let mut seeds = SplitMix64::new(seed);
     let mut max_err_sum = 0.0;
     let mut avg_err_sum = 0.0;
     let mut space_max = 0usize;
     let mut ns_sum = 0.0;
     for _ in 0..trials {
-        let mut s = algo.build(eps, log_u, data.len() as u64, seeds.next_u64());
+        let mut s = build(seeds.next_u64());
         let mut tracker = SpaceTracker::new();
         let t0 = Instant::now();
         for chunk in data.chunks(stride) {
-            // Scalar `insert`, as the paper's update-time figures time
-            // it — not the batched path.
             for &x in chunk {
                 s.insert(x);
             }
@@ -167,14 +194,14 @@ pub fn run_cash_cell(
         ns_sum += t0.elapsed().as_nanos() as f64 / data.len() as f64;
         space_max = space_max.max(tracker.max_bytes());
 
-        let answers = s.quantile_grid(eps);
+        let answers = read(&mut s);
         assert!(!answers.is_empty(), "nonempty stream must answer the grid");
         let (me, ae) = observed_errors(&oracle, &answers);
         max_err_sum += me;
         avg_err_sum += ae;
     }
-    CashCell {
-        algo: algo.name(),
+    Cell {
+        algo,
         eps,
         n: data.len(),
         max_err: max_err_sum / trials as f64,
@@ -194,7 +221,7 @@ pub fn run_cash_perf(
     eps: f64,
     log_u: u32,
     seed: u64,
-) -> CashCell {
+) -> Cell {
     let mut s = algo.build(eps, log_u, n as u64, seed);
     let mut tracker = SpaceTracker::new();
     let stride = (n / SPACE_SAMPLES).max(1);
@@ -207,7 +234,7 @@ pub fn run_cash_perf(
     }
     let ns = t0.elapsed().as_nanos() as f64 / n as f64;
     tracker.observe(s.space_bytes());
-    CashCell {
+    Cell {
         algo: algo.name(),
         eps,
         n,
@@ -229,6 +256,8 @@ pub enum TurnstileAlgo {
     Post(f64),
     /// Dyadic random-subset-sum.
     Rss,
+    /// Dyadic CR-precis (deterministic).
+    Dgm,
 }
 
 impl TurnstileAlgo {
@@ -239,32 +268,32 @@ impl TurnstileAlgo {
             TurnstileAlgo::Dcs => "DCS",
             TurnstileAlgo::Post(_) => "Post",
             TurnstileAlgo::Rss => "RSS",
+            TurnstileAlgo::Dgm => "DGM",
+        }
+    }
+
+    /// Whether the algorithm is randomized (needs trial averaging).
+    pub fn randomized(&self) -> bool {
+        *self != TurnstileAlgo::Dgm
+    }
+
+    /// Instantiates the summary over `[0, 2^log_u)`. Post streams into
+    /// the DCS it refines, so it builds that.
+    pub fn build(&self, eps: f64, log_u: u32, seed: u64) -> Box<dyn QuantileSummary<u64>> {
+        match self {
+            TurnstileAlgo::Dcm => Box::new(Dcm::dcm(eps, log_u, seed)),
+            TurnstileAlgo::Dcs | TurnstileAlgo::Post(_) => Box::new(Dcs::dcs(eps, log_u, seed)),
+            TurnstileAlgo::Rss => Box::new(new_rss(eps, log_u, seed)),
+            TurnstileAlgo::Dgm => Box::new(new_dgm(eps, log_u)),
         }
     }
 }
 
-/// Measurements for one turnstile cell.
-#[derive(Debug, Clone)]
-pub struct TurnstileCell {
-    /// Algorithm name.
-    pub algo: &'static str,
-    /// The ε parameter.
-    pub eps: f64,
-    /// Stream length (insertions).
-    pub n: usize,
-    /// Observed maximum error.
-    pub max_err: f64,
-    /// Observed average error.
-    pub avg_err: f64,
-    /// Structure size, bytes (fixed at construction for sketches).
-    pub space_bytes: usize,
-    /// Amortized update time, ns/element.
-    pub update_ns: f64,
-}
-
 /// Runs one turnstile cell on an insert-only stream (§4.3: deletions
 /// don't affect accuracy, so accuracy cells use insertions; deletion
-/// correctness is covered by tests and the churn throughput bench).
+/// correctness is covered by tests and the churn throughput bench),
+/// through the cash-register cells' loop. Randomized algorithms are
+/// averaged over `trials` seeded runs; DGM runs once.
 pub fn run_turnstile_cell(
     algo: TurnstileAlgo,
     data: &[u64],
@@ -272,131 +301,41 @@ pub fn run_turnstile_cell(
     log_u: u32,
     trials: usize,
     seed: u64,
-) -> TurnstileCell {
-    assert!(!data.is_empty(), "empty stream");
-    let oracle = ExactQuantiles::new(data.to_vec());
-    let phis = probe_phis(eps);
-
-    let mut seeds = SplitMix64::new(seed);
-    let mut max_err_sum = 0.0;
-    let mut avg_err_sum = 0.0;
-    let mut space = 0usize;
-    let mut ns_sum = 0.0;
-    let trials = trials.max(1);
-    for _ in 0..trials {
-        let s = seeds.next_u64();
-        let (me, ae, sp, ns) = run_turnstile_once(algo, data, eps, log_u, s, &oracle, &phis);
-        max_err_sum += me;
-        avg_err_sum += ae;
-        space = space.max(sp);
-        ns_sum += ns;
-    }
-    TurnstileCell {
-        algo: algo.name(),
-        eps,
-        n: data.len(),
-        max_err: max_err_sum / trials as f64,
-        avg_err: avg_err_sum / trials as f64,
-        space_bytes: space,
-        update_ns: ns_sum / trials as f64,
+) -> Cell {
+    let name = algo.name();
+    let trials = if algo.randomized() { trials } else { 1 };
+    let seeds = &mut SplitMix64::new(seed);
+    match algo {
+        // Post is a read overlay on a DCS: it adds no streaming space
+        // or time (§4.3.4), only another answer to the grid.
+        TurnstileAlgo::Post(eta) => measure(
+            name,
+            data,
+            eps,
+            trials,
+            seeds,
+            |seed| Box::new(Dcs::dcs(eps, log_u, seed)),
+            |dcs| post_grid(&PostProcessed::new(dcs, eps, eta), eps),
+        ),
+        _ => measure(
+            name,
+            data,
+            eps,
+            trials,
+            seeds,
+            |seed| algo.build(eps, log_u, seed),
+            |s| s.quantile_grid(eps),
+        ),
     }
 }
 
-fn run_turnstile_once(
-    algo: TurnstileAlgo,
-    data: &[u64],
-    eps: f64,
-    log_u: u32,
-    seed: u64,
-    oracle: &ExactQuantiles<u64>,
-    phis: &[f64],
-) -> (f64, f64, usize, f64) {
-    use sqs_util::SpaceUsage;
-    match algo {
-        TurnstileAlgo::Dcm => {
-            let mut s = new_dcm(eps, log_u, seed);
-            let t0 = Instant::now();
-            for &x in data {
-                s.insert(x);
-            }
-            let ns = t0.elapsed().as_nanos() as f64 / data.len() as f64;
-            let answers: Vec<(f64, u64)> = phis
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        s.quantile(p)
-                            .expect("harness invariant: summary nonempty after feeding the stream"),
-                    )
-                })
-                .collect();
-            let (me, ae) = observed_errors(oracle, &answers);
-            (me, ae, s.space_bytes(), ns)
-        }
-        TurnstileAlgo::Dcs => {
-            let mut s = new_dcs(eps, log_u, seed);
-            let t0 = Instant::now();
-            for &x in data {
-                s.insert(x);
-            }
-            let ns = t0.elapsed().as_nanos() as f64 / data.len() as f64;
-            let answers: Vec<(f64, u64)> = phis
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        s.quantile(p)
-                            .expect("harness invariant: summary nonempty after feeding the stream"),
-                    )
-                })
-                .collect();
-            let (me, ae) = observed_errors(oracle, &answers);
-            (me, ae, s.space_bytes(), ns)
-        }
-        TurnstileAlgo::Post(eta) => {
-            let mut s = new_dcs(eps, log_u, seed);
-            let t0 = Instant::now();
-            for &x in data {
-                s.insert(x);
-            }
-            let ns = t0.elapsed().as_nanos() as f64 / data.len() as f64;
-            let post = PostProcessed::new(&s, eps, eta);
-            let answers: Vec<(f64, u64)> = phis
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        post.quantile(p)
-                            .expect("harness invariant: summary nonempty after feeding the stream"),
-                    )
-                })
-                .collect();
-            let (me, ae) = observed_errors(oracle, &answers);
-            // Post adds no streaming space or time (§4.3.4); its size
-            // is the DCS it refines.
-            (me, ae, s.space_bytes(), ns)
-        }
-        TurnstileAlgo::Rss => {
-            let mut s = new_rss(eps, log_u, seed);
-            let t0 = Instant::now();
-            for &x in data {
-                s.insert(x);
-            }
-            let ns = t0.elapsed().as_nanos() as f64 / data.len() as f64;
-            let answers: Vec<(f64, u64)> = phis
-                .iter()
-                .map(|&p| {
-                    (
-                        p,
-                        s.quantile(p)
-                            .expect("harness invariant: summary nonempty after feeding the stream"),
-                    )
-                })
-                .collect();
-            let (me, ae) = observed_errors(oracle, &answers);
-            (me, ae, s.space_bytes(), ns)
-        }
-    }
+/// Post's answers on the probe grid φ = ε, 2ε, …, 1−ε, as
+/// [`QuantileSummary::quantile_grid`] pairs them.
+pub fn post_grid<S: FrequencySketch>(post: &PostProcessed<'_, S>, eps: f64) -> Vec<(f64, u64)> {
+    probe_phis(eps)
+        .into_iter()
+        .filter_map(|phi| post.quantile(phi).map(|q| (phi, q)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ use sqs_core::random::RandomSketch;
 use sqs_core::sampled::ReservoirQuantiles;
 use sqs_service::server::{spawn, DurabilityConfig, ServerConfig, WindowOptions};
 use sqs_store::FsyncPolicy;
-use sqs_turnstile::TurnstileSummary;
+use sqs_turnstile::Dcs;
 use sqs_util::rng::SplitMix64;
 use sqs_window::{LatePolicy, WindowConfig};
 
@@ -310,7 +310,7 @@ fn main() -> ExitCode {
             // counter-wise and the snapshot is state-identical to a
             // single sketch that saw every update (docs/PERF.md).
             spawn(cfg, move |tenant, _shard| {
-                TurnstileSummary::dcs(eps, log_u, derive_seed(seed, tenant, 0))
+                Dcs::dcs(eps, log_u, derive_seed(seed, tenant, 0))
             })
             .map(|h| run(h.addr(), h))
         }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use sqs_service::server::{spawn, ServerConfig};
 use sqs_service::Client;
-use sqs_turnstile::TurnstileSummary;
+use sqs_turnstile::Dcs;
 use sqs_util::rng::SplitMix64;
 
 const EPS: f64 = 0.02;
@@ -19,7 +19,7 @@ fn query_many_matches_its_one_sided_wrappers_over_the_socket() {
     // Shards of one tenant merge at snapshot time, so every shard must
     // draw the same hash functions: the seed depends on the tenant only.
     let server = spawn(ServerConfig::default(), |tenant: u64, _shard: usize| {
-        TurnstileSummary::dcs(EPS, LOG_U, tenant.wrapping_mul(31) ^ 1)
+        Dcs::dcs(EPS, LOG_U, tenant.wrapping_mul(31) ^ 1)
     })
     .expect("spawn server");
     let mut client =

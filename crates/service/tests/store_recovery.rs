@@ -272,9 +272,9 @@ fn serve_refuses_a_data_dir_of_another_format_version() {
 fn serve_refuses_a_data_dir_whose_checkpoint_holds_a_retired_kind() {
     use sqs_core::codec::{seal, WireCodec};
     use sqs_store::{DurableStore, StoreConfig};
-    use sqs_turnstile::TurnstileSummary;
+    use sqs_turnstile::Dcs;
     let dir = TempDir::new("sqs-recovery-retired-kind").expect("tempdir");
-    let mut frame = TurnstileSummary::dcs(0.2, 12, 1).to_bytes();
+    let mut frame = Dcs::dcs(0.2, 12, 1).to_bytes();
     frame.truncate(frame.len() - 8);
     frame[5] = 5;
     seal(&mut frame);

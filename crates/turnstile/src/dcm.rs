@@ -14,14 +14,16 @@ use sqs_util::rng::{SplitMix64, Xoshiro256pp};
 /// The Dyadic Count-Min turnstile quantile summary.
 pub type Dcm = DyadicQuantiles<CountMin>;
 
-/// Builds a DCM for error target ε over the universe `[0, 2^log_u)`,
-/// with the paper's tuned parameters (§4.3.1): per-level width
-/// `w = (1/ε)·log₂u` and depth `d = 7`.
-pub fn new_dcm(eps: f64, log_u: u32, seed: u64) -> Dcm {
-    new_dcm_with(eps, log_u, 7, seed)
+impl Dcm {
+    /// Builds a DCM for error target ε over the universe
+    /// `[0, 2^log_u)`, with the paper's tuned parameters (§4.3.1):
+    /// per-level width `w = (1/ε)·log₂u` and depth `d = 7`.
+    pub fn dcm(eps: f64, log_u: u32, seed: u64) -> Self {
+        new_dcm_with(eps, log_u, 7, seed)
+    }
 }
 
-/// [`new_dcm`] with an explicit depth `d` (used by the Table 3/4
+/// [`Dcm::dcm`] with an explicit depth `d` (used by the Table 3/4
 /// tuning experiments). The ε target also sets the default dyadic
 /// level cutoff ([`crate::default_level_cutoff`]): levels far below
 /// the ε resolution keep no counters, shortening every update and
@@ -63,6 +65,7 @@ fn build(width: usize, depth: usize, log_u: u32, cutoff: u32, seed: u64) -> Dcm 
 mod tests {
     use super::*;
     use crate::TurnstileQuantiles;
+    use sqs_core::QuantileSummary;
     use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
     use sqs_util::rng::Xoshiro256pp;
     use sqs_util::SpaceUsage;
@@ -70,7 +73,7 @@ mod tests {
     #[test]
     fn errors_within_eps_uniform() {
         let eps = 0.02;
-        let mut dcm = new_dcm(eps, 20, 1);
+        let mut dcm = Dcm::dcm(eps, 20, 1);
         let mut rng = Xoshiro256pp::new(2);
         let data: Vec<u64> = (0..50_000).map(|_| rng.next_below(1 << 20)).collect();
         for &x in &data {
@@ -91,7 +94,7 @@ mod tests {
         // Insert n, delete all but a narrow band; quantiles must track
         // the survivors (§1.2.2's motivating scenario).
         let eps = 0.05;
-        let mut dcm = new_dcm(eps, 16, 3);
+        let mut dcm = Dcm::dcm(eps, 16, 3);
         for x in 0..60_000u64 {
             dcm.insert(x % 65_536);
         }
@@ -115,8 +118,8 @@ mod tests {
 
     #[test]
     fn space_grows_with_precision() {
-        let coarse = new_dcm(0.05, 16, 1);
-        let fine = new_dcm(0.005, 16, 1);
+        let coarse = Dcm::dcm(0.05, 16, 1);
+        let fine = Dcm::dcm(0.005, 16, 1);
         assert!(fine.space_bytes() > coarse.space_bytes());
     }
 }

@@ -58,6 +58,7 @@ pub fn new_dgm(eps: f64, log_u: u32) -> Dgm {
 mod tests {
     use super::*;
     use crate::TurnstileQuantiles;
+    use sqs_core::QuantileSummary;
     use sqs_util::exact::ExactQuantiles;
     use sqs_util::SpaceUsage;
 
@@ -99,7 +100,7 @@ mod tests {
         // The §1.2.2 dismissal, quantified.
         let eps = 0.05;
         let dgm = new_dgm(eps, 16);
-        let dcs = crate::new_dcs(eps, 16, 1);
+        let dcs = crate::Dcs::dcs(eps, 16, 1);
         let ratio = dgm.space_bytes() as f64 / dcs.space_bytes() as f64;
         assert!(ratio > 20.0, "DGM/DCS space ratio = {ratio}");
     }

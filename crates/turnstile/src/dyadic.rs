@@ -26,6 +26,7 @@
 )]
 
 use crate::TurnstileQuantiles;
+use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_sketch::{ExactCounts, FrequencySketch, MergeableSketch};
 use sqs_util::dyadic::{Cell, DyadicUniverse};
 use sqs_util::space::{words, SpaceUsage};
@@ -584,7 +585,7 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
         &self.levels
     }
 
-    /// The signed live count (serialization; `live()` clamps).
+    /// The signed live count (serialization; `n()` clamps).
     pub(crate) fn live_signed(&self) -> i64 {
         self.live
     }
@@ -657,34 +658,20 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     }
 }
 
-impl<S: MergeableSketch> DyadicQuantiles<S> {
-    /// Whether `other` was built from the same universe and per-level
-    /// hash draws, so [`merge_from`](Self::merge_from) is exact.
-    pub fn merge_compatible(&self, other: &Self) -> bool {
-        self.universe == other.universe
-            && self.levels.len() == other.levels.len()
-            && self
-                .levels
-                .iter()
-                .zip(&other.levels)
-                .all(|(a, b)| match (a, b) {
-                    (Level::Exact(x), Level::Exact(y)) => x.merge_compatible(y),
-                    (Level::Sketch(x), Level::Sketch(y)) => x.merge_compatible(y),
-                    (Level::Derived, Level::Derived) | (Level::Truncated, Level::Truncated) => true,
-                    _ => false,
-                })
-    }
-
-    /// Adds `other`'s state into `self`, level by level. Because every
-    /// level store is a linear sketch, the merged structure is
-    /// state-identical to one that saw both update streams.
+/// Two structures merge when they share the universe and the per-level
+/// hash draws — shards built from one seed. Because every level store
+/// is a linear sketch, the merged structure is state-identical to one
+/// that saw both update streams, a stronger guarantee than the
+/// ε-mergeability the engine needs.
+impl<S: MergeableSketch> MergeableSummary<u64> for DyadicQuantiles<S> {
+    /// Adds `other`'s state into `self`, level by level.
     ///
     /// # Panics
     /// Panics if the structures are not
-    /// [`merge_compatible`](Self::merge_compatible).
-    pub fn merge_from(&mut self, other: &Self) {
+    /// [`merge_compatible`](MergeableSummary::merge_compatible).
+    fn merge_from(&mut self, other: Self) {
         assert!(
-            self.merge_compatible(other),
+            self.merge_compatible(&other),
             "Dyadic invariant: merge requires identical universe and hash draws"
         );
         self.live += other.live;
@@ -701,6 +688,21 @@ impl<S: MergeableSketch> DyadicQuantiles<S> {
         {
             self.updates += other.updates;
         }
+    }
+
+    fn merge_compatible(&self, other: &Self) -> bool {
+        self.universe == other.universe
+            && self.levels.len() == other.levels.len()
+            && self
+                .levels
+                .iter()
+                .zip(&other.levels)
+                .all(|(a, b)| match (a, b) {
+                    (Level::Exact(x), Level::Exact(y)) => x.merge_compatible(y),
+                    (Level::Sketch(x), Level::Sketch(y)) => x.merge_compatible(y),
+                    (Level::Derived, Level::Derived) | (Level::Truncated, Level::Truncated) => true,
+                    _ => false,
+                })
     }
 }
 
@@ -840,13 +842,9 @@ impl<S: FrequencySketch> sqs_util::audit::CheckInvariants for DyadicQuantiles<S>
     }
 }
 
-impl<S: FrequencySketch> TurnstileQuantiles for DyadicQuantiles<S> {
+impl<S: FrequencySketch> QuantileSummary<u64> for DyadicQuantiles<S> {
     fn insert(&mut self, x: u64) {
         self.update(x, 1);
-    }
-
-    fn delete(&mut self, x: u64) {
-        self.update(x, -1);
     }
 
     fn insert_batch(&mut self, xs: &[u64]) {
@@ -854,11 +852,12 @@ impl<S: FrequencySketch> TurnstileQuantiles for DyadicQuantiles<S> {
         self.fold(reduced);
     }
 
-    fn live(&self) -> u64 {
+    /// The live count (insertions − deletions), tracked exactly.
+    fn n(&self) -> u64 {
         self.live.max(0) as u64
     }
 
-    fn rank_estimate(&self, x: u64) -> u64 {
+    fn rank_estimate(&mut self, x: u64) -> u64 {
         self.rank_signed(x).max(0) as u64
     }
 
@@ -869,7 +868,7 @@ impl<S: FrequencySketch> TurnstileQuantiles for DyadicQuantiles<S> {
     /// all-prefixes error bound. Under truncation the search runs in
     /// cell units at the cutoff level — with cutoff 0 that *is* the
     /// value space, bit-identical to the untruncated search.
-    fn quantile(&self, phi: f64) -> Option<u64> {
+    fn quantile(&mut self, phi: f64) -> Option<u64> {
         assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
         if self.live <= 0 {
             return None;
@@ -902,7 +901,7 @@ impl<S: FrequencySketch> TurnstileQuantiles for DyadicQuantiles<S> {
     /// ~log u ranks; k sorted φs cost ~log u *batched* rank rounds
     /// with ≤ min(k, 2^depth) ranks each — the per-φ re-bisection
     /// rework is gone.
-    fn quantiles(&self, phis: &[f64]) -> Vec<Option<u64>> {
+    fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<u64>> {
         for &phi in phis {
             assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
         }
@@ -971,6 +970,12 @@ impl<S: FrequencySketch> TurnstileQuantiles for DyadicQuantiles<S> {
     }
 }
 
+impl<S: FrequencySketch> TurnstileQuantiles for DyadicQuantiles<S> {
+    fn delete(&mut self, x: u64) {
+        self.update(x, -1);
+    }
+}
+
 impl<S: FrequencySketch> SpaceUsage for DyadicQuantiles<S> {
     fn space_bytes(&self) -> usize {
         let levels: usize = self
@@ -1023,7 +1028,7 @@ mod tests {
         for x in 0..400u64 {
             dq.delete(x % 4096);
         }
-        assert_eq!(dq.live(), 600);
+        assert_eq!(dq.n(), 600);
     }
 
     #[test]
@@ -1077,7 +1082,7 @@ mod tests {
         for x in [100u64, 30_000, 65_000] {
             assert_eq!(with_churn.rank_signed(x), clean.rank_signed(x), "x={x}");
         }
-        assert_eq!(with_churn.live(), clean.live());
+        assert_eq!(with_churn.n(), clean.n());
     }
 
     #[test]
@@ -1089,7 +1094,7 @@ mod tests {
 
     #[test]
     fn empty_quantile_is_none() {
-        let dq = make(8, 16, 3, 9);
+        let mut dq = make(8, 16, 3, 9);
         assert_eq!(dq.quantile(0.5), None);
     }
 
@@ -1123,7 +1128,7 @@ mod tests {
             dq.levels.iter().map(Level::slot).collect()
         };
         assert_eq!(layout(&dq), want);
-        assert_eq!(layout(&crate::new_dcs(0.01, 24, 5)), want);
+        assert_eq!(layout(&crate::Dcs::dcs(0.01, 24, 5)), want);
         assert_eq!(
             dq.stored().collect::<Vec<_>>()[..3],
             [(7, 2), (9, 2), (11, 1)]
@@ -1175,8 +1180,8 @@ mod tests {
 
     #[test]
     fn derived_cells_are_the_sum_of_their_children() {
-        derived_cells_add_up(&loaded(crate::new_dcm(0.05, 20, 3)));
-        derived_cells_add_up(&loaded(crate::new_dcs(0.05, 20, 3)));
+        derived_cells_add_up(&loaded(crate::Dcm::dcm(0.05, 20, 3)));
+        derived_cells_add_up(&loaded(crate::Dcs::dcs(0.05, 20, 3)));
     }
 
     /// `from_raw` rebuilds only the layout `new` lays out.
@@ -1207,15 +1212,15 @@ mod tests {
 
     #[test]
     fn from_raw_refuses_kinds_the_layout_does_not_put_there() {
-        refuses_a_foreign_layout(&loaded(crate::new_dcm(0.05, 20, 4)));
-        refuses_a_foreign_layout(&loaded(crate::new_dcs(0.05, 20, 4)));
+        refuses_a_foreign_layout(&loaded(crate::Dcm::dcm(0.05, 20, 4)));
+        refuses_a_foreign_layout(&loaded(crate::Dcs::dcs(0.05, 20, 4)));
     }
 }
 
 #[cfg(test)]
 mod corruption {
     use crate::new_dgm;
-    use crate::TurnstileQuantiles;
+    use sqs_core::QuantileSummary;
     use sqs_util::audit::CheckInvariants;
 
     #[test]
@@ -1237,7 +1242,7 @@ mod corruption {
         use sqs_sketch::FrequencySketch;
         // An even delta keeps the rows' parity agreement, so only the
         // live-mass bound can see it.
-        let mut d = crate::new_dcs(0.2, 12, 1);
+        let mut d = crate::Dcs::dcs(0.2, 12, 1);
         for x in 0..6u64 {
             d.insert(x * 600);
         }
@@ -1250,7 +1255,7 @@ mod corruption {
         assert_eq!(err.invariant, "dyadic.sketch_level_mass");
 
         // Count-Min rows must total the live count exactly.
-        let mut d = crate::new_dcm(0.2, 12, 1);
+        let mut d = crate::Dcm::dcm(0.2, 12, 1);
         for x in 0..6u64 {
             d.insert(x * 600);
         }
@@ -1268,7 +1273,7 @@ mod corruption {
     fn exact_level_mass_is_summed_without_overflow() {
         // Three counters at i64::MAX wrap an i64 sum (a debug panic,
         // and in release a total that may happen to equal `live`).
-        let mut d = crate::new_dcs(0.05, 12, 1);
+        let mut d = crate::Dcs::dcs(0.05, 12, 1);
         let fe = (0..12).find(|&l| d.is_exact_level(l)).expect("exact run");
         let Some(super::Level::Exact(e)) = d.levels.get_mut(fe as usize) else {
             panic!("level {fe} is exact");

@@ -16,6 +16,7 @@
 )]
 
 use crate::TurnstileQuantiles;
+use sqs_core::QuantileSummary;
 use sqs_util::space::{words, SpaceUsage};
 
 /// Exact turnstile quantile structure (Fenwick tree over `[0, u)`).
@@ -149,27 +150,24 @@ impl sqs_util::audit::CheckInvariants for ExactTurnstile {
     }
 }
 
-impl TurnstileQuantiles for ExactTurnstile {
+impl QuantileSummary<u64> for ExactTurnstile {
     fn insert(&mut self, x: u64) {
         self.add(x, 1);
     }
 
-    fn delete(&mut self, x: u64) {
-        self.add(x, -1);
-    }
-
-    fn live(&self) -> u64 {
+    /// The live count (insertions − deletions).
+    fn n(&self) -> u64 {
         self.live.max(0) as u64
     }
 
-    fn rank_estimate(&self, x: u64) -> u64 {
+    fn rank_estimate(&mut self, x: u64) -> u64 {
         self.prefix(x).max(0) as u64
     }
 
     /// Exact φ-quantile by Fenwick descent: find the smallest value
     /// whose prefix count exceeds ⌊φ·live⌋ — O(log u), no binary
     /// search over ranks needed.
-    fn quantile(&self, phi: f64) -> Option<u64> {
+    fn quantile(&mut self, phi: f64) -> Option<u64> {
         assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
         if self.live <= 0 {
             return None;
@@ -192,6 +190,12 @@ impl TurnstileQuantiles for ExactTurnstile {
 
     fn name(&self) -> &'static str {
         "ExactTurnstile"
+    }
+}
+
+impl TurnstileQuantiles for ExactTurnstile {
+    fn delete(&mut self, x: u64) {
+        self.add(x, -1);
     }
 }
 
@@ -237,7 +241,7 @@ mod tests {
         for x in 0..500u64 {
             s.delete(x);
         }
-        assert_eq!(s.live(), 500);
+        assert_eq!(s.n(), 500);
         assert_eq!(s.rank_estimate(750), 250);
         assert_eq!(s.quantile(0.5), Some(750));
     }
@@ -280,7 +284,7 @@ mod tests {
         s.insert(5);
         s.delete(5);
         assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.live(), 0);
+        assert_eq!(s.n(), 0);
     }
 
     #[test]

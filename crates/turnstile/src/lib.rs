@@ -27,6 +27,15 @@
 //!   post-processing (§3.2): reconcile the per-level estimates with
 //!   the tree constraints `x_v = x_left + x_right` via the BLUE,
 //!   cutting DCS error by 60–80%.
+//!
+//! Every structure here is a [`sqs_core::QuantileSummary<u64>`] — the
+//! interface the cash-register summaries, the engine, the service, the
+//! window ring and the experiment runner all speak — and adds only
+//! [`TurnstileQuantiles::delete`]. The dyadic structures are also
+//! [`sqs_core::MergeableSummary`]s: sharding a *linear* sketch is
+//! exact, so shards built from one seed merge by adding counters into
+//! the state one structure fed the concatenated stream would hold. DCS
+//! has a wire form ([`sqs_core::codec::WireCodec`], kind 6).
 
 #![warn(missing_docs)]
 
@@ -37,59 +46,27 @@ pub mod dyadic;
 pub mod exact;
 pub mod post;
 pub mod rss;
-pub mod summary;
 
-pub use dcm::{new_dcm, Dcm};
-pub use dcs::{new_dcs, Dcs};
+pub use dcm::Dcm;
+pub use dcs::Dcs;
 pub use dgm::{new_dgm, Dgm};
 pub use dyadic::{default_level_cutoff, DyadicQuantiles};
 pub use exact::ExactTurnstile;
 pub use post::{FrontierMode, PostCache, PostProcessed, VarianceMode};
 pub use rss::{new_rss, Rss};
-pub use summary::TurnstileSummary;
 
-/// A turnstile quantile summary: insertions, deletions, rank and
-/// quantile queries over the *live* multiset.
-pub trait TurnstileQuantiles: sqs_util::SpaceUsage {
-    /// Inserts one copy of `x`.
-    fn insert(&mut self, x: u64);
+/// The dyadic structures under the name the service and the benchmark
+/// build them by: `TurnstileSummary::dcs(…)` is [`Dcs::dcs`].
+pub type TurnstileSummary<S> = DyadicQuantiles<S>;
 
+/// A turnstile quantile summary: a [`QuantileSummary`] whose elements
+/// can also be deleted. Ranks, quantiles and `n` describe the *live*
+/// multiset (insertions − deletions).
+///
+/// [`QuantileSummary`]: sqs_core::QuantileSummary
+pub trait TurnstileQuantiles: sqs_core::QuantileSummary<u64> {
     /// Deletes one copy of `x` (which must currently exist — the
     /// turnstile model's strictness condition; not checkable by the
     /// sketch, so not checked).
     fn delete(&mut self, x: u64);
-
-    /// Inserts one copy of each element. The default is an
-    /// [`insert`](Self::insert) loop; `DyadicQuantiles` overrides it
-    /// with the row-major batched update path (see `docs/PERF.md`).
-    fn insert_batch(&mut self, xs: &[u64]) {
-        for &x in xs {
-            self.insert(x);
-        }
-    }
-
-    /// Number of live elements (insertions − deletions), tracked
-    /// exactly.
-    fn live(&self) -> u64;
-
-    /// Estimated rank of `x`: approximate number of live elements
-    /// smaller than `x`.
-    fn rank_estimate(&self, x: u64) -> u64;
-
-    /// An approximate φ-quantile of the live elements (`None` when
-    /// empty).
-    fn quantile(&self, phi: f64) -> Option<u64>;
-
-    /// A φ-sweep: one quantile per entry of `phis`. The default is a
-    /// per-φ [`quantile`](Self::quantile) loop; `DyadicQuantiles`
-    /// overrides it with the lockstep bisection sweep that answers a
-    /// whole sorted sweep in ~log u *batched* rank rounds instead of
-    /// re-bisecting from scratch per φ — bit-identical answers either
-    /// way (see `docs/PERF.md` §7).
-    fn quantiles(&self, phis: &[f64]) -> Vec<Option<u64>> {
-        phis.iter().map(|&phi| self.quantile(phi)).collect()
-    }
-
-    /// The algorithm's name as used in the paper's figures.
-    fn name(&self) -> &'static str;
 }

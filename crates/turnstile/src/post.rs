@@ -50,6 +50,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::dyadic::DyadicQuantiles;
+use sqs_core::QuantileSummary;
 use sqs_sketch::FrequencySketch;
 use sqs_util::dyadic::Cell;
 
@@ -319,7 +320,6 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
     ) -> Self {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
         assert!(eta > 0.0, "eta must be positive, got {eta}");
-        use crate::TurnstileQuantiles;
 
         let mut this = Self {
             dq,
@@ -329,7 +329,7 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
             frontier_mode,
             variance_mode,
         };
-        let n = dq.live();
+        let n = dq.n();
         if n == 0 {
             return this;
         }
@@ -582,16 +582,14 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
 
     /// Post-processed rank estimate (clamped to `[0, live]`).
     pub fn rank_estimate(&self, x: u64) -> u64 {
-        use crate::TurnstileQuantiles;
-        (self.rank_signed(x).max(0.0) as u64).min(self.dq.live())
+        (self.rank_signed(x).max(0.0) as u64).min(self.dq.n())
     }
 
     /// Post-processed φ-quantile (binary search, as in the raw
     /// structure).
     pub fn quantile(&self, phi: f64) -> Option<u64> {
         assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
-        use crate::TurnstileQuantiles;
-        let n = self.dq.live();
+        let n = self.dq.n();
         if n == 0 {
             return None;
         }
@@ -617,8 +615,7 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcs::new_dcs;
-    use crate::TurnstileQuantiles;
+    use crate::dcs::Dcs;
     use sqs_util::exact::{observed_errors, probe_phis, ExactQuantiles};
     use sqs_util::rng::Xoshiro256pp;
 
@@ -722,7 +719,7 @@ mod tests {
     }
 
     fn run_errors(eps: f64, eta: f64, seed: u64) -> ((f64, f64), (f64, f64), usize) {
-        let mut dcs = new_dcs(eps, 20, seed);
+        let mut dcs = Dcs::dcs(eps, 20, seed);
         let mut rng = Xoshiro256pp::new(seed ^ 0xABCD);
         let data: Vec<u64> = (0..60_000)
             .map(|_| 400_000 + rng.next_below(1 << 17) + rng.next_below(1 << 17))
@@ -783,7 +780,7 @@ mod tests {
         let mut interp_sum = 0.0;
         let mut raw_sum = 0.0;
         for seed in 0..3u64 {
-            let mut dcs = new_dcs(0.02, 20, seed);
+            let mut dcs = Dcs::dcs(0.02, 20, seed);
             let mut rng = Xoshiro256pp::new(seed ^ 0x5EED);
             let data: Vec<u64> = (0..50_000).map(|_| rng.next_below(1 << 20)).collect();
             for &x in &data {
@@ -823,7 +820,7 @@ mod tests {
 
     #[test]
     fn cache_reuses_solution_until_the_structure_changes() {
-        let mut dcs = new_dcs(0.02, 16, 6);
+        let mut dcs = Dcs::dcs(0.02, 16, 6);
         let mut rng = Xoshiro256pp::new(66);
         for _ in 0..20_000 {
             dcs.insert(rng.next_below(1 << 16));
@@ -858,11 +855,11 @@ mod tests {
 
     #[test]
     fn truncated_structure_posts_within_eps() {
-        // new_dcs(0.02, 20, …) carries a level cutoff of 4: the
+        // Dcs::dcs(0.02, 20, …) carries a level cutoff of 4: the
         // pipeline's descent floor, frontier handling, and raw_range
         // alignment must all respect it while staying inside ε.
         let eps = 0.02;
-        let dcs = new_dcs(eps, 20, 12);
+        let dcs = Dcs::dcs(eps, 20, 12);
         assert!(dcs.level_cutoff() > 0, "test premise: truncation on");
         let mut dcs = dcs;
         let mut rng = Xoshiro256pp::new(77);
@@ -923,7 +920,7 @@ mod tests {
     /// T̂ crossing derived levels: no frontier leaf sits on one, and the
     /// solution satisfies every children-sum constraint of T̂.
     fn frontier_avoids_derived_levels<S: FrequencySketch>(dq: &DyadicQuantiles<S>) {
-        let n = dq.live() as f64;
+        let n = dq.n() as f64;
         let post = PostProcessed::new(dq, 0.02, 0.1);
         let mut derived_inside = 0;
         for (&cell, &x) in post.xstar.iter() {
@@ -948,8 +945,8 @@ mod tests {
         let data: Vec<u64> = (0..40_000)
             .map(|_| rng.next_below(1 << 10) * rng.next_below(1 << 10))
             .collect();
-        let mut dcs = new_dcs(0.02, 20, 5);
-        let mut dcm = crate::new_dcm(0.02, 20, 5);
+        let mut dcs = Dcs::dcs(0.02, 20, 5);
+        let mut dcm = crate::Dcm::dcm(0.02, 20, 5);
         dcs.insert_batch(&data);
         dcm.insert_batch(&data);
         frontier_avoids_derived_levels(&dcs);
@@ -958,7 +955,7 @@ mod tests {
 
     #[test]
     fn empty_structure_is_handled() {
-        let dcs = new_dcs(0.05, 12, 1);
+        let dcs = Dcs::dcs(0.05, 12, 1);
         let post = PostProcessed::new(&dcs, 0.05, 0.1);
         assert_eq!(post.quantile(0.5), None);
         assert_eq!(post.tree_size(), 0);
@@ -968,7 +965,7 @@ mod tests {
     fn raw_range_decomposition_is_exact_on_exact_levels() {
         // Small universe and fine ε → every level has fewer cells than
         // the sketch budget → all levels exact → raw_range is exact.
-        let mut dcs = new_dcs(0.05, 8, 2);
+        let mut dcs = Dcs::dcs(0.05, 8, 2);
         assert!(dcs.is_exact_level(0), "test premise: level 0 exact");
         for x in 0..256u64 {
             dcs.insert(x);

@@ -52,6 +52,7 @@ pub fn new_rss_with(k: usize, log_u: u32, seed: u64) -> Rss {
 mod tests {
     use super::*;
     use crate::TurnstileQuantiles;
+    use sqs_core::QuantileSummary;
     use sqs_util::exact::ExactQuantiles;
     use sqs_util::rng::Xoshiro256pp;
     use sqs_util::SpaceUsage;
@@ -78,7 +79,7 @@ mod tests {
     fn quadratically_larger_than_dcs() {
         let eps = 0.05;
         let rss = new_rss(eps, 16, 1);
-        let dcs = crate::new_dcs(eps, 16, 1);
+        let dcs = crate::Dcs::dcs(eps, 16, 1);
         let ratio = rss.space_bytes() as f64 / dcs.space_bytes() as f64;
         assert!(ratio > 10.0, "ratio = {ratio} — RSS should dwarf DCS");
     }
@@ -93,6 +94,6 @@ mod tests {
         for x in 0..500u64 {
             rss.delete(x);
         }
-        assert_eq!(rss.live(), 500);
+        assert_eq!(rss.n(), 500);
     }
 }

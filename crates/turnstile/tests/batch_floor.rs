@@ -11,8 +11,9 @@
 //! threads, and a timing taken beside another timing measures the
 //! neighbour.
 
+use sqs_core::QuantileSummary;
 use sqs_sketch::FrequencySketch;
-use sqs_turnstile::{new_dcm, new_dcs, DyadicQuantiles, TurnstileQuantiles};
+use sqs_turnstile::{Dcm, Dcs, DyadicQuantiles};
 use sqs_util::rng::Xoshiro256pp;
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,7 +51,7 @@ fn speedups<S: FrequencySketch>(make: impl Fn() -> DyadicQuantiles<S>) -> (f64, 
         let mut dq = make();
         let start = Instant::now();
         fill(&mut dq, black_box(&keys));
-        black_box(dq.live());
+        black_box(dq.n());
         start.elapsed().as_secs_f64()
     };
     let insert = best_of_5_each(
@@ -99,8 +100,8 @@ fn speedups<S: FrequencySketch>(make: impl Fn() -> DyadicQuantiles<S>) -> (f64, 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing floor: run with --release")]
 fn batched_kernels_keep_their_speedup_over_the_scalar_loops() {
-    let (dcm_insert, dcm_rank) = speedups(|| new_dcm(EPS, LOG_U, 0x7e2f));
-    let (dcs_insert, dcs_rank) = speedups(|| new_dcs(EPS, LOG_U, 0x7e2f));
+    let (dcm_insert, dcm_rank) = speedups(|| Dcm::dcm(EPS, LOG_U, 0x7e2f));
+    let (dcs_insert, dcs_rank) = speedups(|| Dcs::dcs(EPS, LOG_U, 0x7e2f));
     println!(
         "batched/scalar: DCM insert {dcm_insert:.2}x, DCS insert {dcs_insert:.2}x, \
          DCM rank {dcm_rank:.2}x, DCS rank {dcs_rank:.2}x"

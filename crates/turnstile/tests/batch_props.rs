@@ -19,9 +19,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sqs_core::QuantileSummary;
 use sqs_turnstile::dyadic::DyadicQuantiles;
 use sqs_turnstile::rss::new_rss_with;
-use sqs_turnstile::{new_dcm, new_dcs, TurnstileQuantiles};
+use sqs_turnstile::{Dcm, Dcs, TurnstileQuantiles};
 
 const LOG_U: u32 = 20;
 
@@ -68,7 +69,7 @@ proptest! {
         data in vec(0u64..(1 << LOG_U), 1..2_500),
         seed in 0u64..1_000,
     ) {
-        assert_batch_identical(new_dcm(0.05, LOG_U, seed), &mixed_batch(&data));
+        assert_batch_identical(Dcm::dcm(0.05, LOG_U, seed), &mixed_batch(&data));
     }
 
     #[test]
@@ -76,7 +77,7 @@ proptest! {
         data in vec(0u64..(1 << LOG_U), 1..2_500),
         seed in 0u64..1_000,
     ) {
-        assert_batch_identical(new_dcs(0.05, LOG_U, seed), &mixed_batch(&data));
+        assert_batch_identical(Dcs::dcs(0.05, LOG_U, seed), &mixed_batch(&data));
     }
 
     #[test]
@@ -98,8 +99,8 @@ fn chunk_boundary_sizes_are_identical() {
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - LOG_U))
             .collect();
         let batch = mixed_batch(&data);
-        assert_batch_identical(new_dcm(0.05, LOG_U, n as u64), &batch);
-        assert_batch_identical(new_dcs(0.05, LOG_U, n as u64), &batch);
+        assert_batch_identical(Dcm::dcm(0.05, LOG_U, n as u64), &batch);
+        assert_batch_identical(Dcs::dcs(0.05, LOG_U, n as u64), &batch);
         assert_batch_identical(new_rss_with(64, LOG_U, n as u64), &batch);
     }
 }
@@ -111,7 +112,7 @@ fn chunk_boundary_sizes_are_identical() {
 /// the lockstep `quantiles` sweep must equal the per-φ bisection —
 /// including duplicate and unsorted φs, and queries at/past the
 /// universe edge.
-fn assert_reads_identical<S>(dq: &DyadicQuantiles<S>, xs: &[u64], phis: &[f64])
+fn assert_reads_identical<S>(dq: &mut DyadicQuantiles<S>, xs: &[u64], phis: &[f64])
 where
     S: sqs_sketch::FrequencySketch,
 {
@@ -159,7 +160,7 @@ proptest! {
         let mut dq = sqs_turnstile::dcm::from_width_depth(160, 5, LOG_U, seed);
         assert_eq!(dq.level_cutoff(), 0);
         dq.update_batch(&mixed_batch(&data));
-        assert_reads_identical(&dq, &probe_xs(64, seed), &probe_phi_grid());
+        assert_reads_identical(&mut dq, &probe_xs(64, seed), &probe_phi_grid());
     }
 
     #[test]
@@ -170,7 +171,7 @@ proptest! {
         let mut dq = sqs_turnstile::dcs::from_width_depth(48, 5, LOG_U, seed);
         assert_eq!(dq.level_cutoff(), 0);
         dq.update_batch(&mixed_batch(&data));
-        assert_reads_identical(&dq, &probe_xs(64, seed), &probe_phi_grid());
+        assert_reads_identical(&mut dq, &probe_xs(64, seed), &probe_phi_grid());
     }
 
     // Truncation *on* (ε constructors): batched and scalar reads align
@@ -180,14 +181,14 @@ proptest! {
         data in vec(0u64..(1 << LOG_U), 1..2_000),
         seed in 0u64..500,
     ) {
-        let mut dcm = new_dcm(0.02, LOG_U, seed);
-        let mut dcs = new_dcs(0.02, LOG_U, seed);
+        let mut dcm = Dcm::dcm(0.02, LOG_U, seed);
+        let mut dcs = Dcs::dcs(0.02, LOG_U, seed);
         assert!(dcm.level_cutoff() > 0 && dcs.level_cutoff() > 0);
         let batch = mixed_batch(&data);
         dcm.update_batch(&batch);
         dcs.update_batch(&batch);
-        assert_reads_identical(&dcm, &probe_xs(64, seed), &probe_phi_grid());
-        assert_reads_identical(&dcs, &probe_xs(64, seed), &probe_phi_grid());
+        assert_reads_identical(&mut dcm, &probe_xs(64, seed), &probe_phi_grid());
+        assert_reads_identical(&mut dcs, &probe_xs(64, seed), &probe_phi_grid());
     }
 }
 
@@ -198,8 +199,8 @@ proptest! {
 #[test]
 fn wide_and_narrow_rank_sweeps_are_answer_identical() {
     for seed in [3u64, 17, 99] {
-        let mut dcm = new_dcm(0.02, LOG_U, seed);
-        let mut dcs = new_dcs(0.02, LOG_U, seed);
+        let mut dcm = Dcm::dcm(0.02, LOG_U, seed);
+        let mut dcs = Dcs::dcs(0.02, LOG_U, seed);
         let data: Vec<u64> = (0..30_000u64)
             .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - LOG_U))
             .collect();
@@ -207,8 +208,8 @@ fn wide_and_narrow_rank_sweeps_are_answer_identical() {
         dcm.update_batch(&batch);
         dcs.update_batch(&batch);
         for probes in [probe_xs(4096, seed), probe_xs(3, seed)] {
-            assert_reads_identical(&dcm, &probes, &probe_phi_grid());
-            assert_reads_identical(&dcs, &probes, &probe_phi_grid());
+            assert_reads_identical(&mut dcm, &probes, &probe_phi_grid());
+            assert_reads_identical(&mut dcs, &probes, &probe_phi_grid());
         }
     }
 }
@@ -235,7 +236,7 @@ where
     let mut dq = dq;
     dq.update_batch(batch);
     for probes in [probe_xs(4096, seed), probe_xs(3, seed)] {
-        assert_reads_identical(&dq, &probes, &probe_phi_grid());
+        assert_reads_identical(&mut dq, &probes, &probe_phi_grid());
     }
 }
 
@@ -247,7 +248,7 @@ fn every_layout_shape_is_state_and_answer_identical() {
     let batch = mixed_batch(&data);
     let mut shapes = (Vec::new(), Vec::new());
     for (seed, eps) in (0u64..).zip(LAYOUT_EPS) {
-        let (dcm, dcs) = (new_dcm(eps, LOG_U, seed), new_dcs(eps, LOG_U, seed));
+        let (dcm, dcs) = (Dcm::dcm(eps, LOG_U, seed), Dcs::dcs(eps, LOG_U, seed));
         shapes.0.push(layout_shape(&dcm));
         shapes.1.push(layout_shape(&dcs));
         assert_layout_identical(dcm, &batch, seed);
@@ -273,17 +274,17 @@ fn paper_shape_is_state_and_answer_identical() {
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
         .collect();
     let batch = mixed_batch(&data);
-    assert_batch_identical(new_dcm(0.01, 32, 7), &batch);
-    assert_batch_identical(new_dcs(0.01, 32, 7), &batch);
+    assert_batch_identical(Dcm::dcm(0.01, 32, 7), &batch);
+    assert_batch_identical(Dcs::dcs(0.01, 32, 7), &batch);
 
-    let mut dcm = new_dcm(0.01, 32, 7);
-    let mut dcs = new_dcs(0.01, 32, 7);
+    let mut dcm = Dcm::dcm(0.01, 32, 7);
+    let mut dcs = Dcs::dcs(0.01, 32, 7);
     dcm.update_batch(&batch);
     dcs.update_batch(&batch);
     let mut probes = vec![0u64, 1, (1 << 32) - 1, 1 << 32, u64::MAX];
     probes.extend(data.iter().step_by(8).map(|&x| x ^ 0x5a5a));
-    assert_reads_identical(&dcm, &probes, &probe_phi_grid());
-    assert_reads_identical(&dcs, &probes, &probe_phi_grid());
+    assert_reads_identical(&mut dcm, &probes, &probe_phi_grid());
+    assert_reads_identical(&mut dcs, &probes, &probe_phi_grid());
 }
 
 // ---------------------------------------------------- truncation ε-oracle
@@ -330,8 +331,8 @@ fn truncated_structures_straddle_oracle_targets() {
     let eps = 0.02;
     for seed in [3u64, 17] {
         for (name, data) in oracle_streams(seed) {
-            let mut dcm = new_dcm(eps, LOG_U, seed);
-            let mut dcs = new_dcs(eps, LOG_U, seed);
+            let mut dcm = Dcm::dcm(eps, LOG_U, seed);
+            let mut dcs = Dcs::dcs(eps, LOG_U, seed);
             assert!(dcm.level_cutoff() > 0 && dcs.level_cutoff() > 0);
             let batch: Vec<(u64, i64)> = data.iter().map(|&x| (x, 1)).collect();
             dcm.update_batch(&batch);
@@ -380,8 +381,8 @@ fn truncated_structures_straddle_oracle_targets() {
 fn truncated_structures_survive_heavy_deletion() {
     use sqs_util::exact::ExactQuantiles;
     let eps = 0.05;
-    let mut dcm = new_dcm(eps, 16, 21);
-    let mut dcs = new_dcs(eps, 16, 21);
+    let mut dcm = Dcm::dcm(eps, 16, 21);
+    let mut dcs = Dcs::dcs(eps, 16, 21);
     assert!(dcm.level_cutoff() > 0 && dcs.level_cutoff() > 0);
     let mut batch: Vec<(u64, i64)> = (0..50_000u64).map(|x| (x % 65_536, 1)).collect();
     batch.extend(

@@ -141,33 +141,10 @@ impl PairwiseHash {
         bucket_of(v, self.buckets)
     }
 
-    /// Evaluates the function over a batch: `out[i] = hash(xs[i])`,
-    /// bit-identical to calling [`hash`](Self::hash) per key.
-    ///
-    /// Convenience wrapper: folds the keys into the field chunk-wise
-    /// and defers to [`hash_folded_batch`](Self::hash_folded_batch).
-    /// Hot paths that evaluate several rows over the same keys (the
-    /// sketches' `update_batch`) should fold once with
-    /// [`fold_to_field`] and call the folded kernel per row instead.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length.
-    pub fn hash_batch(&self, xs: &[u64], out: &mut [u64]) {
-        assert_eq!(xs.len(), out.len(), "hash_batch: slice length mismatch");
-        let mut xm = [0u64; 64];
-        for (xs_c, out_c) in xs.chunks(64).zip(out.chunks_mut(64)) {
-            let m = xs_c.len();
-            for (t, &x) in xm.iter_mut().zip(xs_c) {
-                *t = fold_p(x);
-            }
-            self.hash_folded_batch(&xm[..m], out_c);
-        }
-    }
-
-    /// [`hash_batch`](Self::hash_batch) over keys already folded into
+    /// Evaluates the function over a batch of keys already folded into
     /// `[0, p)` (see [`fold_to_field`]) — the row-major hot-path
-    /// kernel. The `(a, b)` coefficients stay in registers for the
-    /// whole batch, the per-key reduction is the two-limb
+    /// kernel: fold once, then call it per row. The `(a, b)`
+    /// coefficients stay in registers for the whole batch, the per-key reduction is the two-limb
     /// [`lazy_reduce`] (one widening multiply instead of the generic
     /// three-limb chain), and the loop is unrolled 4-wide so the
     /// independent multiply chains pipeline. Bit-identical to
@@ -178,7 +155,11 @@ impl PairwiseHash {
     /// by `debug_assert`: a non-folded key gives a well-defined but
     /// *different* bucket than `hash`.
     pub fn hash_folded_batch(&self, xs: &[u64], out: &mut [u64]) {
-        assert_eq!(xs.len(), out.len(), "hash_batch: slice length mismatch");
+        assert_eq!(
+            xs.len(),
+            out.len(),
+            "hash_folded_batch: slice length mismatch"
+        );
         debug_assert!(
             xs.iter().all(|&x| x < MERSENNE_P),
             "hash_folded_batch: keys must be pre-folded into the field"
@@ -608,15 +589,16 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_batch_matches_scalar() {
+    fn pairwise_folded_batch_matches_scalar() {
         // The batched evaluator must be bit-identical to per-key calls
         // — Count-Min's state-identity guarantee rests on it.
         let mut rng = Xoshiro256pp::new(8);
         let h = PairwiseHash::new(&mut rng, 977);
         // 1003 keys: exercises the 4-wide unroll and the remainder tail.
         let xs = probe_keys();
+        let folded: Vec<u64> = xs.iter().map(|&x| fold_to_field(x)).collect();
         let mut jb = vec![0u64; xs.len()];
-        h.hash_batch(&xs, &mut jb);
+        h.hash_folded_batch(&folded, &mut jb);
         for (i, &x) in xs.iter().enumerate() {
             assert_eq!(jb[i], h.hash(x), "bucket mismatch at i={i}");
         }

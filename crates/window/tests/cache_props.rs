@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use sqs_core::random::RandomSketch;
-use sqs_core::QuantileSummary;
+use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_engine::merge_tree;
 use sqs_util::audit::CheckInvariants;
 use sqs_util::rng::Xoshiro256pp;

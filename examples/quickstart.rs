@@ -36,7 +36,7 @@ fn main() {
     }
 
     // 4. DCS: turnstile — survives deletions.
-    let mut dcs = new_dcs(0.001, 24, 7);
+    let mut dcs = Dcs::dcs(0.001, 24, 7);
     for &x in &data {
         dcs.insert(x);
     }

@@ -64,8 +64,8 @@ fn main() {
         level += 1;
         let mut next = Vec::with_capacity(digests.len() / 2);
         let mut iter = digests.into_iter();
-        while let (Some(mut a), Some(mut b)) = (iter.next(), iter.next()) {
-            a.merge(&mut b);
+        while let (Some(mut a), Some(b)) = (iter.next(), iter.next()) {
+            a.merge_from(b);
             next.push(a);
         }
         println!(

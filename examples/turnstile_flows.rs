@@ -35,7 +35,7 @@ fn flow_size(rng: &mut Xoshiro256pp) -> u64 {
 
 fn main() {
     let mut rng = Xoshiro256pp::new(99);
-    let mut dcs = new_dcs(EPS, LOG_U, 7);
+    let mut dcs = Dcs::dcs(EPS, LOG_U, 7);
     let mut live: VecDeque<u64> = VecDeque::with_capacity(WINDOW);
 
     println!("flow table: {TOTAL} flows total, ~{WINDOW} concurrently active, eps = {EPS}\n");
@@ -55,12 +55,13 @@ fn main() {
         }
 
         if (i + 1) % (TOTAL / 4) == 0 {
+            let raw = dcs.quantiles(&[0.5, 0.9, 0.99]);
             let post = PostProcessed::new(&dcs, EPS, 0.1);
             let oracle = ExactQuantiles::new(live.iter().copied().collect());
-            let row = |phi: f64| {
+            let row = |k: usize, phi: f64| {
                 format!(
                     "{}/{}/{}",
-                    dcs.quantile(phi).expect("non-empty stream"),
+                    raw[k].expect("non-empty stream"),
                     post.quantile(phi).expect("non-empty stream"),
                     oracle.quantile(phi)
                 )
@@ -69,21 +70,22 @@ fn main() {
                 "{:>9} {:>9}  {:>20}  {:>20}  {:>20}",
                 i + 1,
                 live.len(),
-                row(0.5),
-                row(0.9),
-                row(0.99)
+                row(0, 0.5),
+                row(1, 0.9),
+                row(2, 0.99)
             );
         }
     }
 
     // Final accuracy audit.
+    let phis: Vec<f64> = (1..100).map(|i| i as f64 / 100.0).collect();
+    let raw = dcs.quantiles(&phis);
     let post = PostProcessed::new(&dcs, EPS, 0.1);
     let oracle = ExactQuantiles::new(live.iter().copied().collect());
     let mut raw_avg = 0.0;
     let mut post_avg = 0.0;
-    let phis: Vec<f64> = (1..100).map(|i| i as f64 / 100.0).collect();
-    for &phi in &phis {
-        raw_avg += oracle.quantile_error(phi, dcs.quantile(phi).expect("non-empty stream"));
+    for (&phi, q) in phis.iter().zip(raw) {
+        raw_avg += oracle.quantile_error(phi, q.expect("non-empty stream"));
         post_avg += oracle.quantile_error(phi, post.quantile(phi).expect("non-empty stream"));
     }
     raw_avg /= phis.len() as f64;
@@ -91,7 +93,7 @@ fn main() {
     println!(
         "\nlive flows at end: {} (tracked exactly: {})",
         live.len(),
-        dcs.live()
+        dcs.n()
     );
     println!("avg rank error over the percentile grid: raw DCS {raw_avg:.6}, post-processed {post_avg:.6}");
     println!(

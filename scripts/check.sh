@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local wrapper for the full pre-merge gate: static analysis first
-# (cheap, catches drift), then the tier-1 test suite. Mirrors what CI
-# runs (.github/workflows/ci.yml); everything is offline.
+# The full pre-merge gate: static analysis first (cheap, catches
+# drift), then the tier-1 test suite. CI's test job runs this script
+# (.github/workflows/ci.yml), so this is the one list of gates;
+# everything is offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -22,7 +22,7 @@
 //! assert!((49_000..=51_000).contains(&median));
 //!
 //! // Turnstile (insert + delete) quantiles over a fixed universe:
-//! let mut sketch = new_dcs(0.01, 20, 42);
+//! let mut sketch = Dcs::dcs(0.01, 20, 42);
 //! for x in 0..100_000u64 {
 //!     sketch.insert(x % (1 << 20));
 //! }
@@ -30,7 +30,7 @@
 //!     sketch.delete(x % (1 << 20));
 //! }
 //! let q = sketch.quantile(0.5).unwrap();
-//! assert!(sketch.live() == 50_000);
+//! assert!(sketch.n() == 50_000);
 //! # let _ = q;
 //! ```
 //!
@@ -42,7 +42,7 @@
 //!   (fixed preallocated footprint, randomized guarantee).
 //! * Summaries that must be **merged** arbitrarily → [`QDigest`]
 //!   (the only deterministic mergeable option).
-//! * Inserts **and deletes** → [`new_dcs`] (Dyadic Count-Sketch), and
+//! * Inserts **and deletes** → [`Dcs::dcs`] (Dyadic Count-Sketch), and
 //!   run [`PostProcessed`] over it before querying for a further
 //!   60–80% error reduction.
 //!
@@ -108,10 +108,7 @@ pub mod prelude {
     pub use sqs_core::sampled::ReservoirQuantiles;
     pub use sqs_core::{MergeableSummary, QuantileSummary};
     pub use sqs_engine::{EngineStats, ShardedEngine};
-    pub use sqs_turnstile::{
-        new_dcm, new_dcs, new_rss, Dcm, Dcs, PostProcessed, Rss, TurnstileQuantiles,
-        TurnstileSummary,
-    };
+    pub use sqs_turnstile::{new_rss, Dcm, Dcs, PostProcessed, Rss, TurnstileQuantiles};
     pub use sqs_util::clock::{Clock, ManualClock, SystemClock};
     pub use sqs_util::exact::ExactQuantiles;
     pub use sqs_util::{CheckInvariants, InvariantViolation, SpaceUsage};

@@ -161,7 +161,7 @@ fn turnstile_survives_adversarial_value_patterns() {
     for (name, data) in adversaries() {
         let log_u = 20;
         let mapped: Vec<u64> = data.iter().map(|&x| x % (1 << log_u)).collect();
-        let mut dcs = new_dcs(EPS, log_u, 31);
+        let mut dcs = Dcs::dcs(EPS, log_u, 31);
         for &x in &mapped {
             dcs.insert(x);
         }

@@ -13,7 +13,6 @@ mod contract;
 
 use streaming_quantiles::prelude::*;
 use streaming_quantiles::sqs_core::codec::WireCodec;
-use streaming_quantiles::sqs_sketch::CountSketch;
 
 #[test]
 fn random_sketch_roundtrips_rank_identical() {
@@ -231,11 +230,8 @@ fn previous_version_is_refused_by_every_frame_family() {
         Some(refused.clone())
     );
     assert_eq!(frame_kind(&old), Err(refused.clone()));
-    let old = downgraded(&TurnstileSummary::dcs(0.2, 12, 1).to_bytes(), WIRE_VERSION);
-    assert_eq!(
-        TurnstileSummary::<CountSketch>::from_bytes(&old).err(),
-        Some(refused)
-    );
+    let old = downgraded(&Dcs::dcs(0.2, 12, 1).to_bytes(), WIRE_VERSION);
+    assert_eq!(Dcs::from_bytes(&old).err(), Some(refused));
 
     // SQSW, both directions.
     let mut wire = Vec::new();
@@ -313,11 +309,11 @@ fn previous_version_is_refused_by_every_frame_family() {
 #[test]
 fn retired_dcs_kinds_4_and_5_are_refused_and_kind_6_roundtrips() {
     use streaming_quantiles::sqs_core::codec::{seal, CodecError, Kind};
-    let mut s = TurnstileSummary::dcs(0.2, 12, 3);
+    let mut s = Dcs::dcs(0.2, 12, 3);
     [5, 9, 9, 4000].into_iter().for_each(|x| s.insert(x));
     let frame = s.to_bytes();
     assert_eq!((Kind::Dcs as u8, frame.get(5)), (6, Some(&6)));
-    let mut back = TurnstileSummary::<CountSketch>::from_bytes(&frame).expect("kind 6 decodes");
+    let mut back = Dcs::from_bytes(&frame).expect("kind 6 decodes");
     assert_eq!(back.to_bytes(), frame);
 
     for retired in [4u8, 5] {
@@ -327,7 +323,7 @@ fn retired_dcs_kinds_4_and_5_are_refused_and_kind_6_roundtrips() {
         old[5] = retired;
         seal(&mut old);
         assert_eq!(
-            TurnstileSummary::<CountSketch>::from_bytes(&old).err(),
+            Dcs::from_bytes(&old).err(),
             Some(CodecError::BadKind {
                 expected: Kind::Dcs,
                 got: retired
@@ -344,10 +340,8 @@ fn retired_dcs_kinds_4_and_5_are_refused_and_kind_6_roundtrips() {
 #[test]
 fn forged_exact_counters_are_refused_without_a_panic() {
     use streaming_quantiles::sqs_core::codec::{seal, CodecError};
-    let mut s = TurnstileSummary::dcs(0.05, 12, 1);
-    let fe = (0..12)
-        .find(|&l| s.inner().is_exact_level(l))
-        .expect("exact run");
+    let mut s = Dcs::dcs(0.05, 12, 1);
+    let fe = (0..12).find(|&l| s.is_exact_level(l)).expect("exact run");
     let mut frame = s.to_bytes();
     frame.truncate(frame.len() - 8);
     // Exact levels close the body: a tag, a count, then the counters.
@@ -357,7 +351,7 @@ fn forged_exact_counters_are_refused_without_a_panic() {
         frame[at + 8 * c..at + 8 * c + 8].copy_from_slice(&i64::MAX.to_le_bytes());
     }
     seal(&mut frame);
-    match TurnstileSummary::<CountSketch>::from_bytes(&frame) {
+    match Dcs::from_bytes(&frame) {
         Err(CodecError::Invariant(v)) => assert_eq!(v.invariant, "dyadic.exact_level_mass"),
         other => panic!("forged frame not refused by the audit: {other:?}"),
     }
@@ -379,4 +373,46 @@ fn roundtrip_at_buffer_fill_boundary() {
         "boundary round-trip failed: {:?}",
         decoded.err()
     );
+}
+
+/// FNV-1a, to pin a frame's bytes without spelling them out.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A fixed-seed q-digest (kind 2) and DCS (kind 6), fed through both
+/// write paths, encode to the bytes the codec wrote before either kind
+/// moved onto the one summary interface: checkpoints on disk still
+/// load, and the frames decode and re-encode to themselves.
+#[test]
+fn qdigest_and_dcs_frames_keep_their_bytes() {
+    let xs: Vec<u64> = streaming_quantiles::sqs_data::Uniform::new(16, 3)
+        .take(50_000)
+        .collect();
+    let (head, tail) = xs.split_at(20_000);
+    let mut qd = QDigest::new(0.01, 16);
+    let mut dcs = Dcs::dcs(0.05, 16, 7);
+    qd.insert_batch(head);
+    dcs.insert_batch(head);
+    tail.iter().for_each(|&x| {
+        qd.insert(x);
+        dcs.insert(x);
+    });
+    let (q, d) = (qd.to_bytes(), dcs.to_bytes());
+    assert_eq!(
+        (q.len(), fnv1a(&q)),
+        (62_760, 0x49f7_294d_8915_887b),
+        "kind 2"
+    );
+    assert_eq!(
+        (d.len(), fnv1a(&d)),
+        (28_196, 0x47d0_f8f1_232b_904f),
+        "kind 6"
+    );
+    let mut q_back = QDigest::from_bytes(&q).expect("kind 2 decodes");
+    let mut d_back = Dcs::from_bytes(&d).expect("kind 6 decodes");
+    assert_eq!(q_back.to_bytes(), q);
+    assert_eq!(d_back.to_bytes(), d);
 }

@@ -66,6 +66,17 @@ fn gk_family_keeps_what_it_can() {
     audits_and_sweeps(&theory);
 }
 
+/// The turnstile summaries without a merge: the exact Fenwick baseline
+/// and RSS.
+#[test]
+fn exact_turnstile_and_rss_keep_state_identity_audits_and_sweeps() {
+    let (exact, rss) = (contract::exact_turnstile(), contract::rss());
+    contract::state_identity(&exact);
+    contract::state_identity(&rss);
+    audits_and_sweeps(&exact);
+    audits_and_sweeps(&rss);
+}
+
 #[test]
 fn mrl_and_ckms_keep_state_identity_audits_and_sweeps() {
     let (mrl99, mrl98) = (contract::mrl99(), contract::mrl98());

@@ -38,7 +38,7 @@ use streaming_quantiles::prelude::*;
 use streaming_quantiles::sqs_core::codec::{seal, CodecError, WireCodec};
 use streaming_quantiles::sqs_data::synthetic::{Normal, Order, Uniform};
 use streaming_quantiles::sqs_data::Mpcat;
-use streaming_quantiles::sqs_sketch::{CountMin, CountSketch};
+use streaming_quantiles::sqs_turnstile::{DyadicQuantiles, ExactTurnstile};
 use streaming_quantiles::sqs_util::exact::probe_phis;
 use streaming_quantiles::sqs_util::rng::Xoshiro256pp;
 
@@ -55,6 +55,8 @@ const CHECK_EVERY: usize = 1_871;
 const QDIGEST_LOG_U: u32 = 20;
 /// The dyadic structures' universe is `[0, 2^16)`.
 const DYADIC_LOG_U: u32 = 16;
+/// RSS keeps `log u/ε²` counters per level, so it runs small.
+const RSS_LOG_U: u32 = 8;
 
 /// How to build and feed one summary type.
 pub struct Spec<S> {
@@ -220,34 +222,53 @@ pub fn reservoir() -> Spec<ReservoirQuantiles<u64>> {
     }
 }
 
-pub fn dcs() -> Spec<TurnstileSummary<CountSketch>> {
+pub fn dcs() -> Spec<Dcs> {
     Spec {
         eps: &[0.02, 0.1],
         value: |x| x % (1 << DYADIC_LOG_U),
-        mismatches: |eps, seed| dyadic_mismatches(TurnstileSummary::dcs, eps, seed),
-        ..Spec::new(|eps, seed| TurnstileSummary::dcs(eps, DYADIC_LOG_U, seed)).framed()
+        mismatches: |eps, seed| dyadic_mismatches(Dcs::dcs, eps, seed),
+        ..Spec::new(|eps, seed| Dcs::dcs(eps, DYADIC_LOG_U, seed)).framed()
     }
 }
 
 /// Mergeable, not served: no wire form. Its equality is the sketch
 /// state without the audit-only update counter.
-pub fn dcm() -> Spec<TurnstileSummary<CountMin>> {
+pub fn dcm() -> Spec<Dcm> {
     Spec {
         same_state: |a, b| a == b,
         eps: &[0.02, 0.1],
         value: |x| x % (1 << DYADIC_LOG_U),
-        mismatches: |eps, seed| dyadic_mismatches(TurnstileSummary::dcm, eps, seed),
-        ..Spec::new(|eps, seed| TurnstileSummary::dcm(eps, DYADIC_LOG_U, seed))
+        mismatches: |eps, seed| dyadic_mismatches(Dcm::dcm, eps, seed),
+        ..Spec::new(|eps, seed| Dcm::dcm(eps, DYADIC_LOG_U, seed))
+    }
+}
+
+/// The exact Fenwick baseline over the dyadic structures' universe.
+pub fn exact_turnstile() -> Spec<ExactTurnstile> {
+    Spec {
+        value: |x| x % (1 << DYADIC_LOG_U),
+        ..Spec::new(|_, _| ExactTurnstile::for_log_u(DYADIC_LOG_U))
+    }
+}
+
+/// RSS at the coarse ε and small universe it fits in. Its equality is
+/// the sketch state without the audit-only update counter.
+pub fn rss() -> Spec<Rss> {
+    Spec {
+        same_state: |a, b| a == b,
+        eps: &[0.2, 0.3],
+        value: |x| x % (1 << RSS_LOG_U),
+        ..Spec::new(|eps, seed| new_rss(eps, RSS_LOG_U, seed))
     }
 }
 
 /// A dyadic structure merges counter-wise: same universe, same ε, same
 /// hash draws.
 fn dyadic_mismatches<K>(
-    make: fn(f64, u32, u64) -> TurnstileSummary<K>,
+    make: fn(f64, u32, u64) -> DyadicQuantiles<K>,
     eps: f64,
     seed: u64,
-) -> Vec<(&'static str, TurnstileSummary<K>)> {
+) -> Vec<(&'static str, DyadicQuantiles<K>)> {
     vec![
         ("log_u", make(eps, DYADIC_LOG_U + 1, seed)),
         ("eps", make(eps * 2.0, DYADIC_LOG_U, seed)),

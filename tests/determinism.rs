@@ -85,8 +85,8 @@ fn randomized_summaries_replay_identically() {
         let phi = i as f64 / 100.0;
         assert_eq!(a.quantile(phi), b.quantile(phi), "phi={phi}");
     }
-    let mut c = new_dcs(0.05, 14, 77);
-    let mut d = new_dcs(0.05, 14, 77);
+    let mut c = Dcs::dcs(0.05, 14, 77);
+    let mut d = Dcs::dcs(0.05, 14, 77);
     for &x in &data {
         let x = x % (1 << 14);
         c.insert(x);

@@ -4,6 +4,7 @@
 //! persistence.
 
 use streaming_quantiles::prelude::*;
+use streaming_quantiles::sqs_core::codec::WireCodec;
 use streaming_quantiles::sqs_data::{Lidar, Mpcat, Uniform};
 use streaming_quantiles::sqs_util::exact::probe_phis;
 
@@ -121,10 +122,10 @@ fn qdigest_survives_network_roundtrip_and_merge() {
     }
     let mut acc: Option<QDigest> = None;
     for bytes in &shards {
-        let mut d = QDigest::from_bytes(bytes).expect("valid bytes");
+        let d = QDigest::from_bytes(bytes).expect("valid bytes");
         match &mut acc {
             None => acc = Some(d),
-            Some(a) => a.merge(&mut d),
+            Some(a) => a.merge_from(d),
         }
     }
     let mut merged = acc.unwrap();

@@ -48,10 +48,9 @@ fn extension_summaries_hold_invariants_on_all_streams() {
     contract::ckms().iter().for_each(contract::audits_hold);
 }
 
-/// The turnstile adapter on the insert-only interface: the DCS / DCM
-/// structures behind [`TurnstileSummary`] ride the cash-register
-/// engine, so they must survive the same stream matrix as the native
-/// cash-register summaries.
+/// The DCS / DCM structures ride the cash-register engine on the one
+/// summary interface, so they must survive the same stream matrix as
+/// the native cash-register summaries.
 #[test]
 fn turnstile_summaries_hold_invariants_on_all_streams() {
     contract::audits_hold(&contract::dcs());
@@ -168,8 +167,8 @@ where
 fn dyadic_structures_hold_invariants_under_churn() {
     const LOG_U: u32 = 12;
     for (name, ops) in turnstile_workloads(LOG_U) {
-        drive_turnstile(new_dcm(EPS, LOG_U, 1), &ops, &format!("DCM/{name}"));
-        drive_turnstile(new_dcs(EPS, LOG_U, 2), &ops, &format!("DCS/{name}"));
+        drive_turnstile(Dcm::dcm(EPS, LOG_U, 1), &ops, &format!("DCM/{name}"));
+        drive_turnstile(Dcs::dcs(EPS, LOG_U, 2), &ops, &format!("DCS/{name}"));
         drive_turnstile(new_dgm(0.1, LOG_U), &ops, &format!("DGM/{name}"));
         drive_turnstile(new_rss(0.1, LOG_U, 3), &ops, &format!("RSS/{name}"));
         drive_turnstile(

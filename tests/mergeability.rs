@@ -40,7 +40,7 @@ fn merged_size_stays_bounded() {
     for i in 0..20u64 {
         let mut d = QDigest::new(0.02, 20);
         d.insert_batch(&Uniform::new(20, i).take(5_000).collect::<Vec<_>>());
-        acc.merge(&mut d);
+        acc.merge_from(d);
     }
     let bound = 3 * acc.sigma() as usize + 512;
     assert!(acc.node_count() <= bound, "{} > {bound}", acc.node_count());
@@ -50,6 +50,5 @@ fn merged_size_stays_bounded() {
 #[should_panic(expected = "universe mismatch")]
 fn merge_rejects_mismatched_universes() {
     let mut a = QDigest::new(0.1, 10);
-    let mut b = QDigest::new(0.1, 12);
-    a.merge(&mut b);
+    a.merge_from(QDigest::new(0.1, 12));
 }

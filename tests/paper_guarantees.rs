@@ -71,7 +71,7 @@ fn qdigest_space_tracks_inv_eps_log_u() {
 fn dcs_space_tracks_sqrt_log_u_over_eps() {
     // Per level: w·d with w = √(log u)/ε; levels ≈ log u.
     for (eps, log_u) in [(0.01, 16u32), (0.01, 32), (0.001, 32)] {
-        let s = new_dcs(eps, log_u, 1);
+        let s = Dcs::dcs(eps, log_u, 1);
         let w = ((log_u as f64).sqrt() / eps).ceil();
         let upper = (w * 7.0 * log_u as f64) * 1.5 * 4.0; // generous
         assert!(
@@ -82,8 +82,8 @@ fn dcs_space_tracks_sqrt_log_u_over_eps() {
     }
     // Doubling log u costs ~2·√2 in theory; at log u = 16 many levels
     // are exact (cheap), inflating the measured ratio — allow < 8.
-    let a = new_dcs(0.01, 16, 1).space_bytes() as f64;
-    let b = new_dcs(0.01, 32, 1).space_bytes() as f64;
+    let a = Dcs::dcs(0.01, 16, 1).space_bytes() as f64;
+    let b = Dcs::dcs(0.01, 32, 1).space_bytes() as f64;
     assert!(b / a < 8.0, "log u scaling {b}/{a}");
 }
 
@@ -91,8 +91,8 @@ fn dcs_space_tracks_sqrt_log_u_over_eps() {
 fn dcm_vs_dcs_width_ratio_is_sqrt_log_u() {
     // Table 1: DCM is log u per level where DCS is √(log u).
     for log_u in [16u32, 32] {
-        let dcm = new_dcm(0.01, log_u, 1).space_bytes() as f64;
-        let dcs = new_dcs(0.01, log_u, 1).space_bytes() as f64;
+        let dcm = Dcm::dcm(0.01, log_u, 1).space_bytes() as f64;
+        let dcs = Dcs::dcs(0.01, log_u, 1).space_bytes() as f64;
         let expect = (log_u as f64).sqrt();
         let ratio = dcm / dcs;
         assert!(

@@ -158,7 +158,7 @@ proptest! {
 
     #[test]
     fn dcs_live_count_is_exact(inserts in vec(0u64..(1 << 16), 1..500), deletes in 0usize..400) {
-        let mut s = new_dcs(0.1, 16, 1);
+        let mut s = Dcs::dcs(0.1, 16, 1);
         for &x in &inserts {
             s.insert(x);
         }
@@ -166,7 +166,7 @@ proptest! {
         for &x in inserts.iter().take(deletes) {
             s.delete(x);
         }
-        prop_assert_eq!(s.live(), (inserts.len() - deletes) as u64);
+        prop_assert_eq!(s.n(), (inserts.len() - deletes) as u64);
     }
 
     #[test]

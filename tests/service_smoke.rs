@@ -173,7 +173,6 @@ fn snapshot_merges_into_second_server_rank_identical() {
 #[test]
 fn dcs_backend_end_to_end_over_the_socket() {
     use streaming_quantiles::sqs_core::codec::WireCodec;
-    use streaming_quantiles::sqs_sketch::CountSketch;
 
     const LOG_U: u32 = 20;
     // One seed per tenant shared by every shard: the DCS is a linear
@@ -182,7 +181,7 @@ fn dcs_backend_end_to_end_over_the_socket() {
     let mut cfg = ServerConfig::default();
     cfg.value_bound = Some(1u64 << LOG_U);
     let server = spawn(cfg, move |tenant, _shard| {
-        TurnstileSummary::dcs(EPS, LOG_U, 0xDC5 ^ tenant)
+        Dcs::dcs(EPS, LOG_U, 0xDC5 ^ tenant)
     })
     .expect("ephemeral loopback bind");
     let tenant = 3u64;
@@ -212,12 +211,11 @@ fn dcs_backend_end_to_end_over_the_socket() {
         assert!(err <= EPS, "phi {phi}: rank error {err} > eps {EPS}");
     }
 
-    // The SNAPSHOT frame decodes into a TurnstileSummary that is
+    // The SNAPSHOT frame decodes into a DCS that is
     // state-identical to a single structure fed the whole stream.
     let frame = client.snapshot(tenant).expect("snapshot frame");
-    let decoded =
-        TurnstileSummary::<CountSketch>::from_bytes(&frame).expect("snapshot frame decodes");
-    let mut direct = TurnstileSummary::dcs(EPS, LOG_U, 0xDC5 ^ tenant);
+    let decoded = Dcs::from_bytes(&frame).expect("snapshot frame decodes");
+    let mut direct = Dcs::dcs(EPS, LOG_U, 0xDC5 ^ tenant);
     direct.insert_batch(&data);
     assert_eq!(decoded, direct, "socket snapshot != directly-fed summary");
 
@@ -356,8 +354,8 @@ fn hostile_dcs_counter_heavier_than_its_count_gets_an_error_reply() {
     const LOG_U: u32 = 12;
     let mut cfg = ServerConfig::default();
     cfg.value_bound = Some(1u64 << LOG_U);
-    let server = spawn(cfg, |_tenant, _shard| TurnstileSummary::dcs(0.2, LOG_U, 77))
-        .expect("ephemeral loopback bind");
+    let server =
+        spawn(cfg, |_tenant, _shard| Dcs::dcs(0.2, LOG_U, 77)).expect("ephemeral loopback bind");
     let mut client = connect(server.addr());
     let tenant = 4u64;
     assert_eq!(
@@ -365,7 +363,7 @@ fn hostile_dcs_counter_heavier_than_its_count_gets_an_error_reply() {
         3
     );
 
-    let mut honest = TurnstileSummary::dcs(0.2, LOG_U, 77);
+    let mut honest = Dcs::dcs(0.2, LOG_U, 77);
     honest.insert_batch(&[5, 600, 1200, 1800, 2400, 3000]);
     let honest = honest.to_bytes();
     // Frame header (16), log_u (4), live (8), level 0's tag (1), width
@@ -411,8 +409,8 @@ fn hostile_dcs_exact_counters_at_i64_max_get_an_error_reply() {
     const LOG_U: u32 = 12;
     let mut cfg = ServerConfig::default();
     cfg.value_bound = Some(1u64 << LOG_U);
-    let server = spawn(cfg, |_tenant, _shard| TurnstileSummary::dcs(0.05, LOG_U, 5))
-        .expect("ephemeral loopback bind");
+    let server =
+        spawn(cfg, |_tenant, _shard| Dcs::dcs(0.05, LOG_U, 5)).expect("ephemeral loopback bind");
     let mut client = connect(server.addr());
     let tenant = 6u64;
     assert_eq!(
@@ -420,9 +418,9 @@ fn hostile_dcs_exact_counters_at_i64_max_get_an_error_reply() {
         3
     );
 
-    let mut empty = TurnstileSummary::dcs(0.05, LOG_U, 5);
+    let mut empty = Dcs::dcs(0.05, LOG_U, 5);
     let fe = (0..LOG_U)
-        .find(|&l| empty.inner().is_exact_level(l))
+        .find(|&l| empty.is_exact_level(l))
         .expect("exact run");
     let mut hostile = empty.to_bytes();
     hostile.truncate(hostile.len() - 8);

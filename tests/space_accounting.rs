@@ -80,12 +80,12 @@ fn dcs_is_much_smaller_than_dcm_and_rss_dwarfs_both() {
     // Figure 10c (DCS ≈ DCM/10 at equal ε parameterization) and the
     // §1.2.2 reason RSS was dropped.
     let eps = 0.01;
-    let dcm = new_dcm(eps, 32, 1);
-    let dcs = new_dcs(eps, 32, 1);
+    let dcm = Dcm::dcm(eps, 32, 1);
+    let dcs = Dcs::dcs(eps, 32, 1);
     let rss = new_rss(0.05, 16, 1); // RSS only fits at coarse settings
     let dcm_dcs = dcm.space_bytes() as f64 / dcs.space_bytes() as f64;
     assert!(dcm_dcs > 3.0, "DCM/DCS = {dcm_dcs}");
-    let rss_dcs = rss.space_bytes() as f64 / new_dcs(0.05, 16, 1).space_bytes() as f64;
+    let rss_dcs = rss.space_bytes() as f64 / Dcs::dcs(0.05, 16, 1).space_bytes() as f64;
     assert!(rss_dcs > 10.0, "RSS/DCS = {rss_dcs}");
 }
 
@@ -95,7 +95,7 @@ fn cash_beats_turnstile_on_space_at_equal_eps() {
     let eps = 0.01;
     let mut gk = GkArray::new(eps);
     feed(&mut gk, 200_000, 6);
-    let dcs = new_dcs(eps, 24, 2);
+    let dcs = Dcs::dcs(eps, 24, 2);
     let ratio = dcs.space_bytes() as f64 / gk.space_bytes() as f64;
     assert!(ratio > 5.0, "turnstile/cash space ratio = {ratio}");
 }

@@ -25,12 +25,12 @@ fn apply(ops: &[Op], s: &mut impl TurnstileQuantiles) {
 fn check_against_live(ops: &[Op], seed: u64) {
     let live = replay_live(ops);
     let oracle = ExactQuantiles::new(live.clone());
-    let mut dcm = new_dcm(EPS, LOG_U, seed);
-    let mut dcs = new_dcs(EPS, LOG_U, seed);
+    let mut dcm = Dcm::dcm(EPS, LOG_U, seed);
+    let mut dcs = Dcs::dcs(EPS, LOG_U, seed);
     apply(ops, &mut dcm);
     apply(ops, &mut dcs);
-    assert_eq!(dcm.live() as usize, live.len());
-    assert_eq!(dcs.live() as usize, live.len());
+    assert_eq!(dcm.n() as usize, live.len());
+    assert_eq!(dcs.n() as usize, live.len());
 
     for (name, answers) in [
         (
@@ -90,8 +90,8 @@ fn deletion_is_exactly_invertible() {
     // §4.3: a delete removes an element's influence entirely; inserting
     // then deleting a batch leaves the sketch byte-equivalent in
     // behaviour to never having seen it.
-    let mut touched = new_dcs(EPS, LOG_U, 42);
-    let mut untouched = new_dcs(EPS, LOG_U, 42);
+    let mut touched = Dcs::dcs(EPS, LOG_U, 42);
+    let mut untouched = Dcs::dcs(EPS, LOG_U, 42);
     let keep: Vec<u64> = Uniform::new(LOG_U, 5).take(20_000).collect();
     let churn: Vec<u64> = Uniform::new(LOG_U, 6).take(20_000).collect();
     for &x in &keep {
@@ -123,14 +123,11 @@ fn post_never_worse_than_twice_raw_under_churn() {
     let ops = random_churn(Mpcat::new(7).take(80_000).map(|v| v % (1 << LOG_U)), 0.4, 8);
     let live = replay_live(&ops);
     let oracle = ExactQuantiles::new(live);
-    let mut dcs = new_dcs(EPS, LOG_U, 13);
+    let mut dcs = Dcs::dcs(EPS, LOG_U, 13);
     apply(&ops, &mut dcs);
+    let raw = dcs.quantile_grid(EPS);
     let post = PostProcessed::new(&dcs, EPS, 0.1);
     let phis = probe_phis(EPS);
-    let raw: Vec<(f64, u64)> = phis
-        .iter()
-        .map(|&p| (p, dcs.quantile(p).expect("non-empty stream")))
-        .collect();
     let cooked: Vec<(f64, u64)> = phis
         .iter()
         .map(|&p| (p, post.quantile(p).expect("non-empty stream")))
@@ -145,7 +142,7 @@ fn post_never_worse_than_twice_raw_under_churn() {
 
 #[test]
 fn empty_after_full_drain() {
-    let mut dcs = new_dcs(0.05, 16, 9);
+    let mut dcs = Dcs::dcs(0.05, 16, 9);
     let data: Vec<u64> = Uniform::new(16, 10).take(5_000).collect();
     for &x in &data {
         dcs.insert(x);
@@ -153,7 +150,7 @@ fn empty_after_full_drain() {
     for &x in &data {
         dcs.delete(x);
     }
-    assert_eq!(dcs.live(), 0);
+    assert_eq!(dcs.n(), 0);
     assert_eq!(dcs.quantile(0.5), None);
     let post = PostProcessed::new(&dcs, 0.05, 0.1);
     assert_eq!(post.quantile(0.5), None);
