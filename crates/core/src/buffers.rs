@@ -46,8 +46,11 @@
 //! when the pool bumps its generation (a fill released, a replacement
 //! or collapse, a partial resumed as the fill), and the *fresh* one,
 //! the fill, which every insert may change. [`UnionReader`] answers
-//! from an index over each part exactly what one index over their
-//! union would, so only the fill is re-sorted per read.
+//! from an index over each of any number of parts exactly what one
+//! index over their union would, so only the part that changed is
+//! re-indexed per read: the engine reads its shards' stable runs and
+//! fills as two parts, a window ring its covered buckets and rollups as
+//! one part each.
 
 #![expect(
     clippy::cast_possible_truncation,
@@ -473,34 +476,15 @@ impl<T: Ord + Copy> RankIndex<T> {
         self.items[i]
     }
 
-    /// The mass before the first sample for which `past` holds, or the
-    /// total if none does.
-    fn rank_before(&self, past: impl Fn(T) -> bool) -> u64 {
-        self.rank_within(0, self.len(), past)
-    }
-
-    /// [`rank_before`](Self::rank_before), searching positions
-    /// `lo..hi` only: `past` is known not to hold before `lo` and to
-    /// hold from `hi` on.
-    fn rank_within(&self, lo: usize, hi: usize, past: impl Fn(T) -> bool) -> u64 {
-        let i = lo + self.items[lo..hi].partition_point(|&(v, _)| !past(v));
+    /// The mass before position `i` (`i ≤ len`).
+    fn before(&self, i: usize) -> u64 {
         self.items.get(i).map_or(self.total, |&(_, r)| r)
     }
 
     /// Estimated rank of `x`: the summed weight of all sampled
     /// elements strictly smaller than `x`.
     pub fn rank(&self, x: T) -> u64 {
-        self.rank_before(|v| v >= x)
-    }
-
-    /// The summed weight of all sampled elements no larger than `x`.
-    fn rank_at_or_below(&self, x: T) -> u64 {
-        self.rank_before(|v| v > x)
-    }
-
-    /// How many samples are smaller than `x`.
-    fn count_below(&self, x: T) -> usize {
-        self.items.partition_point(|&(v, _)| v < x)
+        self.before(self.items.partition_point(|&(v, _)| v < x))
     }
 
     /// Samples indexed.
@@ -529,25 +513,40 @@ impl<T: Ord + Copy> RankIndex<T> {
 }
 
 /// An index per part, read as one: what [`RankIndex::build`] over the
-/// `stable` runs followed by the `fresh` runs answers, without merging
-/// the two. Equal values order as that merge orders them, stable runs
-/// first; a rank is the sum of the two ranks, a quantile a bisection
-/// over each index for the union's neighbours of the target.
-#[derive(Debug, Clone, Copy)]
+/// runs of every part, concatenated in part order, answers — without
+/// merging the parts. Equal values order as that merge orders them,
+/// earlier parts first. A rank is the sum of the parts' ranks; a
+/// quantile bisects the widest part for the union's neighbours of the
+/// target, then does the same inside the gap between those two samples
+/// with the remaining parts (see [`quantile`](Self::quantile)).
+#[derive(Debug, Clone)]
 pub struct UnionReader<'a, T> {
-    stable: &'a RankIndex<T>,
-    fresh: &'a RankIndex<T>,
+    parts: Vec<&'a RankIndex<T>>,
+    total: u64,
+}
+
+/// The samples `lo..hi` of part `part` that a quantile search has not
+/// yet placed before or after its target, and where the sample it
+/// probes last sits among them.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    part: usize,
+    lo: usize,
+    hi: usize,
+    at: usize,
 }
 
 impl<'a, T: Ord + Copy> UnionReader<'a, T> {
-    /// The reader over `stable ++ fresh`.
-    pub fn new(stable: &'a RankIndex<T>, fresh: &'a RankIndex<T>) -> Self {
-        Self { stable, fresh }
+    /// The reader over `parts`, in that order.
+    pub fn new(parts: impl IntoIterator<Item = &'a RankIndex<T>>) -> Self {
+        let parts: Vec<&'a RankIndex<T>> = parts.into_iter().collect();
+        let total = parts.iter().map(|p| p.total).sum();
+        Self { parts, total }
     }
 
     /// The summed weight of all samples strictly smaller than `x`.
     pub fn rank(&self, x: T) -> u64 {
-        self.stable.rank(x) + self.fresh.rank(x)
+        self.parts.iter().map(|p| p.rank(x)).sum()
     }
 
     /// [`RankIndex::quantile`] of the union.
@@ -555,61 +554,7 @@ impl<'a, T: Ord + Copy> UnionReader<'a, T> {
     /// # Panics
     /// Panics if `φ ∉ (0, 1)`.
     pub fn quantile(&self, phi: f64) -> Option<T> {
-        crate::traits::check_phi(phi);
-        let (s, f) = (self.stable, self.fresh);
-        let target = phi * (s.total + f.total) as f64;
-        let past = |r: u64| r as f64 > target;
-        // A stable sample's union rank lies in [own, own + fresh total):
-        // it is past the target from the first own rank past it on, and
-        // not before the first whose own rank plus the fresh total is.
-        let i_hi = first(0, s.len(), |i| past(s.at(i).1));
-        let i_lo = first(0, i_hi, |i| past(s.at(i).1 + f.total));
-        // A fresh sample below the stable sample before that window is
-        // not past the target; one at or above the sample that ends it
-        // is (stable samples count first on a tie).
-        let from = i_lo.checked_sub(1).map_or(0, |i| f.count_below(s.at(i).0));
-        let to = if i_hi < s.len() {
-            f.count_below(s.at(i_hi).0)
-        } else {
-            f.len()
-        };
-        // Where each sample sits in the union: its own index's rank plus
-        // the other part's mass before it — strictly below its value
-        // for a stable sample, at or below it for a fresh one. For the
-        // samples of the two windows that mass is a search of the other
-        // window alone: all of the other part before it lies below them,
-        // none after it does.
-        let in_stable = |i: usize| {
-            let (v, r) = s.at(i);
-            (r + f.rank_within(from, to, |x| x >= v), v)
-        };
-        let s_from = i_lo.saturating_sub(1);
-        let in_window = |j: usize| {
-            let (v, r) = f.at(j);
-            (r + s.rank_within(s_from, i_hi, |x| x > v), v)
-        };
-        let in_fresh = |j: usize| {
-            let (v, r) = f.at(j);
-            (r + s.rank_at_or_below(v), v)
-        };
-        let i = first(i_lo, i_hi, |i| past(in_stable(i).0));
-        let j = first(from, to, |j| past(in_window(j).0));
-        // The union's last sample at or before the target and the one
-        // after it, as `RankIndex::quantile` picks between them.
-        let below = [
-            i.checked_sub(1).map(in_stable),
-            j.checked_sub(1).map(in_fresh),
-        ];
-        let above = [
-            (i < s.len()).then(|| in_stable(i)),
-            (j < f.len()).then(|| in_fresh(j)),
-        ];
-        let (rb, vb) = below.into_iter().flatten().max_by_key(|p| p.0)?;
-        let dist = |r: u64| (r as f64 - target).abs();
-        match above.into_iter().flatten().min_by_key(|p| p.0) {
-            Some((ra, va)) if dist(ra) < dist(rb) => Some(va),
-            _ => Some(vb),
-        }
+        self.quantile_in(phi, &mut Vec::with_capacity(self.parts.len()))
     }
 
     /// One [`quantile`](Self::quantile) per φ.
@@ -617,7 +562,124 @@ impl<'a, T: Ord + Copy> UnionReader<'a, T> {
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`.
     pub fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        phis.iter().map(|&phi| self.quantile(phi)).collect()
+        let mut windows = Vec::with_capacity(self.parts.len());
+        phis.iter()
+            .map(|&phi| self.quantile_in(phi, &mut windows))
+            .collect()
+    }
+
+    /// The quantile search, one level per part.
+    ///
+    /// A sample's place in the union is its own index's rank plus, for
+    /// every other part, the mass of that part's samples before it —
+    /// at or below its value for an earlier part, strictly below for a
+    /// later one. Each level takes the widest window and finds its
+    /// first sample past the target. Its own prefix ranks bound where
+    /// that sample can be (the others add between nothing and all of
+    /// their windows' mass); inside that range a bisection probes its
+    /// samples, placing each in every other window, and every probe
+    /// narrows those windows too. The level ends with two neighbouring
+    /// samples of the widest part, the last not past the target and the
+    /// first past it, and the other windows cut down to the samples
+    /// between them: the next level's gap. Every sample left is later in
+    /// the union than this level's `below` and earlier than its `above`,
+    /// so a deeper level's candidates replace them.
+    fn quantile_in(&self, phi: f64, windows: &mut Vec<Window>) -> Option<T> {
+        crate::traits::check_phi(phi);
+        let target = phi * self.total as f64;
+        let past = |r: u64| r as f64 > target;
+        let parts = &self.parts;
+        windows.clear();
+        windows.extend(parts.iter().enumerate().map(|(part, p)| Window {
+            part,
+            lo: 0,
+            hi: p.len(),
+            at: 0,
+        }));
+        // The mass before the gap from parts no longer searched.
+        let mut base = 0u64;
+        let (mut below, mut above) = (None, None);
+        loop {
+            windows.retain(|w| {
+                let empty = w.lo == w.hi;
+                if empty {
+                    base += parts[w.part].before(w.lo);
+                }
+                !empty
+            });
+            let Some(widest) = (0..windows.len()).max_by_key(|&k| windows[k].hi - windows[k].lo)
+            else {
+                break;
+            };
+            let own = windows.swap_remove(widest);
+            let p = parts[own.part];
+            let floor = base
+                + windows
+                    .iter()
+                    .map(|w| parts[w.part].before(w.lo))
+                    .sum::<u64>();
+            let others: u64 = windows
+                .iter()
+                .map(|w| parts[w.part].before(w.hi) - parts[w.part].before(w.lo))
+                .sum();
+            let hi = first(own.lo, own.hi, |i| past(floor + p.at(i).1));
+            let mut lo = first(own.lo, hi, |i| past(floor + p.at(i).1 + others));
+            // Where sample `i` of the widest part sits in each window,
+            // left in `at`; the rank it has in the union.
+            let place = |windows: &mut [Window], i: usize| {
+                let v = p.at(i).0;
+                let mut rank = base + p.at(i).1;
+                for w in windows.iter_mut() {
+                    let q = parts[w.part];
+                    let items = &q.items[w.lo..w.hi];
+                    w.at = w.lo
+                        + if w.part < own.part {
+                            items.partition_point(|&(x, _)| x <= v)
+                        } else {
+                            items.partition_point(|&(x, _)| x < v)
+                        };
+                    rank += q.before(w.at);
+                }
+                rank
+            };
+            if lo > own.lo {
+                place(windows, lo - 1);
+                windows.iter_mut().for_each(|w| w.lo = w.at);
+            }
+            if hi < own.hi {
+                place(windows, hi);
+                windows.iter_mut().for_each(|w| w.hi = w.at);
+            }
+            let mut end = hi;
+            while lo < end {
+                let mid = lo + (end - lo) / 2;
+                if past(place(windows, mid)) {
+                    end = mid;
+                    windows.iter_mut().for_each(|w| w.hi = w.at);
+                } else {
+                    lo = mid + 1;
+                    windows.iter_mut().for_each(|w| w.lo = w.at);
+                }
+            }
+            // The windows now hold the samples between `lo − 1` and `lo`.
+            let rank_with = |i: usize, pos: fn(&Window) -> usize| {
+                let others: u64 = windows.iter().map(|w| parts[w.part].before(pos(w))).sum();
+                (base + p.at(i).1 + others, p.at(i).0)
+            };
+            if lo > own.lo {
+                below = Some(rank_with(lo - 1, |w| w.lo));
+            }
+            if lo < own.hi {
+                above = Some(rank_with(lo, |w| w.hi));
+            }
+            base += p.before(lo);
+        }
+        let (rb, vb) = below?;
+        let dist = |r: u64| (r as f64 - target).abs();
+        match above {
+            Some((ra, va)) if dist(ra) < dist(rb) => Some(va),
+            _ => Some(vb),
+        }
     }
 }
 
@@ -1077,7 +1139,7 @@ pub(crate) mod oracle {
             let fresh: Vec<(&[u64], u64)> = r.fresh.into_iter().collect();
             let (whole, stable_index) = (RankIndex::build(&both), RankIndex::build(&r.stable));
             let fresh_index = RankIndex::build(&fresh);
-            let reader = UnionReader::new(&stable_index, &fresh_index);
+            let reader = UnionReader::new([&stable_index, &fresh_index]);
             let phis: Vec<f64> = (1..40).map(|i| f64::from(i) / 40.0).collect();
             let want: Vec<Option<u64>> = phis.iter().map(|&p| whole.quantile(p)).collect();
             let xs: Vec<u64> = (0..6).map(|_| rng.next_below(universe + 1)).collect();
@@ -1463,53 +1525,102 @@ mod tests {
         }
     }
 
+    /// `count` parts of 0–4 runs each, weights 1–16, values below
+    /// `domain`; now and then a run is empty, and a part's last run is
+    /// left in arrival order (a fill).
+    fn seeded_parts(
+        rng: &mut sqs_util::rng::Xoshiro256pp,
+        count: usize,
+        domain: u64,
+    ) -> Vec<Vec<(Vec<u64>, u64)>> {
+        (0..count)
+            .map(|_| {
+                let runs = rng.next_below(5) as usize;
+                (0..runs)
+                    .map(|r| {
+                        let len = [0, 1, 3, 40, 300][rng.next_below(5) as usize];
+                        let mut run: Vec<u64> = (0..len).map(|_| rng.next_below(domain)).collect();
+                        if r + 1 < runs || rng.next_below(2) == 0 {
+                            run.sort_unstable();
+                        }
+                        (run, 1 + rng.next_below(16))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The N-part reader's contract: over `parts`, read as one, each φ
+    /// of a 99-point grid (and the extremes) and each rank of `xs`
+    /// equals what `RankIndex::build` over all their runs, concatenated
+    /// in part order, answers.
+    fn assert_union_is_one_index(parts: &[Vec<(Vec<u64>, u64)>], xs: &[u64]) {
+        fn slices(runs: &[(Vec<u64>, u64)]) -> Vec<(&[u64], u64)> {
+            runs.iter().map(|(d, w)| (d.as_slice(), *w)).collect()
+        }
+        let indexes: Vec<RankIndex<u64>> =
+            parts.iter().map(|p| RankIndex::build(&slices(p))).collect();
+        let whole = RankIndex::build(&slices(&parts.concat()));
+        let reader = UnionReader::new(&indexes);
+        let mut phis: Vec<f64> = (1..100).map(|i| f64::from(i) / 100.0).collect();
+        phis.extend([1e-9, 1.0 - 1e-9]);
+        let want: Vec<Option<u64>> = phis.iter().map(|&p| whole.quantile(p)).collect();
+        assert_eq!(reader.quantiles(&phis), want, "{parts:?}");
+        for &x in xs {
+            assert_eq!(reader.rank(x), whole.rank(x), "x = {x}, {parts:?}");
+        }
+    }
+
     #[test]
-    fn a_union_reader_answers_what_one_index_over_both_parts_answers() {
+    fn a_union_reader_answers_what_one_index_over_all_its_parts_answers() {
+        let mut rng = sqs_util::rng::Xoshiro256pp::new(37);
+        for case in 0..3_000 {
+            let count = 1 + case % 9;
+            // Mostly 8 values, so ties across parts are the rule.
+            let domain = [8, 8, 8, 1_000, 1 << 40][rng.next_below(5) as usize];
+            let parts = seeded_parts(&mut rng, count, domain);
+            let xs: Vec<u64> = (0..20).map(|_| rng.next_below(domain + 2)).collect();
+            assert_union_is_one_index(&parts, &xs);
+        }
+    }
+
+    /// The engine's shape: every split of a summary's runs into a
+    /// stable part and a fresh one, either empty included.
+    #[test]
+    fn two_parts_answer_what_one_index_over_both_answers() {
         let mut rng = sqs_util::rng::Xoshiro256pp::new(35);
-        let mut phis: Vec<f64> = (1..300).map(|i| f64::from(i) / 300.0).collect();
-        phis.extend([1e-9, 0.5, 1.0 - 1e-9]);
         for _ in 0..400 {
             let mut runs = seeded_runs(&mut rng);
-            // Any split, either part empty included; a fill is unsorted.
             let cut = rng.next_below(runs.len() as u64 + 1) as usize;
             if let Some(fill) = runs.get_mut(cut) {
                 fill.0.reverse();
             }
-            let bufs: Vec<(&[u64], u64)> = runs.iter().map(|(d, w)| (d.as_slice(), *w)).collect();
-            let (stable, fresh) = bufs.split_at(cut);
-            let whole = RankIndex::build(&bufs);
-            let (s, f) = (RankIndex::build(stable), RankIndex::build(fresh));
-            let reader = UnionReader::new(&s, &f);
-            assert_eq!(
-                reader.quantiles(&phis),
-                phis.iter().map(|&p| whole.quantile(p)).collect::<Vec<_>>()
-            );
-            for _ in 0..50 {
-                let x = rng.next_below(1 << 41);
-                let x = [x, x % 70, x % 5][rng.next_below(3) as usize];
-                assert_eq!(reader.rank(x), whole.rank(x), "x = {x}");
-            }
+            let fresh = runs.split_off(cut);
+            let xs: Vec<u64> = (0..50)
+                .map(|_| {
+                    let x = rng.next_below(1 << 41);
+                    [x, x % 70, x % 5][rng.next_below(3) as usize]
+                })
+                .collect();
+            assert_union_is_one_index(&[runs, fresh], &xs);
         }
         // A tie across the parts at the target: the stable 5 (weight 3)
         // is the union's, as merge_runs orders it.
-        let (s, f) = (
-            RankIndex::build(&[(&[5u64][..], 3)]),
-            RankIndex::build(&[(&[5u64, 9][..], 1)]),
-        );
-        let whole = RankIndex::build(&[(&[5u64][..], 3), (&[9u64, 5][..], 1)]);
-        let reader = UnionReader::new(&s, &f);
-        for phi in [0.1, 0.4, 0.6, 0.7, 0.9] {
-            assert_eq!(reader.quantile(phi), whole.quantile(phi), "phi {phi}");
-        }
+        let parts = [vec![(vec![5u64], 3)], vec![(vec![9u64, 5], 1)]];
+        assert_union_is_one_index(&parts, &[4, 5, 6, 9, 10]);
         let empty = RankIndex::<u64>::build(&[]);
-        assert_eq!(UnionReader::new(&empty, &empty).quantile(0.5), None);
+        assert_eq!(UnionReader::new([&empty, &empty]).quantile(0.5), None);
+        assert_eq!(
+            UnionReader::new(std::iter::empty::<&RankIndex<u64>>()).quantile(0.5),
+            None
+        );
     }
 
     #[test]
     #[should_panic(expected = "phi must be in the open interval")]
-    fn a_union_reader_checks_phi() {
+    fn two_parts_check_phi() {
         let empty = RankIndex::<u64>::build(&[]);
-        UnionReader::new(&empty, &empty).quantile(1.0);
+        UnionReader::new([&empty, &empty]).quantile(1.0);
     }
 
     #[test]

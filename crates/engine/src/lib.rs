@@ -237,7 +237,7 @@ impl<T: Ord + Copy> Parts<T> {
             let runs: Vec<(&[T], u64)> = fills.iter().map(|f| (&f.samples[..], f.weight)).collect();
             RankIndex::build(&runs)
         });
-        UnionReader::new(self.stable.index(), fresh)
+        UnionReader::new([self.stable.index(), fresh])
     }
 }
 
