@@ -1,15 +1,27 @@
-//! The sealed-merge cache cannot serve a stale answer. A seeded schedule
-//! interleaves on-time, late and future-stamped ingests, rotations by
-//! 0–3 buckets, and queries over sliding 1/8/64 and tumbling 4/16 — with
-//! the open bucket empty or not, and tumbling before its first span
-//! completes. Every answer must equal, range, mass and quantiles, a
-//! fresh build of the ring's merge shape made here from a mirror of its
-//! buckets and rollups, and the ring's invariants (mass conservation
-//! among them) must hold after every step.
+//! A window answer cannot be stale. A seeded schedule interleaves
+//! on-time, late and future-stamped ingests, rotations by 0–3 buckets
+//! (now and then a jump of up to a tenth of the retention), and queries
+//! over sliding 1/8/64/80 and tumbling 4/16 — with the open bucket empty
+//! or not, and tumbling before its first span completes. Every answer
+//! must equal, range, mass and quantiles, what the backend's oracle
+//! computes from a mirror of the ring's buckets, and the ring's
+//! invariants (mass conservation and the part indexes' coherence among
+//! them) must hold after every step.
+//!
+//! Two backends, one per read path. `Random` has runs, so the ring
+//! reads a window as one union of its parts' rank indexes: its oracle is
+//! one `RankIndex::build` over the runs of the covered parts, in the
+//! ring's part order (the whole rollups, then the sealed fine buckets of
+//! the ragged edges, then the open bucket). The reservoir has none, so
+//! the ring merges: its oracle is a fresh build of the merge shape. Half
+//! the schedules draw values from 64, so that equal values of different
+//! weight meet across parts and the part order shows in the answers.
 
 use std::collections::BTreeMap;
 
+use sqs_core::buffers::RankIndex;
 use sqs_core::random::RandomSketch;
+use sqs_core::sampled::ReservoirQuantiles;
 use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_engine::merge_tree;
 use sqs_util::audit::CheckInvariants;
@@ -17,33 +29,86 @@ use sqs_util::rng::Xoshiro256pp;
 use sqs_window::{LatePolicy, WindowAnswer, WindowConfig, WindowKind, WindowRing, WindowSpec};
 
 const BUCKET: u64 = 1_000;
-/// Holds sliding 64 and tumbling 16 (which needs 32), and evicts within
+/// Holds sliding 80 and tumbling 16 (which needs 32), and evicts within
 /// a schedule.
 const RETENTION: u64 = 80;
 const STEPS: usize = 600;
 const PHIS: [f64; 5] = [0.05, 0.25, 0.5, 0.75, 0.95];
-const SPECS: [(WindowKind, u64); 5] = [
+const SPECS: [(WindowKind, u64); 6] = [
     (WindowKind::Sliding, 1),
     (WindowKind::Sliding, 8),
     (WindowKind::Sliding, 64),
+    (WindowKind::Sliding, RETENTION),
     (WindowKind::Tumbling, 4),
     (WindowKind::Tumbling, 16),
 ];
 
-fn make(idx: u64) -> RandomSketch<u64> {
-    RandomSketch::new(0.05, 0x5EA1 ^ idx)
+/// A summary the ring is checked over, and how the ring must read the
+/// parts a window covers.
+trait Backend: MergeableSummary<u64> + Clone + Send + Sync + 'static {
+    fn make(idx: u64) -> Self;
+
+    /// The quantiles of [`PHIS`] over `sealed` (the rollups, then the
+    /// fine buckets of the edges, each ascending) and the open bucket.
+    fn oracle(sealed: Vec<Self>, open: Option<&Self>) -> Vec<Option<u64>>;
+}
+
+impl Backend for RandomSketch<u64> {
+    fn make(idx: u64) -> Self {
+        RandomSketch::new(0.05, 0x5EA1 ^ idx)
+    }
+
+    /// One index over every part's runs, concatenated in part order: the
+    /// union the ring reads without merging.
+    fn oracle(sealed: Vec<Self>, open: Option<&Self>) -> Vec<Option<u64>> {
+        let parts: Vec<&Self> = sealed.iter().chain(open).collect();
+        let mut runs = Vec::new();
+        for part in parts {
+            let part = part.runs().expect("Random has runs");
+            runs.extend(part.stable);
+            runs.extend(part.fresh);
+        }
+        let index = RankIndex::build(&runs);
+        PHIS.iter().map(|&phi| index.quantile(phi)).collect()
+    }
+}
+
+impl Backend for ReservoirQuantiles<u64> {
+    fn make(idx: u64) -> Self {
+        ReservoirQuantiles::new(0.05, 0x5EA1 ^ idx)
+    }
+
+    /// The merge shape: `merge_tree` of the sealed parts, then a clone of
+    /// the open bucket, when in range, with that merge merged in.
+    fn oracle(sealed: Vec<Self>, open: Option<&Self>) -> Vec<Option<u64>> {
+        let sealed = (!sealed.is_empty()).then(|| merge_tree(sealed).0);
+        let root = match open {
+            Some(open) => {
+                let mut root = open.clone();
+                if let Some(sealed) = sealed {
+                    root.merge_from(sealed);
+                }
+                Some(root)
+            }
+            None => sealed,
+        };
+        match root {
+            Some(mut s) => s.quantiles(&PHIS),
+            None => vec![None; PHIS.len()],
+        }
+    }
 }
 
 /// Each bucket's summary, fed the batches the ring accepted in the order
 /// it accepted them, so every mirror bucket is the ring's bit for bit.
-struct Mirror {
-    buckets: BTreeMap<u64, RandomSketch<u64>>,
+struct Mirror<S> {
+    buckets: BTreeMap<u64, S>,
     cur: u64,
     late: LatePolicy,
     rollup_factor: u64,
 }
 
-impl Mirror {
+impl<S: Backend> Mirror<S> {
     fn advance(&mut self, now: u64) {
         self.cur = self.cur.max(now / BUCKET);
         let min_retained = (self.cur + 1).saturating_sub(RETENTION);
@@ -57,7 +122,7 @@ impl Mirror {
         let cur = self.cur;
         self.buckets
             .entry(cur)
-            .or_insert_with(|| make(cur))
+            .or_insert_with(|| S::make(cur))
             .insert_batch(xs);
     }
 
@@ -65,10 +130,11 @@ impl Mirror {
         self.buckets.values().map(QuantileSummary::n).sum()
     }
 
-    /// A fresh build of the ring's merge shape: the sealed part (one
-    /// rollup per aligned group lying inside it, then the fine buckets
-    /// of its edges, each ascending) through `merge_tree`, then a clone
-    /// of the open bucket, when in range, with that merge merged in.
+    /// The window `spec` covers, its mass, and the oracle's answers
+    /// over its parts: one rollup per aligned group lying inside the
+    /// sealed part (each `merge_tree` of the group's buckets), then the
+    /// sealed fine buckets of its edges, then the open bucket if in
+    /// range.
     fn answer(&self, spec: WindowSpec) -> WindowAnswer {
         let m = spec.len_nanos / BUCKET;
         let (lo, hi) = match spec.kind {
@@ -105,26 +171,12 @@ impl Mirror {
             let fine = fine.filter(|(&i, _)| !(f >= 2 && groups.contains(&(i / f))));
             parts.extend(fine.map(|(_, s)| s.clone()));
         }
-        let sealed = (!parts.is_empty()).then(|| merge_tree(parts).0);
         let open = (hi == self.cur).then(|| self.buckets.get(&hi)).flatten();
-        let root = match open {
-            Some(open) => {
-                let mut root = open.clone();
-                if let Some(sealed) = sealed {
-                    root.merge_from(sealed);
-                }
-                Some(root)
-            }
-            None => sealed,
-        };
         WindowAnswer {
             start_nanos: lo * BUCKET,
             end_nanos: (hi + 1) * BUCKET,
             n: self.buckets.range(lo..=hi).map(|(_, s)| s.n()).sum(),
-            answers: match root {
-                Some(mut s) => s.quantiles(&PHIS),
-                None => vec![None; PHIS.len()],
-            },
+            answers: S::oracle(parts, open),
         }
     }
 }
@@ -137,15 +189,15 @@ struct Seen {
     before_first_tumbling: u64,
 }
 
-fn run(seed: u64, rollup_factor: u64, late: LatePolicy) -> (Seen, u64) {
+fn run<S: Backend>(seed: u64, rollup_factor: u64, late: LatePolicy, domain: u64) -> (Seen, u64) {
     let cfg = WindowConfig {
         bucket_nanos: BUCKET,
         retention_buckets: RETENTION,
         rollup_factor,
         late_policy: late,
     };
-    let mut ring = WindowRing::new(cfg, make);
-    let mut mirror = Mirror {
+    let mut ring = WindowRing::new(cfg, S::make);
+    let mut mirror = Mirror::<S> {
         buckets: BTreeMap::new(),
         cur: 0,
         late,
@@ -159,7 +211,7 @@ fn run(seed: u64, rollup_factor: u64, late: LatePolicy) -> (Seen, u64) {
             // On time, late by 1–3 buckets, or stamped 1–3 ahead.
             0..=3 => {
                 let xs: Vec<u64> = (0..1 + rng.next_below(48))
-                    .map(|_| rng.next_below(1 << 16))
+                    .map(|_| rng.next_below(domain))
                     .collect();
                 let shift = (1 + rng.next_below(3)) * BUCKET;
                 let ts = match rng.next_below(4) {
@@ -170,9 +222,15 @@ fn run(seed: u64, rollup_factor: u64, late: LatePolicy) -> (Seen, u64) {
                 ring.ingest(ts, &xs, now);
                 mirror.ingest(ts, &xs);
             }
-            // Rotate by 0–3 buckets to a random point of the bucket.
+            // Rotate by 0–3 buckets, one time in eight by up to a tenth
+            // of the retention (past a whole rollup group read at the
+            // horizon), to a random point of the bucket.
             4..=5 => {
-                let idx = now / BUCKET + rng.next_below(4);
+                let by = match rng.next_below(8) {
+                    0 => rng.next_below(RETENTION / 10 + 1),
+                    _ => rng.next_below(4),
+                };
+                let idx = now / BUCKET + by;
                 now = now.max(idx * BUCKET + rng.next_below(BUCKET));
                 ring.advance_to(now);
                 mirror.advance(now);
@@ -201,20 +259,22 @@ fn run(seed: u64, rollup_factor: u64, late: LatePolicy) -> (Seen, u64) {
     (seen, ring.stats().cache_hits)
 }
 
-#[test]
-fn every_answer_equals_a_fresh_build_of_its_merge_shape() {
+/// Twelve schedules over every rollup factor, late policy and value
+/// domain; the schedules must reach the cases they exist for, and both
+/// the queries that build something and those that build nothing.
+fn every_answer_equals_the_oracle<S: Backend>() {
     let mut total = Seen::default();
     let mut hits = 0;
     for (i, seed) in (0xCAC0_0000u64..0xCAC0_0000 + 12).enumerate() {
         let rollup_factor = [0, 4, 8][i % 3];
         let late = [LatePolicy::Drop, LatePolicy::RouteToCurrent][i % 2];
-        let (seen, seed_hits) = run(seed, rollup_factor, late);
+        let domain = [1 << 16, 64][i / 6];
+        let (seen, seed_hits) = run::<S>(seed, rollup_factor, late, domain);
         total.queries += seen.queries;
         total.empty_open += seen.empty_open;
         total.before_first_tumbling += seen.before_first_tumbling;
         hits += seed_hits;
     }
-    // The schedule reached the cases it exists for.
     assert!(total.empty_open > 0, "no query saw an empty open bucket");
     assert!(
         total.before_first_tumbling > 0,
@@ -225,4 +285,14 @@ fn every_answer_equals_a_fresh_build_of_its_merge_shape() {
         "{hits} hits over {} queries: both paths must run",
         total.queries
     );
+}
+
+#[test]
+fn random_answers_equal_one_index_over_the_covered_parts() {
+    every_answer_equals_the_oracle::<RandomSketch<u64>>();
+}
+
+#[test]
+fn reservoir_answers_equal_a_fresh_build_of_its_merge_shape() {
+    every_answer_equals_the_oracle::<ReservoirQuantiles<u64>>();
 }
