@@ -512,6 +512,14 @@ impl<T: Ord + Copy> RankIndex<T> {
     }
 }
 
+impl<T> sqs_util::space::SpaceUsage for RankIndex<T> {
+    /// Two words per sample (the sample and the mass before it) and the
+    /// total.
+    fn space_bytes(&self) -> usize {
+        sqs_util::space::words(2 * self.items.len() + 1)
+    }
+}
+
 /// An index per part, read as one: what [`RankIndex::build`] over the
 /// runs of every part, concatenated in part order, answers — without
 /// merging the parts. Equal values order as that merge orders them,

@@ -25,16 +25,26 @@
 //!   window covers the last `len` of time ending at the current bucket
 //!   (inclusive, so the in-progress bucket participates); a tumbling
 //!   window is the most recently *completed* aligned `len`-wide
-//!   window. Covered sealed buckets are merged with the engine's
-//!   balanced [`sqs_engine::merge_tree`], and that merge is cached per
-//!   spec, keyed on the covered range: an ingest touches only the open
-//!   bucket, so the merge outlives it until a rotation moves the range.
-//!   The open bucket, when in range, is merged in at the root.
+//!   window. A window is answered from its *parts*: the whole rollups
+//!   it covers, the sealed fine buckets of its ragged edges, then the
+//!   open bucket when in range.
+//! * **Two read paths.** A summary with runs
+//!   ([`MergeableSummary::runs`], e.g. `Random`) is read as one union of
+//!   its parts' rank indexes ([`sqs_core::buffers::UnionReader`]): each
+//!   part indexes its runs once — a sealed part never changes, the open
+//!   bucket drops its index on ingest — and nothing is cloned or merged
+//!   to answer. A rotation drops the index of every part no query read
+//!   since the rotation before it. A summary without runs has its
+//!   covered sealed parts merged with the engine's balanced
+//!   [`sqs_engine::merge_tree`], that merge cached per spec and keyed on
+//!   the covered range (an ingest touches only the open bucket, so the
+//!   merge outlives it until a rotation moves the range), and the open
+//!   bucket merged in at the root.
 //! * **Rollups** — TimescaleDB-style pre-aggregation: groups of
 //!   `rollup_factor` sealed buckets are merged once (lazily, the first
 //!   time a query covers the whole group) and reused, so a span of
-//!   `m` buckets costs `O(m / rollup_factor)` merges instead of
-//!   `O(m)` once warm.
+//!   `m` buckets reads `O(m / rollup_factor)` parts instead of `O(m)`
+//!   once warm.
 //! * **Late arrivals** ([`LatePolicy`]) — a timestamp older than the
 //!   current bucket is *late* (sealed buckets are immutable). Policy
 //!   [`LatePolicy::Drop`] discards it and counts it
@@ -54,10 +64,12 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use sqs_core::buffers::{RankIndex, UnionReader};
 use sqs_core::MergeableSummary;
 use sqs_engine::{merge_tree, ShardedEngine};
 use sqs_util::audit::{ensure, CheckInvariants, InvariantViolation};
 use sqs_util::clock::Clock;
+use sqs_util::space::SpaceUsage;
 
 /// What happens to an insert whose timestamp falls before the current
 /// bucket (sealed buckets are immutable, so it cannot land "where it
@@ -305,12 +317,13 @@ pub struct WindowStats {
     pub buckets_rotated: u64,
     /// Rollup summaries materialized.
     pub rollups_built: u64,
-    /// Rollup summaries substituted for fine buckets during queries.
+    /// Rollups read in place of fine buckets by queries.
     pub rollup_hits: u64,
     /// Window queries answered.
     pub queries: u64,
-    /// Queries that merged no sealed bucket: their spec's cached
-    /// sealed merge still covered the same range.
+    /// Queries that merged or indexed no sealed part: every sealed part
+    /// they read was indexed already (summaries with runs), or their
+    /// spec's cached sealed merge still covered the same range (without).
     pub cache_hits: u64,
 }
 
@@ -374,6 +387,7 @@ struct Bucket<S> {
     idx: u64,
     n: u64,
     summary: S,
+    index: PartIndex,
 }
 
 /// A sealed rollup: group `g` covers fine buckets
@@ -381,6 +395,59 @@ struct Bucket<S> {
 struct Rollup<S> {
     n: u64,
     summary: S,
+    index: PartIndex,
+}
+
+/// A part's rank index over its runs, for the union read: built by the
+/// first query that reads the part, dropped by an ingest into it (only
+/// the open bucket takes one) and by a rotation it was not read before.
+#[derive(Default)]
+struct PartIndex {
+    index: Option<RankIndex<u64>>,
+    /// The rotation epoch a query last read the part in.
+    read: u64,
+}
+
+impl PartIndex {
+    /// The part's index, built from `summary` if no query built it
+    /// since it was last dropped, and whether this call built it.
+    fn read<S: MergeableSummary<u64>>(
+        &mut self,
+        summary: &S,
+        epoch: u64,
+    ) -> (&RankIndex<u64>, bool) {
+        self.read = epoch;
+        let built = self.index.is_none();
+        (self.index.get_or_insert_with(|| index_of(summary)), built)
+    }
+}
+
+/// A part of the ring, for audit messages.
+#[derive(Clone, Copy)]
+enum Part {
+    /// The fine bucket of this index.
+    Bucket(u64),
+    /// The rollup of this group.
+    Rollup(u64),
+}
+
+impl fmt::Display for Part {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Part::Bucket(idx) => write!(f, "bucket {idx}"),
+            Part::Rollup(g) => write!(f, "rollup group {g}"),
+        }
+    }
+}
+
+/// One index over a summary's runs, the stable ones then the fill.
+fn index_of<S: MergeableSummary<u64>>(summary: &S) -> RankIndex<u64> {
+    let runs = summary
+        .runs()
+        .expect("WindowRing invariant: a summary with runs has them in every state");
+    let mut all = runs.stable;
+    all.extend(runs.fresh);
+    RankIndex::build(&all)
 }
 
 /// How many specs keep a sealed merge at once, least recently queried
@@ -388,11 +455,11 @@ struct Rollup<S> {
 /// between two rotations, and every entry pins up to two summaries.
 const SEALED_MERGES: usize = 4;
 
-/// One queried spec's merge of the *sealed* buckets it covers. Sealed
-/// buckets never change, so the merge is exact for as long as the spec
-/// covers the same range: an ingest (which touches only the open
-/// bucket) leaves it valid, and a rotation that moves the range makes
-/// the spec's next query rebuild it.
+/// One queried spec's merge of the *sealed* buckets it covers, for a
+/// summary without runs. Sealed buckets never change, so the merge is
+/// exact for as long as the spec covers the same range: an ingest
+/// (which touches only the open bucket) leaves it valid, and a rotation
+/// that moves the range makes the spec's next query rebuild it.
 struct SealedMerge<S> {
     spec: WindowSpec,
     /// The covered bucket range `[lo, hi]` it was built for.
@@ -400,17 +467,22 @@ struct SealedMerge<S> {
     /// Items in the sealed part of the range.
     n: u64,
     /// `merge_tree` of the sealed parts; `None` when they hold nothing.
+    /// Never queried: a summary may reorder itself when queried (a
+    /// reservoir sorts), and a merge reads that order.
     sealed: Option<S>,
-    /// A clone of the open bucket with `sealed` merged in, valid while
+    /// What the spec's queries read: a clone of `sealed` (stamped
+    /// `None`) while the open bucket is out of range or empty, else a
+    /// clone of the open bucket with `sealed` merged in, valid while
     /// the ring version still equals the stamp.
-    with_open: Option<(u64, S)>,
+    root: Option<(Option<u64>, S)>,
 }
 
 /// The clock-free windowing core: a sparse ring of per-bucket partial
-/// summaries with rotation, retention, rollups and a range-keyed
-/// cache of sealed merges. Every method takes `now_nanos` explicitly —
-/// the caller owns time (see [`WindowedEngine`] for the clock-driven
-/// wrapper).
+/// summaries with rotation, retention and rollups, read as a union of
+/// its parts' rank indexes (summaries with runs) or through a
+/// range-keyed cache of sealed merges (summaries without). Every method
+/// takes `now_nanos` explicitly — the caller owns time (see
+/// [`WindowedEngine`] for the clock-driven wrapper).
 pub struct WindowRing<S> {
     cfg: WindowConfig,
     make: Box<dyn Fn(u64) -> S + Send + Sync>,
@@ -424,12 +496,36 @@ pub struct WindowRing<S> {
     cur_idx: u64,
     /// False until the first `advance_to` anchors the ring in time.
     started: bool,
-    /// Ticks on every mutation; stamps each entry's `with_open`.
+    /// Ticks on every mutation; stamps each entry's `root`.
     version: u64,
+    /// Whether queries read the parts' runs as one union; asked once,
+    /// of an empty bucket, at construction.
+    union: bool,
+    /// Ticks on every rotation; stamps each part index's last read.
+    epoch: u64,
+    /// Rank indexes built since the ring was created.
+    indexes_built: u64,
     /// Sealed merges, least recently queried first; at most
-    /// [`SEALED_MERGES`], one per spec.
+    /// [`SEALED_MERGES`], one per spec. Empty on the union path.
     merges: Vec<SealedMerge<S>>,
     stats: WindowStats,
+}
+
+/// What a ring holds beside its counters, for audits, tests and memory
+/// reports. Bytes are [`SpaceUsage`]'s (4 per word).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadSide {
+    /// Bytes of the bucket and rollup summaries.
+    pub summary_bytes: usize,
+    /// Bytes of the cached sealed merges and their roots (summaries
+    /// without runs).
+    pub merge_bytes: usize,
+    /// Parts (buckets and rollups) holding a rank index.
+    pub part_indexes: u64,
+    /// Bytes of those indexes.
+    pub index_bytes: usize,
+    /// Rank indexes built since the ring was created.
+    pub indexes_built: u64,
 }
 
 impl<S> fmt::Debug for WindowRing<S> {
@@ -440,6 +536,7 @@ impl<S> fmt::Debug for WindowRing<S> {
             .field("live_buckets", &self.buckets.len())
             .field("rollups", &self.rollups.len())
             .field("sealed_merges", &self.merges.len())
+            .field("union", &self.union)
             .field("version", &self.version)
             .finish_non_exhaustive()
     }
@@ -452,7 +549,9 @@ where
     /// A fresh ring. `make(bucket_index)` builds the empty partial
     /// summary for one bucket — the place where per-bucket seeds
     /// diverge for randomized backends (all buckets must be
-    /// merge-compatible with each other).
+    /// merge-compatible with each other). One bucket is made here and
+    /// asked for its runs, which picks the read path: a summary that
+    /// has runs must have them in every state.
     ///
     /// # Panics
     /// Panics if `cfg` fails [`WindowConfig::validate`].
@@ -461,6 +560,7 @@ where
         if let Err(msg) = cfg.validate() {
             panic!("WindowRing invariant: {msg}");
         }
+        let union = make(0).runs().is_some();
         Self {
             cfg,
             make: Box::new(make),
@@ -469,6 +569,9 @@ where
             cur_idx: 0,
             started: false,
             version: 0,
+            union,
+            epoch: 0,
+            indexes_built: 0,
             merges: Vec::new(),
             stats: WindowStats {
                 bucket_nanos: cfg.bucket_nanos,
@@ -495,6 +598,34 @@ where
         s
     }
 
+    /// What the ring holds beside its counters.
+    #[must_use]
+    pub fn read_side(&self) -> ReadSide {
+        let indexes = || {
+            self.part_indexes()
+                .filter_map(|(_, _, ix)| ix.index.as_ref())
+        };
+        let roots = self
+            .merges
+            .iter()
+            .flat_map(|e| e.sealed.iter().chain(e.root.as_ref().map(|(_, s)| s)));
+        ReadSide {
+            summary_bytes: self.part_indexes().map(|(_, s, _)| s.space_bytes()).sum(),
+            merge_bytes: roots.map(SpaceUsage::space_bytes).sum(),
+            part_indexes: indexes().count() as u64,
+            index_bytes: indexes().map(SpaceUsage::space_bytes).sum(),
+            indexes_built: self.indexes_built,
+        }
+    }
+
+    /// Every part — the fine buckets, then the rollups — with its
+    /// summary and index, named for audit messages.
+    fn part_indexes(&self) -> impl Iterator<Item = (Part, &S, &PartIndex)> {
+        let buckets = (self.buckets.iter()).map(|b| (Part::Bucket(b.idx), &b.summary, &b.index));
+        let rollups = (self.rollups.iter()).map(|(&g, r)| (Part::Rollup(g), &r.summary, &r.index));
+        buckets.chain(rollups)
+    }
+
     /// The oldest bucket index still retained at the current position.
     fn min_retained(&self) -> u64 {
         (self.cur_idx + 1).saturating_sub(self.cfg.retention_buckets)
@@ -517,6 +648,7 @@ where
         self.stats.buckets_rotated += idx - self.cur_idx;
         self.cur_idx = idx;
         self.version += 1;
+        self.epoch += 1;
         let min_idx = self.min_retained();
         while let Some(front) = self.buckets.front() {
             if front.idx >= min_idx {
@@ -534,6 +666,14 @@ where
             // fell behind the retention horizon.
             let f = self.cfg.rollup_factor;
             self.rollups.retain(|&g, _| g * f + (f - 1) >= min_idx);
+        }
+        // The epoch that just ended keeps the indexes it read.
+        let ended = self.epoch - 1;
+        let buckets = self.buckets.iter_mut().map(|b| &mut b.index);
+        for part in buckets.chain(self.rollups.values_mut().map(|r| &mut r.index)) {
+            if part.read < ended {
+                part.index = None;
+            }
         }
     }
 
@@ -572,6 +712,7 @@ where
                 idx: cur_idx,
                 n: 0,
                 summary: (self.make)(cur_idx),
+                index: PartIndex::default(),
             });
         }
         let bucket = self
@@ -580,6 +721,7 @@ where
             .expect("WindowRing invariant: current bucket exists after push");
         bucket.summary.insert_batch(xs);
         bucket.n += len;
+        bucket.index.index = None;
         self.stats.ingested_items += len;
         self.version += 1;
         WindowIngestOutcome {
@@ -640,63 +782,53 @@ where
         }
     }
 
-    /// Builds (or reuses) the rollup for group `g`, returning a clone
-    /// of its summary when the group holds any data.
-    fn rollup_part(&mut self, g: u64) -> Option<(S, u64)> {
-        if let Some(r) = self.rollups.get(&g) {
-            self.stats.rollup_hits += 1;
-            return Some((r.summary.clone(), r.n));
-        }
+    /// The rollup groups lying entirely inside the sealed range
+    /// `[lo, hi]` (`hi < cur_idx`); empty when rollups are off.
+    fn groups(&self, lo: u64, hi: u64) -> std::ops::Range<u64> {
         let f = self.cfg.rollup_factor;
-        let (lo, hi) = (g * f, g * f + (f - 1));
-        let parts: Vec<S> = self
-            .buckets
-            .iter()
-            .filter(|b| b.idx >= lo && b.idx <= hi)
-            .map(|b| b.summary.clone())
-            .collect();
-        let n: u64 = self
-            .buckets
-            .iter()
-            .filter(|b| b.idx >= lo && b.idx <= hi)
-            .map(|b| b.n)
-            .sum();
-        if parts.is_empty() {
-            return None;
-        }
-        let (merged, _depth) = merge_tree(parts);
-        self.stats.rollups_built += 1;
-        self.stats.rollup_hits += 1;
-        self.rollups.insert(
-            g,
-            Rollup {
-                n,
-                summary: merged.clone(),
-            },
-        );
-        Some((merged, n))
-    }
-
-    /// Collects the partial summaries covering the *sealed* range
-    /// `[lo, hi]` (`hi < cur_idx`): first one rollup per aligned group
-    /// lying entirely inside it, then the fine buckets of the ragged
-    /// edges, each in ascending order.
-    fn collect_parts(&mut self, lo: u64, hi: u64) -> (Vec<S>, u64) {
-        let f = self.cfg.rollup_factor;
-        // Exclusive group bound; an empty span when rollups are off.
-        let groups = if f >= 2 {
-            lo.div_ceil(f)..(hi + 1) / f
+        if f >= 2 {
+            let first = lo.div_ceil(f);
+            first..((hi + 1) / f).max(first)
         } else {
             0..0
-        };
+        }
+    }
+
+    /// The rollup of group `g`, merged from its buckets by the first
+    /// query that covers it; `None` when the group holds no data.
+    fn rollup(&mut self, g: u64) -> Option<&Rollup<S>> {
+        if !self.rollups.contains_key(&g) {
+            let f = self.cfg.rollup_factor;
+            let group = (self.buckets.iter()).filter(|b| b.idx / f == g);
+            let n = group.clone().map(|b| b.n).sum();
+            let parts: Vec<S> = group.map(|b| b.summary.clone()).collect();
+            if parts.is_empty() {
+                return None;
+            }
+            let (summary, _depth) = merge_tree(parts);
+            self.stats.rollups_built += 1;
+            let index = PartIndex::default();
+            self.rollups.insert(g, Rollup { n, summary, index });
+        }
+        self.rollups.get(&g)
+    }
+
+    /// Clones of the summaries covering the *sealed* range `[lo, hi]`
+    /// (`hi < cur_idx`): first one rollup per aligned group lying
+    /// entirely inside it, then the fine buckets of the ragged edges,
+    /// each in ascending order.
+    fn collect_parts(&mut self, lo: u64, hi: u64) -> (Vec<S>, u64) {
+        let groups = self.groups(lo, hi);
         let mut parts = Vec::new();
         let mut n = 0u64;
         for g in groups.clone() {
-            if let Some((part, part_n)) = self.rollup_part(g) {
-                parts.push(part);
-                n += part_n;
+            if let Some(r) = self.rollup(g) {
+                parts.push(r.summary.clone());
+                n += r.n;
+                self.stats.rollup_hits += 1;
             }
         }
+        let f = self.cfg.rollup_factor;
         let fine = self
             .buckets
             .iter()
@@ -736,8 +868,91 @@ where
             range,
             n,
             sealed,
-            with_open: None,
+            root: None,
         });
+    }
+
+    /// The merge path's answer to `spec` over `(lo, hi)`: the spec's
+    /// sealed merge, with the open bucket merged in at the root when it
+    /// is in range.
+    fn read_merged(
+        &mut self,
+        spec: WindowSpec,
+        (lo, hi): (u64, u64),
+        phis: &[f64],
+    ) -> (u64, Vec<Option<u64>>) {
+        self.sealed_merge(spec, (lo, hi));
+        let entry = self
+            .merges
+            .last_mut()
+            .expect("WindowRing invariant: sealed_merge leaves the spec's entry last");
+        // The open bucket is in range only for a sliding window, and
+        // exists only once something landed in it.
+        let cur = self.cur_idx;
+        let open = self.buckets.back().filter(|b| b.idx == cur && hi == cur);
+        let (n, stamp) = match open {
+            None => (entry.n, None),
+            Some(b) => (entry.n + b.n, Some(self.version)),
+        };
+        if entry.root.as_ref().is_none_or(|(v, _)| *v != stamp) {
+            let mut root = open.map(|b| b.summary.clone());
+            match (&mut root, &entry.sealed) {
+                (Some(root), Some(sealed)) => root.merge_from(sealed.clone()),
+                (None, sealed) => root = sealed.clone(),
+                (Some(_), None) => {}
+            }
+            entry.root = root.map(|s| (stamp, s));
+        }
+        let answers = match &mut entry.root {
+            Some((_, s)) => s.quantiles(phis),
+            None => vec![None; phis.len()],
+        };
+        (n, answers)
+    }
+
+    /// The union path's answer over `(lo, hi)`: one read of the covered
+    /// parts' rank indexes in part order — the whole rollups, the
+    /// sealed fine buckets of the edges, the open bucket — indexing only
+    /// the parts no query indexed yet, and merging only the rollups no
+    /// query built yet.
+    fn read_parts(&mut self, (lo, hi): (u64, u64), phis: &[f64]) -> (u64, Vec<Option<u64>>) {
+        let cur = self.cur_idx;
+        let groups = if lo < cur {
+            self.groups(lo, hi.min(cur - 1))
+        } else {
+            0..0
+        };
+        let rollups_built = self.stats.rollups_built;
+        for g in groups.clone() {
+            self.rollup(g);
+        }
+        let (epoch, f) = (self.epoch, self.cfg.rollup_factor);
+        let (mut n, mut parts) = (0u64, Vec::new());
+        // Whether this query merged or indexed a sealed part.
+        let mut built_sealed = self.stats.rollups_built != rollups_built;
+        let mut built = 0u64;
+        for (_, r) in self.rollups.range_mut(groups.clone()) {
+            let (index, fresh) = r.index.read(&r.summary, epoch);
+            parts.push(index);
+            n += r.n;
+            self.stats.rollup_hits += 1;
+            built_sealed |= fresh;
+            built += u64::from(fresh);
+        }
+        let start = self.buckets.partition_point(|b| b.idx < lo);
+        let end = self.buckets.partition_point(|b| b.idx <= hi);
+        let fine = (self.buckets.range_mut(start..end))
+            .filter(|b| !(f >= 2 && groups.contains(&(b.idx / f))));
+        for b in fine {
+            let (index, fresh) = b.index.read(&b.summary, epoch);
+            parts.push(index);
+            n += b.n;
+            built_sealed |= fresh && b.idx < cur;
+            built += u64::from(fresh);
+        }
+        self.indexes_built += built;
+        self.stats.cache_hits += u64::from(!built_sealed);
+        (n, UnionReader::new(parts).quantiles(phis))
     }
 
     /// Answers one window query at `now`. Rotation happens first, so
@@ -765,34 +980,16 @@ where
                 answers: vec![None; phis.len()],
             });
         };
-        self.sealed_merge(spec, (lo, hi));
-        let entry = self
-            .merges
-            .last_mut()
-            .expect("WindowRing invariant: sealed_merge leaves the spec's entry last");
-        // The open bucket is in range only for a sliding window, and
-        // exists only once something landed in it.
-        let cur = self.cur_idx;
-        let open = self.buckets.back().filter(|b| b.idx == cur && hi == cur);
-        let (n, root) = match open {
-            None => (entry.n, entry.sealed.as_mut()),
-            Some(b) => {
-                let version = self.version;
-                if entry.with_open.as_ref().is_none_or(|(v, _)| *v != version) {
-                    let mut merged = b.summary.clone();
-                    if let Some(sealed) = &entry.sealed {
-                        merged.merge_from(sealed.clone());
-                    }
-                    entry.with_open = Some((version, merged));
-                }
-                (entry.n + b.n, entry.with_open.as_mut().map(|(_, s)| s))
-            }
+        let (n, answers) = if self.union {
+            self.read_parts((lo, hi), phis)
+        } else {
+            self.read_merged(spec, (lo, hi), phis)
         };
         Ok(WindowAnswer {
             start_nanos: lo.saturating_mul(self.cfg.bucket_nanos),
             end_nanos: (hi + 1).saturating_mul(self.cfg.bucket_nanos),
             n,
-            answers: root.map_or_else(|| vec![None; phis.len()], |s| s.quantiles(phis)),
+            answers,
         })
     }
 }
@@ -883,11 +1080,17 @@ where
                 .buckets
                 .back()
                 .filter(|b| b.idx == self.cur_idx && hi == b.idx);
-            let with_open = e.with_open.as_ref().filter(|(v, _)| *v == self.version);
+            // A root stamped for another state is rebuilt on its
+            // spec's next query.
+            let root = match &e.root {
+                Some((None, s)) => open.is_some() || s.n() == sealed,
+                Some((Some(v), s)) => {
+                    *v != self.version || s.n() == sealed + open.map_or(0, |b| b.n)
+                }
+                None => true,
+            };
             ensure(
-                e.n == sealed
-                    && e.sealed.as_ref().map_or(0, |s| s.n()) == sealed
-                    && with_open.is_none_or(|(_, s)| s.n() == sealed + open.map_or(0, |b| b.n)),
+                e.n == sealed && e.sealed.as_ref().map_or(0, |s| s.n()) == sealed && root,
                 "WindowRing",
                 "window.sealed_merge_coherence",
                 || {
@@ -896,6 +1099,35 @@ where
                         e.spec, e.range, e.n
                     )
                 },
+            )?;
+        }
+        // The union path's part indexes: only on retained parts a query
+        // read in this rotation epoch or the one before, each what a
+        // build from its part's runs gives now.
+        let f = self.cfg.rollup_factor;
+        for (part, summary, ix) in self.part_indexes() {
+            let Some(index) = &ix.index else { continue };
+            let retained = match part {
+                Part::Bucket(_) => true,
+                Part::Rollup(g) => g * f + (f - 1) >= min_idx,
+            };
+            ensure(
+                retained && ix.read + 1 >= self.epoch,
+                "WindowRing",
+                "window.part_indexes_bounded",
+                || {
+                    format!(
+                        "{part} holds an index, last read in rotation epoch {} of {} \
+                         (retained: {retained})",
+                        ix.read, self.epoch
+                    )
+                },
+            )?;
+            ensure(
+                *index == index_of(summary),
+                "WindowRing",
+                "window.part_index_coherence",
+                || format!("the cached index of {part} differs from a build from its runs"),
             )?;
         }
         Ok(())
@@ -1009,20 +1241,37 @@ where
 mod tests {
     use super::*;
     use sqs_core::random::RandomSketch;
+    use sqs_core::sampled::ReservoirQuantiles;
 
+    fn cfg(bucket: u64, retention: u64, rollup: u64, late: LatePolicy) -> WindowConfig {
+        WindowConfig {
+            bucket_nanos: bucket,
+            retention_buckets: retention,
+            rollup_factor: rollup,
+            late_policy: late,
+        }
+    }
+
+    /// A ring over `Random`, which has runs: the union path.
     fn ring(
         bucket: u64,
         retention: u64,
         rollup: u64,
         late: LatePolicy,
     ) -> WindowRing<RandomSketch<u64>> {
-        let cfg = WindowConfig {
-            bucket_nanos: bucket,
-            retention_buckets: retention,
-            rollup_factor: rollup,
-            late_policy: late,
-        };
+        let cfg = cfg(bucket, retention, rollup, late);
         WindowRing::new(cfg, |idx| RandomSketch::new(0.05, 0xBEEF ^ idx))
+    }
+
+    /// A ring over the reservoir, which has none: the merge path.
+    fn reservoir_ring(
+        bucket: u64,
+        retention: u64,
+        rollup: u64,
+        late: LatePolicy,
+    ) -> WindowRing<ReservoirQuantiles<u64>> {
+        let cfg = cfg(bucket, retention, rollup, late);
+        WindowRing::new(cfg, |idx| ReservoirQuantiles::new(0.05, 0xBEEF ^ idx))
     }
 
     #[test]
@@ -1093,10 +1342,10 @@ mod tests {
 
     #[test]
     fn cache_hits_between_mutations() {
-        let mut r = ring(100, 8, 0, LatePolicy::Drop);
+        let mut r = reservoir_ring(100, 8, 0, LatePolicy::Drop);
         r.ingest(10, &[5; 64], 10); // bucket 0
         r.ingest(110, &[6; 32], 110); // bucket 1, open
-        let hits = |r: &WindowRing<RandomSketch<u64>>| r.stats().cache_hits;
+        let hits = |r: &WindowRing<ReservoirQuantiles<u64>>| r.stats().cache_hits;
         let spec = WindowSpec::sliding(200);
         let a = r.query(spec, &[0.5], 110).expect("q1");
         assert_eq!((a.n, hits(&r)), (96, 0), "the first query merges bucket 0");
@@ -1122,9 +1371,53 @@ mod tests {
         r.assert_invariants();
     }
 
+    /// [`cache_hits_between_mutations`]'s schedule on the union path:
+    /// each part is indexed once, an ingest costs the open bucket's
+    /// index only, and a rotation keeps every index the epoch before it
+    /// read — so the rotation that rebuilt the merge above is a hit.
+    #[test]
+    fn union_reads_index_each_part_once() {
+        let mut r = ring(100, 8, 0, LatePolicy::Drop);
+        r.ingest(10, &[5; 64], 10); // bucket 0
+        r.ingest(110, &[6; 32], 110); // bucket 1, open
+        let counts =
+            |r: &WindowRing<RandomSketch<u64>>| (r.stats().cache_hits, r.read_side().indexes_built);
+        let spec = WindowSpec::sliding(200);
+        let a = r.query(spec, &[0.5], 110).expect("q1");
+        assert_eq!((a.n, counts(&r)), (96, (0, 2)), "bucket 0 and the open one");
+        let b = r.query(spec, &[0.25, 0.75], 110).expect("q2");
+        assert_eq!((b.n, counts(&r)), (96, (1, 2)), "a repeat builds nothing");
+        r.ingest(120, &[7], 120);
+        let c = r.query(spec, &[0.5], 120).expect("q3");
+        assert_eq!(
+            (c.n, counts(&r)),
+            (97, (2, 3)),
+            "the ingest costs the open index"
+        );
+        r.advance_to(200);
+        let d = r.query(spec, &[0.5], 200).expect("q4");
+        assert_eq!(
+            (d.n, counts(&r)),
+            (33, (3, 3)),
+            "bucket 1 sealed with its index"
+        );
+        let t = WindowSpec::tumbling(200);
+        assert_eq!(r.query(t, &[0.5], 200).expect("t1").n, 97);
+        r.ingest(250, &[8], 250);
+        r.advance_to(300);
+        let e = r.query(t, &[0.5], 300).expect("t2");
+        assert_eq!(
+            (e.n, counts(&r)),
+            (97, (5, 3)),
+            "[0, 1] read from its indexes"
+        );
+        assert_eq!(r.read_side().merge_bytes, 0, "no merge is cached");
+        r.assert_invariants();
+    }
+
     #[test]
     fn rollups_build_once_and_serve_long_spans() {
-        let mut r = ring(10, 64, 4, LatePolicy::Drop);
+        let mut r = reservoir_ring(10, 64, 4, LatePolicy::Drop);
         // Fill buckets 0..16, one value each; current ends at 16.
         for i in 0..=16u64 {
             r.ingest(i * 10, &[i], i * 10);
@@ -1147,6 +1440,40 @@ mod tests {
         assert_eq!(r.query(spec, &[0.5], 175).expect("aligned").n, 17);
         let s3 = r.stats();
         assert_eq!((s3.rollups_built, s3.rollup_hits), (3, 6));
+        r.assert_invariants();
+    }
+
+    /// [`rollups_build_once_and_serve_long_spans`]'s schedule on the
+    /// union path: every query reads the three rollups, each rollup and
+    /// bucket is indexed once, and an ingest or a rotation re-indexes
+    /// only the open bucket.
+    #[test]
+    fn union_reads_rollups_in_place() {
+        let mut r = ring(10, 64, 4, LatePolicy::Drop);
+        for i in 0..=16u64 {
+            r.ingest(i * 10, &[i], i * 10);
+        }
+        let spec = WindowSpec::sliding(160); // 16 buckets: 1..=16
+        assert_eq!(r.query(spec, &[0.5], 160).expect("aligned").n, 16);
+        // Groups 1–3, buckets 1–3 and the open bucket 16: seven parts.
+        let counts = |r: &WindowRing<RandomSketch<u64>>| {
+            let s = r.stats();
+            (
+                s.rollups_built,
+                s.rollup_hits,
+                s.cache_hits,
+                r.read_side().indexes_built,
+            )
+        };
+        assert_eq!(counts(&r), (3, 3, 0, 7));
+        r.ingest(165, &[99], 165);
+        assert_eq!(r.query(spec, &[0.5], 165).expect("aligned").n, 17);
+        assert_eq!(counts(&r), (3, 6, 1, 8), "the ingest costs the open index");
+        // The rotation to [2, 17] seals bucket 16 with the index the
+        // last query built; only the new open bucket is indexed.
+        r.ingest(175, &[100], 175);
+        assert_eq!(r.query(spec, &[0.5], 175).expect("aligned").n, 17);
+        assert_eq!(counts(&r), (3, 9, 2, 9));
         r.assert_invariants();
     }
 
@@ -1175,7 +1502,7 @@ mod tests {
             .chain((1..=RETENTION / 2).map(|m| WindowSpec::tumbling(m * 10)));
         for (i, spec) in storm.enumerate() {
             if i % 5 == 0 {
-                // The open bucket moves under the cached sealed merges.
+                // The open bucket moves under the cached indexes.
                 let x = i as u64 % 10_007;
                 r.ingest(now, &[x], now);
                 mirror[cur as usize].push(x);
@@ -1203,6 +1530,19 @@ mod tests {
                 assert!(err <= 0.05, "{spec:?} phi {phi}: rank error {err}");
             }
         }
+        r.assert_invariants();
+        // The next rotation keeps every index the storm built but the
+        // evicted bucket's (the sliding-256 spans read it).
+        let read = r.read_side().part_indexes;
+        assert!(read > RETENTION / 2, "{read} parts indexed");
+        r.advance_to(now + 10);
+        assert_eq!(r.read_side().part_indexes, read - 1);
+        // The rotation after that keeps only what a sliding-8 query read
+        // in between: seven sealed buckets; the new open bucket is empty.
+        r.query(WindowSpec::sliding(80), &PHIS, now + 10)
+            .expect("the span fits");
+        r.advance_to(now + 20);
+        assert_eq!(r.read_side().part_indexes, 7);
         r.assert_invariants();
     }
 
