@@ -403,7 +403,7 @@ struct Rollup<S> {
 /// the open bucket takes one) and by a rotation it was not read before.
 #[derive(Default)]
 struct PartIndex {
-    index: Option<RankIndex<u64>>,
+    cached: Option<RankIndex<u64>>,
     /// The rotation epoch a query last read the part in.
     read: u64,
 }
@@ -417,8 +417,8 @@ impl PartIndex {
         epoch: u64,
     ) -> (&RankIndex<u64>, bool) {
         self.read = epoch;
-        let built = self.index.is_none();
-        (self.index.get_or_insert_with(|| index_of(summary)), built)
+        let built = self.cached.is_none();
+        (self.cached.get_or_insert_with(|| index_of(summary)), built)
     }
 }
 
@@ -603,7 +603,7 @@ where
     pub fn read_side(&self) -> ReadSide {
         let indexes = || {
             self.part_indexes()
-                .filter_map(|(_, _, ix)| ix.index.as_ref())
+                .filter_map(|(_, _, ix)| ix.cached.as_ref())
         };
         let roots = self
             .merges
@@ -672,7 +672,7 @@ where
         let buckets = self.buckets.iter_mut().map(|b| &mut b.index);
         for part in buckets.chain(self.rollups.values_mut().map(|r| &mut r.index)) {
             if part.read < ended {
-                part.index = None;
+                part.cached = None;
             }
         }
     }
@@ -721,7 +721,7 @@ where
             .expect("WindowRing invariant: current bucket exists after push");
         bucket.summary.insert_batch(xs);
         bucket.n += len;
-        bucket.index.index = None;
+        bucket.index.cached = None;
         self.stats.ingested_items += len;
         self.version += 1;
         WindowIngestOutcome {
@@ -1106,7 +1106,7 @@ where
         // build from its part's runs gives now.
         let f = self.cfg.rollup_factor;
         for (part, summary, ix) in self.part_indexes() {
-            let Some(index) = &ix.index else { continue };
+            let Some(index) = &ix.cached else { continue };
             let retained = match part {
                 Part::Bucket(_) => true,
                 Part::Rollup(g) => g * f + (f - 1) >= min_idx,

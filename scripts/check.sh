@@ -104,11 +104,13 @@ cargo test -q --release -p sqs-core --test batch_fold_floor
 echo "== turnstile batch floors (cargo test --release -p sqs-turnstile --test batch_floor) =="
 cargo test -q --release -p sqs-turnstile --test batch_floor
 
-# The window query cache's floor, a ratio too: a sliding-64 query right
-# after an insert, its sealed merge cached, costs at most 1/3 of the
-# same query right after a rotation, which rebuilds the merge
-# (docs/PERF.md section 17; ~0.17 measured, ~0.92 before the cache
-# outlived an ingest).
+# The window read's floor, a ratio too: at window_mix's shape a
+# sliding-64 query right after a rotation, read as one union of its
+# parts' rank indexes, costs at most 1/3 of clone + merge_tree + sweep
+# of the same parts from a state-identical mirror (docs/PERF.md section
+# 21; ~0.28 measured, ~1.0 on the merging ring before it). The same
+# file's library loop of window_mix's request mix prints the per-spec
+# query means and holds its last answers within eps of an exact mirror.
 echo "== window query floor (cargo test --release -p sqs-window --test query_floor) =="
 cargo test -q --release -p sqs-window --test query_floor
 
