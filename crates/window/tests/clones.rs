@@ -150,9 +150,9 @@ fn a_union_read_clones_and_merges_nothing_once_its_rollups_exist() {
     ring.assert_invariants();
 }
 
-/// The same schedule without runs: every query after an ingest clones
-/// the open bucket and merges the cached sealed merge into it, and
-/// every rotation rebuilds the sealed merges.
+/// The same schedule without runs, which shows the ledger counts: every
+/// query after an ingest clones the open bucket and merges the cached
+/// sealed merge into it.
 #[test]
 fn the_merge_path_clones_the_open_bucket_per_query() {
     let (mut ring, x) = warm::<false>();
