@@ -895,12 +895,16 @@ where
             Some(b) => (entry.n + b.n, Some(self.version)),
         };
         if entry.root.as_ref().is_none_or(|(v, _)| *v != stamp) {
-            let mut root = open.map(|b| b.summary.clone());
-            match (&mut root, &entry.sealed) {
-                (Some(root), Some(sealed)) => root.merge_from(sealed.clone()),
-                (None, sealed) => root = sealed.clone(),
-                (Some(_), None) => {}
-            }
+            let root = match open {
+                Some(b) => {
+                    let mut root = b.summary.clone();
+                    if let Some(sealed) = &entry.sealed {
+                        root.merge_from(sealed.clone());
+                    }
+                    Some(root)
+                }
+                None => entry.sealed.clone(),
+            };
             entry.root = root.map(|s| (stamp, s));
         }
         let answers = match &mut entry.root {
@@ -930,14 +934,13 @@ where
         let (mut n, mut parts) = (0u64, Vec::new());
         // Whether this query merged or indexed a sealed part.
         let mut built_sealed = self.stats.rollups_built != rollups_built;
-        let mut built = 0u64;
         for (_, r) in self.rollups.range_mut(groups.clone()) {
             let (index, fresh) = r.index.read(&r.summary, epoch);
             parts.push(index);
             n += r.n;
             self.stats.rollup_hits += 1;
+            self.indexes_built += u64::from(fresh);
             built_sealed |= fresh;
-            built += u64::from(fresh);
         }
         let start = self.buckets.partition_point(|b| b.idx < lo);
         let end = self.buckets.partition_point(|b| b.idx <= hi);
@@ -947,10 +950,9 @@ where
             let (index, fresh) = b.index.read(&b.summary, epoch);
             parts.push(index);
             n += b.n;
+            self.indexes_built += u64::from(fresh);
             built_sealed |= fresh && b.idx < cur;
-            built += u64::from(fresh);
         }
-        self.indexes_built += built;
         self.stats.cache_hits += u64::from(!built_sealed);
         (n, UnionReader::new(parts).quantiles(phis))
     }

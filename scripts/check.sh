@@ -108,7 +108,7 @@ cargo test -q --release -p sqs-turnstile --test batch_floor
 # sliding-64 query right after a rotation, read as one union of its
 # parts' rank indexes, costs at most 1/3 of clone + merge_tree + sweep
 # of the same parts from a state-identical mirror (docs/PERF.md section
-# 21; ~0.28 measured, ~1.0 on the merging ring before it). The same
+# 21; ~0.23-0.29 measured, ~1.0 on the merging ring before it). The same
 # file's library loop of window_mix's request mix prints the per-spec
 # query means and holds its last answers within eps of an exact mirror.
 echo "== window query floor (cargo test --release -p sqs-window --test query_floor) =="
