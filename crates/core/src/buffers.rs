@@ -37,9 +37,10 @@
 //! the target — and never a rank.
 //!
 //! The write side's `GroupSampler` thins the arrivals that feed a
-//! `Random` or `MRL99` fill buffer to one per `2^level`; the read side
-//! is a [`RankIndex`] over the union of all live buffers, which the pool
-//! keeps in a `CachedView` between mutations.
+//! `Random` or `MRL99` fill buffer to one per `2^level`. The read side
+//! keeps nothing between queries: a rank is §2.2's weighted sum over
+//! the live buffers, computed directly, and a φ-sweep reads one
+//! [`RankIndex`] over their union, built for that sweep.
 //!
 //! A reader that keeps its own index across writes splits the live
 //! buffers in two ([`Runs`]): the *stable* buffers, which change only
@@ -403,45 +404,6 @@ impl GroupSampler<u64> {
     }
 }
 
-/// A read-side view cached inside a summary: built by the first query
-/// after a mutation and dropped by every mutator, like the `sorted`
-/// flag of `ReservoirQuantiles`. `clone` never copies it: clones are
-/// taken to publish a summary or to feed a merge, which drops it, so a
-/// clone costs the same whether or not its source was ever queried.
-#[derive(Debug)]
-pub(crate) struct CachedView<V>(Option<V>);
-
-impl<V> Default for CachedView<V> {
-    fn default() -> Self {
-        Self(None)
-    }
-}
-
-impl<V> Clone for CachedView<V> {
-    fn clone(&self) -> Self {
-        Self(None)
-    }
-}
-
-impl<V> CachedView<V> {
-    /// The view, built with `build` if no query has needed it since
-    /// the last mutation.
-    pub(crate) fn get_or_build(&mut self, build: impl FnOnce() -> V) -> &V {
-        self.0.get_or_insert_with(build)
-    }
-
-    /// Drops the view; every mutator of the owning summary calls this.
-    #[inline]
-    pub(crate) fn invalidate(&mut self) {
-        self.0 = None;
-    }
-
-    /// The view if one is currently cached.
-    pub(crate) fn get(&self) -> Option<&V> {
-        self.0.as_ref()
-    }
-}
-
 /// The read path of every buffer summary: the sorted weighted union of
 /// the live buffers with prefix ranks, so that §2.2's
 /// `r̂(v) = Σ_X w(X)·|{y ∈ X : y < v}|` and its inverse are binary
@@ -752,12 +714,12 @@ pub(crate) fn live_buffers<T>(buffers: &[Buffer<T>]) -> Vec<(&[T], u64)> {
         .collect()
 }
 
-/// `b` buffers of `cap` weighted samples, the stream length and the
-/// queries' view of them: the state and the mechanics `Random`, `MRL99`
-/// and `MRL98` share. At most one buffer is *the fill* — appended to
-/// until it holds `cap` samples, then sorted and released; the owner
-/// decides at what level and weight a fill starts and, once no buffer
-/// is empty, which buffers [`collapse`](Pool::collapse) into one.
+/// `b` buffers of `cap` weighted samples and the stream length: the
+/// state and the mechanics `Random`, `MRL99` and `MRL98` share. At most
+/// one buffer is *the fill* — appended to until it holds `cap` samples,
+/// then sorted and released; the owner decides at what level and weight
+/// a fill starts and, once no buffer is empty, which buffers
+/// [`collapse`](Pool::collapse) into one.
 #[derive(Debug, Clone)]
 pub(crate) struct Pool<T> {
     /// Per-buffer capacity.
@@ -767,8 +729,6 @@ pub(crate) struct Pool<T> {
     pub(crate) fill: Option<usize>,
     /// Stream elements seen.
     pub(crate) n: u64,
-    /// The queries' sorted union of `buffers`; every mutator drops it.
-    pub(crate) view: CachedView<RankIndex<T>>,
     /// Bumped by every change to a buffer other than the fill: the key
     /// of [`Runs::stable`].
     pub(crate) generation: u64,
@@ -796,7 +756,6 @@ impl<T: Ord + Copy> Pool<T> {
             buffers: (0..count).map(|_| empty()).collect(),
             fill: None,
             n: 0,
-            view: CachedView::default(),
             generation: 0,
         }
     }
@@ -939,20 +898,39 @@ impl<T: Ord + Copy> Pool<T> {
         }
     }
 
-    /// The rank index over the live buffers, merged on the first query
-    /// after a mutation.
-    pub(crate) fn view(&mut self) -> &RankIndex<T> {
-        self.view
-            .get_or_build(|| RankIndex::build(&live_buffers(&self.buffers)))
+    /// A φ-sweep, read from one rank index over the live buffers.
+    ///
+    /// # Panics
+    /// Panics if any `φ ∉ (0, 1)`.
+    pub(crate) fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
+        phis.iter().for_each(|&phi| crate::traits::check_phi(phi));
+        let index = RankIndex::build(&live_buffers(&self.buffers));
+        phis.iter().map(|&phi| index.quantile(phi)).collect()
+    }
+
+    /// §2.2's `r̂(x) = Σ_X w(X)·|{y ∈ X : y < x}|` over the live
+    /// buffers: a binary search in a full (sorted) buffer, a count in
+    /// the others — what [`RankIndex::rank`] over them answers.
+    pub(crate) fn rank(&self, x: T) -> u64 {
+        let below = |b: &Buffer<T>| {
+            if b.full {
+                b.data.partition_point(|&y| y < x)
+            } else {
+                b.data.iter().filter(|&&y| y < x).count()
+            }
+        };
+        self.buffers
+            .iter()
+            .map(|b| below(b) as u64 * b.weight)
+            .sum()
     }
 
     /// The rules that hold for any owner's pool — positive weights, no
     /// buffer past `cap`, `full ⇔ |data| = cap`, full buffers sorted,
-    /// the fill index in range and not on a full buffer, a cached rank
-    /// index equal to a rebuild — reported under the owner's
-    /// `algorithm`. Returns the represented mass `Σ weight·|data|`
-    /// (saturating), which each owner holds to its own rule against
-    /// `n`.
+    /// the fill index in range and not on a full buffer — reported
+    /// under the owner's `algorithm`. Returns the represented mass
+    /// `Σ weight·|data|` (saturating), which each owner holds to its own
+    /// rule against `n`.
     pub(crate) fn audit(
         &self,
         algorithm: &'static str,
@@ -999,11 +977,6 @@ impl<T: Ord + Copy> Pool<T> {
             }
             _ => {}
         }
-        let cached = self.view.get();
-        if cached.is_some_and(|v| *v != RankIndex::build(&live_buffers(&self.buffers))) {
-            let what = "cached rank index differs from a rebuild (a mutator kept it)";
-            return broken("buffers.view_fresh", what.to_string());
-        }
         Ok(mass)
     }
 }
@@ -1018,17 +991,16 @@ pub(crate) mod oracle {
     use sqs_util::rng::Xoshiro256pp;
 
     /// The reference answers for a φ-vector and a rank vector, computed
-    /// from a summary's state without its cached view.
+    /// from a summary's state alone.
     pub(crate) type Expect<S> = fn(&mut S, &[f64], &[u64]) -> (Vec<Option<u64>>, Vec<u64>);
 
     /// A mutation only some summaries have (merge, codec round trip).
     pub(crate) type Mutator<S> = fn(&mut S, &mut Xoshiro256pp);
 
-    /// The stale-view property: under a random interleaving of
-    /// `insert`, `insert_batch`, clones, `extra` mutators and queries,
-    /// every answer equals `expect`'s — φ unsorted and repeated — and
-    /// a view that is present passes the `*.view_fresh` audit.
-    pub(crate) fn check_view_never_stale<S>(
+    /// Under a random interleaving of `insert`, `insert_batch`, clones,
+    /// `extra` mutators and queries, every answer equals `expect`'s — φ
+    /// unsorted and repeated — and the summary passes its audit.
+    pub(crate) fn check_answers_under_interleavings<S>(
         mut s: S,
         universe: u64,
         seed: u64,
@@ -1649,7 +1621,7 @@ mod tests {
             let full = pool.buffers.iter_mut().find(|b| b.full);
             full.expect("a full buffer")
         }
-        let breaks: [(&str, fn(&mut Pool<u64>)); 7] = [
+        let breaks: [(&str, fn(&mut Pool<u64>)); 6] = [
             ("buffers.weight_positive", |p| p.buffers[0].weight = 0),
             ("buffers.buffer_overflow", |p| a_full(p).data.push(u64::MAX)),
             ("buffers.fill_flag", |p| a_full(p).full = false),
@@ -1657,11 +1629,6 @@ mod tests {
             ("buffers.fill_index", |p| p.fill = Some(p.buffers.len())),
             ("buffers.fill_not_full", |p| {
                 p.fill = p.buffers.iter().position(|b| b.full);
-            }),
-            // A mutator that forgot to drop the view.
-            ("buffers.view_fresh", |p| {
-                p.view();
-                a_full(p).data.iter_mut().for_each(|v| *v /= 2);
             }),
         ];
         fn check<S: QuantileSummary<u64> + CheckInvariants + Clone>(
@@ -1681,18 +1648,5 @@ mod tests {
         check(RandomSketch::new(0.05, 7), |s| &mut s.pool, &breaks);
         check(Mrl99::new(0.05, 9), |s| &mut s.pool, &breaks);
         check(Mrl98::new(0.05, 20_000), |s| &mut s.pool, &breaks);
-    }
-
-    #[test]
-    fn cached_view_builds_once_and_is_never_cloned() {
-        let mut view = CachedView::default();
-        let mut builds = 0;
-        for _ in 0..3 {
-            view.get_or_build(|| builds += 1);
-        }
-        assert_eq!(builds, 1);
-        assert!(view.clone().get().is_none());
-        view.invalidate();
-        assert!(view.get().is_none());
     }
 }

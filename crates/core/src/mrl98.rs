@@ -189,10 +189,10 @@ impl<T: Ord + Copy> Mrl98<T> {
 impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl98<T> {
     /// MRL98 invariants (Manku et al. '98): the pool's own rules
     /// (`buffers.*`: positive buffer weights, the `full ⇔ |data| = k`
-    /// fill discipline, a fresh view), and — because NEW stores raw
-    /// elements at weight 1 and the deterministic COLLAPSE of full
-    /// buffers conserves `k·Σw` exactly — the represented mass
-    /// `Σ weight·|data|` equals the stream length `n` at all times.
+    /// fill discipline), and — because NEW stores raw elements at
+    /// weight 1 and the deterministic COLLAPSE of full buffers conserves
+    /// `k·Σw` exactly — the represented mass `Σ weight·|data|` equals
+    /// the stream length `n` at all times.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "MRL98";
@@ -248,7 +248,6 @@ impl<T: Ord + Copy> sqs_util::audit::CheckInvariants for Mrl98<T> {
 
 impl<T: Ord + Copy> QuantileSummary<T> for Mrl98<T> {
     fn insert(&mut self, x: T) {
-        self.pool.view.invalidate();
         if self.pool.fill.is_none() {
             self.start_buffer();
         }
@@ -265,12 +264,15 @@ impl<T: Ord + Copy> QuantileSummary<T> for Mrl98<T> {
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
-        self.pool.view().rank(x)
+        self.pool.rank(x)
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
-        crate::traits::check_phi(phi);
-        self.pool.view().quantile(phi)
+        self.pool.quantiles(&[phi]).pop().flatten()
+    }
+
+    fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<T>> {
+        self.pool.quantiles(phis)
     }
 
     fn name(&self) -> &'static str {
@@ -417,15 +419,15 @@ mod tests {
     }
 
     #[test]
-    fn view_is_never_stale_under_any_interleaving() {
+    fn answers_match_the_sweep_under_any_interleaving() {
         use crate::buffers::live_buffers;
-        use crate::buffers::oracle::{check_view_never_stale, sweep};
+        use crate::buffers::oracle::{check_answers_under_interleavings, sweep};
         type S = Mrl98<u64>;
         fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
             sweep(&live_buffers(&s.pool.buffers), phis, xs)
         }
         for (universe, seed) in [(48, 1), (1 << 20, 2)] {
-            check_view_never_stale(S::new(0.2, 5_000), universe, seed, expect, &[]);
+            check_answers_under_interleavings(S::new(0.2, 5_000), universe, seed, expect, &[]);
         }
     }
 

@@ -183,15 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn view_is_never_stale_under_any_interleaving() {
+    fn answers_match_the_sweep_under_any_interleaving() {
         use crate::buffers::live_buffers;
-        use crate::buffers::oracle::{check_view_never_stale, sweep};
+        use crate::buffers::oracle::{check_answers_under_interleavings, sweep};
         type S = Mrl99<u64>;
         fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
             sweep(&live_buffers(&s.pool.buffers), phis, xs)
         }
         for (universe, seed) in [(48, 1), (1 << 20, 2)] {
-            check_view_never_stale(S::new(0.1, seed), universe, seed, expect, &[]);
+            check_answers_under_interleavings(S::new(0.1, seed), universe, seed, expect, &[]);
         }
     }
 

@@ -32,7 +32,6 @@
 
 use std::cmp::Ordering;
 
-use crate::buffers::CachedView;
 use crate::codec::Reader;
 use crate::QuantileSummary;
 use sqs_util::audit::CheckInvariants;
@@ -61,6 +60,45 @@ struct NodeIndex {
     his: Vec<u64>,
     /// `cum[i]`: the summed count of nodes `0..=i`.
     cum: Vec<u64>,
+}
+
+/// A read-side view cached inside a summary: built by the first query
+/// after a mutation and dropped by every mutator, like the `sorted`
+/// flag of `ReservoirQuantiles`. `clone` never copies it: clones are
+/// taken to publish a summary or to feed a merge, which drops it, so a
+/// clone costs the same whether or not its source was ever queried.
+#[derive(Debug)]
+struct CachedView<V>(Option<V>);
+
+impl<V> Default for CachedView<V> {
+    fn default() -> Self {
+        Self(None)
+    }
+}
+
+impl<V> Clone for CachedView<V> {
+    fn clone(&self) -> Self {
+        Self(None)
+    }
+}
+
+impl<V> CachedView<V> {
+    /// The view, built with `build` if no query has needed it since
+    /// the last mutation.
+    fn get_or_build(&mut self, build: impl FnOnce() -> V) -> &V {
+        self.0.get_or_insert_with(build)
+    }
+
+    /// Drops the view; every mutator of the owning summary calls this.
+    #[inline]
+    fn invalidate(&mut self) {
+        self.0 = None;
+    }
+
+    /// The view if one is currently cached.
+    fn get(&self) -> Option<&V> {
+        self.0.as_ref()
+    }
 }
 
 /// A streaming q-digest over the universe `[0, 2^log_u)`.
@@ -1491,7 +1529,7 @@ mod tests {
 
     #[test]
     fn view_is_never_stale_under_any_interleaving() {
-        use crate::buffers::oracle::check_view_never_stale;
+        use crate::buffers::oracle::check_answers_under_interleavings;
         use crate::codec::WireCodec;
         // The per-call sweep: sort the nodes by (right endpoint, larger
         // left endpoint first), accumulate to ⌈φ·n⌉; ranks by a scan of
@@ -1539,7 +1577,7 @@ mod tests {
                 .expect("own frame decodes");
         }
         for (universe, seed) in [(48, 1), (1 << 12, 2)] {
-            check_view_never_stale(
+            check_answers_under_interleavings(
                 QDigest::new(0.1, 12),
                 universe,
                 seed,
@@ -1620,6 +1658,19 @@ mod tests {
             ratio <= 5.0,
             "q-digest insert is {ratio:.1}x RandomSketch's"
         );
+    }
+
+    #[test]
+    fn cached_view_builds_once_and_is_never_cloned() {
+        let mut view = CachedView::default();
+        let mut builds = 0;
+        for _ in 0..3 {
+            view.get_or_build(|| builds += 1);
+        }
+        assert_eq!(builds, 1);
+        assert!(view.clone().get().is_none());
+        view.invalidate();
+        assert!(view.get().is_none());
     }
 }
 

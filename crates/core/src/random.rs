@@ -227,12 +227,6 @@ impl<T: Ord + Copy, const WEIGHTED: bool> Sampled<T, WEIGHTED> {
             None => {}
         }
     }
-
-    /// Whether a query has built the rank index since the last
-    /// mutation (inspection/tests; a clone never carries one).
-    pub fn view_is_cached(&self) -> bool {
-        self.pool.view.get().is_some()
-    }
 }
 
 impl<T: Ord + Copy> RandomSketch<T> {
@@ -271,7 +265,6 @@ impl<T: Ord + Copy> RandomSketch<T> {
             self.eps,
             other.eps
         );
-        self.pool.view.invalidate();
         // Pool all nonempty buffers as (level, sorted samples). Partial
         // buffers participate at their own level; in-progress groups
         // are dropped (bounded by one group each, same as queries).
@@ -436,10 +429,9 @@ impl<T: Ord + Copy, const WEIGHTED: bool> sqs_util::audit::CheckInvariants
     /// Invariants of `Random` (§2.2) and MRL99 (Manku et al. '99, study
     /// §1.2.1): the `b = h+1` / `s = ⌈(1/ε)√h⌉` sizing, the pool's own
     /// rules (`buffers.*`: positive weights, the fill discipline, full
-    /// buffers sorted, a fresh view), the level sampler drawing its
-    /// target uniformly inside the fill's weight-sized group, and the
-    /// represented mass `Σ weight·|data|` never exceeding the arrivals
-    /// `n`. In `Random` every weight is `2^level`; MRL99's COLLAPSE
+    /// buffers sorted), the level sampler drawing its target uniformly
+    /// inside the fill's weight-sized group, and the represented mass
+    /// `Σ weight·|data|` never exceeding the arrivals `n`. In `Random` every weight is `2^level`; MRL99's COLLAPSE
     /// sums weights into arbitrary integers.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
@@ -493,7 +485,6 @@ impl<T: Ord + Copy, const WEIGHTED: bool> sqs_util::audit::CheckInvariants
 
 impl<T: Ord + Copy, const WEIGHTED: bool> QuantileSummary<T> for Sampled<T, WEIGHTED> {
     fn insert(&mut self, x: T) {
-        self.pool.view.invalidate();
         // Ensure a fill target exists before consuming the element.
         if self.pool.fill.is_none() {
             self.start_fill();
@@ -521,7 +512,6 @@ impl<T: Ord + Copy, const WEIGHTED: bool> QuantileSummary<T> for Sampled<T, WEIG
     /// (`GroupSampler::offer_slice`): a batch costs one step per kept
     /// sample, not one per row.
     fn insert_batch(&mut self, xs: &[T]) {
-        self.pool.view.invalidate();
         let mut rest = xs;
         while !rest.is_empty() {
             if self.pool.fill.is_none() {
@@ -549,12 +539,15 @@ impl<T: Ord + Copy, const WEIGHTED: bool> QuantileSummary<T> for Sampled<T, WEIG
     }
 
     fn rank_estimate(&mut self, x: T) -> u64 {
-        self.pool.view().rank(x)
+        self.pool.rank(x)
     }
 
     fn quantile(&mut self, phi: f64) -> Option<T> {
-        crate::traits::check_phi(phi);
-        self.pool.view().quantile(phi)
+        self.pool.quantiles(&[phi]).pop().flatten()
+    }
+
+    fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<T>> {
+        self.pool.quantiles(phis)
     }
 
     fn name(&self) -> &'static str {
@@ -796,9 +789,9 @@ mod tests {
     }
 
     #[test]
-    fn view_is_never_stale_under_any_interleaving() {
+    fn answers_match_the_sweep_under_any_interleaving() {
         use crate::buffers::live_buffers;
-        use crate::buffers::oracle::{check_view_never_stale, sweep};
+        use crate::buffers::oracle::{check_answers_under_interleavings, sweep};
         use crate::codec::WireCodec;
         type S = RandomSketch<u64>;
         fn expect(s: &mut S, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
@@ -809,7 +802,6 @@ mod tests {
             for _ in 0..rng.next_below(1500) {
                 other.insert(rng.next_below(48));
             }
-            let _ = other.quantile(0.5); // the donor's own view must not leak in
             s.merge_from(other);
         }
         fn roundtrip(s: &mut S, _: &mut Xoshiro256pp) {
@@ -818,7 +810,7 @@ mod tests {
         // A 48-value universe piles equal values into buffers of
         // different weight; the wide one has next to no ties.
         for (universe, seed) in [(48, 1), (1 << 20, 2)] {
-            check_view_never_stale(
+            check_answers_under_interleavings(
                 S::new(0.1, seed),
                 universe,
                 seed,

@@ -73,12 +73,13 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     /// through it.
     ///
     /// The default is a per-φ [`quantile`] loop, which is already the
-    /// batched path for every summary that answers from a cached rank
-    /// index (one build, then a binary search per φ). Summaries with a
-    /// cheaper joint walk override it: the GK family flushes or walks
-    /// its tuple list and sums its rank prefix once for the whole sweep,
-    /// and the turnstile dyadic structures descend one shared bisection
-    /// tree. Overrides must return exactly what the per-φ loop would —
+    /// batched path for a summary that answers from a cached read view
+    /// (the q-digest's node index: one build, then a binary search per
+    /// φ). Summaries with a cheaper joint walk override it: the buffer
+    /// summaries (`Random`, MRL99, MRL98) build one rank index for the
+    /// sweep, the GK family flushes or walks its tuple list and sums its
+    /// rank prefix once for the whole sweep, and the turnstile dyadic
+    /// structures descend one shared bisection tree. Overrides must return exactly what the per-φ loop would —
     /// answer for answer, not merely within ε.
     ///
     /// # Panics

@@ -33,9 +33,3 @@ pub use lidar::Lidar;
 pub use mpcat::Mpcat;
 pub use synthetic::{Normal, Order, Uniform};
 pub use turnstile::Op;
-
-/// Collects the first `n` elements of a generator into a `Vec`
-/// (for the error-measuring experiments, which need the ground truth).
-pub fn take_n(gen: impl Iterator<Item = u64>, n: usize) -> Vec<u64> {
-    gen.take(n).collect()
-}

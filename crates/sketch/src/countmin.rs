@@ -199,33 +199,12 @@ impl FrequencySketch for CountMin {
             .expect("CountMin invariant: depth > 0")
     }
 
-    // Read-side dual of `update_batch`: small query sets (point reads,
-    // the per-level cells of one dyadic rank) gather one key across
-    // all d rows with the hash coefficients walked once; larger sweeps
-    // fold the chunk's keys once and take the min row-major, each
-    // row's counters read in one L1-resident pass. Min over rows
-    // commutes, so both orders are bit-identical to the scalar
-    // estimate.
+    // Read-side dual of `update_batch`: each chunk folds its keys once
+    // and takes the min row-major, each row's counters read in one
+    // L1-resident pass. Min over rows commutes, so the order is
+    // bit-identical to the scalar estimate.
     fn estimate_batch(&self, xs: &[u64], out: &mut [i64]) {
         assert_eq!(xs.len(), out.len(), "estimate_batch: slice length mismatch");
-        let d = self.hashes.len();
-        if xs.len() <= 16 && d <= 64 {
-            let mut jb = [0u64; 64];
-            for (&x, o) in xs.iter().zip(out) {
-                sqs_util::hash::buckets_folded_gather(
-                    &self.hashes,
-                    sqs_util::hash::fold_to_field(x),
-                    &mut jb[..d],
-                );
-                *o = jb[..d]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &j)| self.counters[i * self.stride + j as usize])
-                    .min()
-                    .expect("CountMin invariant: depth > 0");
-            }
-            return;
-        }
         let mut keys = [0u64; CHUNK];
         let mut jbuf = [0u64; CHUNK];
         for (chunk, out_c) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
@@ -388,8 +367,8 @@ mod tests {
 
     #[test]
     fn estimate_batch_is_bit_identical_to_scalar() {
-        // Exercises both the gather path (≤16 queries) and the
-        // row-major chunked path, plus the chunk-boundary tail.
+        // Short and long query lists through the row-major chunked
+        // path, plus the chunk-boundary tail.
         let mut rng = Xoshiro256pp::new(40);
         let mut cm = CountMin::new(100, 7, &mut rng);
         let mut stream_rng = Xoshiro256pp::new(41);

@@ -127,19 +127,13 @@ pub struct DyadicQuantiles<S> {
     exact_from: u32,
     live: i64,
     name: &'static str,
-    /// Bumped on every state change (updates, merges) — the cheap
-    /// staleness key for caches layered on top of the structure (the
-    /// Post OLS factorization cache keys on it). Not summary state:
-    /// excluded from equality, reset by wire decode.
-    version: u64,
     #[cfg(any(test, feature = "audit"))]
     updates: u64,
 }
 
 // Equality is summary state only — the audit-only `updates` diagnostic
-// and the `version` cache key are excluded, since they legitimately
-// differ between paths that reach the same state (wire decode starts
-// them at zero, shard merges sum `updates`).
+// is excluded, since it legitimately differs between paths that reach
+// the same state (wire decode starts it at zero, shard merges sum it).
 impl<S: PartialEq> PartialEq for DyadicQuantiles<S> {
     fn eq(&self, other: &Self) -> bool {
         self.universe == other.universe
@@ -189,7 +183,6 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
             exact_from,
             live: 0,
             name,
-            version: 0,
             #[cfg(any(test, feature = "audit"))]
             updates: 0,
         }
@@ -200,14 +193,6 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     #[must_use]
     pub fn level_cutoff(&self) -> u32 {
         self.cutoff
-    }
-
-    /// The state-change counter: bumped by every update and merge.
-    /// Caches layered on the structure (Post's OLS factorization) key
-    /// on it to detect staleness without hashing counters.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// The universe descriptor.
@@ -301,7 +286,6 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     fn update(&mut self, x: u64, delta: i64) {
         assert!(x < self.universe.size(), "element {x} outside universe");
         self.live += delta;
-        self.version += 1;
         for (level, _) in self.stored() {
             let idx = x >> level;
             match &mut self.levels[level as usize] {
@@ -356,7 +340,6 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     /// next.
     fn fold(&mut self, mut reduced: Vec<(u64, i64)>) {
         self.live += reduced.iter().map(|&(_, d)| d).sum::<i64>();
-        self.version += 1;
         for (level, span) in self.stored() {
             match &mut self.levels[level as usize] {
                 Level::Exact(e) => e.update_batch(&reduced),
@@ -414,31 +397,16 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     /// Batched [`rank_signed`](Self::rank_signed): `out[q] =
     /// rank_signed(xs[q])`, bit-identical to the scalar loop.
     ///
-    /// Two structural facts make the batch walk cheaper than repeating
-    /// the scalar one (docs/PERF.md §7):
-    ///
-    /// * **Exact-prefix collapse.** Let `fe` be the finest exact
-    ///   level. A query's decomposition cells at levels ≥ `fe`
-    ///   partition the aligned prefix `[0, (x >> fe) << fe)`, and
-    ///   exact levels are sum-consistent — a parent counter holds
-    ///   exactly its children's mass (the audited
-    ///   `dyadic.parent_child_mass` invariant) — so their summed
-    ///   estimates equal one prefix sum of the level-`fe` counters.
-    ///   A wide sweep builds that prefix-sum table once and answers
-    ///   every query's whole exact region (root included: the last
-    ///   entry is the live count) with a single lookup. Narrow sweeps
-    ///   skip the table and peel the exact cells directly, computing
-    ///   the same sums.
-    /// * **Level-major sketch reads.** Each stored sketch level's cells
-    ///   (the run below each query's digit, as in the scalar walk) are
-    ///   collected in the same pass and answered in one
-    ///   [`estimate_batch`](FrequencySketch::estimate_batch) call —
-    ///   the read-side analogue of `update_batch`'s row-major walk,
-    ///   and what makes a `quantiles` sweep's ~log u ranks per φ
-    ///   affordable. When a coarse sketch level's reduced universe is
-    ///   smaller than its query list, queries share cells by
-    ///   pigeonhole; the level then estimates each distinct cell once
-    ///   through a direct-address map and scatters the result.
+    /// The exact region of each query (levels ≥ the finest exact level
+    /// `fe`) is peeled directly: one counter per set bit of the aligned
+    /// query at an exact level. One structural fact makes the rest
+    /// cheaper than repeating the scalar walk (docs/PERF.md §7):
+    /// **level-major sketch reads.** Each stored sketch level's cells
+    /// (the run below each query's digit, as in the scalar walk) are
+    /// collected in the same pass and answered in one
+    /// [`estimate_batch`](FrequencySketch::estimate_batch) call — the
+    /// read-side analogue of `update_batch`'s row-major walk, and what
+    /// makes a `quantiles` sweep's ~log u ranks per φ affordable.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
@@ -448,9 +416,6 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
             out.len(),
             "rank_signed_batch: slice length mismatch"
         );
-        if xs.is_empty() {
-            return;
-        }
         out.fill(0);
         let log_u = self.universe.log_u();
         let size = self.universe.size();
@@ -470,35 +435,10 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
                 _ => unreachable!("stored levels below exact_from are sketches"),
             })
             .collect();
-        // Build the exact-prefix table only when the sweep is wide
-        // enough to amortize its single sequential pass against the
-        // per-query exact-cell loads it replaces.
-        let plen = if fe == log_u {
-            1usize
-        } else {
-            usize::try_from(self.universe.cells_at_level(fe)).unwrap_or(usize::MAX)
-        };
-        let use_prefix = plen <= xs.len().saturating_mul((log_u - fe) as usize + 1);
-        let prefix: Vec<i64> = if use_prefix {
-            let mut p = Vec::with_capacity(plen + 1);
-            p.push(0i64);
-            if fe == log_u {
-                p.push(self.live);
-            } else {
-                let mut acc = 0i64;
-                for &c in exacts[0].counts() {
-                    acc += c;
-                    p.push(acc);
-                }
-            }
-            p
-        } else {
-            Vec::new()
-        };
-        // One pass over the queries: the exact region is settled
-        // inline (table lookup or direct peel), sketch-level cells are
-        // deferred into per-level lists — a digit in 0..2^span puts
-        // that many cells on its level, (2^span − 1)/2 on average.
+        // One pass over the queries: the exact region is peeled inline,
+        // sketch-level cells are deferred into per-level lists — a
+        // digit in 0..2^span puts that many cells on its level,
+        // (2^span − 1)/2 on average.
         let below = |b: u32| -> u64 { (1u64 << b) - 1 };
         let emask = below(log_u) & !below(fe);
         let cap = |span: u32| xs.len() * below(span) as usize / 2 + 1;
@@ -512,9 +452,7 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
             .collect();
         for (q, (&x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
             let ax = self.align(x);
-            if use_prefix {
-                *o += prefix[(ax >> fe) as usize];
-            } else if ax == size {
+            if ax == size {
                 // The root cell: its count is the implied live total.
                 *o += self.live;
             } else {
@@ -536,46 +474,16 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
                 }
             }
         }
-        let mut uniq: Vec<u64> = Vec::new();
-        let mut pos: Vec<u32> = Vec::new();
-        let mut slots: Vec<u32> = Vec::new();
         let mut ests: Vec<i64> = Vec::new();
-        for (k, &(level, _, s)) in sketches.iter().enumerate() {
-            let cells = &scells[k];
+        for ((cells, qidx), &(_, _, s)) in scells.iter().zip(&sqidx).zip(&sketches) {
             if cells.is_empty() {
                 continue;
             }
-            let reduced = self.universe.cells_at_level(level);
-            if reduced <= cells.len() as u64 {
-                // Coarse level: more queries than cells, so estimate
-                // each distinct cell once and scatter. The map is
-                // direct-address — `reduced` slots cost no more than
-                // the query list they are replacing.
-                slots.clear();
-                slots.resize(usize::try_from(reduced).unwrap_or(usize::MAX), u32::MAX);
-                uniq.clear();
-                pos.clear();
-                for &c in cells {
-                    let t = &mut slots[c as usize];
-                    if *t == u32::MAX {
-                        *t = uniq.len() as u32;
-                        uniq.push(c);
-                    }
-                    pos.push(*t);
-                }
-                ests.clear();
-                ests.resize(uniq.len(), 0i64);
-                s.estimate_batch(&uniq, &mut ests);
-                for (&q, &p) in sqidx[k].iter().zip(&pos) {
-                    out[q as usize] += ests[p as usize];
-                }
-            } else {
-                ests.clear();
-                ests.resize(cells.len(), 0i64);
-                s.estimate_batch(cells, &mut ests);
-                for (&q, &e) in sqidx[k].iter().zip(&ests) {
-                    out[q as usize] += e;
-                }
+            ests.clear();
+            ests.resize(cells.len(), 0i64);
+            s.estimate_batch(cells, &mut ests);
+            for (&q, &e) in qidx.iter().zip(&ests) {
+                out[q as usize] += e;
             }
         }
     }
@@ -651,7 +559,6 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
             exact_from,
             live,
             name,
-            version: 0,
             #[cfg(any(test, feature = "audit"))]
             updates: 0,
         })
@@ -675,7 +582,6 @@ impl<S: MergeableSketch> MergeableSummary<u64> for DyadicQuantiles<S> {
             "Dyadic invariant: merge requires identical universe and hash draws"
         );
         self.live += other.live;
-        self.version += 1;
         for (a, b) in self.levels.iter_mut().zip(&other.levels) {
             match (a, b) {
                 (Level::Exact(x), Level::Exact(y)) => x.merge_from(y),

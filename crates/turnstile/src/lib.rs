@@ -52,7 +52,7 @@ pub use dcs::Dcs;
 pub use dgm::{new_dgm, Dgm};
 pub use dyadic::{default_level_cutoff, DyadicQuantiles};
 pub use exact::ExactTurnstile;
-pub use post::{FrontierMode, PostCache, PostProcessed, VarianceMode};
+pub use post::{FrontierMode, PostProcessed, VarianceMode};
 pub use rss::{new_rss, Rss};
 
 /// The dyadic structures under the name the service and the benchmark

@@ -33,6 +33,9 @@
 //! the leaf values `Z_w = λ_w Σ_{z∈anc(w)∖r} y_z/σ_z²`); we implement
 //! the corrected recurrence.
 //!
+//! The solved `x*` per cell of `T̂` lives in the [`PostProcessed`]
+//! value that borrows the structure; nothing is cached beyond it.
+//!
 //! Rank queries walk `T̂` using the corrected estimates; the remainder
 //! below the truncation frontier (< `η·ε·n` mass by Lemma 1) is
 //! handled per [`FrontierMode`] — by default *interpolated* from the
@@ -47,7 +50,6 @@
 )]
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::dyadic::DyadicQuantiles;
 use sqs_core::QuantileSummary;
@@ -245,51 +247,18 @@ fn solve_blue(nodes: &mut [BlueNode]) {
 /// Borrow the finished sketch, post-process once (end of stream —
 /// §4.3.4 notes the cost is negligible against stream processing), and
 /// query. The underlying sketch is untouched; `Post` is a pure
-/// refinement.
+/// refinement. The borrow holds the sketch still for the view's
+/// lifetime, so the solved tree cannot go stale; after more updates,
+/// build a new view.
 #[derive(Debug)]
 pub struct PostProcessed<'a, S> {
     dq: &'a DyadicQuantiles<S>,
-    /// BLUE estimate per truncated-tree cell. Shared (`Arc`) so a
-    /// [`PostCache`] hit hands out the solved tree without recomputing
-    /// or deep-copying it.
-    xstar: Arc<HashMap<Cell, f64>>,
+    /// BLUE estimate per truncated-tree cell.
+    xstar: HashMap<Cell, f64>,
     eta: f64,
     eps: f64,
     frontier_mode: FrontierMode,
     variance_mode: VarianceMode,
-}
-
-/// A memo for [`PostProcessed`] construction.
-///
-/// The §3.2 pipeline (truncate, decompose, solve) costs
-/// `O((1/ηε)·log u)` per run — negligible against stream ingestion,
-/// but wasteful when a query burst rebuilds it for an *unchanged*
-/// structure. The cache keys the solved tree on the structure's cheap
-/// [`version`](DyadicQuantiles::version) counter plus the pipeline
-/// parameters; [`PostProcessed::cached`] returns a clone of the shared
-/// solution when nothing changed and re-solves (updating the cache)
-/// otherwise.
-///
-/// A cache belongs to *one* structure: the version counter is
-/// per-instance (wire decode resets it), so reusing a cache across
-/// structures can alias distinct states. Keep it next to the sketch it
-/// memoizes, as `sqs-engine`'s query snapshots do.
-#[derive(Debug, Default)]
-pub struct PostCache {
-    key: Option<(u64, u64, u64, FrontierMode, VarianceMode)>,
-    xstar: Arc<HashMap<Cell, f64>>,
-}
-
-impl PostCache {
-    /// An empty cache (every first lookup misses).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the cache currently holds a solved tree.
-    pub fn is_primed(&self) -> bool {
-        self.key.is_some()
-    }
 }
 
 impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
@@ -323,7 +292,7 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
 
         let mut this = Self {
             dq,
-            xstar: Arc::new(HashMap::new()),
+            xstar: HashMap::new(),
             eta,
             eps,
             frontier_mode,
@@ -347,7 +316,7 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
             level: dq.universe().log_u(),
             index: 0,
         };
-        this.xstar_mut().insert(root, n as f64);
+        this.xstar.insert(root, n as f64);
         let mut stack = vec![root];
         while let Some(cell) = stack.pop() {
             if cell.level <= floor {
@@ -357,8 +326,8 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
             if est > threshold || dq.is_derived_level(cell.level) {
                 let (l, r) = cell.children();
                 let (rl, rr) = (this.raw(l), this.raw(r));
-                this.xstar_mut().insert(l, rl);
-                this.xstar_mut().insert(r, rr);
+                this.xstar.insert(l, rl);
+                this.xstar.insert(r, rr);
                 stack.push(l);
                 stack.push(r);
             }
@@ -380,63 +349,9 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
         this
     }
 
-    /// Runs [`PostProcessed::new`] through `cache`: when the
-    /// structure's version and the parameters match the cached run,
-    /// the solved tree is reused; otherwise the pipeline runs and the
-    /// cache is refreshed.
-    pub fn cached(dq: &'a DyadicQuantiles<S>, eps: f64, eta: f64, cache: &mut PostCache) -> Self {
-        Self::cached_with_options(
-            dq,
-            eps,
-            eta,
-            FrontierMode::Interpolate,
-            VarianceMode::PerCell,
-            cache,
-        )
-    }
-
-    /// [`PostProcessed::cached`] with the frontier and variance modes
-    /// made explicit (they are part of the cache key).
-    pub fn cached_with_options(
-        dq: &'a DyadicQuantiles<S>,
-        eps: f64,
-        eta: f64,
-        frontier_mode: FrontierMode,
-        variance_mode: VarianceMode,
-        cache: &mut PostCache,
-    ) -> Self {
-        let key = (
-            dq.version(),
-            eps.to_bits(),
-            eta.to_bits(),
-            frontier_mode,
-            variance_mode,
-        );
-        if cache.key == Some(key) {
-            return Self {
-                dq,
-                xstar: Arc::clone(&cache.xstar),
-                eta,
-                eps,
-                frontier_mode,
-                variance_mode,
-            };
-        }
-        let this = Self::with_options(dq, eps, eta, frontier_mode, variance_mode);
-        cache.key = Some(key);
-        cache.xstar = Arc::clone(&this.xstar);
-        this
-    }
-
     /// Raw (pre-BLUE) estimate of a cell.
     fn raw(&self, cell: Cell) -> f64 {
         self.dq.cell_estimate(cell) as f64
-    }
-
-    /// The solved tree, writable. Only called during construction,
-    /// while the `Arc` is still unique — `make_mut` never clones.
-    fn xstar_mut(&mut self) -> &mut HashMap<Cell, f64> {
-        Arc::make_mut(&mut self.xstar)
     }
 
     fn has_children(&self, cell: Cell) -> bool {
@@ -483,9 +398,8 @@ impl<'a, S: FrequencySketch> PostProcessed<'a, S> {
             }
         }
         solve_blue(&mut nodes);
-        let map = self.xstar_mut();
         for (node, cell) in nodes.iter().zip(&cells) {
-            map.insert(*cell, node.xstar);
+            self.xstar.insert(*cell, node.xstar);
         }
     }
 
@@ -815,41 +729,6 @@ mod tests {
         assert!(
             interp_sum <= raw_sum * 1.05,
             "interpolation {interp_sum} worse than raw {raw_sum}"
-        );
-    }
-
-    #[test]
-    fn cache_reuses_solution_until_the_structure_changes() {
-        let mut dcs = Dcs::dcs(0.02, 16, 6);
-        let mut rng = Xoshiro256pp::new(66);
-        for _ in 0..20_000 {
-            dcs.insert(rng.next_below(1 << 16));
-        }
-        let mut cache = PostCache::new();
-        assert!(!cache.is_primed());
-
-        let first = PostProcessed::cached(&dcs, 0.02, 0.1, &mut cache);
-        assert!(cache.is_primed());
-        let again = PostProcessed::cached(&dcs, 0.02, 0.1, &mut cache);
-        // A hit hands out the *same* solved tree, not a recomputation.
-        assert!(Arc::ptr_eq(&first.xstar, &again.xstar));
-        assert_eq!(first.quantile(0.5), again.quantile(0.5));
-
-        // Different parameters miss (they are part of the key).
-        let other = PostProcessed::cached(&dcs, 0.02, 0.2, &mut cache);
-        assert!(!Arc::ptr_eq(&first.xstar, &other.xstar));
-
-        // Any update bumps the version and invalidates the cache.
-        drop((first, again, other));
-        dcs.insert(123);
-        let fresh = PostProcessed::cached(&dcs, 0.02, 0.1, &mut cache);
-        assert_eq!(
-            fresh.tree_size(),
-            PostProcessed::new(&dcs, 0.02, 0.1).tree_size()
-        );
-        assert_eq!(
-            fresh.quantile(0.5),
-            PostProcessed::new(&dcs, 0.02, 0.1).quantile(0.5)
         );
     }
 

@@ -95,8 +95,9 @@ fn speedups<S: FrequencySketch>(make: impl Fn() -> DyadicQuantiles<S>) -> (f64, 
 
 /// The update floors sit under the hash-bound ceiling of a batched
 /// write path that must stay bit-identical to the scalar one (≈ 1.5×
-/// measured); the rank floors under the exact-prefix collapse plus
-/// level-major sketch reads (≈ 2.6× DCM, ≈ 1.7× DCS) — docs/PERF.md §4.
+/// measured); the rank floors under the level-major sketch reads, which
+/// hold them alone (2.56–2.73× DCM, 1.68–1.72× DCS on a 2-core box,
+/// exact levels peeled per query) — docs/PERF.md §4.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing floor: run with --release")]
 fn batched_kernels_keep_their_speedup_over_the_scalar_loops() {

@@ -192,10 +192,8 @@ proptest! {
     }
 }
 
-/// One structure, both exact-region strategies: a wide rank sweep
-/// crosses `rank_signed_batch`'s prefix-table threshold, a narrow one
-/// peels the exact cells directly — both must match the scalar walk
-/// (and therefore each other).
+/// One structure, a wide and a narrow rank sweep: both must match the
+/// scalar walk (and therefore each other).
 #[test]
 fn wide_and_narrow_rank_sweeps_are_answer_identical() {
     for seed in [3u64, 17, 99] {
@@ -212,6 +210,38 @@ fn wide_and_narrow_rank_sweeps_are_answer_identical() {
             assert_reads_identical(&mut dcs, &probes, &probe_phi_grid());
         }
     }
+}
+
+/// Whether some sketch level is asked for more cells by the sweep `xs`
+/// than its reduced universe holds, so that probes share cells.
+fn sweep_shares_cells<S: sqs_sketch::FrequencySketch>(dq: &DyadicQuantiles<S>, xs: &[u64]) -> bool {
+    let u = dq.universe();
+    let sketched = |l: u32| !dq.is_exact_level(l) && !dq.is_derived_level(l);
+    (0..u.log_u()).filter(|&l| sketched(l)).any(|level| {
+        let span = if dq.is_derived_level(level + 1) { 2 } else { 1 };
+        let digit = |x: u64| (x.min(u.size()) >> level) & ((1 << span) - 1);
+        u.cells_at_level(level) < xs.iter().map(|&x| digit(x)).sum::<u64>()
+    })
+}
+
+/// A wide sweep over a small universe: the exact levels are few cells
+/// wide against 4 096 probes, and a coarse sketch level has fewer cells
+/// than the sweep puts on it. The one batched walk must still answer
+/// what the scalar one does.
+#[test]
+fn wide_sweeps_over_a_small_universe_are_answer_identical() {
+    const SMALL: u32 = 14;
+    let spread = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SMALL);
+    let batch = mixed_batch(&(0..20_000u64).map(spread).collect::<Vec<_>>());
+    let mut probes: Vec<u64> = (0..4_096u64).map(|i| spread(i ^ 0x77)).collect();
+    probes.extend([0, 1, (1 << SMALL) - 1, 1 << SMALL, u64::MAX]);
+    let mut dcm = sqs_turnstile::dcm::from_width_depth(160, 5, SMALL, 11);
+    let mut dcs = sqs_turnstile::dcs::from_width_depth(48, 5, SMALL, 11);
+    dcm.update_batch(&batch);
+    dcs.update_batch(&batch);
+    assert!(sweep_shares_cells(&dcm, &probes) && sweep_shares_cells(&dcs, &probes));
+    assert_reads_identical(&mut dcm, &probes, &probe_phi_grid());
+    assert_reads_identical(&mut dcs, &probes, &probe_phi_grid());
 }
 
 /// ε values whose DCM and DCS layouts at u = 2²⁰ cover the four shapes

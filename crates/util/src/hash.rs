@@ -358,40 +358,6 @@ impl FourwiseHash {
     }
 }
 
-/// Read-side gather kernel: hashes **one** pre-folded key across all
-/// `d` rows' pairwise functions in a single pass, writing
-/// `out[i] = hashes[i].hash(x)` for the unfolded key `x` with
-/// `xf = fold_to_field(x)`. The query-path dual of the update kernels:
-/// an update amortizes the fold across one row's many keys, a point
-/// read amortizes it across one key's many rows. Each row's `(a, b)`
-/// pair is loaded once and the `d` multiply chains are independent, so
-/// they pipeline exactly like the 4-wide unroll in
-/// [`PairwiseHash::hash_folded_batch`]. Bit-identical to per-row
-/// [`PairwiseHash::hash`] calls.
-///
-/// # Panics
-/// Panics if the slices differ in length. Folding is only checked by
-/// `debug_assert`: a non-folded key gives a well-defined but
-/// *different* bucket than `hash`.
-pub fn buckets_folded_gather(hashes: &[PairwiseHash], xf: u64, out: &mut [u64]) {
-    assert_eq!(
-        hashes.len(),
-        out.len(),
-        "buckets_folded_gather: slice length mismatch"
-    );
-    debug_assert!(
-        xf < MERSENNE_P,
-        "buckets_folded_gather: key must be pre-folded into the field"
-    );
-    let x = xf as u128;
-    for (h, o) in hashes.iter().zip(out) {
-        *o = bucket_of(
-            fold_p(lazy_reduce((h.a as u128) * x + h.b as u128)),
-            h.buckets,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,22 +567,6 @@ mod tests {
         h.hash_folded_batch(&folded, &mut jb);
         for (i, &x) in xs.iter().enumerate() {
             assert_eq!(jb[i], h.hash(x), "bucket mismatch at i={i}");
-        }
-    }
-
-    #[test]
-    fn pairwise_gather_matches_scalar() {
-        // The read-side gather kernel must be bit-identical to per-row
-        // scalar calls — the batched-query identity guarantee rests on
-        // it.
-        let mut rng = Xoshiro256pp::new(10);
-        let hs: Vec<PairwiseHash> = (0..7).map(|_| PairwiseHash::new(&mut rng, 977)).collect();
-        let mut jb = vec![0u64; hs.len()];
-        for x in probe_keys() {
-            buckets_folded_gather(&hs, fold_to_field(x), &mut jb);
-            for (r, h) in hs.iter().enumerate() {
-                assert_eq!(jb[r], h.hash(x), "bucket mismatch at x={x} row={r}");
-            }
         }
     }
 
