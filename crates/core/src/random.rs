@@ -431,8 +431,9 @@ impl<T: Ord + Copy, const WEIGHTED: bool> sqs_util::audit::CheckInvariants
     /// rules (`buffers.*`: positive weights, the fill discipline, full
     /// buffers sorted), the level sampler drawing its target uniformly
     /// inside the fill's weight-sized group, and the represented mass
-    /// `Σ weight·|data|` never exceeding the arrivals `n`. In `Random` every weight is `2^level`; MRL99's COLLAPSE
-    /// sums weights into arbitrary integers.
+    /// `Σ weight·|data|` never exceeding the arrivals `n`. In `Random`
+    /// every weight is `2^level`; MRL99's COLLAPSE sums weights into
+    /// arbitrary integers.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         let [eps_range, buffer_count, buffer_size, mass_bound, sampler_choice, sampler_group] =

@@ -79,8 +79,9 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     /// summaries (`Random`, MRL99, MRL98) build one rank index for the
     /// sweep, the GK family flushes or walks its tuple list and sums its
     /// rank prefix once for the whole sweep, and the turnstile dyadic
-    /// structures descend one shared bisection tree. Overrides must return exactly what the per-φ loop would —
-    /// answer for answer, not merely within ε.
+    /// structures descend one shared bisection tree. Overrides must
+    /// return exactly what the per-φ loop would — answer for answer, not
+    /// merely within ε.
     ///
     /// # Panics
     /// Implementations panic if any `φ ∉ (0, 1)`.

@@ -96,7 +96,7 @@ fn speedups<S: FrequencySketch>(make: impl Fn() -> DyadicQuantiles<S>) -> (f64, 
 /// The update floors sit under the hash-bound ceiling of a batched
 /// write path that must stay bit-identical to the scalar one (≈ 1.5×
 /// measured); the rank floors under the level-major sketch reads, which
-/// hold them alone (2.56–2.73× DCM, 1.68–1.72× DCS on a 2-core box,
+/// hold them alone (2.56–2.73× DCM, 1.58–1.72× DCS on a 2-core box,
 /// exact levels peeled per query) — docs/PERF.md §4.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing floor: run with --release")]
