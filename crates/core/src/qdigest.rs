@@ -11,18 +11,20 @@
 //! `log(u)·⌊n/σ⌋`. We size `σ = ⌈log₂(u)/ε⌉` for an `ε·n` rank
 //! guarantee.
 //!
-//! The nodes live in one array in ascending heap-id order, which is
-//! level order (level `d` is the contiguous id range `[2^d, 2^(d+1))`,
-//! the leaves are the tail) and the order of the byte form, so every
-//! operation is a linear walk: a flush sorts the buffered values and
-//! merges them into the leaf tail, a merge is a two-cursor union.
-//! COMPRESS and the queries read the nodes in post-order instead (by
-//! right endpoint, deeper first), one bucket sort away: COMPRESS is one
-//! pass over that order with a stack of pending subtrees, where a node
-//! alone in its subtree jumps straight to the level at which it next
-//! meets mass. Updates are buffered ("Fast") up to what is left of the
-//! `3σ` node budget, so COMPRESS runs once per refill of that budget —
-//! the behaviour Figures 5e/5f and 7a measure.
+//! The nodes live in one array in post-order of the tree — by right
+//! endpoint, the deeper of two nodes that end together first — which is
+//! the order COMPRESS decides in and the queries accumulate in, so every
+//! operation but decoding is a linear walk and nothing is sorted: a
+//! flush sorts the buffered values and merges their leaves into the
+//! array, a merge is a two-cursor union, COMPRESS is one pass with a
+//! stack of pending subtrees (a node alone in its subtree jumps straight
+//! to the level at which it next meets mass) that writes its survivors
+//! back in the same order, and a query is a binary search over the
+//! nodes' prefix counts. The byte form lists the nodes by ascending id;
+//! encoding lays them out by depth, decoding sorts them back. Updates
+//! are buffered ("Fast") up to what is left of the `3σ` node budget, so
+//! COMPRESS runs once per refill of that budget — the behaviour
+//! Figures 5e/5f and 7a measure.
 
 #![expect(
     clippy::cast_possible_truncation,
@@ -49,18 +51,6 @@ const MIN_BUFFER: usize = 256;
 
 /// A stored node: `(heap id, count)`.
 type Node = (u64, u64);
-
-/// The read path: the stored nodes in the q-digest query order — by
-/// right endpoint, smaller intervals first on ties (post-order of the
-/// tree) — with inclusive prefix sums of their counts, so a quantile
-/// or a rank is one binary search.
-#[derive(Debug, PartialEq)]
-struct NodeIndex {
-    /// Right endpoint of each node, in query order.
-    his: Vec<u64>,
-    /// `cum[i]`: the summed count of nodes `0..=i`.
-    cum: Vec<u64>,
-}
 
 /// A read-side view cached inside a summary: built by the first query
 /// after a mutation and dropped by every mutator, like the `sorted`
@@ -128,16 +118,16 @@ pub struct QDigest {
     log_u: u32,
     sigma: u64,
     n: u64,
-    /// The stored nodes in strictly ascending heap-id order. Root is
-    /// id 1; the leaf for value `x` is id `u + x`; node `id` has
-    /// children `2id, 2id+1`.
+    /// The stored nodes in post-order: strictly ascending
+    /// [`key`](Self::key). Root is id 1; the leaf for value `x` is id
+    /// `u + x`; node `id` has children `2id, 2id+1`.
     nodes: Vec<Node>,
     /// Observed values not yet applied to `nodes`; flushed at
     /// [`buffer_cap`](Self::buffer_cap) of them.
     buffer: Vec<u64>,
-    /// The queries' sorted form of `nodes`; dropped wherever `nodes`
-    /// changes (`flush`, `merge_from`).
-    view: CachedView<NodeIndex>,
+    /// `cum[i]`: the summed count of `nodes[..=i]`, what the queries
+    /// search; dropped wherever `nodes` changes (`flush`, `merge_from`).
+    view: CachedView<Vec<u64>>,
 }
 
 impl QDigest {
@@ -219,9 +209,13 @@ impl QDigest {
         (lo, lo + (1u64 << level) - 1)
     }
 
-    /// Index in the ascending `nodes` at which level `depth` begins.
-    fn level_start(nodes: &[Node], depth: u32) -> usize {
-        nodes.partition_point(|&(id, _)| id < 1u64 << depth)
+    /// A node's place in post-order, packed: the end of its range in
+    /// leaf ids (one past its last leaf), then its height. Unique per
+    /// id, and the id comes back as `(key >> 6 >> height) − 1`.
+    #[inline]
+    fn key(log_u: u32, id: u64) -> u64 {
+        let height = log_u - Self::depth(id);
+        ((id + 1) << height) << 6 | u64::from(height)
     }
 
     /// How many updates are buffered before a flush: what is left of
@@ -256,12 +250,12 @@ impl QDigest {
         }
     }
 
-    /// Appends to `out` the union of two ascending node runs, adding
-    /// the counts of ids present in both.
-    fn union_into(out: &mut Vec<Node>, a: &[Node], b: &[Node]) {
+    /// Appends to `out` the union of two node runs in post-order over
+    /// `[0, 2^log_u)`, adding the counts of ids present in both.
+    fn union_into(out: &mut Vec<Node>, a: &[Node], b: &[Node], log_u: u32) {
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
+            match Self::key(log_u, a[i].0).cmp(&Self::key(log_u, b[j].0)) {
                 Ordering::Less => {
                     out.push(a[i]);
                     i += 1;
@@ -282,42 +276,38 @@ impl QDigest {
     }
 
     /// Applies the buffered updates: sorts them, run-lengths them into
-    /// leaves and merges those into the leaf tail of `nodes`, in place:
-    /// one pass counts the values not stored yet, a second merges from
-    /// the back into the array grown by that many.
+    /// leaves and merges those into `nodes` by key, in place: the array
+    /// grows by the number of runs and is merged into from the back; a
+    /// run whose leaf is stored already leaves one slot over, and the
+    /// gap they make is closed at the end.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
         self.view.invalidate();
         self.buffer.sort_unstable();
-        let u = self.universe();
-        let leaves = Self::level_start(&self.nodes, self.log_u);
+        let (u, log_u) = (self.universe(), self.log_u);
+        let runs = 1 + self.buffer.windows(2).filter(|w| w[0] != w[1]).count();
         let old = self.nodes.len();
-        let (mut added, mut at) = (0, leaves);
-        for run in self.buffer.chunk_by(|a, b| a == b) {
-            let id = u + run[0];
-            while at < old && self.nodes[at].0 < id {
-                at += 1;
-            }
-            added += usize::from(at == old || self.nodes[at].0 != id);
-        }
-        self.nodes.resize(old + added, (0, 0));
-        let (mut read, mut write) = (old, old + added);
+        self.nodes.resize(old + runs, (0, 0));
+        let (mut read, mut write) = (old, old + runs);
         for run in self.buffer.chunk_by(|a, b| a == b).rev() {
             let (id, mut count) = (u + run[0], run.len() as u64);
-            while read > leaves && self.nodes[read - 1].0 > id {
+            // A leaf's key: its end, `id + 1`, at height 0.
+            let key = (id + 1) << 6;
+            while read > 0 && Self::key(log_u, self.nodes[read - 1].0) > key {
                 read -= 1;
                 write -= 1;
                 self.nodes[write] = self.nodes[read];
             }
-            if read > leaves && self.nodes[read - 1].0 == id {
+            if read > 0 && self.nodes[read - 1].0 == id {
                 read -= 1;
                 count += self.nodes[read].1;
             }
             write -= 1;
             self.nodes[write] = (id, count);
         }
+        self.nodes.drain(read..write);
         self.buffer.clear();
         self.settle();
     }
@@ -336,37 +326,30 @@ impl QDigest {
     /// The q-digest COMPRESS: bottom-up, merge any child pair whose
     /// combined weight with the parent is within `⌊n/σ⌋`.
     ///
-    /// One pass over the nodes in post-order ([`Compress`]). A node with
-    /// no sibling and no stored parent makes the same decision at every
-    /// level of the empty chain above it — rise iff its weight is within
-    /// `⌊n/σ⌋` — so it jumps straight to where it next meets mass: a
-    /// stored ancestor, or the lowest common ancestor of it and the next
-    /// pending subtree. Those meetings are exactly the pair-plus-parent
-    /// triples a level-by-level walk decides, so the surviving nodes are
-    /// the same; they come out ascending within each depth and are laid
-    /// back out shallowest depth first.
+    /// One pass over the nodes in their post-order ([`Compress`]). A
+    /// node with no sibling and no stored parent makes the same decision
+    /// at every level of the empty chain above it — rise iff its weight
+    /// is within `⌊n/σ⌋` — so it jumps straight to where it next meets
+    /// mass: a stored ancestor, or the lowest common ancestor of it and
+    /// the next pending subtree. Those meetings are exactly the
+    /// pair-plus-parent triples a level-by-level walk decides, so the
+    /// surviving nodes are the same, and they come out in post-order.
     fn compress(&mut self) {
         let threshold = self.n / self.sigma;
         if threshold == 0 {
             return;
         }
-        let order = Self::post_order(&self.nodes, self.log_u);
-        Compress::run(threshold, order, &mut self.nodes);
+        Compress::run(threshold, &mut self.nodes);
     }
 
-    /// The stored nodes in post-order of the tree: by right endpoint,
-    /// the deeper of two nodes that end together first — the order
-    /// COMPRESS decides in and the queries accumulate in.
+    /// `nodes` in post-order over `[0, 2^log_u)`, whatever their order:
+    /// the order a decoded byte form (ascending ids) is stored in.
     ///
-    /// A counting sort on a packed key — the end of the node's range in
-    /// leaf ids, then its height — by the high bits of the end, about a
-    /// bucket per two to four nodes; each bucket is then sorted on the
-    /// whole key, which is unique and gives the id back.
+    /// A counting sort on the [`key`](Self::key) by the high bits of the
+    /// node's end, about a bucket per two to four nodes; each bucket is
+    /// then sorted on the whole key, which is unique and gives the id
+    /// back.
     fn post_order(nodes: &[Node], log_u: u32) -> Vec<Node> {
-        let key = |id: u64| {
-            let height = log_u - Self::depth(id);
-            ((id + 1) << height) << 6 | u64::from(height)
-        };
         let bits = (usize::BITS - nodes.len().leading_zeros())
             .saturating_sub(2)
             .min(log_u);
@@ -376,14 +359,14 @@ impl QDigest {
         // `next[b]`: where bucket `b`'s next node goes.
         let mut next = vec![0usize; (1 << bits) + 1];
         for &(id, _) in nodes {
-            next[bucket(key(id)) + 1] += 1;
+            next[bucket(Self::key(log_u, id)) + 1] += 1;
         }
         for b in 1..next.len() {
             next[b] += next[b - 1];
         }
         let mut order = vec![(0, 0); nodes.len()];
         for &(id, count) in nodes {
-            let key = key(id);
+            let key = Self::key(log_u, id);
             let slot = &mut next[bucket(key)];
             order[*slot] = (key, count);
             *slot += 1;
@@ -402,57 +385,63 @@ impl QDigest {
         order
     }
 
-    /// Builds the form the queries search: the nodes in
-    /// [post-order](Self::post_order) with inclusive prefix sums.
-    fn build_view(nodes: &[Node], log_u: u32) -> NodeIndex {
-        let by_hi = Self::post_order(nodes, log_u);
+    /// Inclusive prefix sums of the nodes' counts, in their order.
+    fn prefix_counts(nodes: &[Node]) -> Vec<u64> {
         let mut cum = 0u64;
-        NodeIndex {
-            his: by_hi
-                .iter()
-                .map(|&(id, _)| Self::node_range(log_u, id).1)
-                .collect(),
-            cum: by_hi
-                .iter()
-                .map(|node| {
-                    cum += node.1;
-                    cum
-                })
-                .collect(),
-        }
+        nodes
+            .iter()
+            .map(|node| {
+                cum += node.1;
+                cum
+            })
+            .collect()
     }
 
-    /// Applies the buffered updates, then returns the node index —
-    /// sorted on the first query after the node array changed.
-    fn view(&mut self) -> &NodeIndex {
+    /// Applies the buffered updates, then returns the nodes' prefix
+    /// counts — summed on the first query after the node array changed.
+    fn prefix(&mut self) -> &[u64] {
         self.flush();
-        self.view
-            .get_or_build(|| Self::build_view(&self.nodes, self.log_u))
+        self.view.get_or_build(|| Self::prefix_counts(&self.nodes))
+    }
+
+    /// The largest value node `id` covers.
+    #[inline]
+    fn hi(&self, id: u64) -> u64 {
+        Self::node_range(self.log_u, id).1
     }
 }
+
+/// An output slot no survivor took; [`Compress`] drops them at the end.
+const HOLE: Node = (0, 0);
 
 /// One COMPRESS pass ([`QDigest::compress`]) over the stored nodes in
 /// post-order.
 ///
 /// The stack holds the pending subtrees left to right, one [`Pending`]
 /// each: a node that may still rise (weight within `⌊n/σ⌋`), carried at
-/// the position it was last decided at, or a heavy left child — already
-/// kept, it never rises, but it makes its sibling's pair decision fail.
-/// The lowest common ancestors of neighbouring entries deepen towards
-/// the top, so when a node arrives at most two entries lie in its
-/// subtree, one under each child.
+/// the position it was last decided at, or a heavy node — already kept,
+/// it never rises, but it makes its pair decision fail. The lowest
+/// common ancestors of neighbouring entries deepen towards the top, so
+/// when a node arrives at most two entries lie in its subtree, one
+/// under each child.
+///
+/// The survivors are written in post-order, not in the order they are
+/// decided: a pending node is decided only once the subtree to its
+/// right is, and where it is kept depends on how high it rose. So each
+/// entry reserves an output slot when it is pushed, after everything
+/// below it, and one more ([`Mark`]) each time the entry above it is
+/// settled, after everything settled so far, tagged with the depth at
+/// which that material meets it. An entry kept at depth `d` takes its
+/// last slot whose material lies inside its node there (tag ≥ `d`); a
+/// promoted pair takes its right entry's last slot. Slots no survivor
+/// took stay [`HOLE`]s, which one compaction pass drops.
 struct Compress {
     threshold: u64,
     stack: Vec<Pending>,
-    /// The nodes in post-order, read front to back. Its first `kept`
-    /// slots are overwritten with the survivors in the order they are
-    /// decided — ascending within each depth. That never overtakes the
-    /// read: each survivor stands for a node already read, and no node
-    /// for two survivors.
-    nodes: Vec<Node>,
-    kept: usize,
-    /// How many survivors lie at each depth.
-    per_depth: [usize; 41],
+    /// The survivors in post-order, with holes.
+    out: Vec<Node>,
+    /// The stack entries' later slots, entry by entry, oldest first.
+    marks: Vec<Mark>,
 }
 
 /// A pending subtree of [`Compress`].
@@ -464,43 +453,68 @@ struct Pending {
     /// Depth of the lowest common ancestor of this entry and the one
     /// below it on the stack (meaningless at the bottom).
     meet: u32,
+    /// The output slot reserved when the entry was pushed.
+    slot: usize,
+    /// Index of this entry's first [`Mark`]; its marks run up to the
+    /// next entry's first.
+    mark: usize,
+}
+
+/// An output slot reserved for a pending entry after material to its
+/// right that meets it at depth `meet`: the entry kept at depth `d`
+/// goes here if `d ≤ meet`.
+#[derive(Clone, Copy)]
+struct Mark {
+    slot: usize,
+    meet: u32,
 }
 
 impl Compress {
-    /// Compresses `order`, the stored nodes in post-order, at
-    /// `threshold`: `out` is overwritten with the survivors in ascending
-    /// id order.
-    fn run(threshold: u64, order: Vec<Node>, out: &mut Vec<Node>) {
+    /// Compresses `nodes`, the stored nodes in post-order, at
+    /// `threshold`: overwritten with the survivors, in post-order.
+    fn run(threshold: u64, nodes: &mut Vec<Node>) {
         let mut pass = Self {
             threshold,
             stack: Vec::with_capacity(64),
-            nodes: order,
-            kept: 0,
-            per_depth: [0; 41],
+            out: Vec::with_capacity(2 * nodes.len()),
+            marks: Vec::with_capacity(64),
         };
-        for i in 0..pass.nodes.len() {
-            let (id, count) = pass.nodes[i];
+        for &(id, count) in nodes.iter() {
             pass.arrive(id, count);
         }
-        pass.finish(out);
+        pass.finish();
+        let mut kept = 0;
+        for i in 0..pass.out.len() {
+            let node = pass.out[i];
+            pass.out[kept] = node;
+            kept += usize::from(node != HOLE);
+        }
+        pass.out.truncate(kept);
+        *nodes = pass.out;
     }
 
-    fn keep(&mut self, node: Node, depth: u32) {
-        self.per_depth[depth as usize] += 1;
-        self.nodes[self.kept] = node;
-        self.kept += 1;
+    /// Appends a hole to the output and returns its slot.
+    #[inline(always)]
+    fn reserve(&mut self) -> usize {
+        self.out.push(HOLE);
+        self.out.len() - 1
+    }
+
+    /// The slot after everything `top`, the entry on top of the stack,
+    /// covers: its last.
+    #[inline(always)]
+    fn last_slot(&self, top: Pending) -> usize {
+        match self.marks[top.mark..] {
+            [.., last] => last.slot,
+            [] => top.slot,
+        }
     }
 
     /// Stored node `id` with `count` arrives.
     fn arrive(&mut self, id: u64, count: u64) {
         let depth = QDigest::depth(id);
         let (promoted, meet) = self.gather(id, depth, count);
-        self.push(Pending {
-            id,
-            weight: promoted.unwrap_or(count),
-            depth,
-            meet,
-        });
+        self.push(id, promoted.unwrap_or(count), depth, meet);
     }
 
     /// Decides what `id` (at `depth`, stored with `count`) ends: every
@@ -512,7 +526,7 @@ impl Compress {
     #[inline(always)]
     fn gather(&mut self, id: u64, depth: u32, count: u64) -> (Option<u64>, u32) {
         // Depth of the lowest common ancestor of the top entry and `id`.
-        let mut reach = match self.stack.last() {
+        let reach = match self.stack.last() {
             Some(top) => {
                 let d = depth.min(top.depth);
                 let diff = (top.id >> (top.depth - d)) ^ (id >> (depth - d));
@@ -520,48 +534,72 @@ impl Compress {
             }
             None => 0,
         };
-        // Every pair whose lowest common ancestor lies deeper than
-        // `reach` is finished: no stored node is left in that subtree,
-        // so the pair meets there with no parent count.
+        let reach = self.close(reach);
+        // The entries in `id`'s subtree, one under each child at most.
+        if reach != depth {
+            return (None, reach);
+        }
+        let (promoted, first) = match self.stack[..] {
+            [.., a, b] if b.meet == depth => {
+                self.stack.truncate(self.stack.len() - 2);
+                (self.decide(count, [a, b], depth + 1), a)
+            }
+            [.., c] => {
+                self.stack.pop();
+                (self.decide(count, [c], depth + 1), c)
+            }
+            [] => return (None, reach),
+        };
+        self.marks.truncate(first.mark);
+        (promoted, first.meet)
+    }
+
+    /// Decides every pair on top of the stack whose lowest common
+    /// ancestor lies deeper than `reach`: no stored node is left in that
+    /// subtree, so the pair meets there with no parent count. Returns
+    /// `reach`, raised to where the entry left on top meets what was
+    /// settled above it.
+    #[inline(always)]
+    fn close(&mut self, mut reach: u32) -> u32 {
         while let [.., a, b] = self.stack[..] {
             if b.meet <= reach {
                 break;
             }
             self.stack.truncate(self.stack.len() - 2);
-            match self.decide(0, [a, b], b.meet + 1) {
+            let promoted = self.decide(0, [a, b], b.meet + 1);
+            let slot = self.last_slot(b);
+            self.marks.truncate(a.mark);
+            match promoted {
                 Some(weight) => self.stack.push(Pending {
                     id: b.id >> (b.depth - b.meet),
                     weight,
                     depth: b.meet,
                     meet: a.meet,
+                    slot,
+                    mark: self.marks.len(),
                 }),
-                None => reach = reach.min(a.meet),
+                None => {
+                    reach = reach.min(a.meet);
+                    if let Some(&top) = self.stack.last() {
+                        let slot = self.reserve();
+                        match self.marks[top.mark..].last_mut() {
+                            Some(last) if last.meet == a.meet => last.slot = slot,
+                            _ => self.marks.push(Mark { slot, meet: a.meet }),
+                        }
+                    }
+                }
             }
         }
-        // The entries in `id`'s subtree, one under each child at most.
-        if reach != depth {
-            return (None, reach);
-        }
-        match self.stack[..] {
-            [.., a, b] if b.meet == depth => {
-                self.stack.truncate(self.stack.len() - 2);
-                (self.decide(count, [a, b], depth + 1), a.meet)
-            }
-            [.., c] => {
-                self.stack.pop();
-                (self.decide(count, [c], depth + 1), c.meet)
-            }
-            [] => (None, reach),
-        }
+        reach
     }
 
     /// The pair-plus-parent decision on `children` (left to right, each
-    /// strictly below depth `child − 1`) carried up to depth `child`,
-    /// and the parent's stored `count`: the promoted weight if it is
-    /// within `⌊n/σ⌋`, else the children are kept (the heavy ones
-    /// already are) and `None`. A light child rises through the empty
-    /// levels; a heavy one stays where it is, and is gone from every
-    /// level above its own.
+    /// strictly below depth `child − 1`, their marks still on the mark
+    /// stack) carried up to depth `child`, and the parent's stored
+    /// `count`: the promoted weight if it is within `⌊n/σ⌋`, else the
+    /// children are kept (the heavy ones already are) and `None`. A
+    /// light child rises through the empty levels; a heavy one stays
+    /// where it is, and is gone from every level above its own.
     #[inline(always)]
     fn decide<const K: usize>(
         &mut self,
@@ -584,67 +622,59 @@ impl Compress {
         if weight <= threshold {
             return Some(weight);
         }
-        for c in children {
+        for (i, c) in children.iter().enumerate() {
             if c.weight <= threshold {
-                self.keep((c.id >> (c.depth - child), c.weight), child);
+                let end = children
+                    .get(i + 1)
+                    .map_or(self.marks.len(), |next| next.mark);
+                let slot = self.marks[c.mark..end]
+                    .iter()
+                    .rev()
+                    .find(|mark| mark.meet >= child)
+                    .map_or(c.slot, |mark| mark.slot);
+                self.out[slot] = (c.id >> (c.depth - child), c.weight);
             }
         }
         None
     }
 
-    /// Puts `entry` on the stack. A heavy node never rises, so it is
-    /// kept now; as a right child it decides its pair on the spot, as a
-    /// left child it stays as its sibling's blocker.
-    fn push(&mut self, entry: Pending) {
-        if entry.weight <= self.threshold {
-            self.stack.push(entry);
-            return;
+    /// Puts a pending entry on the stack, with a slot after everything
+    /// below it. A heavy node never rises, so it is kept now, and stays
+    /// as a blocker whose pair decision fails.
+    #[inline(always)]
+    fn push(&mut self, id: u64, weight: u64, depth: u32, meet: u32) {
+        if weight > self.threshold {
+            self.out.push((id, weight));
         }
-        if entry.id & 1 == 0 {
-            self.keep((entry.id, entry.weight), entry.depth);
-            self.stack.push(entry);
-            return;
-        }
-        // The top entry lies under the left sibling iff it meets this
-        // node at their parent.
-        if entry.depth > 0 && entry.meet + 1 == entry.depth {
-            if let Some(top) = self.stack.pop() {
-                if top.weight <= self.threshold {
-                    self.keep(
-                        (top.id >> (top.depth - entry.depth), top.weight),
-                        entry.depth,
-                    );
-                }
-            }
-        }
-        self.keep((entry.id, entry.weight), entry.depth);
+        let slot = self.reserve();
+        self.stack.push(Pending {
+            id,
+            weight,
+            depth,
+            meet,
+            slot,
+            mark: self.marks.len(),
+        });
     }
 
     /// Ends the pass at the root — the last arrival if it is stored,
-    /// else a meeting with no count — and lays the survivors out in
-    /// `out` shallowest depth first: ascending id order.
-    fn finish(mut self, out: &mut Vec<Node>) {
-        match self.stack[..] {
-            [Pending { id: 1, weight, .. }] => self.keep((1, weight), 0),
-            [] => {}
-            _ => {
-                if let (Some(weight), _) = self.gather(1, 0, 0) {
-                    self.keep((1, weight), 0);
-                }
+    /// else a meeting with no count, promoted after everything else.
+    fn finish(&mut self) {
+        if let [root @ Pending { id: 1, .. }] = self.stack[..] {
+            if root.weight <= self.threshold {
+                self.out[root.slot] = (1, root.weight);
             }
+            return;
         }
-        let mut next = [0usize; 41];
-        let mut at = 0;
-        for (slot, &count) in next.iter_mut().zip(&self.per_depth) {
-            *slot = at;
-            at += count;
-        }
-        out.clear();
-        out.resize(self.kept, (0, 0));
-        for &node in &self.nodes[..self.kept] {
-            let slot = &mut next[QDigest::depth(node.0) as usize];
-            out[*slot] = node;
-            *slot += 1;
+        self.close(0);
+        let (promoted, top) = match self.stack[..] {
+            [.., a, b] => (self.decide(0, [a, b], 1), b),
+            [.., c] => (self.decide(0, [c], 1), c),
+            [] => return,
+        };
+        if let Some(weight) = promoted {
+            let slot = self.last_slot(top);
+            self.out[slot] = (1, weight);
         }
     }
 }
@@ -676,7 +706,7 @@ impl crate::MergeableSummary<u64> for QDigest {
         }
         self.view.invalidate();
         let mut merged = Vec::with_capacity(self.nodes.len() + other.nodes.len());
-        Self::union_into(&mut merged, &self.nodes, &other.nodes);
+        Self::union_into(&mut merged, &self.nodes, &other.nodes, self.log_u);
         self.nodes = merged;
         self.n += other.n;
         self.settle();
@@ -695,7 +725,8 @@ impl crate::codec::WireCodec for QDigest {
     /// The compact byte form the sensor-network deployment the q-digest
     /// was designed for ships: a 32-byte header (magic `QDG1`, `log_u`,
     /// σ, n, the node count) followed by the `(node id, count)`
-    /// little-endian u64 pairs in ascending id order. Encoding flushes
+    /// little-endian u64 pairs in ascending id order — the post-order
+    /// array laid out by a stable count by depth. Encoding flushes
     /// the buffered inserts first, so equal digests serialize equally —
     /// and a digest that was checkpointed or snapshotted and then
     /// continued can hold other nodes, and answer otherwise, than one
@@ -710,16 +741,31 @@ impl crate::codec::WireCodec for QDigest {
         out.extend_from_slice(&self.sigma.to_le_bytes());
         out.extend_from_slice(&self.n.to_le_bytes());
         out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
+        // `next[d]`: the index of depth `d`'s next node. Within a depth
+        // post-order is ascending id, so shallowest depth first is too.
+        let mut next = [0usize; 42];
+        for &(id, _) in &self.nodes {
+            next[Self::depth(id) as usize + 1] += 1;
+        }
+        for d in 1..next.len() {
+            next[d] += next[d - 1];
+        }
+        let body = out.len();
+        out.resize(body + self.nodes.len() * 16, 0);
         for &(id, count) in &self.nodes {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
+            let slot = &mut next[Self::depth(id) as usize];
+            let at = body + *slot * 16;
+            out[at..at + 8].copy_from_slice(&id.to_le_bytes());
+            out[at + 8..at + 16].copy_from_slice(&count.to_le_bytes());
+            *slot += 1;
         }
     }
 
     /// Validates the structure: the header, a node count the bytes can
     /// hold (checked before anything is allocated for it), node ids
     /// within the declared tree and strictly ascending, counts summing
-    /// to `n`. The frame's audit then checks the rest.
+    /// to `n`; then puts the nodes in post-order. The frame's audit
+    /// checks the rest.
     fn decode_body(body: &[u8]) -> Result<Self, crate::codec::CodecError> {
         use crate::codec::CodecError;
         let bad_header = CodecError::Malformed("q-digest: bad magic/version header");
@@ -768,6 +814,7 @@ impl crate::codec::WireCodec for QDigest {
         if mass != n {
             return Err(count_mismatch());
         }
+        digest.nodes = Self::post_order(&digest.nodes, log_u);
         Ok(digest)
     }
 }
@@ -776,12 +823,13 @@ impl CheckInvariants for QDigest {
     /// q-digest invariants (Shrivastava et al. §3, study §1.2.1):
     /// every stored node id lies inside the dyadic tree over
     /// `[0, 2^log_u)` (so parent/child arithmetic `2id, 2id+1` stays
-    /// closed) and exceeds the one before it (the order every walk of
-    /// the array assumes), no non-leaf node outweighs `⌊n/σ⌋` (what the
-    /// ε bound rests on), nodes and buffered updates together respect
-    /// the `3σ` capacity (plus the buffered-"Fast" slack), the node
-    /// counts plus buffered updates conserve the stream mass `n`, and a
-    /// cached node index equals a rebuild from the node array.
+    /// closed) and comes after the one before it in post-order (the
+    /// order every walk of the array assumes), no non-leaf node
+    /// outweighs `⌊n/σ⌋` (what the ε bound rests on), nodes and buffered
+    /// updates together respect the `3σ` capacity (plus the
+    /// buffered-"Fast" slack), the node counts plus buffered updates
+    /// conserve the stream mass `n`, and cached prefix counts equal a
+    /// rebuild from the node array.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "FastQDigest";
@@ -800,7 +848,7 @@ impl CheckInvariants for QDigest {
         let max_id = 1u64 << (self.log_u + 1);
         let threshold = self.n / self.sigma;
         let mut mass = 0u64;
-        let mut last_id = 0u64;
+        let (mut last_id, mut last_key) = (0u64, 0u64);
         for &(id, c) in &self.nodes {
             ensure(id >= 1 && id < max_id, ALG, "qdigest.node_in_tree", || {
                 format!("node id {id} outside the heap numbering [1, {max_id})")
@@ -811,10 +859,11 @@ impl CheckInvariants for QDigest {
                 "qdigest.depth_bound",
                 || format!("node id {id} deeper than the leaf level {}", self.log_u),
             )?;
-            ensure(id > last_id, ALG, "qdigest.nodes_ascending", || {
-                format!("node id {id} stored after node id {last_id}")
+            let key = Self::key(self.log_u, id);
+            ensure(key > last_key, ALG, "qdigest.nodes_ascending", || {
+                format!("node id {id} stored after node id {last_id}, out of post-order")
             })?;
-            last_id = id;
+            (last_id, last_key) = (id, key);
             ensure(
                 id >= self.universe() || c <= threshold,
                 ALG,
@@ -864,10 +913,10 @@ impl CheckInvariants for QDigest {
         ensure(
             self.view
                 .get()
-                .is_none_or(|v| *v == Self::build_view(&self.nodes, self.log_u)),
+                .is_none_or(|cum| *cum == Self::prefix_counts(&self.nodes)),
             ALG,
             "qdigest.view_fresh",
-            || "cached node index differs from a rebuild (a mutator kept it)".to_string(),
+            || "cached prefix counts differ from a rebuild (a mutator kept them)".to_string(),
         )
     }
 }
@@ -927,12 +976,12 @@ impl QuantileSummary<u64> for QDigest {
     /// The standard q-digest lower-bound rank estimate: total count of
     /// nodes entirely below `x`.
     fn rank_estimate(&mut self, x: u64) -> u64 {
-        let view = self.view();
-        let below = view.his.partition_point(|&hi| hi < x);
-        below.checked_sub(1).map_or(0, |last| view.cum[last])
+        self.flush();
+        let below = self.nodes.partition_point(|&(id, _)| self.hi(id) < x);
+        below.checked_sub(1).map_or(0, |last| self.prefix()[last])
     }
 
-    /// The right endpoint of the first node, in query order, at which
+    /// The right endpoint of the first node, in post-order, at which
     /// the cumulative count reaches `⌈φ·n⌉`.
     fn quantile(&mut self, phi: f64) -> Option<u64> {
         crate::traits::check_phi(phi);
@@ -941,9 +990,8 @@ impl QuantileSummary<u64> for QDigest {
         }
         let target = ((phi * self.n as f64).ceil() as u64).max(1);
         let top = self.universe() - 1;
-        let view = self.view();
-        let at = view.cum.partition_point(|&cum| cum < target);
-        Some(view.his.get(at).copied().unwrap_or(top))
+        let at = self.prefix().partition_point(|&cum| cum < target);
+        Some(self.nodes.get(at).map_or(top, |&(id, _)| self.hi(id)))
     }
 
     fn name(&self) -> &'static str {
@@ -1318,13 +1366,23 @@ mod tests {
         out
     }
 
-    /// Runs COMPRESS on `s` as it stands and checks it node for node
-    /// against the hash-map oracle; whether it merged anything.
+    /// Runs COMPRESS on `s` as it stands and checks it node for node,
+    /// in id order, against the hash-map oracle, and that it left them
+    /// in post-order; whether it merged anything.
     fn compress_against_the_oracle(s: &mut QDigest, what: &str) -> bool {
         let expected = compress_oracle(s.log_u, s.n / s.sigma, &s.nodes);
         let before = s.nodes.len();
         s.compress();
-        assert_eq!(s.nodes, expected, "{what}");
+        let mut by_id = s.nodes.clone();
+        by_id.sort_unstable();
+        assert_eq!(by_id, expected, "{what}");
+        let log_u = s.log_u;
+        assert!(
+            s.nodes
+                .windows(2)
+                .all(|w| QDigest::key(log_u, w[0].0) < QDigest::key(log_u, w[1].0)),
+            "{what}: survivors out of post-order"
+        );
         s.nodes.len() < before
     }
 
@@ -1338,7 +1396,7 @@ mod tests {
             .map(|run| (u + run[0], run.len() as u64))
             .collect();
         let mut grown = Vec::new();
-        QDigest::union_into(&mut grown, &s.nodes, &fresh);
+        QDigest::union_into(&mut grown, &s.nodes, &fresh, s.log_u);
         s.nodes = grown;
         s.n += xs.len() as u64;
     }
@@ -1366,6 +1424,7 @@ mod tests {
             };
             s.nodes.push((id, rng.next_below(most + 1)));
         }
+        s.nodes = QDigest::post_order(&s.nodes, log_u);
         s.n = s.nodes.iter().map(|node| node.1).sum();
         s.sigma = (s.n / cap).max(1);
         s
@@ -1432,7 +1491,7 @@ mod tests {
         // is kept, a heavy right child beside a light left one, and a
         // stored root: n = 61 at σ = 20 gives ⌊n/σ⌋ = 3.
         let mut s = QDigest::empty(5, 20);
-        s.nodes = vec![
+        let by_id = [
             (1, 2),
             (32, 1),
             (33, 9),
@@ -1443,6 +1502,7 @@ mod tests {
             (61, 1),
             (62, 33),
         ];
+        s.nodes = QDigest::post_order(&by_id, 5);
         s.n = 61;
         compress_against_the_oracle(&mut s, "heavy leaves around a kept pair");
         for kept in [(32, 1), (33, 9), (36, 2), (44, 10)] {
@@ -1475,7 +1535,7 @@ mod tests {
             };
             let (small, large) = (build(3_000 * (seed + 1)), build(40_000));
             let mut s = QDigest::empty(20, small.sigma);
-            QDigest::union_into(&mut s.nodes, &small.nodes, &large.nodes);
+            QDigest::union_into(&mut s.nodes, &small.nodes, &large.nodes, 20);
             s.n = small.n + large.n;
             let what = format!("merge of n = {} and {}", small.n, large.n);
             assert!(compress_against_the_oracle(&mut s, &what), "{what}");
@@ -1660,6 +1720,41 @@ mod tests {
         );
     }
 
+    /// The read's ceiling, a ratio like the insert's: at the
+    /// `paper_suite` shape, a cold 99-φ `quantiles` right after
+    /// `node_count()` has flushed the buffer may cost at most half that
+    /// flush (sort and merge). Sorting the nodes into post-order for
+    /// every cold read cost ≈ 1.5 flushes; the prefix sums alone ≈ 0.1.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
+    fn cold_grid_costs_at_most_half_a_flush() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let mut rng = Xoshiro256pp::new(0x5017e);
+        let mut digest = QDigest::new(1e-3, 32);
+        for _ in 0..1 << 19 {
+            digest.insert(rng.next_below(1 << 32));
+        }
+        assert!(digest.buffer.len() > digest.nodes.len() / 4);
+        let grid = probe_phis(0.01);
+        let (mut flush, mut read) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            let mut d = digest.clone();
+            let start = Instant::now();
+            black_box(d.node_count());
+            flush = flush.min(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            black_box(d.quantiles(&grid));
+            read = read.min(start.elapsed().as_secs_f64());
+        }
+        let ratio = read / flush;
+        println!("a cold 99-φ grid costs {ratio:.2}x the flush before it");
+        assert!(
+            ratio <= 0.5,
+            "a cold 99-φ grid costs {ratio:.2}x the flush before it"
+        );
+    }
+
     #[test]
     fn cached_view_builds_once_and_is_never_cloned() {
         let mut view = CachedView::default();
@@ -1685,12 +1780,19 @@ mod corruption {
         for x in 0..10_000u64 {
             s.insert(x % 4_096);
         }
-        // Two leaves too heavy to merge: the tail of the array.
+        // Two leaves too heavy to merge.
         for x in [4_000u64, 4_095] {
             s.insert_batch(&[x; 100]);
         }
         s.flush();
         s
+    }
+
+    /// Where the leaf of `x` is stored.
+    fn leaf(s: &QDigest, x: u64) -> usize {
+        let id = s.universe() + x;
+        let at = s.nodes.iter().position(|node| node.0 == id);
+        at.expect("the leaf is stored")
     }
 
     fn violated(s: &QDigest) -> &'static str {
@@ -1711,6 +1813,16 @@ mod corruption {
         let mut s = filled();
         let last = s.nodes.len() - 1;
         s.nodes.swap(last - 1, last);
+        assert_eq!(violated(&s), "qdigest.nodes_ascending");
+        // A leaf and the internal node after it, the other way round.
+        let mut s = filled();
+        let at = s.nodes.windows(2).position(|w| w[1].0 < s.universe());
+        let at = at.expect("a compressed digest has internal nodes");
+        s.nodes.swap(at, at + 1);
+        assert_eq!(violated(&s), "qdigest.nodes_ascending");
+        // Ascending ids, the byte form's order, are not post-order.
+        let mut s = filled();
+        s.nodes.sort_unstable();
         assert_eq!(violated(&s), "qdigest.nodes_ascending");
         let mut s = filled();
         let repeated = s.nodes[last];
@@ -1738,19 +1850,19 @@ mod corruption {
         let mut s = filled();
         let _ = s.quantile(0.5);
         s.check_invariants().expect("a fresh view passes");
-        // A mutator that forgot to drop the view: move one leaf's count
-        // to another, mass conserved.
-        let last = s.nodes.len() - 1;
-        let moved = std::mem::replace(&mut s.nodes[last - 1].1, 0);
-        s.nodes[last].1 += moved;
+        // A mutator that forgot to drop the view: move one heavy leaf's
+        // count to the other, mass conserved.
+        let (from, to) = (leaf(&s, 4_000), leaf(&s, 4_095));
+        let moved = std::mem::replace(&mut s.nodes[from].1, 0);
+        s.nodes[to].1 += moved;
         assert_eq!(violated(&s), "qdigest.view_fresh");
     }
 
     #[test]
     fn auditor_catches_broken_mass() {
         let mut s = filled();
-        let last = s.nodes.len() - 1;
-        s.nodes[last].1 += 17;
+        let at = leaf(&s, 4_095);
+        s.nodes[at].1 += 17;
         assert_eq!(violated(&s), "qdigest.mass_conservation");
     }
 }

@@ -74,7 +74,7 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     ///
     /// The default is a per-φ [`quantile`] loop, which is already the
     /// batched path for a summary that answers from a cached read view
-    /// (the q-digest's node index: one build, then a binary search per
+    /// (the q-digest's prefix counts: one sum, then a binary search per
     /// φ). Summaries with a cheaper joint walk override it: the buffer
     /// summaries (`Random`, MRL99, MRL98) build one rank index for the
     /// sweep, the GK family flushes or walks its tuple list and sums its

@@ -809,6 +809,22 @@ mod tests {
         (0..e.shards.len()).filter_map(generation).collect()
     }
 
+    /// The index a fresh copy of the shards' stable runs gets.
+    fn stable_index(e: &ShardedEngine<u64, RandomSketch<u64>>) -> RankIndex<u64> {
+        let mut runs: Vec<(Vec<u64>, u64)> = Vec::new();
+        for i in 0..e.shards.len() {
+            if let Some(r) = e.lock_shard(i).runs() {
+                runs.extend(
+                    r.stable
+                        .iter()
+                        .map(|&(data, weight)| (data.to_vec(), weight)),
+                );
+            }
+        }
+        let slices: Vec<(&[u64], u64)> = runs.iter().map(|(d, w)| (d.as_slice(), *w)).collect();
+        RankIndex::build(&slices)
+    }
+
     #[test]
     fn rank_indexes_live_in_the_read_cache_only() {
         let e = random_engine(4, 64);
@@ -840,15 +856,28 @@ mod tests {
             "the stable index outlived a write"
         );
         e.assert_invariants();
+        let old_index = stable_index(&e);
+        let cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let parts = cache.parts.as_ref().expect("a read cut the runs");
+        assert!(parts.stable.index.as_ref() == Some(&old_index));
+        drop(cache);
         // A write that releases a fill moves its shard's generation: the
         // stable runs are copied and indexed afresh.
         while generations(&e) == before {
             e.ingest_batch(&(0..500u64).collect::<Vec<_>>());
         }
+        let (moved, new_index) = (generations(&e), stable_index(&e));
         let _ = e.quantile(0.5);
+        assert_eq!(indexed(&e), (true, true));
         let cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
         let parts = cache.parts.as_ref().expect("a read cut the runs");
-        assert_eq!(parts.generations, generations(&e));
+        assert_eq!(parts.generations, moved);
+        let index = parts.stable.index.as_ref().expect("indexed above");
+        assert!(*index != old_index, "the stable index outlived its runs");
+        assert!(
+            *index == new_index,
+            "the stable index is not of the new runs"
+        );
         drop(cache);
         e.assert_invariants();
     }
