@@ -211,7 +211,7 @@ impl QDigest {
 
     /// A node's place in post-order, packed: the end of its range in
     /// leaf ids (one past its last leaf), then its height. Unique per
-    /// id, and the id comes back as `(key >> 6 >> height) − 1`.
+    /// id.
     #[inline]
     fn key(log_u: u32, id: u64) -> u64 {
         let height = log_u - Self::depth(id);
@@ -276,38 +276,36 @@ impl QDigest {
     }
 
     /// Applies the buffered updates: sorts them, run-lengths them into
-    /// leaves and merges those into `nodes` by key, in place: the array
-    /// grows by the number of runs and is merged into from the back; a
-    /// run whose leaf is stored already leaves one slot over, and the
-    /// gap they make is closed at the end.
+    /// leaves and merges those into `nodes` by key, into a new array:
+    /// each new leaf lands between stored nodes, so every node moves,
+    /// and writing each once beats growing the array and moving them
+    /// within it.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
         self.view.invalidate();
-        self.buffer.sort_unstable();
+        sort_values(&mut self.buffer, self.log_u);
         let (u, log_u) = (self.universe(), self.log_u);
         let runs = 1 + self.buffer.windows(2).filter(|w| w[0] != w[1]).count();
-        let old = self.nodes.len();
-        self.nodes.resize(old + runs, (0, 0));
-        let (mut read, mut write) = (old, old + runs);
-        for run in self.buffer.chunk_by(|a, b| a == b).rev() {
+        let mut merged = Vec::with_capacity(self.nodes.len() + runs);
+        let mut at = 0;
+        for run in self.buffer.chunk_by(|a, b| a == b) {
             let (id, mut count) = (u + run[0], run.len() as u64);
             // A leaf's key: its end, `id + 1`, at height 0.
             let key = (id + 1) << 6;
-            while read > 0 && Self::key(log_u, self.nodes[read - 1].0) > key {
-                read -= 1;
-                write -= 1;
-                self.nodes[write] = self.nodes[read];
+            while at < self.nodes.len() && Self::key(log_u, self.nodes[at].0) < key {
+                merged.push(self.nodes[at]);
+                at += 1;
             }
-            if read > 0 && self.nodes[read - 1].0 == id {
-                read -= 1;
-                count += self.nodes[read].1;
+            if at < self.nodes.len() && self.nodes[at].0 == id {
+                count += self.nodes[at].1;
+                at += 1;
             }
-            write -= 1;
-            self.nodes[write] = (id, count);
+            merged.push((id, count));
         }
-        self.nodes.drain(read..write);
+        merged.extend_from_slice(&self.nodes[at..]);
+        self.nodes = merged;
         self.buffer.clear();
         self.settle();
     }
@@ -342,47 +340,10 @@ impl QDigest {
         Compress::run(threshold, &mut self.nodes);
     }
 
-    /// `nodes` in post-order over `[0, 2^log_u)`, whatever their order:
-    /// the order a decoded byte form (ascending ids) is stored in.
-    ///
-    /// A counting sort on the [`key`](Self::key) by the high bits of the
-    /// node's end, about a bucket per two to four nodes; each bucket is
-    /// then sorted on the whole key, which is unique and gives the id
-    /// back.
-    fn post_order(nodes: &[Node], log_u: u32) -> Vec<Node> {
-        let bits = (usize::BITS - nodes.len().leading_zeros())
-            .saturating_sub(2)
-            .min(log_u);
-        // The end of the first leaf, the smallest end there is.
-        let first_end = (1 << log_u) + 1;
-        let bucket = |key: u64| (((key >> 6) - first_end) >> (log_u - bits)) as usize;
-        // `next[b]`: where bucket `b`'s next node goes.
-        let mut next = vec![0usize; (1 << bits) + 1];
-        for &(id, _) in nodes {
-            next[bucket(Self::key(log_u, id)) + 1] += 1;
-        }
-        for b in 1..next.len() {
-            next[b] += next[b - 1];
-        }
-        let mut order = vec![(0, 0); nodes.len()];
-        for &(id, count) in nodes {
-            let key = Self::key(log_u, id);
-            let slot = &mut next[bucket(key)];
-            order[*slot] = (key, count);
-            *slot += 1;
-        }
-        // Each `next[b]` is now where bucket `b` ends.
-        let mut start = 0;
-        for &end in &next[..1 << bits] {
-            if end - start > 1 {
-                order[start..end].sort_unstable_by_key(|&(key, _)| key);
-            }
-            start = end;
-        }
-        for node in &mut order {
-            node.0 = (node.0 >> 6 >> (node.0 & 63)) - 1;
-        }
-        order
+    /// Puts `nodes` in post-order over `[0, 2^log_u)`: the order a
+    /// decoded byte form (ascending ids) is stored in.
+    fn post_order(nodes: &mut [Node], log_u: u32) {
+        nodes.sort_unstable_by_key(|&(id, _)| Self::key(log_u, id));
     }
 
     /// Inclusive prefix sums of the nodes' counts, in their order.
@@ -408,6 +369,45 @@ impl QDigest {
     #[inline]
     fn hi(&self, id: u64) -> u64 {
         Self::node_range(self.log_u, id).1
+    }
+}
+
+/// Below this many values [`sort_values`] leaves them to
+/// `sort_unstable`: the digit passes cost more than they save.
+const RADIX_MIN: usize = 4096;
+
+/// Sorts `values`, each below `2^log_u`: least significant byte first,
+/// one counting pass per byte the universe has (a byte every value
+/// shares is skipped), through a scratch array of the same length.
+/// About three times as fast as `sort_unstable` on the tens of
+/// thousands of values a full buffer holds.
+fn sort_values(values: &mut Vec<u64>, log_u: u32) {
+    if values.len() < RADIX_MIN {
+        values.sort_unstable();
+        return;
+    }
+    let bytes = log_u.div_ceil(8) as usize;
+    let mut counts = vec![[0usize; 256]; bytes];
+    for &x in values.iter() {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(x >> (8 * byte)) as usize & 0xff] += 1;
+        }
+    }
+    let mut scratch = vec![0u64; values.len()];
+    for (byte, count) in counts.iter_mut().enumerate() {
+        if count.contains(&values.len()) {
+            continue;
+        }
+        let mut at = 0;
+        for slot in count.iter_mut() {
+            at += std::mem::replace(slot, at);
+        }
+        for &x in values.iter() {
+            let slot = &mut count[(x >> (8 * byte)) as usize & 0xff];
+            scratch[*slot] = x;
+            *slot += 1;
+        }
+        std::mem::swap(values, &mut scratch);
     }
 }
 
@@ -814,7 +814,7 @@ impl crate::codec::WireCodec for QDigest {
         if mass != n {
             return Err(count_mismatch());
         }
-        digest.nodes = Self::post_order(&digest.nodes, log_u);
+        Self::post_order(&mut digest.nodes, log_u);
         Ok(digest)
     }
 }
@@ -1424,7 +1424,7 @@ mod tests {
             };
             s.nodes.push((id, rng.next_below(most + 1)));
         }
-        s.nodes = QDigest::post_order(&s.nodes, log_u);
+        QDigest::post_order(&mut s.nodes, log_u);
         s.n = s.nodes.iter().map(|node| node.1).sum();
         s.sigma = (s.n / cap).max(1);
         s
@@ -1491,7 +1491,7 @@ mod tests {
         // is kept, a heavy right child beside a light left one, and a
         // stored root: n = 61 at σ = 20 gives ⌊n/σ⌋ = 3.
         let mut s = QDigest::empty(5, 20);
-        let by_id = [
+        s.nodes = vec![
             (1, 2),
             (32, 1),
             (33, 9),
@@ -1502,7 +1502,7 @@ mod tests {
             (61, 1),
             (62, 33),
         ];
-        s.nodes = QDigest::post_order(&by_id, 5);
+        QDigest::post_order(&mut s.nodes, 5);
         s.n = 61;
         compress_against_the_oracle(&mut s, "heavy leaves around a kept pair");
         for kept in [(32, 1), (33, 9), (36, 2), (44, 10)] {
@@ -1753,6 +1753,28 @@ mod tests {
             ratio <= 0.5,
             "a cold 99-φ grid costs {ratio:.2}x the flush before it"
         );
+    }
+
+    #[test]
+    fn sort_values_sorts_every_universe() {
+        let mut rng = Xoshiro256pp::new(90);
+        for (log_u, len) in [
+            (1, 5_000),
+            (8, RADIX_MIN),
+            (20, 9_000),
+            (32, 20_000),
+            (40, 7_000),
+        ] {
+            for spread in [1u64 << log_u, 1 << (log_u / 2), 3] {
+                let mut values: Vec<u64> = (0..len)
+                    .map(|_| (1 << log_u) - 1 - rng.next_below(spread.min(1 << log_u)))
+                    .collect();
+                let mut expected = values.clone();
+                expected.sort_unstable();
+                sort_values(&mut values, log_u);
+                assert_eq!(values, expected, "log u {log_u}, spread {spread}");
+            }
+        }
     }
 
     #[test]
