@@ -65,13 +65,13 @@ cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_referen
 
 # The q-digest's update-time ceiling, a ratio for the same reason: its
 # scalar insert against RandomSketch's at the benchmark's `paper_suite`
-# shape (<= 5x; ~3-3.5x with the nodes stored in post-order, docs/PERF.md
+# shape (<= 5x; ~3x with the nodes stored in post-order, docs/PERF.md
 # section 22, as with the post-order COMPRESS of section 18 that sorted
 # them per pass; ~6x with the level walk before it, 99x with the
 # hash-map node store before that). And its read ceiling: a cold 99-phi
 # grid right after a flush at the same shape against that flush (<= 0.5x;
-# ~0.05x reading the stored order, ~1.4x when every cold read sorted the
-# nodes into post-order).
+# ~0.05-0.07x reading the stored order, ~1.4x when every cold read
+# sorted the nodes into post-order).
 echo "== q-digest insert and read ceilings (cargo test --release -p sqs-core) =="
 cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_5x_of_random_sketch
 cargo test -q --release -p sqs-core --lib cold_grid_costs_at_most_half_a_flush
