@@ -287,8 +287,7 @@ impl QDigest {
         self.view.invalidate();
         sort_values(&mut self.buffer, self.log_u);
         let (u, log_u) = (self.universe(), self.log_u);
-        let runs = 1 + self.buffer.windows(2).filter(|w| w[0] != w[1]).count();
-        let mut merged = Vec::with_capacity(self.nodes.len() + runs);
+        let mut merged = Vec::with_capacity(self.nodes.len() + self.buffer.len());
         let mut at = 0;
         for run in self.buffer.chunk_by(|a, b| a == b) {
             let (id, mut count) = (u + run[0], run.len() as u64);
@@ -372,20 +371,13 @@ impl QDigest {
     }
 }
 
-/// Below this many values [`sort_values`] leaves them to
-/// `sort_unstable`: the digit passes cost more than they save.
-const RADIX_MIN: usize = 4096;
-
 /// Sorts `values`, each below `2^log_u`: least significant byte first,
 /// one counting pass per byte the universe has (a byte every value
 /// shares is skipped), through a scratch array of the same length.
-/// About three times as fast as `sort_unstable` on the tens of
-/// thousands of values a full buffer holds.
+/// About 1.6× as fast as `sort_unstable` on the ≈ 40 000 values a
+/// full buffer holds at ε 10⁻³, log u 32; below ≈ 2 000 values it is
+/// the slower by a few µs at most.
 fn sort_values(values: &mut Vec<u64>, log_u: u32) {
-    if values.len() < RADIX_MIN {
-        values.sort_unstable();
-        return;
-    }
     let bytes = log_u.div_ceil(8) as usize;
     let mut counts = vec![[0usize; 256]; bytes];
     for &x in values.iter() {
@@ -1760,8 +1752,10 @@ mod tests {
         let mut rng = Xoshiro256pp::new(90);
         for (log_u, len) in [
             (1, 5_000),
-            (8, RADIX_MIN),
+            (8, 4_096),
+            (16, 1),
             (20, 9_000),
+            (32, 256),
             (32, 20_000),
             (40, 7_000),
         ] {
