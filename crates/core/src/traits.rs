@@ -186,6 +186,26 @@ pub trait MergeableSummary<T: Ord + Copy>: QuantileSummary<T> + CheckInvariants 
     fn runs(&self) -> Option<crate::buffers::Runs<'_, T>> {
         None
     }
+
+    /// Answers the φ-sweep `phis` and the ranks of `xs` over the sum of
+    /// `parts` — answer for answer what [`quantiles`] and
+    /// [`rank_estimate`] of the merge of clones of `parts` return —
+    /// without building that merge, or `None`. `None`, the default, for
+    /// a summary whose merge is not a sum it can read through, and for
+    /// parts that do not merge: the engine then merges clones
+    /// (docs/ENGINE.md §2). The linear dyadic structures (DCM, DCS)
+    /// override it: each probed cell is gathered from every part and
+    /// summed.
+    ///
+    /// # Panics
+    /// Implementations panic if any `φ ∉ (0, 1)`.
+    ///
+    /// [`quantiles`]: QuantileSummary::quantiles
+    /// [`rank_estimate`]: QuantileSummary::rank_estimate
+    fn answer_sum(parts: &[&Self], phis: &[f64], xs: &[T]) -> Option<(Vec<Option<T>>, Vec<u64>)> {
+        let _ = (parts, phis, xs);
+        None
+    }
 }
 
 /// Validates a φ argument; shared by all implementations.

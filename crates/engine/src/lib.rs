@@ -26,8 +26,11 @@
 //!    the shards' runs: the cut copies the fills, and the stable runs
 //!    only when a shard's generation moved, and the read indexes them
 //!    after the locks are released — the stable index outlives writes.
-//!    Any other summary, and every [`snapshot`](ShardedEngine::snapshot),
-//!    is answered from the merge of `k` clones.
+//!    A linear summary (DCM, DCS) answers under the locks from the sum
+//!    of the shards' cells ([`answer_sum`](MergeableSummary::answer_sum)),
+//!    with no clone and nothing cached. Any other summary, and every
+//!    [`snapshot`](ShardedEngine::snapshot), is answered from the merge
+//!    of `k` clones.
 //!
 //! Lock order: cache, then shards ascending; a writer takes one shard
 //! lock and never the cache. `docs/ENGINE.md` has the argument, the
@@ -244,7 +247,8 @@ impl<T: Ord + Copy> Parts<T> {
 /// What the read path keeps between folds.
 struct ReadCache<T, S> {
     /// The merge of the last cut that took clones: every snapshot, and
-    /// every read of a summary without runs.
+    /// every read of a summary that neither has runs nor sums its
+    /// shards.
     merged: Option<Merged<S>>,
     /// The shards' runs as of the last cut, for summaries that have
     /// them: what their reads answer from.
@@ -261,7 +265,10 @@ impl<T, S> ReadCache<T, S> {
     }
 }
 
-/// What one read answers from.
+/// The answers of one read: a φ-sweep and a rank per probe.
+type Answers<T> = (Vec<Option<T>>, Vec<u64>);
+
+/// What one read answers from, after the cut or from the read cache.
 enum Reader<'a, T, S> {
     /// The union of the shards' runs.
     Runs(UnionReader<'a, T>),
@@ -270,24 +277,13 @@ enum Reader<'a, T, S> {
 }
 
 impl<T: Ord + Copy, S: QuantileSummary<T>> Reader<'_, T, S> {
-    fn quantile(&mut self, phi: f64) -> Option<T> {
+    fn answer(&mut self, phis: &[f64], xs: &[T]) -> Answers<T> {
         match self {
-            Self::Runs(r) => r.quantile(phi),
-            Self::Merged(s) => s.quantile(phi),
-        }
-    }
-
-    fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<T>> {
-        match self {
-            Self::Runs(r) => r.quantiles(phis),
-            Self::Merged(s) => s.quantiles(phis),
-        }
-    }
-
-    fn rank(&mut self, x: T) -> u64 {
-        match self {
-            Self::Runs(r) => r.rank(x),
-            Self::Merged(s) => s.rank_estimate(x),
+            Self::Runs(r) => (r.quantiles(phis), xs.iter().map(|&x| r.rank(x)).collect()),
+            Self::Merged(s) => (
+                s.quantiles(phis),
+                xs.iter().map(|&x| s.rank_estimate(x)).collect(),
+            ),
         }
     }
 }
@@ -469,13 +465,22 @@ where
         Ok(())
     }
 
-    /// Takes a cut into `cache`: every shard lock in ascending order,
-    /// the epoch, then what the read needs — the shards' runs if they
-    /// have them (the fills; the stable runs only where a generation
-    /// moved), `k` clones if `merge` asks for them or there are no
-    /// runs. The locks are released before anything is indexed or
-    /// merged, so a writer waits for copies only.
-    fn cut(&self, cache: &mut ReadCache<T, S>, merge: bool) {
+    /// Takes a cut: every shard lock in ascending order, the epoch,
+    /// then what the read needs. A summary with runs leaves its runs in
+    /// `cache` (the fills; the stable runs only where a generation
+    /// moved) and is indexed after the locks are released, so a writer
+    /// waits for copies only. A read (`query`) of one without runs is
+    /// answered here, under the locks, if it sums its shards
+    /// ([`answer_sum`](MergeableSummary::answer_sum)): nothing is
+    /// cloned or cached, and a writer waits for the sweep. Otherwise,
+    /// and for every snapshot (`query` is `None`), the cut clones the
+    /// `k` shards and leaves their merge in `cache`.
+    fn cut(
+        &self,
+        cache: &mut ReadCache<T, S>,
+        query: Option<(&[f64], &[T])>,
+    ) -> Option<Answers<T>> {
+        self.snapshots.fetch_add(1, Ordering::AcqRel);
         let (epoch, clones) = {
             // The engine's one lock order: the caller holds the cache,
             // then every shard ascending; writers take one shard and never
@@ -483,34 +488,43 @@ where
             let held: Vec<_> = (0..self.shards.len()).map(|i| self.lock_shard(i)).collect();
             let epoch = self.epoch.load(Ordering::Acquire);
             let runs: Option<Vec<Runs<'_, T>>> = held.iter().map(|shard| shard.runs()).collect();
-            let merge = merge || runs.is_none();
-            if let Some(runs) = runs {
-                cache.parts = Some(Parts::cut(epoch, &runs, cache.parts.take()));
+            match (runs, query) {
+                (Some(runs), query) => {
+                    cache.parts = Some(Parts::cut(epoch, &runs, cache.parts.take()));
+                    if query.is_some() {
+                        return None;
+                    }
+                }
+                (None, Some((phis, xs))) => {
+                    let parts: Vec<&S> = held.iter().map(|shard| &**shard).collect();
+                    if let Some(answers) = S::answer_sum(&parts, phis, xs) {
+                        return Some(answers);
+                    }
+                }
+                (None, None) => {}
             }
-            let clones = merge.then(|| held.iter().map(|shard| S::clone(shard)).collect());
-            (epoch, clones)
+            (epoch, held.iter().map(|shard| S::clone(shard)).collect())
         };
-        if let Some(clones) = clones {
-            let (summary, _depth) = merge_tree(clones);
-            cache.merged = Some(Merged { epoch, summary });
-        }
-        self.snapshots.fetch_add(1, Ordering::AcqRel);
+        let (summary, _depth) = merge_tree(clones);
+        cache.merged = Some(Merged { epoch, summary });
+        None
     }
 
-    /// Runs `f` against what the current epoch reads from — the
-    /// engine's one read path. A hit (no fold since the last cut) costs
-    /// the cache mutex and no shard lock. A miss cuts (see
-    /// [`cut`](Self::cut)). The cache mutex is held throughout: racing
-    /// readers queue behind one cut and hit it.
-    fn read<R>(&self, f: impl FnOnce(Reader<'_, T, S>) -> R) -> R {
+    /// Answers `phis` and the ranks of `xs` from what the current epoch
+    /// reads from — the engine's one read path. A hit (no fold since
+    /// the last cut that left something to read) costs the cache mutex
+    /// and no shard lock. A miss cuts (see [`cut`](Self::cut)). The
+    /// cache mutex is held throughout: racing readers queue behind one
+    /// cut.
+    fn read(&self, phis: &[f64], xs: &[T]) -> Answers<T> {
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.reads_at(self.epoch.load(Ordering::Acquire)) {
             self.cache_hits.fetch_add(1, Ordering::AcqRel);
-        } else {
-            self.cut(&mut cache, false);
+        } else if let Some(answers) = self.cut(&mut cache, Some((phis, xs))) {
+            return answers;
         }
         let cache = &mut *cache;
-        f(match (&mut cache.parts, &mut cache.merged) {
+        let mut reader = match (&mut cache.parts, &mut cache.merged) {
             (Some(parts), _) => Reader::Runs(parts.reader()),
             (None, merged) => Reader::Merged(
                 &mut merged
@@ -518,22 +532,23 @@ where
                     .expect("Engine invariant: a cut leaves runs or a merge")
                     .summary,
             ),
-        })
+        };
+        reader.answer(phis, xs)
     }
 
     /// Folds the shard summaries into one queryable summary (an
     /// ε-summary of every element ingested so far): a clone of the
     /// epoch-cached merge, so a burst of snapshots between writes costs
     /// one cut and one merge. Its answers are within ε of the engine's
-    /// own, not equal to them: the engine answers from the union of the
-    /// shards' runs where the summary has them.
+    /// own, not equal to them, where the engine answers from the union
+    /// of the shards' runs; a linear summary's are the engine's.
     pub fn snapshot(&self) -> S {
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         let epoch = self.epoch.load(Ordering::Acquire);
         if cache.merged.as_ref().is_some_and(|m| m.epoch == epoch) {
             self.cache_hits.fetch_add(1, Ordering::AcqRel);
         } else {
-            self.cut(&mut cache, true);
+            self.cut(&mut cache, None);
         }
         let merged = cache.merged.as_ref();
         merged
@@ -542,37 +557,37 @@ where
             .clone()
     }
 
-    /// An ε-approximate φ-quantile of everything ingested so far,
-    /// answered from the epoch-cached read. `None` while empty.
+    /// An ε-approximate φ-quantile of everything ingested so far.
+    /// `None` while empty.
     ///
     /// Answering *many* ranks? [`quantiles`](Self::quantiles) answers
     /// a whole sweep against one read.
     pub fn quantile(&self, phi: f64) -> Option<T> {
-        self.read(|mut r| r.quantile(phi))
+        self.read(&[phi], &[]).0.into_iter().next().flatten()
     }
 
     /// Answers a whole rank sweep from **one** epoch-consistent read:
     /// every φ reads the same cut, so the answers are mutually
-    /// consistent, and a sweep between writes takes no shard lock
-    /// (cache hit). A merged read rides the summary's
-    /// [`quantiles`](sqs_core::QuantileSummary::quantiles) bulk path —
-    /// the turnstile backends answer the whole sorted sweep in one
-    /// lockstep bisection instead of re-bisecting per φ.
+    /// consistent, and a sweep between writes of a summary with runs
+    /// takes no shard lock (cache hit). A merged or summed read rides
+    /// the summary's [`quantiles`](sqs_core::QuantileSummary::quantiles)
+    /// walk — the turnstile backends answer the whole sorted sweep in
+    /// one lockstep bisection instead of re-bisecting per φ.
     ///
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`, matching
     /// [`QuantileSummary::quantile`](sqs_core::QuantileSummary::quantile).
     pub fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        if phis.is_empty() {
-            return Vec::new();
-        }
-        self.read(|mut r| r.quantiles(phis))
+        self.query_many(phis, &[]).0
     }
 
-    /// Estimated rank of `x` over everything ingested so far,
-    /// answered from the epoch-cached read.
+    /// Estimated rank of `x` over everything ingested so far.
     pub fn rank_estimate(&self, x: T) -> u64 {
-        self.read(|mut r| r.rank(x))
+        self.read(&[], &[x])
+            .1
+            .into_iter()
+            .next()
+            .unwrap_or_default()
     }
 
     /// Answers a φ-sweep **and** a rank sweep against the *same*
@@ -587,11 +602,7 @@ where
         if phis.is_empty() && xs.is_empty() {
             return (Vec::new(), Vec::new());
         }
-        self.read(|mut r| {
-            let quantiles = r.quantiles(phis);
-            let ranks = xs.iter().map(|&x| r.rank(x)).collect();
-            (quantiles, ranks)
-        })
+        self.read(phis, xs)
     }
 }
 

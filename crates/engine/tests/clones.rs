@@ -1,7 +1,8 @@
 //! The engine's clone ledger: writes clone nothing, a cold read of a
-//! summary without runs clones each shard once and a cold read of one
-//! with runs clones none, warm reads clone nothing, and `snapshot()`
-//! clones the cached merge for its caller. Counted by a summary
+//! summary without runs clones each shard once, a cold read of one with
+//! runs or of a linear one (its shards' cells summed) clones none, warm
+//! reads clone nothing, and `snapshot()` clones the cached merge for its
+//! caller. Counted by a summary
 //! wrapper, so it holds for whatever the read path is built from.
 
 use std::cell::Cell;
@@ -10,6 +11,7 @@ use sqs_core::buffers::Runs;
 use sqs_core::random::RandomSketch;
 use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_engine::ShardedEngine;
+use sqs_turnstile::Dcs;
 use sqs_util::audit::{CheckInvariants, InvariantViolation};
 use sqs_util::space::SpaceUsage;
 
@@ -19,24 +21,24 @@ thread_local! {
     static CLONES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// A `RandomSketch` that counts how often the engine clones it, and
-/// hands the engine its runs only if `RUNS`.
-struct CountsClones<const RUNS: bool = false>(RandomSketch<u64>);
+/// A summary that counts how often the engine clones it, and hands the
+/// engine its runs only if `RUNS`.
+struct CountsClones<S, const RUNS: bool = false>(S);
 
-impl<const RUNS: bool> Clone for CountsClones<RUNS> {
+impl<S: Clone, const RUNS: bool> Clone for CountsClones<S, RUNS> {
     fn clone(&self) -> Self {
         CLONES.set(CLONES.get() + 1);
         Self(self.0.clone())
     }
 }
 
-impl<const RUNS: bool> SpaceUsage for CountsClones<RUNS> {
+impl<S: SpaceUsage, const RUNS: bool> SpaceUsage for CountsClones<S, RUNS> {
     fn space_bytes(&self) -> usize {
         self.0.space_bytes()
     }
 }
 
-impl<const RUNS: bool> QuantileSummary<u64> for CountsClones<RUNS> {
+impl<S: QuantileSummary<u64>, const RUNS: bool> QuantileSummary<u64> for CountsClones<S, RUNS> {
     fn insert(&mut self, x: u64) {
         self.0.insert(x);
     }
@@ -57,7 +59,7 @@ impl<const RUNS: bool> QuantileSummary<u64> for CountsClones<RUNS> {
     }
 }
 
-impl<const RUNS: bool> MergeableSummary<u64> for CountsClones<RUNS> {
+impl<S: MergeableSummary<u64>, const RUNS: bool> MergeableSummary<u64> for CountsClones<S, RUNS> {
     fn merge_from(&mut self, other: Self) {
         self.0.merge_from(other.0);
     }
@@ -67,9 +69,17 @@ impl<const RUNS: bool> MergeableSummary<u64> for CountsClones<RUNS> {
     fn runs(&self) -> Option<Runs<'_, u64>> {
         self.0.runs().filter(|_| RUNS)
     }
+    fn answer_sum(
+        parts: &[&Self],
+        phis: &[f64],
+        xs: &[u64],
+    ) -> Option<(Vec<Option<u64>>, Vec<u64>)> {
+        let parts: Vec<&S> = parts.iter().map(|p| &p.0).collect();
+        S::answer_sum(&parts, phis, xs)
+    }
 }
 
-impl<const RUNS: bool> CheckInvariants for CountsClones<RUNS> {
+impl<S: CheckInvariants, const RUNS: bool> CheckInvariants for CountsClones<S, RUNS> {
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
         self.0.check_invariants()
     }
@@ -84,7 +94,7 @@ fn clones_during(f: impl FnOnce()) -> usize {
 #[test]
 fn only_cold_reads_clone_shards() {
     const SHARDS: usize = 4;
-    let sketch = |seed: usize| CountsClones::<false>(RandomSketch::new(0.05, seed as u64));
+    let sketch = |seed: usize| CountsClones::<_, false>(RandomSketch::new(0.05, seed as u64));
     let e = ShardedEngine::new_with(SHARDS, 0, sketch);
     let writes = clones_during(|| {
         for lo in (0..8_000u64).step_by(8) {
@@ -112,7 +122,7 @@ fn only_cold_reads_clone_shards() {
 #[test]
 fn cold_reads_of_a_summary_with_runs_clone_no_shard() {
     const SHARDS: usize = 4;
-    let sketch = |seed: usize| CountsClones::<true>(RandomSketch::new(0.05, seed as u64));
+    let sketch = |seed: usize| CountsClones::<_, true>(RandomSketch::new(0.05, seed as u64));
     let e = ShardedEngine::new_with(SHARDS, 0, sketch);
     let reads = clones_during(|| {
         for lo in (0..40_000u64).step_by(1_000) {
@@ -126,5 +136,33 @@ fn cold_reads_of_a_summary_with_runs_clone_no_shard() {
     // A snapshot merges clones of every shard, then hands one out.
     assert_eq!(clones_during(|| drop(e.snapshot())), SHARDS + 1);
     assert_eq!(e.stats().snapshots, 41);
+    e.assert_invariants();
+}
+
+/// A linear summary's read sums its shards' cells under their locks: a
+/// cold read clones nothing (the merging read cloned every shard), and
+/// a snapshot still merges clones of every shard, then hands one out.
+#[test]
+fn cold_reads_of_a_linear_summary_clone_no_shard() {
+    const SHARDS: usize = 4;
+    let dcs = |_| CountsClones::<_>(Dcs::dcs(0.05, 20, 0xD5));
+    let e = ShardedEngine::new_with(SHARDS, 0, dcs);
+    let reads = clones_during(|| {
+        for lo in (0..40_000u64).step_by(1_000) {
+            e.ingest_batch(&(lo..lo + 1_000).collect::<Vec<_>>());
+            let _ = e.query_many(&[0.5], &[4_000]);
+            let _ = e.quantile(0.25);
+            let _ = e.rank_estimate(17);
+        }
+        let mut donor = dcs(0);
+        donor.insert_batch(&[1, 2, 3]);
+        assert!(e.try_absorb(donor).is_ok());
+        let _ = e.quantiles(&[0.1, 0.9]);
+    });
+    assert_eq!(reads, 0, "a cold read sums cells, never clones a sketch");
+    assert_eq!(e.stats().snapshots, 121, "every read cuts: nothing cached");
+    assert_eq!(clones_during(|| drop(e.snapshot())), SHARDS + 1);
+    assert_eq!(clones_during(|| drop(e.snapshot())), 1);
+    assert_eq!(e.stats().snapshots, 122);
     e.assert_invariants();
 }

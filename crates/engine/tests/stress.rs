@@ -7,15 +7,17 @@
 //! assert only what mergeability guarantees for *any* partition of the
 //! stream (see `docs/ENGINE.md`): exact mass, a clean invariant audit
 //! of the engine and of every merged snapshot, and answers at every
-//! probe quantile within the *single-summary* ε bound of the truth,
-//! computed single-threaded from the same streams with
-//! `ExactQuantiles`.
+//! probe quantile within the *single-summary* ε bound of the truth
+//! (a truncated DCS: its grain-cell bound), computed single-threaded
+//! from the same streams with `ExactQuantiles`. A reader races the
+//! writers with `query_many` sweeps throughout.
 
 use sqs_core::qdigest::QDigest;
 use sqs_core::random::RandomSketch;
 use sqs_core::sampled::ReservoirQuantiles;
 use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_engine::ShardedEngine;
+use sqs_turnstile::{default_level_cutoff, Dcs};
 use sqs_util::audit::CheckInvariants;
 use sqs_util::exact::{probe_phis, ExactQuantiles};
 use sqs_util::rng::Xoshiro256pp;
@@ -46,35 +48,77 @@ where
 }
 
 /// Largest rank error of `snap` over the probe grid φ = ε, 2ε, …, 1−ε
-/// against the exact answer for `all`.
-fn max_rank_error<S: QuantileSummary<u64>>(snap: &mut S, all: Vec<u64>, eps: f64) -> f64 {
+/// against the exact answer for `all`, as `error(oracle, φ, answer)`
+/// measures it.
+fn max_rank_error<S: QuantileSummary<u64>>(
+    snap: &mut S,
+    all: Vec<u64>,
+    eps: f64,
+    error: impl Fn(&ExactQuantiles<u64>, f64, u64) -> f64,
+) -> f64 {
     let oracle = ExactQuantiles::new(all);
     let mut max_err = 0.0f64;
     for phi in probe_phis(eps) {
         let ans = snap
             .quantile(phi)
             .expect("stress invariant: nonempty snapshot answers");
-        max_err = max_err.max(oracle.quantile_error(phi, ans));
+        max_err = max_err.max(error(&oracle, phi, ans));
     }
     max_err
 }
 
-/// Runs the engine concurrently, then checks the merged snapshot
-/// against the exact oracle.
-fn drive<S, F>(eps: f64, label: &str, make: F)
-where
+/// The plain rank error of a cash-register summary's answer.
+fn rank_error(oracle: &ExactQuantiles<u64>, phi: f64, answer: u64) -> f64 {
+    oracle.quantile_error(phi, answer)
+}
+
+/// The error of a truncated dyadic structure's answer, which carries
+/// `2^cutoff` granularity: how far the ranks its grain cell spans lie
+/// from the target (the straddle bound of `tests/adversarial.rs` and
+/// `crates/turnstile/tests/batch_props.rs`).
+fn grain_error(grain: u64) -> impl Fn(&ExactQuantiles<u64>, f64, u64) -> f64 {
+    move |oracle, phi, answer| {
+        let n = oracle.sorted().len() as f64;
+        let t = (phi * n).floor();
+        let cell = answer & !(grain - 1);
+        let lo = oracle.rank(cell) as f64;
+        let hi = oracle.rank(cell.saturating_add(grain)) as f64;
+        (lo - t).max(t - hi).max(0.0) / n
+    }
+}
+
+/// Runs the engine concurrently — `shards` writers and one reader
+/// racing them with `query_many` sweeps — then checks the merged
+/// snapshot against the exact oracle with `error`.
+fn drive<S, F>(
+    eps: f64,
+    label: &str,
+    make: F,
+    error: impl Fn(&ExactQuantiles<u64>, f64, u64) -> f64,
+) where
     S: MergeableSummary<u64> + CheckInvariants + Clone + Send + Sync,
     F: Fn(usize) -> S,
 {
+    let phis = probe_phis(0.1);
     for &shards in &SHARD_COUNTS {
         let engine = ShardedEngine::new_with(shards, 0, &make);
+        let expected_n = (shards * PER_THREAD) as u64;
         std::thread::scope(|scope| {
             for t in 0..shards {
                 let engine = &engine;
                 scope.spawn(move || write_stream(engine, shards, t, BATCH));
             }
+            let (engine, phis) = (&engine, &phis);
+            scope.spawn(move || {
+                while engine.n() < expected_n {
+                    let before = engine.n();
+                    let (quantiles, ranks) = engine.query_many(phis, &[1 << 19]);
+                    let answered = quantiles.iter().all(Option::is_some);
+                    assert!(before == 0 || answered, "{label}/{shards}: a racing read");
+                    assert_eq!(ranks.len(), 1);
+                }
+            });
         });
-        let expected_n = (shards * PER_THREAD) as u64;
         assert_eq!(engine.n(), expected_n, "{label}/{shards}: ingested mass");
         engine.assert_invariants();
 
@@ -83,12 +127,11 @@ where
         assert_eq!(snap.n(), expected_n, "{label}/{shards}: snapshot mass");
 
         let all: Vec<u64> = (0..shards).flat_map(|t| stream(shards, t)).collect();
-        let max_err = max_rank_error(&mut snap, all, eps);
+        let max_err = max_rank_error(&mut snap, all, eps, &error);
         assert!(
             max_err <= eps,
             "{label}/{shards} shards: observed max rank error {max_err} > eps {eps}"
         );
-
         let stats = engine.stats();
         assert_eq!(stats.items, expected_n);
         assert_eq!(
@@ -102,15 +145,18 @@ where
 
 #[test]
 fn random_sketch_engine_holds_eps_across_shard_counts() {
-    drive(0.05, "Random", |i| {
-        RandomSketch::new(0.05, 0xA11CE + i as u64)
-    });
+    drive(
+        0.05,
+        "Random",
+        |i| RandomSketch::new(0.05, 0xA11CE + i as u64),
+        rank_error,
+    );
 }
 
 #[test]
 fn qdigest_engine_holds_eps_across_shard_counts() {
     // Universe 2^24 covers the widest per-thread range (2^23).
-    drive(0.01, "QDigest", |_| QDigest::new(0.01, 24));
+    drive(0.01, "QDigest", |_| QDigest::new(0.01, 24), rank_error);
 }
 
 #[test]
@@ -119,9 +165,23 @@ fn reservoir_engine_stays_near_eps_across_shard_counts() {
     // capacity 16/ε² gives failure probability well under 1% per
     // configuration, whichever shard each batch lands in.
     let eps = 0.05;
-    drive(eps, "Reservoir", |i| {
-        ReservoirQuantiles::with_capacity(6_400, 0xB0B + i as u64)
-    });
+    drive(
+        eps,
+        "Reservoir",
+        |i| ReservoirQuantiles::with_capacity(6_400, 0xB0B + i as u64),
+        rank_error,
+    );
+}
+
+/// DCS shards of one seed read as the sum of their cells, under the
+/// shard locks the writers take: a reader racing them keeps answering,
+/// and the merged snapshot answers within the truncated structure's
+/// grain-cell bound.
+#[test]
+fn dcs_engine_holds_its_bound_with_racing_reads() {
+    let eps = 0.01;
+    let grain = 1 << default_level_cutoff(eps, 24);
+    drive(eps, "DCS", |_| Dcs::dcs(eps, 24, 0xDC5), grain_error(grain));
 }
 
 /// More writers than shards, small batches: every fold contends for a
@@ -238,7 +298,7 @@ fn snapshots_mid_propagation_are_sound() {
     engine.assert_invariants();
     let all: Vec<u64> = (0..4).flat_map(|t| stream(4, t)).collect();
     let mut snap = engine.snapshot();
-    let max_err = max_rank_error(&mut snap, all, eps);
+    let max_err = max_rank_error(&mut snap, all, eps, rank_error);
     assert!(max_err <= eps, "mid-flight run drifted: {max_err} > {eps}");
     assert!(engine.stats().snapshots >= 1);
 }

@@ -199,28 +199,8 @@ impl FrequencySketch for CountMin {
             .expect("CountMin invariant: depth > 0")
     }
 
-    // Read-side dual of `update_batch`: each chunk folds its keys once
-    // and takes the min row-major, each row's counters read in one
-    // L1-resident pass. Min over rows commutes, so the order is
-    // bit-identical to the scalar estimate.
     fn estimate_batch(&self, xs: &[u64], out: &mut [i64]) {
-        assert_eq!(xs.len(), out.len(), "estimate_batch: slice length mismatch");
-        let mut keys = [0u64; CHUNK];
-        let mut jbuf = [0u64; CHUNK];
-        for (chunk, out_c) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let m = chunk.len();
-            for (k, &x) in keys.iter_mut().zip(chunk) {
-                *k = sqs_util::hash::fold_to_field(x);
-            }
-            out_c.fill(i64::MAX);
-            for (i, h) in self.hashes.iter().enumerate() {
-                let row = &self.counters[i * self.stride..i * self.stride + self.width];
-                h.hash_folded_batch(&keys[..m], &mut jbuf[..m]);
-                for (o, &j) in out_c.iter_mut().zip(&jbuf[..m]) {
-                    *o = (*o).min(row[j as usize]);
-                }
-            }
-        }
+        Self::estimate_parts(&[self], xs, out);
     }
 
     fn universe(&self) -> u64 {
@@ -260,6 +240,40 @@ impl MergeableSketch for CountMin {
         #[cfg(any(test, feature = "audit"))]
         {
             self.updates += other.updates;
+        }
+    }
+
+    // Read-side dual of `update_batch`: each chunk folds its keys once
+    // and takes the min row-major, each row's counters read in one
+    // L1-resident pass — a cell summed over the parts before the min
+    // when there are several. Min over rows commutes, so the order is
+    // bit-identical to the merged sketch's scalar estimate.
+    fn estimate_parts(parts: &[&Self], xs: &[u64], out: &mut [i64]) {
+        assert_eq!(xs.len(), out.len(), "estimate_parts: slice length mismatch");
+        let Some(first) = parts.first() else {
+            out.fill(0);
+            return;
+        };
+        let mut keys = [0u64; CHUNK];
+        let mut jbuf = [0u64; CHUNK];
+        for (chunk, out_c) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+            let m = chunk.len();
+            for (k, &x) in keys.iter_mut().zip(chunk) {
+                *k = sqs_util::hash::fold_to_field(x);
+            }
+            out_c.fill(i64::MAX);
+            for (i, h) in first.hashes.iter().enumerate() {
+                let base = i * first.stride;
+                h.hash_folded_batch(&keys[..m], &mut jbuf[..m]);
+                let cells = out_c.iter_mut().zip(&jbuf[..m]);
+                if let [one] = parts {
+                    let row = &one.counters[base..base + one.width];
+                    cells.for_each(|(o, &j)| *o = (*o).min(row[j as usize]));
+                } else {
+                    let sum = |j: u64| parts.iter().map(|p| p.counters[base + j as usize]).sum();
+                    cells.for_each(|(o, &j)| *o = (*o).min(sum(j)));
+                }
+            }
         }
     }
 }

@@ -128,13 +128,8 @@ impl FrequencySketch for ExactCounts {
         self.counts[x as usize]
     }
 
-    // Direct indexed loads — trivially bit-identical to the scalar
-    // estimate; the override just skips the per-call trait dispatch.
     fn estimate_batch(&self, xs: &[u64], out: &mut [i64]) {
-        assert_eq!(xs.len(), out.len(), "estimate_batch: slice length mismatch");
-        for (&x, o) in xs.iter().zip(out) {
-            *o = self.counts[x as usize];
-        }
+        Self::estimate_parts(&[self], xs, out);
     }
 
     fn universe(&self) -> u64 {
@@ -162,6 +157,15 @@ impl MergeableSketch for ExactCounts {
         #[cfg(any(test, feature = "audit"))]
         {
             self.updates += other.updates;
+        }
+    }
+
+    // Direct indexed loads, one per part, summed: trivially the merged
+    // counter.
+    fn estimate_parts(parts: &[&Self], xs: &[u64], out: &mut [i64]) {
+        assert_eq!(xs.len(), out.len(), "estimate_parts: slice length mismatch");
+        for (&x, o) in xs.iter().zip(out) {
+            *o = parts.iter().map(|p| p.counts[x as usize]).sum();
         }
     }
 }

@@ -178,6 +178,25 @@ pub trait MergeableSketch: FrequencySketch {
     /// Panics if the sketches are not
     /// [`merge_compatible`](Self::merge_compatible).
     fn merge_from(&mut self, other: &Self);
+
+    /// Estimates a batch of keys against the counter-wise sum of
+    /// `parts`: `out[k]` is what the merge of `parts` answers for
+    /// `xs[k]`, **bit for bit**, and no merge is built. Each probed
+    /// counter is gathered from every part and summed before the row's
+    /// combine (the median, the minimum), in the rows' own order, so
+    /// the answer is the merged sketch's. An empty `parts` is the zero
+    /// sketch. [`estimate_batch`](FrequencySketch::estimate_batch) is
+    /// the one-part case.
+    ///
+    /// The parts must be pairwise
+    /// [`merge_compatible`](Self::merge_compatible); that is not
+    /// checked here.
+    ///
+    /// # Panics
+    /// Panics if `xs` and `out` differ in length.
+    fn estimate_parts(parts: &[&Self], xs: &[u64], out: &mut [i64])
+    where
+        Self: Sized;
 }
 
 #[cfg(test)]
@@ -226,6 +245,72 @@ mod tests {
     fn countsketch_roundtrip() {
         let mut rng = Xoshiro256pp::new(2);
         roundtrip(CountSketch::new(256, 5, &mut rng), 30);
+    }
+
+    /// `k` sketches drawn alike, fed disjoint slices of one turnstile
+    /// stream (a third of its insertions deleted again, in part or
+    /// whole), answer every query length — chunk
+    /// boundaries included — exactly as the merge of their clones does,
+    /// batched and scalar.
+    fn parts_estimate_the_merge<S: MergeableSketch + Clone>(make: impl Fn() -> S, universe: u64) {
+        let lengths = [1usize, 3, 17, 1023, 1024, 1025, 2500];
+        for k in [1usize, 2, 3, 8] {
+            let mut rng = Xoshiro256pp::new(70 + k as u64);
+            let mut parts: Vec<S> = (0..k).map(|_| make()).collect();
+            let fed: Vec<(usize, u64)> = (0..4_000)
+                .map(|_| (rng.next_below(k as u64) as usize, rng.next_u64() % universe))
+                .collect();
+            for &(part, x) in &fed {
+                parts[part].update(x, 2);
+            }
+            // Deletions of what the same part holds: strict turnstile.
+            for &(part, x) in fed.iter().step_by(3) {
+                parts[part].update(x, -1 - (x & 1) as i64);
+            }
+            let mut merged = parts[0].clone();
+            for p in &parts[1..] {
+                merged.merge_from(p);
+            }
+            let refs: Vec<&S> = parts.iter().collect();
+            for n in lengths {
+                let xs: Vec<u64> = (0..n as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % universe)
+                    .collect();
+                let (mut got, mut want) = (vec![0i64; n], vec![0i64; n]);
+                S::estimate_parts(&refs, &xs, &mut got);
+                merged.estimate_batch(&xs, &mut want);
+                assert_eq!(got, want, "k = {k}, n = {n}");
+                for (&x, &g) in xs.iter().zip(&got).take(40) {
+                    assert_eq!(g, merged.estimate(x), "k = {k}, n = {n}, x = {x}");
+                }
+            }
+        }
+        let mut zeros = vec![1i64; 5];
+        S::estimate_parts(&[], &[1, 2, 3, 4, 5], &mut zeros);
+        assert_eq!(zeros, [0; 5], "no parts is the zero sketch");
+    }
+
+    #[test]
+    fn countsketch_parts_estimate_the_merge() {
+        let draw = CountSketch::new(100, 7, &mut Xoshiro256pp::new(71));
+        parts_estimate_the_merge(|| draw.clone(), u64::MAX);
+    }
+
+    #[test]
+    fn countmin_parts_estimate_the_merge() {
+        let draw = CountMin::new(100, 7, &mut Xoshiro256pp::new(72));
+        parts_estimate_the_merge(|| draw.clone(), u64::MAX);
+    }
+
+    #[test]
+    fn exact_counts_parts_estimate_the_merge() {
+        parts_estimate_the_merge(|| ExactCounts::new(1 << 12), 1 << 12);
+    }
+
+    #[test]
+    fn subsetsum_parts_estimate_the_merge() {
+        let draw = SubsetSum::new(1 << 20, 48, &mut Xoshiro256pp::new(73));
+        parts_estimate_the_merge(|| draw.clone(), 1 << 20);
     }
 
     #[test]

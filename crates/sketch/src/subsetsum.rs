@@ -184,35 +184,8 @@ impl FrequencySketch for SubsetSum {
         (sum + k.signum() * k / 2) / k
     }
 
-    // Repetition-major read: each membership hash sweeps the chunk's
-    // folded keys once, accumulating the per-key estimator sums in
-    // repetition order — i64 addition commutes, so the final rounded
-    // average is bit-identical to the scalar estimate.
     fn estimate_batch(&self, xs: &[u64], out: &mut [i64]) {
-        assert_eq!(xs.len(), out.len(), "estimate_batch: slice length mismatch");
-        let k = self.counters.len() as i64;
-        let mut keys = [0u64; CHUNK];
-        let mut mbuf = [0u64; CHUNK];
-        for (chunk, out_c) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let m = chunk.len();
-            for (key, &x) in keys.iter_mut().zip(chunk) {
-                *key = sqs_util::hash::fold_to_field(x);
-            }
-            out_c.fill(0);
-            for (&c, b) in self.counters.iter().zip(&self.members) {
-                b.hash_folded_batch(&keys[..m], &mut mbuf[..m]);
-                for (o, &bit) in out_c.iter_mut().zip(&mbuf[..m]) {
-                    *o += if bit == 1 {
-                        2 * c - self.total
-                    } else {
-                        self.total - 2 * c
-                    };
-                }
-            }
-            for o in out_c.iter_mut() {
-                *o = (*o + k.signum() * k / 2) / k;
-            }
-        }
+        Self::estimate_parts(&[self], xs, out);
     }
 
     fn universe(&self) -> u64 {
@@ -244,6 +217,44 @@ impl MergeableSketch for SubsetSum {
         #[cfg(any(test, feature = "audit"))]
         {
             self.updates += other.updates;
+        }
+    }
+
+    // Repetition-major read: each membership hash sweeps the chunk's
+    // folded keys once, accumulating the per-key estimator sums in
+    // repetition order from the counter and total summed over the
+    // parts — i64 addition commutes, so the final rounded average is
+    // bit-identical to the merged sketch's scalar estimate.
+    fn estimate_parts(parts: &[&Self], xs: &[u64], out: &mut [i64]) {
+        assert_eq!(xs.len(), out.len(), "estimate_parts: slice length mismatch");
+        let Some((first, rest)) = parts.split_first() else {
+            out.fill(0);
+            return;
+        };
+        let k = first.counters.len() as i64;
+        let total = rest.iter().fold(first.total, |t, p| t + p.total);
+        let mut keys = [0u64; CHUNK];
+        let mut mbuf = [0u64; CHUNK];
+        for (chunk, out_c) in xs.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+            let m = chunk.len();
+            for (key, &x) in keys.iter_mut().zip(chunk) {
+                *key = sqs_util::hash::fold_to_field(x);
+            }
+            out_c.fill(0);
+            for (r, (&c, b)) in first.counters.iter().zip(&first.members).enumerate() {
+                let c = rest.iter().fold(c, |c, p| c + p.counters[r]);
+                b.hash_folded_batch(&keys[..m], &mut mbuf[..m]);
+                for (o, &bit) in out_c.iter_mut().zip(&mbuf[..m]) {
+                    *o += if bit == 1 {
+                        2 * c - total
+                    } else {
+                        total - 2 * c
+                    };
+                }
+            }
+            for o in out_c.iter_mut() {
+                *o = (*o + k.signum() * k / 2) / k;
+            }
         }
     }
 }

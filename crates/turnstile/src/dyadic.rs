@@ -395,97 +395,15 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     }
 
     /// Batched [`rank_signed`](Self::rank_signed): `out[q] =
-    /// rank_signed(xs[q])`, bit-identical to the scalar loop.
-    ///
-    /// The exact region of each query (levels ≥ the finest exact level
-    /// `fe`) is peeled directly: one counter per set bit of the aligned
-    /// query at an exact level. One structural fact makes the rest
-    /// cheaper than repeating the scalar walk (docs/PERF.md §7):
-    /// **level-major sketch reads.** Each stored sketch level's cells
-    /// (the run below each query's digit, as in the scalar walk) are
-    /// collected in the same pass and answered in one
-    /// [`estimate_batch`](FrequencySketch::estimate_batch) call — the
-    /// read-side analogue of `update_batch`'s row-major walk, and what
-    /// makes a `quantiles` sweep's ~log u ranks per φ affordable.
+    /// rank_signed(xs[q])`, bit-identical to the scalar loop: the
+    /// one-part case of the walk that
+    /// [`answer_sum`](MergeableSummary::answer_sum) takes over shards
+    /// (`SumRead::ranks` has the walk).
     ///
     /// # Panics
     /// Panics if the slices differ in length.
     pub fn rank_signed_batch(&self, xs: &[u64], out: &mut [i64]) {
-        assert_eq!(
-            xs.len(),
-            out.len(),
-            "rank_signed_batch: slice length mismatch"
-        );
-        out.fill(0);
-        let log_u = self.universe.log_u();
-        let size = self.universe.size();
-        let fe = self.exact_from;
-        let exacts: Vec<&ExactCounts> = self.levels[fe as usize..]
-            .iter()
-            .map(|store| match store {
-                Level::Exact(e) => e,
-                _ => unreachable!("levels from exact_from up are exact"),
-            })
-            .collect();
-        let sketches: Vec<(u32, u32, &S)> = self
-            .stored()
-            .take_while(|&(level, _)| level < fe)
-            .map(|(level, span)| match &self.levels[level as usize] {
-                Level::Sketch(s) => (level, span, s),
-                _ => unreachable!("stored levels below exact_from are sketches"),
-            })
-            .collect();
-        // One pass over the queries: the exact region is peeled inline,
-        // sketch-level cells are deferred into per-level lists — a
-        // digit in 0..2^span puts that many cells on its level,
-        // (2^span − 1)/2 on average.
-        let below = |b: u32| -> u64 { (1u64 << b) - 1 };
-        let emask = below(log_u) & !below(fe);
-        let cap = |span: u32| xs.len() * below(span) as usize / 2 + 1;
-        let mut scells: Vec<Vec<u64>> = sketches
-            .iter()
-            .map(|&(_, span, _)| Vec::with_capacity(cap(span)))
-            .collect();
-        let mut sqidx: Vec<Vec<u32>> = sketches
-            .iter()
-            .map(|&(_, span, _)| Vec::with_capacity(cap(span)))
-            .collect();
-        for (q, (&x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
-            let ax = self.align(x);
-            if ax == size {
-                // The root cell: its count is the implied live total.
-                *o += self.live;
-            } else {
-                let mut eb = ax & emask;
-                while eb != 0 {
-                    let level = eb.trailing_zeros();
-                    eb &= eb - 1;
-                    // The level-`level` cover cell of the prefix
-                    // [0, ax): the aligned block just below the
-                    // higher-bit prefix (see `prefix_decomposition`).
-                    *o += exacts[(level - fe) as usize].estimate((ax >> level) - 1);
-                }
-            }
-            for (k, &(level, span, _)) in sketches.iter().enumerate() {
-                let first = (ax >> (level + span)) << span;
-                for c in first..ax >> level {
-                    scells[k].push(c);
-                    sqidx[k].push(q as u32);
-                }
-            }
-        }
-        let mut ests: Vec<i64> = Vec::new();
-        for ((cells, qidx), &(_, _, s)) in scells.iter().zip(&sqidx).zip(&sketches) {
-            if cells.is_empty() {
-                continue;
-            }
-            ests.clear();
-            ests.resize(cells.len(), 0i64);
-            s.estimate_batch(cells, &mut ests);
-            for (&q, &e) in qidx.iter().zip(&ests) {
-                out[q as usize] += e;
-            }
-        }
+        SumRead::new(&[self], one_part).ranks(xs, out);
     }
 
     /// The per-level stores, bottom (singletons) first — serialization.
@@ -565,6 +483,245 @@ impl<S: FrequencySketch> DyadicQuantiles<S> {
     }
 }
 
+/// The one-part estimate: a summary's own sketch answers its cells.
+fn one_part<S: FrequencySketch>(level: &[&S], cells: &[u64], out: &mut [i64]) {
+    match level {
+        [sketch] => sketch.estimate_batch(cells, out),
+        _ => unreachable!("a one-part read gathers one sketch per level"),
+    }
+}
+
+/// One read over the sum of `parts`, built from one seed — one part
+/// when a summary answers for itself. What it walks is gathered from
+/// every part once: the summed live count, each exact level's counters
+/// and each stored sketch level's sketches, which `estimate` answers
+/// over the parts ([`one_part`], or
+/// [`MergeableSketch::estimate_parts`]). Every cell is the sum of the
+/// parts' cells, so the answers are the merged structure's, bit for bit.
+struct SumRead<'a, S, E> {
+    /// The first part: the layout every part shares.
+    layout: &'a DyadicQuantiles<S>,
+    live: i64,
+    /// The parts' counters at the exact levels, level-major:
+    /// `exacts[(level − exact_from)·k + p]` is part `p`'s of `k`.
+    exacts: Vec<&'a [i64]>,
+    /// `k`, the number of parts.
+    parts: usize,
+    /// `(level, span, sketches)` per stored sketch level, bottom first.
+    sketches: Vec<(u32, u32, Vec<&'a S>)>,
+    estimate: E,
+}
+
+impl<'a, S, E> SumRead<'a, S, E>
+where
+    S: FrequencySketch,
+    E: Fn(&[&S], &[u64], &mut [i64]),
+{
+    /// # Panics
+    /// Panics if `parts` is empty.
+    fn new(parts: &[&'a DyadicQuantiles<S>], estimate: E) -> Self {
+        let layout = *parts.first().expect("Dyadic invariant: a read has a part");
+        let fe = layout.exact_from;
+        let exacts = (fe..layout.universe.log_u())
+            .flat_map(|level| {
+                parts.iter().map(move |p| match &p.levels[level as usize] {
+                    Level::Exact(e) => e.counts(),
+                    _ => unreachable!("levels from exact_from up are exact"),
+                })
+            })
+            .collect();
+        let sketches = layout
+            .stored()
+            .take_while(|&(level, _)| level < fe)
+            .map(|(level, span)| {
+                let at = |p: &&'a DyadicQuantiles<S>| match &p.levels[level as usize] {
+                    Level::Sketch(s) => s,
+                    _ => unreachable!("stored levels below exact_from are sketches"),
+                };
+                (level, span, parts.iter().map(at).collect())
+            })
+            .collect();
+        Self {
+            layout,
+            live: parts.iter().map(|p| p.live).sum(),
+            exacts,
+            parts: parts.len(),
+            sketches,
+            estimate,
+        }
+    }
+
+    /// `out[q]` = the signed rank of `xs[q]` over the sum of the parts.
+    ///
+    /// The exact region of each query (levels ≥ the finest exact level
+    /// `fe`) is peeled directly: one counter per part per set bit of the
+    /// aligned query at an exact level. One structural fact makes the
+    /// rest cheaper than repeating the scalar walk (docs/PERF.md §7):
+    /// **level-major sketch reads.** Each stored sketch level's cells
+    /// (the run below each query's digit, as in the scalar walk) are
+    /// collected in the same pass and answered in one `estimate` call —
+    /// the read-side analogue of `update_batch`'s row-major walk, and
+    /// what makes a `quantiles` sweep's ~log u ranks per φ affordable.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    fn ranks(&self, xs: &[u64], out: &mut [i64]) {
+        // One part reads one counter per exact level: an instance of
+        // the walk of its own, so that the sum over parts costs it no
+        // loop.
+        match self.parts {
+            1 => self.walk(xs, out, |at, index| self.exacts[at][index]),
+            k => self.walk(xs, out, |at, index| {
+                let counters = &self.exacts[at * k..(at + 1) * k];
+                counters.iter().map(|c| c[index]).sum()
+            }),
+        }
+    }
+
+    /// [`ranks`](Self::ranks), with `exact(at, index)` the summed
+    /// counter `index` of the `at`-th exact level.
+    fn walk(&self, xs: &[u64], out: &mut [i64], exact: impl Fn(usize, usize) -> i64) {
+        assert_eq!(
+            xs.len(),
+            out.len(),
+            "rank_signed_batch: slice length mismatch"
+        );
+        out.fill(0);
+        let layout = self.layout;
+        let log_u = layout.universe.log_u();
+        let size = layout.universe.size();
+        let fe = layout.exact_from;
+        // One pass over the queries: the exact region is peeled inline,
+        // sketch-level cells are deferred into per-level lists — a
+        // digit in 0..2^span puts that many cells on its level,
+        // (2^span − 1)/2 on average.
+        let below = |b: u32| -> u64 { (1u64 << b) - 1 };
+        let emask = below(log_u) & !below(fe);
+        let cap = |span: u32| xs.len() * below(span) as usize / 2 + 1;
+        let mut scells: Vec<Vec<u64>> = (self.sketches.iter())
+            .map(|&(_, span, _)| Vec::with_capacity(cap(span)))
+            .collect();
+        let mut sqidx: Vec<Vec<u32>> = (self.sketches.iter())
+            .map(|&(_, span, _)| Vec::with_capacity(cap(span)))
+            .collect();
+        for (q, (&x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
+            let ax = layout.align(x);
+            if ax == size {
+                // The root cell: its count is the implied live total.
+                *o += self.live;
+            } else {
+                let mut eb = ax & emask;
+                while eb != 0 {
+                    let level = eb.trailing_zeros();
+                    eb &= eb - 1;
+                    // The level-`level` cover cell of the prefix
+                    // [0, ax): the aligned block just below the
+                    // higher-bit prefix (see `prefix_decomposition`).
+                    let index = ((ax >> level) - 1) as usize;
+                    *o += exact((level - fe) as usize, index);
+                }
+            }
+            for (k, &(level, span, _)) in self.sketches.iter().enumerate() {
+                let first = (ax >> (level + span)) << span;
+                for c in first..ax >> level {
+                    scells[k].push(c);
+                    sqidx[k].push(q as u32);
+                }
+            }
+        }
+        let mut ests: Vec<i64> = Vec::new();
+        for ((cells, qidx), (_, _, parts)) in scells.iter().zip(&sqidx).zip(&self.sketches) {
+            if cells.is_empty() {
+                continue;
+            }
+            ests.clear();
+            ests.resize(cells.len(), 0i64);
+            (self.estimate)(parts, cells, &mut ests);
+            for (&q, &e) in qidx.iter().zip(&ests) {
+                out[q as usize] += e;
+            }
+        }
+    }
+
+    /// Lockstep bisection over a sorted-φ sweep, **bit-identical** to
+    /// per-φ `quantile` calls on the merged structure.
+    ///
+    /// Although sketch noise makes the rank function only
+    /// approximately monotone, the *comparison outcome* at any fixed
+    /// bisection node — `rank(mid) ≤ ⌊φ·live⌋` — is monotone in φ, so
+    /// every φ's scalar search walks the same binary tree and sorted
+    /// targets occupy contiguous runs of nodes at every depth. The
+    /// sweep exploits that: per depth it collects each live node's
+    /// single midpoint, answers **all** of them in one
+    /// [`ranks`](Self::ranks) call, and partitions each node's targets
+    /// around its rank. One φ costs ~log u ranks; k sorted φs cost
+    /// ~log u *batched* rank rounds with ≤ min(k, 2^depth) ranks each —
+    /// the per-φ re-bisection rework is gone.
+    ///
+    /// # Panics
+    /// Panics if any `φ ∉ (0, 1)`.
+    fn quantiles(&self, phis: &[f64]) -> Vec<Option<u64>> {
+        for &phi in phis {
+            assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
+        }
+        if self.live <= 0 || phis.is_empty() {
+            return vec![None; phis.len()];
+        }
+        let cutoff = self.layout.cutoff;
+        // Sort targets via an index permutation; answers un-permute.
+        let mut order: Vec<usize> = (0..phis.len()).collect();
+        order.sort_by(|&a, &b| phis[a].total_cmp(&phis[b]));
+        let targets: Vec<i64> = order
+            .iter()
+            .map(|&i| (phis[i] * self.live as f64).floor() as i64)
+            .collect();
+        let mut answers = vec![0u64; targets.len()];
+        // A node is a bracket [lo, hi] in cell units plus the
+        // contiguous run targets[s..e] still inside it.
+        let top = self.layout.universe.cells_at_level(cutoff) - 1;
+        let mut nodes = vec![(0u64, top, 0usize, targets.len())];
+        let mut mids = Vec::new();
+        let mut ranks = Vec::new();
+        let mut next = Vec::new();
+        while !nodes.is_empty() {
+            mids.clear();
+            mids.extend(
+                nodes
+                    .iter()
+                    .map(|&(lo, hi, _, _)| (lo + (hi - lo).div_ceil(2)) << cutoff),
+            );
+            ranks.clear();
+            ranks.resize(mids.len(), 0i64);
+            self.ranks(&mids, &mut ranks);
+            next.clear();
+            for (&(lo, hi, s, e), &r) in nodes.iter().zip(&ranks) {
+                let mid = lo + (hi - lo).div_ceil(2);
+                // rank(mid) ≤ target → the scalar search takes lo = mid;
+                // sorted targets split at the first t ≥ r.
+                let split = s + targets[s..e].partition_point(|&t| t < r);
+                for &(nlo, nhi, ns, ne) in &[(lo, mid - 1, s, split), (mid, hi, split, e)] {
+                    if ns == ne {
+                        continue;
+                    }
+                    if nlo == nhi {
+                        for a in &mut answers[ns..ne] {
+                            *a = nlo << cutoff;
+                        }
+                    } else {
+                        next.push((nlo, nhi, ns, ne));
+                    }
+                }
+            }
+            std::mem::swap(&mut nodes, &mut next);
+        }
+        let mut out = vec![None; phis.len()];
+        for (pos, &orig) in order.iter().enumerate() {
+            out[orig] = Some(answers[pos]);
+        }
+        out
+    }
+}
+
 /// Two structures merge when they share the universe and the per-level
 /// hash draws — shards built from one seed. Because every level store
 /// is a linear sketch, the merged structure is state-identical to one
@@ -594,6 +751,24 @@ impl<S: MergeableSketch> MergeableSummary<u64> for DyadicQuantiles<S> {
         {
             self.updates += other.updates;
         }
+    }
+
+    /// Reads the parts' cells and sums them: no clone, no merge. `None`
+    /// if a part is not merge-compatible with the first.
+    fn answer_sum(
+        parts: &[&Self],
+        phis: &[f64],
+        xs: &[u64],
+    ) -> Option<(Vec<Option<u64>>, Vec<u64>)> {
+        let (first, rest) = parts.split_first()?;
+        if !rest.iter().all(|p| first.merge_compatible(p)) {
+            return None;
+        }
+        let read = SumRead::new(parts, S::estimate_parts);
+        let mut ranks = vec![0i64; xs.len()];
+        read.ranks(xs, &mut ranks);
+        let ranks = ranks.into_iter().map(|r| r.max(0) as u64).collect();
+        Some((read.quantiles(phis), ranks))
     }
 
     fn merge_compatible(&self, other: &Self) -> bool {
@@ -793,82 +968,10 @@ impl<S: FrequencySketch> QuantileSummary<u64> for DyadicQuantiles<S> {
     }
 
     /// Lockstep bisection over a sorted-φ sweep, **bit-identical** to
-    /// per-φ [`quantile`](Self::quantile) calls.
-    ///
-    /// Although sketch noise makes the rank function only
-    /// approximately monotone, the *comparison outcome* at any fixed
-    /// bisection node — `rank(mid) ≤ ⌊φ·live⌋` — is monotone in φ, so
-    /// every φ's scalar search walks the same binary tree and sorted
-    /// targets occupy contiguous runs of nodes at every depth. The
-    /// sweep exploits that: per depth it collects each live node's
-    /// single midpoint, answers **all** of them in one
-    /// [`rank_signed_batch`](Self::rank_signed_batch) call, and
-    /// partitions each node's targets around its rank. One φ costs
-    /// ~log u ranks; k sorted φs cost ~log u *batched* rank rounds
-    /// with ≤ min(k, 2^depth) ranks each — the per-φ re-bisection
-    /// rework is gone.
+    /// per-φ [`quantile`](Self::quantile) calls: the one-part case of
+    /// [`SumRead::quantiles`].
     fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<u64>> {
-        for &phi in phis {
-            assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
-        }
-        if self.live <= 0 || phis.is_empty() {
-            return vec![None; phis.len()];
-        }
-        // Sort targets via an index permutation; answers un-permute.
-        let mut order: Vec<usize> = (0..phis.len()).collect();
-        order.sort_by(|&a, &b| phis[a].total_cmp(&phis[b]));
-        let targets: Vec<i64> = order
-            .iter()
-            .map(|&i| (phis[i] * self.live as f64).floor() as i64)
-            .collect();
-        let mut answers = vec![0u64; targets.len()];
-        // A node is a bracket [lo, hi] in cell units plus the
-        // contiguous run targets[s..e] still inside it.
-        let mut nodes = vec![(
-            0u64,
-            self.universe.cells_at_level(self.cutoff) - 1,
-            0usize,
-            targets.len(),
-        )];
-        let mut mids = Vec::new();
-        let mut ranks = Vec::new();
-        let mut next = Vec::new();
-        while !nodes.is_empty() {
-            mids.clear();
-            mids.extend(
-                nodes
-                    .iter()
-                    .map(|&(lo, hi, _, _)| (lo + (hi - lo).div_ceil(2)) << self.cutoff),
-            );
-            ranks.clear();
-            ranks.resize(mids.len(), 0i64);
-            self.rank_signed_batch(&mids, &mut ranks);
-            next.clear();
-            for (&(lo, hi, s, e), &r) in nodes.iter().zip(&ranks) {
-                let mid = lo + (hi - lo).div_ceil(2);
-                // rank(mid) ≤ target → the scalar search takes lo = mid;
-                // sorted targets split at the first t ≥ r.
-                let split = s + targets[s..e].partition_point(|&t| t < r);
-                for &(nlo, nhi, ns, ne) in &[(lo, mid - 1, s, split), (mid, hi, split, e)] {
-                    if ns == ne {
-                        continue;
-                    }
-                    if nlo == nhi {
-                        for a in &mut answers[ns..ne] {
-                            *a = nlo << self.cutoff;
-                        }
-                    } else {
-                        next.push((nlo, nhi, ns, ne));
-                    }
-                }
-            }
-            std::mem::swap(&mut nodes, &mut next);
-        }
-        let mut out = vec![None; phis.len()];
-        for (pos, &orig) in order.iter().enumerate() {
-            out[orig] = Some(answers[pos]);
-        }
-        out
+        SumRead::new(&[&*self], one_part).quantiles(phis)
     }
 
     fn name(&self) -> &'static str {
