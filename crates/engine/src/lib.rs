@@ -488,20 +488,16 @@ where
             let held: Vec<_> = (0..self.shards.len()).map(|i| self.lock_shard(i)).collect();
             let epoch = self.epoch.load(Ordering::Acquire);
             let runs: Option<Vec<Runs<'_, T>>> = held.iter().map(|shard| shard.runs()).collect();
-            match (runs, query) {
-                (Some(runs), query) => {
-                    cache.parts = Some(Parts::cut(epoch, &runs, cache.parts.take()));
-                    if query.is_some() {
-                        return None;
-                    }
+            if let Some(runs) = runs {
+                cache.parts = Some(Parts::cut(epoch, &runs, cache.parts.take()));
+                if query.is_some() {
+                    return None;
                 }
-                (None, Some((phis, xs))) => {
-                    let parts: Vec<&S> = held.iter().map(|shard| &**shard).collect();
-                    if let Some(answers) = S::answer_sum(&parts, phis, xs) {
-                        return Some(answers);
-                    }
+            } else if let Some((phis, xs)) = query {
+                let parts: Vec<&S> = held.iter().map(|shard| &**shard).collect();
+                if let Some(answers) = S::answer_sum(&parts, phis, xs) {
+                    return Some(answers);
                 }
-                (None, None) => {}
             }
             (epoch, held.iter().map(|shard| S::clone(shard)).collect())
         };
@@ -563,7 +559,7 @@ where
     /// Answering *many* ranks? [`quantiles`](Self::quantiles) answers
     /// a whole sweep against one read.
     pub fn quantile(&self, phi: f64) -> Option<T> {
-        self.read(&[phi], &[]).0.into_iter().next().flatten()
+        self.read(&[phi], &[]).0.pop().flatten()
     }
 
     /// Answers a whole rank sweep from **one** epoch-consistent read:
@@ -583,11 +579,7 @@ where
 
     /// Estimated rank of `x` over everything ingested so far.
     pub fn rank_estimate(&self, x: T) -> u64 {
-        self.read(&[], &[x])
-            .1
-            .into_iter()
-            .next()
-            .unwrap_or_default()
+        self.read(&[], &[x]).1.pop().unwrap_or_default()
     }
 
     /// Answers a φ-sweep **and** a rank sweep against the *same*
