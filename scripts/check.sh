@@ -119,14 +119,17 @@ cargo test -q --release -p sqs-turnstile --test batch_floor
 echo "== window query floor (cargo test --release -p sqs-window --test query_floor) =="
 cargo test -q --release -p sqs-window --test query_floor
 
-# The engine's cold-read floor, a ratio too: at ingest_mem's shape (4
-# shards, eps 0.01, 2^24 rows per shard, 64 batches of 4096 rows between
-# reads) a cold query_many, which indexes the shards' fills and now and
-# then their stable runs, costs at most 1/2 of clone + merge_tree +
-# sweep of the same shards, the read it replaced (docs/PERF.md section
-# 20; ~0.34 measured).
-echo "== engine read floor (cargo test --release -p sqs-engine --test read_floor) =="
-cargo test -q --release -p sqs-engine --test read_floor
+# The engine's cold-read floors, ratios too, printed: at ingest_mem's
+# shape (4 shards, eps 0.01, 2^24 rows per shard, 64 batches of 4096
+# rows between reads) a cold query_many, which indexes the shards' fills
+# and now and then their stable runs, costs at most 1/2 of clone +
+# merge_tree + sweep of the same shards, the read it replaced
+# (docs/PERF.md section 20; ~0.34 measured); at turnstile_mix's shape
+# (dcs(0.01, 24), one seed, 8 batches between reads) a cold DCS
+# query_many, which sums the shards' cells under their locks, costs at
+# most 0.7 of it (section 23; ~0.44 measured, ~1.35 on the merging read).
+echo "== engine read floors (cargo test --release -p sqs-engine --test read_floor) =="
+cargo test -q --release -p sqs-engine --test read_floor -- --nocapture
 
 # The engine's stress tests spawn up to 8 writer threads per test (plus
 # a racing reader or auditor); a single-threaded test runner keeps them
