@@ -513,6 +513,14 @@ where
     /// cache mutex is held throughout: racing readers queue behind one
     /// cut.
     fn read(&self, phis: &[f64], xs: &[T]) -> Answers<T> {
+        // Refused before any lock is taken: a summed read answers under
+        // the shard locks, and a panic there would poison every shard.
+        for &phi in phis {
+            assert!(
+                phi > 0.0 && phi < 1.0,
+                "phi must be in the open interval (0,1), got {phi}"
+            );
+        }
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.reads_at(self.epoch.load(Ordering::Acquire)) {
             self.cache_hits.fetch_add(1, Ordering::AcqRel);
@@ -1116,6 +1124,24 @@ mod tests {
             .expect("fits exactly");
         assert_eq!(e.n(), MAX_ITEMS);
         assert!(e.try_absorb(sketch_claiming(6)).is_err());
+        e.assert_invariants();
+    }
+
+    /// A φ outside (0, 1) panics before the read takes a shard lock, so
+    /// it poisons no shard, though a DCS read answers under the locks.
+    #[test]
+    fn a_bad_phi_poisons_no_shard() {
+        use sqs_turnstile::Dcs;
+        let e = ShardedEngine::new_with(2, 0, |_| Dcs::dcs(0.05, 16, 0xB4D));
+        ingest(&e, 0..1_000);
+        for phi in [0.0, 1.5, f64::NAN] {
+            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.query_many(&[0.5, phi], &[7])
+            }));
+            assert!(read.is_err(), "phi {phi} was answered");
+        }
+        assert!(e.quantile(0.5).is_some());
+        assert_eq!(e.stats().lock_recoveries, 0);
         e.assert_invariants();
     }
 
