@@ -26,9 +26,11 @@
 //!    the shards' runs: the cut copies the fills, and the stable runs
 //!    only when a shard's generation moved, and the read indexes them
 //!    after the locks are released — the stable index outlives writes.
-//!    A linear summary (DCM, DCS) answers under the locks from the sum
-//!    of the shards' cells ([`answer_sum`](MergeableSummary::answer_sum)),
-//!    with no clone and nothing cached. Any other summary, and every
+//!    A linear summary (DCM, DCS) answers the first read after a fold
+//!    under the locks from the sum of the shards' cells
+//!    ([`answer_sum`](MergeableSummary::answer_sum)), with no clone; a
+//!    second read at the same epoch merges clones and caches the merge,
+//!    so reads polling between folds hit. Any other summary, and every
 //!    [`snapshot`](ShardedEngine::snapshot), is answered from the merge
 //!    of `k` clones.
 //!
@@ -246,13 +248,17 @@ impl<T: Ord + Copy> Parts<T> {
 
 /// What the read path keeps between folds.
 struct ReadCache<T, S> {
-    /// The merge of the last cut that took clones: every snapshot, and
-    /// every read of a summary that neither has runs nor sums its
-    /// shards.
+    /// The merge of the last cut that took clones: every snapshot, the
+    /// second read of a linear summary at one epoch, and every read of
+    /// a summary that neither has runs nor sums its shards.
     merged: Option<Merged<S>>,
     /// The shards' runs as of the last cut, for summaries that have
     /// them: what their reads answer from.
     parts: Option<Parts<T>>,
+    /// The epoch of the last read answered from the sum of the shards'
+    /// cells. A read that finds it current clones and merges instead,
+    /// so the reads after it hit the cache and wait for no fold.
+    summed: Option<u64>,
 }
 
 impl<T, S> ReadCache<T, S> {
@@ -369,6 +375,7 @@ where
             cache: Mutex::new(ReadCache {
                 merged: None,
                 parts: None,
+                summed: None,
             }),
             _elem: PhantomData,
         }
@@ -472,9 +479,11 @@ where
     /// waits for copies only. A read (`query`) of one without runs is
     /// answered here, under the locks, if it sums its shards
     /// ([`answer_sum`](MergeableSummary::answer_sum)): nothing is
-    /// cloned or cached, and a writer waits for the sweep. Otherwise,
-    /// and for every snapshot (`query` is `None`), the cut clones the
-    /// `k` shards and leaves their merge in `cache`.
+    /// cloned, and a writer waits for the sweep; only its epoch is
+    /// kept. Otherwise — a second read at that epoch, a summary that
+    /// neither has runs nor sums, and every snapshot (`query` is
+    /// `None`) — the cut clones the `k` shards and leaves their merge
+    /// in `cache`.
     fn cut(
         &self,
         cache: &mut ReadCache<T, S>,
@@ -493,9 +502,10 @@ where
                 if query.is_some() {
                     return None;
                 }
-            } else if let Some((phis, xs)) = query {
+            } else if let Some((phis, xs)) = query.filter(|_| cache.summed != Some(epoch)) {
                 let parts: Vec<&S> = held.iter().map(|shard| &**shard).collect();
                 if let Some(answers) = S::answer_sum(&parts, phis, xs) {
+                    cache.summed = Some(epoch);
                     return Some(answers);
                 }
             }
@@ -573,7 +583,8 @@ where
     /// Answers a whole rank sweep from **one** epoch-consistent read:
     /// every φ reads the same cut, so the answers are mutually
     /// consistent, and a sweep between writes of a summary with runs
-    /// takes no shard lock (cache hit). A merged or summed read rides
+    /// takes no shard lock (cache hit); a linear summary's does from the
+    /// third read at one epoch on. A merged or summed read rides
     /// the summary's [`quantiles`](sqs_core::QuantileSummary::quantiles)
     /// walk — the turnstile backends answer the whole sorted sweep in
     /// one lockstep bisection instead of re-bisecting per φ.
@@ -1219,6 +1230,39 @@ mod tests {
             assert_eq!(n, 2_000);
         });
         assert_eq!(e.stats().snapshots, 1);
+    }
+
+    /// A linear tenant polled between folds: the first read sums the
+    /// shards' cells, the second merges clones and caches the merge,
+    /// and every read after it is a hit that takes no shard lock — so a
+    /// reader in a loop leaves a writer the locks.
+    #[test]
+    fn linear_reads_polled_between_folds_hit_the_cache() {
+        use sqs_turnstile::Dcs;
+        let e = ShardedEngine::new_with(2, 0, |_| Dcs::dcs(0.05, 16, 0xD05));
+        ingest(&e, 0..1_000);
+        ingest(&e, 1_000..2_000);
+        let summed = e.query_many(&[0.5], &[1_000]);
+        let merged = e.query_many(&[0.5], &[1_000]);
+        assert_eq!(summed, merged, "the sum and the merge answer alike");
+        assert_eq!((e.stats().snapshots, e.stats().snapshot_cache_hits), (2, 0));
+        std::thread::scope(|scope| {
+            let _writers = (e.lock_shard(0), e.lock_shard(1));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let e = &e;
+            scope.spawn(move || {
+                let _ = tx.send(e.query_many(&[0.5], &[1_000]));
+            });
+            let polled = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a polling read blocked on a shard lock");
+            assert_eq!(polled, summed);
+        });
+        assert_eq!((e.stats().snapshots, e.stats().snapshot_cache_hits), (2, 1));
+        ingest(&e, 2_000..3_000);
+        let _ = e.quantile(0.5);
+        assert_eq!(e.stats().snapshots, 3, "a fold: the next read cuts");
+        e.assert_invariants();
     }
 
     #[cfg(debug_assertions)]

@@ -1,8 +1,9 @@
 //! The engine's clone ledger: writes clone nothing, a cold read of a
 //! summary without runs clones each shard once, a cold read of one with
-//! runs or of a linear one (its shards' cells summed) clones none, warm
-//! reads clone nothing, and `snapshot()` clones the cached merge for its
-//! caller. Counted by a summary
+//! runs or of a linear one (its shards' cells summed) clones none, a
+//! linear summary's second read at one epoch clones each shard once,
+//! warm reads clone nothing, and `snapshot()` clones the cached merge
+//! for its caller. Counted by a summary
 //! wrapper, so it holds for whatever the read path is built from.
 
 use std::cell::Cell;
@@ -140,29 +141,39 @@ fn cold_reads_of_a_summary_with_runs_clone_no_shard() {
 }
 
 /// A linear summary's read sums its shards' cells under their locks: a
-/// cold read clones nothing (the merging read cloned every shard), and
-/// a snapshot still merges clones of every shard, then hands one out.
+/// cold read clones nothing (the merging read cloned every shard). A
+/// second read at the same epoch clones every shard once and caches the
+/// merge, and the reads after it clone nothing; a snapshot at that epoch
+/// hands out a clone of the cached merge, and one after a fold merges
+/// clones of every shard, then hands one out.
 #[test]
 fn cold_reads_of_a_linear_summary_clone_no_shard() {
     const SHARDS: usize = 4;
     let dcs = |_| CountsClones::<_>(Dcs::dcs(0.05, 20, 0xD5));
     let e = ShardedEngine::new_with(SHARDS, 0, dcs);
-    let reads = clones_during(|| {
-        for lo in (0..40_000u64).step_by(1_000) {
-            e.ingest_batch(&(lo..lo + 1_000).collect::<Vec<_>>());
-            let _ = e.query_many(&[0.5], &[4_000]);
-            let _ = e.quantile(0.25);
+    for lo in (0..40_000u64).step_by(1_000) {
+        e.ingest_batch(&(lo..lo + 1_000).collect::<Vec<_>>());
+        let cold = clones_during(|| drop(e.query_many(&[0.5], &[4_000])));
+        assert_eq!(cold, 0, "a cold read sums cells, never clones a sketch");
+        assert_eq!(clones_during(|| drop(e.quantile(0.25))), SHARDS);
+        let warm = clones_during(|| {
             let _ = e.rank_estimate(17);
-        }
-        let mut donor = dcs(0);
-        donor.insert_batch(&[1, 2, 3]);
+            let _ = e.quantiles(&[0.1, 0.9]);
+        });
+        assert_eq!(warm, 0, "hits answer from the cached merge in place");
+    }
+    let stats = e.stats();
+    assert_eq!((stats.snapshots, stats.snapshot_cache_hits), (80, 80));
+    assert_eq!(clones_during(|| drop(e.snapshot())), 1, "a hit");
+    let mut donor = dcs(0);
+    donor.insert_batch(&[1, 2, 3]);
+    let absorbed = clones_during(|| {
         assert!(e.try_absorb(donor).is_ok());
         let _ = e.quantiles(&[0.1, 0.9]);
     });
-    assert_eq!(reads, 0, "a cold read sums cells, never clones a sketch");
-    assert_eq!(e.stats().snapshots, 121, "every read cuts: nothing cached");
+    assert_eq!(absorbed, 0);
     assert_eq!(clones_during(|| drop(e.snapshot())), SHARDS + 1);
     assert_eq!(clones_during(|| drop(e.snapshot())), 1);
-    assert_eq!(e.stats().snapshots, 122);
+    assert_eq!(e.stats().snapshots, 82);
     e.assert_invariants();
 }

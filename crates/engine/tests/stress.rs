@@ -89,12 +89,15 @@ fn grain_error(grain: u64) -> impl Fn(&ExactQuantiles<u64>, f64, u64) -> f64 {
 
 /// Runs the engine concurrently — `shards` writers and one reader
 /// racing them with `query_many` sweeps — then checks the merged
-/// snapshot against the exact oracle with `error`.
+/// snapshot and the engine's own answers against the exact oracle with
+/// `error`. A `linear` summary's engine answers must equal its
+/// snapshot's, bit for bit.
 fn drive<S, F>(
     eps: f64,
     label: &str,
     make: F,
     error: impl Fn(&ExactQuantiles<u64>, f64, u64) -> f64,
+    linear: bool,
 ) where
     S: MergeableSummary<u64> + CheckInvariants + Clone + Send + Sync,
     F: Fn(usize) -> S,
@@ -104,29 +107,41 @@ fn drive<S, F>(
         let engine = ShardedEngine::new_with(shards, 0, &make);
         let expected_n = (shards * PER_THREAD) as u64;
         std::thread::scope(|scope| {
-            for t in 0..shards {
-                let engine = &engine;
-                scope.spawn(move || write_stream(engine, shards, t, BATCH));
+            let writers: Vec<_> = (0..shards)
+                .map(|t| {
+                    let engine = &engine;
+                    scope.spawn(move || write_stream(engine, shards, t, BATCH))
+                })
+                .collect();
+            // Dead writers end the wait: the scope reports their panic.
+            while engine.n() < expected_n && !writers.iter().all(|w| w.is_finished()) {
+                let before = engine.n();
+                let (quantiles, ranks) = engine.query_many(&phis, &[1 << 19]);
+                let answered = quantiles.iter().all(Option::is_some);
+                assert!(before == 0 || answered, "{label}/{shards}: a racing read");
+                assert_eq!(ranks.len(), 1);
             }
-            let (engine, phis) = (&engine, &phis);
-            scope.spawn(move || {
-                while engine.n() < expected_n {
-                    let before = engine.n();
-                    let (quantiles, ranks) = engine.query_many(phis, &[1 << 19]);
-                    let answered = quantiles.iter().all(Option::is_some);
-                    assert!(before == 0 || answered, "{label}/{shards}: a racing read");
-                    assert_eq!(ranks.len(), 1);
-                }
-            });
         });
         assert_eq!(engine.n(), expected_n, "{label}/{shards}: ingested mass");
         engine.assert_invariants();
 
+        // The engine's own answers, read before a snapshot caches a merge.
+        let grid = probe_phis(eps);
+        let answers = engine.quantiles(&grid);
         let mut snap = engine.snapshot();
         snap.assert_invariants();
         assert_eq!(snap.n(), expected_n, "{label}/{shards}: snapshot mass");
 
         let all: Vec<u64> = (0..shards).flat_map(|t| stream(shards, t)).collect();
+        let oracle = ExactQuantiles::new(all.clone());
+        for (&phi, answer) in grid.iter().zip(answers) {
+            let answer = answer.expect("stress invariant: a nonempty engine answers");
+            let err = error(&oracle, phi, answer);
+            assert!(
+                err <= eps,
+                "{label}/{shards}: engine at {phi}: {err} > {eps}"
+            );
+        }
         let max_err = max_rank_error(&mut snap, all, eps, &error);
         assert!(
             max_err <= eps,
@@ -140,6 +155,19 @@ fn drive<S, F>(
             "{label}/{shards}: one tick per batch"
         );
         assert!(stats.snapshots >= 1);
+        if linear {
+            // An empty absorb ticks the epoch, so the read after it sums
+            // the shards' cells (the racing reader may have summed the
+            // last epoch already, and the snapshot cached its merge).
+            assert!(engine.try_absorb(make(0)).is_ok());
+            let summed = engine.quantiles(&grid);
+            assert_eq!(engine.stats().snapshots, stats.snapshots + 1, "a cut");
+            assert_eq!(
+                summed,
+                snap.quantiles(&grid),
+                "{label}/{shards}: sum vs merge"
+            );
+        }
     }
 }
 
@@ -150,13 +178,20 @@ fn random_sketch_engine_holds_eps_across_shard_counts() {
         "Random",
         |i| RandomSketch::new(0.05, 0xA11CE + i as u64),
         rank_error,
+        false,
     );
 }
 
 #[test]
 fn qdigest_engine_holds_eps_across_shard_counts() {
     // Universe 2^24 covers the widest per-thread range (2^23).
-    drive(0.01, "QDigest", |_| QDigest::new(0.01, 24), rank_error);
+    drive(
+        0.01,
+        "QDigest",
+        |_| QDigest::new(0.01, 24),
+        rank_error,
+        false,
+    );
 }
 
 #[test]
@@ -170,18 +205,21 @@ fn reservoir_engine_stays_near_eps_across_shard_counts() {
         "Reservoir",
         |i| ReservoirQuantiles::with_capacity(6_400, 0xB0B + i as u64),
         rank_error,
+        false,
     );
 }
 
 /// DCS shards of one seed read as the sum of their cells, under the
 /// shard locks the writers take: a reader racing them keeps answering,
-/// and the merged snapshot answers within the truncated structure's
-/// grain-cell bound.
+/// the engine and the merged snapshot answer within the truncated
+/// structure's grain-cell bound, and once the writers are done the
+/// engine's summed read answers exactly what the merge does.
 #[test]
 fn dcs_engine_holds_its_bound_with_racing_reads() {
     let eps = 0.01;
     let grain = 1 << default_level_cutoff(eps, 24);
-    drive(eps, "DCS", |_| Dcs::dcs(eps, 24, 0xDC5), grain_error(grain));
+    let dcs = |_| Dcs::dcs(eps, 24, 0xDC5);
+    drive(eps, "DCS", dcs, grain_error(grain), true);
 }
 
 /// More writers than shards, small batches: every fold contends for a

@@ -247,7 +247,9 @@ impl MergeableSketch for CountMin {
     // and takes the min row-major, each row's counters read in one
     // L1-resident pass — a cell summed over the parts before the min
     // when there are several. Min over rows commutes, so the order is
-    // bit-identical to the merged sketch's scalar estimate.
+    // bit-identical to the merged sketch's scalar estimate. One part
+    // keeps its own pass: the summed loop alone cost this kernel
+    // 1.24–1.35× and DCM's 99-φ grid 1.06× (docs/PERF.md §23.2).
     fn estimate_parts(parts: &[&Self], xs: &[u64], out: &mut [i64]) {
         assert_eq!(xs.len(), out.len(), "estimate_parts: slice length mismatch");
         let Some(first) = parts.first() else {
