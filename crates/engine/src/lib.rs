@@ -28,9 +28,10 @@
 //!    after the locks are released — the stable index outlives writes.
 //!    A linear summary (DCM, DCS) answers the first read after a fold
 //!    under the locks from the sum of the shards' cells
-//!    ([`answer_sum`](MergeableSummary::answer_sum)), with no clone; a
-//!    second read at the same epoch merges clones and caches the merge,
-//!    so reads polling between folds hit. Any other summary, and every
+//!    ([`answer_sum`](MergeableSummary::answer_sum)), with no clone, and
+//!    keeps that read's answers; a different read at the same epoch
+//!    merges clones and caches the merge, so reads polling between
+//!    folds hit. Any other summary, and every
 //!    [`snapshot`](ShardedEngine::snapshot), is answered from the merge
 //!    of `k` clones.
 //!
@@ -248,17 +249,28 @@ impl<T: Ord + Copy> Parts<T> {
 
 /// What the read path keeps between folds.
 struct ReadCache<T, S> {
-    /// The merge of the last cut that took clones: every snapshot, the
-    /// second read of a linear summary at one epoch, and every read of
-    /// a summary that neither has runs nor sums its shards.
+    /// The merge of the last cut that took clones: every snapshot, a
+    /// linear summary's other read after its summed one at one epoch,
+    /// and every read of a summary that neither has runs nor sums its
+    /// shards.
     merged: Option<Merged<S>>,
     /// The shards' runs as of the last cut, for summaries that have
     /// them: what their reads answer from.
     parts: Option<Parts<T>>,
-    /// The epoch of the last read answered from the sum of the shards'
-    /// cells. A read that finds it current clones and merges instead,
-    /// so the reads after it hit the cache and wait for no fold.
-    summed: Option<u64>,
+    /// The last read answered from the sum of the shards' cells. While
+    /// its epoch is current, the same read is answered from it, and any
+    /// other clones and merges instead, so the reads after it hit the
+    /// cache and wait for no fold.
+    summed: Option<Summed<T>>,
+}
+
+/// A read answered from the sum of the shards' cells: the epoch of its
+/// cut, the φs and values it was asked, and its answers.
+struct Summed<T> {
+    epoch: u64,
+    phis: Vec<f64>,
+    xs: Vec<T>,
+    answers: Answers<T>,
 }
 
 impl<T, S> ReadCache<T, S> {
@@ -479,11 +491,11 @@ where
     /// waits for copies only. A read (`query`) of one without runs is
     /// answered here, under the locks, if it sums its shards
     /// ([`answer_sum`](MergeableSummary::answer_sum)): nothing is
-    /// cloned, and a writer waits for the sweep; only its epoch is
-    /// kept. Otherwise — a second read at that epoch, a summary that
-    /// neither has runs nor sums, and every snapshot (`query` is
-    /// `None`) — the cut clones the `k` shards and leaves their merge
-    /// in `cache`.
+    /// cloned, a writer waits for the sweep, and the read and its
+    /// answers are kept under the epoch. Otherwise — another read at
+    /// that epoch, a summary that neither has runs nor sums, and every
+    /// snapshot (`query` is `None`) — the cut clones the `k` shards and
+    /// leaves their merge in `cache`.
     fn cut(
         &self,
         cache: &mut ReadCache<T, S>,
@@ -502,10 +514,18 @@ where
                 if query.is_some() {
                     return None;
                 }
-            } else if let Some((phis, xs)) = query.filter(|_| cache.summed != Some(epoch)) {
+            } else if let Some((phis, xs)) = query.filter(|_| {
+                let summed = cache.summed.as_ref();
+                summed.is_none_or(|s| s.epoch != epoch)
+            }) {
                 let parts: Vec<&S> = held.iter().map(|shard| &**shard).collect();
                 if let Some(answers) = S::answer_sum(&parts, phis, xs) {
-                    cache.summed = Some(epoch);
+                    cache.summed = Some(Summed {
+                        epoch,
+                        phis: phis.to_vec(),
+                        xs: xs.to_vec(),
+                        answers: answers.clone(),
+                    });
                     return Some(answers);
                 }
             }
@@ -518,8 +538,9 @@ where
 
     /// Answers `phis` and the ranks of `xs` from what the current epoch
     /// reads from — the engine's one read path. A hit (no fold since
-    /// the last cut that left something to read) costs the cache mutex
-    /// and no shard lock. A miss cuts (see [`cut`](Self::cut)). The
+    /// the last cut that left something to read, or since the summed
+    /// read that asked the same) costs the cache mutex and no shard
+    /// lock. A miss cuts (see [`cut`](Self::cut)). The
     /// cache mutex is held throughout: racing readers queue behind one
     /// cut.
     fn read(&self, phis: &[f64], xs: &[T]) -> Answers<T> {
@@ -532,7 +553,13 @@ where
             );
         }
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if cache.reads_at(self.epoch.load(Ordering::Acquire)) {
+        let epoch = self.epoch.load(Ordering::Acquire);
+        let asked = |s: &&Summed<T>| s.epoch == epoch && s.phis == phis && s.xs == xs;
+        if let Some(summed) = cache.summed.as_ref().filter(asked) {
+            self.cache_hits.fetch_add(1, Ordering::AcqRel);
+            return summed.answers.clone();
+        }
+        if cache.reads_at(epoch) {
             self.cache_hits.fetch_add(1, Ordering::AcqRel);
         } else if let Some(answers) = self.cut(&mut cache, Some((phis, xs))) {
             return answers;
@@ -583,8 +610,9 @@ where
     /// Answers a whole rank sweep from **one** epoch-consistent read:
     /// every φ reads the same cut, so the answers are mutually
     /// consistent, and a sweep between writes of a summary with runs
-    /// takes no shard lock (cache hit); a linear summary's does from the
-    /// third read at one epoch on. A merged or summed read rides
+    /// takes no shard lock (cache hit); a linear summary's does when it
+    /// repeats the summed read or follows the merging one. A merged or
+    /// summed read rides
     /// the summary's [`quantiles`](sqs_core::QuantileSummary::quantiles)
     /// walk — the turnstile backends answer the whole sorted sweep in
     /// one lockstep bisection instead of re-bisecting per φ.
@@ -1233,34 +1261,44 @@ mod tests {
     }
 
     /// A linear tenant polled between folds: the first read sums the
-    /// shards' cells, the second merges clones and caches the merge,
-    /// and every read after it is a hit that takes no shard lock — so a
-    /// reader in a loop leaves a writer the locks.
+    /// shards' cells and keeps its answers, a repeat of it answers from
+    /// them, another read merges clones and caches the merge, and every
+    /// read after those is a hit that takes no shard lock — so a reader
+    /// in a loop leaves a writer the locks.
     #[test]
     fn linear_reads_polled_between_folds_hit_the_cache() {
         use sqs_turnstile::Dcs;
         let e = ShardedEngine::new_with(2, 0, |_| Dcs::dcs(0.05, 16, 0xD05));
+        let cuts_and_hits = |e: &ShardedEngine<u64, _>| {
+            let stats = e.stats();
+            (stats.snapshots, stats.snapshot_cache_hits)
+        };
         ingest(&e, 0..1_000);
         ingest(&e, 1_000..2_000);
         let summed = e.query_many(&[0.5], &[1_000]);
-        let merged = e.query_many(&[0.5], &[1_000]);
-        assert_eq!(summed, merged, "the sum and the merge answer alike");
-        assert_eq!((e.stats().snapshots, e.stats().snapshot_cache_hits), (2, 0));
+        assert_eq!(e.query_many(&[0.5], &[1_000]), summed, "a repeat");
+        assert_eq!(cuts_and_hits(&e), (1, 1));
+        let merged = e.query_many(&[0.25, 0.5], &[1_000]);
+        assert_eq!(
+            merged.0[1], summed.0[0],
+            "the sum and the merge answer alike"
+        );
+        assert_eq!(cuts_and_hits(&e), (2, 1));
         std::thread::scope(|scope| {
             let _writers = (e.lock_shard(0), e.lock_shard(1));
             let (tx, rx) = std::sync::mpsc::channel();
             let e = &e;
             scope.spawn(move || {
-                let _ = tx.send(e.query_many(&[0.5], &[1_000]));
+                let _ = tx.send((e.query_many(&[0.5], &[1_000]), e.quantile(0.75)));
             });
-            let polled = rx
+            let (polled, _) = rx
                 .recv_timeout(std::time::Duration::from_secs(30))
                 .expect("a polling read blocked on a shard lock");
             assert_eq!(polled, summed);
         });
-        assert_eq!((e.stats().snapshots, e.stats().snapshot_cache_hits), (2, 1));
+        assert_eq!(cuts_and_hits(&e), (2, 3));
         ingest(&e, 2_000..3_000);
-        let _ = e.quantile(0.5);
+        let _ = e.query_many(&[0.5], &[1_000]);
         assert_eq!(e.stats().snapshots, 3, "a fold: the next read cuts");
         e.assert_invariants();
     }
