@@ -540,9 +540,8 @@ where
     /// reads from — the engine's one read path. A hit (no fold since
     /// the last cut that left something to read, or since the summed
     /// read that asked the same) costs the cache mutex and no shard
-    /// lock. A miss cuts (see [`cut`](Self::cut)). The
-    /// cache mutex is held throughout: racing readers queue behind one
-    /// cut.
+    /// lock. A miss cuts (see [`cut`](Self::cut)). The cache mutex is
+    /// held throughout: racing readers queue behind one cut.
     fn read(&self, phis: &[f64], xs: &[T]) -> Answers<T> {
         // Refused before any lock is taken: a summed read answers under
         // the shard locks, and a panic there would poison every shard.
@@ -612,10 +611,10 @@ where
     /// consistent, and a sweep between writes of a summary with runs
     /// takes no shard lock (cache hit); a linear summary's does when it
     /// repeats the summed read or follows the merging one. A merged or
-    /// summed read rides
-    /// the summary's [`quantiles`](sqs_core::QuantileSummary::quantiles)
-    /// walk — the turnstile backends answer the whole sorted sweep in
-    /// one lockstep bisection instead of re-bisecting per φ.
+    /// summed read rides the summary's
+    /// [`quantiles`](sqs_core::QuantileSummary::quantiles) walk — the
+    /// turnstile backends answer the whole sorted sweep in one lockstep
+    /// bisection instead of re-bisecting per φ.
     ///
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`, matching

@@ -159,7 +159,12 @@ fn cold_reads_of_a_linear_summary_clone_no_shard() {
             let _ = e.query_many(&[0.5], &[4_000]);
         });
         assert_eq!(cold, 0, "a cold read sums cells, never clones a sketch");
-        assert_eq!(clones_during(|| drop(e.quantile(0.25))), SHARDS);
+        assert_eq!(
+            clones_during(|| {
+                let _ = e.quantile(0.25);
+            }),
+            SHARDS
+        );
         let warm = clones_during(|| {
             let _ = e.rank_estimate(17);
             let _ = e.quantiles(&[0.1, 0.9]);
