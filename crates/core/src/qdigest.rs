@@ -1639,6 +1639,120 @@ mod tests {
         }
     }
 
+    /// A digest at the `paper_suite` shape of the benchmark: ε = 10⁻³,
+    /// log u 32, 2^19 uniform rows, which leave ≈ 52 000 nodes and
+    /// ≈ 42 000 buffered values.
+    fn paper_suite_digest() -> QDigest {
+        let mut rng = Xoshiro256pp::new(0x5017e);
+        let rows: Vec<u64> = (0..1 << 19).map(|_| rng.next_below(1 << 32)).collect();
+        let mut digest = QDigest::new(1e-3, 32);
+        digest.insert_batch(&rows);
+        digest
+    }
+
+    /// The digests the read oracle compares with their flushed clones,
+    /// by name: buffers of every shape a read must answer from.
+    fn oracle_shapes() -> Vec<(&'static str, QDigest)> {
+        let mut rng = Xoshiro256pp::new(0x0acc);
+        let mut rows =
+            |k: usize, bound: u64| -> Vec<u64> { (0..k).map(|_| rng.next_below(bound)).collect() };
+        let mut shapes = vec![("paper_suite", paper_suite_digest())];
+        // Fewer than 1 000 values, so the whole buffer shares one top
+        // 12 bits; filled until ≥ 40 000 copies of them are buffered.
+        let mut one_bucket = QDigest::new(1e-3, 32);
+        one_bucket.insert_batch(&rows(200_000, 997));
+        while one_bucket.buffer.len() < 45_000 {
+            one_bucket.insert(rows(1, 997)[0]);
+        }
+        shapes.push(("one bucket", one_bucket));
+        let mut sorted = QDigest::new(1e-3, 32);
+        sorted.insert_batch(&(0..1 << 19).map(|i| i * 4_099).collect::<Vec<_>>());
+        shapes.push(("sorted", sorted));
+        for (name, log_u, eps) in [
+            ("log u 1", 1, 0.01),
+            ("log u 8", 8, 0.01),
+            ("log u 12", 12, 0.005),
+            ("log u 13", 13, 0.005),
+        ] {
+            let mut s = QDigest::new(eps, log_u);
+            s.insert_batch(&rows(30_011, 1 << log_u));
+            shapes.push((name, s));
+        }
+        let mut flushed = paper_suite_digest();
+        flushed.flush();
+        shapes.push(("empty buffer", flushed));
+        // 3σ + 1 = 121 < 256: the buffer flushes at its floor; one value
+        // short of it here.
+        let mut floor = QDigest::new(0.5, 20);
+        floor.insert_batch(&rows(256 * 20 + 255, 1 << 20));
+        assert_eq!(floor.buffer.len(), MIN_BUFFER - 1);
+        shapes.push(("buffer at MIN_BUFFER", floor));
+        let mut merged = QDigest::new(0.01, 24);
+        merged.insert_batch(&rows(40_000, 1 << 24));
+        let mut donor = QDigest::new(0.01, 24);
+        donor.insert_batch(&rows(40_000, 1 << 24));
+        merged.merge_from(donor);
+        merged.insert_batch(&rows(3_000, 1 << 24));
+        shapes.push(("after merge_from", merged));
+        let mut decoded = QDigest::new(0.01, 24);
+        decoded.insert_batch(&rows(50_000, 1 << 24));
+        let mut decoded = QDigest::from_bytes(&decoded.to_bytes()).expect("own frame decodes");
+        decoded.insert_batch(&rows(7_000, 1 << 24));
+        shapes.push(("decoded, then inserts", decoded));
+        shapes
+    }
+
+    /// Every read of `s` answers exactly what the same read of a clone
+    /// flushed by `node_count()` answers: the grid with φ unsorted and
+    /// repeated, each φ alone, and ranks at 64 probes, a third of them
+    /// buffered values and their neighbours.
+    fn reads_match_a_flushed_clone(name: &str, s: &mut QDigest, rng: &mut Xoshiro256pp) {
+        let mut phis = probe_phis(0.01);
+        phis.extend([0.5, 0.01, 1e-9, 1.0 - 1e-9, 0.5, 0.999_999]);
+        for i in (1..phis.len()).rev() {
+            phis.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let mut flushed = s.clone();
+        flushed.node_count();
+        assert_eq!(
+            s.quantiles(&phis),
+            flushed.quantiles(&phis),
+            "{name}: quantiles"
+        );
+        for &phi in &phis {
+            assert_eq!(
+                s.quantile(phi),
+                flushed.quantile(phi),
+                "{name}: quantile({phi})"
+            );
+        }
+        let top = s.universe() - 1;
+        let mut probes = vec![0, 1, top, top / 2];
+        while probes.len() < 64 {
+            let x = match (s.buffer.len(), probes.len() % 3) {
+                (len @ 1.., 0) => s.buffer[rng.next_below(len as u64) as usize],
+                _ => rng.next_below(s.universe()),
+            };
+            probes.extend([x, x.saturating_sub(1), (x + 1).min(top)]);
+        }
+        for x in probes {
+            assert_eq!(
+                s.rank_estimate(x),
+                flushed.rank_estimate(x),
+                "{name}: rank({x})"
+            );
+        }
+    }
+
+    #[test]
+    fn unflushed_reads_answer_what_a_flushed_clone_answers() {
+        let mut rng = Xoshiro256pp::new(0x0ac1e);
+        for (name, mut s) in oracle_shapes() {
+            assert_eq!(s.buffer.is_empty(), name == "empty buffer", "{name}");
+            reads_match_a_flushed_clone(name, &mut s, &mut rng);
+        }
+    }
+
     #[test]
     fn merge_tree_skips_redundant_compress() {
         // Folding many already-compact digests keeps the node budget
