@@ -49,6 +49,11 @@ const HEADER_LEN: usize = 32;
 /// node budget is left.
 const MIN_BUFFER: usize = 256;
 
+/// How many top bits of a value (at most `log_u`) pick its bucket when
+/// a read answers from an unflushed buffer ([`Buckets`]): 4 096
+/// buckets, ≈ 10 values each in a full buffer at ε 10⁻³, log u 32.
+const BUCKET_BITS: u32 = 12;
+
 /// A stored node: `(heap id, count)`.
 type Node = (u64, u64);
 
@@ -123,11 +128,15 @@ pub struct QDigest {
     /// `u + x`; node `id` has children `2id, 2id+1`.
     nodes: Vec<Node>,
     /// Observed values not yet applied to `nodes`; flushed at
-    /// [`buffer_cap`](Self::buffer_cap) of them.
+    /// [`buffer_cap`](Self::buffer_cap) of them, never by a read.
     buffer: Vec<u64>,
     /// `cum[i]`: the summed count of `nodes[..=i]`, what the queries
     /// search; dropped wherever `nodes` changes (`flush`, `merge_from`).
     view: CachedView<Vec<u64>>,
+    /// The nodes and the buffer counted by bucket, what a quantile of
+    /// an unflushed digest searches first; dropped by every insert and
+    /// wherever `nodes` changes.
+    buckets: CachedView<Buckets>,
 }
 
 impl QDigest {
@@ -160,6 +169,7 @@ impl QDigest {
             nodes: Vec::new(),
             buffer: Vec::new(),
             view: CachedView::default(),
+            buckets: CachedView::default(),
         }
     }
 
@@ -285,6 +295,7 @@ impl QDigest {
             return;
         }
         self.view.invalidate();
+        self.buckets.invalidate();
         sort_values(&mut self.buffer, self.log_u);
         let (u, log_u) = (self.universe(), self.log_u);
         let mut merged = Vec::with_capacity(self.nodes.len() + self.buffer.len());
@@ -357,17 +368,312 @@ impl QDigest {
             .collect()
     }
 
-    /// Applies the buffered updates, then returns the nodes' prefix
-    /// counts — summed on the first query after the node array changed.
-    fn prefix(&mut self) -> &[u64] {
-        self.flush();
-        self.view.get_or_build(|| Self::prefix_counts(&self.nodes))
-    }
-
     /// The largest value node `id` covers.
     #[inline]
-    fn hi(&self, id: u64) -> u64 {
-        Self::node_range(self.log_u, id).1
+    fn hi(log_u: u32, id: u64) -> u64 {
+        Self::node_range(log_u, id).1
+    }
+
+    /// A flushed clone, if a flush might run COMPRESS, which changes
+    /// the answers: only past the `3σ` node budget, which the nodes and
+    /// the buffer together pass only while the buffer is held at its
+    /// floor ([`MIN_BUFFER`]), so on small digests. The reads answer
+    /// from it, as the flushing read did, and leave `self` as it is.
+    fn flushed_if_compressing(&self) -> Option<Self> {
+        let past_budget = (self.nodes.len() + self.buffer.len()) as u64 > 3 * self.sigma;
+        (past_budget && !self.buffer.is_empty()).then(|| {
+            let mut flushed = self.clone();
+            flushed.flush();
+            flushed
+        })
+    }
+
+    /// The answers to `phis`, each exactly what the same digest answers
+    /// once flushed: the right endpoint at which the count summed in
+    /// post-order first reaches `⌈φ·n⌉`. A buffered value `v` would
+    /// become leaf `u + v`, whose right endpoint is `v` and whose key
+    /// comes first among the nodes ending at `v`, so that answer is the
+    /// least endpoint `e`, of a stored node or a buffered value, at
+    /// which the nodes ending at or before `e` and the buffered values
+    /// at or below `e` count `⌈φ·n⌉`. With the buffer empty that is a
+    /// binary search over the nodes' prefix counts per φ; otherwise
+    /// [`Buckets`] find each φ's bucket, and only the values of the
+    /// buckets the sweep lands in are collected and sorted, in one
+    /// pass over the buffer.
+    fn sweep(&mut self, phis: &[f64]) -> Vec<Option<u64>> {
+        for &phi in phis {
+            crate::traits::check_phi(phi);
+        }
+        if self.n == 0 {
+            return vec![None; phis.len()];
+        }
+        if let Some(mut flushed) = self.flushed_if_compressing() {
+            return flushed.sweep(phis);
+        }
+        let (log_u, n) = (self.log_u, self.n as f64);
+        let top = self.universe() - 1;
+        let targets = phis.iter().map(|&phi| ((phi * n).ceil() as u64).max(1));
+        if self.buffer.is_empty() {
+            let cum = self.view.get_or_build(|| Self::prefix_counts(&self.nodes));
+            let nodes = &self.nodes;
+            return targets
+                .map(|target| {
+                    let at = cum.partition_point(|&c| c < target);
+                    Some(nodes.get(at).map_or(top, |&(id, _)| Self::hi(log_u, id)))
+                })
+                .collect();
+        }
+        let mut summed = None;
+        let buckets = self.buckets.get_or_build(|| {
+            let (buckets, cum) = Buckets::build(&self.nodes, &self.buffer, log_u);
+            summed = Some(cum);
+            buckets
+        });
+        let cum = self
+            .view
+            .get_or_build(|| summed.unwrap_or_else(|| Self::prefix_counts(&self.nodes)));
+        let landed: Vec<(usize, u64)> = targets
+            .map(|target| (buckets.reach.partition_point(|&r| r < target), target))
+            .collect();
+        let (values, start) = buckets.gather(&self.buffer, &landed, log_u);
+        let gathered = (&values[..], &start[..]);
+        landed
+            .into_iter()
+            .map(|(b, target)| {
+                let answer = (b < buckets.reach.len())
+                    .then(|| buckets.answer(b, target, &self.nodes, cum, gathered, log_u));
+                Some(answer.flatten().unwrap_or(top))
+            })
+            .collect()
+    }
+}
+
+/// How many of the stored nodes' counts the first `k` of them sum to,
+/// from their prefix counts `cum`.
+#[inline]
+fn counted(cum: &[u64], k: usize) -> u64 {
+    k.checked_sub(1).map_or(0, |last| cum[last])
+}
+
+/// The first `i` in `range` at which `reached(i)` holds, `range.end` if
+/// none does; `reached` must be monotone over the range.
+fn first_reached(range: std::ops::Range<usize>, reached: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (range.start, range.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reached(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// The stored nodes and the buffered values of a q-digest counted by
+/// bucket. The buckets split the range the buffered values span into
+/// at most `2^BUCKET_BITS` equal parts, no more parts than there are
+/// buffered values; the first bucket also holds everything below the
+/// range and the last everything above it. A φ's bucket is the first
+/// whose end the summed count reaches `⌈φ·n⌉` at; its answer lies among
+/// the endpoints inside it.
+#[derive(Debug, PartialEq)]
+struct Buckets {
+    /// The least buffered value.
+    lo: u64,
+    /// A value's bucket is `(value − lo) >> shift`, clamped into range.
+    shift: u32,
+    /// `nodes_to[b]`: how many stored nodes end in buckets `..=b`.
+    nodes_to: Vec<usize>,
+    /// `buffered_to[b]`: how many buffered values lie in buckets `..=b`.
+    buffered_to: Vec<u64>,
+    /// `reach[b]`: the count summed at bucket `b`'s last value — the
+    /// first `nodes_to[b]` nodes' counts plus `buffered_to[b]`.
+    reach: Vec<u64>,
+}
+
+impl Buckets {
+    /// Counts the unsorted, non-empty `buffer` by bucket, then walks
+    /// `nodes`, in post-order and so by right endpoint, once, closing
+    /// each bucket at the first node past it; returns the buckets and
+    /// the nodes' prefix counts, summed on the way. A run of values in
+    /// one bucket is counted at its end: a count through memory, each
+    /// entry read right after it was stored, ran several times slower
+    /// on a buffer of copies.
+    fn build(nodes: &[Node], buffer: &[u64], log_u: u32) -> (Self, Vec<u64>) {
+        let (lo, hi) = buffer
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let bits = BUCKET_BITS.min(usize::BITS - buffer.len().leading_zeros());
+        let shift = match hi - lo {
+            span if span >> BUCKET_BITS == 0 => 0,
+            span => (64 - span.leading_zeros()).saturating_sub(bits),
+        };
+        let last = ((hi - lo) >> shift) as usize;
+        let (mut nodes_to, mut buffered_to, mut reach) =
+            (vec![0; last + 1], vec![0; last + 1], vec![0; last + 1]);
+        let mut run = (0, 0);
+        for &x in buffer {
+            let b = ((x - lo) >> shift) as usize;
+            if b == run.0 {
+                run.1 += 1;
+            } else {
+                buffered_to[run.0] += run.1;
+                run = (b, 1);
+            }
+        }
+        buffered_to[run.0] += run.1;
+        // A node ends in bucket `..=b` iff its key is below `bound(b)`,
+        // the key of a leaf one past the bucket's last value.
+        let u = 1u64 << log_u;
+        let bound = |b: usize| {
+            if b == last {
+                u64::MAX
+            } else {
+                (u + lo + ((b as u64 + 1) << shift) + 1) << 6
+            }
+        };
+        let mut cum = Vec::with_capacity(nodes.len());
+        let (mut b, mut below, mut stored, mut buffered) = (0, bound(0), 0, 0);
+        for (at, &(id, count)) in nodes.iter().enumerate() {
+            let key = QDigest::key(log_u, id);
+            while key >= below {
+                buffered += buffered_to[b];
+                (nodes_to[b], buffered_to[b], reach[b]) = (at, buffered, stored + buffered);
+                b += 1;
+                below = bound(b);
+            }
+            stored += count;
+            cum.push(stored);
+        }
+        for b in b..=last {
+            buffered += buffered_to[b];
+            (nodes_to[b], buffered_to[b], reach[b]) = (nodes.len(), buffered, stored + buffered);
+        }
+        let buckets = Self {
+            lo,
+            shift,
+            nodes_to,
+            buffered_to,
+            reach,
+        };
+        (buckets, cum)
+    }
+
+    /// The one value bucket `b` spans, if it spans one: then every
+    /// endpoint in it is that value.
+    #[inline]
+    fn one_value(&self, b: usize, log_u: u32) -> Option<u64> {
+        let first = if b == 0 {
+            0
+        } else {
+            self.lo + ((b as u64) << self.shift)
+        };
+        let last = match self.reach.len() - 1 {
+            end if b == end => (1 << log_u) - 1,
+            _ => self.lo + ((b as u64 + 1) << self.shift) - 1,
+        };
+        (first == last).then_some(first)
+    }
+
+    /// The bucket of `x`, a buffered value.
+    #[inline]
+    fn of(&self, x: u64) -> usize {
+        ((x - self.lo) >> self.shift) as usize
+    }
+
+    /// The values of `buffer` in the buckets `landed` names that span
+    /// more than one value (past-the-end buckets ignored), sorted by
+    /// [`sort_values`], so one bucket after the other; and where each
+    /// such bucket starts among them (`usize::MAX` for the others).
+    fn gather(
+        &self,
+        buffer: &[u64],
+        landed: &[(usize, u64)],
+        log_u: u32,
+    ) -> (Vec<u64>, Vec<usize>) {
+        let len = self.reach.len();
+        let mut wide = landed
+            .iter()
+            .filter(|&&(b, _)| b < len && self.one_value(b, log_u).is_none())
+            .peekable();
+        if wide.peek().is_none() {
+            return (Vec::new(), Vec::new());
+        }
+        let mut start = vec![usize::MAX; len];
+        for &(b, _) in wide {
+            start[b] = 0;
+        }
+        let mut kept = 0;
+        for (b, at) in start.iter_mut().enumerate() {
+            if *at == 0 {
+                *at = kept;
+                kept += self.buffered_in(b).len();
+            }
+        }
+        let mut values = if kept == buffer.len() {
+            buffer.to_vec()
+        } else {
+            let mut values = Vec::with_capacity(kept);
+            values.extend(buffer.iter().filter(|&&x| start[self.of(x)] != usize::MAX));
+            values
+        };
+        sort_values(&mut values, log_u);
+        (values, start)
+    }
+
+    /// Where bucket `b`'s buffered values are in the buffer once it is
+    /// sorted: the values of the buckets before it, up to its own.
+    #[inline]
+    fn buffered_in(&self, b: usize) -> std::ops::Range<usize> {
+        let before = b.checked_sub(1).map_or(0, |prev| self.buffered_to[prev]);
+        before as usize..self.buffered_to[b] as usize
+    }
+
+    /// The answer to `target` in bucket `b`, the first whose end it
+    /// reaches: the least endpoint in the bucket, of a stored node or a
+    /// buffered value, at which the count reaches `target`. `values`
+    /// holds the sorted values of the landed buckets, `start` where
+    /// each begins ([`gather`](Self::gather)).
+    ///
+    /// The first node of the bucket that reaches `target`, counting the
+    /// buffered values up to its end, is a binary search over the
+    /// bucket's nodes, each step counting the values by another. Below
+    /// that node's end and above the end of every node before it, the
+    /// nodes count as much as those before it do, so the only buffered
+    /// value that can answer is the one at which the values alone make
+    /// up the rest. A bucket that holds the whole buffer costs no walk.
+    fn answer(
+        &self,
+        b: usize,
+        target: u64,
+        nodes: &[Node],
+        cum: &[u64],
+        (values, start): (&[u64], &[usize]),
+        log_u: u32,
+    ) -> Option<u64> {
+        if let Some(only) = self.one_value(b, log_u) {
+            return Some(only);
+        }
+        let first = b.checked_sub(1).map_or(0, |prev| self.nodes_to[prev]);
+        let stored = first..self.nodes_to[b];
+        let buffered = self.buffered_in(b);
+        let values = &values[start[b]..start[b] + buffered.len()];
+        let below = buffered.start as u64;
+        let end = |i: usize| QDigest::hi(log_u, nodes[i].0);
+        let node = first_reached(stored.clone(), |i| {
+            let within = values.partition_point(|&x| x <= end(i));
+            cum[i] + below + within as u64 >= target
+        });
+        let by_node = (node < stored.end).then(|| end(node));
+        // The nodes ending before `by_node`: all that count below it.
+        let mut before = node;
+        while before > first && Some(end(before - 1)) == by_node {
+            before -= 1;
+        }
+        let rest = target - counted(cum, before) - below;
+        let by_value = values.get(rest as usize - 1).copied();
+        by_node.into_iter().chain(by_value).min()
     }
 }
 
@@ -697,6 +1003,7 @@ impl crate::MergeableSummary<u64> for QDigest {
             return; // merging nothing is the identity
         }
         self.view.invalidate();
+        self.buckets.invalidate();
         let mut merged = Vec::with_capacity(self.nodes.len() + other.nodes.len());
         Self::union_into(&mut merged, &self.nodes, &other.nodes, self.log_u);
         self.nodes = merged;
@@ -905,10 +1212,16 @@ impl CheckInvariants for QDigest {
         ensure(
             self.view
                 .get()
-                .is_none_or(|cum| *cum == Self::prefix_counts(&self.nodes)),
+                .is_none_or(|kept| *kept == Self::prefix_counts(&self.nodes))
+                && self.buckets.get().is_none_or(|kept| {
+                    *kept == Buckets::build(&self.nodes, &self.buffer, self.log_u).0
+                }),
             ALG,
             "qdigest.view_fresh",
-            || "cached prefix counts differ from a rebuild (a mutator kept them)".to_string(),
+            || {
+                "cached prefix counts or buckets differ from a rebuild (a mutator kept them)"
+                    .to_string()
+            },
         )
     }
 }
@@ -922,6 +1235,7 @@ impl QuantileSummary<u64> for QDigest {
             self.log_u
         );
         self.n += 1;
+        self.buckets.invalidate();
         self.reserve_buffer(1);
         self.buffer.push(x);
         if self.buffer.len() >= self.buffer_cap() {
@@ -941,6 +1255,7 @@ impl QuantileSummary<u64> for QDigest {
     /// Panics if any element lies outside `[0, 2^log_u)`.
     fn insert_batch(&mut self, xs: &[u64]) {
         let u = self.universe();
+        self.buckets.invalidate();
         let mut rest = xs;
         while !rest.is_empty() {
             // A full buffer is flushed on the spot, so there is room.
@@ -966,24 +1281,34 @@ impl QuantileSummary<u64> for QDigest {
     }
 
     /// The standard q-digest lower-bound rank estimate: total count of
-    /// nodes entirely below `x`.
+    /// nodes entirely below `x`, the buffered values below `x` counted
+    /// as the leaves a flush would make them. A binary search over the
+    /// nodes' prefix counts and one pass over the buffer; nothing is
+    /// flushed.
     fn rank_estimate(&mut self, x: u64) -> u64 {
-        self.flush();
-        let below = self.nodes.partition_point(|&(id, _)| self.hi(id) < x);
-        below.checked_sub(1).map_or(0, |last| self.prefix()[last])
+        if let Some(mut flushed) = self.flushed_if_compressing() {
+            return flushed.rank_estimate(x);
+        }
+        let log_u = self.log_u;
+        let below = self
+            .nodes
+            .partition_point(|&(id, _)| Self::hi(log_u, id) < x);
+        let cum = self.view.get_or_build(|| Self::prefix_counts(&self.nodes));
+        counted(cum, below) + self.buffer.iter().filter(|&&v| v < x).count() as u64
     }
 
     /// The right endpoint of the first node, in post-order, at which
-    /// the cumulative count reaches `⌈φ·n⌉`.
+    /// the cumulative count reaches `⌈φ·n⌉`, the buffered values
+    /// counted as the leaves a flush would make them; nothing is
+    /// flushed. A sweep of one φ ([`quantiles`](Self::quantiles)).
     fn quantile(&mut self, phi: f64) -> Option<u64> {
-        crate::traits::check_phi(phi);
-        if self.n == 0 {
-            return None;
-        }
-        let target = ((phi * self.n as f64).ceil() as u64).max(1);
-        let top = self.universe() - 1;
-        let at = self.prefix().partition_point(|&cum| cum < target);
-        Some(self.nodes.get(at).map_or(top, |&(id, _)| self.hi(id)))
+        self.sweep(&[phi])[0]
+    }
+
+    /// One [`quantile`](Self::quantile) per φ, from one bucket pass:
+    /// see [`QDigest::sweep`].
+    fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<u64>> {
+        self.sweep(phis)
     }
 
     fn name(&self) -> &'static str {
@@ -1583,10 +1908,11 @@ mod tests {
     fn view_is_never_stale_under_any_interleaving() {
         use crate::buffers::oracle::check_answers_under_interleavings;
         use crate::codec::WireCodec;
-        // The per-call sweep: sort the nodes by (right endpoint, larger
-        // left endpoint first), accumulate to ⌈φ·n⌉; ranks by a scan of
-        // every node.
+        // The per-call sweep over a flushed clone: sort the nodes by
+        // (right endpoint, larger left endpoint first), accumulate to
+        // ⌈φ·n⌉; ranks by a scan of every node.
         fn expect(s: &mut QDigest, phis: &[f64], xs: &[u64]) -> (Vec<Option<u64>>, Vec<u64>) {
+            let s = &mut s.clone();
             s.flush();
             let mut nodes: Vec<(u64, u64, u64)> = s
                 .nodes
@@ -1617,7 +1943,7 @@ mod tests {
             )
         }
         fn merge(s: &mut QDigest, rng: &mut Xoshiro256pp) {
-            let mut other = QDigest::new(0.1, s.log_u);
+            let mut other = QDigest::empty(s.log_u, s.sigma);
             for _ in 0..rng.next_below(1500) {
                 other.insert(rng.next_below(48));
             }
@@ -1628,9 +1954,12 @@ mod tests {
             *s = <QDigest as WireCodec>::from_bytes(&WireCodec::to_bytes(s))
                 .expect("own frame decodes");
         }
-        for (universe, seed) in [(48, 1), (1 << 12, 2)] {
+        // At ε 0.1 the buffer is mostly held at its floor, past the node
+        // budget, and the reads answer from a flushed clone; at ε 0.01
+        // they answer from the buckets.
+        for (eps, universe, seed) in [(0.1, 48, 1), (0.1, 1 << 12, 2), (0.01, 1 << 12, 3)] {
             check_answers_under_interleavings(
-                QDigest::new(0.1, 12),
+                QDigest::new(eps, 12),
                 universe,
                 seed,
                 expect,
@@ -1741,6 +2070,34 @@ mod tests {
                 flushed.rank_estimate(x),
                 "{name}: rank({x})"
             );
+        }
+    }
+
+    #[test]
+    fn reads_leave_no_trace() {
+        // ε 0.01 reads from the buckets, ε 0.1 from a flushed clone.
+        for (eps, seed) in [(0.01, 1), (0.1, 2)] {
+            let mut rng = Xoshiro256pp::new(0x7ace + seed);
+            let (mut read, mut unread) = (QDigest::new(eps, 16), QDigest::new(eps, 16));
+            let grid = probe_phis(0.05);
+            let mut boundaries = 0;
+            for step in 0..120_000 {
+                let x = rng.next_below(1 << 16);
+                read.insert(x);
+                unread.insert(x);
+                if step % 541 == 0 {
+                    let _ = read.quantiles(&grid);
+                    let _ = read.quantile(0.5);
+                    let _ = read.rank_estimate(x);
+                }
+                if unread.buffer.is_empty() {
+                    boundaries += 1;
+                    let what = format!("ε {eps}, flush boundary after row {step}");
+                    assert_eq!(read.space_bytes(), unread.space_bytes(), "{what}");
+                    assert_eq!(read.clone().to_bytes(), unread.clone().to_bytes(), "{what}");
+                }
+            }
+            assert!(boundaries >= 20, "ε {eps}: {boundaries} flush boundaries");
         }
     }
 
@@ -1859,6 +2216,59 @@ mod tests {
             ratio <= 0.5,
             "a cold 99-φ grid costs {ratio:.2}x the flush before it"
         );
+    }
+
+    /// The unflushed read's ceiling: at the `paper_suite` shape, a cold
+    /// 99-φ `quantiles` on the unflushed digest may cost at most 0.4× a
+    /// flush by `node_count()` and the same grid after it. The flushing
+    /// read it replaced cost exactly that, ≈ 1.0.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
+    fn unflushed_cold_grid_costs_at_most_0_4x_a_flushed_one() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let digest = paper_suite_digest();
+        assert!(digest.buffer.len() > digest.nodes.len() / 4);
+        let grid = probe_phis(0.01);
+        let (mut flushed, mut unflushed) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            let mut d = digest.clone();
+            let start = Instant::now();
+            black_box(d.node_count());
+            black_box(d.quantiles(&grid));
+            flushed = flushed.min(start.elapsed().as_secs_f64());
+            let mut d = digest.clone();
+            let start = Instant::now();
+            black_box(d.quantiles(&grid));
+            unflushed = unflushed.min(start.elapsed().as_secs_f64());
+        }
+        let ratio = unflushed / flushed;
+        println!("an unflushed cold 99-φ grid costs {ratio:.2}x a flush and the grid");
+        assert!(
+            ratio <= 0.4,
+            "an unflushed cold 99-φ grid costs {ratio:.2}x a flush and the grid"
+        );
+    }
+
+    /// Prints the cold 99-φ grid of every oracle shape, on a clone, best
+    /// of 9 (docs/PERF.md §24.4).
+    #[test]
+    #[ignore = "prints timings: run with --release -- --ignored --nocapture"]
+    fn oracle_shapes_cold_grid_times() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let grid = probe_phis(0.01);
+        for (name, digest) in oracle_shapes() {
+            let best = (0..9)
+                .map(|_| {
+                    let mut d = digest.clone();
+                    let start = Instant::now();
+                    black_box(d.quantiles(&grid));
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!("{name:>24} {:>10.1} µs", best * 1e6);
+        }
     }
 
     #[test]
