@@ -24,7 +24,10 @@
 //! encoding lays them out by depth, decoding sorts them back. Updates
 //! are buffered ("Fast") up to what is left of the `3σ` node budget, so
 //! COMPRESS runs once per refill of that budget — the behaviour
-//! Figures 5e/5f and 7a measure.
+//! Figures 5e/5f and 7a measure. A read never flushes: it answers what
+//! the flushed digest would from the nodes and the buffer counted by
+//! bucket, sorting only the buckets its φs land in, so
+//! when a digest is read changes nothing about it.
 
 #![expect(
     clippy::cast_possible_truncation,
@@ -49,9 +52,9 @@ const HEADER_LEN: usize = 32;
 /// node budget is left.
 const MIN_BUFFER: usize = 256;
 
-/// How many top bits of a value (at most `log_u`) pick its bucket when
-/// a read answers from an unflushed buffer ([`Buckets`]): 4 096
-/// buckets, ≈ 10 values each in a full buffer at ε 10⁻³, log u 32.
+/// A read of an unflushed digest counts the buffer in at most
+/// `2^BUCKET_BITS` buckets ([`Buckets`]): ≈ 10 values each in a full
+/// buffer at ε 10⁻³, log u 32.
 const BUCKET_BITS: u32 = 12;
 
 /// A stored node: `(heap id, count)`.
@@ -1305,8 +1308,9 @@ impl QuantileSummary<u64> for QDigest {
         self.sweep(&[phi])[0]
     }
 
-    /// One [`quantile`](Self::quantile) per φ, from one bucket pass:
-    /// see [`QDigest::sweep`].
+    /// One [`quantile`](Self::quantile) per φ: one count of the buffer
+    /// by bucket, one pass collecting the buckets the φs land in, a
+    /// binary search per φ.
     fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<u64>> {
         self.sweep(phis)
     }
