@@ -426,25 +426,18 @@ impl QDigest {
                 })
                 .collect();
         }
-        let mut summed = None;
-        let buckets = self.buckets.get_or_build(|| {
-            let (buckets, cum) = Buckets::build(&self.nodes, &self.buffer, log_u);
-            summed = Some(cum);
-            buckets
-        });
-        let cum = self
-            .view
-            .get_or_build(|| summed.unwrap_or_else(|| Self::prefix_counts(&self.nodes)));
+        let buckets = self
+            .buckets
+            .get_or_build(|| Buckets::build(&self.nodes, &self.buffer, log_u));
         let landed: Vec<(usize, u64)> = targets
             .map(|target| (buckets.reach.partition_point(|&r| r < target), target))
             .collect();
-        let (values, start) = buckets.gather(&self.buffer, &landed, log_u);
-        let gathered = (&values[..], &start[..]);
+        let gathered = buckets.gather(&self.nodes, &self.buffer, &landed, log_u);
         landed
             .into_iter()
             .map(|(b, target)| {
                 let answer = (b < buckets.reach.len())
-                    .then(|| buckets.answer(b, target, &self.nodes, cum, gathered, log_u));
+                    .then(|| buckets.answer(b, target, &self.nodes, &gathered, log_u));
                 Some(answer.flatten().unwrap_or(top))
             })
             .collect()
@@ -495,15 +488,25 @@ struct Buckets {
     reach: Vec<u64>,
 }
 
+/// What a sweep reads of the buckets it lands in ([`Buckets::gather`]).
+#[derive(Default)]
+struct Gathered {
+    /// Their buffered values, sorted: one bucket after the other.
+    values: Vec<u64>,
+    /// Their nodes' counts, each summed with every node's before it.
+    sums: Vec<u64>,
+    /// Where each bucket gathered starts in `values` and in `sums`.
+    start: Vec<(usize, usize)>,
+}
+
 impl Buckets {
     /// Counts the unsorted, non-empty `buffer` by bucket, then walks
-    /// `nodes`, in post-order and so by right endpoint, once, closing
-    /// each bucket at the first node past it; returns the buckets and
-    /// the nodes' prefix counts, summed on the way. A run of values in
-    /// one bucket is counted at its end: a count through memory, each
-    /// entry read right after it was stored, ran several times slower
-    /// on a buffer of copies.
-    fn build(nodes: &[Node], buffer: &[u64], log_u: u32) -> (Self, Vec<u64>) {
+    /// `nodes`, in post-order and so by right endpoint, once, summing
+    /// their counts and closing each bucket at the first node past it.
+    /// A run of values in one bucket is counted at its end: a count
+    /// through memory, each entry read right after it was stored, ran
+    /// several times slower on a buffer of copies.
+    fn build(nodes: &[Node], buffer: &[u64], log_u: u32) -> Self {
         let (lo, hi) = buffer
             .iter()
             .fold((u64::MAX, 0), |(lo, hi), &x| (lo.min(x), hi.max(x)));
@@ -536,7 +539,6 @@ impl Buckets {
                 (u + lo + ((b as u64 + 1) << shift) + 1) << 6
             }
         };
-        let mut cum = Vec::with_capacity(nodes.len());
         let (mut b, mut below, mut stored, mut buffered) = (0, bound(0), 0, 0);
         for (at, &(id, count)) in nodes.iter().enumerate() {
             let key = QDigest::key(log_u, id);
@@ -547,20 +549,18 @@ impl Buckets {
                 below = bound(b);
             }
             stored += count;
-            cum.push(stored);
         }
         for b in b..=last {
             buffered += buffered_to[b];
             (nodes_to[b], buffered_to[b], reach[b]) = (nodes.len(), buffered, stored + buffered);
         }
-        let buckets = Self {
+        Self {
             lo,
             shift,
             nodes_to,
             buffered_to,
             reach,
-        };
-        (buckets, cum)
+        }
     }
 
     /// The one value bucket `b` spans, if it spans one: then every
@@ -585,44 +585,67 @@ impl Buckets {
         ((x - self.lo) >> self.shift) as usize
     }
 
-    /// The values of `buffer` in the buckets `landed` names that span
-    /// more than one value (past-the-end buckets ignored), sorted by
-    /// [`sort_values`], so one bucket after the other; and where each
-    /// such bucket starts among them (`usize::MAX` for the others).
+    /// What a sweep reads of the buckets `landed` names that span more
+    /// than one value (past-the-end buckets ignored): their buffered
+    /// values, sorted by [`sort_values`], and their nodes' counts
+    /// summed. Nothing when every φ landed in a bucket of one value.
     fn gather(
         &self,
+        nodes: &[Node],
         buffer: &[u64],
         landed: &[(usize, u64)],
         log_u: u32,
-    ) -> (Vec<u64>, Vec<usize>) {
+    ) -> Gathered {
         let len = self.reach.len();
         let mut wide = landed
             .iter()
             .filter(|&&(b, _)| b < len && self.one_value(b, log_u).is_none())
             .peekable();
         if wide.peek().is_none() {
-            return (Vec::new(), Vec::new());
+            return Gathered::default();
         }
-        let mut start = vec![usize::MAX; len];
+        let mut wanted = vec![false; len];
         for &(b, _) in wide {
-            start[b] = 0;
+            wanted[b] = true;
         }
+        let mut gathered = Gathered {
+            start: vec![(0, 0); len],
+            ..Gathered::default()
+        };
         let mut kept = 0;
-        for (b, at) in start.iter_mut().enumerate() {
-            if *at == 0 {
-                *at = kept;
-                kept += self.buffered_in(b).len();
-            }
+        for b in (0..len).filter(|&b| wanted[b]) {
+            gathered.start[b] = (kept, gathered.sums.len());
+            kept += self.buffered_in(b).len();
+            let mut sum = self.stored_before(b);
+            let counts = nodes[self.stored_in(b)].iter().map(|node| {
+                sum += node.1;
+                sum
+            });
+            gathered.sums.extend(counts);
         }
-        let mut values = if kept == buffer.len() {
+        gathered.values = if kept == buffer.len() {
             buffer.to_vec()
         } else {
             let mut values = Vec::with_capacity(kept);
-            values.extend(buffer.iter().filter(|&&x| start[self.of(x)] != usize::MAX));
+            values.extend(buffer.iter().filter(|&&x| wanted[self.of(x)]));
             values
         };
-        sort_values(&mut values, log_u);
-        (values, start)
+        sort_values(&mut gathered.values, log_u);
+        gathered
+    }
+
+    /// Which stored nodes end in bucket `b`.
+    #[inline]
+    fn stored_in(&self, b: usize) -> std::ops::Range<usize> {
+        b.checked_sub(1).map_or(0, |prev| self.nodes_to[prev])..self.nodes_to[b]
+    }
+
+    /// The counts of the stored nodes that end before bucket `b`,
+    /// summed.
+    #[inline]
+    fn stored_before(&self, b: usize) -> u64 {
+        b.checked_sub(1)
+            .map_or(0, |prev| self.reach[prev] - self.buffered_to[prev])
     }
 
     /// Where bucket `b`'s buffered values are in the buffer once it is
@@ -635,9 +658,9 @@ impl Buckets {
 
     /// The answer to `target` in bucket `b`, the first whose end it
     /// reaches: the least endpoint in the bucket, of a stored node or a
-    /// buffered value, at which the count reaches `target`. `values`
-    /// holds the sorted values of the landed buckets, `start` where
-    /// each begins ([`gather`](Self::gather)).
+    /// buffered value, at which the count reaches `target`. `gathered`
+    /// holds the bucket's sorted values and summed node counts unless
+    /// the bucket spans one value.
     ///
     /// The first node of the bucket that reaches `target`, counting the
     /// buffered values up to its end, is a binary search over the
@@ -651,30 +674,32 @@ impl Buckets {
         b: usize,
         target: u64,
         nodes: &[Node],
-        cum: &[u64],
-        (values, start): (&[u64], &[usize]),
+        gathered: &Gathered,
         log_u: u32,
     ) -> Option<u64> {
         if let Some(only) = self.one_value(b, log_u) {
             return Some(only);
         }
-        let first = b.checked_sub(1).map_or(0, |prev| self.nodes_to[prev]);
-        let stored = first..self.nodes_to[b];
-        let buffered = self.buffered_in(b);
-        let values = &values[start[b]..start[b] + buffered.len()];
+        let (stored, buffered) = (self.stored_in(b), self.buffered_in(b));
+        let (values_at, sums_at) = gathered.start[b];
+        let values = &gathered.values[values_at..values_at + buffered.len()];
+        let sums = &gathered.sums[sums_at..sums_at + stored.len()];
         let below = buffered.start as u64;
-        let end = |i: usize| QDigest::hi(log_u, nodes[i].0);
-        let node = first_reached(stored.clone(), |i| {
-            let within = values.partition_point(|&x| x <= end(i));
-            cum[i] + below + within as u64 >= target
+        let end = |k: usize| QDigest::hi(log_u, nodes[stored.start + k].0);
+        let node = first_reached(0..sums.len(), |k| {
+            let within = values.partition_point(|&x| x <= end(k));
+            sums[k] + below + within as u64 >= target
         });
-        let by_node = (node < stored.end).then(|| end(node));
+        let by_node = (node < sums.len()).then(|| end(node));
         // The nodes ending before `by_node`: all that count below it.
         let mut before = node;
-        while before > first && Some(end(before - 1)) == by_node {
+        while before > 0 && Some(end(before - 1)) == by_node {
             before -= 1;
         }
-        let rest = target - counted(cum, before) - below;
+        let counted = before
+            .checked_sub(1)
+            .map_or(self.stored_before(b), |last| sums[last]);
+        let rest = target - counted - below;
         let by_value = values.get(rest as usize - 1).copied();
         by_node.into_iter().chain(by_value).min()
     }
@@ -1217,7 +1242,7 @@ impl CheckInvariants for QDigest {
                 .get()
                 .is_none_or(|kept| *kept == Self::prefix_counts(&self.nodes))
                 && self.buckets.get().is_none_or(|kept| {
-                    *kept == Buckets::build(&self.nodes, &self.buffer, self.log_u).0
+                    *kept == Buckets::build(&self.nodes, &self.buffer, self.log_u)
                 }),
             ALG,
             "qdigest.view_fresh",
