@@ -664,11 +664,14 @@ impl Buckets {
     ///
     /// The first node of the bucket that reaches `target`, counting the
     /// buffered values up to its end, is a binary search over the
-    /// bucket's nodes, each step counting the values by another. Below
-    /// that node's end and above the end of every node before it, the
-    /// nodes count as much as those before it do, so the only buffered
-    /// value that can answer is the one at which the values alone make
-    /// up the rest. A bucket that holds the whole buffer costs no walk.
+    /// bucket's nodes, each step counting the values by another. A
+    /// buffered value below that node's end answers only if the values
+    /// alone make up what the nodes before it leave of `target`, and
+    /// the first that can is an index: the node before it fell short
+    /// with every value up to its own end, so that value lies past it.
+    /// (If that node ends where the first one does, the value lies past
+    /// both, and the node answers.) A bucket that holds the whole buffer
+    /// costs no walk.
     fn answer(
         &self,
         b: usize,
@@ -691,12 +694,7 @@ impl Buckets {
             sums[k] + below + within as u64 >= target
         });
         let by_node = (node < sums.len()).then(|| end(node));
-        // The nodes ending before `by_node`: all that count below it.
-        let mut before = node;
-        while before > 0 && Some(end(before - 1)) == by_node {
-            before -= 1;
-        }
-        let counted = before
+        let counted = node
             .checked_sub(1)
             .map_or(self.stored_before(b), |last| sums[last]);
         let rest = target - counted - below;
@@ -1985,10 +1983,16 @@ mod tests {
         }
         // At ε 0.1 the buffer is mostly held at its floor, past the node
         // budget, and the reads answer from a flushed clone; at ε 0.01
-        // they answer from the buckets.
-        for (eps, universe, seed) in [(0.1, 48, 1), (0.1, 1 << 12, 2), (0.01, 1 << 12, 3)] {
+        // they answer from the buckets, one value wide at log u 12 and
+        // wider at log u 20.
+        for (eps, log_u, universe, seed) in [
+            (0.1, 12, 48, 1),
+            (0.1, 12, 1 << 12, 2),
+            (0.01, 12, 1 << 12, 3),
+            (0.01, 20, 1 << 20, 4),
+        ] {
             check_answers_under_interleavings(
-                QDigest::new(eps, 12),
+                QDigest::new(eps, log_u),
                 universe,
                 seed,
                 expect,
