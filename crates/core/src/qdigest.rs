@@ -137,9 +137,15 @@ pub struct QDigest {
     /// search; dropped wherever `nodes` changes (`flush`, `merge_from`).
     view: CachedView<Vec<u64>>,
     /// The nodes and the buffer counted by bucket, what a quantile of
-    /// an unflushed digest searches first; dropped by every insert and
-    /// wherever `nodes` changes.
+    /// an unflushed digest searches first; dropped, with the two views
+    /// below, by every insert and wherever `nodes` changes.
     buckets: CachedView<Buckets>,
+    /// The sorted values and summed node counts of the buckets the reads
+    /// since the last insert landed in ([`Buckets::gather`]).
+    gathered: CachedView<Gathered>,
+    /// This digest flushed, while a flush would run COMPRESS
+    /// ([`flushed_if_compressing`](Self::flushed_if_compressing)).
+    flushed: CachedView<Box<QDigest>>,
 }
 
 impl QDigest {
@@ -173,6 +179,8 @@ impl QDigest {
             buffer: Vec::new(),
             view: CachedView::default(),
             buckets: CachedView::default(),
+            gathered: CachedView::default(),
+            flushed: CachedView::default(),
         }
     }
 
@@ -298,7 +306,7 @@ impl QDigest {
             return;
         }
         self.view.invalidate();
-        self.buckets.invalidate();
+        self.drop_buffer_views();
         sort_values(&mut self.buffer, self.log_u);
         let (u, log_u) = (self.universe(), self.log_u);
         let mut merged = Vec::with_capacity(self.nodes.len() + self.buffer.len());
@@ -377,18 +385,31 @@ impl QDigest {
         Self::node_range(log_u, id).1
     }
 
+    /// Drops the read views that depend on the buffer.
+    #[inline]
+    fn drop_buffer_views(&mut self) {
+        self.buckets.invalidate();
+        self.gathered.invalidate();
+        self.flushed.invalidate();
+    }
+
     /// A flushed clone, if a flush might run COMPRESS, which changes
     /// the answers: only past the `3σ` node budget, which the nodes and
     /// the buffer together pass only while the buffer is held at its
     /// floor ([`MIN_BUFFER`]), so on small digests. The reads answer
-    /// from it, as the flushing read did, and leave `self` as it is.
-    fn flushed_if_compressing(&self) -> Option<Self> {
+    /// from it, as the flushing read did, and leave `self` as it is;
+    /// it is kept until the next insert.
+    fn flushed_if_compressing(&mut self) -> Option<&mut Self> {
         let past_budget = (self.nodes.len() + self.buffer.len()) as u64 > 3 * self.sigma;
-        (past_budget && !self.buffer.is_empty()).then(|| {
+        if !past_budget || self.buffer.is_empty() {
+            return None;
+        }
+        if self.flushed.get().is_none() {
             let mut flushed = self.clone();
             flushed.flush();
-            flushed
-        })
+            self.flushed.0 = Some(Box::new(flushed));
+        }
+        self.flushed.0.as_deref_mut()
     }
 
     /// The answers to `phis`, each exactly what the same digest answers
@@ -410,7 +431,7 @@ impl QDigest {
         if self.n == 0 {
             return vec![None; phis.len()];
         }
-        if let Some(mut flushed) = self.flushed_if_compressing() {
+        if let Some(flushed) = self.flushed_if_compressing() {
             return flushed.sweep(phis);
         }
         let (log_u, n) = (self.log_u, self.n as f64);
@@ -432,12 +453,17 @@ impl QDigest {
         let landed: Vec<(usize, u64)> = targets
             .map(|target| (buckets.reach.partition_point(|&r| r < target), target))
             .collect();
-        let gathered = buckets.gather(&self.nodes, &self.buffer, &landed, log_u);
+        let wide: Vec<usize> = (landed.iter())
+            .map(|&(b, _)| b)
+            .filter(|&b| b < buckets.reach.len() && buckets.one_value(b, log_u).is_none())
+            .collect();
+        let gathered =
+            buckets.gathered(&mut self.gathered, &self.nodes, &self.buffer, &wide, log_u);
         landed
             .into_iter()
             .map(|(b, target)| {
                 let answer = (b < buckets.reach.len())
-                    .then(|| buckets.answer(b, target, &self.nodes, &gathered, log_u));
+                    .then(|| buckets.answer(b, target, &self.nodes, gathered, log_u));
                 Some(answer.flatten().unwrap_or(top))
             })
             .collect()
@@ -488,15 +514,31 @@ struct Buckets {
     reach: Vec<u64>,
 }
 
-/// What a sweep reads of the buckets it lands in ([`Buckets::gather`]).
-#[derive(Default)]
+/// What the reads use of the buckets they land in ([`Buckets::gather`]).
+#[derive(Debug, Default, PartialEq)]
 struct Gathered {
     /// Their buffered values, sorted: one bucket after the other.
     values: Vec<u64>,
     /// Their nodes' counts, each summed with every node's before it.
     sums: Vec<u64>,
-    /// Where each bucket gathered starts in `values` and in `sums`.
+    /// Where each bucket gathered starts in `values` and in `sums`;
+    /// `usize::MAX` in `values` for a bucket not gathered.
     start: Vec<(usize, usize)>,
+}
+
+impl Gathered {
+    /// Whether bucket `b` was gathered.
+    #[inline]
+    fn holds(&self, b: usize) -> bool {
+        self.start.get(b).is_some_and(|&(at, _)| at != usize::MAX)
+    }
+
+    /// The `count` sorted values of bucket `b`, gathered.
+    #[inline]
+    fn values_in(&self, b: usize, count: usize) -> &[u64] {
+        let at = self.start[b].0;
+        &self.values[at..at + count]
+    }
 }
 
 impl Buckets {
@@ -585,53 +627,71 @@ impl Buckets {
         ((x - self.lo) >> self.shift) as usize
     }
 
-    /// What a sweep reads of the buckets `landed` names that span more
-    /// than one value (past-the-end buckets ignored): their buffered
-    /// values, sorted by [`sort_values`], and their nodes' counts
-    /// summed. Nothing when every φ landed in a bucket of one value.
-    fn gather(
+    /// `kept` if it holds every bucket in `wanted`. Otherwise buckets
+    /// are gathered afresh: `wanted` on the first read since the last
+    /// insert, every bucket on a later one — that sorts the whole
+    /// buffer, as a flush would, so that repeated reads pay for it once.
+    fn gathered<'a>(
         &self,
+        kept: &'a mut CachedView<Gathered>,
         nodes: &[Node],
         buffer: &[u64],
-        landed: &[(usize, u64)],
+        wanted: &[usize],
         log_u: u32,
-    ) -> Gathered {
+    ) -> &'a Gathered {
+        if kept
+            .get()
+            .is_some_and(|held| !wanted.iter().all(|&b| held.holds(b)))
+        {
+            kept.invalidate();
+            let every: Vec<usize> = (0..self.reach.len()).collect();
+            return kept.get_or_build(|| self.gather(nodes, buffer, &every, log_u));
+        }
+        kept.get_or_build(|| self.gather(nodes, buffer, wanted, log_u))
+    }
+
+    /// The buffered values of the buckets in `wanted`, sorted by
+    /// [`sort_values`], and their nodes' counts summed.
+    fn gather(&self, nodes: &[Node], buffer: &[u64], wanted: &[usize], log_u: u32) -> Gathered {
         let len = self.reach.len();
-        let mut wide = landed
-            .iter()
-            .filter(|&&(b, _)| b < len && self.one_value(b, log_u).is_none())
-            .peekable();
-        if wide.peek().is_none() {
+        if wanted.is_empty() {
             return Gathered::default();
         }
-        let mut wanted = vec![false; len];
-        for &(b, _) in wide {
-            wanted[b] = true;
-        }
         let mut gathered = Gathered {
-            start: vec![(0, 0); len],
+            start: vec![(usize::MAX, 0); len],
             ..Gathered::default()
         };
+        for &b in wanted {
+            gathered.start[b].0 = 0;
+        }
         let mut kept = 0;
-        for b in (0..len).filter(|&b| wanted[b]) {
-            gathered.start[b] = (kept, gathered.sums.len());
-            kept += self.buffered_in(b).len();
-            let mut sum = self.stored_before(b);
-            let counts = nodes[self.stored_in(b)].iter().map(|node| {
-                sum += node.1;
-                sum
-            });
-            gathered.sums.extend(counts);
+        for b in 0..len {
+            if gathered.holds(b) {
+                gathered.start[b] = (kept, gathered.sums.len());
+                kept += self.buffered_in(b).len();
+                let mut sum = self.stored_before(b);
+                let counts = nodes[self.stored_in(b)].iter().map(|node| {
+                    sum += node.1;
+                    sum
+                });
+                gathered.sums.extend(counts);
+            }
         }
         gathered.values = if kept == buffer.len() {
             buffer.to_vec()
         } else {
             let mut values = Vec::with_capacity(kept);
-            values.extend(buffer.iter().filter(|&&x| wanted[self.of(x)]));
+            values.extend(buffer.iter().filter(|&&x| gathered.holds(self.of(x))));
             values
         };
         sort_values(&mut gathered.values, log_u);
         gathered
+    }
+
+    /// The bucket `x`, any value of the universe, falls in.
+    #[inline]
+    fn clamped(&self, x: u64) -> usize {
+        ((x.saturating_sub(self.lo) >> self.shift) as usize).min(self.reach.len() - 1)
     }
 
     /// Which stored nodes end in bucket `b`.
@@ -684,8 +744,8 @@ impl Buckets {
             return Some(only);
         }
         let (stored, buffered) = (self.stored_in(b), self.buffered_in(b));
-        let (values_at, sums_at) = gathered.start[b];
-        let values = &gathered.values[values_at..values_at + buffered.len()];
+        let values = gathered.values_in(b, buffered.len());
+        let sums_at = gathered.start[b].1;
         let sums = &gathered.sums[sums_at..sums_at + stored.len()];
         let below = buffered.start as u64;
         let end = |k: usize| QDigest::hi(log_u, nodes[stored.start + k].0);
@@ -1029,7 +1089,7 @@ impl crate::MergeableSummary<u64> for QDigest {
             return; // merging nothing is the identity
         }
         self.view.invalidate();
-        self.buckets.invalidate();
+        self.drop_buffer_views();
         let mut merged = Vec::with_capacity(self.nodes.len() + other.nodes.len());
         Self::union_into(&mut merged, &self.nodes, &other.nodes, self.log_u);
         self.nodes = merged;
@@ -1153,8 +1213,8 @@ impl CheckInvariants for QDigest {
     /// outweighs `⌊n/σ⌋` (what the ε bound rests on), nodes and buffered
     /// updates together respect the `3σ` capacity (plus the
     /// buffered-"Fast" slack), the node counts plus buffered updates
-    /// conserve the stream mass `n`, and cached prefix counts equal a
-    /// rebuild from the node array.
+    /// conserve the stream mass `n`, and every cached read view (prefix
+    /// counts, buckets, gathered buckets, flushed copy) equals a rebuild.
     fn check_invariants(&self) -> Result<(), sqs_util::audit::InvariantViolation> {
         use sqs_util::audit::ensure;
         const ALG: &str = "FastQDigest";
@@ -1235,19 +1295,31 @@ impl CheckInvariants for QDigest {
                 )
             },
         )?;
+        let buckets = || Buckets::build(&self.nodes, &self.buffer, self.log_u);
+        let flushed = || {
+            let mut flushed = self.clone();
+            flushed.flush();
+            flushed
+        };
         ensure(
             self.view
                 .get()
                 .is_none_or(|kept| *kept == Self::prefix_counts(&self.nodes))
-                && self.buckets.get().is_none_or(|kept| {
-                    *kept == Buckets::build(&self.nodes, &self.buffer, self.log_u)
-                }),
+                && self.buckets.get().is_none_or(|kept| *kept == buckets())
+                && self.gathered.get().is_none_or(|kept| {
+                    let buckets = buckets();
+                    let held: Vec<usize> = (0..buckets.reach.len())
+                        .filter(|&b| kept.holds(b))
+                        .collect();
+                    *kept == buckets.gather(&self.nodes, &self.buffer, &held, self.log_u)
+                })
+                && self
+                    .flushed
+                    .get()
+                    .is_none_or(|kept| (kept.n, &kept.nodes) == (self.n, &flushed().nodes)),
             ALG,
             "qdigest.view_fresh",
-            || {
-                "cached prefix counts or buckets differ from a rebuild (a mutator kept them)"
-                    .to_string()
-            },
+            || "a cached read view differs from a rebuild (a mutator kept it)".to_string(),
         )
     }
 }
@@ -1261,7 +1333,7 @@ impl QuantileSummary<u64> for QDigest {
             self.log_u
         );
         self.n += 1;
-        self.buckets.invalidate();
+        self.drop_buffer_views();
         self.reserve_buffer(1);
         self.buffer.push(x);
         if self.buffer.len() >= self.buffer_cap() {
@@ -1281,7 +1353,7 @@ impl QuantileSummary<u64> for QDigest {
     /// Panics if any element lies outside `[0, 2^log_u)`.
     fn insert_batch(&mut self, xs: &[u64]) {
         let u = self.universe();
-        self.buckets.invalidate();
+        self.drop_buffer_views();
         let mut rest = xs;
         while !rest.is_empty() {
             // A full buffer is flushed on the spot, so there is room.
@@ -1309,10 +1381,10 @@ impl QuantileSummary<u64> for QDigest {
     /// The standard q-digest lower-bound rank estimate: total count of
     /// nodes entirely below `x`, the buffered values below `x` counted
     /// as the leaves a flush would make them. A binary search over the
-    /// nodes' prefix counts and one pass over the buffer; nothing is
-    /// flushed.
+    /// nodes' prefix counts and, while values are buffered, one over
+    /// the sorted values of the bucket `x` falls in; nothing is flushed.
     fn rank_estimate(&mut self, x: u64) -> u64 {
-        if let Some(mut flushed) = self.flushed_if_compressing() {
+        if let Some(flushed) = self.flushed_if_compressing() {
             return flushed.rank_estimate(x);
         }
         let log_u = self.log_u;
@@ -1320,7 +1392,18 @@ impl QuantileSummary<u64> for QDigest {
             .nodes
             .partition_point(|&(id, _)| Self::hi(log_u, id) < x);
         let cum = self.view.get_or_build(|| Self::prefix_counts(&self.nodes));
-        counted(cum, below) + self.buffer.iter().filter(|&&v| v < x).count() as u64
+        let stored = counted(cum, below);
+        if self.buffer.is_empty() {
+            return stored;
+        }
+        let buckets = self
+            .buckets
+            .get_or_build(|| Buckets::build(&self.nodes, &self.buffer, log_u));
+        let b = buckets.clamped(x);
+        let gathered = buckets.gathered(&mut self.gathered, &self.nodes, &self.buffer, &[b], log_u);
+        let buffered = buckets.buffered_in(b);
+        let values = gathered.values_in(b, buffered.len());
+        stored + (buffered.start + values.partition_point(|&v| v < x)) as u64
     }
 
     /// The right endpoint of the first node, in post-order, at which
