@@ -470,13 +470,6 @@ impl QDigest {
     }
 }
 
-/// How many of the stored nodes' counts the first `k` of them sum to,
-/// from their prefix counts `cum`.
-#[inline]
-fn counted(cum: &[u64], k: usize) -> u64 {
-    k.checked_sub(1).map_or(0, |last| cum[last])
-}
-
 /// The first `i` in `range` at which `reached(i)` holds, `range.end` if
 /// none does; `reached` must be monotone over the range.
 fn first_reached(range: std::ops::Range<usize>, reached: impl Fn(usize) -> bool) -> usize {
@@ -494,9 +487,11 @@ fn first_reached(range: std::ops::Range<usize>, reached: impl Fn(usize) -> bool)
 
 /// The stored nodes and the buffered values of a q-digest counted by
 /// bucket. The buckets split the range the buffered values span into
-/// at most `2^BUCKET_BITS` equal parts, no more parts than there are
-/// buffered values; the first bucket also holds everything below the
-/// range and the last everything above it. A φ's bucket is the first
+/// equal parts: one value wide where the range holds at most
+/// `2^BUCKET_BITS` values, else at most `2^BUCKET_BITS` parts and at
+/// most twice as many as there are buffered values. The first bucket
+/// also holds everything below the range and the last everything above
+/// it. A φ's bucket is the first
 /// whose end the summed count reaches `⌈φ·n⌉` at; its answer lies among
 /// the endpoints inside it.
 #[derive(Debug, PartialEq)]
@@ -1392,7 +1387,7 @@ impl QuantileSummary<u64> for QDigest {
             .nodes
             .partition_point(|&(id, _)| Self::hi(log_u, id) < x);
         let cum = self.view.get_or_build(|| Self::prefix_counts(&self.nodes));
-        let stored = counted(cum, below);
+        let stored = below.checked_sub(1).map_or(0, |last| cum[last]);
         if self.buffer.is_empty() {
             return stored;
         }

@@ -71,10 +71,14 @@ cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_referen
 # hash-map node store before that). And its read ceiling: a cold 99-phi
 # grid right after a flush at the same shape against that flush (<= 0.5x;
 # ~0.05-0.07x reading the stored order, ~1.4x when every cold read
-# sorted the nodes into post-order).
+# sorted the nodes into post-order). And the unflushed read's ceiling:
+# a cold 99-phi grid on the digest as inserts left it, buffer and all,
+# against a flush by node_count() and the same grid (<= 0.4x; ~0.2-0.3x
+# counting the buffer by bucket, ~1.0x when the read flushed).
 echo "== q-digest insert and read ceilings (cargo test --release -p sqs-core) =="
 cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_5x_of_random_sketch
 cargo test -q --release -p sqs-core --lib cold_grid_costs_at_most_half_a_flush
+cargo test -q --release -p sqs-core --lib unflushed_cold_grid_costs_at_most_0_4x_a_flushed_one -- --nocapture
 
 # Two more ratios of the same kind (docs/PERF.md section 19): MRL99's
 # scalar insert against RandomSketch's at the paper_suite shape (<= 1.6x;
