@@ -1208,6 +1208,21 @@ pub(crate) mod oracle {
         )
     }
 
+    /// The read a pool answered every φ-sweep with before it searched
+    /// its buffers in place: one [`super::RankIndex`] over the live
+    /// buffers, one lookup per φ and per rank.
+    pub(crate) fn one_index(
+        bufs: &[(&[u64], u64)],
+        phis: &[f64],
+        xs: &[u64],
+    ) -> (Vec<Option<u64>>, Vec<u64>) {
+        let index = super::RankIndex::build(bufs);
+        (
+            phis.iter().map(|&p| index.quantile(p)).collect(),
+            xs.iter().map(|&x| index.rank(x)).collect(),
+        )
+    }
+
     /// Summed weight of all sampled elements strictly smaller than `x`.
     pub(crate) fn weighted_rank<T: Ord + Copy>(bufs: &[(&[T], u64)], x: T) -> u64 {
         bufs.iter()
@@ -1608,6 +1623,206 @@ mod tests {
         let index = RankIndex::<u64>::build(&[]);
         assert_eq!(index.quantile(0.5), None);
         assert_eq!(index.rank(7), 0);
+    }
+
+    /// `count` φs, half of them a grid (targets that land on prefix
+    /// ranks, so ties in distance) and half drawn, shuffled, the last a
+    /// repeat of another when there are two or more.
+    fn mixed_phis(count: usize, rng: &mut sqs_util::rng::Xoshiro256pp) -> Vec<f64> {
+        let mut phis: Vec<f64> = (0..count)
+            .map(|i| {
+                if i % 2 == 0 {
+                    (i + 1) as f64 / (count + 1) as f64
+                } else {
+                    (1 + rng.next_below(999_999)) as f64 / 1e6
+                }
+            })
+            .collect();
+        for i in (1..count).rev() {
+            phis.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        if count > 1 {
+            phis[count - 1] = phis[rng.next_below(count as u64 - 1) as usize];
+        }
+        phis
+    }
+
+    /// Every read of `s` against [`oracle::one_index`] over its pool's
+    /// live buffers: the sweep of 1, 9, 99 and `1/ε − 1` φs (unsorted,
+    /// with a repeat), `quantile` at each φ of the short sweeps and at
+    /// about ten of each long one, and `rank_estimate` at the universe's ends,
+    /// around sampled values and at drawn ones.
+    fn assert_reads_are_one_index<S: crate::QuantileSummary<u64>>(
+        s: &mut S,
+        pool: fn(&S) -> &Pool<u64>,
+        eps: f64,
+        rng: &mut sqs_util::rng::Xoshiro256pp,
+    ) {
+        let live = |s: &S| -> Vec<(Vec<u64>, u64)> {
+            let bufs = live_buffers(&pool(s).buffers);
+            bufs.iter().map(|&(d, w)| (d.to_vec(), w)).collect()
+        };
+        let owned = live(s);
+        let bufs: Vec<(&[u64], u64)> = owned.iter().map(|(d, w)| (d.as_slice(), *w)).collect();
+        let mut xs = vec![0, 1, u64::MAX];
+        for (d, _) in &owned {
+            for &v in d.iter().step_by(97) {
+                xs.extend([v.saturating_sub(1), v, v.saturating_add(1)]);
+            }
+        }
+        xs.extend((0..20).map(|_| rng.next_below(1 << 32)));
+        let widest = (1.0 / eps).round() as usize - 1;
+        for count in [1, 9, 99, widest] {
+            let phis = mixed_phis(count, rng);
+            let (want, ranks) = oracle::one_index(&bufs, &phis, &xs);
+            let at = format!("{count} φs at n = {}", s.n());
+            assert_eq!(s.quantiles(&phis), want, "{} {at}", s.name());
+            let every = (count / 10).max(1);
+            for (&phi, &q) in phis.iter().zip(&want).step_by(every) {
+                assert_eq!(s.quantile(phi), q, "{} φ = {phi}, {at}", s.name());
+            }
+            let got: Vec<u64> = xs.iter().map(|&x| s.rank_estimate(x)).collect();
+            assert_eq!(got, ranks, "{} ranks, {at}", s.name());
+        }
+        assert_eq!(live(s), owned, "{}: a read moved the buffers", s.name());
+    }
+
+    /// The live buffers in slot order, and whether a nonempty buffer
+    /// sits in a slot after the fill's.
+    fn fill_is_in_a_middle_slot(pool: &Pool<u64>) -> bool {
+        let last = pool.buffers.iter().rposition(|b| !b.data.is_empty());
+        matches!((pool.fill, last), (Some(f), Some(l)) if f < l && !pool.buffers[f].data.is_empty())
+    }
+
+    /// The reads of `Random`, MRL99 and MRL98 against one index over
+    /// their live buffers, on an empty pool, at `paper_suite`'s shape
+    /// (ε 10⁻³, 2^19 uniform rows over 2^32), and over a 48-value
+    /// universe — ties everywhere — at every point of the stream where
+    /// the fill sits in a slot below another nonempty buffer (a COLLAPSE
+    /// freed a low slot, or `merge_from` left partials ahead of it).
+    #[test]
+    fn pool_reads_answer_what_one_index_over_the_live_buffers_answers() {
+        use crate::{mrl98::Mrl98, mrl99::Mrl99, random::RandomSketch, QuantileSummary};
+        use sqs_util::rng::Xoshiro256pp;
+        fn random(s: &RandomSketch<u64>) -> &Pool<u64> {
+            &s.pool
+        }
+        fn mrl99(s: &Mrl99<u64>) -> &Pool<u64> {
+            &s.pool
+        }
+        fn mrl98(s: &Mrl98<u64>) -> &Pool<u64> {
+            &s.pool
+        }
+        /// Feeds `rows` one by one and checks the reads whenever the
+        /// fill moves into a middle slot, at most `checks` times, and
+        /// at the end; returns how often the fill was in one.
+        fn middle_slots<S: QuantileSummary<u64>>(
+            s: &mut S,
+            pool: fn(&S) -> &Pool<u64>,
+            eps: f64,
+            rows: impl Iterator<Item = u64>,
+            checks: usize,
+            rng: &mut Xoshiro256pp,
+        ) -> usize {
+            let mut seen = 0;
+            let mut was = false;
+            for x in rows {
+                s.insert(x);
+                let now = fill_is_in_a_middle_slot(pool(s));
+                if now && !was {
+                    if seen < checks {
+                        assert_reads_are_one_index(s, pool, eps, rng);
+                    }
+                    seen += 1;
+                }
+                was = now;
+            }
+            assert_reads_are_one_index(s, pool, eps, rng);
+            seen
+        }
+        let mut rng = Xoshiro256pp::new(44);
+
+        // Empty pools answer None and rank 0, on both sides of the crossover.
+        assert_reads_are_one_index(&mut RandomSketch::new(1e-3, 1), random, 1e-3, &mut rng);
+        assert_reads_are_one_index(&mut Mrl99::new(1e-3, 1), mrl99, 1e-3, &mut rng);
+        assert_reads_are_one_index(&mut Mrl98::new(1e-3, 1 << 19), mrl98, 1e-3, &mut rng);
+
+        // paper_suite's shape.
+        let mut rows = Xoshiro256pp::new(0x5017e);
+        let wide: Vec<u64> = (0..1 << 19).map(|_| rows.next_below(1 << 32)).collect();
+        let mut s = RandomSketch::new(1e-3, 7);
+        wide.iter().for_each(|&x| s.insert(x));
+        assert_eq!(
+            (s.pool.buffers.iter().filter(|b| b.full).count(), s.pool.cap),
+            (10, 3163)
+        );
+        assert_reads_are_one_index(&mut s, random, 1e-3, &mut rng);
+        let mut s = Mrl99::new(1e-3, 7);
+        wide.iter().for_each(|&x| s.insert(x));
+        assert_reads_are_one_index(&mut s, mrl99, 1e-3, &mut rng);
+        let mut s = Mrl98::new(1e-3, 1 << 19);
+        wide.iter().for_each(|&x| s.insert(x));
+        assert_reads_are_one_index(&mut s, mrl98, 1e-3, &mut rng);
+
+        // Ties everywhere, the fill below other buffers after a COLLAPSE.
+        for eps in [1e-2, 1e-3] {
+            let n = (600.0 / eps) as u64;
+            let rows = |seed| {
+                let mut r = Xoshiro256pp::new(seed);
+                (0..n).map(move |_| r.next_below(48))
+            };
+            let seen = [
+                middle_slots(
+                    &mut RandomSketch::new(eps, 3),
+                    random,
+                    eps,
+                    rows(5),
+                    6,
+                    &mut rng,
+                ),
+                middle_slots(&mut Mrl99::new(eps, 3), mrl99, eps, rows(6), 6, &mut rng),
+            ];
+            assert!(
+                seen.iter().all(|&k| k > 0),
+                "ε {eps}: fill never in a middle slot: {seen:?}"
+            );
+            // MRL98's COLLAPSE keeps the lowest chosen slot and its next
+            // fill takes the first empty one, above every full buffer:
+            // its reads are checked at stream points instead.
+            let mut s = Mrl98::new(eps, n);
+            for part in 0..4 {
+                let seen = middle_slots(
+                    &mut s,
+                    mrl98,
+                    eps,
+                    rows(7 + part).take(n as usize / 8),
+                    0,
+                    &mut rng,
+                );
+                assert_eq!(seen, 0, "ε {eps}: an MRL98 fill below a full buffer");
+            }
+        }
+
+        // `merge_from` leaves sorted partials in the low slots; the fill
+        // then resumes one of them or starts in an empty slot among them.
+        for eps in [1e-2, 1e-3] {
+            let cap = RandomSketch::<u64>::new(eps, 0).buffer_size() as u64;
+            let mut seen = 0;
+            for seed in 0..12u64 {
+                let mut s = RandomSketch::new(eps, seed);
+                let mut r = Xoshiro256pp::new(100 + seed);
+                (0..cap * (3 + seed % 5) + r.next_below(cap))
+                    .for_each(|_| s.insert(r.next_below(48)));
+                let mut other = RandomSketch::new(eps, seed + 1_000);
+                (0..cap * (seed % 3) + r.next_below(cap))
+                    .for_each(|_| other.insert(r.next_below(48)));
+                s.merge_from(other);
+                assert_reads_are_one_index(&mut s, random, eps, &mut rng);
+                let more = (0..cap * 4).map(|_| r.next_below(48));
+                seen += middle_slots(&mut s, random, eps, more, 2, &mut rng);
+            }
+            assert!(seen > 0, "ε {eps}: no merge left the fill in a middle slot");
+        }
     }
 
     /// The pool's rules, each broken in turn in each owner's pool: the
