@@ -472,7 +472,7 @@ impl<T> sqs_util::space::SpaceUsage for RankIndex<T> {
 /// with the mass of the part's samples before it.
 pub trait SortedPart<T> {
     /// Samples in the part.
-    fn len(&self) -> usize;
+    fn samples(&self) -> usize;
 
     /// The sample at `i` (`i < len`).
     fn value(&self, i: usize) -> T;
@@ -487,7 +487,7 @@ pub trait SortedPart<T> {
 }
 
 impl<T: Copy> SortedPart<T> for RankIndex<T> {
-    fn len(&self) -> usize {
+    fn samples(&self) -> usize {
         self.items.len()
     }
 
@@ -513,7 +513,7 @@ pub(crate) struct Run<'a, T> {
 }
 
 impl<T: Copy> SortedPart<T> for Run<'_, T> {
-    fn len(&self) -> usize {
+    fn samples(&self) -> usize {
         self.data.len()
     }
 
@@ -560,7 +560,7 @@ impl<'a, T: Ord + Copy, P: SortedPart<T>> UnionReader<'a, T, P> {
     /// The reader over `parts`, in that order.
     pub fn new(parts: impl IntoIterator<Item = &'a P>) -> Self {
         let parts: Vec<&'a P> = parts.into_iter().collect();
-        let total = parts.iter().map(|p| p.before(p.len())).sum();
+        let total = parts.iter().map(|p| p.before(p.samples())).sum();
         Self {
             parts,
             total,
@@ -570,7 +570,7 @@ impl<'a, T: Ord + Copy, P: SortedPart<T>> UnionReader<'a, T, P> {
 
     /// The summed weight of all samples strictly smaller than `x`.
     pub fn rank(&self, x: T) -> u64 {
-        let rank = |p: &P| p.before(p.partition_point(0, p.len(), |v| v < x));
+        let rank = |p: &P| p.before(p.partition_point(0, p.samples(), |v| v < x));
         self.parts.iter().map(|p| rank(p)).sum()
     }
 
@@ -611,7 +611,7 @@ impl<'a, T: Ord + Copy, P: SortedPart<T>> UnionReader<'a, T, P> {
     fn whole(&self) -> (Vec<usize>, Vec<usize>) {
         (
             vec![0; self.parts.len()],
-            self.parts.iter().map(|p| p.len()).collect(),
+            self.parts.iter().map(|p| p.samples()).collect(),
         )
     }
 
@@ -1072,7 +1072,7 @@ impl<T: Ord + Copy> Pool<T> {
                 } else {
                     copies
                         .next()
-                        .expect("one sorted copy per buffer out of order")
+                        .expect("pool invariant: one sorted copy per buffer out of order")
                 },
                 weight: b.weight,
             })
