@@ -474,11 +474,11 @@ pub trait SortedPart<T> {
     /// Samples in the part.
     fn samples(&self) -> usize;
 
-    /// The sample at `i` (`i < len`).
+    /// The sample at `i` (`i < samples()`).
     fn value(&self, i: usize) -> T;
 
-    /// The mass of the samples before `i` (`i ≤ len`): at `len`, the
-    /// part's whole mass.
+    /// The mass of the samples before `i` (`i ≤ samples()`): at
+    /// `samples()`, the part's whole mass.
     fn before(&self, i: usize) -> u64;
 
     /// The first `i` in `lo..hi` whose sample `pred` fails, or `hi`:
@@ -579,11 +579,7 @@ impl<'a, T: Ord + Copy, P: SortedPart<T>> UnionReader<'a, T, P> {
     /// # Panics
     /// Panics if `φ ∉ (0, 1)`.
     pub fn quantile(&self, phi: f64) -> Option<T> {
-        crate::traits::check_phi(phi);
-        let (from, to) = self.whole();
-        let mut cut = vec![0; self.parts.len()];
-        let mut windows = Vec::with_capacity(self.parts.len());
-        Some(self.quantile_in(phi, &from, &to, &mut windows, &mut cut)?.0)
+        self.quantiles(&[phi]).pop().flatten()
     }
 
     /// One [`quantile`](Self::quantile) per φ.
@@ -601,50 +597,55 @@ impl<'a, T: Ord + Copy, P: SortedPart<T>> UnionReader<'a, T, P> {
         let mut order: Vec<usize> = (0..phis.len()).collect();
         order.sort_by(|&a, &b| phis[a].total_cmp(&phis[b]));
         let mut out = vec![None; phis.len()];
-        let (from, to) = self.whole();
-        let mut windows = Vec::with_capacity(self.parts.len());
-        self.sweep(phis, &order, (&from, &to), &mut windows, &mut out);
+        // Each level of the halving keeps two bounds per part, below the
+        // whole union's.
+        let k = self.parts.len();
+        let depth = (usize::BITS - phis.len().leading_zeros()) as usize;
+        let mut bounds = vec![0; 2 * k * (depth + 1)];
+        let (whole, below) = bounds.split_at_mut(2 * k);
+        let (from, to) = whole.split_at_mut(k);
+        to.iter_mut()
+            .zip(&self.parts)
+            .for_each(|(t, p)| *t = p.samples());
+        let mut windows = Vec::with_capacity(k);
+        self.sweep(phis, &order, (from, to), below, &mut windows, &mut out);
         out
-    }
-
-    /// Every sample of every part: the bounds `quantile_in` starts from.
-    fn whole(&self) -> (Vec<usize>, Vec<usize>) {
-        (
-            vec![0; self.parts.len()],
-            self.parts.iter().map(|p| p.samples()).collect(),
-        )
     }
 
     /// Answers the φs of `order`, ascending, from the samples
     /// `from[p]..to[p]` of each part `p`: one unbroken stretch of the
     /// union that holds both neighbours of each of their targets.
+    /// `bounds` holds two bounds per part for each level of halving
+    /// still to come.
     fn sweep(
         &self,
         phis: &[f64],
         order: &[usize],
         (from, to): (&[usize], &[usize]),
+        bounds: &mut [usize],
         windows: &mut Vec<Window>,
         out: &mut [Option<T>],
     ) {
         let Some(&median) = order.get(order.len() / 2) else {
             return;
         };
-        let mut cut = vec![0; self.parts.len()];
-        let Some((answer, below, above)) =
-            self.quantile_in(phis[median], from, to, windows, &mut cut)
+        let k = self.parts.len();
+        let (mine, deeper) = bounds.split_at_mut(2 * k);
+        let (cut, upto) = mine.split_at_mut(k);
+        let Some((answer, below, above)) = self.quantile_in(phis[median], from, to, windows, cut)
         else {
             return; // No samples: every answer is `None`.
         };
         out[median] = Some(answer);
         // Up to the upper neighbour, and from the lower one on.
-        let mut upto = cut.clone();
+        upto.copy_from_slice(cut);
         if let Some(part) = above {
             upto[part] += 1;
         }
         cut[below] -= 1;
         let (smaller, larger) = (&order[..order.len() / 2], &order[order.len() / 2 + 1..]);
-        self.sweep(phis, smaller, (from, &upto), windows, out);
-        self.sweep(phis, larger, (&cut, to), windows, out);
+        self.sweep(phis, smaller, (from, upto), deeper, windows, out);
+        self.sweep(phis, larger, (cut, to), deeper, windows, out);
     }
 
     /// The quantile search, one level per part, among the samples
