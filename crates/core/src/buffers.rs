@@ -23,35 +23,39 @@
 //!   unbiased collapse; the fixed midpoint offset gives the
 //!   deterministic MRL98 collapse.
 //!
-//! Both the COLLAPSE and the read side need the weighted union of
-//! several buffers in ascending order. The full buffers are sorted
-//! already, so [`merge_runs`] merges them instead of sorting their
-//! union: one ordered pass per level of a balanced merge tree, the
-//! partial fill (the one run that may be out of order) sorted as a
-//! copy. Equal values come out in slice order, the order a stable sort
-//! of the flattened buffers gives, whatever the sort of a fill did.
-//! That order cannot change a COLLAPSE: a block of equal values covers
-//! the same expanded positions however it is arranged inside, so every
-//! target picks the same value. It can change a `RankIndex` quantile in
-//! one case only — equal values of different weight at the boundary of
-//! the target — and never a rank.
+//! The COLLAPSE needs the weighted union of several buffers in
+//! ascending order. The full buffers are sorted already, so
+//! [`merge_runs`] merges them instead of sorting their union: one
+//! ordered pass per level of a balanced merge tree, the partial fill
+//! (the one run that may be out of order) sorted as a copy. Equal values
+//! come out in slice order, the order a stable sort of the flattened
+//! buffers gives, whatever the sort of a fill did. That order cannot
+//! change a COLLAPSE: a block of equal values covers the same expanded
+//! positions however it is arranged inside, so every target picks the
+//! same value. It can change a [`RankIndex`] quantile in one case only —
+//! equal values of different weight at the boundary of the target — and
+//! never a rank.
 //!
 //! The write side's `GroupSampler` thins the arrivals that feed a
 //! `Random` or `MRL99` fill buffer to one per `2^level`. The read side
-//! keeps nothing between queries: a rank is §2.2's weighted sum over
-//! the live buffers, computed directly, and a φ-sweep reads one
-//! [`RankIndex`] over their union, built for that sweep.
+//! keeps nothing between queries. A rank is §2.2's weighted sum over
+//! the live buffers, computed directly. A φ-sweep answers what one
+//! [`RankIndex`] over the live buffers would — the union [`merge_runs`]
+//! orders — but builds that index only for a dense sweep: a sparse one
+//! searches the sorted buffers where they lie, each a `Run` of a
+//! [`UnionReader`], the fill as a sorted copy in its own slot (see
+//! `Pool::quantiles`).
 //!
-//! A reader that keeps its own index across writes splits the live
-//! buffers in two ([`Runs`]): the *stable* buffers, which change only
-//! when the pool bumps its generation (a fill released, a replacement
-//! or collapse, a partial resumed as the fill), and the *fresh* one,
-//! the fill, which every insert may change. [`UnionReader`] answers
-//! from an index over each of any number of parts exactly what one
-//! index over their union would, so only the part that changed is
-//! re-indexed per read: the engine reads its shards' stable runs and
-//! fills as two parts, a window ring its covered buckets and rollups as
-//! one part each.
+//! [`UnionReader`] answers from any number of sorted parts exactly what
+//! one index over their union, in part order, would: its parts are a
+//! pool's buffers, or [`RankIndex`]es that a reader keeps across writes.
+//! Such a reader splits the live buffers in two ([`Runs`]): the *stable*
+//! buffers, which change only when the pool bumps its generation (a fill
+//! released, a replacement or collapse, a partial resumed as the fill),
+//! and the *fresh* one, the fill, which every insert may change. Only
+//! the part that changed is re-indexed per read: the engine reads its
+//! shards' stable runs and fills as two parts, a window ring its covered
+//! buckets and rollups as one part each.
 
 #![expect(
     clippy::cast_possible_truncation,
@@ -408,7 +412,7 @@ impl GroupSampler<u64> {
 /// that §2.2's `r̂(v) = Σ_X w(X)·|{y ∈ X : y < v}|` and its inverse are
 /// binary searches. It is the part the engine and the window ring keep
 /// per shard or bucket and read through a [`UnionReader`]; a pool's own
-/// dense φ-sweep builds one too (see [`Pool::quantiles`]).
+/// dense φ-sweep builds one too (see `Pool::quantiles`).
 #[derive(Debug, PartialEq)]
 pub struct RankIndex<T> {
     /// Every live sample, ascending, with the summed weight of the
@@ -537,7 +541,7 @@ impl<T: Copy> SortedPart<T> for Run<'_, T> {
 /// widest part for the union's neighbours of the target, then does the
 /// same inside the gap between those two samples with the remaining
 /// parts (see [`quantile`](Self::quantile)). The engine and the window
-/// ring read [`RankIndex`] parts, a pool its buffers as [`Run`]s.
+/// ring read [`RankIndex`] parts, a pool its buffers as `Run`s.
 #[derive(Debug, Clone)]
 pub struct UnionReader<'a, T, P = RankIndex<T>> {
     parts: Vec<&'a P>,

@@ -90,6 +90,18 @@ echo "== MRL99 insert ceiling and GK sweep ceiling (cargo test --release -p sqs-
 cargo test -q --release -p sqs-core --lib mrl99_insert_stays_within_1_6x_of_random_sketch
 cargo test -q --release -p sqs-core --lib gk_sweep_is_one_walk
 
+# The pool read's two ceilings, ratios printed (docs/PERF.md section 25):
+# at paper_suite's shape (eps 1e-3, 2^19 uniform rows) a cold 99-phi
+# Random or MRL99 sweep, which searches the buffers in place, against one
+# rank index over them and a lookup per phi, the read it replaced (<= 0.5x;
+# ~0.35x, ~1.0x building the index per sweep); and a 999-phi sweep, past
+# the crossover where the pool builds that index again (<= 1.1x; ~1.0x,
+# ~1.3-2x if it searched every phi in place). One process each: the two
+# timings would measure each other.
+echo "== pool read ceilings (cargo test --release -p sqs-core sweep_costs) =="
+cargo test -q --release -p sqs-core --lib searched_sweep_costs_at_most_half_one_index -- --nocapture
+cargo test -q --release -p sqs-core --lib dense_sweep_costs_at_most_1_1x_one_index -- --nocapture
+
 # The post-order COMPRESS against the hash-map walk it replaced, node for
 # node (~2 s optimized; the workspace step above also ran it
 # unoptimized, ~30 s).
