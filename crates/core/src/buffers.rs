@@ -1056,8 +1056,8 @@ impl<T: Ord + Copy> Pool<T> {
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`.
     pub(crate) fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        phis.iter().for_each(|&phi| crate::traits::check_phi(phi));
         if phis.len() * SAMPLES_PER_SEARCHED_PHI > self.cap {
+            phis.iter().for_each(|&phi| crate::traits::check_phi(phi));
             let index = RankIndex::build(&live_buffers(&self.buffers));
             return phis.iter().map(|&phi| index.quantile(phi)).collect();
         }
@@ -1864,8 +1864,8 @@ mod tests {
         assert_eq!(live(s), owned, "{}: a read moved the buffers", s.name());
     }
 
-    /// The live buffers in slot order, and whether a nonempty buffer
-    /// sits in a slot after the fill's.
+    /// Whether the fill holds samples and a nonempty buffer sits in a
+    /// slot after the fill's.
     fn fill_is_in_a_middle_slot(pool: &Pool<u64>) -> bool {
         let last = pool.buffers.iter().rposition(|b| !b.data.is_empty());
         matches!((pool.fill, last), (Some(f), Some(l)) if f < l && !pool.buffers[f].data.is_empty())
