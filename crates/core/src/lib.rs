@@ -26,11 +26,11 @@
 //!
 //! Every summary implements [`QuantileSummary`] (streaming insert +
 //! rank/quantile queries) and [`sqs_util::SpaceUsage`] (the paper's
-//! 4-bytes-per-word accounting). The mergeable summaries (`Random`,
-//! `FastQDigest`, the reservoir baseline) additionally implement
-//! [`codec::WireCodec`] — a versioned, checksummed byte form so they
-//! can be shipped across process boundaries and merged remotely
-//! (`sqs-service`).
+//! 4-bytes-per-word accounting). The served summaries (`Random`,
+//! `FastQDigest`) additionally implement [`codec::WireCodec`] — a
+//! versioned, checksummed byte form so they can be shipped across
+//! process boundaries and merged remotely (`sqs-service`). The
+//! reservoir baseline merges but has no wire form.
 
 #![warn(missing_docs)]
 

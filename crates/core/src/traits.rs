@@ -146,8 +146,8 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
 /// (randomized, comparison model), [`QDigest`](crate::qdigest::QDigest)
 /// (deterministic, fixed universe), and
 /// [`ReservoirQuantiles`](crate::sampled::ReservoirQuantiles) — the
-/// sampled fallback for the GK family, whose tuple summaries are not
-/// mergeable without weakening ε. In `sqs-turnstile`, every
+/// paper's sampling baseline, merged in tests but not served. In
+/// `sqs-turnstile`, every
 /// `DyadicQuantiles` over a mergeable sketch (DCM, DCS): linear
 /// sketches built from one seed merge exactly.
 ///

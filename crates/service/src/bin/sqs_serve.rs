@@ -8,7 +8,7 @@
 //!
 //! * `--addr HOST:PORT` — bind address (default `127.0.0.1:7171`,
 //!   port 0 for ephemeral).
-//! * `--backend random|qdigest|reservoir|dcs` — shard summary type
+//! * `--backend random|qdigest|dcs` — shard summary type
 //!   (default `random`).
 //! * `--eps F` — accuracy parameter ε (default `0.01`).
 //! * `--log-u N` — q-digest/DCS universe is `[0, 2^N)` (default `32`;
@@ -52,7 +52,6 @@ use std::time::Duration;
 use sqs_core::codec::Kind;
 use sqs_core::qdigest::QDigest;
 use sqs_core::random::RandomSketch;
-use sqs_core::sampled::ReservoirQuantiles;
 use sqs_service::server::{spawn, DurabilityConfig, ServerConfig, WindowOptions};
 use sqs_store::FsyncPolicy;
 use sqs_turnstile::Dcs;
@@ -68,7 +67,7 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: sqs-serve [--addr HOST:PORT] [--backend random|qdigest|reservoir|dcs] \
+    "usage: sqs-serve [--addr HOST:PORT] [--backend random|qdigest|dcs] \
      [--eps F] [--log-u N] [--shards N] [--workers N] [--queue N] [--seed N] \
      [--data-dir PATH] [--fsync always|interval:MS|never] [--segment-bytes N] \
      [--checkpoint-secs N] [--window-bucket-secs N] [--window-retention N] \
@@ -298,10 +297,6 @@ fn main() -> ExitCode {
             cfg.value_bound = Some(1u64 << log_u);
             spawn(cfg, move |_tenant, _shard| QDigest::new(eps, log_u)).map(|h| run(h.addr(), h))
         }
-        Kind::Reservoir => spawn(cfg, move |tenant, shard| {
-            ReservoirQuantiles::new(eps, derive_seed(seed, tenant, shard))
-        })
-        .map(|h| run(h.addr(), h)),
         Kind::Dcs => {
             // Fixed-universe like qdigest: gate out-of-range inserts.
             cfg.value_bound = Some(1u64 << log_u);

@@ -263,52 +263,72 @@ fn serve_refuses_a_data_dir_of_another_format_version() {
 }
 
 /// docs/STORE.md §5's retired-kind row: a checkpoint whose frame is a
-/// kind-5 DCS (a sketch at every sketched level, before every other one
-/// was derived) passes the store's structural check — magic, version,
-/// checksum; any kind byte — and is refused by the typed decode, so the
+/// DCS re-tagged with a retired kind — 3 (the reservoir baseline) or 5
+/// (a DCS with a sketch at every sketched level, before every other one
+/// was derived) — passes the store's structural check (magic, version,
+/// checksum; any kind byte) and is refused by the typed decode, so the
 /// server does not start on it rather than skipping it for an older
-/// checkpoint or an empty tenant.
+/// checkpoint or an empty tenant, and leaves the file as it was.
 #[test]
 fn serve_refuses_a_data_dir_whose_checkpoint_holds_a_retired_kind() {
     use sqs_core::codec::{seal, WireCodec};
     use sqs_store::{DurableStore, StoreConfig};
     use sqs_turnstile::Dcs;
-    let dir = TempDir::new("sqs-recovery-retired-kind").expect("tempdir");
-    let mut frame = Dcs::dcs(0.2, 12, 1).to_bytes();
-    frame.truncate(frame.len() - 8);
-    frame[5] = 5;
-    seal(&mut frame);
-    {
-        let (store, _) = DurableStore::open(&StoreConfig::new(dir.path())).expect("open");
-        store.append_batch(TENANT, &[1, 2, 3]).expect("append");
-        store
-            .record_checkpoint(TENANT, 1, 3, &frame)
-            .expect("checkpoint");
-    }
-    let ckpt = std::fs::read_dir(dir.path().join("ckpt"))
-        .expect("checkpoint dir")
-        .next()
-        .expect("one checkpoint")
-        .expect("dir entry")
-        .path();
-    let planted = std::fs::read(&ckpt).expect("read checkpoint");
+    for retired in [3u8, 5] {
+        let dir = TempDir::new("sqs-recovery-retired-kind").expect("tempdir");
+        let mut frame = Dcs::dcs(0.2, 12, 1).to_bytes();
+        frame.truncate(frame.len() - 8);
+        frame[5] = retired;
+        seal(&mut frame);
+        {
+            let (store, _) = DurableStore::open(&StoreConfig::new(dir.path())).expect("open");
+            store.append_batch(TENANT, &[1, 2, 3]).expect("append");
+            store
+                .record_checkpoint(TENANT, 1, 3, &frame)
+                .expect("checkpoint");
+        }
+        let ckpt = std::fs::read_dir(dir.path().join("ckpt"))
+            .expect("checkpoint dir")
+            .next()
+            .expect("one checkpoint")
+            .expect("dir entry")
+            .path();
+        let planted = std::fs::read(&ckpt).expect("read checkpoint");
 
+        let out = Command::new(env!("CARGO_BIN_EXE_sqs-serve"))
+            .args(["--addr", "127.0.0.1:0", "--backend", "dcs", "--eps", "0.2"])
+            .args(["--log-u", "12", "--data-dir"])
+            .arg(dir.path())
+            .output()
+            .expect("run sqs-serve");
+        assert!(
+            !out.status.success(),
+            "sqs-serve started on a kind-{retired} checkpoint"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("does not decode: summary kind mismatch")
+                && stderr.contains(&format!("got {retired}")),
+            "unhelpful refusal of kind {retired}: {stderr}"
+        );
+        assert_eq!(std::fs::read(&ckpt).expect("read back"), planted);
+    }
+}
+
+/// The reservoir baseline left the wire with kind 3: its backend name is
+/// as unknown as any other.
+#[test]
+fn serve_refuses_the_retired_reservoir_backend() {
     let out = Command::new(env!("CARGO_BIN_EXE_sqs-serve"))
-        .args(["--addr", "127.0.0.1:0", "--backend", "dcs", "--eps", "0.2"])
-        .args(["--log-u", "12", "--data-dir"])
-        .arg(dir.path())
+        .args(["--addr", "127.0.0.1:0", "--backend", "reservoir"])
         .output()
         .expect("run sqs-serve");
-    assert!(
-        !out.status.success(),
-        "sqs-serve started on a kind-5 checkpoint"
-    );
+    assert!(!out.status.success(), "sqs-serve served a reservoir");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("does not decode: summary kind mismatch") && stderr.contains("got 5"),
+        stderr.contains("unknown backend \"reservoir\""),
         "unhelpful refusal: {stderr}"
     );
-    assert_eq!(std::fs::read(&ckpt).expect("read back"), planted);
 }
 
 /// A flag the binary does not know is an error with the usage text, not

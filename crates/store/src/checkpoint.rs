@@ -305,7 +305,7 @@ mod tests {
     /// A minimal valid `sqs_core` frame to ride inside checkpoints.
     fn frame() -> Vec<u8> {
         use sqs_core::codec::WireCodec;
-        sqs_core::sampled::ReservoirQuantiles::<u64>::new(0.1, 1).to_bytes()
+        sqs_core::random::RandomSketch::<u64>::new(0.1, 1).to_bytes()
     }
 
     #[test]

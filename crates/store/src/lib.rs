@@ -649,7 +649,7 @@ mod tests {
 
     fn frame() -> Vec<u8> {
         use sqs_core::codec::WireCodec;
-        sqs_core::sampled::ReservoirQuantiles::<u64>::new(0.1, 1).to_bytes()
+        sqs_core::random::RandomSketch::<u64>::new(0.1, 1).to_bytes()
     }
 
     /// The store's WAL segment files under `root`, in sequence order.

@@ -1242,8 +1242,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqs_core::qdigest::QDigest;
     use sqs_core::random::RandomSketch;
-    use sqs_core::sampled::ReservoirQuantiles;
 
     fn cfg(bucket: u64, retention: u64, rollup: u64, late: LatePolicy) -> WindowConfig {
         WindowConfig {
@@ -1265,15 +1265,15 @@ mod tests {
         WindowRing::new(cfg, |idx| RandomSketch::new(0.05, 0xBEEF ^ idx))
     }
 
-    /// A ring over the reservoir, which has none: the merge path.
-    fn reservoir_ring(
+    /// A ring over the q-digest, which has none: the merge path.
+    fn qdigest_ring(
         bucket: u64,
         retention: u64,
         rollup: u64,
         late: LatePolicy,
-    ) -> WindowRing<ReservoirQuantiles<u64>> {
+    ) -> WindowRing<QDigest> {
         let cfg = cfg(bucket, retention, rollup, late);
-        WindowRing::new(cfg, |idx| ReservoirQuantiles::new(0.05, 0xBEEF ^ idx))
+        WindowRing::new(cfg, |_| QDigest::new(0.05, 16))
     }
 
     #[test]
@@ -1344,10 +1344,10 @@ mod tests {
 
     #[test]
     fn cache_hits_between_mutations() {
-        let mut r = reservoir_ring(100, 8, 0, LatePolicy::Drop);
+        let mut r = qdigest_ring(100, 8, 0, LatePolicy::Drop);
         r.ingest(10, &[5; 64], 10); // bucket 0
         r.ingest(110, &[6; 32], 110); // bucket 1, open
-        let hits = |r: &WindowRing<ReservoirQuantiles<u64>>| r.stats().cache_hits;
+        let hits = |r: &WindowRing<QDigest>| r.stats().cache_hits;
         let spec = WindowSpec::sliding(200);
         let a = r.query(spec, &[0.5], 110).expect("q1");
         assert_eq!((a.n, hits(&r)), (96, 0), "the first query merges bucket 0");
@@ -1419,7 +1419,7 @@ mod tests {
 
     #[test]
     fn rollups_build_once_and_serve_long_spans() {
-        let mut r = reservoir_ring(10, 64, 4, LatePolicy::Drop);
+        let mut r = qdigest_ring(10, 64, 4, LatePolicy::Drop);
         // Fill buckets 0..16, one value each; current ends at 16.
         for i in 0..=16u64 {
             r.ingest(i * 10, &[i], i * 10);

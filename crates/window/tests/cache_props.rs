@@ -12,7 +12,7 @@
 //! reads a window as one union of its parts' rank indexes: its oracle is
 //! one `RankIndex::build` over the runs of the covered parts, in the
 //! ring's part order (the whole rollups, then the sealed fine buckets of
-//! the ragged edges, then the open bucket). The reservoir has none, so
+//! the ragged edges, then the open bucket). The q-digest has none, so
 //! the ring merges: its oracle is a fresh build of the merge shape. Half
 //! the schedules draw values from 64, so that equal values of different
 //! weight meet across parts and the part order shows in the answers.
@@ -20,8 +20,8 @@
 use std::collections::BTreeMap;
 
 use sqs_core::buffers::RankIndex;
+use sqs_core::qdigest::QDigest;
 use sqs_core::random::RandomSketch;
-use sqs_core::sampled::ReservoirQuantiles;
 use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_engine::merge_tree;
 use sqs_util::audit::CheckInvariants;
@@ -73,9 +73,10 @@ impl Backend for RandomSketch<u64> {
     }
 }
 
-impl Backend for ReservoirQuantiles<u64> {
-    fn make(idx: u64) -> Self {
-        ReservoirQuantiles::new(0.05, 0x5EA1 ^ idx)
+impl Backend for QDigest {
+    /// Over `[0, 2^16)`, the wider of the schedules' two value domains.
+    fn make(_idx: u64) -> Self {
+        QDigest::new(0.05, 16)
     }
 
     /// The merge shape: `merge_tree` of the sealed parts, then a clone of
@@ -293,6 +294,6 @@ fn random_answers_equal_one_index_over_the_covered_parts() {
 }
 
 #[test]
-fn reservoir_answers_equal_a_fresh_build_of_its_merge_shape() {
-    every_answer_equals_the_oracle::<ReservoirQuantiles<u64>>();
+fn qdigest_answers_equal_a_fresh_build_of_its_merge_shape() {
+    every_answer_equals_the_oracle::<QDigest>();
 }

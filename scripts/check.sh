@@ -61,7 +61,7 @@ cargo run --release --quiet -p sqs-harness --bin sqs-exp -- claims
 # 28-byte reply), so it holds on any machine — but only optimized code
 # means anything, and the debug run above reports it as ignored.
 echo "== frame checksum speed floor (cargo test --release -p sqs-core checksum_beats) =="
-cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_reference
+cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_reference -- --nocapture
 
 # The q-digest's update-time ceiling, a ratio for the same reason: its
 # scalar insert against RandomSketch's at the benchmark's `paper_suite`
@@ -76,8 +76,8 @@ cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_referen
 # against a flush by node_count() and the same grid (<= 0.4x; ~0.2-0.3x
 # counting the buffer by bucket, ~1.0x when the read flushed).
 echo "== q-digest insert and read ceilings (cargo test --release -p sqs-core) =="
-cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_5x_of_random_sketch
-cargo test -q --release -p sqs-core --lib cold_grid_costs_at_most_half_a_flush
+cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_5x_of_random_sketch -- --nocapture
+cargo test -q --release -p sqs-core --lib cold_grid_costs_at_most_half_a_flush -- --nocapture
 cargo test -q --release -p sqs-core --lib unflushed_cold_grid_costs_at_most_0_4x_a_flushed_one -- --nocapture
 
 # Two more ratios of the same kind (docs/PERF.md section 19): MRL99's
@@ -87,8 +87,8 @@ cargo test -q --release -p sqs-core --lib unflushed_cold_grid_costs_at_most_0_4x
 # quantile (<= 5x; one list walk for the sweep, where the per-phi loop
 # walked it 99 times).
 echo "== MRL99 insert ceiling and GK sweep ceiling (cargo test --release -p sqs-core) =="
-cargo test -q --release -p sqs-core --lib mrl99_insert_stays_within_1_6x_of_random_sketch
-cargo test -q --release -p sqs-core --lib gk_sweep_is_one_walk
+cargo test -q --release -p sqs-core --lib mrl99_insert_stays_within_1_6x_of_random_sketch -- --nocapture
+cargo test -q --release -p sqs-core --lib gk_sweep_is_one_walk -- --nocapture
 
 # The pool read's two ceilings, ratios printed (docs/PERF.md section 25):
 # at paper_suite's shape (eps 1e-3, 2^19 uniform rows) a cold 99-phi
@@ -115,7 +115,7 @@ cargo test -q --release -p sqs-core --lib compress_matches_the_hash_map_oracle
 # section 11, ~1x before). An integration test: the lib's own cfg(test)
 # build audits every batch.
 echo "== sampled fold floor (cargo test --release -p sqs-core --test batch_fold_floor) =="
-cargo test -q --release -p sqs-core --test batch_fold_floor
+cargo test -q --release -p sqs-core --test batch_fold_floor -- --nocapture
 
 # The batched turnstile kernels' floors, ratios too: insert_batch over
 # the scalar insert loop (>= 1.2x, DCM and DCS) and rank_signed_batch
@@ -123,7 +123,7 @@ cargo test -q --release -p sqs-core --test batch_fold_floor
 # u = 2^32 (docs/PERF.md section 4). Absolute turnstile throughput is
 # the benchmark's, compared against the parent commit.
 echo "== turnstile batch floors (cargo test --release -p sqs-turnstile --test batch_floor) =="
-cargo test -q --release -p sqs-turnstile --test batch_floor
+cargo test -q --release -p sqs-turnstile --test batch_floor -- --nocapture
 
 # The window read's floor, a ratio too: at window_mix's shape a
 # sliding-64 query right after a rotation, read as one union of its
@@ -133,7 +133,7 @@ cargo test -q --release -p sqs-turnstile --test batch_floor
 # file's library loop of window_mix's request mix prints the per-spec
 # query means and holds its last answers within eps of an exact mirror.
 echo "== window query floor (cargo test --release -p sqs-window --test query_floor) =="
-cargo test -q --release -p sqs-window --test query_floor
+cargo test -q --release -p sqs-window --test query_floor -- --nocapture
 
 # The engine's cold-read floors, ratios too, printed: at ingest_mem's
 # shape (4 shards, eps 0.01, 2^24 rows per shard, 64 batches of 4096

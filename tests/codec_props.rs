@@ -25,11 +25,6 @@ fn qdigest_roundtrips_rank_identical() {
 }
 
 #[test]
-fn reservoir_roundtrips_rank_identical() {
-    contract::decode_continues(&contract::reservoir());
-}
-
-#[test]
 fn turnstile_dcs_roundtrips_rank_identical() {
     contract::decode_continues(&contract::dcs());
 }
@@ -45,11 +40,6 @@ fn qdigest_rejects_corruption() {
 }
 
 #[test]
-fn reservoir_rejects_corruption() {
-    contract::corruption_refused(&contract::reservoir());
-}
-
-#[test]
 fn turnstile_dcs_rejects_corruption() {
     contract::corruption_refused(&contract::dcs());
 }
@@ -59,7 +49,6 @@ fn turnstile_dcs_rejects_corruption() {
 fn every_truncation_and_bit_flip_rejected_across_backends() {
     contract::corruption_refused(&contract::random());
     contract::corruption_refused(&contract::qdigest());
-    contract::corruption_refused(&contract::reservoir());
     contract::corruption_refused(&contract::dcs());
 }
 
@@ -68,7 +57,6 @@ fn every_truncation_and_bit_flip_rejected_across_backends() {
 fn empty_summaries_roundtrip() {
     contract::decode_continues(&contract::random());
     contract::decode_continues(&contract::qdigest());
-    contract::decode_continues(&contract::reservoir());
     contract::decode_continues(&contract::dcs());
 }
 

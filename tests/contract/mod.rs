@@ -210,6 +210,7 @@ pub fn qdigest() -> Spec<QDigest> {
     }
 }
 
+/// Mergeable but not served: no frame, so its state is its `Debug` form.
 pub fn reservoir() -> Spec<ReservoirQuantiles<u64>> {
     Spec {
         eps: &[0.05, 0.2],
@@ -218,7 +219,7 @@ pub fn reservoir() -> Spec<ReservoirQuantiles<u64>> {
             let other = ReservoirQuantiles::with_capacity(capacity + 1, seed);
             vec![("capacity", other)]
         },
-        ..Spec::new(ReservoirQuantiles::new).framed()
+        ..Spec::new(ReservoirQuantiles::new)
     }
 }
 
