@@ -429,6 +429,8 @@ impl<T: Ord + Copy> RankIndex<T> {
     /// a slice need not be sorted), their union ordered by
     /// [`merge_runs`].
     pub fn build(bufs: &[(&[T], u64)]) -> Self {
+        #[cfg(test)]
+        crate::counts::tick(crate::counts::Work::IndexBuild);
         let mut items = merge_runs(bufs);
         let mut total = 0u64;
         for item in &mut items {
@@ -733,6 +735,8 @@ impl<'a, T: Ord + Copy, P: SortedPart<T>> UnionReader<'a, T, P> {
             // Where sample `i` of the widest part sits in each window,
             // left in `at`; the rank it has in the union.
             let place = |windows: &mut [Window], i: usize| {
+                #[cfg(test)]
+                crate::counts::tick(crate::counts::Work::Probe);
                 let v = p.value(i);
                 let mut rank = base + p.before(i);
                 for w in windows.iter_mut() {
@@ -2042,79 +2046,55 @@ mod tests {
         check(Mrl98::new(0.05, 20_000), |s| &mut s.pool, &breaks);
     }
 
-    /// Best of `rounds` alternated timings of a pool's cold φ-sweep
-    /// and of the read it replaced (one index over the live buffers
-    /// and a lookup per φ), for `Random` and MRL99 fed 2^19 uniform
-    /// rows over 2^32 at `eps` through the scalar insert: the ratios.
-    fn sweep_over_one_index(eps: f64, phis: &[f64], rounds: usize) -> [(&'static str, f64); 2] {
-        use crate::{mrl99::Mrl99, random::RandomSketch, QuantileSummary};
-        use std::hint::black_box;
-        use std::time::Instant;
-        fn ratio<S: QuantileSummary<u64>>(
+    /// The work of a cold sweep of `phis` on `Random` and MRL99 at
+    /// `paper_suite`'s shape (ε 10⁻³, 2^19 uniform rows over 2^32: 10
+    /// full buffers of 3 163 samples and a fill).
+    fn sweep_work(phis: &[f64]) -> [(&'static str, crate::counts::Counts); 2] {
+        use crate::{counts::during, mrl99::Mrl99, random::RandomSketch, QuantileSummary};
+        fn work<S: QuantileSummary<u64>>(
             mut s: S,
-            pool: fn(&S) -> &Pool<u64>,
             rows: &[u64],
             phis: &[f64],
-            rounds: usize,
-        ) -> f64 {
-            rows.iter().for_each(|&x| s.insert(x));
-            let (mut read, mut index) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..rounds {
-                let start = Instant::now();
-                black_box(s.quantiles(black_box(phis)));
-                read = read.min(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                let one = RankIndex::build(&live_buffers(&pool(&s).buffers));
-                black_box(phis.iter().map(|&p| one.quantile(p)).collect::<Vec<_>>());
-                index = index.min(start.elapsed().as_secs_f64());
-            }
-            read / index
+        ) -> crate::counts::Counts {
+            s.insert_batch(rows);
+            during(|| s.quantiles(phis)).1
         }
         let mut rng = sqs_util::rng::Xoshiro256pp::new(0x5017e);
         let rows: Vec<u64> = (0..1 << 19).map(|_| rng.next_below(1 << 32)).collect();
         [
-            (
-                "MRL99",
-                ratio(Mrl99::new(eps, 7), |s| &s.pool, &rows, phis, rounds),
-            ),
-            (
-                "Random",
-                ratio(RandomSketch::new(eps, 7), |s| &s.pool, &rows, phis, rounds),
-            ),
+            ("MRL99", work(Mrl99::new(1e-3, 7), &rows, phis)),
+            ("Random", work(RandomSketch::new(1e-3, 7), &rows, phis)),
         ]
     }
 
-    /// The read's ceiling, a ratio so it holds on any machine: at
-    /// `paper_suite`'s shape (ε 10⁻³, 2^19 uniform rows, 10 full
-    /// buffers of 3 163 samples and a fill) a cold 99-φ sweep that
-    /// searches the buffers in place may cost at most half the one
-    /// index it replaced (≈ 0.35 against an index whose memory the
-    /// allocator hands back warm, ≈ 0.2 against a cold one; ≈ 1.0
-    /// building the index per sweep).
+    /// A sparse sweep (99 φs, under `cap /` [`SAMPLES_PER_SEARCHED_PHI`])
+    /// builds no index, and each half of it searches only its side of
+    /// the median's cut. The counts are deterministic at this seed:
+    /// 1 099 samples placed for MRL99, 1 155 for `Random`; searching
+    /// every φ among all the samples places 1 530 and 1 623. The bound,
+    /// 13 per φ (1 287), lies between.
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
-    fn searched_sweep_costs_at_most_half_one_index() {
-        for (name, ratio) in sweep_over_one_index(1e-3, &sqs_util::exact::probe_phis(0.01), 40) {
-            println!("{name}: a cold 99-φ sweep costs {ratio:.2}x one index over the buffers");
-            assert!(
-                ratio <= 0.5,
-                "{name}: a cold 99-φ sweep costs {ratio:.2}x one index"
-            );
+    fn a_sparse_sweep_builds_no_index_and_probes_each_side_of_its_cuts() {
+        use crate::counts::Work;
+        let phis = sqs_util::exact::probe_phis(0.01);
+        let bound = 13 * phis.len() as u64;
+        for (name, work) in sweep_work(&phis) {
+            assert_eq!(work[Work::IndexBuild], 0, "{name}: index builds");
+            let probes = work[Work::Probe];
+            assert!(probes <= bound, "{name}: {probes} probes, over {bound}");
         }
     }
 
-    /// The crossover's ceiling: at ε 10⁻³ a 999-φ sweep, past
-    /// [`SAMPLES_PER_SEARCHED_PHI`]'s crossover, may cost at most 1.1×
-    /// the one index (it builds that index; searching every φ in place
-    /// costs ≈ 1.3×).
+    /// A dense sweep (999 φs, past [`SAMPLES_PER_SEARCHED_PHI`]'s
+    /// crossover) builds exactly one index and searches nothing in place.
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
-    fn dense_sweep_costs_at_most_1_1x_one_index() {
-        for (name, ratio) in sweep_over_one_index(1e-3, &sqs_util::exact::probe_phis(1e-3), 20) {
-            println!("{name}: a cold 999-φ sweep costs {ratio:.2}x one index over the buffers");
-            assert!(
-                ratio <= 1.1,
-                "{name}: a cold 999-φ sweep costs {ratio:.2}x one index"
+    fn a_dense_sweep_builds_one_index_and_searches_nothing_in_place() {
+        use crate::counts::Work;
+        for (name, work) in sweep_work(&sqs_util::exact::probe_phis(1e-3)) {
+            assert_eq!(
+                (work[Work::IndexBuild], work[Work::Probe]),
+                (1, 0),
+                "{name}: (index builds, probes) of a dense sweep"
             );
         }
     }

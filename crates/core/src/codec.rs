@@ -744,30 +744,23 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing floor: run with --release")]
     fn checksum_beats_the_byte_serial_reference() {
+        use sqs_util::timing::{alternate, Bound};
         use std::hint::black_box;
-        use std::time::Instant;
-        fn best_ns(bytes: &[u8], f: fn(&[u8]) -> u64) -> f64 {
+        /// `f` over `bytes` about 4 MiB's worth of times.
+        fn sums(bytes: &[u8], f: fn(&[u8]) -> u64) -> impl FnOnce() + '_ {
             let reps = (1 << 22) / bytes.len().max(64);
-            (0..9)
-                .map(|_| {
-                    let start = Instant::now();
-                    for _ in 0..reps {
-                        black_box(f(black_box(bytes)));
-                    }
-                    start.elapsed().as_secs_f64() * 1e9 / reps as f64
-                })
-                .fold(f64::INFINITY, f64::min)
+            move || {
+                for _ in 0..reps {
+                    black_box(f(black_box(bytes)));
+                }
+            }
         }
         let batch = pattern(32 << 10);
-        let speedup = best_ns(&batch, fnv1a64) / best_ns(&batch, checksum);
+        alternate(9, || sums(&batch, fnv1a64), || sums(&batch, checksum))
+            .gate("checksum 32 KiB speed-up", Bound::AtLeast(8.0));
         let reply = pattern(28);
-        let cost = best_ns(&reply, checksum) / best_ns(&reply, fnv1a64);
-        println!(
-            "checksum: {speedup:.1}x the reference on 32 KiB (floor 8x), \
-             {cost:.2}x its time on 28 bytes (ceiling 1.5x)"
-        );
-        assert!(speedup >= 8.0, "32 KiB: only {speedup:.1}x the reference");
-        assert!(cost <= 1.5, "28 bytes: {cost:.2}x the reference's time");
+        alternate(9, || sums(&reply, checksum), || sums(&reply, fnv1a64))
+            .gate("checksum 28 B cost", Bound::AtMost(1.5));
     }
 
     /// Every byte maps to at most one kind and back; exactly 1, 2 and 6

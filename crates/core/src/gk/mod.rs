@@ -100,6 +100,8 @@ pub(crate) fn query_quantiles<T: Ord + Copy>(
             let mut best_valid: Option<(f64, T)> = None;
             let mut best_any: Option<(f64, T)> = None;
             for (&rmin, t) in rmins[start..].iter().zip(&tuples[start..]) {
+                #[cfg(test)]
+                crate::counts::tick(crate::counts::Work::Probe);
                 let rmax = rmin + t.delta;
                 let dist = (rmin as f64 + t.delta as f64 / 2.0 - target).abs();
                 if rmin as f64 >= target - margin && rmax as f64 <= target + margin {

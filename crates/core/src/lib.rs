@@ -46,3 +46,6 @@ pub mod sampled;
 mod traits;
 
 pub use traits::{MergeableSummary, QuantileSummary};
+
+#[cfg(test)]
+mod counts;

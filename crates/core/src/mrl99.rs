@@ -204,29 +204,16 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
     fn mrl99_insert_stays_within_1_6x_of_random_sketch() {
-        use crate::random::RandomSketch;
-        use std::hint::black_box;
-        use std::time::Instant;
-        fn best_secs<S: QuantileSummary<u64>>(rows: &[u64], make: impl Fn() -> S) -> f64 {
-            (0..3)
-                .map(|_| {
-                    let mut s = make();
-                    let start = Instant::now();
-                    for &x in rows {
-                        s.insert(black_box(x));
-                    }
-                    black_box(s.n());
-                    start.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
-        }
+        use crate::{random::RandomSketch, traits::scalar_inserts};
+        use sqs_util::timing::{alternate, Bound};
         let mut rng = Xoshiro256pp::new(0x5017e);
         let rows: Vec<u64> = (0..1 << 19).map(|_| rng.next_below(1 << 32)).collect();
-        let mrl99 = best_secs(&rows, || Mrl99::new(1e-3, 7));
-        let random = best_secs(&rows, || RandomSketch::new(1e-3, 7));
-        let ratio = mrl99 / random;
-        println!("MRL99 insert is {ratio:.2}x RandomSketch's");
-        assert!(ratio <= 1.6, "MRL99 insert is {ratio:.2}x RandomSketch's");
+        alternate(
+            3,
+            || scalar_inserts(Mrl99::new(1e-3, 7), &rows),
+            || scalar_inserts(RandomSketch::new(1e-3, 7), &rows),
+        )
+        .gate("MRL99 insert over RandomSketch's", Bound::AtMost(1.6));
     }
 }
 

@@ -305,6 +305,8 @@ impl QDigest {
         if self.buffer.is_empty() {
             return;
         }
+        #[cfg(test)]
+        crate::counts::tick(crate::counts::Work::Flush);
         self.view.invalidate();
         self.drop_buffer_views();
         sort_values(&mut self.buffer, self.log_u);
@@ -364,6 +366,8 @@ impl QDigest {
     /// Puts `nodes` in post-order over `[0, 2^log_u)`: the order a
     /// decoded byte form (ascending ids) is stored in.
     fn post_order(nodes: &mut [Node], log_u: u32) {
+        #[cfg(test)]
+        crate::counts::tick(crate::counts::Work::NodeSort);
         nodes.sort_unstable_by_key(|&(id, _)| Self::key(log_u, id));
     }
 
@@ -2266,99 +2270,57 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
     fn scalar_insert_stays_within_5x_of_random_sketch() {
-        use crate::random::RandomSketch;
-        use std::hint::black_box;
-        use std::time::Instant;
-        fn best_secs<S: QuantileSummary<u64>>(rows: &[u64], make: impl Fn() -> S) -> f64 {
-            (0..3)
-                .map(|_| {
-                    let mut s = make();
-                    let start = Instant::now();
-                    for &x in rows {
-                        s.insert(black_box(x));
-                    }
-                    black_box(s.n());
-                    start.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
-        }
+        use crate::{random::RandomSketch, traits::scalar_inserts};
+        use sqs_util::timing::{alternate, Bound};
         let mut rng = Xoshiro256pp::new(0x5017e);
         let rows: Vec<u64> = (0..1 << 19).map(|_| rng.next_below(1 << 32)).collect();
-        let digest = best_secs(&rows, || QDigest::new(1e-3, 32));
-        let random = best_secs(&rows, || RandomSketch::new(1e-3, 7));
-        let ratio = digest / random;
-        println!("q-digest insert is {ratio:.2}x RandomSketch's");
-        assert!(
-            ratio <= 5.0,
-            "q-digest insert is {ratio:.1}x RandomSketch's"
-        );
+        alternate(
+            3,
+            || scalar_inserts(QDigest::new(1e-3, 32), &rows),
+            || scalar_inserts(RandomSketch::new(1e-3, 7), &rows),
+        )
+        .gate("q-digest insert over RandomSketch's", Bound::AtMost(5.0));
     }
 
-    /// The read's ceiling, a ratio like the insert's: at the
-    /// `paper_suite` shape, a cold 99-φ `quantiles` right after
-    /// `node_count()` has flushed the buffer may cost at most half that
-    /// flush (sort and merge). Sorting the nodes into post-order for
-    /// every cold read cost ≈ 1.5 flushes; the prefix sums alone ≈ 0.1.
+    /// At the `paper_suite` shape, a cold 99-φ grid right after
+    /// `node_count()` has flushed the buffer reads the nodes in their
+    /// stored post-order: no node sort (the read that sorted them for
+    /// every cold read cost ≈ 1.5 flushes).
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
-    fn cold_grid_costs_at_most_half_a_flush() {
-        use std::hint::black_box;
-        use std::time::Instant;
-        let mut rng = Xoshiro256pp::new(0x5017e);
-        let mut digest = QDigest::new(1e-3, 32);
-        for _ in 0..1 << 19 {
-            digest.insert(rng.next_below(1 << 32));
-        }
+    fn a_cold_grid_sorts_no_nodes() {
+        use crate::counts::{during, Work};
+        let mut digest = paper_suite_digest();
         assert!(digest.buffer.len() > digest.nodes.len() / 4);
-        let grid = probe_phis(0.01);
-        let (mut flush, mut read) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            let mut d = digest.clone();
-            let start = Instant::now();
-            black_box(d.node_count());
-            flush = flush.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            black_box(d.quantiles(&grid));
-            read = read.min(start.elapsed().as_secs_f64());
-        }
-        let ratio = read / flush;
-        println!("a cold 99-φ grid costs {ratio:.2}x the flush before it");
-        assert!(
-            ratio <= 0.5,
-            "a cold 99-φ grid costs {ratio:.2}x the flush before it"
-        );
+        digest.node_count();
+        let (_, work) = during(|| digest.quantiles(&probe_phis(0.01)));
+        assert_eq!(work[Work::NodeSort], 0, "node sorts in a cold grid");
     }
 
-    /// The unflushed read's ceiling: at the `paper_suite` shape, a cold
-    /// 99-φ `quantiles` on the unflushed digest may cost at most 0.4× a
-    /// flush by `node_count()` and the same grid after it. The flushing
-    /// read it replaced cost exactly that, ≈ 1.0.
+    /// At the `paper_suite` shape, cold reads of the digest as its
+    /// inserts left it, buffer unflushed, flush neither the digest nor
+    /// a clone of it (the flushing read cost a flush and the grid).
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "timing ceiling: run with --release")]
-    fn unflushed_cold_grid_costs_at_most_0_4x_a_flushed_one() {
-        use std::hint::black_box;
-        use std::time::Instant;
+    fn cold_reads_of_an_unflushed_digest_flush_nothing() {
+        use crate::counts::{during, Work};
         let digest = paper_suite_digest();
         assert!(digest.buffer.len() > digest.nodes.len() / 4);
         let grid = probe_phis(0.01);
-        let (mut flushed, mut unflushed) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
+        let reads: [fn(&mut QDigest, &[f64]); 3] = [
+            |d, grid| drop(d.quantiles(grid)),
+            |d, _| {
+                d.quantile(0.5);
+            },
+            |d, _| {
+                d.rank_estimate(1 << 31);
+            },
+        ];
+        for read in reads {
             let mut d = digest.clone();
-            let start = Instant::now();
-            black_box(d.node_count());
-            black_box(d.quantiles(&grid));
-            flushed = flushed.min(start.elapsed().as_secs_f64());
-            let mut d = digest.clone();
-            let start = Instant::now();
-            black_box(d.quantiles(&grid));
-            unflushed = unflushed.min(start.elapsed().as_secs_f64());
+            let (_, work) = during(|| read(&mut d, &grid));
+            let done = (work[Work::Flush], work[Work::NodeSort]);
+            assert_eq!(done, (0, 0), "(flushes, node sorts) of a cold read");
+            assert_eq!(d.buffer.len(), digest.buffer.len());
         }
-        let ratio = unflushed / flushed;
-        println!("an unflushed cold 99-φ grid costs {ratio:.2}x a flush and the grid");
-        assert!(
-            ratio <= 0.4,
-            "an unflushed cold 99-φ grid costs {ratio:.2}x a flush and the grid"
-        );
     }
 
     /// Prints the cold 99-φ grid of every oracle shape, on a clone, best

@@ -220,6 +220,19 @@ pub(crate) fn check_phi(phi: f64) {
 }
 
 #[cfg(test)]
+/// One round of an insert-time gate: `s` fed `rows` through the scalar
+/// `insert`, and handed back so the timer drops it off the clock.
+pub(crate) fn scalar_inserts<'a, S: QuantileSummary<u64> + 'a>(
+    mut s: S,
+    rows: &'a [u64],
+) -> impl FnOnce() -> S + 'a {
+    move || {
+        rows.iter().for_each(|&x| s.insert(std::hint::black_box(x)));
+        s
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use crate::gk::GkArray;
     use crate::QuantileSummary;

@@ -8,8 +8,8 @@
 use sqs_core::random::RandomSketch;
 use sqs_core::QuantileSummary;
 use sqs_util::rng::Xoshiro256pp;
+use sqs_util::timing::{alternate, Bound};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// At the service's shape — ε = 0.01, a shard past 2^22 rows (level 8:
 /// sixteen samples out of a 4096-row batch) — the batch fold must be at
@@ -24,32 +24,18 @@ fn insert_batch_is_8x_faster_per_row_than_the_scalar_loop() {
     let rows: Vec<u64> = (0..1 << 22).map(|_| rng.next_below(1 << 32)).collect();
     let mut warm = RandomSketch::new(0.01, 7);
     warm.insert_batch(&rows);
-
-    let best_secs = |fold: fn(&mut RandomSketch<u64>, &[u64])| {
-        (0..5)
-            .map(|_| {
-                let mut s = warm.clone();
-                let start = Instant::now();
-                for batch in rows.chunks(BATCH) {
-                    fold(&mut s, black_box(batch));
-                }
-                black_box(s.n());
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let scalar = best_secs(|s, batch| {
-        for &x in batch {
-            s.insert(x);
+    // A clone of the warm sketch, off the clock, then every batch.
+    let folds = |fold: fn(&mut RandomSketch<u64>, &[u64])| {
+        let (mut s, rows) = (warm.clone(), &rows);
+        move || {
+            rows.chunks(BATCH).for_each(|b| fold(&mut s, black_box(b)));
+            s
         }
-    });
-    let batched = best_secs(|s, batch| s.insert_batch(batch));
-    let speedup = scalar / batched;
-    println!("insert_batch is {speedup:.1}x the scalar loop per row (floor 8x)");
-    assert!(
-        speedup >= 8.0,
-        "insert_batch is only {speedup:.1}x the scalar loop ({:.2} against {:.2} ns/row)",
-        batched * 1e9 / rows.len() as f64,
-        scalar * 1e9 / rows.len() as f64,
-    );
+    };
+    alternate(
+        5,
+        || folds(|s, batch| batch.iter().for_each(|&x| s.insert(x))),
+        || folds(|s, batch| s.insert_batch(batch)),
+    )
+    .gate("insert_batch over the scalar loop", Bound::AtLeast(8.0));
 }

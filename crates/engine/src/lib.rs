@@ -893,17 +893,24 @@ mod tests {
         assert_eq!(e.query_many(&[0.9, 0.1, 0.5, 0.5], &[1_000, 3_000]), first);
         assert_eq!(e.stats().snapshots, 1);
         // A write that releases no fill keeps every generation: the next
-        // read copies the fills only, and the stable index survives it.
+        // read copies the fills only, and the stable index survives it —
+        // the same index, not one rebuilt equal to it: a marker planted in
+        // its place is still there after the read.
+        let marker = || RankIndex::build(&[(&[u64::MAX][..], 1)]);
+        let stable = |e: &ShardedEngine<u64, RandomSketch<u64>>, index| {
+            let mut cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);
+            let parts = cache.parts.as_mut().expect("a read cut the runs");
+            std::mem::replace(&mut parts.stable.index, index)
+        };
+        let real = stable(&e, Some(marker()));
         let before = generations(&e);
         e.ingest_batch(&[7; 10]);
         assert_eq!(generations(&e), before);
         let _ = e.query_many(&[0.5], &[3_000]);
         assert_eq!(e.stats().snapshots, 2);
-        assert_eq!(
-            indexed(&e),
-            (true, true),
-            "the stable index outlived a write"
-        );
+        let kept = stable(&e, real);
+        assert!(kept == Some(marker()), "the stable index was rebuilt");
+        assert_eq!(indexed(&e), (true, true));
         e.assert_invariants();
         let old_index = stable_index(&e);
         let cache = e.cache.lock().unwrap_or_else(PoisonError::into_inner);

@@ -1,23 +1,26 @@
-//! The cold read's speed floors, as ratios so they hold on any machine:
-//! a cold `query_many` (9 φ and 3 ranks) against what the read cost
-//! before — clone the four shards, `merge_tree` them, sweep the merge.
-//! The shards are mirrored outside the engine, fed the same batches in
-//! the router's order, so both sides read the same state.
+//! What a cold read costs against what it cost before — clone the four
+//! shards, `merge_tree` them, sweep the merge — printed, not gated. A
+//! cold `query_many` (9 φ and 3 ranks) is timed beside the same read of
+//! shards mirrored outside the engine, fed the same batches in the
+//! router's order, at two shapes:
 //!
-//! - At `ingest_mem`'s shape (`RandomSketch`, ε 0.01, 2²⁴ rows per
-//!   shard, 64 batches of 4 096 rows between reads) the read indexes
-//!   the shards' runs: ≤ ½.
-//! - At `turnstile_mix`'s shape (`dcs(0.01, 24)`, one seed for every
-//!   shard, 8 batches of 4 096 rows between reads) the read sums the
-//!   shards' cells under their locks: ≤ 0.7.
+//! - `ingest_mem`'s (`RandomSketch`, ε 0.01, 2²⁴ rows per shard, 64
+//!   batches of 4 096 rows between reads), where the read indexes the
+//!   shards' runs (≈ 0.34 on a 2-core box);
+//! - `turnstile_mix`'s (`dcs(0.01, 24)`, one seed for every shard, 8
+//!   batches of 4 096 rows between reads), where the read sums the
+//!   shards' cells under their locks (≈ 0.44; the merging cut before
+//!   it read 1.26–1.36, ROADMAP.md item 14).
 //!
-//! The two tests take turns (a timing measured beside another measures
-//! both). That the cold read answers exactly what the runs or the
-//! merged sketch answer is `reads.rs`'s job; absolute latency is the
-//! benchmark's (the two workloads against the parent).
+//! The mechanism is counted in debug instead: `clones.rs` holds a cold
+//! read to 0 clones, with runs and for summed reads, and the lib test
+//! `rank_indexes_live_in_the_read_cache_only` holds the stable index
+//! across writes. That the read answers what the runs or the merged
+//! sketch answer is `reads.rs`'s job; absolute latency is the
+//! benchmark's. Run with `cargo test --release -p sqs-engine --test
+//! read_floor -- --ignored --nocapture`.
 
 use std::hint::black_box;
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use sqs_core::random::RandomSketch;
@@ -32,9 +35,6 @@ const ROWS: usize = 4096;
 const READS: usize = 16;
 const PHIS: [f64; 9] = [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999];
 const RANKS: [u64; 3] = [1_234_567, 5_555_555, 11_111_111];
-
-/// Held by each floor while it runs.
-static TIMING: Mutex<()> = Mutex::new(());
 
 struct Feed<S> {
     engine: ShardedEngine<u64, S>,
@@ -78,10 +78,9 @@ impl<S: MergeableSummary<u64> + Clone> Feed<S> {
         (cold, merged)
     }
 
-    /// Best of five passes, each side timed inside the same pass: a busy
-    /// spell on a shared host then slows both sides of the ratio.
-    /// Prints and returns the best pass's ratio.
-    fn best_ratio(&mut self, batches: usize, label: &str) -> f64 {
+    /// Prints the best of five passes, each side timed inside the same
+    /// pass: a busy spell on a shared host then slows both sides.
+    fn print_best(&mut self, batches: usize, label: &str) {
         let mut best = (f64::INFINITY, 0.0, 0.0);
         for _ in 0..5 {
             let (cold, merged) = self.pass(batches);
@@ -95,40 +94,23 @@ impl<S: MergeableSummary<u64> + Clone> Feed<S> {
             cold / READS as f64 * 1e6,
             merged / READS as f64 * 1e6
         );
-        ratio
     }
 }
 
-/// A cold read copies four fills, sorts and indexes them, and now and
-/// then re-indexes the stable runs when a shard released a fill; the
-/// old read cloned and merged four summaries and indexed the merge.
+/// A cold `Random` read copies four fills, sorts and indexes them, and
+/// now and then re-indexes the stable runs when a shard released a fill;
+/// a cold DCS read gathers each probed cell from the four shards and
+/// sums it. The read before them cloned and merged four summaries
+/// (≈ 182 KB sketches for DCS) and swept the merge.
 #[test]
-#[cfg_attr(debug_assertions, ignore = "timing floor: run with --release")]
-fn a_cold_read_costs_at_most_half_a_clone_merge_and_sweep() {
-    let _turn = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
+#[ignore = "prints timings: run with --release -- --ignored --nocapture"]
+fn cold_reads_against_a_clone_merge_and_sweep() {
     let mut feed = Feed::new(|i| RandomSketch::new(0.01, 0xF1 + i as u64));
     while feed.engine.n() < (SHARDS << 24) as u64 {
         feed.ingest();
     }
-    let ratio = feed.best_ratio(64, "Random, ingest_mem's shape");
-    assert!(
-        ratio <= 0.5,
-        "a cold read costs {ratio:.3} of a clone + merge + sweep, over the 1/2 floor"
-    );
-}
-
-/// A cold DCS read gathers each probed cell from the four shards and
-/// sums it; the old read cloned four ≈ 182 KB sketches, added them
-/// counter by counter and swept the sum.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "timing floor: run with --release")]
-fn a_cold_dcs_read_costs_at_most_0_7_of_a_clone_merge_and_sweep() {
-    let _turn = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
+    feed.print_best(64, "Random, ingest_mem's shape");
     let mut feed = Feed::new(|_| Dcs::dcs(0.01, 24, 0xDC5));
     (0..64).for_each(|_| feed.ingest());
-    let ratio = feed.best_ratio(8, "DCS, turnstile_mix's shape");
-    assert!(
-        ratio <= 0.7,
-        "a cold DCS read costs {ratio:.3} of a clone + merge + sweep, over the 0.7 floor"
-    );
+    feed.print_best(8, "DCS, turnstile_mix's shape");
 }

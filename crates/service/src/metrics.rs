@@ -100,9 +100,11 @@ pub struct EngineTotals {
 }
 
 impl EngineTotals {
-    /// Folds one engine's stats into the totals.
+    /// Folds one engine's stats into the totals. `items` saturates:
+    /// each tenant may hold up to `i64::MAX` items, so a few full ones
+    /// pass `u64::MAX`.
     pub fn absorb(&mut self, s: &sqs_engine::EngineStats) {
-        self.items += s.items;
+        self.items = self.items.saturating_add(s.items);
         self.epoch += s.epoch;
         self.snapshots += s.snapshots;
         self.snapshot_cache_hits += s.snapshot_cache_hits;

@@ -15,8 +15,8 @@ use sqs_core::QuantileSummary;
 use sqs_sketch::FrequencySketch;
 use sqs_turnstile::{Dcm, Dcs, DyadicQuantiles};
 use sqs_util::rng::Xoshiro256pp;
+use sqs_util::timing::{alternate, Alternated, Bound};
 use std::hint::black_box;
-use std::time::Instant;
 
 const EPS: f64 = 0.01;
 const LOG_U: u32 = 32;
@@ -29,68 +29,47 @@ fn uniform_keys(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.next_below(1 << LOG_U)).collect()
 }
 
-/// Best-of-5 seconds of each side, passes alternated: a busy spell on
-/// a shared host then slows both sides of the ratio, not one.
-fn best_of_5_each(mut scalar: impl FnMut() -> f64, mut batched: impl FnMut() -> f64) -> (f64, f64) {
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        best.0 = best.0.min(scalar());
-        best.1 = best.1.min(batched());
-    }
-    best
-}
-
-/// `(insert_batch over the insert loop, rank_signed_batch over the
-/// rank_signed loop)`: inserts into a fresh structure per pass, the
-/// rank sweeps on one loaded with every key.
-fn speedups<S: FrequencySketch>(make: impl Fn() -> DyadicQuantiles<S>) -> (f64, f64) {
+/// The scalar loop against the batched call, best of five each with
+/// the two alternated: `insert` into a fresh structure per round
+/// against `insert_batch`, then the `rank_signed` loop against
+/// `rank_signed_batch` on one loaded with every key.
+fn insert_and_rank<S: FrequencySketch>(make: impl Fn() -> DyadicQuantiles<S>) -> [Alternated; 2] {
     let keys = uniform_keys(KEYS, 0x7e2f);
     let probes = uniform_keys(PROBES, 0xbeef);
-
-    let fill_secs = |fill: fn(&mut DyadicQuantiles<S>, &[u64])| {
-        let mut dq = make();
-        let start = Instant::now();
-        fill(&mut dq, black_box(&keys));
-        black_box(dq.n());
-        start.elapsed().as_secs_f64()
+    // A fresh structure, off the clock, then every key.
+    let fills = |fill: fn(&mut DyadicQuantiles<S>, &[u64])| {
+        let (mut dq, keys) = (make(), &keys);
+        move || {
+            fill(&mut dq, black_box(keys));
+            dq
+        }
     };
-    let insert = best_of_5_each(
-        || {
-            fill_secs(|dq, keys| {
-                for &x in keys {
-                    dq.insert(x);
-                }
-            })
-        },
-        || {
-            fill_secs(|dq, keys| {
-                for batch in keys.chunks(BATCH) {
-                    dq.insert_batch(batch);
-                }
-            })
-        },
+    let insert = alternate(
+        5,
+        || fills(|dq, keys| keys.iter().for_each(|&x| dq.insert(x))),
+        || fills(|dq, keys| keys.chunks(BATCH).for_each(|b| dq.insert_batch(b))),
     );
-
     let mut loaded = make();
     loaded.insert_batch(&keys);
-    let mut ranks = vec![0i64; PROBES];
-    let rank = best_of_5_each(
+    let (loaded, probes) = (&loaded, &probes);
+    let rank = alternate(
+        5,
         || {
-            let start = Instant::now();
-            for &x in black_box(&probes) {
-                black_box(loaded.rank_signed(x));
+            move || {
+                for &x in black_box(probes) {
+                    black_box(loaded.rank_signed(x));
+                }
             }
-            start.elapsed().as_secs_f64()
         },
         || {
-            let start = Instant::now();
-            loaded.rank_signed_batch(black_box(&probes), &mut ranks);
-            black_box(&ranks);
-            start.elapsed().as_secs_f64()
+            let mut ranks = vec![0i64; PROBES];
+            move || {
+                loaded.rank_signed_batch(black_box(probes), &mut ranks);
+                ranks
+            }
         },
     );
-
-    (insert.0 / insert.1, rank.0 / rank.1)
+    [insert, rank]
 }
 
 /// The update floors sit under the hash-bound ceiling of a batched
@@ -101,21 +80,16 @@ fn speedups<S: FrequencySketch>(make: impl Fn() -> DyadicQuantiles<S>) -> (f64, 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing floor: run with --release")]
 fn batched_kernels_keep_their_speedup_over_the_scalar_loops() {
-    let (dcm_insert, dcm_rank) = speedups(|| Dcm::dcm(EPS, LOG_U, 0x7e2f));
-    let (dcs_insert, dcs_rank) = speedups(|| Dcs::dcs(EPS, LOG_U, 0x7e2f));
-    println!(
-        "batched/scalar: DCM insert {dcm_insert:.2}x, DCS insert {dcs_insert:.2}x, \
-         DCM rank {dcm_rank:.2}x, DCS rank {dcs_rank:.2}x"
+    let [dcm_insert, dcm_rank] = insert_and_rank(|| Dcm::dcm(EPS, LOG_U, 0x7e2f));
+    let [dcs_insert, dcs_rank] = insert_and_rank(|| Dcs::dcs(EPS, LOG_U, 0x7e2f));
+    dcm_insert.gate("DCM insert_batch over the insert loop", Bound::AtLeast(1.2));
+    dcs_insert.gate("DCS insert_batch over the insert loop", Bound::AtLeast(1.2));
+    dcm_rank.gate(
+        "DCM rank_signed_batch over the rank_signed loop",
+        Bound::AtLeast(1.7),
     );
-    for (kernel, speedup, floor) in [
-        ("DCM insert_batch", dcm_insert, 1.2),
-        ("DCS insert_batch", dcs_insert, 1.2),
-        ("DCM rank_signed_batch", dcm_rank, 1.7),
-        ("DCS rank_signed_batch", dcs_rank, 1.3),
-    ] {
-        assert!(
-            speedup >= floor,
-            "{kernel} is only {speedup:.2}x its scalar loop, under the {floor}x floor"
-        );
-    }
+    dcs_rank.gate(
+        "DCS rank_signed_batch over the rank_signed loop",
+        Bound::AtLeast(1.3),
+    );
 }

@@ -33,6 +33,9 @@
 //!   debug builds panic on out-of-order (or re-entrant) acquisition;
 //!   it checks the shard-lock order the static lock discipline of
 //!   `sqs-analyze` leaves to runtime.
+//! * [`timing`] — [`timing::alternate`], the one timer of the release
+//!   speed gates: two sides timed in alternation, each side's best and
+//!   the median ratio.
 //! * [`tmpdir`] — [`tmpdir::TempDir`], self-cleaning unique temp
 //!   directories for tests that write on-disk state (the offline
 //!   stand-in for the `tempfile` crate).
@@ -49,6 +52,7 @@ pub mod pad;
 pub mod rng;
 pub mod space;
 pub mod sync;
+pub mod timing;
 pub mod tmpdir;
 
 pub use audit::{CheckInvariants, InvariantViolation};

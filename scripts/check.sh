@@ -37,7 +37,14 @@ cargo test -q
 # must come back rank-consistent with an exact oracle, docs/STORE.md),
 # the window ring and the socket-level window stress test against an
 # exact per-window oracle on a ManualClock schedule (docs/WINDOW.md).
-# The engine has its own single-threaded step below.
+# Here too run the read paths' work counts, which stand where timing
+# floors stood: a sparse pool sweep builds no rank index and probes
+# each side of its cuts, a dense one builds one; a cold q-digest read
+# sorts no nodes and flushes nothing; a 99-phi GK sweep visits each
+# tuple at most once; a window union read clones nothing and indexes
+# each part once; and window_mix's request mix at library level stays
+# within eps. The engine has its own single-threaded step below (its
+# clone counts among them).
 echo "== workspace tests (cargo test --workspace --exclude sqs-engine) =="
 cargo test -q --workspace --exclude sqs-engine
 
@@ -56,96 +63,29 @@ cargo test -q --features audit
 echo "== sqs-exp claims (16 PASS against results/) =="
 cargo run --release --quiet -p sqs-harness --bin sqs-exp -- claims
 
-# The frame checksum's speed floor is a ratio against the byte-serial
-# sum it replaced (>= 8x on a 32 KiB batch frame, <= 1.5x its time on a
-# 28-byte reply), so it holds on any machine — but only optimized code
-# means anything, and the debug run above reports it as ignored.
-echo "== frame checksum speed floor (cargo test --release -p sqs-core checksum_beats) =="
-cargo test -q --release -p sqs-core --lib checksum_beats_the_byte_serial_reference -- --nocapture
-
-# The q-digest's update-time ceiling, a ratio for the same reason: its
-# scalar insert against RandomSketch's at the benchmark's `paper_suite`
-# shape (<= 5x; ~3x with the nodes stored in post-order, docs/PERF.md
-# section 22, as with the post-order COMPRESS of section 18 that sorted
-# them per pass; ~6x with the level walk before it, 99x with the
-# hash-map node store before that). And its read ceiling: a cold 99-phi
-# grid right after a flush at the same shape against that flush (<= 0.5x;
-# ~0.05-0.07x reading the stored order, ~1.4x when every cold read
-# sorted the nodes into post-order). And the unflushed read's ceiling:
-# a cold 99-phi grid on the digest as inserts left it, buffer and all,
-# against a flush by node_count() and the same grid (<= 0.4x; ~0.2-0.3x
-# counting the buffer by bucket, ~1.0x when the read flushed).
-echo "== q-digest insert and read ceilings (cargo test --release -p sqs-core) =="
-cargo test -q --release -p sqs-core --lib scalar_insert_stays_within_5x_of_random_sketch -- --nocapture
-cargo test -q --release -p sqs-core --lib cold_grid_costs_at_most_half_a_flush -- --nocapture
-cargo test -q --release -p sqs-core --lib unflushed_cold_grid_costs_at_most_0_4x_a_flushed_one -- --nocapture
-
-# Two more ratios of the same kind (docs/PERF.md section 19): MRL99's
-# scalar insert against RandomSketch's at the paper_suite shape (<= 1.6x;
-# ~1.2-1.4x now that a COLLAPSE merges its sorted buffers, ~2.1x when it
-# sorted their union), and a 99-phi GKAdaptive sweep against one
-# quantile (<= 5x; one list walk for the sweep, where the per-phi loop
-# walked it 99 times).
-echo "== MRL99 insert ceiling and GK sweep ceiling (cargo test --release -p sqs-core) =="
-cargo test -q --release -p sqs-core --lib mrl99_insert_stays_within_1_6x_of_random_sketch -- --nocapture
-cargo test -q --release -p sqs-core --lib gk_sweep_is_one_walk -- --nocapture
-
-# The pool read's two ceilings, ratios printed (docs/PERF.md section 25):
-# at paper_suite's shape (eps 1e-3, 2^19 uniform rows) a cold 99-phi
-# Random or MRL99 sweep, which searches the buffers in place, against one
-# rank index over them and a lookup per phi, the read it replaced (<= 0.5x;
-# ~0.35x, ~1.0x building the index per sweep); and a 999-phi sweep, past
-# the crossover where the pool builds that index again (<= 1.1x; ~1.0x,
-# ~1.3-2x if it searched every phi in place). One process each: the two
-# timings would measure each other.
-echo "== pool read ceilings (cargo test --release -p sqs-core sweep_costs) =="
-cargo test -q --release -p sqs-core --lib searched_sweep_costs_at_most_half_one_index -- --nocapture
-cargo test -q --release -p sqs-core --lib dense_sweep_costs_at_most_1_1x_one_index -- --nocapture
-
-# The post-order COMPRESS against the hash-map walk it replaced, node for
-# node (~2 s optimized; the workspace step above also ran it
-# unoptimized, ~30 s).
-echo "== q-digest COMPRESS oracle (cargo test --release -p sqs-core compress_matches) =="
-cargo test -q --release -p sqs-core --lib compress_matches_the_hash_map_oracle
-
-# The sampled fold's floor, a ratio again: once Random keeps one row in
-# 2^l, insert_batch steps over the rows it was never going to keep, so
-# at eps 0.01 past 2^22 rows a 4096-row batch must cost at most 1/8 of
-# the scalar loop per row (~60x on the box that recorded docs/PERF.md
-# section 11, ~1x before). An integration test: the lib's own cfg(test)
-# build audits every batch.
-echo "== sampled fold floor (cargo test --release -p sqs-core --test batch_fold_floor) =="
-cargo test -q --release -p sqs-core --test batch_fold_floor -- --nocapture
-
-# The batched turnstile kernels' floors, ratios too: insert_batch over
-# the scalar insert loop (>= 1.2x, DCM and DCS) and rank_signed_batch
-# over the rank_signed loop (>= 1.7x DCM, >= 1.3x DCS) at eps 0.01,
-# u = 2^32 (docs/PERF.md section 4). Absolute turnstile throughput is
-# the benchmark's, compared against the parent commit.
-echo "== turnstile batch floors (cargo test --release -p sqs-turnstile --test batch_floor) =="
-cargo test -q --release -p sqs-turnstile --test batch_floor -- --nocapture
-
-# The window read's floor, a ratio too: at window_mix's shape a
-# sliding-64 query right after a rotation, read as one union of its
-# parts' rank indexes, costs at most 1/3 of clone + merge_tree + sweep
-# of the same parts from a state-identical mirror (docs/PERF.md section
-# 21; ~0.23-0.29 measured, ~1.0 on the merging ring before it). The same
-# file's library loop of window_mix's request mix prints the per-spec
-# query means and holds its last answers within eps of an exact mirror.
-echo "== window query floor (cargo test --release -p sqs-window --test query_floor) =="
-cargo test -q --release -p sqs-window --test query_floor -- --nocapture
-
-# The engine's cold-read floors, ratios too, printed: at ingest_mem's
-# shape (4 shards, eps 0.01, 2^24 rows per shard, 64 batches of 4096
-# rows between reads) a cold query_many, which indexes the shards' fills
-# and now and then their stable runs, costs at most 1/2 of clone +
-# merge_tree + sweep of the same shards, the read it replaced
-# (docs/PERF.md section 20; ~0.34 measured); at turnstile_mix's shape
-# (dcs(0.01, 24), one seed, 8 batches between reads) a cold DCS
-# query_many, which sums the shards' cells under their locks, costs at
-# most 0.7 of it (section 23; ~0.44 measured, ~1.35 on the merging read).
-echo "== engine read floors (cargo test --release -p sqs-engine --test read_floor) =="
-cargo test -q --release -p sqs-engine --test read_floor -- --nocapture
+# The five kernel speed gates, ratios so they hold on any machine, on
+# one shared timer (sqs_util::timing::alternate: the two sides of each
+# ratio alternated, the ratio of their best rounds gated): the frame
+# checksum against the byte-serial sum it replaced (>= 8x on a 32 KiB
+# batch frame, <= 1.5x its time on a 28-byte reply); the q-digest's and
+# MRL99's scalar insert against RandomSketch's at the paper_suite shape
+# (<= 5x, <= 1.6x); Random's sampled batch fold against its scalar loop
+# at eps 0.01 past 2^22 rows (>= 8x; an integration test, since the
+# lib's cfg(test) build audits every batch); and the turnstile batch
+# kernels against their scalar loops at eps 0.01, u = 2^32 (insert
+# >= 1.2x DCM and DCS, rank >= 1.7x DCM, >= 1.3x DCS). Only optimized
+# code means anything, so the debug runs above report them as ignored.
+# One test at a time: a timing beside another measures both. Each gate
+# prints `name ratio bound margin` and its median ratio. The read paths'
+# gates count work instead of timing it (sqs-core's cfg(test) counters,
+# the engine's and the window's clone and index counts) and ran in the
+# debug workspace step above; docs/PERF.md names them.
+echo "== kernel speed gates (cargo test --release, one test at a time) =="
+cargo test -q --release -p sqs-core -p sqs-turnstile --lib \
+    --test batch_fold_floor --test batch_floor -- --nocapture --test-threads=1 \
+    checksum_beats_the_byte_serial_reference scalar_insert_stays_within_5x_of_random_sketch \
+    mrl99_insert_stays_within_1_6x_of_random_sketch insert_batch_is_8x_faster \
+    batched_kernels_keep_their_speedup
 
 # The engine's stress tests spawn up to 8 writer threads per test (plus
 # a racing reader or auditor); a single-threaded test runner keeps them

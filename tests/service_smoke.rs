@@ -452,7 +452,8 @@ fn hostile_dcs_exact_counters_at_i64_max_get_an_error_reply() {
 /// decodes and passes the audit (`Σ ≤ n` is all `random.mass_bound`
 /// asks), and absorbing it would wrap the tenant's count — 100 rows +
 /// (u64::MAX − 5) reads 94. It gets an error reply, the tenant's `n`
-/// does not move, and the connection goes on answering.
+/// does not move, and the connection goes on answering. Counts that fit
+/// one tenant but not their sum leave `STATS` at `u64::MAX` items.
 #[test]
 fn snapshot_claiming_a_wrapping_count_gets_an_error_reply() {
     use streaming_quantiles::sqs_core::codec::{seal, WireCodec};
@@ -492,6 +493,15 @@ fn snapshot_claiming_a_wrapping_count_gets_an_error_reply() {
     // The same frame with its honest count is welcome.
     let ack = client.merge_snapshot(tenant, claiming(6)).expect("honest");
     assert_eq!(ack.n, 102 + 6);
+    // A fresh tenant may take a count up to i64::MAX; three of them pass
+    // u64::MAX together, and STATS reports the items saturated.
+    for fresh in 100..103 {
+        let ack = client.merge_snapshot(fresh, claiming(i64::MAX as u64));
+        assert_eq!(ack.expect("a fresh tenant").n, i64::MAX as u64);
+    }
+    let json = client.stats().expect("STATS answers");
+    let items = format!("\"items\": {},", u64::MAX);
+    assert!(json.contains(&items), "stats: {json}");
 
     server.shutdown();
     server.join();
