@@ -81,7 +81,7 @@ pub trait QuantileSummary<T: Ord + Copy>: SpaceUsage {
     /// unflushed buffer by bucket once and sorts only the buckets the
     /// sweep lands in (with the buffer empty, its nodes' prefix counts:
     /// one sum, then a binary search per φ), and the turnstile dyadic
-    /// structures descend one shared bisection tree. Overrides must
+    /// structures descend their dyadic tree once. Overrides must
     /// return exactly what the per-φ loop would — answer for answer, not
     /// merely within ε.
     ///

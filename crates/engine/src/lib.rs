@@ -613,8 +613,8 @@ where
     /// repeats the summed read or follows the merging one. A merged or
     /// summed read rides the summary's
     /// [`quantiles`](sqs_core::QuantileSummary::quantiles) walk — the
-    /// turnstile backends answer the whole sorted sweep in one lockstep
-    /// bisection instead of re-bisecting per φ.
+    /// turnstile backends answer the whole sorted sweep in one descent
+    /// of their dyadic tree instead of searching per φ.
     ///
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`, matching

@@ -9,8 +9,12 @@
 //!   shards' runs (≈ 0.34 on a 2-core box);
 //! - `turnstile_mix`'s (`dcs(0.01, 24)`, one seed for every shard, 8
 //!   batches of 4 096 rows between reads), where the read sums the
-//!   shards' cells under their locks (≈ 0.44; the merging cut before
-//!   it read 1.26–1.36, ROADMAP.md item 14).
+//!   shards' cells under their locks.
+//!
+//! A second read at the same epoch asks other φs: a cache hit for
+//! `Random`, and for DCS the merging cut (clone the shards under their
+//! locks, `merge_tree`, sweep), which ROADMAP.md item 14 prices against
+//! the mirror's read. docs/PERF.md §26.7 has the readings.
 //!
 //! The mechanism is counted in debug instead: `clones.rs` holds a cold
 //! read to 0 clones, with runs and for summed reads, and the lib test
@@ -60,40 +64,51 @@ impl<S: MergeableSummary<u64> + Clone> Feed<S> {
         self.next += 1;
     }
 
-    /// Seconds of [`READS`] cold engine reads and of as many clone +
-    /// merge + sweep reads of the mirror, each after `batches` batches.
-    fn pass(&mut self, batches: usize) -> (f64, f64) {
-        let (mut cold, mut merged) = (0.0, 0.0);
+    /// Seconds of [`READS`] cold engine reads, of as many second reads
+    /// at the same epoch that ask other φs, and of as many clone + merge
+    /// + sweep reads of the mirror, each after `batches` batches.
+    fn pass(&mut self, batches: usize) -> [f64; 3] {
+        let mut secs = [0.0; 3];
         for _ in 0..READS {
             (0..batches).for_each(|_| self.ingest());
             let start = Instant::now();
             black_box(self.engine.query_many(&PHIS, &RANKS));
-            cold += start.elapsed().as_secs_f64();
+            secs[0] += start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            black_box(self.engine.query_many(&PHIS[1..], &RANKS));
+            secs[1] += start.elapsed().as_secs_f64();
             let start = Instant::now();
             let (mut merge, _) = merge_tree(self.mirror.clone());
             let ranks: Vec<u64> = RANKS.iter().map(|&x| merge.rank_estimate(x)).collect();
             black_box((merge.quantiles(&PHIS), ranks));
-            merged += start.elapsed().as_secs_f64();
+            secs[2] += start.elapsed().as_secs_f64();
         }
-        (cold, merged)
+        secs
     }
 
-    /// Prints the best of five passes, each side timed inside the same
-    /// pass: a busy spell on a shared host then slows both sides.
+    /// Prints the best of five passes of each read against the mirror's
+    /// read in the same pass: a busy spell on a shared host then slows
+    /// both sides.
     fn print_best(&mut self, batches: usize, label: &str) {
-        let mut best = (f64::INFINITY, 0.0, 0.0);
+        let mut best = [(f64::INFINITY, 0.0, 0.0); 2];
         for _ in 0..5 {
-            let (cold, merged) = self.pass(batches);
-            if cold / merged < best.0 {
-                best = (cold / merged, cold, merged);
+            let secs = self.pass(batches);
+            for (read, best) in best.iter_mut().enumerate() {
+                if secs[read] / secs[2] < best.0 {
+                    *best = (secs[read] / secs[2], secs[read], secs[2]);
+                }
             }
         }
-        let (ratio, cold, merged) = best;
-        println!(
-            "{label}: cold query_many {:.1} us, clone + merge_tree + sweep {:.1} us ({ratio:.3})",
-            cold / READS as f64 * 1e6,
-            merged / READS as f64 * 1e6
-        );
+        let us = |secs: f64| secs / READS as f64 * 1e6;
+        for ((ratio, read, merged), what) in
+            best.into_iter().zip(["cold query_many", "second read"])
+        {
+            println!(
+                "{label}: {what} {:.1} us, clone + merge_tree + sweep {:.1} us ({ratio:.3})",
+                us(read),
+                us(merged)
+            );
+        }
     }
 }
 

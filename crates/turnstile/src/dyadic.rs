@@ -5,7 +5,9 @@
 //! updating element `x` touches its ancestor cell `x >> i` at every
 //! level that keeps counters; the rank of `x` is the summed estimate
 //! over the cells of the prefix decomposition of `[0, x)`; a
-//! φ-quantile is found by binary search on the universe. Levels whose
+//! φ-quantile is found by descending the tree from the root, one cell
+//! per depth: the binary search on the universe, with each step's rank
+//! the rank of its node's start plus the node's left child. Levels whose
 //! reduced universe is no larger than the sketch's counter budget store
 //! exact frequencies instead (§3), which also anchors the OLS
 //! post-processing.
@@ -492,12 +494,15 @@ fn one_part<S: FrequencySketch>(level: &[&S], cells: &[u64], out: &mut [i64]) {
 }
 
 /// One read over the sum of `parts`, built from one seed — one part
-/// when a summary answers for itself. What it walks is gathered from
+/// when a summary answers for itself. What it reads is gathered from
 /// every part once: the summed live count, each exact level's counters
 /// and each stored sketch level's sketches, which `estimate` answers
 /// over the parts ([`one_part`], or
 /// [`MergeableSketch::estimate_parts`]). Every cell is the sum of the
 /// parts' cells, so the answers are the merged structure's, bit for bit.
+/// Ranks walk each query's prefix decomposition ([`ranks`](Self::ranks));
+/// quantiles descend the tree once for the whole φ-sweep
+/// ([`quantiles`](Self::quantiles)).
 struct SumRead<'a, S, E> {
     /// The first part: the layout every part shares.
     layout: &'a DyadicQuantiles<S>,
@@ -560,8 +565,7 @@ where
     /// **level-major sketch reads.** Each stored sketch level's cells
     /// (the run below each query's digit, as in the scalar walk) are
     /// collected in the same pass and answered in one `estimate` call —
-    /// the read-side analogue of `update_batch`'s row-major walk, and
-    /// what makes a `quantiles` sweep's ~log u ranks per φ affordable.
+    /// the read-side analogue of `update_batch`'s row-major walk.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
@@ -618,6 +622,8 @@ where
                     // [0, ax): the aligned block just below the
                     // higher-bit prefix (see `prefix_decomposition`).
                     let index = ((ax >> level) - 1) as usize;
+                    #[cfg(test)]
+                    crate::counts::tick(crate::counts::Work::ExactCounter, 1);
                     *o += exact((level - fe) as usize, index);
                 }
             }
@@ -636,6 +642,8 @@ where
             }
             ests.clear();
             ests.resize(cells.len(), 0i64);
+            #[cfg(test)]
+            crate::counts::tick(crate::counts::Work::SketchCell, cells.len());
             (self.estimate)(parts, cells, &mut ests);
             for (&q, &e) in qidx.iter().zip(&ests) {
                 out[q as usize] += e;
@@ -643,20 +651,27 @@ where
         }
     }
 
-    /// Lockstep bisection over a sorted-φ sweep, **bit-identical** to
-    /// per-φ `quantile` calls on the merged structure.
+    /// A φ-sweep as one descent of the dyadic tree, **bit-identical**
+    /// to a per-φ binary search on the universe for the largest element
+    /// whose estimated rank does not exceed `⌊φ·live⌋`.
     ///
-    /// Although sketch noise makes the rank function only
-    /// approximately monotone, the *comparison outcome* at any fixed
-    /// bisection node — `rank(mid) ≤ ⌊φ·live⌋` — is monotone in φ, so
-    /// every φ's scalar search walks the same binary tree and sorted
-    /// targets occupy contiguous runs of nodes at every depth. The
-    /// sweep exploits that: per depth it collects each live node's
-    /// single midpoint, answers **all** of them in one
-    /// [`ranks`](Self::ranks) call, and partitions each node's targets
-    /// around its rank. One φ costs ~log u ranks; k sorted φs cost
-    /// ~log u *batched* rank rounds with ≤ min(k, 2^depth) ranks each —
-    /// the per-φ re-bisection rework is gone.
+    /// Every node of that search is a dyadic cell: the root is the
+    /// universe in `2^cutoff`-value cells, and each step halves a node
+    /// at `mid`. The prefix decomposition of `[0, mid)` is that of
+    /// `[0, lo)` plus the one cell `[lo, mid)`, so a node carries
+    /// `rank(lo)`, reads its left child's estimate for `rank(mid)`, and
+    /// its right child inherits `rank(mid)`. Each sum is an `i64` sum of
+    /// the cell estimates a fresh `rank(mid)` sums, so every comparison
+    /// `rank(mid) ≤ ⌊φ·live⌋` takes the branch the search takes.
+    /// Although sketch noise makes the rank function only approximately
+    /// monotone, that comparison at a fixed node is monotone in φ, so
+    /// sorted targets occupy contiguous runs of nodes at every depth.
+    ///
+    /// At one depth every node's left child lies at one level, read for
+    /// all nodes at once: an exact level from the parts' summed
+    /// counters, a stored sketch level in one `estimate` call, a derived
+    /// level as its cells' two children in one call at the level below.
+    /// One φ costs one cell per depth; k sorted φs ≤ min(k, 2^depth).
     ///
     /// # Panics
     /// Panics if any `φ ∉ (0, 1)`.
@@ -667,7 +682,7 @@ where
         if self.live <= 0 || phis.is_empty() {
             return vec![None; phis.len()];
         }
-        let cutoff = self.layout.cutoff;
+        let (cutoff, fe) = (self.layout.cutoff, self.layout.exact_from);
         // Sort targets via an index permutation; answers un-permute.
         let mut order: Vec<usize> = (0..phis.len()).collect();
         order.sort_by(|&a, &b| phis[a].total_cmp(&phis[b]));
@@ -675,48 +690,60 @@ where
             .iter()
             .map(|&i| (phis[i] * self.live as f64).floor() as i64)
             .collect();
-        let mut answers = vec![0u64; targets.len()];
-        // A node is a bracket [lo, hi] in cell units plus the
-        // contiguous run targets[s..e] still inside it.
-        let top = self.layout.universe.cells_at_level(cutoff) - 1;
-        let mut nodes = vec![(0u64, top, 0usize, targets.len())];
-        let mut mids = Vec::new();
-        let mut ranks = Vec::new();
-        let mut next = Vec::new();
-        while !nodes.is_empty() {
-            mids.clear();
-            mids.extend(
-                nodes
-                    .iter()
-                    .map(|&(lo, hi, _, _)| (lo + (hi - lo).div_ceil(2)) << cutoff),
-            );
-            ranks.clear();
-            ranks.resize(mids.len(), 0i64);
-            self.ranks(&mids, &mut ranks);
+        // A node is its first value `lo`, the contiguous run
+        // targets[s..e] still inside it, and rank(lo).
+        let mut nodes = vec![(0u64, 0usize, targets.len(), 0i64)];
+        let (mut cells, mut ests, mut lefts, mut next) = (vec![], vec![], vec![], vec![]);
+        for level in (cutoff..self.layout.universe.log_u()).rev() {
+            // A node spans 2^(level+1) values; its left child is the
+            // cell (level, lo >> level).
+            lefts.clear();
+            if level >= fe {
+                let k = self.parts;
+                let counters = &self.exacts[(level - fe) as usize * k..][..k];
+                #[cfg(test)]
+                crate::counts::tick(crate::counts::Work::ExactCounter, nodes.len());
+                lefts.extend(nodes.iter().map(|&(lo, ..)| {
+                    let index = (lo >> level) as usize;
+                    counters.iter().map(|c| c[index]).sum::<i64>()
+                }));
+            } else {
+                // The stored level answering for `level`: itself, or the
+                // one below a derived level, whose cell is two cells there.
+                let &(at, _, ref parts) = (self.sketches.iter())
+                    .find(|&&(stored, span, _)| level < stored + span)
+                    .expect("Dyadic invariant: a sketched level is answered by a stored one");
+                let width = (level + 1 - at) as usize;
+                cells.clear();
+                cells.extend(nodes.iter().flat_map(|&(lo, ..)| (lo >> at..).take(width)));
+                ests.clear();
+                ests.resize(cells.len(), 0i64);
+                #[cfg(test)]
+                crate::counts::tick(crate::counts::Work::SketchCell, cells.len());
+                (self.estimate)(parts, &cells, &mut ests);
+                lefts.extend(ests.chunks_exact(width).map(|c| c.iter().sum::<i64>()));
+            }
             next.clear();
-            for (&(lo, hi, s, e), &r) in nodes.iter().zip(&ranks) {
-                let mid = lo + (hi - lo).div_ceil(2);
-                // rank(mid) ≤ target → the scalar search takes lo = mid;
-                // sorted targets split at the first t ≥ r.
-                let split = s + targets[s..e].partition_point(|&t| t < r);
-                for &(nlo, nhi, ns, ne) in &[(lo, mid - 1, s, split), (mid, hi, split, e)] {
-                    if ns == ne {
-                        continue;
-                    }
-                    if nlo == nhi {
-                        for a in &mut answers[ns..ne] {
-                            *a = nlo << cutoff;
-                        }
-                    } else {
-                        next.push((nlo, nhi, ns, ne));
-                    }
+            for (&(lo, s, e, rank), &left) in nodes.iter().zip(&lefts) {
+                let (mid, mid_rank) = (lo + (1 << level), rank + left);
+                // rank(mid) ≤ target → the search goes right; sorted
+                // targets split at the first t ≥ rank(mid).
+                let split = s + targets[s..e].partition_point(|&t| t < mid_rank);
+                if split > s {
+                    next.push((lo, s, split, rank));
+                }
+                if e > split {
+                    next.push((mid, split, e, mid_rank));
                 }
             }
             std::mem::swap(&mut nodes, &mut next);
         }
+        // The nodes are cells at the cutoff level now: each its answer.
         let mut out = vec![None; phis.len()];
-        for (pos, &orig) in order.iter().enumerate() {
-            out[orig] = Some(answers[pos]);
+        for &(lo, s, e, _) in &nodes {
+            for &orig in &order[s..e] {
+                out[orig] = Some(lo);
+            }
         }
         out
     }
@@ -942,34 +969,20 @@ impl<S: FrequencySketch> QuantileSummary<u64> for DyadicQuantiles<S> {
         self.rank_signed(x).max(0) as u64
     }
 
-    /// Binary search for the largest element whose estimated rank does
-    /// not exceed `⌊φ·live⌋` (§3's extraction rule). Sketch noise makes
+    /// The largest element whose estimated rank does not exceed
+    /// `⌊φ·live⌋` (§3's extraction rule), found by descending the dyadic
+    /// tree: the one-φ case of [`SumRead::quantiles`]. Sketch noise makes
     /// the rank function only approximately monotone; the binary search
-    /// is the paper's own choice and inherits its guarantee from the
-    /// all-prefixes error bound. Under truncation the search runs in
-    /// cell units at the cutoff level — with cutoff 0 that *is* the
-    /// value space, bit-identical to the untruncated search.
+    /// on the universe that the descent answers exactly is the paper's
+    /// own choice and inherits its guarantee from the all-prefixes error
+    /// bound. Under truncation the descent stops at the cutoff level —
+    /// with cutoff 0 that *is* the value space.
     fn quantile(&mut self, phi: f64) -> Option<u64> {
-        assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
-        if self.live <= 0 {
-            return None;
-        }
-        let target = (phi * self.live as f64).floor() as i64;
-        let (mut lo, mut hi) = (0u64, self.universe.cells_at_level(self.cutoff) - 1);
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            if self.rank_signed(mid << self.cutoff) <= target {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        Some(lo << self.cutoff)
+        self.quantiles(&[phi]).pop().flatten()
     }
 
-    /// Lockstep bisection over a sorted-φ sweep, **bit-identical** to
-    /// per-φ [`quantile`](Self::quantile) calls: the one-part case of
-    /// [`SumRead::quantiles`].
+    /// One descent of the dyadic tree for the whole sweep: the one-part
+    /// case of [`SumRead::quantiles`].
     fn quantiles(&mut self, phis: &[f64]) -> Vec<Option<u64>> {
         SumRead::new(&[&*self], one_part).quantiles(phis)
     }
@@ -1223,6 +1236,67 @@ mod tests {
     fn from_raw_refuses_kinds_the_layout_does_not_put_there() {
         refuses_a_foreign_layout(&loaded(crate::Dcm::dcm(0.05, 20, 4)));
         refuses_a_foreign_layout(&loaded(crate::Dcs::dcs(0.05, 20, 4)));
+    }
+
+    /// One φ-sweep over `parts`, its work held to the descent's
+    /// structure: a live node reads one left child per depth — one
+    /// sketched cell at a stored level, two at a derived one, one summed
+    /// exact counter at an exact one — and depth `d` holds at most
+    /// `min(2^d, φs)` nodes. A sweep that ranks each midpoint afresh
+    /// reads its whole prefix decomposition instead.
+    fn sweep_within_the_descent(parts: &[&DyadicQuantiles<CountSketch>], phis: &[f64]) {
+        use crate::counts::{during, Work};
+        let dq = parts[0];
+        let (log_u, fe) = (dq.universe.log_u(), dq.exact_from);
+        let sketched = dq.cutoff..fe;
+        let derived = sketched.clone().filter(|&l| dq.is_derived_level(l)).count();
+        let cells = phis.len() * (sketched.len() + derived);
+        let exact: usize = (fe..log_u)
+            .map(|level| (1usize << (log_u - 1 - level)).min(phis.len()))
+            .sum();
+        let read = |w: crate::counts::Counts| (w[Work::SketchCell], w[Work::ExactCounter]);
+        let (answers, work) = during(|| MergeableSummary::answer_sum(parts, phis, &[]));
+        assert!(answers.is_some_and(|(q, _)| q.iter().all(Option::is_some)));
+        let (got_cells, got_exact) = read(work);
+        println!(
+            "{} parts, {} φs: {got_cells} sketch cells (≤ {cells}), \
+             {got_exact} exact counters (≤ {exact})",
+            parts.len(),
+            phis.len()
+        );
+        assert!(got_cells <= cells as u64, "sketch cells");
+        assert!(got_exact <= exact as u64, "exact counters");
+        if let [one] = parts {
+            let mut one = (*one).clone();
+            assert_eq!(read(during(|| one.quantiles(phis)).1), read(work));
+        }
+    }
+
+    fn spread(rows: u64, seed: u64, log_u: u32) -> Vec<u64> {
+        (0..rows)
+            .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - log_u))
+            .collect()
+    }
+
+    /// `paper_suite`'s DCS grid (ε 10⁻³, u = 2³², 2¹⁹ rows, 99 φs) and
+    /// `turnstile_mix`'s summed read (four `dcs(0.01, 24)` shards of one
+    /// seed, 9 φs).
+    #[test]
+    fn a_sweep_reads_one_cell_per_node_per_depth() {
+        let mut dq = crate::Dcs::dcs(1e-3, 32, 5);
+        dq.insert_batch(&spread(1 << 19, 5, 32));
+        let grid: Vec<f64> = (1..100).map(|i| f64::from(i) / 100.0).collect();
+        sweep_within_the_descent(&[&dq], &grid);
+
+        let shards: Vec<_> = (0..4)
+            .map(|shard| {
+                let mut dq = crate::Dcs::dcs(0.01, 24, 7);
+                dq.insert_batch(&spread(50_000, shard, 24));
+                dq
+            })
+            .collect();
+        let phis = [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999];
+        sweep_within_the_descent(&shards.iter().collect::<Vec<_>>(), &phis);
     }
 }
 

@@ -10,7 +10,7 @@
 //!   levels, exact counters where the reduced universe is small, a
 //!   sketch at every other level below them (the level between is the
 //!   sum of its children), rank = sum over the prefix decomposition,
-//!   quantile = binary search (§3).
+//!   quantile = a descent of the dyadic tree, one cell per depth (§3).
 //! * [`dcm`] — Dyadic Count-Min (Cormode & Muthukrishnan), the prior
 //!   state of the art.
 //! * [`dcs`] — Dyadic Count-Sketch, the paper's new variant with the
@@ -70,3 +70,6 @@ pub trait TurnstileQuantiles: sqs_core::QuantileSummary<u64> {
     /// sketch, so not checked).
     fn delete(&mut self, x: u64);
 }
+
+#[cfg(test)]
+mod counts;

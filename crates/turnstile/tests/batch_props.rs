@@ -9,9 +9,11 @@
 //! internal chunking boundary and leave ragged unroll tails.
 //!
 //! The read-side kernels make the same promise one layer up:
-//! `rank_signed_batch` and the lockstep `quantiles` sweep must return
-//! **answer-identical** results to the scalar `rank_signed` /
-//! per-φ `quantile` loops — with or without level truncation, since
+//! `rank_signed_batch` must return **answer-identical** results to the
+//! scalar `rank_signed` loop, and the tree descent behind `quantile`
+//! and `quantiles` — of one structure, or summed over same-seed parts
+//! by `answer_sum` — to a per-φ binary search over `rank_signed` (kept
+//! here as the reference) — with or without level truncation, since
 //! both paths align queries the same way, and across every shape of
 //! the every-other-level layout. Truncation itself is gated
 //! by the ε-oracle suite: answers of truncated structures stay within
@@ -19,7 +21,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sqs_core::QuantileSummary;
+use sqs_core::{MergeableSummary, QuantileSummary};
 use sqs_turnstile::dyadic::DyadicQuantiles;
 use sqs_turnstile::rss::new_rss_with;
 use sqs_turnstile::{Dcm, Dcs, TurnstileQuantiles};
@@ -107,11 +109,35 @@ fn chunk_boundary_sizes_are_identical() {
 
 // ---------------------------------------------------------------- reads
 
-/// Batched reads vs the scalar loops, answer for answer: every rank
-/// in one `rank_signed_batch` call must equal its `rank_signed`, and
-/// the lockstep `quantiles` sweep must equal the per-φ bisection —
-/// including duplicate and unsorted φs, and queries at/past the
-/// universe edge.
+/// The per-φ binary search on the universe for the largest element
+/// whose estimated rank does not exceed `⌊φ·live⌋` (§3's extraction
+/// rule), over the public rank walk: the reference the tree descent of
+/// `quantile` / `quantiles` must answer bit for bit. Under truncation it
+/// searches in cells of `2^cutoff` values.
+fn bisect<S: sqs_sketch::FrequencySketch>(dq: &DyadicQuantiles<S>, phi: f64) -> Option<u64> {
+    let live = dq.rank_signed(dq.universe().size());
+    if live <= 0 {
+        return None;
+    }
+    let target = (phi * live as f64).floor() as i64;
+    let cutoff = dq.level_cutoff();
+    let (mut lo, mut hi) = (0u64, dq.universe().cells_at_level(cutoff) - 1);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if dq.rank_signed(mid << cutoff) <= target {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    Some(lo << cutoff)
+}
+
+/// Batched reads vs the scalar references, answer for answer: every
+/// rank in one `rank_signed_batch` call must equal its `rank_signed`,
+/// and both the `quantiles` sweep and each single `quantile` must equal
+/// the per-φ bisection — including duplicate and unsorted φs, and
+/// queries at/past the universe edge.
 fn assert_reads_identical<S>(dq: &mut DyadicQuantiles<S>, xs: &[u64], phis: &[f64])
 where
     S: sqs_sketch::FrequencySketch,
@@ -123,11 +149,55 @@ where
     }
     let swept = dq.quantiles(phis);
     for (&phi, got) in phis.iter().zip(&swept) {
-        assert_eq!(
-            dq.quantile(phi),
-            *got,
-            "lockstep quantiles diverged at phi={phi}"
-        );
+        let want = bisect(dq, phi);
+        assert_eq!(want, *got, "the quantiles sweep diverged at phi={phi}");
+        assert_eq!(want, dq.quantile(phi), "quantile diverged at phi={phi}");
+    }
+}
+
+/// The read summed over `k` same-seed parts ([`MergeableSummary::answer_sum`],
+/// the engine's read over its shards) against the references on the
+/// merged clone, for k = 2 and 4: `batch` is split by value, so every
+/// part sees whole insert/delete histories.
+fn assert_summed_reads_identical<S>(
+    empty: &DyadicQuantiles<S>,
+    batch: &[(u64, i64)],
+    xs: &[u64],
+    phis: &[f64],
+) where
+    S: sqs_sketch::MergeableSketch + Clone,
+{
+    for k in [2u64, 4] {
+        let parts: Vec<DyadicQuantiles<S>> = (0..k)
+            .map(|p| {
+                let mut part = empty.clone();
+                let mine: Vec<(u64, i64)> =
+                    batch.iter().copied().filter(|&(x, _)| x % k == p).collect();
+                part.update_batch(&mine);
+                part
+            })
+            .collect();
+        let refs: Vec<&DyadicQuantiles<S>> = parts.iter().collect();
+        let (quantiles, ranks) =
+            DyadicQuantiles::answer_sum(&refs, phis, xs).expect("same-seed parts sum");
+        let merged = parts
+            .into_iter()
+            .reduce(|mut a, b| {
+                a.merge_from(b);
+                a
+            })
+            .expect("k parts");
+        for (&phi, got) in phis.iter().zip(&quantiles) {
+            assert_eq!(
+                bisect(&merged, phi),
+                *got,
+                "{k} parts diverged at phi={phi}"
+            );
+        }
+        for (&x, &got) in xs.iter().zip(&ranks) {
+            let want = merged.rank_signed(x).max(0) as u64;
+            assert_eq!(want, got, "{k} parts' rank diverged at x={x}");
+        }
     }
 }
 
@@ -170,7 +240,9 @@ proptest! {
     ) {
         let mut dq = sqs_turnstile::dcs::from_width_depth(48, 5, LOG_U, seed);
         assert_eq!(dq.level_cutoff(), 0);
-        dq.update_batch(&mixed_batch(&data));
+        let batch = mixed_batch(&data);
+        assert_summed_reads_identical(&dq, &batch, &probe_xs(64, seed), &probe_phi_grid());
+        dq.update_batch(&batch);
         assert_reads_identical(&mut dq, &probe_xs(64, seed), &probe_phi_grid());
     }
 
@@ -185,6 +257,8 @@ proptest! {
         let mut dcs = Dcs::dcs(0.02, LOG_U, seed);
         assert!(dcm.level_cutoff() > 0 && dcs.level_cutoff() > 0);
         let batch = mixed_batch(&data);
+        assert_summed_reads_identical(&dcm, &batch, &probe_xs(64, seed), &probe_phi_grid());
+        assert_summed_reads_identical(&dcs, &batch, &probe_xs(64, seed), &probe_phi_grid());
         dcm.update_batch(&batch);
         dcs.update_batch(&batch);
         assert_reads_identical(&mut dcm, &probe_xs(64, seed), &probe_phi_grid());

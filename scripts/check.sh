@@ -41,7 +41,10 @@ cargo test -q
 # floors stood: a sparse pool sweep builds no rank index and probes
 # each side of its cuts, a dense one builds one; a cold q-digest read
 # sorts no nodes and flushes nothing; a 99-phi GK sweep visits each
-# tuple at most once; a window union read clones nothing and indexes
+# tuple at most once; a dyadic phi-sweep reads one cell per node per
+# depth (sqs-turnstile's a_sweep_reads_one_cell_per_node_per_depth, at
+# paper_suite's DCS grid and turnstile_mix's 4-shard summed read); a
+# window union read clones nothing and indexes
 # each part once; and window_mix's request mix at library level stays
 # within eps. The engine has its own single-threaded step below (its
 # clone counts among them).
